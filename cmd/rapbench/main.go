@@ -11,7 +11,6 @@
 //	rapbench -chaos                  # perturbation-severity sweep, write BENCH_chaos.json
 //	rapbench -planner-bench          # time the online planner, write BENCH_planner.json
 //	rapbench -cluster                # fleet scheduling at 1024 GPUs, write BENCH_cluster.json
-//	rapbench -shard-smoke            # sharded-engine digest gate (verify.sh)
 //	rapbench -cluster-smoke          # fleet determinism gate (verify.sh)
 package main
 
@@ -19,16 +18,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
 	"rap/internal/experiments"
 	"rap/internal/gpusim"
-	"rap/internal/milp"
 	"rap/internal/rap"
 )
 
@@ -40,9 +36,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	engineBench := flag.Bool("engine-bench", false, "benchmark the gpusim engine and exit")
 	benchOut := flag.String("bench-out", "BENCH_engine.json", "output path for -engine-bench results")
-	shardsFlag := flag.String("shards", "1,2,4,8", "comma-separated shard counts for the -engine-bench scaling series")
-	shardSmoke := flag.Bool("shard-smoke", false, "quick sharded-vs-sequential digest equivalence check and exit (used by verify.sh)")
-	chaosShards := flag.Int("chaos-shards", 0, "simulator engine shards for -chaos (0 = sequential engine)")
 	chaosMode := flag.Bool("chaos", false, "run the perturbation-severity sweep and exit")
 	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the -chaos JSON report")
 	chaosSeed := flag.Int64("chaos-seed", 7, "seed for -chaos perturbation plans")
@@ -60,14 +53,6 @@ func main() {
 	clusterSmoke := flag.Bool("cluster-smoke", false, "quick fleet double-run digest equality check and exit (used by verify.sh)")
 	flag.Usage = usage
 	flag.Parse()
-
-	if *shardSmoke {
-		if err := runShardSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "rapbench: shard-smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *clusterSmoke {
 		if err := runClusterSmoke(); err != nil {
@@ -95,12 +80,7 @@ func main() {
 	}
 
 	if *engineBench {
-		shards, err := parseShards(*shardsFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rapbench: engine-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runEngineBench(*benchOut, shards); err != nil {
+		if err := runEngineBench(*benchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "rapbench: engine-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -120,8 +100,7 @@ func main() {
 		if *quick {
 			*chaosGPUs = 2
 		}
-		r, err := experiments.ChaosSweepEngine(*chaosPlan, *chaosGPUs, severities, *chaosSeed,
-			gpusim.EngineOptions{Shards: *chaosShards})
+		r, err := experiments.ChaosSweep(*chaosPlan, *chaosGPUs, severities, *chaosSeed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rapbench: chaos: %v\n", err)
 			os.Exit(1)
@@ -253,45 +232,21 @@ func main() {
 	}
 }
 
-// parseShards parses the -shards flag ("1,2,4,8") into shard counts.
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q (want positive integers, e.g. 1,2,4,8)", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -shards list")
-	}
-	return out, nil
-}
-
-// timeRuns runs the DAG built by mk under opt (warmups first), returning
-// the mean and best wall time plus the final run's Result.
-func timeRuns(mk func() *gpusim.Sim, opt gpusim.EngineOptions, warmup, timed int) (mean, best time.Duration, last *gpusim.Result, err error) {
+// timeRuns runs the DAG built by mk (warmups first), returning the
+// mean and best wall time.
+func timeRuns(mk func() *gpusim.Sim, warmup, timed int) (mean, best time.Duration, err error) {
 	for i := 0; i < warmup; i++ {
-		s := mk()
-		s.SetEngineOptions(opt)
-		if _, err = s.Run(); err != nil {
-			return 0, 0, nil, err
+		if _, err = mk().Run(); err != nil {
+			return 0, 0, err
 		}
 	}
 	var total time.Duration
 	best = time.Duration(1<<63 - 1)
 	for i := 0; i < timed; i++ {
 		s := mk()
-		s.SetEngineOptions(opt)
 		start := time.Now()
-		last, err = s.Run()
-		if err != nil {
-			return 0, 0, nil, err
+		if _, err = s.Run(); err != nil {
+			return 0, 0, err
 		}
 		d := time.Since(start)
 		total += d
@@ -299,102 +254,40 @@ func timeRuns(mk func() *gpusim.Sim, opt gpusim.EngineOptions, warmup, timed int
 			best = d
 		}
 	}
-	return total / time.Duration(timed), best, last, nil
-}
-
-// shardPoint is one entry of the ns/event-vs-shards scaling series.
-type shardPoint struct {
-	Shards     int     `json:"shards"`
-	NsPerRun   int64   `json:"ns_per_run"`
-	BestNs     int64   `json:"best_ns"`
-	Events     int     `json:"events"`
-	NsPerEvent float64 `json:"ns_per_event"`
-	// Speedup is sequential mean / this mean on the same DAG.
-	Speedup float64 `json:"speedup_vs_sequential"`
-	// DigestMatch records the in-run bit-identity self-check against
-	// the sequential reference digest.
-	DigestMatch bool `json:"digest_match"`
+	return total / time.Duration(timed), best, nil
 }
 
 // runEngineBench times the gpusim engine on the canonical benchmark DAG
-// (the same workload as BenchmarkEngine) plus the ns/event-vs-shards
-// scaling series on the shard benchmark DAG, and writes the result to
-// path as JSON, for cross-commit regression tracking. The series is
-// timed with the raced fallback off (pure sharded path) so the numbers
-// reflect the parallel engine, not engine racing; GOMAXPROCS is
-// recorded because shard scaling is bounded by physical cores — on a
-// single-core host every shard count times the same serial work.
-func runEngineBench(path string, shards []int) error {
+// (the same workload as BenchmarkEngine) and writes the result to path
+// as JSON, for cross-commit regression tracking.
+func runEngineBench(path string) error {
 	const (
-		warmupRuns      = 3
-		timedRuns       = 30
-		shardWarmupRuns = 2
-		shardTimedRuns  = 10
+		warmupRuns = 3
+		timedRuns  = 30
 	)
-	mean, best, _, err := timeRuns(gpusim.NewBenchmarkSim, gpusim.EngineOptions{}, warmupRuns, timedRuns)
+	mean, best, err := timeRuns(gpusim.NewBenchmarkSim, warmupRuns, timedRuns)
 	if err != nil {
 		return err
-	}
-
-	// Sequential reference for the scaling series: digest + timing on
-	// the shard DAG.
-	seqMean, seqBest, seqRes, err := timeRuns(gpusim.NewShardBenchmarkSim, gpusim.EngineOptions{}, shardWarmupRuns, shardTimedRuns)
-	if err != nil {
-		return err
-	}
-	seqDigest := gpusim.ResultDigest(seqRes)
-
-	var series []shardPoint
-	for _, n := range shards {
-		p := shardPoint{Shards: n}
-		if n == 1 {
-			p.NsPerRun, p.BestNs = seqMean.Nanoseconds(), seqBest.Nanoseconds()
-			p.Events, p.Speedup, p.DigestMatch = seqRes.Events, 1, true
-		} else {
-			m, b, res, err := timeRuns(gpusim.NewShardBenchmarkSim, gpusim.EngineOptions{Shards: n, NoRace: true}, shardWarmupRuns, shardTimedRuns)
-			if err != nil {
-				return err
-			}
-			p.NsPerRun, p.BestNs = m.Nanoseconds(), b.Nanoseconds()
-			p.Events = res.Events
-			p.DigestMatch = gpusim.ResultDigest(res) == seqDigest
-			if m > 0 {
-				p.Speedup = float64(seqMean) / float64(m)
-			}
-		}
-		if p.Events > 0 {
-			p.NsPerEvent = float64(p.NsPerRun) / float64(p.Events)
-		}
-		series = append(series, p)
-		if !p.DigestMatch {
-			return fmt.Errorf("shards=%d: result digest diverged from sequential", p.Shards)
-		}
 	}
 
 	report := struct {
-		Name         string       `json:"name"`
-		Runs         int          `json:"runs"`
-		NsPerOp      int64        `json:"ns_per_op"`
-		BestNs       int64        `json:"best_ns"`
-		Kernels      int          `json:"kernels"`
-		GPUs         int          `json:"gpus"`
-		GoMaxProcs   int          `json:"gomaxprocs"`
-		ShardKernels int          `json:"shard_kernels"`
-		ShardRuns    int          `json:"shard_runs"`
-		ShardSeries  []shardPoint `json:"shard_series"`
-		Executed     string       `json:"executed"`
+		Name       string `json:"name"`
+		Runs       int    `json:"runs"`
+		NsPerOp    int64  `json:"ns_per_op"`
+		BestNs     int64  `json:"best_ns"`
+		Kernels    int    `json:"kernels"`
+		GPUs       int    `json:"gpus"`
+		GoMaxProcs int    `json:"gomaxprocs"`
+		Executed   string `json:"executed"`
 	}{
-		Name:         "BenchmarkEngine",
-		Runs:         timedRuns,
-		NsPerOp:      mean.Nanoseconds(),
-		BestNs:       best.Nanoseconds(),
-		Kernels:      gpusim.BenchKernels,
-		GPUs:         gpusim.BenchGPUs,
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		ShardKernels: gpusim.ShardBenchKernels,
-		ShardRuns:    shardTimedRuns,
-		ShardSeries:  series,
-		Executed:     time.Now().UTC().Format(time.RFC3339),
+		Name:       "BenchmarkEngine",
+		Runs:       timedRuns,
+		NsPerOp:    mean.Nanoseconds(),
+		BestNs:     best.Nanoseconds(),
+		Kernels:    gpusim.BenchKernels,
+		GPUs:       gpusim.BenchGPUs,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Executed:   time.Now().UTC().Format(time.RFC3339),
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -406,37 +299,6 @@ func runEngineBench(path string, shards []int) error {
 	}
 	fmt.Printf("engine-bench: %s/op (best %s) over %d runs, gomaxprocs %d -> %s\n",
 		mean, best, timedRuns, report.GoMaxProcs, path)
-	for _, p := range series {
-		fmt.Printf("  shards %d: %s/run, %.0f ns/event, %.2fx vs sequential, digest ok\n",
-			p.Shards, time.Duration(p.NsPerRun), p.NsPerEvent, p.Speedup)
-	}
-	return nil
-}
-
-// runShardSmoke is the verify.sh fast gate: one sharded run of the
-// shard benchmark DAG must digest bit-identically to one sequential
-// run. It exits non-zero on any drift so tier-1 fails before the full
-// golden matrix would.
-func runShardSmoke() error {
-	seq := gpusim.NewShardBenchmarkSim()
-	seqRes, err := seq.Run()
-	if err != nil {
-		return err
-	}
-	sh := gpusim.NewShardBenchmarkSim()
-	sh.SetEngineOptions(gpusim.EngineOptions{Shards: 2, NoRace: true})
-	shRes, err := sh.Run()
-	if err != nil {
-		return err
-	}
-	if seqRes.Events != shRes.Events {
-		return fmt.Errorf("event count diverged: sequential %d, sharded %d", seqRes.Events, shRes.Events)
-	}
-	a, b := gpusim.ResultDigest(seqRes), gpusim.ResultDigest(shRes)
-	if a != b {
-		return fmt.Errorf("digest diverged: sequential %s, sharded %s", a[:16], b[:16])
-	}
-	fmt.Printf("shard-smoke: 2-shard digest %s matches sequential (%d events)\n", a[:16], seqRes.Events)
 	return nil
 }
 
@@ -470,41 +332,16 @@ type plannerBenchReport struct {
 	FusionHits   int `json:"fusion_hits"`
 	FusionSolves int `json:"fusion_solves"`
 
-	// MILP branch & bound, sequential vs parallel fan-out, summed over
-	// the instance set.
-	SolverInstances    int     `json:"solver_instances"`
-	SolverSequentialNs int64   `json:"solver_sequential_ns"`
-	SolverParallelNs   int64   `json:"solver_parallel_ns"`
-	SolverSpeedup      float64 `json:"solver_speedup"`
-
 	Executed string `json:"executed"`
 }
 
-// plannerBenchDAG builds one random fusion DAG for the solver leg,
-// sized so the branch & bound does real work but completes.
-func plannerBenchDAG(seed int64, n int) milp.Problem {
-	rng := rand.New(rand.NewSource(seed))
-	types := make([]int, n)
-	deps := make([][]int, n)
-	for i := 0; i < n; i++ {
-		types[i] = rng.Intn(4)
-		for j := 0; j < i; j++ {
-			if rng.Float64() < 0.15 {
-				deps[i] = append(deps[i], j)
-			}
-		}
-	}
-	return milp.Problem{Types: types, Deps: deps}
-}
-
 // runPlannerBench times the online pass end to end (BuildPlan on an
-// 8-GPU workload, sequential baseline vs fast path) plus the MILP
-// solver in isolation, writes the JSON report, and re-reads it as a
-// self-check.
+// 8-GPU workload, sequential baseline vs fast path), writes the JSON
+// report, and re-reads it as a self-check.
 func runPlannerBench(path string, quick bool) error {
-	gpus, runs, solverN, solverSeeds := 8, 5, 26, 6
+	gpus, runs := 8, 5
 	if quick {
-		gpus, runs, solverN, solverSeeds = 2, 2, 20, 2
+		gpus, runs = 2, 2
 	}
 	const planIdx, batch = 2, 4096
 
@@ -516,7 +353,6 @@ func runPlannerBench(path string, quick bool) error {
 	sequentialPlanner := rap.PlannerOptions{
 		SequentialProbes:   true,
 		DisableProbeMemo:   true,
-		SequentialSolve:    true,
 		SequentialLowering: true,
 		DisableFusionMemo:  true,
 		DisablePlanCache:   true,
@@ -604,32 +440,6 @@ func runPlannerBench(path string, quick bool) error {
 		report.BuildSpeedup = float64(report.SequentialBuildNs) / float64(report.FastWarmBuildNs)
 	}
 
-	// Solver leg: identical instances through the sequential and the
-	// parallel search (results are bit-identical; only time differs).
-	report.SolverInstances = solverSeeds
-	for seed := int64(0); seed < int64(solverSeeds); seed++ {
-		p := plannerBenchDAG(seed, solverN)
-		p.Workers = 1
-		start := time.Now()
-		seqSol, err := milp.SolveSequential(p)
-		if err != nil {
-			return err
-		}
-		report.SolverSequentialNs += time.Since(start).Nanoseconds()
-		p.Workers = 0
-		start = time.Now()
-		parSol, err := milp.Solve(p)
-		if err != nil {
-			return err
-		}
-		report.SolverParallelNs += time.Since(start).Nanoseconds()
-		if seqSol.Objective != parSol.Objective {
-			return fmt.Errorf("solver mismatch on seed %d: %d vs %d", seed, seqSol.Objective, parSol.Objective)
-		}
-	}
-	if report.SolverParallelNs > 0 {
-		report.SolverSpeedup = float64(report.SolverSequentialNs) / float64(report.SolverParallelNs)
-	}
 	report.Executed = time.Now().UTC().Format(time.RFC3339)
 
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -651,19 +461,18 @@ func runPlannerBench(path string, quick bool) error {
 	if err := json.Unmarshal(back, &check); err != nil {
 		return fmt.Errorf("re-reading %s: %w", path, err)
 	}
-	if check.SequentialBuildNs <= 0 || check.FastColdBuildNs <= 0 || check.SolverSpeedup <= 0 {
+	if check.SequentialBuildNs <= 0 || check.FastColdBuildNs <= 0 || check.BuildSpeedup <= 0 {
 		return fmt.Errorf("re-reading %s: incomplete report", path)
 	}
 
-	fmt.Printf("planner-bench: %d-GPU BuildPlan %s sequential -> %s cold / %s warm / %s cached (%.2fx), probes saved %d/%d, solver %.2fx -> %s\n",
+	fmt.Printf("planner-bench: %d-GPU BuildPlan %s sequential -> %s cold / %s warm / %s cached (%.2fx), probes saved %d/%d -> %s\n",
 		gpus,
 		time.Duration(report.SequentialBuildNs),
 		time.Duration(report.FastColdBuildNs),
 		time.Duration(report.FastWarmBuildNs),
 		time.Duration(report.PlanCacheHitNs),
 		report.BuildSpeedup,
-		report.ProbesSaved, report.ProbeHits+report.ProbeMisses,
-		report.SolverSpeedup, path)
+		report.ProbesSaved, report.ProbeHits+report.ProbeMisses, path)
 	return nil
 }
 
@@ -685,7 +494,6 @@ Benchmarks (each writes a JSON report and exits):
                                RAP-aware packing vs first-fit) -> BENCH_cluster.json
 
 Smoke gates (used by scripts/verify.sh; exit non-zero on drift):
-  rapbench -shard-smoke        sharded engine bit-identical to sequential
   rapbench -cluster-smoke      fleet simulation digest-stable across reruns
 
 Flags:

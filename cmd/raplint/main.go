@@ -31,8 +31,6 @@
 //	-nocache           disable the per-package content-hash result cache
 //	-cache-dir D       override the cache directory (default per-user cache)
 //	-jobs N            concurrent package analysis (default GOMAXPROCS)
-//	-legacy-unitmix    also run the retired v1 unitmix analyzer (dimcheck
-//	                   subsumes it; the flag exists for comparison runs)
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error. Findings can
 // be suppressed with `//lint:ignore <analyzer> <reason>` on or above
@@ -60,7 +58,6 @@ func main() {
 	noCache := flag.Bool("nocache", false, "disable the per-package result cache")
 	cacheDir := flag.String("cache-dir", "", "cache directory (default: per-user cache)")
 	jobs := flag.Int("jobs", 0, "concurrent package analysis (default GOMAXPROCS)")
-	legacyUnitmix := flag.Bool("legacy-unitmix", false, "also run the retired v1 unitmix analyzer (subsumed by dimcheck)")
 	checkReport := flag.String("check-report", "", "gate on a previously written -json report instead of analyzing")
 	flag.Parse()
 
@@ -70,9 +67,6 @@ func main() {
 	}
 
 	analyzers := lint.All()
-	if *legacyUnitmix {
-		analyzers = append(analyzers, lint.UnitMix)
-	}
 	if *list {
 		for _, a := range analyzers {
 			fmt.Printf("%-18s %s\n", a.Name, a.Doc)

@@ -74,20 +74,11 @@ func Run(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterations i
 // conditions hit RAP and the baselines identically. A nil plan makes
 // this Run.
 func RunChaos(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan) (RunResult, error) {
-	return RunEngine(sys, w, cluster, iterations, cp, gpusim.EngineOptions{})
-}
-
-// RunEngine is RunChaos with an explicit simulator engine selection:
-// engine.Shards > 1 opts the system's pipeline simulation into the
-// sharded parallel event engine. Sharded results are bit-identical to
-// sequential ones, so every measurement is unchanged — the knob only
-// trades wall-clock time on multi-core hosts.
-func RunEngine(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan, engine gpusim.EngineOptions) (RunResult, error) {
 	cluster = cluster.WithDefaults()
 	switch sys {
 	case SystemRAP:
 		cluster.Policy = gpusim.FairShare
-		return runFramework(sys, w, cluster, iterations, rap.BuildOptions{Engine: engine}, cp)
+		return runFramework(sys, w, cluster, iterations, rap.BuildOptions{}, cp)
 	case SystemSequential:
 		cluster.Policy = gpusim.FairShare
 		return runFramework(sys, w, cluster, iterations, rap.BuildOptions{
@@ -96,7 +87,6 @@ func RunEngine(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterat
 			NoInterleave:      true,
 			NaiveSchedule:     true,
 			SequentialPreproc: true,
-			Engine:            engine,
 		}, cp)
 	case SystemStream:
 		cluster.Policy = gpusim.PrioritySpace
@@ -108,7 +98,6 @@ func RunEngine(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterat
 			// Low-priority stream: training preempts, preprocessing
 			// only gets leftovers.
 			PreprocPriority: 0,
-			Engine:          engine,
 		}, cp)
 	case SystemMPS:
 		cluster.Policy = gpusim.FairShare
@@ -119,12 +108,11 @@ func RunEngine(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterat
 			NaiveSchedule: true,
 			// MPS: both processes share the GPU on equal footing.
 			PreprocPriority: 1,
-			Engine:          engine,
 		}, cp)
 	case SystemTorchArrow:
-		return runTorchArrow(w, cluster, iterations, cp, engine)
+		return runTorchArrow(w, cluster, iterations, cp)
 	case SystemIdeal:
-		return runIdeal(w, cluster, iterations, cp, engine)
+		return runIdeal(w, cluster, iterations, cp)
 	default:
 		return RunResult{}, fmt.Errorf("baselines: unknown system %q", sys)
 	}
@@ -146,7 +134,7 @@ func runFramework(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, ite
 // runTorchArrow replaces GPU preprocessing with host-CPU workers: each
 // GPU's batch is preprocessed by TorchArrowWorkers CPU workers drawn
 // from the shared host pool — the pool, not the GPUs, bounds scaling.
-func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan, engine gpusim.EngineOptions) (RunResult, error) {
+func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan) (RunResult, error) {
 	n := cluster.NumGPUs
 	pl := placementFor(w, n)
 	gpuWorkUs := w.Plan.SaturatedWork(w.Model.BatchSize)
@@ -162,7 +150,6 @@ func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int
 	stats, err := sched.BuildAndRun(cluster, w.Model, pl, work, sched.PipelineOptions{
 		Iterations: iterations,
 		Chaos:      cp,
-		Engine:     engine,
 	})
 	if err != nil {
 		return RunResult{}, err
@@ -171,13 +158,12 @@ func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int
 }
 
 // runIdeal trains with no preprocessing at all.
-func runIdeal(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan, engine gpusim.EngineOptions) (RunResult, error) {
+func runIdeal(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan) (RunResult, error) {
 	n := cluster.NumGPUs
 	pl := placementFor(w, n)
 	stats, err := sched.BuildAndRun(cluster, w.Model, pl, make([]sched.GPUWork, n), sched.PipelineOptions{
 		Iterations: iterations,
 		Chaos:      cp,
-		Engine:     engine,
 	})
 	if err != nil {
 		return RunResult{}, err

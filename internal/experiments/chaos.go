@@ -7,7 +7,6 @@ import (
 
 	"rap/internal/baselines"
 	"rap/internal/chaos"
-	"rap/internal/gpusim"
 	"rap/internal/trace"
 )
 
@@ -57,15 +56,6 @@ type ChaosResult struct {
 // and applied to every system identically, so rows are comparable: the
 // only varying factor is the sharing strategy.
 func ChaosSweep(plan, gpus int, severities []float64, seed int64) (*ChaosResult, error) {
-	return ChaosSweepEngine(plan, gpus, severities, seed, gpusim.EngineOptions{})
-}
-
-// ChaosSweepEngine is ChaosSweep with an explicit simulator engine
-// selection (engine.Shards > 1 opts every system's simulation into the
-// sharded parallel event engine). The sweep's numbers are identical
-// either way — sharded results are bit-identical — so the knob only
-// changes how long the sweep takes on multi-core hosts.
-func ChaosSweepEngine(plan, gpus int, severities []float64, seed int64, engine gpusim.EngineOptions) (*ChaosResult, error) {
 	if len(severities) == 0 {
 		severities = []float64{0.25, 0.5, 0.75}
 	}
@@ -82,7 +72,7 @@ func ChaosSweepEngine(plan, gpus int, severities []float64, seed int64, engine g
 	// the horizon perturbation windows must cover.
 	base := map[baselines.System]float64{}
 	for _, sys := range ChaosSystems() {
-		r, err := baselines.RunEngine(sys, w, cluster(gpus), Iterations, nil, engine)
+		r, err := baselines.RunChaos(sys, w, cluster(gpus), Iterations, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +93,7 @@ func ChaosSweepEngine(plan, gpus int, severities []float64, seed int64, engine g
 		}
 		res.Plans = append(res.Plans, *cp)
 		for _, sys := range ChaosSystems() {
-			r, err := baselines.RunEngine(sys, w, cluster(gpus), Iterations, cp, engine)
+			r, err := baselines.RunChaos(sys, w, cluster(gpus), Iterations, cp)
 			if err != nil {
 				return nil, err
 			}

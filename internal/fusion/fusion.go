@@ -19,13 +19,11 @@ type Options struct {
 	// Disable turns fusion off entirely (each op becomes its own
 	// kernel) — the "RAP w/o fusion" ablation of Figure 10.
 	Disable bool
-	// Horizon / MaxNodes / Workers forward to the MILP solver (0 =
-	// defaults). Workers only changes solver wall-clock, never the
-	// returned plan (the parallel solver is bit-identical); 1 forces
-	// the sequential search.
+	// Horizon / MaxNodes forward to the MILP solver (0 = defaults).
 	Horizon  int
 	MaxNodes int
-	Workers  int
+	// Deprecated: ignored; the MILP solve is single-threaded.
+	Workers int
 	// GreedyOnly skips branch & bound and uses the level greedy — the
 	// fallback for very large per-GPU op sets.
 	GreedyOnly bool
@@ -191,7 +189,6 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 		if prob.MaxNodes == 0 {
 			prob.MaxNodes = budgetFor(len(refs))
 		}
-		prob.Workers = opts.Workers
 		var key string
 		var sol milp.Solution
 		var cached bool

@@ -35,9 +35,6 @@ func (c *SolveCache) Stats() (hits, misses int) {
 }
 
 // solveKey is the deep content hash of everything the solver reads.
-// Workers is deliberately excluded: the parallel solver is bit-identical
-// to the sequential one, so the worker count must not fragment the
-// cache.
 func solveKey(p milp.Problem) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "horizon %d maxnodes %d\n", p.Horizon, p.MaxNodes)

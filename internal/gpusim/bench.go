@@ -1,7 +1,5 @@
 package gpusim
 
-import "fmt"
-
 // BenchKernels and BenchGPUs describe the canonical engine-benchmark DAG
 // shape, reported alongside timings in BENCH_engine.json.
 const (
@@ -23,40 +21,6 @@ func NewBenchmarkSim() *Sim {
 			Name: "k", Work: float64(1 + k%50),
 			Demand: Demand{SM: 0.1 + float64(k%7)*0.1, MemBW: 0.2},
 		}, WithStream("s"+string(rune('a'+k%4))))
-	}
-	return s
-}
-
-// ShardBenchKernels and ShardBenchStreamsPerGPU describe the
-// shard-scaling benchmark DAG, reported alongside its timings in
-// BENCH_engine.json. It shares BenchGPUs with the canonical DAG.
-const (
-	ShardBenchKernels       = 1200
-	ShardBenchStreamsPerGPU = 3
-)
-
-// NewShardBenchmarkSim constructs the DAG used by rapbench's
-// ns/event-vs-shards scaling series. The canonical NewBenchmarkSim
-// chains its kernels through four global streams, so only a handful of
-// ops run concurrently — almost nothing for per-GPU shards to do in
-// parallel. This DAG instead keeps ShardBenchStreamsPerGPU independent
-// streams busy on every GPU (so each shard owns a full complement of
-// concurrently-running ops) and threads a deterministic sprinkle of
-// cross-GPU point-to-point comms through the stream chains, exercising
-// the sharded engine's cross-shard coupling path rather than the fused
-// fast path.
-func NewShardBenchmarkSim() *Sim {
-	s := NewSim(ClusterConfig{NumGPUs: BenchGPUs})
-	for k := 0; k < ShardBenchKernels; k++ {
-		g := k % BenchGPUs
-		stream := fmt.Sprintf("g%d/s%d", g, (k/BenchGPUs)%ShardBenchStreamsPerGPU)
-		id := s.AddKernel(g, Kernel{
-			Name: "k", Work: float64(1 + k%40),
-			Demand: Demand{SM: 0.15 + float64(k%5)*0.1, MemBW: 0.25},
-		}, WithStream(stream))
-		if k%24 == 7 {
-			s.AddComm("x", g, (g+3)%BenchGPUs, 2e6, WithDeps(id), WithStream(stream))
-		}
 	}
 	return s
 }

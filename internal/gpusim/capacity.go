@@ -106,10 +106,8 @@ type capWindow struct {
 //     and provably inert (it compiles to no step events at all).
 //   - Overlapping windows on the same (resource, GPU) multiply, in
 //     insertion order, with the product clamped to [0,1]. The product
-//     is evaluated when windows are compiled to the step function —
-//     before any engine runs — so the semantics are byte-identical
-//     under the sequential, sharded, and raced engines (the sharded
-//     commit phase applies the same precompiled steps serially).
+//     is evaluated when windows are compiled to the step function,
+//     before the engine runs.
 func (s *Sim) AddCapacityWindow(rc ResourceClass, gpu int, t0, t1, scale float64) error {
 	kind, ok := rc.kind()
 	if !ok {

@@ -292,14 +292,15 @@ func TestCapacityWindowDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestOverlappingWindowsShardedIdentical runs partially-overlapping
-// windows (distinct boundary instants, multiplied interior) on a DAG
-// large enough for real sharding, through every engine configuration:
-// the overlap semantics must be bit-identical under sharding.
-func TestOverlappingWindowsShardedIdentical(t *testing.T) {
+// TestOverlappingWindowsMatchReference runs partially-overlapping
+// windows (distinct boundary instants, multiplied interior) on a
+// multi-GPU DAG with a cross-GPU transfer and a host-pool window: the
+// overlap semantics must be field-exact against the preserved reference
+// engine.
+func TestOverlappingWindowsMatchReference(t *testing.T) {
 	build := func() *Sim {
 		s := NewSim(ClusterConfig{NumGPUs: 4})
-		for i := 0; i < 3*shardMinOps; i++ {
+		for i := 0; i < 48; i++ {
 			g := i % 4
 			s.AddKernel(g, Kernel{
 				Name:   fmt.Sprintf("k%d", i),
@@ -307,7 +308,7 @@ func TestOverlappingWindowsShardedIdentical(t *testing.T) {
 				Demand: Demand{SM: 0.7, MemBW: 0.3},
 			}, WithStream(fmt.Sprintf("g%d", g)))
 		}
-		s.AddComm("x", 0, 3, 2e6) // cross-shard coupling
+		s.AddComm("x", 0, 3, 2e6)
 		for g := 0; g < 4; g++ {
 			// Same resource, staggered overlap: [10,120)@0.8 x [60,200)@0.5.
 			if err := s.AddCapacityWindow(ResSM, g, 10, 120, 0.8); err != nil {
@@ -322,21 +323,13 @@ func TestOverlappingWindowsShardedIdentical(t *testing.T) {
 		}
 		return s
 	}
-	base := build()
-	want, err := base.Run()
+	got, err := build().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDigest := ResultDigest(want)
-	for _, shards := range []int{2, 4} {
-		s := build()
-		s.SetEngineOptions(EngineOptions{Shards: shards, NoRace: true})
-		got, err := s.Run()
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		if d := ResultDigest(got); d != wantDigest {
-			t.Errorf("shards %d: overlap digest %s != sequential %s", shards, d[:12], wantDigest[:12])
-		}
+	want, err := referenceRun(build())
+	if err != nil {
+		t.Fatal(err)
 	}
+	compareResults(t, 0, got, want)
 }

@@ -12,11 +12,9 @@ import (
 // exact bit patterns of all floats, so two results digest equal iff
 // they are bit-identical. It is the currency of the engine-equivalence
 // harness: the golden-digest suite pins 64 seeded DAGs against files
-// captured from the pre-optimization engine, and the verify.sh shard
-// smoke step compares a sharded run's digest against a sequential one.
-// (Events is deliberately excluded: it is a diagnostic counter, not an
-// observable of the simulated timeline, and the committed golden files
-// predate it.)
+// captured from the pre-optimization engine. (Events is deliberately
+// excluded: it is a diagnostic counter, not an observable of the
+// simulated timeline, and the committed golden files predate it.)
 func ResultDigest(r *Result) string {
 	h := sha256.New()
 	f := func(v float64) {

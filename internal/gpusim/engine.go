@@ -3,7 +3,6 @@ package gpusim
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 const (
@@ -170,22 +169,10 @@ type engine struct {
 	accSM    []float64
 	accBW    []float64
 	tagAcc   [][]tagGrant
-
-	// stop, when non-nil, is polled once per event; a set flag aborts
-	// the run with errEngineCancelled. It is how the raced-engine
-	// coordinator cancels the losing engine (see engine_sharded.go).
-	stop *atomic.Bool
 }
 
-// errEngineCancelled is returned by an engine whose stop flag was set.
-// It never escapes Run: the race coordinator only cancels an engine
-// after the other one has already produced the (identical) result.
-var errEngineCancelled = fmt.Errorf("gpusim: engine cancelled")
-
 // Run executes the accumulated op DAG and returns the timeline. A Sim is
-// single-use: Run may only be called once. The engine configured via
-// SetEngineOptions never changes the Result — sequential, sharded, and
-// raced execution are all bit-identical (see engine_sharded.go).
+// single-use: Run may only be called once.
 //
 //rap:deterministic
 func (s *Sim) Run() (*Result, error) {
@@ -216,7 +203,7 @@ func (s *Sim) Run() (*Result, error) {
 		}
 	}
 
-	return s.execute()
+	return newEngine(s).run()
 }
 
 func newEngine(s *Sim) *engine {
@@ -404,9 +391,6 @@ func (e *engine) run() (*Result, error) {
 	}
 
 	for done < len(s.ops) {
-		if e.stop != nil && e.stop.Load() {
-			return nil, errEngineCancelled
-		}
 		if len(e.running) == 0 {
 			return nil, fmt.Errorf("gpusim: deadlock — %d ops pending with no runnable op (dependency cycle?)", len(s.ops)-done)
 		}
@@ -531,23 +515,8 @@ func (e *engine) recordUtil(res *Result, t0, t1 float64) {
 		e.accBW[g] = 0
 		e.tagAcc[g] = e.tagAcc[g][:0]
 	}
-	hostCPU := e.accumUtil(e.running, 0, e.accSM, e.accBW, e.tagAcc)
-	flushHostSegment(res, t0, t1, hostCPU)
-	for g := 0; g < e.numGPUs; g++ {
-		flushGPUSegment(res, g, t0, t1, e.accSM[g], e.accBW[g], e.tagAcc[g])
-	}
-}
-
-// accumUtil folds the granted utilization of the running-phase ops into
-// the accumulators, which cover GPUs [lo, lo+len(accSM)). The caller
-// guarantees every GPU-resident op in the list falls inside that window
-// (SM and bandwidth demands are always on the op's own GPU). Shared by
-// the sequential engine (whole-cluster window) and each shard (its own
-// GPU range): the ops arrive in startSeq order either way, so the
-// accumulation order — and therefore every float bit — matches.
-func (e *engine) accumUtil(running []*op, lo int, accSM, accBW []float64, tagAcc [][]tagGrant) float64 {
 	hostCPU := 0.0
-	for _, o := range running {
+	for _, o := range e.running {
 		if o.state != opRunning {
 			continue
 		}
@@ -563,9 +532,9 @@ func (e *engine) accumUtil(running []*op, lo int, accSM, accBW []float64, tagAcc
 			switch d.kind {
 			case resSM:
 				grant := d.dem * e.res[d.idx].factorFor(o.priority)
-				g := int(d.idx) - lo // SM block leads the kind-major layout
-				accSM[g] += grant
-				ta := tagAcc[g]
+				g := int(d.idx) // SM block leads the kind-major layout
+				e.accSM[g] += grant
+				ta := e.tagAcc[g]
 				found := false
 				for i := range ta {
 					if ta[i].tag == o.tag {
@@ -575,15 +544,18 @@ func (e *engine) accumUtil(running []*op, lo int, accSM, accBW []float64, tagAcc
 					}
 				}
 				if !found {
-					tagAcc[g] = append(ta, tagGrant{tag: o.tag, sm: grant})
+					e.tagAcc[g] = append(ta, tagGrant{tag: o.tag, sm: grant})
 				}
 			case resBW:
 				grant := d.dem * e.res[d.idx].factorFor(o.priority)
-				accBW[int(d.idx)-e.numGPUs-lo] += grant
+				e.accBW[int(d.idx)-e.numGPUs] += grant
 			}
 		}
 	}
-	return hostCPU
+	flushHostSegment(res, t0, t1, hostCPU)
+	for g := 0; g < e.numGPUs; g++ {
+		flushGPUSegment(res, g, t0, t1, e.accSM[g], e.accBW[g], e.tagAcc[g])
+	}
 }
 
 // flushHostSegment appends (or merges) one event's host-pool segment.

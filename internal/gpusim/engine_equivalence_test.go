@@ -27,12 +27,11 @@ func TestGoldenEquivalence(t *testing.T) {
 
 // TestEngineEquivalenceComposedMatrix crosses the perturbation axes —
 // capacity windows and straggler inflation, separately and together —
-// with every engine: sequential (the truth), the preserved reference
-// implementation, and the sharded engine at 2 and 4 shards. Each cell
-// must be bit-identical; the combined cell is what catches interactions
-// the single-axis suites (TestGoldenEquivalence, the chaos digests)
-// cannot, e.g. a capacity step landing mid-flight on an inflated
-// straggler kernel while shards disagree about the clamped dt.
+// and replays each cell through the engine and the preserved reference
+// implementation. Each cell must be bit-identical; the combined cell is
+// what catches interactions the single-axis suites
+// (TestGoldenEquivalence, the chaos digests) cannot, e.g. a capacity
+// step landing mid-flight on an inflated straggler kernel.
 func TestEngineEquivalenceComposedMatrix(t *testing.T) {
 	type axes struct{ windows, stragglers bool }
 	cells := []axes{{false, false}, {true, false}, {false, true}, {true, true}}
@@ -68,28 +67,15 @@ func TestEngineEquivalenceComposedMatrix(t *testing.T) {
 				}
 				return s
 			}
-			want, err := build().Run()
+			got, err := build().Run()
 			if err != nil {
-				t.Fatalf("seed %d %+v: sequential: %v", seed, ax, err)
+				t.Fatalf("seed %d %+v: engine: %v", seed, ax, err)
 			}
-			ref, err := referenceRun(build())
+			want, err := referenceRun(build())
 			if err != nil {
 				t.Fatalf("seed %d %+v: reference: %v", seed, ax, err)
 			}
-			compareResults(t, seed, ref, want)
-			for _, shards := range []int{2, 4} {
-				s := build()
-				s.SetEngineOptions(EngineOptions{Shards: shards, NoRace: true})
-				got, err := s.Run()
-				if err != nil {
-					t.Fatalf("seed %d %+v shards %d: %v", seed, ax, shards, err)
-				}
-				compareResults(t, seed, got, want)
-				if got.Events != want.Events {
-					t.Errorf("seed %d %+v shards %d: %d events != sequential %d",
-						seed, ax, shards, got.Events, want.Events)
-				}
-			}
+			compareResults(t, seed, got, want)
 		}
 	}
 }

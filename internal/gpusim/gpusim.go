@@ -274,10 +274,8 @@ type Result struct {
 	Util [][]UtilSegment
 	// HostUtil is the host CPU pool's utilization timeline.
 	HostUtil []HostSegment
-	// Events counts the simulated event-loop iterations. Every engine
-	// configuration replays the same event trajectory, so the count is
-	// identical across sequential and sharded runs (the equivalence
-	// suite asserts this) and normalizes benchmark times to ns/event.
+	// Events counts the simulated event-loop iterations; it normalizes
+	// benchmark times to ns/event.
 	Events int
 
 	byName map[string][]int
@@ -361,33 +359,12 @@ func (r *Result) UtilSeries(g int, dt float64) []Sample {
 	return out
 }
 
-// EngineOptions selects how Run executes the event loop. The options
-// influence wall-clock only: every configuration produces bit-identical
-// Results (enforced by the cross-shard-count equivalence suite and the
-// golden digests).
-type EngineOptions struct {
-	// Shards requests the sharded parallel engine with that many GPU
-	// shards. 0 or 1 selects the sequential engine; values above the
-	// GPU count are clamped. Sharding is skipped (sequential fallback)
-	// for DAGs too small to amortize the per-event synchronization.
-	Shards int
-	// NoRace disables racing the sequential engine alongside the
-	// sharded one. By default, when the sharded engine is selected and
-	// a spare CPU exists, Run races both and returns the first finisher
-	// — results are bit-identical either way, so the race is purely a
-	// wall-clock hedge against barrier overhead on unfavourable DAGs
-	// (the milp.Solve pattern). Benchmarks set NoRace for clean
-	// per-configuration timings.
-	NoRace bool
-}
-
 // Sim accumulates an op DAG and executes it.
 type Sim struct {
 	cfg     ClusterConfig
 	ops     []*op
 	streams map[string]OpID // last op per stream, for implicit chaining
 	ran     bool
-	engine  EngineOptions
 	// addErr records the first invalid Add* call (e.g. an out-of-range
 	// GPU); Run reports it instead of executing. Deferred error
 	// reporting keeps the builder surface panic-free, matching the
@@ -483,13 +460,6 @@ func (s *Sim) SetTopology(t *topo.Topology) error {
 
 // Topology returns the installed topology (nil when none was set).
 func (s *Sim) Topology() *topo.Topology { return s.topo }
-
-// SetEngineOptions configures how Run executes the DAG. It must be
-// called before Run; the options never change observable results.
-func (s *Sim) SetEngineOptions(o EngineOptions) { s.engine = o }
-
-// EngineOptions returns the configured engine options.
-func (s *Sim) EngineOptions() EngineOptions { return s.engine }
 
 // OpOption customizes an op at add time.
 type OpOption func(*op, *Sim)

@@ -267,14 +267,27 @@ func TestCPUPoolContention(t *testing.T) {
 	almost(t, res.OpByID(b).Latency(), want, 1e-6, "cpu contention")
 }
 
+// TestDeadlockDetected: a dependency cycle behind runnable work must
+// surface as the deadlock error once that work drains, with the same
+// message (pending-op count included) as the reference engine.
 func TestDeadlockDetected(t *testing.T) {
-	s := NewSim(ClusterConfig{NumGPUs: 1})
-	a := s.AddKernel(0, Kernel{Name: "a", Work: 1, Demand: Demand{SM: 0.1}})
-	b := s.AddKernel(0, Kernel{Name: "b", Work: 1, Demand: Demand{SM: 0.1}}, WithDeps(a))
-	// Forge a cycle a -> b -> a.
-	s.ops[a].deps = append(s.ops[a].deps, b)
-	if _, err := s.Run(); err == nil {
-		t.Fatal("cycle not detected")
+	build := func() *Sim {
+		s := NewSim(ClusterConfig{NumGPUs: 2})
+		for i := 0; i < 8; i++ {
+			s.AddKernel(i%2, Kernel{Name: "k", Work: 5, Demand: Demand{SM: 0.4}})
+		}
+		a := s.AddKernel(0, Kernel{Name: "a", Work: 1, Demand: Demand{SM: 0.1}})
+		b := s.AddKernel(1, Kernel{Name: "b", Work: 1, Demand: Demand{SM: 0.1}}, WithDeps(a))
+		// Forge a cycle a -> b -> a.
+		s.ops[a].deps = append(s.ops[a].deps, b)
+		return s
+	}
+	_, err := build().Run()
+	if err == nil || !strings.Contains(err.Error(), "2 ops pending") || !strings.Contains(err.Error(), "dependency cycle") {
+		t.Fatalf("cycle: err = %v, want the 2-pending-op deadlock error", err)
+	}
+	if _, refErr := referenceRun(build()); refErr == nil || refErr.Error() != err.Error() {
+		t.Errorf("deadlock error %q != reference %q", err, refErr)
 	}
 }
 

@@ -9,8 +9,7 @@ package lint
 // quotient units (bytes ÷ s → bytes/s); `+`, `-`, and comparisons
 // between incompatible units are findings, each carrying an example
 // flow path. Values flowing into an annotated cell with a different
-// unit are findings at the flow site. The legacy unitmix analyzer is
-// subsumed (kept behind raplint's -legacy-unitmix flag).
+// unit are findings at the flow site.
 var DimCheck = &Analyzer{
 	Name: "dimcheck",
 	Doc:  "interprocedural unit/dimension mismatches via SSA value flow",

@@ -56,9 +56,7 @@ type Analyzer struct {
 
 // All returns the full raplint analyzer suite. UnusedIgnore is a
 // whole-run analyzer: its Run is a no-op per package and the driver
-// performs the global check after every package has reported. The
-// legacy unitmix analyzer is not in the default suite — dimcheck
-// subsumes it (opt back in with raplint's -legacy-unitmix).
+// performs the global check after every package has reported.
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, SeededRand, FloatEq, PanicPath,
@@ -72,7 +70,7 @@ func All() []*Analyzer {
 // shipped by raplint v1. Kept for tests that demonstrate what the local
 // pass can and cannot see.
 func V1() []*Analyzer {
-	return []*Analyzer{MapOrder, SeededRand, FloatEq, UnitMix, PanicPath}
+	return []*Analyzer{MapOrder, SeededRand, FloatEq, PanicPath}
 }
 
 // V2 returns the v1+v2 suite as shipped by raplint v2 (local analyzers
@@ -80,7 +78,7 @@ func V1() []*Analyzer {
 // Kept for tests that demonstrate what v2 could not see.
 func V2() []*Analyzer {
 	return []*Analyzer{
-		MapOrder, SeededRand, FloatEq, UnitMix, PanicPath,
+		MapOrder, SeededRand, FloatEq, PanicPath,
 		Detaint, GuardedBy, GoroutineCapture,
 	}
 }

@@ -93,7 +93,6 @@ func TestAnalyzers(t *testing.T) {
 		{"seededrand internal", SeededRand, "seededrand_internal", "rap/internal/simfix"},
 		{"seededrand out of scope", SeededRand, "seededrand_cmd", "rap/cmd/fix"},
 		{"floateq", FloatEq, "floateq", "rap/internal/floatfix"},
-		{"unitmix", UnitMix, "unitmix", "rap/internal/unitfix"},
 		{"panicpath internal", PanicPath, "panicpath_internal", "rap/internal/panicfix"},
 		{"panicpath out of scope", PanicPath, "panicpath_cmd", "rap/cmd/panicfix"},
 		{"detaint annotated root", Detaint, "detaint_anno", "rap/cmd/clocktool"},

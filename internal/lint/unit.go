@@ -210,8 +210,8 @@ func suffixUnit(name string) (unit, bool) {
 }
 
 // dimSuffixes is the suffix table in longest-first match order, each
-// entry carrying its parsed unit. Built from the same spellings the v1
-// unitmix analyzer matches, plus the time and rate suffixes the
+// entry carrying its parsed unit. Built from the same spellings the
+// retired v1 unitmix analyzer matched, plus the time and rate suffixes the
 // simulator's µs-based naming uses.
 var dimSuffixes = func() []struct {
 	suffix string

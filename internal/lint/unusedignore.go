@@ -25,8 +25,8 @@ var UnusedIgnore = &Analyzer{
 // directive (per target package) minus the globally used set. A
 // directive naming an analyzer that is not registered in this run gets
 // a distinct message — it is not merely stale, it never could suppress
-// anything (typo, or a directive outliving an analyzer rename) — keyed
-// off the known set so -legacy-unitmix keeps `unitmix` directives valid.
+// anything (typo, or a directive outliving an analyzer rename or
+// removal).
 func unusedIgnoreFindings(declsByPkg [][]IgnoreRef, used map[IgnoreRef]bool, known map[string]bool) []Finding {
 	var out []Finding
 	for _, decls := range declsByPkg {

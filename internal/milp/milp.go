@@ -15,10 +15,7 @@
 // always feasible since equal levels imply incomparability). Within the
 // configured horizon the result is provably optimal; if the node budget
 // is exhausted the incumbent is returned with Optimal=false — mirroring
-// how a time-limited MILP solver behaves. Solve fans the root-level
-// subtrees out to a deterministic worker pool (see parallel.go); the
-// returned solution is bit-identical to the sequential search for every
-// worker count.
+// how a time-limited MILP solver behaves.
 package milp
 
 import (
@@ -41,17 +38,9 @@ type Problem struct {
 	// ErrInfeasibleHorizon.
 	Horizon int
 	// MaxNodes bounds the branch & bound search (0 = DefaultMaxNodes).
-	// The parallel solver speculatively grants each root subtree the
-	// full budget and falls back to the sequential search whenever it
-	// cannot prove the shared-budget run completes, so budget-truncated
-	// results are identical for every worker count.
+	// When the budget runs out, Solve returns the incumbent with
+	// Optimal=false.
 	MaxNodes int
-	// Workers selects the solver parallelism: 0 picks a machine-sized
-	// default, 1 forces the sequential solver, n > 1 caps the worker
-	// pool. The returned Step/Objective/Optimal are bit-identical for
-	// every setting; only Nodes (explored-node accounting) differs
-	// between the sequential and parallel searches.
-	Workers int
 }
 
 // ErrInfeasibleHorizon reports a caller-set Horizon smaller than the
@@ -76,7 +65,8 @@ type Solution struct {
 	Objective int64
 	// Optimal reports whether the search completed within budget.
 	Optimal bool
-	// Nodes is the number of branch & bound nodes explored.
+	// Nodes is the number of branch & bound nodes explored, at most
+	// the MaxNodes budget.
 	Nodes int
 }
 
@@ -187,29 +177,19 @@ func checkShape(p Problem) error {
 	return nil
 }
 
-// search holds the immutable, shareable state of one branch & bound
-// run: the problem, its topological order, the resolved horizon and
-// node budget, the greedy warm start, and the per-position remaining
-// same-type op counts used by the admissible bound. Workers read it
-// concurrently; nothing in it is mutated after prepare returns.
-type search struct {
-	p         Problem
-	order     []int
-	horizon   int
-	maxNodes  int
-	greedy    Solution
-	remaining []map[int]int64
-}
-
-// prepare validates the problem and builds the shared search state.
-func prepare(p Problem) (*search, error) {
+// Solve runs the branch & bound: ops are placed in topological order,
+// candidate steps most-promising first, warm-started with the level
+// greedy incumbent and pruned by the admissible clustering bound.
+//
+//rap:deterministic
+func Solve(p Problem) (Solution, error) {
 	if err := checkShape(p); err != nil {
-		return nil, err
+		return Solution{}, err
 	}
 	n := len(p.Types)
 	order, err := topoOrder(p.Deps)
 	if err != nil {
-		return nil, err
+		return Solution{}, err
 	}
 	asap := asapLevels(p.Deps, order)
 	cp := 0
@@ -219,8 +199,11 @@ func prepare(p Problem) (*search, error) {
 		}
 	}
 	if p.Horizon > 0 && p.Horizon < cp {
-		return nil, fmt.Errorf("milp: horizon %d cannot hold the %d-step critical path: %w",
+		return Solution{}, fmt.Errorf("milp: horizon %d cannot hold the %d-step critical path: %w",
 			p.Horizon, cp, ErrInfeasibleHorizon)
+	}
+	if n == 0 {
+		return Solution{Step: []int{}, Optimal: true}, nil
 	}
 	horizon := p.Horizon
 	if horizon <= 0 {
@@ -232,7 +215,7 @@ func prepare(p Problem) (*search, error) {
 	}
 	greedy, err := GreedyLevels(p)
 	if err != nil {
-		return nil, err
+		return Solution{}, err
 	}
 
 	// Remaining same-type op counts from each position in the topo
@@ -247,65 +230,19 @@ func prepare(p Problem) (*search, error) {
 		m[p.Types[order[k]]]++
 		remaining[k] = m
 	}
-	return &search{p: p, order: order, horizon: horizon, maxNodes: maxNodes,
-		greedy: greedy, remaining: remaining}, nil
-}
 
-// newSolver builds a fresh mutable solver over the shared state, warm
-// started with the greedy incumbent.
-func (sr *search) newSolver() *solver {
-	return &solver{
-		p: sr.p, order: sr.order, horizon: sr.horizon, maxNodes: sr.maxNodes,
-		remaining: sr.remaining,
-		steps:     make([]int, len(sr.p.Types)),
+	s := &solver{
+		p: p, order: order, horizon: horizon, maxNodes: maxNodes,
+		remaining: remaining,
+		steps:     make([]int, n),
 		counts:    map[[2]int]int64{},
 		maxCount:  map[int]int64{},
-		bestObj:   sr.greedy.Objective,
-		best:      append([]int(nil), sr.greedy.Step...),
+		bestObj:   greedy.Objective,
+		best:      greedy.Step,
 		optimal:   true,
 	}
-}
-
-// Solve runs the branch & bound, fanning the root-level subtrees out to
-// a worker pool unless Workers forces the sequential path. The solution
-// is bit-identical to SolveSequential for every worker count — see
-// solveParallel for the argument.
-//
-//rap:deterministic
-func Solve(p Problem) (Solution, error) {
-	sr, err := prepare(p)
-	if err != nil {
-		return Solution{}, err
-	}
-	if len(p.Types) == 0 {
-		return Solution{Step: []int{}, Optimal: true}, nil
-	}
-	if workers := effectiveWorkers(p.Workers, sr.horizon); workers > 1 && len(p.Types) >= parallelMinOps {
-		return sr.parallel(workers), nil
-	}
-	return sr.sequential(), nil
-}
-
-// SolveSequential runs the single-threaded branch & bound regardless of
-// Problem.Workers — the reference the parallel solver is equivalence-
-// tested against (and the pre-parallelism Solve behaviour).
-//
-//rap:deterministic
-func SolveSequential(p Problem) (Solution, error) {
-	sr, err := prepare(p)
-	if err != nil {
-		return Solution{}, err
-	}
-	if len(p.Types) == 0 {
-		return Solution{Step: []int{}, Optimal: true}, nil
-	}
-	return sr.sequential(), nil
-}
-
-func (sr *search) sequential() Solution {
-	s := sr.newSolver()
 	s.dfs(0, 0)
-	return Solution{Step: s.best, Objective: s.bestObj, Optimal: s.optimal, Nodes: s.nodes}
+	return Solution{Step: s.best, Objective: s.bestObj, Optimal: s.optimal, Nodes: s.nodes}, nil
 }
 
 type solver struct {

@@ -65,6 +65,24 @@ func TestSolveIndependentSameType(t *testing.T) {
 	}
 }
 
+// TestSolveRootPrune pins the greedy-already-optimal shortcut:
+// independent same-type ops fuse maximally at step 0, the root bound
+// equals the greedy objective, and the search stops at the root node.
+func TestSolveRootPrune(t *testing.T) {
+	n := 16
+	p := Problem{Types: make([]int, n), Deps: make([][]int, n)}
+	sol, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(n) * int64(n); sol.Objective != want {
+		t.Fatalf("objective = %d, want %d", sol.Objective, want)
+	}
+	if !sol.Optimal || sol.Nodes != 1 {
+		t.Fatalf("root prune not taken: %+v", sol)
+	}
+}
+
 func TestSolveChainCannotFuse(t *testing.T) {
 	// A chain of same-type ops can never fuse (data dependencies).
 	p := Problem{Types: []int{0, 0, 0}, Deps: [][]int{nil, {0}, {1}}}
@@ -120,9 +138,6 @@ func TestSolveRejectsInfeasibleHorizon(t *testing.T) {
 	p := Problem{Types: []int{0, 0, 0}, Deps: [][]int{nil, {0}, {1}}, Horizon: 2}
 	if _, err := Solve(p); !errors.Is(err, ErrInfeasibleHorizon) {
 		t.Fatalf("err = %v, want ErrInfeasibleHorizon", err)
-	}
-	if _, err := SolveSequential(p); !errors.Is(err, ErrInfeasibleHorizon) {
-		t.Fatalf("sequential err = %v, want ErrInfeasibleHorizon", err)
 	}
 	// A horizon exactly at the critical path is feasible.
 	p.Horizon = 3

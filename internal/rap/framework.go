@@ -49,11 +49,6 @@ type BuildOptions struct {
 	PreprocPriority int
 	// FusionMaxNodes caps the MILP search (0 = auto).
 	FusionMaxNodes int
-	// Engine selects the simulator event engine for Execute (sharded
-	// parallel when Engine.Shards > 1; sequential otherwise). Purely a
-	// performance knob: the sharded engine is bit-identical to the
-	// sequential one, so no measurement changes with it.
-	Engine gpusim.EngineOptions
 }
 
 // Framework orchestrates the offline and online passes of Figure 4.
@@ -61,8 +56,9 @@ type Framework struct {
 	W       *Workload
 	Cluster gpusim.ClusterConfig
 	// Planner toggles the planner fast path (probe memoization,
-	// concurrent probing, parallel MILP, plan caching). The zero value
-	// enables everything; no toggle changes plan contents.
+	// concurrent probing and lowering, solve memoization, plan
+	// caching). The zero value enables everything; no toggle changes
+	// plan contents.
 	Planner PlannerOptions
 
 	pred *costmodel.Predictor
@@ -320,17 +316,7 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 	plan.PredictedExposedUs = make([]float64, n)
 
 	// The per-GPU problems are independent, so the lowering runs one
-	// goroutine per GPU unless Planner.SequentialLowering is set. The
-	// MILP worker policy follows from which level owns the cores: with
-	// cross-GPU concurrency each solve runs single-threaded (n solves
-	// already saturate the machine, and fanning out inside each would
-	// only oversubscribe); with sequential lowering the lone solve gets
-	// the parallel solver. Either way milp.Solve is bit-identical to the
-	// sequential search, so the policy never changes plan contents.
-	solveWorkers := 0
-	if f.Planner.SequentialSolve || !f.Planner.SequentialLowering {
-		solveWorkers = 1
-	}
+	// goroutine per GPU unless Planner.SequentialLowering is set.
 	solveCache := f.fusionCache
 	if f.Planner.DisableFusionMemo {
 		solveCache = nil
@@ -343,7 +329,6 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 		fp, err := fusion.PlanFusionScaled(items, fusion.Options{
 			Disable:    opts.NoFusion,
 			MaxNodes:   opts.FusionMaxNodes,
-			Workers:    solveWorkers,
 			SolveCache: solveCache,
 		})
 		if err != nil {
@@ -468,7 +453,6 @@ func (f *Framework) ExecuteTopo(p *ExecPlan, iterations int, tp *topo.Topology, 
 		PreprocStreams:    streams,
 		Chaos:             cp,
 		Topology:          tp,
-		Engine:            p.Opts.Engine,
 	})
 }
 

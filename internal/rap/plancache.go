@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"rap/internal/gpusim"
 	"rap/internal/preproc"
 )
 
@@ -23,9 +22,6 @@ type PlannerOptions struct {
 	// DisableProbeMemo recomputes every capacity probe instead of
 	// consulting the framework's probe cache.
 	DisableProbeMemo bool
-	// SequentialSolve forces the single-threaded MILP branch & bound
-	// during fusion.
-	SequentialSolve bool
 	// SequentialLowering runs the per-GPU fusion + co-run scheduling
 	// (step 3b) one GPU at a time instead of concurrently.
 	SequentialLowering bool
@@ -42,17 +38,15 @@ type PlannerOptions struct {
 // predictor generation, the cluster, the build options, the model
 // config, and the preprocessing plan walked graph by graph (ops are
 // identified by id/type/wiring plus their cost-spec at the global batch
-// shape, which folds in operator parameters). Planner toggles and the
-// simulator engine selection are deliberately excluded — they never
-// change plan contents, so toggling them must not fragment the cache.
+// shape, which folds in operator parameters). Planner toggles are
+// deliberately excluded — they never change plan contents, so toggling
+// them must not fragment the cache.
 func (f *Framework) planKey(opts BuildOptions) string {
 	h := sha256.New()
 	ff := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
-	keyOpts := opts
-	keyOpts.Engine = gpusim.EngineOptions{}
 	fmt.Fprintf(h, "predgen %d\n", f.predGen)
 	fmt.Fprintf(h, "cluster %+v\n", f.Cluster)
-	fmt.Fprintf(h, "opts %+v\n", keyOpts)
+	fmt.Fprintf(h, "opts %+v\n", opts)
 	fmt.Fprintf(h, "workload ds=%s planidx=%d\n", f.W.Dataset, f.W.PlanIdx)
 	fmt.Fprintf(h, "model %+v\n", f.W.Model)
 	pl := f.W.Plan

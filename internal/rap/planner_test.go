@@ -23,7 +23,7 @@ func plansEqual(a, b *ExecPlan) bool {
 }
 
 // TestBuildPlanDeterministicUnderConcurrency double-runs the fast-path
-// BuildPlan (concurrent probes, memoization, parallel solver) with the
+// BuildPlan (concurrent probes and lowering, memoization) with the
 // plan cache disabled so the second run genuinely rebuilds: the plans
 // must be deeply equal.
 func TestBuildPlanDeterministicUnderConcurrency(t *testing.T) {
@@ -53,7 +53,6 @@ func TestBuildPlanFastPathMatchesSequential(t *testing.T) {
 	slow.Planner = PlannerOptions{
 		SequentialProbes:   true,
 		DisableProbeMemo:   true,
-		SequentialSolve:    true,
 		SequentialLowering: true,
 		DisableFusionMemo:  true,
 		DisablePlanCache:   true,

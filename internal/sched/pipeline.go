@@ -81,12 +81,6 @@ type PipelineOptions struct {
 	// topology — leaves the simulation bit-identical to an
 	// untopologized run.
 	Topology *topo.Topology
-	// Engine selects the simulator event engine. The zero value keeps
-	// the sequential engine; Engine.Shards > 1 opts into the sharded
-	// parallel engine. Engine selection is a pure performance knob:
-	// sharded results are bit-identical to sequential ones, so every
-	// PipelineStats field is unchanged by it.
-	Engine gpusim.EngineOptions
 }
 
 func (o PipelineOptions) withDefaults() PipelineOptions {
@@ -157,7 +151,6 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 	if err := opts.Chaos.Apply(b.sim); err != nil {
 		return nil, err
 	}
-	b.sim.SetEngineOptions(opts.Engine)
 
 	res, err := b.sim.Run()
 	if err != nil {

@@ -51,37 +51,34 @@ func TestWarmupSentinel(t *testing.T) {
 
 // TestPipelineEngineMatrix composes the awkward corners in one matrix:
 // a seeded chaos plan (capacity windows + straggler inflation), the
-// NoWarmup sentinel, a single-iteration run, and the sharded engine
-// opt-in — every {chaos} × {Iterations:1+NoWarmup, Iterations:3} cell
-// runs through the sequential engine and through shard counts {2, 4},
-// and each sharded Result must digest bit-identically to the
-// sequential one (gpusim.ResultDigest covers op timings, utilization
-// segments with tag attribution, and host segments). This extends the
-// gpusim engine-equivalence harness up through the pipeline builder:
-// the same currency (bit-exact digests), exercised on real pipeline
-// DAGs rather than synthetic golden ones.
+// NoWarmup sentinel and a single-iteration run — every {chaos} ×
+// {Iterations:1+NoWarmup, Iterations:3} cell runs twice, and the two
+// runs must agree bit-exactly on gpusim.ResultDigest (op timings,
+// utilization segments with tag attribution, host segments), on the
+// event count and on the steady iteration latency. This carries the
+// gpusim engine's determinism contract up through the pipeline
+// builder, on real pipeline DAGs rather than synthetic golden ones.
 func TestPipelineEngineMatrix(t *testing.T) {
 	const n = 2
 	cfg, pl, cm := testSetup(t, n, 4096)
 	p := preproc.MustStandardPlan(1, nil)
 	work := buildWork(t, cm, splitGraphs(p, n), 4096)
 
-	run := func(iters, warmup int, cp *chaos.Plan, engine gpusim.EngineOptions) *PipelineStats {
+	run := func(iters, warmup int, cp *chaos.Plan) *PipelineStats {
 		t.Helper()
 		stats, err := BuildAndRun(gpusim.ClusterConfig{NumGPUs: n}, cfg, pl, work, PipelineOptions{
 			Iterations: iters,
 			Warmup:     warmup,
 			Chaos:      cp,
-			Engine:     engine,
 		})
 		if err != nil {
-			t.Fatalf("iters %d warmup %d shards %d: %v", iters, warmup, engine.Shards, err)
+			t.Fatalf("iters %d warmup %d: %v", iters, warmup, err)
 		}
 		return stats
 	}
 
 	// Horizon for the chaos plan from an unperturbed probe run.
-	horizon := run(3, 0, nil, gpusim.EngineOptions{}).Result.Makespan
+	horizon := run(3, 0, nil).Result.Makespan
 	cp, err := chaos.NewPlan(17, chaos.Scenario{NumGPUs: n, HorizonUs: horizon, Severity: 0.6})
 	if err != nil {
 		t.Fatal(err)
@@ -90,28 +87,19 @@ func TestPipelineEngineMatrix(t *testing.T) {
 		t.Fatalf("severity-0.6 plan carries no stragglers; the matrix needs them")
 	}
 
-	for _, chaosOn := range []bool{false, true} {
-		plan := (*chaos.Plan)(nil)
-		if chaosOn {
-			plan = cp
-		}
+	for _, plan := range []*chaos.Plan{nil, cp} {
 		for _, shape := range []struct{ iters, warmup int }{{1, NoWarmup}, {3, 0}} {
-			seq := run(shape.iters, shape.warmup, plan, gpusim.EngineOptions{})
-			want := gpusim.ResultDigest(seq.Result)
-			for _, shards := range []int{2, 4} {
-				sh := run(shape.iters, shape.warmup, plan, gpusim.EngineOptions{Shards: shards, NoRace: true})
-				if got := gpusim.ResultDigest(sh.Result); got != want {
-					t.Errorf("chaos=%v iters=%d shards=%d: digest %s != sequential %s",
-						chaosOn, shape.iters, shards, got[:12], want[:12])
-				}
-				if sh.Result.Events != seq.Result.Events {
-					t.Errorf("chaos=%v iters=%d shards=%d: %d events != sequential %d",
-						chaosOn, shape.iters, shards, sh.Result.Events, seq.Result.Events)
-				}
-				if math.Abs(sh.SteadyIterLatency-seq.SteadyIterLatency) != 0 {
-					t.Errorf("chaos=%v iters=%d shards=%d: steady latency %v != %v",
-						chaosOn, shape.iters, shards, sh.SteadyIterLatency, seq.SteadyIterLatency)
-				}
+			x := run(shape.iters, shape.warmup, plan)
+			y := run(shape.iters, shape.warmup, plan)
+			if dx, dy := gpusim.ResultDigest(x.Result), gpusim.ResultDigest(y.Result); dx != dy {
+				t.Errorf("chaos=%v iters=%d: digest %s != rerun %s", plan != nil, shape.iters, dx[:12], dy[:12])
+			}
+			if x.Result.Events != y.Result.Events {
+				t.Errorf("chaos=%v iters=%d: %d events != rerun %d", plan != nil, shape.iters, x.Result.Events, y.Result.Events)
+			}
+			if x.SteadyIterLatency != y.SteadyIterLatency {
+				t.Errorf("chaos=%v iters=%d: steady latency %v != rerun %v",
+					plan != nil, shape.iters, x.SteadyIterLatency, y.SteadyIterLatency)
 			}
 		}
 	}

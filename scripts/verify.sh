@@ -31,20 +31,20 @@ echo "== raplint"
 }
 echo "== go test -race"
 go test -race ./...
+echo "== bench module"
+# bench/ is its own Go module (rap/bench, replace rap => ../), so the
+# root ./... patterns never compile it; vet and test it here so an API
+# change that breaks the end-to-end benchmark fails tier-1.
+(cd bench && go vet ./... && go test -race ./...)
 echo "== planner-bench smoke"
 # rapbench re-reads and unmarshals the report itself (exits nonzero on a
 # parse failure); this re-checks the file landed with the gate fields.
 tmp_bench="$(mktemp)"
 "$bin/rapbench" -planner-bench -quick -planner-out "$tmp_bench"
-for field in sequential_build_ns fast_warm_build_ns build_speedup solver_speedup; do
+for field in sequential_build_ns fast_warm_build_ns build_speedup; do
 	grep -q "\"$field\"" "$tmp_bench" || { echo "verify: $tmp_bench missing $field" >&2; exit 1; }
 done
 rm -f "$tmp_bench"
-echo "== shard-equivalence smoke"
-# One 2-shard run of the shard benchmark DAG must digest bit-identically
-# to a sequential run; rapbench exits nonzero on any drift, so tier-1
-# fails fast if the parallel engine diverges from the sequential one.
-"$bin/rapbench" -shard-smoke
 echo "== cluster-smoke"
 # The fleet simulator (2 nodes x 4 GPUs, 6 jobs, both placement
 # policies) must reproduce its report digests bit-identically across two
