@@ -9,7 +9,6 @@
 //	rapbench -list                   # list experiment ids
 //	rapbench -engine-bench           # time the gpusim engine, write BENCH_engine.json
 //	rapbench -chaos                  # perturbation-severity sweep, write BENCH_chaos.json
-//	rapbench -planner-bench          # time the online planner, write BENCH_planner.json
 //	rapbench -cluster                # fleet scheduling at 1024 GPUs, write BENCH_cluster.json
 //	rapbench -cluster-smoke          # fleet determinism gate (verify.sh)
 package main
@@ -25,7 +24,6 @@ import (
 
 	"rap/internal/experiments"
 	"rap/internal/gpusim"
-	"rap/internal/rap"
 )
 
 type renderer interface{ Render() string }
@@ -42,8 +40,6 @@ func main() {
 	chaosPlan := flag.Int("chaos-plan", 1, "preprocessing plan for -chaos (0-3)")
 	chaosGPUs := flag.Int("chaos-gpus", 4, "cluster size for -chaos")
 	chaosTrace := flag.String("chaos-trace", "", "optional Chrome trace path: RAP at top severity with perturbation spans")
-	plannerBench := flag.Bool("planner-bench", false, "benchmark the online planner and exit")
-	plannerOut := flag.String("planner-out", "BENCH_planner.json", "output path for -planner-bench results")
 	clusterMode := flag.Bool("cluster", false, "run the multi-tenant fleet-scheduling experiment and exit")
 	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for the -cluster JSON report")
 	clusterNodes := flag.Int("cluster-nodes", 128, "fleet NVSwitch nodes for -cluster")
@@ -82,14 +78,6 @@ func main() {
 	if *engineBench {
 		if err := runEngineBench(*benchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "rapbench: engine-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *plannerBench {
-		if err := runPlannerBench(*plannerOut, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "rapbench: planner-bench: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -302,180 +290,6 @@ func runEngineBench(path string) error {
 	return nil
 }
 
-// plannerBenchReport is the BENCH_planner.json schema: the planning-
-// latency trajectory tracked across commits, the engine-bench way.
-type plannerBenchReport struct {
-	Name  string `json:"name"`
-	GPUs  int    `json:"gpus"`
-	Plan  int    `json:"plan"`
-	Batch int    `json:"batch"`
-	Runs  int    `json:"runs"`
-
-	// BuildPlan latency: the sequential baseline disables every fast-
-	// path layer (the pre-fast-path planner); cold runs start with
-	// empty memo caches; warm runs are full rebuilds (plan cache off)
-	// that reuse the probe and fusion-solve memos — the steady state of
-	// the replanning loop this fast path exists for; plan-cache hits
-	// answer an identical request outright. BuildSpeedup is the
-	// replanning-loop rebuild (warm) over the pre-fast-path baseline.
-	SequentialBuildNs int64   `json:"sequential_build_ns"`
-	FastColdBuildNs   int64   `json:"fast_cold_build_ns"`
-	FastWarmBuildNs   int64   `json:"fast_warm_build_ns"`
-	PlanCacheHitNs    int64   `json:"plan_cache_hit_ns"`
-	BuildSpeedup      float64 `json:"build_speedup"` // sequential / fast warm
-
-	// Probe memoization inside one cold 8-GPU build, and fusion-solve
-	// memoization across the warm rebuilds.
-	ProbeHits    int `json:"probe_hits"`
-	ProbeMisses  int `json:"probe_misses"`
-	ProbesSaved  int `json:"probes_saved"`
-	FusionHits   int `json:"fusion_hits"`
-	FusionSolves int `json:"fusion_solves"`
-
-	Executed string `json:"executed"`
-}
-
-// runPlannerBench times the online pass end to end (BuildPlan on an
-// 8-GPU workload, sequential baseline vs fast path), writes the JSON
-// report, and re-reads it as a self-check.
-func runPlannerBench(path string, quick bool) error {
-	gpus, runs := 8, 5
-	if quick {
-		gpus, runs = 2, 2
-	}
-	const planIdx, batch = 2, 4096
-
-	w, err := rap.NewWorkload(rap.Kaggle, planIdx, batch, 1)
-	if err != nil {
-		return err
-	}
-	cluster := gpusim.ClusterConfig{NumGPUs: gpus}
-	sequentialPlanner := rap.PlannerOptions{
-		SequentialProbes:   true,
-		DisableProbeMemo:   true,
-		SequentialLowering: true,
-		DisableFusionMemo:  true,
-		DisablePlanCache:   true,
-	}
-	build := func(f *rap.Framework) (time.Duration, error) {
-		start := time.Now()
-		_, err := f.BuildPlan(rap.BuildOptions{})
-		return time.Since(start), err
-	}
-
-	report := plannerBenchReport{
-		Name:  "BenchmarkPlanner",
-		GPUs:  gpus,
-		Plan:  planIdx,
-		Batch: batch,
-		Runs:  runs,
-	}
-
-	// Sequential baseline: a fresh framework per run, every fast-path
-	// layer disabled.
-	var seqTotal time.Duration
-	for i := 0; i < runs; i++ {
-		f := rap.New(w, cluster)
-		f.Planner = sequentialPlanner
-		d, err := build(f)
-		if err != nil {
-			return err
-		}
-		seqTotal += d
-	}
-	report.SequentialBuildNs = seqTotal.Nanoseconds() / int64(runs)
-
-	// Fast path, cold: a fresh framework (empty probe cache) per run.
-	var coldTotal time.Duration
-	for i := 0; i < runs; i++ {
-		f := rap.New(w, cluster)
-		f.Planner.DisablePlanCache = true
-		d, err := build(f)
-		if err != nil {
-			return err
-		}
-		coldTotal += d
-		if i == 0 {
-			report.ProbeHits, report.ProbeMisses = f.ProbeCacheStats()
-			report.ProbesSaved = report.ProbeHits
-		}
-	}
-	report.FastColdBuildNs = coldTotal.Nanoseconds() / int64(runs)
-
-	// Fast path, warm: one framework, probe and fusion-solve memos
-	// carried across runs, plan cache off so every run is a genuine
-	// rebuild — the replanning loop's steady state.
-	warmF := rap.New(w, cluster)
-	warmF.Planner.DisablePlanCache = true
-	if _, err := build(warmF); err != nil {
-		return err
-	}
-	var warmTotal time.Duration
-	for i := 0; i < runs; i++ {
-		d, err := build(warmF)
-		if err != nil {
-			return err
-		}
-		warmTotal += d
-	}
-	report.FastWarmBuildNs = warmTotal.Nanoseconds() / int64(runs)
-	fusionHits, fusionMisses := warmF.FusionCacheStats()
-	report.FusionHits, report.FusionSolves = fusionHits, fusionMisses
-
-	// Plan-cache hit: identical request answered from cache.
-	warmF.Planner.DisablePlanCache = false
-	if _, err := build(warmF); err != nil { // populate
-		return err
-	}
-	var hitTotal time.Duration
-	for i := 0; i < runs; i++ {
-		d, err := build(warmF)
-		if err != nil {
-			return err
-		}
-		hitTotal += d
-	}
-	report.PlanCacheHitNs = hitTotal.Nanoseconds() / int64(runs)
-	if report.FastWarmBuildNs > 0 {
-		report.BuildSpeedup = float64(report.SequentialBuildNs) / float64(report.FastWarmBuildNs)
-	}
-
-	report.Executed = time.Now().UTC().Format(time.RFC3339)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-
-	// Self-check: the written report must parse and carry the fields
-	// the acceptance gate reads.
-	back, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var check plannerBenchReport
-	if err := json.Unmarshal(back, &check); err != nil {
-		return fmt.Errorf("re-reading %s: %w", path, err)
-	}
-	if check.SequentialBuildNs <= 0 || check.FastColdBuildNs <= 0 || check.BuildSpeedup <= 0 {
-		return fmt.Errorf("re-reading %s: incomplete report", path)
-	}
-
-	fmt.Printf("planner-bench: %d-GPU BuildPlan %s sequential -> %s cold / %s warm / %s cached (%.2fx), probes saved %d/%d -> %s\n",
-		gpus,
-		time.Duration(report.SequentialBuildNs),
-		time.Duration(report.FastColdBuildNs),
-		time.Duration(report.FastWarmBuildNs),
-		time.Duration(report.PlanCacheHitNs),
-		report.BuildSpeedup,
-		report.ProbesSaved, report.ProbeHits+report.ProbeMisses, path)
-	return nil
-}
-
 // usage prints the mode-grouped help text, one group per family of
 // rapbench entry points.
 func usage() {
@@ -488,7 +302,6 @@ Paper experiments (default mode):
 
 Benchmarks (each writes a JSON report and exits):
   rapbench -engine-bench       gpusim engine timing         -> BENCH_engine.json
-  rapbench -planner-bench      online planner timing        -> BENCH_planner.json
   rapbench -chaos              perturbation-severity sweep  -> BENCH_chaos.json
   rapbench -cluster            multi-tenant fleet scheduling (1024 simulated GPUs,
                                RAP-aware packing vs first-fit) -> BENCH_cluster.json

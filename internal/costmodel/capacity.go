@@ -81,17 +81,11 @@ func EstimateCapacitiesCached(cfg dlrm.Config, pl dlrm.Placement, gpu int, clust
 			SM:    math.Max(0, 1-st.Kernel.Demand.SM),
 			MemBW: math.Max(0, 1-st.Kernel.Demand.MemBW),
 		}
-		if cache != nil {
-			key := probeKey(st.Kernel, sc.Leftover, cluster)
-			if cap, ok := cache.lookup(key); ok {
-				sc.Capacity = cap
-			} else {
-				sc.Capacity = SafetyFactor * probeCapacity(st.Kernel, sc.Leftover, cluster)
-				cache.store(key, sc.Capacity)
-			}
-		} else {
-			sc.Capacity = SafetyFactor * probeCapacity(st.Kernel, sc.Leftover, cluster)
-		}
+		leftover := sc.Leftover
+		// The probe cannot fail, so Get's error is always nil.
+		sc.Capacity, _ = cache.Get(probeKey(st.Kernel, leftover, cluster), func() (float64, error) {
+			return SafetyFactor * probeCapacity(st.Kernel, leftover, cluster), nil
+		})
 		out[i] = sc
 	}
 	return out, nil

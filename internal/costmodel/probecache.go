@@ -5,56 +5,20 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"rap/internal/gpusim"
+	"rap/internal/memo"
 )
 
 // ProbeCache memoizes capacity-probe results across EstimateCapacities
-// calls. Homogeneous GPUs run near-identical stage lineups, so the
-// per-GPU profiling sweep of one plan mostly re-probes kernels another
-// GPU already measured; sharing one cache across those calls (and
-// across plans in a replanning loop) collapses the sweep. Keys are deep
-// content hashes of every input the probe simulation reads, so a hit
-// returns exactly what the probe would have computed — the cache never
-// changes results, only whether they are recomputed. Safe for
-// concurrent use.
-type ProbeCache struct {
-	mu      sync.Mutex
-	entries map[string]float64 // guarded by mu
-	hits    int                // guarded by mu
-	misses  int                // guarded by mu
-}
+// calls, keyed by probeKey. Homogeneous GPUs run near-identical stage
+// lineups, so the per-GPU profiling sweep of one plan mostly re-probes
+// kernels another GPU already measured; sharing one cache across those
+// calls (and across plans in a replanning loop) collapses the sweep.
+type ProbeCache = memo.Cache[string, float64]
 
 // NewProbeCache returns an empty probe cache.
-func NewProbeCache() *ProbeCache {
-	return &ProbeCache{entries: map[string]float64{}}
-}
-
-// Stats reports the lookup hit/miss counts so far.
-func (c *ProbeCache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-func (c *ProbeCache) lookup(key string) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return v, ok
-}
-
-func (c *ProbeCache) store(key string, v float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries[key] = v
-}
+func NewProbeCache() *ProbeCache { return memo.New[string, float64]() }
 
 // probeKey is the deep content hash of everything probeCapacity reads:
 // the stage kernel, the leftover demand, and the cluster fields the

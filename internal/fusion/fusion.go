@@ -189,21 +189,11 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 		if prob.MaxNodes == 0 {
 			prob.MaxNodes = budgetFor(len(refs))
 		}
-		var key string
-		var sol milp.Solution
-		var cached bool
-		if opts.SolveCache != nil {
-			key = solveKey(prob)
-			sol, cached = opts.SolveCache.lookup(key)
-		}
-		if !cached {
-			sol, err = milp.Solve(prob)
-			if err != nil {
-				return nil, err
-			}
-			if opts.SolveCache != nil {
-				opts.SolveCache.store(key, sol)
-			}
+		sol, err := opts.SolveCache.Get(solveKey(prob), func() (milp.Solution, error) {
+			return milp.Solve(prob)
+		})
+		if err != nil {
+			return nil, err
 		}
 		steps, objective, optimal = sol.Step, sol.Objective, sol.Optimal
 	}

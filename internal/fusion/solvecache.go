@@ -4,35 +4,21 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
+	"rap/internal/memo"
 	"rap/internal/milp"
 )
 
-// SolveCache memoizes MILP fusion solutions by the content of the
-// flattened problem. The branch & bound is deterministic — the same
-// (types, deps, horizon, budget) always yields the same solution — so a
-// hit returns exactly what a fresh solve would, and callers sharing a
-// cache across plans (the replanning loop) skip the search entirely.
-// Safe for concurrent use.
-type SolveCache struct {
-	mu      sync.Mutex
-	entries map[string]milp.Solution // guarded by mu
-	hits    int                      // guarded by mu
-	misses  int                      // guarded by mu
-}
+// SolveCache memoizes MILP fusion solutions by solveKey. The branch &
+// bound is deterministic — the same (types, deps, horizon, budget)
+// always yields the same solution — so a hit returns exactly what a
+// fresh solve would, and callers sharing a cache across plans (the
+// replanning loop) skip the search entirely. Hits share the stored
+// Step slice; PlanFusionScaled only reads it.
+type SolveCache = memo.Cache[string, milp.Solution]
 
 // NewSolveCache returns an empty solve cache.
-func NewSolveCache() *SolveCache {
-	return &SolveCache{entries: map[string]milp.Solution{}}
-}
-
-// Stats reports the cache's hit/miss counts.
-func (c *SolveCache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
+func NewSolveCache() *SolveCache { return memo.New[string, milp.Solution]() }
 
 // solveKey is the deep content hash of everything the solver reads.
 func solveKey(p milp.Problem) string {
@@ -46,27 +32,4 @@ func solveKey(p milp.Problem) string {
 		fmt.Fprintf(h, "\n")
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// lookup returns the cached solution for key, copying the steps so the
-// caller cannot alias the stored slice.
-func (c *SolveCache) lookup(key string) (milp.Solution, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sol, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return milp.Solution{}, false
-	}
-	c.hits++
-	sol.Step = append([]int(nil), sol.Step...)
-	return sol, true
-}
-
-// store copies the solution into the cache.
-func (c *SolveCache) store(key string, sol milp.Solution) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sol.Step = append([]int(nil), sol.Step...)
-	c.entries[key] = sol
 }

@@ -229,17 +229,27 @@ func (prog *Program) scanBody(node *funcNode) {
 // calleeOf resolves a call expression to the declared function or
 // method it statically invokes, or nil for builtins, conversions,
 // function values, and interface-method calls (dynamic dispatch is
-// outside the static graph; see DESIGN.md §6).
+// outside the static graph; see DESIGN.md §6). Calls into generic code
+// resolve to the generic declaration: explicit instantiations
+// (`New[K, V]()`) are unwrapped, and an instantiated function or
+// method maps back to its origin, which is what the graph is keyed by.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	var obj types.Object
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
+		obj = info.Uses[fun]
 	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
+		obj = info.Uses[fun.Sel]
+	}
+	if f, ok := obj.(*types.Func); ok {
+		return f.Origin()
 	}
 	return nil
 }

@@ -96,6 +96,7 @@ func TestAnalyzers(t *testing.T) {
 		{"panicpath internal", PanicPath, "panicpath_internal", "rap/internal/panicfix"},
 		{"panicpath out of scope", PanicPath, "panicpath_cmd", "rap/cmd/panicfix"},
 		{"detaint annotated root", Detaint, "detaint_anno", "rap/cmd/clocktool"},
+		{"detaint through generic calls", Detaint, "detaint_generic", "rap/internal/genericfix"},
 		{"guardedby", GuardedBy, "guardedby", "rap/internal/guardfix"},
 		{"goroutinecapture", GoroutineCapture, "goroutinecapture", "rap/internal/gofix"},
 		{"lockorder", LockOrder, "lockorder", "rap/internal/lockfix"},

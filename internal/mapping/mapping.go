@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"rap/internal/dlrm"
+	"rap/internal/memo"
 	"rap/internal/preproc"
 )
 
@@ -265,9 +266,9 @@ func commOf(items []Assign, gpu int, cfg Config) float64 {
 type costMemo struct {
 	raw     CostFn
 	graphID map[*preproc.Graph]int
-	cache   map[string]float64
-	evals   int
-	hits    int
+	cache   *memo.Cache[string, float64]
+	// unkeyed counts evaluations that bypassed the cache (no key).
+	unkeyed int
 }
 
 func newCostMemo(raw CostFn, plan *preproc.Plan) *costMemo {
@@ -275,7 +276,7 @@ func newCostMemo(raw CostFn, plan *preproc.Plan) *costMemo {
 	for i, g := range plan.Graphs {
 		ids[g] = i
 	}
-	return &costMemo{raw: raw, graphID: ids, cache: map[string]float64{}}
+	return &costMemo{raw: raw, graphID: ids, cache: memo.New[string, float64]()}
 }
 
 // key renders the assignment shape; an empty key (a graph outside the
@@ -297,16 +298,11 @@ func (m *costMemo) key(gpu int, items []Assign, comm float64) string {
 func (m *costMemo) cost(gpu int, items []Assign, comm float64) float64 {
 	key := m.key(gpu, items, comm)
 	if key == "" {
-		m.evals++
+		m.unkeyed++
 		return m.raw(gpu, items, comm)
 	}
-	if v, ok := m.cache[key]; ok {
-		m.hits++
-		return v
-	}
-	m.evals++
-	v := m.raw(gpu, items, comm)
-	m.cache[key] = v
+	// CostFn cannot fail, so Get's error is always nil.
+	v, _ := m.cache.Get(key, func() (float64, error) { return m.raw(gpu, items, comm), nil })
 	return v
 }
 
@@ -326,8 +322,8 @@ func RAPSearch(cfg Config) (*Result, error) {
 	}
 	n := cfg.Placement.NumGPUs
 	perGPU, _ := assignLocality(cfg)
-	memo := newCostMemo(cfg.costFn(), cfg.Plan)
-	cost := memo.cost
+	memoized := newCostMemo(cfg.costFn(), cfg.Plan)
+	cost := memoized.cost
 	maxMoves := cfg.MaxMoves
 	if maxMoves <= 0 {
 		maxMoves = 200
@@ -411,8 +407,9 @@ func RAPSearch(cfg Config) (*Result, error) {
 			break
 		}
 	}
+	hits, misses := memoized.cache.Stats()
 	return &Result{Strategy: "rap", PerGPU: perGPU, CommBytes: comm, Moves: moves,
-		CostEvals: memo.evals, CostCacheHits: memo.hits}, nil
+		CostEvals: misses + memoized.unkeyed, CostCacheHits: hits}, nil
 }
 
 func argmax(xs []float64) int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rap/internal/preproc"
+	"rap/internal/sched"
 )
 
 // This file implements the §10 "Discussion" extensions of the paper:
@@ -51,25 +52,28 @@ const HybridCPUSlowdownPerWorker = 500.0
 // cpuWorkers host/remote CPU workers per GPU (a GoldMiner-style elastic
 // CPU tier — the paper's hybrid "employs both GPUs and CPUs", spilling
 // only the part the GPUs cannot absorb). The CPU work runs concurrently
-// with training instead of extending the iteration. The plan is
-// modified in place and also returned. Returns the number of operators
-// spilled.
+// with training instead of extending the iteration. It returns the
+// hybrid plan and the number of operators spilled; p is left untouched
+// (BuildPlan may share it with every identical request).
 //
 // Note the economics this makes explicit: one CPU worker is
 // HybridCPUSlowdownPerWorker× slower than the GPU, so the hybrid mode
 // only pays off when the spilled work would otherwise be exposed AND the
 // CPU tier is wide enough — exactly the paper's framing that GPU
 // leftovers should carry the bulk and CPUs only the residue.
-func MakeHybrid(p *ExecPlan, cpuWorkers int) (int, error) {
+func MakeHybrid(p *ExecPlan, cpuWorkers int) (*ExecPlan, int, error) {
 	if p == nil {
-		return 0, fmt.Errorf("rap: nil plan")
+		return nil, 0, fmt.Errorf("rap: nil plan")
 	}
 	if cpuWorkers <= 0 {
 		cpuWorkers = 8
 	}
+	h := *p
+	h.Schedules = append([]*sched.Schedule(nil), p.Schedules...)
+	h.Work = append([]sched.GPUWork(nil), p.Work...)
+	h.PredictedExposedUs = append([]float64(nil), p.PredictedExposedUs...)
 	spilled := 0
-	for g := range p.Schedules {
-		s := p.Schedules[g]
+	for g, s := range p.Schedules {
 		if len(s.Overflow) == 0 {
 			continue
 		}
@@ -78,15 +82,19 @@ func MakeHybrid(p *ExecPlan, cpuWorkers int) (int, error) {
 			satUs += k.SaturatedWork()
 			spilled += kernelOpCount(k)
 		}
-		p.Work[g].CPUPreprocUs += satUs * HybridCPUSlowdownPerWorker / float64(cpuWorkers)
-		if p.Work[g].CPUWorkers < cpuWorkers {
-			p.Work[g].CPUWorkers = cpuWorkers
+		hs := *s
+		hs.Overflow = nil
+		hs.PredictedExposed = 0
+		h.Schedules[g] = &hs
+		w := &h.Work[g]
+		w.Schedule = &hs
+		w.CPUPreprocUs += satUs * HybridCPUSlowdownPerWorker / float64(cpuWorkers)
+		if w.CPUWorkers < cpuWorkers {
+			w.CPUWorkers = cpuWorkers
 		}
-		s.Overflow = nil
-		s.PredictedExposed = 0
-		p.PredictedExposedUs[g] = 0
+		h.PredictedExposedUs[g] = 0
 	}
-	return spilled, nil
+	return &h, spilled, nil
 }
 
 func kernelOpCount(k preproc.KernelSpec) int {

@@ -98,13 +98,13 @@ func TestMakeHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overflowed := false
+	var overflowed []int
 	for g := range pure.Schedules {
-		if len(pure.Schedules[g].Overflow) > 0 {
-			overflowed = true
+		if spilledOnGPU(pure, g) {
+			overflowed = append(overflowed, g)
 		}
 	}
-	if !overflowed {
+	if len(overflowed) == 0 {
 		t.Fatal("overloaded workload did not overflow — test premise broken")
 	}
 	pureStats, err := f.Execute(pure, 8)
@@ -112,22 +112,37 @@ func TestMakeHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hybrid, err := f.BuildPlan(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled, err := MakeHybrid(hybrid, 1024)
+	hybrid, spilled, err := MakeHybrid(pure, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spilled == 0 {
 		t.Fatal("nothing spilled")
 	}
+	// BuildPlan shares pure with every identical request, so MakeHybrid
+	// must leave it untouched.
+	for _, g := range overflowed {
+		if !spilledOnGPU(pure, g) || pure.Work[g].CPUPreprocUs != 0 {
+			t.Fatalf("gpu %d: MakeHybrid modified its input plan", g)
+		}
+	}
+	again, err := f.BuildPlan(BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.TotalPredictedExposed() == 0 {
+		t.Fatal("repeat BuildPlan after MakeHybrid returned the hybrid plan")
+	}
 	for g := range hybrid.Schedules {
-		if len(hybrid.Schedules[g].Overflow) != 0 {
+		if spilledOnGPU(hybrid, g) {
 			t.Fatal("overflow not cleared")
 		}
-		if hybrid.Work[g].CPUPreprocUs <= 0 && spilledOnGPU(pure, g) {
+		if hybrid.Work[g].Schedule != hybrid.Schedules[g] {
+			t.Fatalf("gpu %d: hybrid work runs a different schedule than the plan lists", g)
+		}
+	}
+	for _, g := range overflowed {
+		if hybrid.Work[g].CPUPreprocUs <= 0 {
 			t.Fatalf("gpu %d spilled but no CPU work assigned", g)
 		}
 	}
@@ -153,7 +168,7 @@ func spilledOnGPU(p *ExecPlan, g int) bool {
 }
 
 func TestMakeHybridNil(t *testing.T) {
-	if _, err := MakeHybrid(nil, 8); err == nil {
+	if _, _, err := MakeHybrid(nil, 8); err == nil {
 		t.Fatal("nil plan accepted")
 	}
 }
@@ -168,15 +183,15 @@ func TestMakeHybridNoOverflowNoop(t *testing.T) {
 	for g := range p.Schedules {
 		p.Schedules[g].Overflow = nil // everything hidden
 	}
-	spilled, err := MakeHybrid(p, 64)
+	h, spilled, err := MakeHybrid(p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spilled != 0 {
 		t.Fatalf("nothing overflowed, yet spilled %d", spilled)
 	}
-	for g := range p.Work {
-		if p.Work[g].CPUPreprocUs != 0 {
+	for g := range h.Work {
+		if h.Work[g].CPUPreprocUs != 0 {
 			t.Fatal("CPU work added without overflow")
 		}
 	}

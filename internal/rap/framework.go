@@ -11,6 +11,7 @@ import (
 	"rap/internal/gbdt"
 	"rap/internal/gpusim"
 	"rap/internal/mapping"
+	"rap/internal/memo"
 	"rap/internal/sched"
 	"rap/internal/topo"
 )
@@ -55,11 +56,6 @@ type BuildOptions struct {
 type Framework struct {
 	W       *Workload
 	Cluster gpusim.ClusterConfig
-	// Planner toggles the planner fast path (probe memoization,
-	// concurrent probing and lowering, solve memoization, plan
-	// caching). The zero value enables everything; no toggle changes
-	// plan contents.
-	Planner PlannerOptions
 
 	pred *costmodel.Predictor
 	// predGen counts predictor replacements; it is part of every
@@ -71,37 +67,27 @@ type Framework struct {
 	// need a cost model failing on specific candidates.
 	newCostModel func(caps []costmodel.StageCapacity) (*costmodel.CostModel, error)
 
-	probeCache  *costmodel.ProbeCache
-	fusionCache *fusion.SolveCache
-
-	mu        sync.Mutex
-	planCache map[string]*ExecPlan // guarded by mu
+	// The planner memos (DESIGN.md §8). A hit returns exactly what the
+	// computation would have, so none of them changes plan contents.
+	probes *costmodel.ProbeCache
+	solves *fusion.SolveCache
+	plans  *memo.Cache[string, *ExecPlan] // keyed by planKey
 }
 
 // New creates a framework for a workload on a cluster.
 func New(w *Workload, cluster gpusim.ClusterConfig) *Framework {
 	f := &Framework{
-		W:           w,
-		Cluster:     cluster.WithDefaults(),
-		pred:        costmodel.AnalyticPredictor(),
-		probeCache:  costmodel.NewProbeCache(),
-		fusionCache: fusion.NewSolveCache(),
-		planCache:   map[string]*ExecPlan{},
+		W:       w,
+		Cluster: cluster.WithDefaults(),
+		pred:    costmodel.AnalyticPredictor(),
+		probes:  costmodel.NewProbeCache(),
+		solves:  fusion.NewSolveCache(),
+		plans:   memo.New[string, *ExecPlan](),
 	}
 	f.newCostModel = func(caps []costmodel.StageCapacity) (*costmodel.CostModel, error) {
 		return costmodel.NewCostModel(f.pred, caps)
 	}
 	return f
-}
-
-// ProbeCacheStats reports the capacity-probe cache's hit/miss counts.
-func (f *Framework) ProbeCacheStats() (hits, misses int) {
-	return f.probeCache.Stats()
-}
-
-// FusionCacheStats reports the fusion solve cache's hit/miss counts.
-func (f *Framework) FusionCacheStats() (hits, misses int) {
-	return f.fusionCache.Stats()
 }
 
 // OfflineTrainPredictor runs the offline pass (Figure 4 step 1):
@@ -158,67 +144,38 @@ func (p *ExecPlan) TotalPredictedExposed() float64 {
 // overlapping capacity, map the preprocessing graphs, fuse, and search
 // the co-running schedule. Identical requests — same workload shape,
 // cluster, options and predictor generation, by deep content hash —
-// return the already-built plan unless Planner.DisablePlanCache is
-// set.
+// return the already-built plan, which callers must not mutate.
 func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
 	if opts.Strategy == "" {
 		opts.Strategy = MapRAP
 	}
-	var key string
-	if !f.Planner.DisablePlanCache {
-		key = f.planKey(opts)
-		f.mu.Lock()
-		cached := f.planCache[key]
-		f.mu.Unlock()
-		if cached != nil {
-			return cached, nil
-		}
-	}
-	plan, err := f.buildPlan(opts)
-	if err != nil {
-		return nil, err
-	}
-	if key != "" {
-		f.mu.Lock()
-		f.planCache[key] = plan
-		f.mu.Unlock()
-	}
-	return plan, nil
+	return f.plans.Get(f.planKey(opts), func() (*ExecPlan, error) { return f.buildPlan(opts) })
 }
 
-// estimateCapacities runs the step-2 per-GPU capacity profiling,
-// concurrently unless Planner.SequentialProbes is set. GPU 0 always
+// estimateCapacities runs the step-2 per-GPU capacity profiling. GPU 0
 // probes first to warm the probe cache — homogeneous GPUs share most
-// stage profiles, so the remaining GPUs then answer mostly from memo —
-// and results are collected by GPU index, so the output is identical
-// either way.
+// stage profiles, so the remaining GPUs, probed concurrently, then
+// answer mostly from memo — and results are collected by GPU index.
 func (f *Framework) estimateCapacities(pl dlrm.Placement) ([][]costmodel.StageCapacity, []float64, error) {
 	n := f.Cluster.NumGPUs
-	cache := f.probeCache
-	if f.Planner.DisableProbeMemo {
-		cache = nil
-	}
 	caps := make([][]costmodel.StageCapacity, n)
 	errs := make([]error, n)
 	estimate := func(g int) {
-		caps[g], errs[g] = costmodel.EstimateCapacitiesCached(f.W.Model, pl, g, f.Cluster, cache)
+		caps[g], errs[g] = costmodel.EstimateCapacitiesCached(f.W.Model, pl, g, f.Cluster, f.probes)
 	}
 	estimate(0)
-	if f.Planner.SequentialProbes || errs[0] != nil {
-		for g := 1; g < n; g++ {
-			estimate(g)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for g := 1; g < n; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				estimate(g)
-			}(g)
-		}
-		wg.Wait()
+	if errs[0] != nil {
+		return nil, nil, errs[0]
 	}
+	var wg sync.WaitGroup
+	for g := 1; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			estimate(g)
+		}(g)
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
@@ -316,11 +273,7 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 	plan.PredictedExposedUs = make([]float64, n)
 
 	// The per-GPU problems are independent, so the lowering runs one
-	// goroutine per GPU unless Planner.SequentialLowering is set.
-	solveCache := f.fusionCache
-	if f.Planner.DisableFusionMemo {
-		solveCache = nil
-	}
+	// goroutine per GPU.
 	lower := func(g int) error {
 		items := make([]fusion.ScaledGraph, len(mapped.PerGPU[g]))
 		for i, a := range mapped.PerGPU[g] {
@@ -329,7 +282,7 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 		fp, err := fusion.PlanFusionScaled(items, fusion.Options{
 			Disable:    opts.NoFusion,
 			MaxNodes:   opts.FusionMaxNodes,
-			SolveCache: solveCache,
+			SolveCache: f.solves,
 		})
 		if err != nil {
 			return err
@@ -359,32 +312,24 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 		}
 		return nil
 	}
-	if f.Planner.SequentialLowering {
-		for g := 0; g < n; g++ {
-			if err := lower(g); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Graphs are shared across GPUs and Graph.Deps is built lazily;
-		// warm it up front so the concurrent lowerings only read.
-		for _, gr := range f.W.Plan.Graphs {
-			gr.Deps()
-		}
-		lowerErrs := make([]error, n)
-		var wg sync.WaitGroup
-		for g := 0; g < n; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				lowerErrs[g] = lower(g)
-			}(g)
-		}
-		wg.Wait()
-		for _, err := range lowerErrs {
-			if err != nil {
-				return nil, err
-			}
+	// Graphs are shared across GPUs and Graph.Deps is built lazily;
+	// warm it up front so the concurrent lowerings only read.
+	for _, gr := range f.W.Plan.Graphs {
+		gr.Deps()
+	}
+	lowerErrs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lowerErrs[g] = lower(g)
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range lowerErrs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return plan, nil

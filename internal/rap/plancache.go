@@ -9,38 +9,11 @@ import (
 	"rap/internal/preproc"
 )
 
-// PlannerOptions toggles the planner fast-path machinery. The zero
-// value enables everything; each switch falls back to the slow path it
-// replaces. None of the switches ever changes plan contents — the fast
-// paths are bit-identical to the slow ones — so they exist for
-// benchmarking the fast path against its baseline and for bisecting a
-// planner problem down to one layer.
-type PlannerOptions struct {
-	// SequentialProbes runs the per-GPU capacity estimation one GPU at
-	// a time instead of concurrently.
-	SequentialProbes bool
-	// DisableProbeMemo recomputes every capacity probe instead of
-	// consulting the framework's probe cache.
-	DisableProbeMemo bool
-	// SequentialLowering runs the per-GPU fusion + co-run scheduling
-	// (step 3b) one GPU at a time instead of concurrently.
-	SequentialLowering bool
-	// DisableFusionMemo re-solves every fusion MILP instead of
-	// consulting the framework's solve cache (which answers repeat
-	// instances — the replanning-loop case — without a search).
-	DisableFusionMemo bool
-	// DisablePlanCache rebuilds the plan even when an identical
-	// workload shape was already planned.
-	DisablePlanCache bool
-}
-
 // planKey is the deep content hash of everything BuildPlan reads: the
 // predictor generation, the cluster, the build options, the model
 // config, and the preprocessing plan walked graph by graph (ops are
 // identified by id/type/wiring plus their cost-spec at the global batch
-// shape, which folds in operator parameters). Planner toggles are
-// deliberately excluded — they never change plan contents, so toggling
-// them must not fragment the cache.
+// shape, which folds in operator parameters).
 func (f *Framework) planKey(opts BuildOptions) string {
 	h := sha256.New()
 	ff := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }

@@ -7,6 +7,7 @@ import (
 
 	"rap/internal/costmodel"
 	"rap/internal/gpusim"
+	"rap/internal/memo"
 )
 
 // plansEqual compares the planner outputs of two ExecPlans (the
@@ -22,56 +23,84 @@ func plansEqual(a, b *ExecPlan) bool {
 		reflect.DeepEqual(a.PredictedExposedUs, b.PredictedExposedUs)
 }
 
-// TestBuildPlanDeterministicUnderConcurrency double-runs the fast-path
-// BuildPlan (concurrent probes and lowering, memoization) with the
-// plan cache disabled so the second run genuinely rebuilds: the plans
+// TestBuildPlanDeterministicUnderConcurrency double-runs BuildPlan
+// (concurrent probes and lowering, memoization) with a fresh plan cache
+// swapped in between, so the second run genuinely rebuilds: the plans
 // must be deeply equal.
 func TestBuildPlanDeterministicUnderConcurrency(t *testing.T) {
 	w := workload(t, Kaggle, 1, 1024)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-	f.Planner.DisablePlanCache = true
 	a, err := f.BuildPlan(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.plans = memo.New[string, *ExecPlan]()
 	b, err := f.BuildPlan(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("second BuildPlan was served from the old plan cache")
 	}
 	if !plansEqual(a, b) {
 		t.Fatal("double-run BuildPlan produced different plans")
 	}
 }
 
-// TestBuildPlanFastPathMatchesSequential pins the fast path's whole
-// contract: a framework with every fast-path layer enabled must build
-// the same plan as one forced fully sequential and cache-free.
-func TestBuildPlanFastPathMatchesSequential(t *testing.T) {
-	w := workload(t, Kaggle, 1, 1024)
-	fast := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-	slow := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-	slow.Planner = PlannerOptions{
-		SequentialProbes:   true,
-		DisableProbeMemo:   true,
-		SequentialLowering: true,
-		DisableFusionMemo:  true,
-		DisablePlanCache:   true,
+// TestBuildPlanMemoTransparent pins the memos' whole contract: a rebuild
+// answered from warm probe and solve memos must equal a build with
+// every memo removed. The Terabyte case caps the MILP budget, so
+// memoized budget-truncated solves are checked too.
+func TestBuildPlanMemoTransparent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ds   Dataset
+		plan int
+		opts BuildOptions
+	}{
+		{"kaggle plan 1", Kaggle, 1, BuildOptions{}},
+		{"terabyte plan 2 truncated", Terabyte, 2, BuildOptions{FusionMaxNodes: 2000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := workload(t, tc.ds, tc.plan, 1024)
+			memoized := New(w, gpusim.ClusterConfig{NumGPUs: 4})
+			if _, err := memoized.BuildPlan(tc.opts); err != nil {
+				t.Fatal(err)
+			}
+			memoized.plans = memo.New[string, *ExecPlan]()
+			a, err := memoized.BuildPlan(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := New(w, gpusim.ClusterConfig{NumGPUs: 4})
+			plain.probes, plain.solves, plain.plans = nil, nil, nil
+			b, err := plain.BuildPlan(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plansEqual(a, b) {
+				t.Fatal("memoized plan differs from the memo-free plan")
+			}
+			if hits, misses := memoized.probes.Stats(); hits == 0 {
+				t.Fatalf("no probe-cache hits (misses %d)", misses)
+			}
+			if hits, misses := memoized.solves.Stats(); hits == 0 {
+				t.Fatalf("no solve-cache hits on the rebuild (misses %d)", misses)
+			}
+			if tc.opts.FusionMaxNodes > 0 && !anyTruncated(a) {
+				t.Fatal("no fusion solve hit the node budget — test premise broken")
+			}
+		})
 	}
-	a, err := fast.BuildPlan(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
+}
+
+func anyTruncated(p *ExecPlan) bool {
+	for _, fp := range p.Fusions {
+		if !fp.Optimal {
+			return true
+		}
 	}
-	b, err := slow.BuildPlan(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plansEqual(a, b) {
-		t.Fatal("fast-path plan differs from sequential plan")
-	}
-	hits, misses := fast.ProbeCacheStats()
-	if hits == 0 {
-		t.Fatalf("fast path recorded no probe-cache hits (misses %d)", misses)
-	}
+	return false
 }
 
 // TestBuildPlanPlanCache: an identical request returns the cached plan;
@@ -97,18 +126,21 @@ func TestBuildPlanPlanCache(t *testing.T) {
 	if c == a {
 		t.Fatal("different options returned the cached plan")
 	}
-	f.Planner.DisablePlanCache = true
+	if hits, misses := f.plans.Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("plan cache counted %d hits, %d misses; want 1, 2", hits, misses)
+	}
+	f.plans = memo.New[string, *ExecPlan]()
 	d, err := f.BuildPlan(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d == a {
-		t.Fatal("DisablePlanCache still served the cached plan")
+		t.Fatal("a fresh plan cache still served the old plan")
 	}
 	if !plansEqual(a, d) {
 		t.Fatal("rebuilt plan differs from cached plan")
 	}
-	if hits, _ := f.FusionCacheStats(); hits == 0 {
+	if hits, _ := f.solves.Stats(); hits == 0 {
 		t.Fatal("warm rebuild re-solved every fusion MILP instead of hitting the solve memo")
 	}
 }
