@@ -7,7 +7,6 @@
 //	rapbench -exp fig9 -quick        # reduced Figure 9 grid
 //	rapbench -exp fig1a,fig11,tab4   # comma-separated subset
 //	rapbench -list                   # list experiment ids
-//	rapbench -engine-bench           # time the gpusim engine, write BENCH_engine.json
 //	rapbench -chaos                  # perturbation-severity sweep, write BENCH_chaos.json
 //	rapbench -cluster                # fleet scheduling at 1024 GPUs, write BENCH_cluster.json
 //	rapbench -cluster-smoke          # fleet determinism gate (verify.sh)
@@ -18,12 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"rap/internal/experiments"
-	"rap/internal/gpusim"
 )
 
 type renderer interface{ Render() string }
@@ -32,8 +29,6 @@ func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (see -list)")
 	quick := flag.Bool("quick", false, "reduced grids for slow experiments")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	engineBench := flag.Bool("engine-bench", false, "benchmark the gpusim engine and exit")
-	benchOut := flag.String("bench-out", "BENCH_engine.json", "output path for -engine-bench results")
 	chaosMode := flag.Bool("chaos", false, "run the perturbation-severity sweep and exit")
 	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the -chaos JSON report")
 	chaosSeed := flag.Int64("chaos-seed", 7, "seed for -chaos perturbation plans")
@@ -70,14 +65,6 @@ func main() {
 		}
 		if err := runCluster(*clusterOut, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "rapbench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *engineBench {
-		if err := runEngineBench(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rapbench: engine-bench: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -220,76 +207,6 @@ func main() {
 	}
 }
 
-// timeRuns runs the DAG built by mk (warmups first), returning the
-// mean and best wall time.
-func timeRuns(mk func() *gpusim.Sim, warmup, timed int) (mean, best time.Duration, err error) {
-	for i := 0; i < warmup; i++ {
-		if _, err = mk().Run(); err != nil {
-			return 0, 0, err
-		}
-	}
-	var total time.Duration
-	best = time.Duration(1<<63 - 1)
-	for i := 0; i < timed; i++ {
-		s := mk()
-		start := time.Now()
-		if _, err = s.Run(); err != nil {
-			return 0, 0, err
-		}
-		d := time.Since(start)
-		total += d
-		if d < best {
-			best = d
-		}
-	}
-	return total / time.Duration(timed), best, nil
-}
-
-// runEngineBench times the gpusim engine on the canonical benchmark DAG
-// (the same workload as BenchmarkEngine) and writes the result to path
-// as JSON, for cross-commit regression tracking.
-func runEngineBench(path string) error {
-	const (
-		warmupRuns = 3
-		timedRuns  = 30
-	)
-	mean, best, err := timeRuns(gpusim.NewBenchmarkSim, warmupRuns, timedRuns)
-	if err != nil {
-		return err
-	}
-
-	report := struct {
-		Name       string `json:"name"`
-		Runs       int    `json:"runs"`
-		NsPerOp    int64  `json:"ns_per_op"`
-		BestNs     int64  `json:"best_ns"`
-		Kernels    int    `json:"kernels"`
-		GPUs       int    `json:"gpus"`
-		GoMaxProcs int    `json:"gomaxprocs"`
-		Executed   string `json:"executed"`
-	}{
-		Name:       "BenchmarkEngine",
-		Runs:       timedRuns,
-		NsPerOp:    mean.Nanoseconds(),
-		BestNs:     best.Nanoseconds(),
-		Kernels:    gpusim.BenchKernels,
-		GPUs:       gpusim.BenchGPUs,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Executed:   time.Now().UTC().Format(time.RFC3339),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("engine-bench: %s/op (best %s) over %d runs, gomaxprocs %d -> %s\n",
-		mean, best, timedRuns, report.GoMaxProcs, path)
-	return nil
-}
-
 // usage prints the mode-grouped help text, one group per family of
 // rapbench entry points.
 func usage() {
@@ -301,7 +218,6 @@ Paper experiments (default mode):
   rapbench -list               list experiment ids
 
 Benchmarks (each writes a JSON report and exits):
-  rapbench -engine-bench       gpusim engine timing         -> BENCH_engine.json
   rapbench -chaos              perturbation-severity sweep  -> BENCH_chaos.json
   rapbench -cluster            multi-tenant fleet scheduling (1024 simulated GPUs,
                                RAP-aware packing vs first-fit) -> BENCH_cluster.json

@@ -12,32 +12,26 @@
 // wgcheck, goroutineleak — find lock-order cycles across the call
 // graph, mixed atomic/plain access to the same word, WaitGroup misuse,
 // and goroutines that can block forever (see internal/lint and
-// DESIGN.md §6).
+// DESIGN.md §6). Every run type-checks and analyzes every target
+// package from source, one package at a time.
 //
 // Usage:
 //
 //	go run ./cmd/raplint [flags] [packages]   # default ./...
 //	go run ./cmd/raplint -list                # describe the analyzers
-//	go run ./cmd/raplint -check-report FILE   # gate on a prior -json report
 //
 // Flags:
 //
-//	-json FILE         write a machine-readable report (findings + stats); "-" for stdout
-//	-sarif FILE        write a SARIF 2.1.0 log; "-" for stdout
-//	-check-report FILE gate mode: read a previously written -json report
-//	                   and exit 1 if it carries findings, 2 if it is not
-//	                   a raplint report; no analysis is run
-//	-timing            print per-analyzer wall time and cache stats to stderr
-//	-nocache           disable the per-package content-hash result cache
-//	-cache-dir D       override the cache directory (default per-user cache)
-//	-jobs N            concurrent package analysis (default GOMAXPROCS)
+//	-json FILE   write a machine-readable report (findings + stats); "-" for stdout
+//	-timing      print per-analyzer wall time to stderr
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load error. Findings can
-// be suppressed with `//lint:ignore <analyzer> <reason>` on or above
-// the offending line; deterministic entry points are declared with
-// `//rap:deterministic` in a function's doc comment; units are declared
-// with `//rap:unit <unit>` on struct fields and var/const specs, or
-// `//rap:unit <param|return> <unit>` in a function's doc comment.
+// Exit status: 0 clean, 1 findings, 2 usage, load or report-write
+// error. Findings can be suppressed with `//lint:ignore <analyzer>
+// <reason>` on or above the offending line; deterministic entry points
+// are declared with `//rap:deterministic` in a function's doc comment;
+// units are declared with `//rap:unit <unit>` on struct fields and
+// var/const specs, or `//rap:unit <param|return> <unit>` in a
+// function's doc comment.
 package main
 
 import (
@@ -53,18 +47,8 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.String("json", "", "write a JSON report to this file (\"-\" for stdout)")
-	sarifOut := flag.String("sarif", "", "write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-	timing := flag.Bool("timing", false, "print per-analyzer wall time and cache stats to stderr")
-	noCache := flag.Bool("nocache", false, "disable the per-package result cache")
-	cacheDir := flag.String("cache-dir", "", "cache directory (default: per-user cache)")
-	jobs := flag.Int("jobs", 0, "concurrent package analysis (default GOMAXPROCS)")
-	checkReport := flag.String("check-report", "", "gate on a previously written -json report instead of analyzing")
+	timing := flag.Bool("timing", false, "print per-analyzer wall time to stderr")
 	flag.Parse()
-
-	if *checkReport != "" {
-		runCheckReport(*checkReport)
-		return
-	}
 
 	analyzers := lint.All()
 	if *list {
@@ -74,14 +58,7 @@ func main() {
 		return
 	}
 
-	findings, stats, err := lint.RunWithOptions(lint.Options{
-		Dir:       ".",
-		Patterns:  flag.Args(),
-		Analyzers: analyzers,
-		NoCache:   *noCache,
-		CacheDir:  *cacheDir,
-		Jobs:      *jobs,
-	})
+	findings, stats, err := lint.Run(".", flag.Args(), analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "raplint:", err)
 		os.Exit(2)
@@ -95,42 +72,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "raplint:", err)
 		os.Exit(2)
 	}
-	if err := writeReport(*sarifOut, func(w *os.File) error {
-		return lint.WriteSARIF(w, ".", analyzers, findings)
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "raplint:", err)
-		os.Exit(2)
-	}
 	if *timing {
 		printTiming(stats)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "raplint: %d finding(s)\n", len(findings))
-		os.Exit(1)
-	}
-}
-
-// runCheckReport is the CI gate: decode an existing lint-report
-// artifact and exit 1 if it carries findings (printing them), 2 if the
-// file is missing or not a raplint report. A broken artifact must fail
-// the gate — the grep this replaces treated it as clean.
-func runCheckReport(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "raplint:", err)
-		os.Exit(2)
-	}
-	defer f.Close()
-	lines, err := lint.CheckReport(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "raplint: %s: %v\n", path, err)
-		os.Exit(2)
-	}
-	if len(lines) > 0 {
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-		fmt.Fprintf(os.Stderr, "raplint: %s carries %d finding(s)\n", path, len(lines))
 		os.Exit(1)
 	}
 }
@@ -154,8 +100,8 @@ func writeReport(path string, write func(*os.File) error) error {
 }
 
 func printTiming(stats *lint.Stats) {
-	fmt.Fprintf(os.Stderr, "raplint: %d packages (%d cached) in %s (load %s, analyze %s, ssa build %s, conc build %s)\n",
-		stats.Packages, stats.CacheHits, round(stats.Total), round(stats.Load), round(stats.Analyze), round(stats.SSABuild), round(stats.ConcBuild))
+	fmt.Fprintf(os.Stderr, "raplint: %d packages in %s (load %s, analyze %s, ssa build %s, conc build %s)\n",
+		stats.Packages, round(stats.Total), round(stats.Load), round(stats.Analyze), round(stats.SSABuild), round(stats.ConcBuild))
 	names := make([]string, 0, len(stats.PerAnalyzer))
 	for name := range stats.PerAnalyzer {
 		names = append(names, name)

@@ -124,7 +124,7 @@ func runFramework(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, ite
 	if err != nil {
 		return RunResult{}, err
 	}
-	stats, err := f.ExecuteChaos(p, iterations, cp)
+	stats, err := f.ExecuteTopo(p, iterations, nil, cp)
 	if err != nil {
 		return RunResult{}, err
 	}

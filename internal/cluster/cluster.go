@@ -280,6 +280,14 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 				return fmt.Errorf("cluster: policy %s returned %d GPUs for a %d-GPU job",
 					s.cfg.Policy.Name(), len(alloc), queue[0].Shape.GPUs)
 			}
+			// Out-of-range and repeated GPUs are Subset's to reject; a
+			// GPU still held by a running job is caught here.
+			for _, g := range alloc {
+				if g >= 0 && g < len(free) && !free[g] {
+					return fmt.Errorf("cluster: policy %s placed job %d on GPU %d, which another job still holds",
+						s.cfg.Policy.Name(), queue[0].ID, g)
+				}
+			}
 			if err := startJob(queue[0], alloc, now); err != nil {
 				return err
 			}

@@ -214,6 +214,19 @@ type rejectAll struct{}
 func (rejectAll) Name() string                { return "reject-all" }
 func (rejectAll) Place(*FleetView, int) []int { return nil }
 
+// lowestN is a faulty policy that ignores the free set and always
+// returns GPUs 0..want-1.
+type lowestN struct{}
+
+func (lowestN) Name() string { return "lowest-n" }
+func (lowestN) Place(_ *FleetView, want int) []int {
+	out := make([]int, want)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func TestSimulateErrors(t *testing.T) {
 	s, err := New(Config{Topo: smallFleet(), Policy: Pack{}})
 	if err != nil {
@@ -235,6 +248,14 @@ func TestSimulateErrors(t *testing.T) {
 	_, err = stuck.Simulate([]Job{kaggleJob(0, 0, 2, 5)})
 	if err == nil || !strings.Contains(err.Error(), "cannot place") {
 		t.Fatalf("unplaceable head of queue: got %v", err)
+	}
+	greedy, err := New(Config{Topo: smallFleet(), Policy: lowestN{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = greedy.Simulate([]Job{kaggleJob(0, 0, 2, 5), kaggleJob(1, 0, 2, 5)})
+	if err == nil || !strings.Contains(err.Error(), "policy lowest-n placed job 1 on GPU 0") {
+		t.Fatalf("double-booked GPU: got %v", err)
 	}
 }
 

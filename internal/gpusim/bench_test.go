@@ -3,8 +3,8 @@ package gpusim
 import "testing"
 
 // BenchmarkEngine measures the discrete-event engine on the canonical
-// dense co-run DAG (see NewBenchmarkSim). `rapbench -engine-bench` runs
-// the same workload and records the result in BENCH_engine.json.
+// dense co-run DAG (see NewBenchmarkSim):
+// `go test -bench BenchmarkEngine ./internal/gpusim`.
 func BenchmarkEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -13,7 +13,7 @@ import (
 // the static complement). The atomic-access set is interprocedural —
 // an address passed to atomic.AddInt64 in a dependency package taints
 // the object for every dependent — while plain accesses are reported in
-// the package that makes them (the cache-coherence direction).
+// the package that makes them (the dependency-closure direction).
 //
 // Suppressed plain accesses: the defining occurrence (initialization
 // before the object is shared is the universal idiom), field accesses

@@ -8,7 +8,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // deterministicDirective declares (in a function's doc comment) that
@@ -61,8 +60,8 @@ type funcNode struct {
 // Program is the whole-module view shared by every pass of a run: the
 // call graph over all loaded packages, per-package ignore indexes, the
 // guarded-field contract map, and the //rap:deterministic annotation
-// index. It is immutable after NewProgram (directive usage marks are
-// atomic), so passes for different packages may run concurrently.
+// index. Passes must run one at a time: they mark directive usage and
+// build the fact bases below lazily, without synchronization.
 type Program struct {
 	Packages []*Package
 
@@ -75,14 +74,12 @@ type Program struct {
 	misplacedDet map[string][]token.Pos
 
 	// dim is the v3 SSA value-flow layer (see ssa.go), built lazily by
-	// the first dimcheck pass — fully cache-warm runs never pay for it.
-	dimOnce sync.Once
-	dim     *dimFacts
+	// the first dimcheck pass.
+	dim *dimFacts
 
 	// conc is the v4 concurrency fact base (see conc.go), built lazily
-	// by the first v4 pass — fully cache-warm runs never pay for it.
-	concOnce sync.Once
-	conc     *concFacts
+	// by the first v4 pass.
+	conc *concFacts
 }
 
 // NewProgram joins type-checked packages into a Program, building the

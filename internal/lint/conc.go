@@ -13,13 +13,13 @@ import (
 // This file is raplint v4's concurrency-soundness fact base, shared by
 // the lockorder, atomicplain, wgcheck, and goroutineleak analyzers. It
 // rides the same lazy-build pattern as the v3 SSA layer (ssa.go): the
-// facts are constructed once per Program by the first v4 pass, behind a
-// sync.Once, so fully cache-warm runs never pay for them.
+// facts are constructed once per Program by the first v4 pass.
 //
-// Cache coherence shapes every fact the same way it shapes the SSA
-// layer: per-package cache keys hash a package and its *dependency*
-// closure, never its dependents, so a package's pass may only consume
-// facts contributed by itself or by packages it (transitively) imports.
+// The dependency-closure rule shapes every fact the same way it shapes
+// the SSA layer: a package's findings may depend only on itself and its
+// dependency closure, never on its dependents, so a package's pass may
+// only consume facts contributed by itself or by packages it
+// (transitively) imports.
 // The facts below are therefore tagged with their contributing package
 // and filtered per pass through depClosure. Facts from unrelated
 // sibling packages — loaded in the same run but outside the closure —
@@ -103,8 +103,7 @@ type concFacts struct {
 }
 
 // ConcFactsBuildTime returns how long the v4 concurrency fact
-// construction took, or zero when no package needed it (fully warm
-// cache runs skip the build entirely).
+// construction took, or zero when no pass needed it.
 func (prog *Program) ConcFactsBuildTime() time.Duration {
 	if prog.conc == nil {
 		return 0
@@ -112,10 +111,9 @@ func (prog *Program) ConcFactsBuildTime() time.Duration {
 	return prog.conc.buildDur
 }
 
-// concFacts builds the concurrency facts on first use. sync.Once makes
-// the lazy build safe under the driver's concurrent per-package passes.
+// concFacts builds the concurrency facts on first use.
 func (prog *Program) concFacts() *concFacts {
-	prog.concOnce.Do(func() {
+	if prog.conc == nil {
 		//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 		start := time.Now()
 		f := &concFacts{
@@ -136,7 +134,7 @@ func (prog *Program) concFacts() *concFacts {
 		//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 		f.buildDur = time.Since(start)
 		prog.conc = f
-	})
+	}
 	return prog.conc
 }
 

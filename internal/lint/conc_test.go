@@ -11,7 +11,7 @@ import (
 // Analyzing the caller without the dependency's sources loaded must
 // stay silent (the facts are invisible, and the analyzers are designed
 // to fail toward silence), as must the dependency package itself (the
-// cache-coherence rule: a package's findings may depend only on its
+// dependency-closure rule: a package's findings may depend only on its
 // dependency closure, never on its dependents).
 func runCrossPackage(t *testing.T, analyzer *Analyzer, lib, libPath, caller, callerPath string) {
 	t.Helper()

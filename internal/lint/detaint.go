@@ -41,13 +41,13 @@ func runDetaint(p *Pass) {
 			}
 			sitePos := p.Fset.Position(hit.site.pos)
 			if d := prog.ignores[hit.site.pkg.Path].covering(p.analyzer.Name, sitePos); d != nil {
-				p.use(d)
+				d.used = true
 				seen[hit.site.pos] = true
 				continue
 			}
 			if d := p.ignores.covering(p.analyzer.Name, rootPos); d != nil {
 				// The root is exempted; other roots may still report.
-				p.use(d)
+				d.used = true
 				continue
 			}
 			seen[hit.site.pos] = true

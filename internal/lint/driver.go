@@ -1,98 +1,39 @@
 package lint
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
-
-// Options configures one raplint run.
-type Options struct {
-	// Dir is the working directory for package discovery (default ".").
-	Dir string
-	// Patterns are go-list package patterns (default "./...").
-	Patterns []string
-	// Analyzers defaults to All(). The whole-run unusedignore check
-	// runs iff UnusedIgnore is in the list.
-	Analyzers []*Analyzer
-	// NoCache disables the per-package result cache.
-	NoCache bool
-	// CacheDir overrides the default per-user cache directory.
-	CacheDir string
-	// Jobs bounds concurrent package analysis (default GOMAXPROCS).
-	Jobs int
-}
+import "time"
 
 // Stats reports where a run spent its time, for the -timing flag and
 // the JSON report.
 type Stats struct {
-	Packages  int
-	CacheHits int
-	// Load covers package discovery, hashing, cache probes, and (on
-	// cache misses) parsing and type checking.
+	Packages int
+	// Load covers package discovery, parsing and type checking.
 	Load time.Duration
 	// Analyze covers the analyzer passes and the unusedignore check.
 	Analyze time.Duration
 	// SSABuild is the one-time construction of the v3 value-flow facts
-	// (ssa.go), paid inside the first dimcheck pass of a run; zero on
-	// fully warm runs, which never build them.
+	// (ssa.go), paid inside the first dimcheck pass of a run.
 	SSABuild time.Duration
 	// ConcBuild is the one-time construction of the v4 concurrency
-	// facts (conc.go), paid inside the first v4 pass of a run; zero on
-	// fully warm runs, which never build them.
+	// facts (conc.go), paid inside the first v4 pass of a run.
 	ConcBuild time.Duration
 	Total     time.Duration
 	// PerAnalyzer is wall time attributed to each analyzer, summed
-	// across packages (concurrent passes may sum past Analyze).
+	// across packages.
 	PerAnalyzer map[string]time.Duration
 }
 
-// analyzerTimings accumulates per-analyzer wall time across
-// concurrently analyzed packages. A nil collector is a no-op.
-type analyzerTimings struct {
-	mu sync.Mutex
-	d  map[string]time.Duration // guarded by mu
-}
-
-func (t *analyzerTimings) start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	//lint:ignore seededrand raplint times its own analyzers; no simulated result depends on this clock
-	return time.Now()
-}
-
-func (t *analyzerTimings) stop(name string, from time.Time) {
-	if t == nil {
-		return
-	}
-	//lint:ignore seededrand raplint times its own analyzers; no simulated result depends on this clock
-	elapsed := time.Since(from)
-	t.mu.Lock()
-	t.d[name] += elapsed
-	t.mu.Unlock()
-}
-
-// RunWithOptions is the v2 driver: it discovers the target packages,
-// serves unchanged packages from the content-hash cache, type-checks
-// and analyzes the rest in parallel over the shared Program, runs the
-// whole-run unusedignore check, and returns findings sorted by
-// position together with timing stats.
-func RunWithOptions(o Options) ([]Finding, *Stats, error) {
+// Run loads the packages matching patterns (relative to dir; default
+// ./...), type-checks them and their module dependencies from source,
+// joins everything into one Program, applies the analyzers to each
+// target package in import-path order, runs the whole-run unusedignore
+// check when UnusedIgnore is among the analyzers, and returns findings
+// sorted by position together with timing stats.
+func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, *Stats, error) {
 	//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 	start := time.Now()
-	if o.Dir == "" {
-		o.Dir = "."
-	}
-	if len(o.Analyzers) == 0 {
-		o.Analyzers = All()
-	}
-	if o.Jobs <= 0 {
-		o.Jobs = runtime.GOMAXPROCS(0)
-	}
 	checkUnused := false
 	var perPkg []*Analyzer
-	for _, a := range o.Analyzers {
+	for _, a := range analyzers {
 		if a.Name == UnusedIgnore.Name {
 			checkUnused = true
 			continue
@@ -100,116 +41,26 @@ func RunWithOptions(o Options) ([]Finding, *Stats, error) {
 		perPkg = append(perPkg, a)
 	}
 
-	stats := &Stats{PerAnalyzer: map[string]time.Duration{}}
-	ml, err := listTargets(o.Dir, o.Patterns)
+	targets, all, err := load(dir, patterns)
 	if err != nil {
 		return nil, nil, err
 	}
-	targets := ml.analyzable()
-	stats.Packages = len(targets)
-
-	var cache *cacheState
-	if !o.NoCache {
-		// Cache trouble (unwritable dir, …) degrades to uncached analysis.
-		cache, _ = openCache(o.CacheDir, ml, o.Analyzers)
-	}
-
-	type result struct {
-		findings []Finding
-		used     []IgnoreRef
-		decls    []IgnoreRef
-	}
-	results := make([]*result, len(targets))
-	var missIdx []int
-	for i, t := range targets {
-		if cache != nil {
-			if e := cache.lookup(t.ImportPath); e != nil {
-				results[i] = &result{findings: e.Findings, used: e.Used, decls: e.Decls}
-				stats.CacheHits++
-				continue
-			}
-		}
-		missIdx = append(missIdx, i)
-	}
-
-	timings := &analyzerTimings{d: map[string]time.Duration{}}
-	var analyzeStart time.Time
-	if len(missIdx) > 0 {
-		missTargets := make([]*listPkg, len(missIdx))
-		for j, i := range missIdx {
-			missTargets[j] = targets[i]
-		}
-		checked, all, err := ml.typeCheck(missTargets)
-		if err != nil {
-			return nil, nil, err
-		}
-		prog := NewProgram(all)
-		byPath := map[string]*Package{}
-		for _, pkg := range checked {
-			byPath[pkg.Path] = pkg
-		}
-
-		analyzeStart = timings.start()
-		sem := make(chan struct{}, o.Jobs)
-		var wg sync.WaitGroup
-		for _, i := range missIdx {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				t := targets[i]
-				pkg := byPath[t.ImportPath]
-				r := &result{}
-				r.used = prog.runPackage(pkg, perPkg, &r.findings, timings)
-				for _, d := range prog.ignores[pkg.Path].all {
-					r.decls = append(r.decls, d.ref())
-				}
-				results[i] = r
-				if cache != nil {
-					cache.store(t.ImportPath, &cacheEntry{
-						Findings: r.findings,
-						Used:     r.used,
-						Decls:    r.decls,
-					})
-				}
-			}(i)
-		}
-		wg.Wait()
-		stats.SSABuild = prog.DimFactsBuildTime()
-		stats.ConcBuild = prog.ConcFactsBuildTime()
-	} else {
-		analyzeStart = timings.start()
-	}
-	stats.Load = analyzeStart.Sub(start)
+	prog := NewProgram(all)
+	stats := &Stats{Packages: len(targets), PerAnalyzer: map[string]time.Duration{}}
+	//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
+	stats.Load = time.Since(start)
 
 	var findings []Finding
-	used := map[IgnoreRef]bool{}
-	declsByPkg := make([][]IgnoreRef, 0, len(results))
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		findings = append(findings, r.findings...)
-		for _, u := range r.used {
-			used[u] = true
-		}
-		declsByPkg = append(declsByPkg, r.decls)
+	for _, pkg := range targets {
+		prog.runPackage(pkg, perPkg, &findings, stats.PerAnalyzer)
 	}
 	if checkUnused {
-		known := map[string]bool{}
-		for _, a := range o.Analyzers {
-			known[a.Name] = true
-		}
-		findings = append(findings, unusedIgnoreFindings(declsByPkg, used, known)...)
+		findings = append(findings, prog.unusedIgnoreFindings(targets, analyzers)...)
 	}
 	SortFindings(findings)
 
-	timings.mu.Lock()
-	for name, d := range timings.d {
-		stats.PerAnalyzer[name] = d
-	}
-	timings.mu.Unlock()
+	stats.SSABuild = prog.DimFactsBuildTime()
+	stats.ConcBuild = prog.ConcFactsBuildTime()
 	//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 	stats.Total = time.Since(start)
 	stats.Analyze = stats.Total - stats.Load

@@ -10,9 +10,9 @@
 // carrying a static call graph, so the detaint analyzer can follow
 // nondeterminism across function and package boundaries, guardedby can
 // enforce mutex contracts declared on struct fields, and
-// goroutinecapture can inspect closures handed to goroutines. The
-// driver caches per-package results keyed by transitive content hashes
-// and analyzes packages in parallel (see driver.go).
+// goroutinecapture can inspect closures handed to goroutines. Run
+// type-checks and analyzes every target package from source on each
+// run, one package at a time.
 //
 // The pass is zero-dependency: package discovery shells out to
 // `go list -json`, parsing and type checking use go/parser and
@@ -33,7 +33,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync/atomic"
+	"time"
 )
 
 // Finding is one analyzer report at a source position.
@@ -97,7 +97,6 @@ type Pass struct {
 
 	analyzer *Analyzer
 	ignores  *ignoreIndex
-	used     map[IgnoreRef]bool
 	out      *[]Finding
 }
 
@@ -105,7 +104,7 @@ type Pass struct {
 func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if d := p.ignores.covering(p.analyzer.Name, position); d != nil {
-		p.use(d)
+		d.used = true
 		return
 	}
 	*p.out = append(*p.out, Finding{
@@ -115,36 +114,14 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// use marks a directive as having suppressed a finding, both globally
-// (for the unusedignore check) and in this package's used set (recorded
-// in the package's cache entry so warm runs replay the marking).
-func (p *Pass) use(d *ignoreDirective) {
-	d.used.Store(true)
-	if p.used != nil {
-		p.used[d.ref()] = true
-	}
-}
-
-// IgnoreRef identifies one //lint:ignore directive by position: the
-// stable form used in cache entries and the unusedignore check.
-type IgnoreRef struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-}
-
 // ignoreDirective is one well-formed //lint:ignore in a package.
 type ignoreDirective struct {
 	analyzer string
-	file     string
-	line     int
-	col      int
-	used     atomic.Bool
-}
-
-func (d *ignoreDirective) ref() IgnoreRef {
-	return IgnoreRef{File: d.file, Line: d.line, Col: d.col, Analyzer: d.analyzer}
+	pos      token.Position
+	// used records that the directive suppressed a finding in this run,
+	// from any package's pass (detaint consumes directives in the
+	// packages it traverses); the unusedignore check reads it afterwards.
+	used bool
 }
 
 // ignoreIndex holds a package's //lint:ignore directives plus the
@@ -199,7 +176,7 @@ func buildIgnores(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 					})
 					continue
 				}
-				d := &ignoreDirective{analyzer: m[1], file: pos.Filename, line: pos.Line, col: pos.Column}
+				d := &ignoreDirective{analyzer: m[1], pos: pos}
 				lines := ix.lines[pos.Filename]
 				if lines == nil {
 					lines = map[int][]*ignoreDirective{}
@@ -221,17 +198,18 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding) {
 }
 
 // RunPackage applies the analyzers to one package of the program,
-// appending findings to out and returning the ignore directives the
-// package's analysis used (anywhere in the program — detaint can
-// consume directives in the packages it traverses).
-func (prog *Program) RunPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding) []IgnoreRef {
-	return prog.runPackage(pkg, analyzers, out, nil)
+// appending findings to out and marking the ignore directives they use
+// (anywhere in the program — detaint can consume directives in the
+// packages it traverses).
+func (prog *Program) RunPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding) {
+	prog.runPackage(pkg, analyzers, out, map[string]time.Duration{})
 }
 
-func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding, timings *analyzerTimings) []IgnoreRef {
+// runPackage is RunPackage that also adds each analyzer's wall time to
+// timings.
+func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding, timings map[string]time.Duration) {
 	ignores := prog.ignores[pkg.Path]
 	*out = append(*out, ignores.bad...)
-	used := map[IgnoreRef]bool{}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Path:     pkg.Path,
@@ -242,41 +220,14 @@ func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer, out *[]Find
 			Prog:     prog,
 			analyzer: a,
 			ignores:  ignores,
-			used:     used,
 			out:      out,
 		}
-		stop := timings.start()
+		//lint:ignore seededrand raplint times its own analyzers; no simulated result depends on this clock
+		start := time.Now()
 		a.Run(pass)
-		timings.stop(a.Name, stop)
+		//lint:ignore seededrand raplint times its own analyzers; no simulated result depends on this clock
+		timings[a.Name] += time.Since(start)
 	}
-	refs := make([]IgnoreRef, 0, len(used))
-	for r := range used {
-		refs = append(refs, r)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	return refs
-}
-
-// Run loads the packages matching patterns (relative to dir) and applies
-// the analyzers, returning findings sorted by position. Caching is
-// disabled: Run always type-checks and analyzes from source.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunWithOptions(Options{
-		Dir:       dir,
-		Patterns:  patterns,
-		Analyzers: analyzers,
-		NoCache:   true,
-	})
-	return findings, err
 }
 
 // SortFindings orders findings by file, line, column, analyzer, message

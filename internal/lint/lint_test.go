@@ -247,7 +247,7 @@ func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	findings, err := Run(moduleRoot(t), []string{"./..."}, All())
+	findings, _, err := Run(moduleRoot(t), []string{"./..."}, All())
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}

@@ -32,10 +32,9 @@ type listPkg struct {
 	ImportPath string
 	Name       string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 	Export     string
-	Module     *struct{ Path string }
+	DepOnly    bool // a dependency only, not matched by the patterns
 	Error      *struct{ Err string }
 }
 
@@ -62,136 +61,59 @@ func goList(dir string, args ...string) ([]*listPkg, error) {
 	return pkgs, nil
 }
 
-// moduleList is the discovered shape of an analysis run: the target
-// packages plus, once ensureDeps has run, the full module dependency
-// closure and the stdlib export-data index. The dependency listing is
-// loaded lazily because the cache-warm fast path never needs it.
-type moduleList struct {
-	dir        string
-	patterns   []string
-	modulePath string
-	targets    []*listPkg
-	metas      map[string]*listPkg // module packages by import path
-	exports    map[string]string   // stdlib import path -> export data file
-	depsLoaded bool
-}
-
-// listTargets discovers the packages matching patterns via one
-// `go list` invocation (no dependency closure, no export data).
-func listTargets(dir string, patterns []string) (*moduleList, error) {
+// load discovers the packages matching patterns (default ./...) and
+// their whole dependency closure with one `go list -deps -export` call,
+// then type-checks the targets. Module packages are parsed and checked
+// from source; standard-library dependencies are imported from the
+// build cache's export data, falling back to source import when export
+// data is unavailable. It returns the targets that have Go
+// sources, sorted by import path, and every module package the run
+// checked (targets plus their module dependencies), sorted by path.
+func load(dir string, patterns []string) (targets, all []*Package, err error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := goList(dir, append([]string{"-json=Dir,ImportPath,Name,GoFiles,Imports,Standard,Module,Error"}, patterns...)...)
+	listed, err := goList(dir, append([]string{"-deps", "-export", "-json=Dir,ImportPath,Name,GoFiles,Standard,Export,DepOnly,Error"}, patterns...)...)
 	if err != nil {
-		return nil, err
-	}
-	ml := &moduleList{
-		dir:      dir,
-		patterns: patterns,
-		metas:    map[string]*listPkg{},
-		exports:  map[string]string{},
-	}
-	for _, p := range pkgs {
-		if p.Error != nil {
-			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Standard {
-			continue
-		}
-		if p.Module != nil && ml.modulePath == "" {
-			ml.modulePath = p.Module.Path
-		}
-		ml.targets = append(ml.targets, p)
-		ml.metas[p.ImportPath] = p
-	}
-	sort.Slice(ml.targets, func(i, j int) bool { return ml.targets[i].ImportPath < ml.targets[j].ImportPath })
-	return ml, nil
-}
-
-// analyzable filters the targets down to packages with Go sources.
-func (ml *moduleList) analyzable() []*listPkg {
-	var out []*listPkg
-	for _, t := range ml.targets {
-		if len(t.GoFiles) > 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// ensureDeps loads the full dependency closure with export data for the
-// standard-library imports. Idempotent.
-func (ml *moduleList) ensureDeps() error {
-	if ml.depsLoaded {
-		return nil
-	}
-	deps, err := goList(ml.dir, append([]string{"-deps", "-export", "-json=Dir,ImportPath,Name,GoFiles,Imports,Standard,Export,Module,Error"}, ml.patterns...)...)
-	if err != nil {
-		return err
-	}
-	for _, p := range deps {
-		if p.Standard {
-			ml.exports[p.ImportPath] = p.Export
-		} else if _, ok := ml.metas[p.ImportPath]; !ok {
-			ml.metas[p.ImportPath] = p
-		}
-	}
-	ml.depsLoaded = true
-	return nil
-}
-
-// typeCheck parses and type-checks the given target packages (plus, on
-// demand, their module dependencies). It returns the checked targets in
-// input order and every module package the run touched, sorted by path.
-func (ml *moduleList) typeCheck(targets []*listPkg) (checked []*Package, all []*Package, err error) {
-	if err := ml.ensureDeps(); err != nil {
 		return nil, nil, err
 	}
 	fset := token.NewFileSet()
 	im := &moduleImporter{
 		fset:    fset,
-		metas:   ml.metas,
-		exports: ml.exports,
+		metas:   map[string]*listPkg{},
+		exports: map[string]string{},
 		done:    map[string]*Package{},
 		loading: map[string]bool{},
 	}
 	im.std = importer.ForCompiler(fset, "gc", im.lookupExport)
 	im.srcFallback = importer.ForCompiler(fset, "source", nil)
-
-	for _, t := range targets {
-		if t.Standard || len(t.GoFiles) == 0 {
+	var roots []string
+	for _, p := range listed {
+		if p.Error != nil {
+			return nil, nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		if p.Standard {
+			im.exports[p.ImportPath] = p.Export
 			continue
 		}
-		pkg, err := im.check(t.ImportPath)
+		im.metas[p.ImportPath] = p
+		if !p.DepOnly && len(p.GoFiles) > 0 {
+			roots = append(roots, p.ImportPath)
+		}
+	}
+	sort.Strings(roots)
+	for _, path := range roots {
+		pkg, err := im.check(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		checked = append(checked, pkg)
+		targets = append(targets, pkg)
 	}
 	for _, pkg := range im.done {
 		all = append(all, pkg)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Path < all[j].Path })
-	return checked, all, nil
-}
-
-// Load discovers the packages matching patterns via `go list -json`,
-// parses their non-test Go files, and type-checks them. Module packages
-// are checked from source; standard-library dependencies are imported
-// from the build cache's export data (`go list -export`), falling back
-// to source import when export data is unavailable.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	ml, err := listTargets(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	checked, _, err := ml.typeCheck(ml.analyzable())
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(checked, func(i, j int) bool { return checked[i].Path < checked[j].Path })
-	return checked, nil
+	return targets, all, nil
 }
 
 // moduleImporter type-checks module packages from source (memoized, so

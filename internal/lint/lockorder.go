@@ -20,8 +20,8 @@ import (
 // key) are skipped: instance aliasing makes them too noisy to report.
 //
 // Per-package reports only consume acquisition edges contributed by the
-// package itself and its dependency closure (the cache-coherence rule
-// shared with the v3 SSA layer), and a cycle is reported in the package
+// package itself and its dependency closure (the dependency-closure
+// rule shared with the v3 SSA layer), and a cycle is reported in the package
 // contributing its first edge, so joint runs do not double-report.
 var LockOrder = &Analyzer{
 	Name: "lockorder",

@@ -173,20 +173,13 @@ func stale(a, b int) bool {
 }
 `)
 	prog := NewProgram([]*Package{pkg})
+	suite := []*Analyzer{FloatEq}
 	var findings []Finding
-	used := prog.RunPackage(pkg, []*Analyzer{FloatEq}, &findings)
+	prog.RunPackage(pkg, suite, &findings)
 	if len(findings) != 0 {
 		t.Fatalf("directive should suppress the floateq finding, got %v", findings)
 	}
-	usedMap := map[IgnoreRef]bool{}
-	for _, r := range used {
-		usedMap[r] = true
-	}
-	var decls []IgnoreRef
-	for _, d := range prog.ignores[pkg.Path].all {
-		decls = append(decls, d.ref())
-	}
-	fs := unusedIgnoreFindings([][]IgnoreRef{decls}, usedMap, map[string]bool{"floateq": true})
+	fs := prog.unusedIgnoreFindings([]*Package{pkg}, suite)
 	if len(fs) != 1 {
 		t.Fatalf("got %d unusedignore findings, want 1: %v", len(fs), fs)
 	}
@@ -206,91 +199,66 @@ func f(a, b int) bool {
 }
 `)
 	prog := NewProgram([]*Package{pkg})
-	var decls []IgnoreRef
-	for _, d := range prog.ignores[pkg.Path].all {
-		decls = append(decls, d.ref())
-	}
-	known := map[string]bool{}
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-	fs := unusedIgnoreFindings([][]IgnoreRef{decls}, map[IgnoreRef]bool{}, known)
+	var findings []Finding
+	prog.RunPackage(pkg, All(), &findings)
+	fs := prog.unusedIgnoreFindings([]*Package{pkg}, All())
 	if len(fs) != 1 || !strings.Contains(fs[0].Message, "unknown analyzer floatqe") {
 		t.Fatalf("want one unknown-analyzer finding, got %v", fs)
 	}
 }
 
-// TestLintSelfClean dogfoods the full v2 suite on the lint package
-// itself: the analyzers must pass their own checks (the driver's
-// self-timing clock reads carry reasoned ignores, its shared timing map
-// carries a guarded-by contract).
+// TestUnusedIgnoreCrossPackage: a detaint directive in a helper
+// package that only another package's deterministic root reaches is
+// consumed by that root's pass and must not be reported as unused; the
+// helper's stale directive must be. Analyzing the helper alone consumes
+// neither.
+func TestUnusedIgnoreCrossPackage(t *testing.T) {
+	specs := []fixtureSpec{
+		{dir: "unusedignore_helper", path: "rap/internal/ighelper"},
+		{dir: "unusedignore_root", path: "rap/cmd/igroot"},
+	}
+	suite := []*Analyzer{Detaint, UnusedIgnore}
+
+	pkgs, wants := loadProgram(t, specs)
+	prog := NewProgram(pkgs)
+	var findings []Finding
+	for _, pkg := range pkgs {
+		prog.RunPackage(pkg, suite, &findings)
+	}
+	if len(findings) != 0 {
+		t.Fatalf("the helper's detaint directive should suppress the root's finding, got %v", findings)
+	}
+	fs := prog.unusedIgnoreFindings(pkgs, suite)
+	SortFindings(fs)
+	matchWants(t, fs, wants)
+
+	helperOnly := NewProgram(pkgs)
+	helperOnly.RunPackage(pkgs[0], suite, new([]Finding))
+	if fs := helperOnly.unusedIgnoreFindings(pkgs[:1], suite); len(fs) != 2 {
+		t.Fatalf("without the root's pass both helper directives are unused, got %v", fs)
+	}
+}
+
+// TestLintSelfClean dogfoods the full suite on the lint package itself:
+// the analyzers must pass their own checks (Run's self-timing clock
+// reads carry reasoned ignores).
 func TestLintSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the lint package and its deps")
 	}
-	findings, _, err := RunWithOptions(Options{
-		Dir:       moduleRoot(t),
-		Patterns:  []string{"./internal/lint"},
-		Analyzers: All(),
-		NoCache:   true,
-	})
+	findings, stats, err := Run(moduleRoot(t), []string{"./internal/lint"}, All())
 	if err != nil {
-		t.Fatalf("RunWithOptions: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	for _, f := range findings {
 		t.Errorf("%v", f)
 	}
-}
-
-// TestCacheWarmRun: a second run against the same cache directory must
-// serve every package from cache and reproduce the findings exactly.
-func TestCacheWarmRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the lint package and its deps")
-	}
-	opts := Options{
-		Dir:       moduleRoot(t),
-		Patterns:  []string{"./internal/lint"},
-		Analyzers: All(),
-		CacheDir:  t.TempDir(),
-	}
-	cold, s1, err := RunWithOptions(opts)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if s1.CacheHits != 0 {
-		t.Fatalf("cold run should not hit the fresh cache, got %d hits", s1.CacheHits)
-	}
-	if s1.SSABuild == 0 {
-		t.Error("cold run must build the SSA value-flow facts (dimcheck ran)")
-	}
-	if s1.ConcBuild == 0 {
-		t.Error("cold run must build the concurrency facts (the v4 analyzers ran)")
-	}
-	warm, s2, err := RunWithOptions(opts)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if s2.CacheHits != s2.Packages || s2.Packages == 0 {
-		t.Fatalf("warm run should serve all %d packages from cache, got %d hits", s2.Packages, s2.CacheHits)
-	}
-	if s2.SSABuild != 0 {
-		t.Errorf("fully warm run must not construct SSA facts, spent %s building them", s2.SSABuild)
-	}
-	if s2.ConcBuild != 0 {
-		t.Errorf("fully warm run must not construct concurrency facts, spent %s building them", s2.ConcBuild)
-	}
-	if len(cold) != len(warm) {
-		t.Fatalf("warm findings diverge: cold %v, warm %v", cold, warm)
-	}
-	for i := range cold {
-		if cold[i] != warm[i] {
-			t.Errorf("finding %d diverges: cold %v, warm %v", i, cold[i], warm[i])
-		}
+	if stats.Packages != 1 || stats.SSABuild == 0 || stats.ConcBuild == 0 {
+		t.Errorf("one package with dimcheck and the v4 analyzers must build both fact bases, got %+v", stats)
 	}
 }
 
-// TestReportEncoders smoke-tests the JSON and SARIF encodings.
+// TestReportEncoders smoke-tests the JSON encoding.
 func TestReportEncoders(t *testing.T) {
 	findings := []Finding{{
 		Analyzer: "maporder",
@@ -320,32 +288,5 @@ func TestReportEncoders(t *testing.T) {
 	if rep.RaplintVersion == "" || len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "maporder" ||
 		rep.Findings[0].Line != 3 || rep.Stats.Packages != 1 {
 		t.Fatalf("unexpected JSON report: %s", buf.String())
-	}
-
-	buf.Reset()
-	if err := WriteSARIF(&buf, ".", All(), findings); err != nil {
-		t.Fatalf("WriteSARIF: %v", err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []any  `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("decoding SARIF: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "raplint" ||
-		len(log.Runs[0].Tool.Driver.Rules) != len(All()) || len(log.Runs[0].Results) != 1 ||
-		log.Runs[0].Results[0].RuleID != "maporder" {
-		t.Fatalf("unexpected SARIF log: %s", buf.String())
 	}
 }

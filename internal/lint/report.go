@@ -2,11 +2,14 @@ package lint
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"path/filepath"
 	"runtime"
 )
+
+// reportVersion is the raplintVersion field of the JSON report: the
+// analyzer-suite generation (v4: the concurrency-soundness analyzers).
+const reportVersion = "4"
 
 // relPath renders a finding path relative to the module root so
 // reports are stable across checkouts.
@@ -35,7 +38,6 @@ type jsonFinding struct {
 
 type jsonStats struct {
 	Packages    int                `json:"packages"`
-	CacheHits   int                `json:"cacheHits"`
 	LoadMs      float64            `json:"loadMs"`
 	AnalyzeMs   float64            `json:"analyzeMs"`
 	SSABuildMs  float64            `json:"ssaBuildMs"`
@@ -59,7 +61,7 @@ type jsonReport struct {
 // relative to root.
 func WriteJSONReport(w io.Writer, root string, findings []Finding, stats *Stats) error {
 	rep := jsonReport{
-		RaplintVersion: lintVersion,
+		RaplintVersion: reportVersion,
 		GoVersion:      runtime.Version(),
 		Findings:       make([]jsonFinding, 0, len(findings)),
 	}
@@ -75,7 +77,6 @@ func WriteJSONReport(w io.Writer, root string, findings []Finding, stats *Stats)
 	if stats != nil {
 		js := &jsonStats{
 			Packages:    stats.Packages,
-			CacheHits:   stats.CacheHits,
 			LoadMs:      float64(stats.Load.Microseconds()) / 1e3,
 			AnalyzeMs:   float64(stats.Analyze.Microseconds()) / 1e3,
 			SSABuildMs:  float64(stats.SSABuild.Microseconds()) / 1e3,
@@ -97,112 +98,4 @@ func WriteJSONReport(w io.Writer, root string, findings []Finding, stats *Stats)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// CheckReport decodes a lint-report JSON artifact written by
-// WriteJSONReport and returns its findings rendered one per line
-// ("file:line:col: message [analyzer]") — the raplint -check-report CI
-// gate, replacing fragile textual greps over the artifact. An error
-// means the file is not a raplint report (or is truncated), which a
-// gate must treat as failure, not as cleanliness.
-func CheckReport(r io.Reader) ([]string, error) {
-	var rep jsonReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("not a raplint report: %w", err)
-	}
-	if rep.RaplintVersion == "" {
-		return nil, fmt.Errorf("not a raplint report: missing raplintVersion")
-	}
-	lines := make([]string, 0, len(rep.Findings))
-	for _, f := range rep.Findings {
-		lines = append(lines, fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Column, f.Message, f.Analyzer))
-	}
-	return lines, nil
-}
-
-// SARIF 2.1.0 skeleton — the subset CI annotation surfaces consume.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name    string      `json:"name"`
-	Version string      `json:"version"`
-	Rules   []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// WriteSARIF encodes findings as a SARIF 2.1.0 log, the interchange
-// format code-scanning UIs ingest. Paths are relative to root.
-func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, findings []Finding) error {
-	drv := sarifDriver{Name: "raplint", Version: lintVersion}
-	for _, a := range analyzers {
-		drv.Rules = append(drv.Rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-	}
-	run := sarifRun{Tool: sarifTool{Driver: drv}, Results: []sarifResult{}}
-	for _, f := range findings {
-		run.Results = append(run.Results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: relPath(root, f.Pos.Filename)},
-					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{run},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

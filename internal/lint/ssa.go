@@ -35,15 +35,15 @@ import (
 // inflow never changes them, and incompatible inflow is a finding at
 // the flow site.
 //
-// Cache coherence shapes the interprocedural rule. Per-package cache
-// keys hash a package and its *dependencies*, never its dependents, so
-// a fact is only allowed to flow from a dependency to a dependent:
-// code may read the derived units of the packages it imports (call
-// results, fields), and writes that cross a package boundary mutate
-// nothing — they are checked against the target's pinned annotation and
-// reported at the *writing* site, which lives in the package whose
-// cache entry already depends on the callee's sources. Intra-package
-// flow is a full fixpoint in both directions.
+// The dependency-closure rule shapes the interprocedural flow: a
+// package's findings may depend only on itself and the packages it
+// imports, never on its dependents, so they are the same whichever
+// sibling packages a run happens to load. A fact therefore only flows
+// from a dependency to a dependent: code may read the derived units of
+// the packages it imports (call results, fields), and writes that cross
+// a package boundary mutate nothing — they are checked against the
+// target's pinned annotation and reported at the *writing* site.
+// Intra-package flow is a full fixpoint in both directions.
 
 // unitDirective is the annotation prefix; see parseUnitDirective.
 const unitDirective = "//rap:unit"
@@ -116,7 +116,7 @@ type dimFinding struct {
 }
 
 // dimFacts is the whole-program analysis state, built once per Program
-// (lazily — warm cache runs never construct it) and then read-only.
+// (lazily, by the first dimcheck pass) and then read-only.
 type dimFacts struct {
 	prog     *Program
 	cells    map[types.Object]*dimCell
@@ -127,8 +127,7 @@ type dimFacts struct {
 }
 
 // DimFactsBuildTime returns how long the SSA value-flow construction
-// and fixpoint took, or zero when no package needed it (fully warm
-// cache runs skip the build entirely).
+// and fixpoint took, or zero when no pass needed it.
 func (prog *Program) DimFactsBuildTime() time.Duration {
 	if prog.dim == nil {
 		return 0
@@ -136,10 +135,9 @@ func (prog *Program) DimFactsBuildTime() time.Duration {
 	return prog.dim.buildDur
 }
 
-// dimFacts builds the value-flow facts on first use. sync.Once makes
-// the lazy build safe under the driver's concurrent per-package passes.
+// dimFacts builds the value-flow facts on first use.
 func (prog *Program) dimFacts() *dimFacts {
-	prog.dimOnce.Do(func() {
+	if prog.dim == nil {
 		//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 		start := time.Now()
 		f := &dimFacts{
@@ -161,7 +159,7 @@ func (prog *Program) dimFacts() *dimFacts {
 		//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 		f.buildDur = time.Since(start)
 		prog.dim = f
-	})
+	}
 	return prog.dim
 }
 
@@ -524,8 +522,8 @@ func (in *dimInterp) info() *types.Info { return in.pkg.Info }
 
 // flowInto joins v into the cell of obj through a def edge at pos.
 // Pinned cells never change — incompatible inflow is a finding at the
-// flow site. Cross-package writes mutate nothing (cache coherence; see
-// the file comment): they are checked against pinned cells only.
+// flow site. Cross-package writes mutate nothing (the dependency-closure
+// rule; see the file comment): they are checked against pinned cells only.
 func (in *dimInterp) flowInto(obj types.Object, v dimValue, pos token.Pos, site string) {
 	if obj == nil || !v.has() {
 		return

@@ -1,6 +1,6 @@
 // Package v4golden triggers exactly one finding from each v4 analyzer;
-// the JSON and SARIF encodings of the result are pinned as golden
-// files (testdata/golden/v4.{json,sarif}).
+// the JSON encoding of the result is pinned as a golden file
+// (testdata/golden/v4.json).
 package v4golden
 
 import (

@@ -88,6 +88,13 @@ func (c Config) validate() error {
 	if c.PerGPUBatch <= 0 {
 		return fmt.Errorf("mapping: PerGPUBatch must be positive")
 	}
+	for _, g := range c.Plan.Graphs {
+		for _, o := range g.Outputs {
+			if o.Table >= len(c.Placement.TableGPU) {
+				return fmt.Errorf("mapping: graph %s feeds table %d, but the placement covers only %d tables", g.Name, o.Table, len(c.Placement.TableGPU))
+			}
+		}
+	}
 	return nil
 }
 

@@ -208,6 +208,28 @@ func TestMappingValidation(t *testing.T) {
 	}
 }
 
+// TestMappingRejectsUnplacedTables: a placement that covers fewer tables
+// than the plan's graphs feed is an error from every strategy, not an
+// index panic.
+func TestMappingRejectsUnplacedTables(t *testing.T) {
+	cfg := cfgFor(t, preproc.MustStandardPlan(1, nil), 2)
+	cfg.Placement = dlrm.Placement{NumGPUs: 2, TableGPU: []int{0, 1}}
+	for _, tc := range []struct {
+		name     string
+		strategy func(Config) (*Result, error)
+	}{
+		{"DataParallel", DataParallel},
+		{"DataLocality", DataLocality},
+		{"RAPSearch", RAPSearch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.strategy(cfg); err == nil {
+				t.Fatal("placement covering 2 of 26 tables accepted")
+			}
+		})
+	}
+}
+
 func TestHomeGPUMajority(t *testing.T) {
 	pl := dlrm.Placement{NumGPUs: 2, TableGPU: []int{0, 1, 1}}
 	g := &preproc.Graph{

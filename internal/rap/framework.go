@@ -364,24 +364,18 @@ func hostPrepUs(s *sched.Schedule) float64 {
 
 // Execute simulates the pipelined plan for the given iteration count.
 func (f *Framework) Execute(p *ExecPlan, iterations int) (*sched.PipelineStats, error) {
-	return f.ExecuteChaos(p, iterations, nil)
-}
-
-// ExecuteChaos is Execute under a perturbation plan: cp's capacity
-// windows and straggler inflation are injected into the built pipeline
-// before simulation. A nil (or empty) plan makes this identical to
-// Execute.
-func (f *Framework) ExecuteChaos(p *ExecPlan, iterations int, cp *chaos.Plan) (*sched.PipelineStats, error) {
-	return f.ExecuteTopo(p, iterations, nil, cp)
+	return f.ExecuteTopo(p, iterations, nil, nil)
 }
 
 // ExecuteTopo is the most general execution entry point: the plan runs
 // on a cluster whose GPUs are grouped by the given hierarchical
-// topology (nil for flat), under an optional perturbation plan. The
-// topology is an execution-time argument rather than a BuildOptions
-// field on purpose: plans are cached by their build inputs, and a plan
-// built once can be simulated on any fleet slice (the cluster simulator
-// runs one cached plan across many node-spanning allocations).
+// topology (nil for flat), under an optional perturbation plan whose
+// capacity windows and straggler inflation are injected into the built
+// pipeline before simulation (nil for none). The topology is an
+// execution-time argument rather than a BuildOptions field on purpose:
+// plans are cached by their build inputs, and a plan built once can be
+// simulated on any fleet slice (the cluster simulator runs one cached
+// plan across many node-spanning allocations).
 func (f *Framework) ExecuteTopo(p *ExecPlan, iterations int, tp *topo.Topology, cp *chaos.Plan) (*sched.PipelineStats, error) {
 	streams := 1
 	if p.Opts.NaiveSchedule && !p.Opts.SequentialPreproc && p.Opts.PreprocPriority >= 1 {

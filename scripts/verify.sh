@@ -21,14 +21,6 @@ go build -o "$bin/raplint" ./cmd/raplint
 go build -o "$bin/rapbench" ./cmd/rapbench
 echo "== raplint"
 "$bin/raplint" -timing -json lint-report.json ./...
-# Belt and braces: raplint already exits nonzero on findings, but the
-# written report must also decode to zero findings — -check-report
-# parses the artifact (a truncated or non-report file fails the gate,
-# where the old textual grep silently passed it).
-"$bin/raplint" -check-report lint-report.json || {
-	echo "verify: lint-report.json records non-suppressed findings" >&2
-	exit 1
-}
 echo "== go test -race"
 go test -race ./...
 echo "== bench module"
@@ -41,8 +33,4 @@ echo "== cluster-smoke"
 # policies) must reproduce its report digests bit-identically across two
 # from-scratch runs; rapbench exits nonzero on any drift.
 "$bin/rapbench" -cluster-smoke
-echo "== lintstats"
-# Cold-vs-warm raplint timing against a throwaway cache: asserts the
-# warm run is fully cache-served (no SSA or concurrency fact builds).
-RAPLINT_BIN="$bin/raplint" ./scripts/lintstats.sh
 echo "verify: OK"
