@@ -6,6 +6,7 @@ import "testing"
 // dense co-run DAG (see NewBenchmarkSim):
 // `go test -bench BenchmarkEngine ./internal/gpusim`.
 func BenchmarkEngine(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := NewBenchmarkSim()

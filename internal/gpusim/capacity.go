@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -146,7 +147,8 @@ func (s *Sim) AddCapacityWindow(rc ResourceClass, gpu int, t0, t1, scale float64
 // selection draws one uniform variate per kernel op in op-id order, so
 // the same seed on the same DAG always picks the same kernels). It must
 // be called after the DAG is fully built and before Run; only ops added
-// via AddKernel are eligible. Returns the number of kernels inflated.
+// via AddKernel are eligible. factor must be positive and finite.
+// Returns the number of kernels inflated.
 func (s *Sim) InjectStragglers(seed int64, prob, factor float64) (int, error) {
 	if s.ran {
 		return 0, fmt.Errorf("gpusim: InjectStragglers after Run")
@@ -154,8 +156,8 @@ func (s *Sim) InjectStragglers(seed int64, prob, factor float64) (int, error) {
 	if !(prob >= 0 && prob <= 1) {
 		return 0, fmt.Errorf("gpusim: straggler probability %g outside [0,1]", prob)
 	}
-	if !(factor > 0) {
-		return 0, fmt.Errorf("gpusim: straggler factor %g must be positive", factor)
+	if !(factor > 0) || math.IsInf(factor, 1) {
+		return 0, fmt.Errorf("gpusim: straggler factor %g must be positive and finite", factor)
 	}
 	if prob <= 0 {
 		return 0, nil

@@ -196,6 +196,10 @@ func TestInjectStragglersValidation(t *testing.T) {
 	if _, err := s.InjectStragglers(1, 0.5, 0); err == nil {
 		t.Error("zero factor accepted")
 	}
+	// Fatal: an infinite factor that slipped through would make Run spin.
+	if _, err := s.InjectStragglers(1, 1, math.Inf(1)); err == nil {
+		t.Fatal("infinite factor accepted")
+	}
 	if n, err := s.InjectStragglers(1, 0, 2); err != nil || n != 0 {
 		t.Errorf("prob 0: n=%d err=%v", n, err)
 	}

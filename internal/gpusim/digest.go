@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
 )
 
 // ResultDigest hashes every observable field of a Result, including the
@@ -43,14 +42,10 @@ func ResultDigest(r *Result) string {
 			f(seg.End)
 			f(seg.SM)
 			f(seg.MemBW)
-			tags := make([]string, 0, len(seg.TagSM))
-			for t := range seg.TagSM {
-				tags = append(tags, t)
-			}
-			sort.Strings(tags)
-			for _, t := range tags {
-				str(t)
-				f(seg.TagSM[t])
+			// TagSM is stored sorted by tag, the order the goldens hash.
+			for _, ts := range seg.TagSM {
+				str(ts.Tag)
+				f(ts.SM)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 const (
@@ -49,9 +50,15 @@ const (
 //     ordered by op start sequence so the recomputed loads sum in
 //     exactly the order the full rescan used — float addition is not
 //     associative, and bit-identity demands identical orders.
-//   - Utilization accounting reuses per-GPU accumulators and tag
-//     scratch buffers across events; a TagSM map is allocated only when
-//     a segment is actually appended to the timeline.
+//   - Utilization is re-derived only where it can have changed. A GPU
+//     becomes util-dirty when its SM or bandwidth resource is refreshed
+//     (the host pool when the CPU slot is), and only dirty timelines
+//     re-sum their resources' user lists. A clean timeline's last
+//     segment already holds its values, so it is extended when
+//     contiguous and copied otherwise. Tag shares are sorted []TagShare
+//     slices over tags interned once per Run, carved from a
+//     geometrically growing arena: a segment costs no map, and
+//     comparing segments is a slice walk.
 //
 // A non-change worth recording: the next-event horizon is still a linear
 // pass over the running set, not an indexed min-heap. The reference
@@ -131,11 +138,15 @@ func (st *resState) factorFor(prio int) float64 {
 	return 1
 }
 
-// tagGrant accumulates per-tag SM grants for one GPU within one event.
+// tagGrant accumulates one tag's SM grants on the GPU being re-derived.
 type tagGrant struct {
-	tag string
-	sm  float64
+	id int32 // index into engine.tags
+	sm float64
 }
+
+// arenaMin is the first TagShare arena chunk's size. It stays small:
+// capacity probing runs a two-op Sim per binary-search step.
+const arenaMin = 8
 
 // engine is the per-Run state of the event loop.
 type engine struct {
@@ -164,11 +175,18 @@ type engine struct {
 	running []*op
 	nextSeq int
 
+	// utilDirty[g] (hostDirty for the host pool) marks a timeline whose
+	// resources were refreshed since its last recorded segment.
+	utilDirty []bool
+	hostDirty bool
+	// tags is the Run's sorted tag table; op.tagID indexes it.
+	tags []string
+	// arena backs the TagSM slices of appended segments.
+	arena []TagShare
+
 	// Reusable buffers.
 	finished []*op
-	accSM    []float64
-	accBW    []float64
-	tagAcc   [][]tagGrant
+	tagAcc   []tagGrant
 }
 
 // Run executes the accumulated op DAG and returns the timeline. A Sim is
@@ -184,9 +202,13 @@ func (s *Sim) Run() (*Result, error) {
 		return nil, s.addErr
 	}
 
-	// Wire the DAG.
+	// Wire the DAG. lastDependent[d] is the last op wired as d's child,
+	// so a dependency listed twice by one op is wired once.
+	lastDependent := make([]OpID, len(s.ops))
+	for i := range lastDependent {
+		lastDependent[i] = InvalidOp
+	}
 	for _, o := range s.ops {
-		seen := make(map[OpID]bool, len(o.deps))
 		for _, d := range o.deps {
 			if d < 0 || int(d) >= len(s.ops) {
 				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", o.name, d)
@@ -194,10 +216,10 @@ func (s *Sim) Run() (*Result, error) {
 			if d == o.id {
 				return nil, fmt.Errorf("gpusim: op %q depends on itself", o.name)
 			}
-			if seen[d] {
+			if lastDependent[d] == o.id {
 				continue
 			}
-			seen[d] = true
+			lastDependent[d] = o.id
 			s.ops[d].children = append(s.ops[d].children, o.id)
 			o.missing++
 		}
@@ -213,15 +235,19 @@ func newEngine(s *Sim) *engine {
 	// every float trajectory derived from it) is unchanged.
 	numRes := numResKinds*g - (g - 1) + s.numFabric
 	e := &engine{
-		s:       s,
-		numGPUs: g,
-		res:     make([]resState, numRes),
-		dirty:   make([]int32, 0, 32),
-		demOff:  make([]int32, len(s.ops)+1),
-		speeds:  make([]float64, len(s.ops)),
-		accSM:   make([]float64, g),
-		accBW:   make([]float64, g),
-		tagAcc:  make([][]tagGrant, g),
+		s:         s,
+		numGPUs:   g,
+		res:       make([]resState, numRes),
+		dirty:     make([]int32, 0, 32),
+		demOff:    make([]int32, len(s.ops)+1),
+		speeds:    make([]float64, len(s.ops)),
+		utilDirty: make([]bool, g),
+		hostDirty: true,
+		tags:      internTags(s.ops),
+	}
+	// Every timeline is derived in full for its first segment.
+	for i := range e.utilDirty {
+		e.utilDirty[i] = true
 	}
 	e.caps, e.capEvents = compileCapWindows(s)
 	total := 0
@@ -243,6 +269,35 @@ func newEngine(s *Sim) *engine {
 	return e
 }
 
+// internTags returns the sorted distinct tags of ops and sets each op's
+// tagID to its tag's index, so tag IDs order exactly as tag strings do.
+// Ops arrive in long same-tag runs; comparing with the previous op's
+// tag skips most searches.
+func internTags(ops []*op) []string {
+	var tags []string
+	prev := ""
+	for i, o := range ops {
+		if i > 0 && o.tag == prev {
+			continue
+		}
+		prev = o.tag
+		if j := sort.SearchStrings(tags, o.tag); j == len(tags) || tags[j] != o.tag {
+			tags = append(tags, "")
+			copy(tags[j+1:], tags[j:])
+			tags[j] = o.tag
+		}
+	}
+	id := int32(0)
+	for i, o := range ops {
+		if i == 0 || o.tag != prev {
+			prev = o.tag
+			id = int32(sort.SearchStrings(tags, o.tag))
+		}
+		o.tagID = id
+	}
+	return tags
+}
+
 func (e *engine) demandsOf(o *op) []rtDemand {
 	return e.dems[e.demOff[o.id]:e.demOff[o.id+1]]
 }
@@ -251,6 +306,18 @@ func (e *engine) markDirty(idx int32) {
 	if st := &e.res[idx]; !st.dirty {
 		st.dirty = true
 		e.dirty = append(e.dirty, idx)
+	}
+}
+
+// markUtilDirty flags the timeline a refreshed resource feeds: GPU g's
+// for its SM (index g) and bandwidth (NumGPUs+g) resources, the host
+// pool's for the CPU slot. Other resources feed no timeline.
+func (e *engine) markUtilDirty(idx int32) {
+	switch i := int(idx); {
+	case i < 2*e.numGPUs: // the SM block, then the bandwidth block
+		e.utilDirty[i%e.numGPUs] = true
+	case idx == resIndex(resCPU, 0, e.numGPUs):
+		e.hostDirty = true
 	}
 }
 
@@ -365,9 +432,8 @@ func (e *engine) refreshSpeed(o *op) {
 func (e *engine) run() (*Result, error) {
 	s := e.s
 	res := &Result{
-		Ops:    make([]OpResult, len(s.ops)),
-		Util:   make([][]UtilSegment, e.numGPUs),
-		byName: make(map[string][]int),
+		Ops:  make([]OpResult, len(s.ops)),
+		Util: make([][]UtilSegment, e.numGPUs),
 	}
 
 	now := 0.0
@@ -403,6 +469,7 @@ func (e *engine) run() (*Result, error) {
 		for _, idx := range e.dirty {
 			e.res[idx].dirty = false
 			e.refreshFactors(idx)
+			e.markUtilDirty(idx)
 		}
 		for _, idx := range e.dirty {
 			for _, u := range e.res[idx].users {
@@ -491,7 +558,6 @@ func (e *engine) run() (*Result, error) {
 			o.end = now
 			done++
 			res.Ops[o.id] = OpResult{ID: o.id, Name: o.name, Tag: o.tag, GPU: o.gpu, Start: o.start, End: o.end}
-			res.byName[o.name] = append(res.byName[o.name], int(o.id))
 			for _, c := range o.children {
 				child := s.ops[c]
 				child.missing--
@@ -506,122 +572,156 @@ func (e *engine) run() (*Result, error) {
 	return res, nil
 }
 
-// recordUtil appends one utilization segment per GPU covering [t0,t1),
-// accumulating into reusable buffers; TagSM maps are only allocated when
-// a new segment is actually appended.
+// recordUtil covers [t0,t1) on the host and every GPU timeline. Only
+// util-dirty timelines are re-derived, from their resources' user lists,
+// whose op start order is the order a rescan of the running slice sums
+// in. A clean timeline repeats its last segment, which holds exactly the
+// values a re-derivation would produce.
 func (e *engine) recordUtil(res *Result, t0, t1 float64) {
-	for g := 0; g < e.numGPUs; g++ {
-		e.accSM[g] = 0
-		e.accBW[g] = 0
-		e.tagAcc[g] = e.tagAcc[g][:0]
+	if e.hostDirty {
+		e.hostDirty = false
+		cpu := &e.res[resIndex(resCPU, 0, e.numGPUs)]
+		hostCPU := 0.0
+		for _, u := range cpu.users {
+			hostCPU += u.dem * cpu.factorFor(u.o.priority)
+		}
+		flushHostSegment(res, t0, t1, hostCPU)
+	} else {
+		repeatHostSegment(res, t0, t1)
 	}
-	hostCPU := 0.0
-	for _, o := range e.running {
-		if o.state != opRunning {
+	for g := 0; g < e.numGPUs; g++ {
+		if !e.utilDirty[g] {
+			repeatGPUSegment(res, g, t0, t1)
 			continue
 		}
-		for _, d := range e.demandsOf(o) {
-			if d.kind == resCPU {
-				hostCPU += d.dem * e.res[d.idx].factorFor(o.priority)
-			}
+		e.utilDirty[g] = false
+		smRes, bwRes := &e.res[resIndex(resSM, g, e.numGPUs)], &e.res[resIndex(resBW, g, e.numGPUs)]
+		sm, bw := 0.0, 0.0
+		tags := e.tagAcc[:0]
+		for _, u := range smRes.users {
+			grant := u.dem * smRes.factorFor(u.o.priority)
+			sm += grant
+			tags = addTagGrant(tags, u.o.tagID, grant)
 		}
-		if o.gpu < 0 {
-			continue
+		for _, u := range bwRes.users {
+			bw += u.dem * bwRes.factorFor(u.o.priority)
 		}
-		for _, d := range e.demandsOf(o) {
-			switch d.kind {
-			case resSM:
-				grant := d.dem * e.res[d.idx].factorFor(o.priority)
-				g := int(d.idx) // SM block leads the kind-major layout
-				e.accSM[g] += grant
-				ta := e.tagAcc[g]
-				found := false
-				for i := range ta {
-					if ta[i].tag == o.tag {
-						ta[i].sm += grant
-						found = true
-						break
-					}
-				}
-				if !found {
-					e.tagAcc[g] = append(ta, tagGrant{tag: o.tag, sm: grant})
-				}
-			case resBW:
-				grant := d.dem * e.res[d.idx].factorFor(o.priority)
-				e.accBW[int(d.idx)-e.numGPUs] += grant
-			}
-		}
-	}
-	flushHostSegment(res, t0, t1, hostCPU)
-	for g := 0; g < e.numGPUs; g++ {
-		flushGPUSegment(res, g, t0, t1, e.accSM[g], e.accBW[g], e.tagAcc[g])
+		e.tagAcc = tags
+		e.flushGPUSegment(res, g, t0, t1, math.Min(sm, 1), math.Min(bw, 1), tags)
 	}
 }
 
-// flushHostSegment appends (or merges) one event's host-pool segment.
+// addTagGrant adds grant to tag id's entry of the id-sorted accumulator,
+// inserting the entry on the tag's first grant.
+func addTagGrant(acc []tagGrant, id int32, grant float64) []tagGrant {
+	i := 0
+	for i < len(acc) && acc[i].id < id {
+		i++
+	}
+	if i < len(acc) && acc[i].id == id {
+		acc[i].sm += grant
+		return acc
+	}
+	acc = append(acc, tagGrant{})
+	copy(acc[i+1:], acc[i:])
+	acc[i] = tagGrant{id: id, sm: grant}
+	return acc
+}
+
+// flushHostSegment records the host pool's re-derived utilization.
 func flushHostSegment(res *Result, t0, t1, hostCPU float64) {
 	if hostCPU > 1 {
 		hostCPU = 1
 	}
 	//lint:ignore floateq intentional bit-equality: adjacent segments merge only when identical
-	if n := len(res.HostUtil); n > 0 && res.HostUtil[n-1].End == t0 && res.HostUtil[n-1].CPU == hostCPU {
-		res.HostUtil[n-1].End = t1
-	} else {
-		res.HostUtil = append(res.HostUtil, HostSegment{Start: t0, End: t1, CPU: hostCPU})
+	if n := len(res.HostUtil); n > 0 && res.HostUtil[n-1].CPU == hostCPU {
+		repeatHostSegment(res, t0, t1)
+		return
 	}
+	res.HostUtil = append(res.HostUtil, HostSegment{Start: t0, End: t1, CPU: hostCPU})
 }
 
-// flushGPUSegment appends one event's utilization segment for GPU g,
-// merging with the previous segment when nothing changed to keep
-// timelines compact. A TagSM map is allocated only on a real append.
-func flushGPUSegment(res *Result, g int, t0, t1, accSM, accBW float64, tags []tagGrant) {
-	sm := math.Min(accSM, 1)
-	bw := math.Min(accBW, 1)
+// repeatHostSegment covers [t0,t1) with the last host segment's value,
+// extending it when it ends at t0 and appending a copy otherwise.
+func repeatHostSegment(res *Result, t0, t1 float64) {
+	last := &res.HostUtil[len(res.HostUtil)-1]
+	//lint:ignore floateq intentional bit-equality: only a contiguous segment is extended
+	if last.End == t0 {
+		last.End = t1
+		return
+	}
+	res.HostUtil = append(res.HostUtil, HostSegment{Start: t0, End: t1, CPU: last.CPU})
+}
+
+// flushGPUSegment records GPU g's re-derived utilization, repeating the
+// previous segment when nothing changed to keep timelines compact. New
+// tag shares are carved from the arena only on a real change.
+func (e *engine) flushGPUSegment(res *Result, g int, t0, t1, sm, bw float64, tags []tagGrant) {
 	if n := len(res.Util[g]); n > 0 {
 		prev := &res.Util[g][n-1]
 		//lint:ignore floateq intentional bit-equality: adjacent segments merge only when identical
-		if prev.End == t0 && prev.SM == sm && prev.MemBW == bw && tagsMatch(prev.TagSM, tags) {
-			prev.End = t1
+		if prev.SM == sm && prev.MemBW == bw && e.tagsMatch(prev.TagSM, tags) {
+			repeatGPUSegment(res, g, t0, t1)
 			return
 		}
 	}
-	var tagSM map[string]float64
-	if len(tags) > 0 {
-		tagSM = make(map[string]float64, len(tags))
-		for _, tg := range tags {
-			tagSM[tg.tag] = tg.sm
-		}
-	}
-	res.Util[g] = append(res.Util[g], UtilSegment{Start: t0, End: t1, SM: sm, MemBW: bw, TagSM: tagSM})
+	res.Util[g] = append(res.Util[g], UtilSegment{Start: t0, End: t1, SM: sm, MemBW: bw, TagSM: e.carveTags(tags)})
 }
 
-// tagsMatch reports whether a stored TagSM map equals the event's tag
-// accumulator without materializing a map for the comparison.
-func tagsMatch(a map[string]float64, b []tagGrant) bool {
-	if len(a) != len(b) {
+// repeatGPUSegment covers [t0,t1) with GPU g's last segment's values,
+// extending it when it ends at t0 and otherwise appending a copy that
+// shares its TagSM.
+func repeatGPUSegment(res *Result, g int, t0, t1 float64) {
+	segs := res.Util[g]
+	last := segs[len(segs)-1]
+	//lint:ignore floateq intentional bit-equality: only a contiguous segment is extended
+	if last.End == t0 {
+		segs[len(segs)-1].End = t1
+		return
+	}
+	last.Start, last.End = t0, t1
+	res.Util[g] = append(segs, last)
+}
+
+// tagsMatch reports whether stored tag shares equal the id-sorted
+// accumulator; both are in tag order, so entries compare pairwise.
+func (e *engine) tagsMatch(shares []TagShare, acc []tagGrant) bool {
+	if len(shares) != len(acc) {
 		return false
 	}
-	for _, tg := range b {
+	for i, tg := range acc {
 		//lint:ignore floateq intentional bit-equality: merged segments must match exactly
-		if av, ok := a[tg.tag]; !ok || av != tg.sm {
+		if shares[i].Tag != e.tags[tg.id] || shares[i].SM != tg.sm {
 			return false
 		}
 	}
 	return true
 }
 
-func equalTagSM(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
+// carveTags copies the accumulator into a slice of the arena, starting
+// a chunk twice the previous one's size when the current chunk is full.
+// Earlier segments keep referencing the chunks they were carved from.
+func (e *engine) carveTags(acc []tagGrant) []TagShare {
+	if len(acc) == 0 {
+		return nil
 	}
-	//lint:ignore maporder order-independent predicate: every entry is checked, any order
-	for k, v := range a {
-		//lint:ignore floateq intentional bit-equality: merged segments must match exactly
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
+	if cap(e.arena)-len(e.arena) < len(acc) {
+		size := 2 * cap(e.arena)
+		if size < arenaMin {
+			size = arenaMin
 		}
+		if size < len(acc) {
+			size = len(acc)
+		}
+		e.arena = make([]TagShare, 0, size)
 	}
-	return true
+	n := len(e.arena)
+	e.arena = e.arena[:n+len(acc)]
+	out := e.arena[n : n+len(acc) : n+len(acc)]
+	for i, tg := range acc {
+		out[i] = TagShare{Tag: e.tags[tg.id], SM: tg.sm}
+	}
+	return out
 }
 
 // BusyFraction returns the fraction of [0,upTo] during which GPU g had at

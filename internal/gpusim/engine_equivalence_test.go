@@ -114,9 +114,9 @@ func compareResults(t *testing.T, seed int, got, want *Result) {
 				t.Errorf("seed %d: gpu %d seg %d: tagSM %v != reference %v", seed, g, i, gs.TagSM, ws.TagSM)
 				continue
 			}
-			for tag, v := range ws.TagSM {
-				if gv, ok := gs.TagSM[tag]; !ok || !bitEq(gv, v) {
-					t.Errorf("seed %d: gpu %d seg %d tag %q: %v != reference %v", seed, g, i, tag, gv, v)
+			for j, w := range ws.TagSM {
+				if gv := gs.TagSM[j]; gv.Tag != w.Tag || !bitEq(gv.SM, w.SM) {
+					t.Errorf("seed %d: gpu %d seg %d tag share %d: %v != reference %v", seed, g, i, j, gv, w)
 				}
 			}
 		}

@@ -16,7 +16,9 @@ import (
 // instead of the former map[resKey]float64: each op holds at most one
 // demand per resource, so every accumulation cell still receives its
 // contributions in the same (running-slice) order and the float math is
-// unchanged.
+// unchanged. Tag attribution still accumulates into a map per segment;
+// it is converted to the Result's sorted []TagShare only when a segment
+// is appended.
 
 type refResKey struct {
 	kind resKind
@@ -56,9 +58,8 @@ func referenceRun(s *Sim) (*Result, error) {
 	}
 
 	res := &Result{
-		Ops:    make([]OpResult, len(s.ops)),
-		Util:   make([][]UtilSegment, s.cfg.NumGPUs),
-		byName: make(map[string][]int),
+		Ops:  make([]OpResult, len(s.ops)),
+		Util: make([][]UtilSegment, s.cfg.NumGPUs),
 	}
 
 	now := 0.0
@@ -182,7 +183,6 @@ func referenceRun(s *Sim) (*Result, error) {
 			o.end = now
 			done++
 			res.Ops[o.id] = OpResult{ID: o.id, Name: o.name, Tag: o.tag, GPU: o.gpu, Start: o.start, End: o.end}
-			res.byName[o.name] = append(res.byName[o.name], int(o.id))
 			for _, c := range o.children {
 				child := s.ops[c]
 				child.missing--
@@ -324,16 +324,44 @@ func refRecordUtil(s *Sim, res *Result, t0, t1 float64, running []*op, factors m
 		res.HostUtil = append(res.HostUtil, HostSegment{Start: t0, End: t1, CPU: hostCPU})
 	}
 	for g := 0; g < s.cfg.NumGPUs; g++ {
-		seg := UtilSegment{Start: t0, End: t1, SM: math.Min(accs[g].sm, 1), MemBW: math.Min(accs[g].bw, 1), TagSM: accs[g].tagSM}
+		sm, bw := math.Min(accs[g].sm, 1), math.Min(accs[g].bw, 1)
 		// Merge with the previous segment when nothing changed, to keep
 		// timelines compact.
 		if n := len(res.Util[g]); n > 0 {
 			prev := &res.Util[g][n-1]
-			if prev.End == t0 && prev.SM == seg.SM && prev.MemBW == seg.MemBW && equalTagSM(prev.TagSM, seg.TagSM) {
+			if prev.End == t0 && prev.SM == sm && prev.MemBW == bw && refTagsMatch(prev.TagSM, accs[g].tagSM) {
 				prev.End = t1
 				continue
 			}
 		}
-		res.Util[g] = append(res.Util[g], seg)
+		res.Util[g] = append(res.Util[g], UtilSegment{Start: t0, End: t1, SM: sm, MemBW: bw, TagSM: refTagShares(accs[g].tagSM)})
 	}
+}
+
+// refTagsMatch reports whether stored tag shares hold exactly the
+// accumulated per-tag grants.
+func refTagsMatch(shares []TagShare, acc map[string]float64) bool {
+	if len(shares) != len(acc) {
+		return false
+	}
+	for _, ts := range shares {
+		if v, ok := acc[ts.Tag]; !ok || v != ts.SM {
+			return false
+		}
+	}
+	return true
+}
+
+// refTagShares converts a tag accumulator to the Result's form: one
+// share per tag, sorted by tag; nil when no tag was granted SM.
+func refTagShares(acc map[string]float64) []TagShare {
+	if len(acc) == 0 {
+		return nil
+	}
+	out := make([]TagShare, 0, len(acc))
+	for tag, sm := range acc {
+		out = append(out, TagShare{Tag: tag, SM: sm})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tag < out[j].Tag })
+	return out
 }

@@ -218,7 +218,8 @@ type op struct {
 	id       OpID
 	name     string
 	tag      string
-	gpu      int // -1 for host-only ops
+	tagID    int32 // index of tag in the engine's sorted tag table
+	gpu      int   // -1 for host-only ops
 	priority int
 	// isKernel marks ops added via AddKernel; straggler injection only
 	// targets these.
@@ -258,12 +259,21 @@ type OpResult struct {
 //rap:unit return us
 func (r OpResult) Latency() float64 { return r.End - r.Start }
 
+// TagShare is the granted SM utilization of one kernel tag.
+type TagShare struct {
+	Tag string
+	SM  float64
+}
+
 // UtilSegment is a span of time with constant per-GPU utilization.
 type UtilSegment struct {
 	Start, End float64 //rap:unit us
 	SM, MemBW  float64 // granted utilization in [0,1]
-	// TagSM attributes SM utilization by kernel tag.
-	TagSM map[string]float64
+	// TagSM attributes SM utilization by kernel tag: one share per tag
+	// with an SM user in the segment, sorted by tag (nil when the GPU
+	// ran no SM user). It is read-only and may share storage with the
+	// neighbouring segment of the same GPU.
+	TagSM []TagShare
 }
 
 // Result is the outcome of Sim.Run.
@@ -277,8 +287,6 @@ type Result struct {
 	// Events counts the simulated event-loop iterations; it normalizes
 	// benchmark times to ns/event.
 	Events int
-
-	byName map[string][]int
 }
 
 // OpByID returns the result of op id. An out-of-range id yields the
@@ -291,11 +299,14 @@ func (r *Result) OpByID(id OpID) OpResult {
 	return r.Ops[int(id)]
 }
 
-// OpsByName returns all results whose op name matches.
+// OpsByName returns all results whose op name matches, in op-ID order;
+// nil when none does.
 func (r *Result) OpsByName(name string) []OpResult {
 	var out []OpResult
-	for _, i := range r.byName[name] {
-		out = append(out, r.Ops[i])
+	for _, o := range r.Ops {
+		if o.Name == name {
+			out = append(out, o)
+		}
 	}
 	return out
 }
@@ -335,9 +346,10 @@ type Sample struct {
 }
 
 // UtilSeries resamples GPU g's utilization at the given period, for
-// plotting Figure 1(a)-style traces. An out-of-range g yields nil.
+// plotting Figure 1(a)-style traces. An out-of-range g or a period that
+// is not positive (including NaN) yields nil.
 func (r *Result) UtilSeries(g int, dt float64) []Sample {
-	if g < 0 || g >= len(r.Util) || dt <= 0 || r.Makespan <= 0 {
+	if g < 0 || g >= len(r.Util) || !(dt > 0) || r.Makespan <= 0 {
 		return nil
 	}
 	n := int(math.Ceil(r.Makespan/dt)) + 1
@@ -522,9 +534,24 @@ func (s *Sim) checkGPU(g int) bool {
 	return true
 }
 
-// AddKernel schedules a GPU kernel on gpu.
+// checkFinite validates an op's launch overhead or work at add time,
+// deferring the error like checkGPU. A NaN or infinite amount never
+// drains below timeEps, so the engine would loop forever on it.
+func (s *Sim) checkFinite(name, what string, v float64) bool {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if s.addErr == nil {
+			s.addErr = fmt.Errorf("gpusim: op %q: %s %g is not finite", name, what, v)
+		}
+		return false
+	}
+	return true
+}
+
+// AddKernel schedules a GPU kernel on gpu. A non-finite Work or
+// LaunchOverhead is rejected like an out-of-range GPU.
 func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
-	if !s.checkGPU(gpu) {
+	if !s.checkGPU(gpu) || !s.checkFinite(k.Name, "work", k.Work) ||
+		!s.checkFinite(k.Name, "launch overhead", k.LaunchOverhead) {
 		return InvalidOp
 	}
 	d := k.Demand.Clamp()
@@ -546,9 +573,9 @@ func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
 }
 
 // AddComm schedules a point-to-point transfer of bytes from GPU src to
-// GPU dst over the NVLink fabric.
+// GPU dst over the NVLink fabric. Non-finite bytes are rejected.
 func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(src) || !s.checkGPU(dst) {
+	if !s.checkGPU(src) || !s.checkGPU(dst) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	if src == dst {
@@ -598,8 +625,9 @@ func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption
 // AddLinkBusy schedules an op that occupies GPU g's links for the time a
 // collective of the given per-GPU byte volume would take. Collectives
 // (all-to-all, all-reduce) are expressed as one such op per participant.
+// Non-finite bytes are rejected.
 func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(g) {
+	if !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	work := bytes / (s.cfg.LinkGBs * 1e3)
@@ -628,9 +656,10 @@ func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) O
 }
 
 // AddHostCopy schedules a host-to-device copy of bytes onto GPU g's copy
-// engine (the data-preparation transfer of §6.3).
+// engine (the data-preparation transfer of §6.3). Non-finite bytes are
+// rejected.
 func (s *Sim) AddHostCopy(name string, g int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(g) {
+	if !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	work := bytes / (s.cfg.CopyGBs * 1e3)
@@ -645,8 +674,11 @@ func (s *Sim) AddHostCopy(name string, g int, bytes float64, opts ...OpOption) O
 }
 
 // AddCPU schedules host-side work taking micros µs on `workers` CPU
-// workers out of the host pool.
+// workers out of the host pool. Non-finite micros are rejected.
 func (s *Sim) AddCPU(name string, micros float64, workers int, opts ...OpOption) OpID {
+	if !s.checkFinite(name, "micros", micros) {
+		return InvalidOp
+	}
 	if workers < 1 {
 		workers = 1
 	}

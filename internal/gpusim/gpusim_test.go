@@ -3,6 +3,7 @@ package gpusim
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -348,6 +349,42 @@ func TestGPUOutOfRangeRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteCostRejected covers every entry point that takes an op
+// cost. A NaN or infinite cost never drains, so Run used to spin
+// forever on it; now the add returns InvalidOp and Run reports why.
+func TestNonFiniteCostRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		add  func(s *Sim, v float64) OpID
+	}{
+		{"kernel_work", func(s *Sim, v float64) OpID {
+			return s.AddKernel(0, Kernel{Name: "k", Work: v, Demand: Demand{SM: 0.5}})
+		}},
+		{"kernel_overhead", func(s *Sim, v float64) OpID {
+			return s.AddKernel(0, Kernel{Name: "k", Work: 1, LaunchOverhead: v})
+		}},
+		{"cpu", func(s *Sim, v float64) OpID { return s.AddCPU("p", v, 1) }},
+		{"comm", func(s *Sim, v float64) OpID { return s.AddComm("c", 0, 1, v) }},
+		{"comm_local", func(s *Sim, v float64) OpID { return s.AddComm("c", 0, 0, v) }},
+		{"linkbusy", func(s *Sim, v float64) OpID { return s.AddLinkBusy("l", 0, v) }},
+		{"hostcopy", func(s *Sim, v float64) OpID { return s.AddHostCopy("h", 0, v) }},
+	}
+	for _, tc := range cases {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			t.Run(tc.name+"/"+strconv.FormatFloat(v, 'g', -1, 64), func(t *testing.T) {
+				s := NewSim(ClusterConfig{NumGPUs: 2})
+				// Fatal before Run: an accepted cost would make it spin.
+				if id := tc.add(s, v); id != InvalidOp {
+					t.Fatalf("cost %v accepted as op %d", v, id)
+				}
+				if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "not finite") {
+					t.Fatalf("Run error = %v, want a not-finite error", err)
+				}
+			})
+		}
+	}
+}
+
 func TestUtilizationAccounting(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1})
 	s.AddKernel(0, Kernel{Name: "a", Work: 100, LaunchOverhead: -1, Demand: Demand{SM: 0.6, MemBW: 0.4}, Tag: "train"})
@@ -359,7 +396,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	almost(t, sm, 0.6, 1e-6, "avg sm")
 	almost(t, bw, 0.4, 1e-6, "avg bw")
 	almost(t, res.BusyFraction(0, 0), 1.0, 1e-6, "busy fraction")
-	if len(res.Util[0]) == 0 || res.Util[0][0].TagSM["train"] != 0.6 {
+	if len(res.Util[0]) == 0 || len(res.Util[0][0].TagSM) != 1 || res.Util[0][0].TagSM[0] != (TagShare{Tag: "train", SM: 0.6}) {
 		t.Fatalf("tag attribution wrong: %+v", res.Util[0])
 	}
 }
@@ -378,8 +415,10 @@ func TestUtilSeriesSampling(t *testing.T) {
 	}
 	almost(t, series[2].SM, 0.9, 1e-6, "early sample")
 	almost(t, series[7].SM, 0.1, 1e-6, "late sample")
-	if got := res.UtilSeries(0, 0); got != nil {
-		t.Fatal("dt=0 should return nil")
+	for _, dt := range []float64{0, -1, math.NaN()} {
+		if got := res.UtilSeries(0, dt); got != nil {
+			t.Fatalf("dt=%v should return nil", dt)
+		}
 	}
 }
 
@@ -399,14 +438,20 @@ func TestAvgUtilPrefixWindow(t *testing.T) {
 
 func TestOpsByName(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1})
-	s.AddKernel(0, Kernel{Name: "k", Work: 1, Demand: Demand{SM: 0.1}})
+	// The first "k" finishes last: results must still come in op-ID order.
+	s.AddKernel(0, Kernel{Name: "k", Work: 10, Demand: Demand{SM: 0.1}})
+	s.AddKernel(0, Kernel{Name: "other", Work: 1, Demand: Demand{SM: 0.1}})
 	s.AddKernel(0, Kernel{Name: "k", Work: 1, Demand: Demand{SM: 0.1}})
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.OpsByName("k")); got != 2 {
-		t.Fatalf("OpsByName = %d results, want 2", got)
+	got := res.OpsByName("k")
+	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
+		t.Fatalf("OpsByName = %+v, want ops 0 and 2 in that order", got)
+	}
+	if got[0].End <= got[1].End {
+		t.Fatal("test DAG no longer finishes out of op-ID order")
 	}
 	if res.OpsByName("zzz") != nil {
 		t.Fatal("unknown name returned results")

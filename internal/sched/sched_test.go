@@ -12,7 +12,7 @@ import (
 	"rap/internal/preproc"
 )
 
-func testSetup(t *testing.T, numGPUs int, batch int) (dlrm.Config, dlrm.Placement, *costmodel.CostModel) {
+func testSetup(t testing.TB, numGPUs int, batch int) (dlrm.Config, dlrm.Placement, *costmodel.CostModel) {
 	t.Helper()
 	sizes := make([]int64, 26)
 	for i := range sizes {
@@ -31,7 +31,7 @@ func testSetup(t *testing.T, numGPUs int, batch int) (dlrm.Config, dlrm.Placemen
 	return cfg, pl, cm
 }
 
-func fusedPlanFor(t *testing.T, graphs []*preproc.Graph, samples int) *fusion.Plan {
+func fusedPlanFor(t testing.TB, graphs []*preproc.Graph, samples int) *fusion.Plan {
 	t.Helper()
 	plan, err := fusion.PlanFusion(graphs, preproc.Shape{Samples: samples, AvgListLen: 3}, fusion.Options{MaxNodes: 20000})
 	if err != nil {
@@ -155,7 +155,7 @@ func TestSequentialSchedule(t *testing.T) {
 	}
 }
 
-func buildWork(t *testing.T, cm *costmodel.CostModel, graphsPerGPU [][]*preproc.Graph, samples int) []GPUWork {
+func buildWork(t testing.TB, cm *costmodel.CostModel, graphsPerGPU [][]*preproc.Graph, samples int) []GPUWork {
 	t.Helper()
 	work := make([]GPUWork, len(graphsPerGPU))
 	for g := range graphsPerGPU {

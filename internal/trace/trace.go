@@ -89,8 +89,8 @@ func Summarize(res *gpusim.Result, g int, upTo float64) UtilSummary {
 		if e > upTo {
 			e = upTo
 		}
-		for tag, v := range seg.TagSM {
-			out.TagSM[tag] += v * (e - s) / upTo
+		for _, ts := range seg.TagSM {
+			out.TagSM[ts.Tag] += ts.SM * (e - s) / upTo
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -35,6 +36,14 @@ func TestWriteUtilCSV(t *testing.T) {
 	}
 	if len(lines) < 8 {
 		t.Fatalf("too few samples: %d", len(lines))
+	}
+	// A NaN period writes only the header (UtilSeries used to panic on it).
+	sb.Reset()
+	if err := WriteUtilCSV(&sb, res, 0, math.NaN()); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != "t_us,sm,membw\n" {
+		t.Fatalf("NaN period wrote %q", got)
 	}
 }
 
