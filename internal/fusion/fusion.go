@@ -49,6 +49,10 @@ type Plan struct {
 	Objective int64
 	// Optimal reports whether the MILP search completed.
 	Optimal bool
+	// Nodes is the number of branch & bound nodes the MILP solve
+	// explored (on a solve-cache hit, the stored solve's count); 0 on
+	// the greedy and disabled paths.
+	Nodes int
 	// NumOps / NumKernels summarize the compression.
 	NumOps     int
 	NumKernels int
@@ -164,7 +168,7 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 
 	var steps []int
 	var objective int64
-	optimal := false
+	optimal, nodes := false, 0
 	switch {
 	case opts.Disable:
 		// Every op at its own step, ordered topologically.
@@ -195,7 +199,7 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		steps, objective, optimal = sol.Step, sol.Objective, sol.Optimal
+		steps, objective, optimal, nodes = sol.Step, sol.Objective, sol.Optimal, sol.Nodes
 	}
 	if err := milp.Validate(milp.Problem{Types: prob.Types, Deps: prob.Deps}, steps); err != nil {
 		return nil, fmt.Errorf("fusion: internal: solver produced invalid steps: %w", err)
@@ -223,7 +227,7 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 		return keys[a].ty < keys[b].ty
 	})
 
-	plan := &Plan{Objective: objective, Optimal: optimal, NumOps: len(refs)}
+	plan := &Plan{Objective: objective, Optimal: optimal, Nodes: nodes, NumOps: len(refs)}
 	stepIdx := map[int]int{}
 	for _, k := range keys {
 		members := groups[k]

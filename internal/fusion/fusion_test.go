@@ -228,10 +228,36 @@ func TestSolveCacheHitMatchesFreshSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if first.Nodes < 1 {
+		t.Fatalf("solved plan reports %d nodes", first.Nodes)
+	}
 	for _, p := range []*Plan{second, fresh} {
 		if !reflect.DeepEqual(first.Steps, p.Steps) ||
-			first.Objective != p.Objective || first.Optimal != p.Optimal {
+			first.Objective != p.Objective || first.Optimal != p.Optimal || first.Nodes != p.Nodes {
 			t.Fatal("cached plan differs from fresh solve")
+		}
+	}
+}
+
+// TestPlanNodes pins what Plan.Nodes carries: the solve's node count,
+// which a truncated solve reports as its whole budget, and 0 where no
+// branch & bound runs.
+func TestPlanNodes(t *testing.T) {
+	p := preproc.MustStandardPlan(2, nil)
+	truncated, err := PlanFusion(p.Graphs, p.Shape(4096), Options{MaxNodes: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truncated.Optimal || truncated.Nodes != 50 {
+		t.Fatalf("50-node budget: optimal=%v nodes=%d", truncated.Optimal, truncated.Nodes)
+	}
+	for _, opts := range []Options{{GreedyOnly: true}, {Disable: true}} {
+		plan, err := PlanFusion(p.Graphs, p.Shape(4096), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Nodes != 0 {
+			t.Fatalf("%+v: nodes = %d, want 0", opts, plan.Nodes)
 		}
 	}
 }

@@ -21,7 +21,6 @@ package milp
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Problem is one fusion MILP instance.
@@ -86,6 +85,9 @@ func Objective(types, steps []int) int64 {
 // Validate checks a step assignment against the problem constraints
 // (Eq. 1 is implicit in the representation; Eq. 2 is the ordering).
 func Validate(p Problem, steps []int) error {
+	if err := checkShape(p); err != nil {
+		return err
+	}
 	if len(steps) != len(p.Types) {
 		return fmt.Errorf("milp: %d steps for %d ops", len(steps), len(p.Types))
 	}
@@ -94,6 +96,9 @@ func Validate(p Problem, steps []int) error {
 			return fmt.Errorf("milp: op %d at negative step %d", i, s)
 		}
 		for _, d := range p.Deps[i] {
+			if d < 0 || d >= len(steps) {
+				return fmt.Errorf("milp: op %d depends on unknown op %d", i, d)
+			}
 			if steps[d] >= s {
 				return fmt.Errorf("milp: op %d (step %d) does not follow its dependency %d (step %d)",
 					i, s, d, steps[d])
@@ -213,49 +218,64 @@ func Solve(p Problem) (Solution, error) {
 	if maxNodes <= 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	greedy, err := GreedyLevels(p)
-	if err != nil {
-		return Solution{}, err
-	}
 
-	// Remaining same-type op counts from each position in the topo
-	// order, for the admissible bound.
-	remaining := make([]map[int]int64, n+1)
-	remaining[n] = map[int]int64{}
-	for k := n - 1; k >= 0; k-- {
-		m := make(map[int]int64, len(remaining[k+1]))
-		for ty, c := range remaining[k+1] {
-			m[ty] = c
+	// Intern the type values to dense ids 0..nt-1 in order of first use.
+	ids := map[int]int{}
+	types := make([]int, n)
+	for i, ty := range p.Types {
+		id, ok := ids[ty]
+		if !ok {
+			id = len(ids)
+			ids[ty] = id
 		}
-		m[p.Types[order[k]]]++
-		remaining[k] = m
+		types[i] = id
+	}
+	nt := len(ids)
+
+	// remaining[k*nt+ty] counts the type-ty ops at topo positions ≥ k,
+	// for the admissible bound.
+	remaining := make([]int64, (n+1)*nt)
+	for k := n - 1; k >= 0; k-- {
+		copy(remaining[k*nt:(k+1)*nt], remaining[(k+1)*nt:(k+2)*nt])
+		remaining[k*nt+types[order[k]]]++
 	}
 
 	s := &solver{
-		p: p, order: order, horizon: horizon, maxNodes: maxNodes,
+		deps:      p.Deps,
+		types:     types,
+		order:     order,
+		horizon:   horizon,
+		maxNodes:  maxNodes,
 		remaining: remaining,
 		steps:     make([]int, n),
-		counts:    map[[2]int]int64{},
-		maxCount:  map[int]int64{},
-		bestObj:   greedy.Objective,
-		best:      greedy.Step,
-		optimal:   true,
+		counts:    make([]int64, nt*horizon),
+		maxCount:  make([]int64, nt),
+		cands:     make([]int, n*horizon),
+		// The level greedy (every op at its ASAP level) is the warm start.
+		best:    asap,
+		bestObj: Objective(p.Types, asap),
+		optimal: true,
 	}
 	s.dfs(0, 0)
 	return Solution{Step: s.best, Objective: s.bestObj, Optimal: s.optimal, Nodes: s.nodes}, nil
 }
 
+// solver holds the search state in flat arrays indexed by dense type
+// id, step and topo position, so a node does no map lookups and no
+// allocation.
 type solver struct {
-	p         Problem
+	deps      [][]int
+	types     []int // op -> dense type id
 	order     []int
 	horizon   int
 	maxNodes  int
 	nodes     int
-	remaining []map[int]int64
+	remaining []int64 // [k*nt+type], nt = len(maxCount): ops of the type at topo positions ≥ k
 
 	steps    []int
-	counts   map[[2]int]int64 // (type, step) -> fusion degree
-	maxCount map[int]int64    // type -> max degree so far (for the bound)
+	counts   []int64 // [type*horizon+step]: fusion degree
+	maxCount []int64 // [type]: max degree so far (for the bound)
+	cands    []int   // [k*horizon:(k+1)*horizon]: depth k's candidate steps
 
 	best    []int
 	bestObj int64
@@ -264,12 +284,14 @@ type solver struct {
 
 // bound returns an admissible upper bound on the objective reachable
 // from position k with current partial objective obj: every remaining op
-// of a type could, at best, join that type's largest group.
+// of a type could, at best, join that type's largest group g, adding
+// (g+r)² − g² = r(2g+r).
 func (s *solver) bound(k int, obj int64) int64 {
 	b := obj
-	for ty, r := range s.remaining[k] {
+	nt := len(s.maxCount)
+	for ty, r := range s.remaining[k*nt : (k+1)*nt] {
 		g := s.maxCount[ty]
-		b += (g+r)*(g+r) - g*g
+		b += r * (2*g + r)
 	}
 	return b
 }
@@ -292,7 +314,7 @@ func (s *solver) dfs(k int, obj int64) {
 	}
 	op := s.order[k]
 	minStep := 0
-	for _, d := range s.p.Deps[op] {
+	for _, d := range s.deps[op] {
 		if s.steps[d]+1 > minStep {
 			minStep = s.steps[d] + 1
 		}
@@ -300,35 +322,34 @@ func (s *solver) dfs(k int, obj int64) {
 	if minStep >= s.horizon {
 		return // infeasible branch under this horizon
 	}
-	ty := s.p.Types[op]
+	ty := s.types[op]
+	counts := s.counts[ty*s.horizon : (ty+1)*s.horizon]
 
 	// Candidate steps, most promising first: join the largest existing
-	// same-type group, then earliest-first.
-	cands := make([]int, 0, s.horizon-minStep)
+	// same-type group, then earliest-first. (count desc, step asc) is a
+	// strict total order, so inserting steps in ascending order gives
+	// exactly the stable sort by count.
+	cands := s.cands[k*s.horizon : k*s.horizon : (k+1)*s.horizon]
 	for t := minStep; t < s.horizon; t++ {
+		c := counts[t]
 		cands = append(cands, t)
-	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		ca := s.counts[[2]int{ty, cands[a]}]
-		cb := s.counts[[2]int{ty, cands[b]}]
-		if ca != cb {
-			return ca > cb
+		j := len(cands) - 1
+		for ; j > 0 && counts[cands[j-1]] < c; j-- {
+			cands[j] = cands[j-1]
 		}
-		return cands[a] < cands[b]
-	})
+		cands[j] = t
+	}
 
 	for _, t := range cands {
-		key := [2]int{ty, t}
-		c := s.counts[key]
-		delta := (c+1)*(c+1) - c*c
-		s.counts[key] = c + 1
+		c := counts[t]
+		counts[t] = c + 1
 		prevMax := s.maxCount[ty]
 		if c+1 > prevMax {
 			s.maxCount[ty] = c + 1
 		}
 		s.steps[op] = t
-		s.dfs(k+1, obj+delta)
-		s.counts[key] = c
+		s.dfs(k+1, obj+2*c+1) // (c+1)² − c²
+		counts[t] = c
 		s.maxCount[ty] = prevMax
 		if s.nodes >= s.maxNodes {
 			s.optimal = false
