@@ -8,7 +8,6 @@ package fusion
 
 import (
 	"fmt"
-	"sort"
 
 	"rap/internal/milp"
 	"rap/internal/preproc"
@@ -24,8 +23,10 @@ type Options struct {
 	MaxNodes int
 	// Deprecated: ignored; the MILP solve is single-threaded.
 	Workers int
-	// GreedyOnly skips branch & bound and uses the level greedy — the
-	// fallback for very large per-GPU op sets.
+	// GreedyOnly skips branch & bound and lowers with the level greedy
+	// (LevelPlanner). It is how candidate mappings are scored: the
+	// mapping search plans every candidate this way, and the benchmark's
+	// traced replay of that search calls PlanFusionScaled with it.
 	GreedyOnly bool
 	// SolveCache, when non-nil, memoizes branch & bound solutions by
 	// problem content so repeated instances (the replanning loop) skip
@@ -148,15 +149,25 @@ func PlanFusion(graphs []*preproc.Graph, shape preproc.Shape, opts Options) (*Pl
 	return PlanFusionScaled(items, opts)
 }
 
-// PlanFusionScaled is PlanFusion with per-graph shapes.
+// PlanFusionScaled is PlanFusion with per-graph shapes. When one graph
+// appears in several items, all of its ops are costed at the last such
+// item's shape.
 //
 //rap:deterministic
 func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 	graphs := make([]*preproc.Graph, len(items))
-	shapes := map[*preproc.Graph]preproc.Shape{}
 	for i, it := range items {
+		if it.Graph == nil {
+			return nil, fmt.Errorf("fusion: item %d has no graph", i)
+		}
 		graphs[i] = it.Graph
-		shapes[it.Graph] = it.Shape
+	}
+	if opts.GreedyOnly && !opts.Disable {
+		lp, err := NewLevelPlanner(graphs)
+		if err != nil {
+			return nil, err
+		}
+		return lp.Plan(items)
 	}
 	prob, refs, err := BuildProblem(graphs)
 	if err != nil {
@@ -167,10 +178,8 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 	}
 
 	var steps []int
-	var objective int64
 	optimal, nodes := false, 0
-	switch {
-	case opts.Disable:
+	if opts.Disable {
 		// Every op at its own step, ordered topologically.
 		order, err := topoOf(prob)
 		if err != nil {
@@ -180,14 +189,7 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 		for pos, op := range order {
 			steps[op] = pos
 		}
-		objective = milp.Objective(prob.Types, steps)
-	case opts.GreedyOnly:
-		sol, err := milp.GreedyLevels(prob)
-		if err != nil {
-			return nil, err
-		}
-		steps, objective = sol.Step, sol.Objective
-	default:
+	} else {
 		prob.Horizon = opts.Horizon
 		prob.MaxNodes = opts.MaxNodes
 		if prob.MaxNodes == 0 {
@@ -199,61 +201,36 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		steps, objective, optimal, nodes = sol.Step, sol.Objective, sol.Optimal, sol.Nodes
+		steps, optimal, nodes = sol.Step, sol.Optimal, sol.Nodes
 	}
 	if err := milp.Validate(milp.Problem{Types: prob.Types, Deps: prob.Deps}, steps); err != nil {
 		return nil, fmt.Errorf("fusion: internal: solver produced invalid steps: %w", err)
 	}
 
-	// Lower (step, type) groups into fused kernels.
-	type groupKey struct {
-		step int
-		ty   preproc.OpType
+	// Lower (step, type) buckets into fused kernels.
+	shapes := map[*preproc.Graph]preproc.Shape{}
+	for _, it := range items {
+		shapes[it.Graph] = it.Shape
 	}
-	groups := map[groupKey][]int{}
-	for i := range refs {
-		op := refs[i].graph.Ops[refs[i].idx]
-		k := groupKey{steps[i], op.Type()}
-		groups[k] = append(groups[k], i)
-	}
-	keys := make([]groupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].step != keys[b].step {
-			return keys[a].step < keys[b].step
+	types, pos := opTypes(graphs)
+	numSteps := 0
+	for _, s := range steps {
+		if s+1 > numSteps {
+			numSteps = s + 1
 		}
-		return keys[a].ty < keys[b].ty
-	})
-
-	plan := &Plan{Objective: objective, Optimal: optimal, Nodes: nodes, NumOps: len(refs)}
-	stepIdx := map[int]int{}
-	for _, k := range keys {
-		members := groups[k]
-		var fused preproc.KernelSpec
-		var ids []string
-		for j, m := range members {
-			op := refs[m].graph.Ops[refs[m].idx]
-			spec := op.Spec(shapes[refs[m].graph])
-			if j == 0 {
-				fused = spec
-			} else {
-				fused = fused.MustFuse(spec)
-			}
-			ids = append(ids, op.ID())
-		}
-		fused.Name = fmt.Sprintf("fused/%s@s%d x%d", k.ty, k.step, len(members))
-		si, ok := stepIdx[k.step]
-		if !ok {
-			si = len(plan.Steps)
-			stepIdx[k.step] = si
-			plan.Steps = append(plan.Steps, Step{Index: k.step})
-		}
-		plan.Steps[si].Kernels = append(plan.Steps[si].Kernels, fused)
-		plan.Steps[si].OpIDs = append(plan.Steps[si].OpIDs, ids)
-		plan.NumKernels++
 	}
+	flat := make([]int, len(refs))
+	for i, r := range refs {
+		flat[i] = steps[i]*len(types) + pos[r.graph.Ops[r.idx].Type()]
+	}
+	itemShapes := make([]preproc.Shape, len(items))
+	buckets := make([][]int, len(items))
+	for i, it := range items {
+		n := len(it.Graph.Ops)
+		itemShapes[i], buckets[i], flat = shapes[it.Graph], flat[:n:n], flat[n:]
+	}
+	plan := lower(items, itemShapes, buckets, types, numSteps)
+	plan.Optimal, plan.Nodes = optimal, nodes
 	return plan, nil
 }
 

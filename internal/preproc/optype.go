@@ -15,7 +15,6 @@ package preproc
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"rap/internal/gpusim"
 )
@@ -291,11 +290,13 @@ func (s KernelSpec) Kernel() gpusim.Kernel {
 }
 
 // MustFuse horizontally merges two same-type kernels: one launch,
-// combined elements (§6.1). Like every Must* helper it panics on
-// misuse — here, differing op types: both in-tree callers (the fusion
-// planner and the profile-set generator) group kernels by op type
-// before fusing, so a mixed-type pair is a programming error, not an
-// input condition.
+// combined elements (§6.1). The result keeps the receiver's Name: both
+// in-tree callers either rename the fused kernel (the fusion lowering)
+// or ignore names (the profile-set generator), so building a joined
+// name would only cost allocations. Like every Must* helper it panics
+// on misuse — here, differing op types: both callers group kernels by
+// op type before fusing, so a mixed-type pair is a programming error,
+// not an input condition.
 func (s KernelSpec) MustFuse(o KernelSpec) KernelSpec {
 	if s.Type != o.Type {
 		panic(fmt.Sprintf("preproc: cannot fuse %s with %s", s.Type, o.Type))
@@ -313,7 +314,7 @@ func (s KernelSpec) MustFuse(o KernelSpec) KernelSpec {
 		scale = (sc1*s.Elements + sc2*o.Elements) / total
 	}
 	return KernelSpec{
-		Name:       s.Name + "+" + o.Name,
+		Name:       s.Name,
 		Type:       s.Type,
 		Elements:   total,
 		ParamScale: scale,
@@ -351,7 +352,8 @@ func (s KernelSpec) MaxElementsForDemand(leftoverSM, leftoverBW float64) float64
 // Shard splits the kernel into a piece with the given fraction of the
 // elements and the remainder (§6.2's resource-aware kernel sharding).
 // Fractions are clipped to (0, 1) exclusive so both shards stay
-// non-empty.
+// non-empty. Both pieces keep the receiver's Name; the co-run scheduler
+// names the pieces it finally places (`~shard`, `~rest`).
 func (s KernelSpec) Shard(frac float64) (KernelSpec, KernelSpec) {
 	if frac < 0.001 {
 		frac = 0.001
@@ -359,10 +361,7 @@ func (s KernelSpec) Shard(frac float64) (KernelSpec, KernelSpec) {
 	if frac > 0.999 {
 		frac = 0.999
 	}
-	base := strings.TrimSuffix(strings.TrimSuffix(s.Name, "~shard"), "~rest")
 	a, b := s, s
-	a.Name = base + "~shard"
-	b.Name = base + "~rest"
 	a.Elements = s.Elements * frac
 	b.Elements = s.Elements * (1 - frac)
 	return a, b

@@ -200,12 +200,17 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 
 	// Step 3a: inter-GPU graph mapping. Candidate mappings are scored
 	// the way §7.2 prescribes: run the intra-GPU co-running schedule
-	// (Algorithm 1, with a fast greedy fusion) for the candidate
+	// (Algorithm 1, with the level-greedy fusion) for the candidate
 	// assignment and take the cost model's exposed latency plus the
-	// communication cost of the move. A candidate that fails to score
-	// records the first error for BuildPlan to return — an unscorable
-	// candidate means the search itself is compromised, not just that
-	// one move is unattractive.
+	// communication cost of the move. The level planner validates the
+	// plan's graphs once, so a candidate costs only its lowering. A
+	// candidate that fails to score records the first error for
+	// BuildPlan to return — an unscorable candidate means the search
+	// itself is compromised, not just that one move is unattractive.
+	levels, err := fusion.NewLevelPlanner(f.W.Plan.Graphs)
+	if err != nil {
+		return nil, err
+	}
 	var costErr error
 	fail := func(stage string, gpu int, err error) float64 {
 		if costErr == nil {
@@ -218,7 +223,13 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 		for i, a := range items {
 			sg[i] = fusion.ScaledGraph{Graph: a.Graph, Shape: a.Shape}
 		}
-		fp, err := fusion.PlanFusionScaled(sg, fusion.Options{GreedyOnly: true, Disable: opts.NoFusion})
+		var fp *fusion.Plan
+		var err error
+		if opts.NoFusion {
+			fp, err = fusion.PlanFusionScaled(sg, fusion.Options{Disable: true})
+		} else {
+			fp, err = levels.Plan(sg)
+		}
 		if err != nil {
 			return fail("greedy fusion", gpu, err)
 		}

@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 
 	"rap/internal/costmodel"
 	"rap/internal/fusion"
@@ -90,6 +91,47 @@ func (s *Schedule) AllKernels() []preproc.KernelSpec {
 	return append(out, s.Overflow...)
 }
 
+// part tells which piece of a planned kernel a scheduled piece is.
+type part uint8
+
+const (
+	wholePart part = iota // never split
+	shardPart             // the placed piece of a split
+	restPart              // the remainder of a split
+)
+
+// piece is a kernel in CoRunSchedule's queue. Splits keep the planned
+// kernel's name and only record the part, so a split that is tried and
+// discarded builds no string; named applies the suffix once the
+// schedule is final.
+type piece struct {
+	k    preproc.KernelSpec
+	part part
+}
+
+// named returns the pieces' kernels with their final names: a whole
+// kernel keeps its name; a split piece is the planned name without any
+// `~shard`/`~rest` suffix, plus its own. Empty input gives nil.
+func named(ps []piece) []preproc.KernelSpec {
+	if len(ps) == 0 {
+		return nil
+	}
+	out := make([]preproc.KernelSpec, len(ps))
+	for i, p := range ps {
+		out[i] = p.k
+		if p.part == wholePart {
+			continue
+		}
+		base := strings.TrimSuffix(strings.TrimSuffix(p.k.Name, "~shard"), "~rest")
+		if p.part == shardPart {
+			out[i].Name = base + "~shard"
+		} else {
+			out[i].Name = base + "~rest"
+		}
+	}
+	return out
+}
+
 // CoRunSchedule is Algorithm 1: it takes the fused kernel plan of one
 // GPU and the profiled stage capacities and greedily assigns kernels to
 // training stages, sharding a kernel when the remaining capacity of the
@@ -100,14 +142,18 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 	if plan == nil || cm == nil {
 		return nil, fmt.Errorf("sched: nil plan or cost model")
 	}
+	if cm.Pred == nil {
+		return nil, fmt.Errorf("sched: cost model has no predictor")
+	}
 	opts = opts.withDefaults()
 	numStages := len(cm.Caps)
-	out := &Schedule{PerStage: make([][]preproc.KernelSpec, numStages)}
 
 	// Lines 2-5: total predicted preprocessing latency.
-	queue := plan.Kernels()
+	kernels := plan.Kernels()
+	queue := make([]piece, len(kernels))
 	total := 0.0
-	for _, k := range queue {
+	for i, k := range kernels {
+		queue[i] = piece{k: k}
 		total += cm.Pred.Predict(k)
 	}
 
@@ -146,8 +192,8 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 	// stage's leftover headroom. Otherwise it is sharded (lines 21-26):
 	// demand-oversized kernels split into headroom-fitting pieces that
 	// serialize within the stage, capacity-oversized ones spill forward.
-	assign := func(queue []preproc.KernelSpec, selected []bool) (perStage [][]preproc.KernelSpec, overflow []preproc.KernelSpec, shards int) {
-		perStage = make([][]preproc.KernelSpec, numStages)
+	assign := func(queue []piece, selected []bool) (perStage [][]piece, overflow []piece, shards int) {
+		perStage = make([][]piece, numStages)
 		pos := 0
 		for s := 0; s < numStages && pos < len(queue); s++ {
 			if !selected[s] {
@@ -156,7 +202,7 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 			remaining := cm.Caps[s].Capacity * opts.PackFraction
 			leftover := cm.Caps[s].Leftover
 			for pos < len(queue) {
-				k := queue[pos]
+				k := queue[pos].k
 				p := cm.Pred.Predict(k)
 				if p <= 0 {
 					pos++
@@ -178,7 +224,7 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 					frac = capFrac
 				}
 				if frac >= 1 {
-					perStage[s] = append(perStage[s], k)
+					perStage[s] = append(perStage[s], queue[pos])
 					remaining -= p
 					pos++
 					continue
@@ -198,10 +244,10 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 				if p1 < opts.MinShardLatency || p1 > remaining+opts.MinShardLatency {
 					break // no useful piece fits this stage
 				}
-				perStage[s] = append(perStage[s], k1)
+				perStage[s] = append(perStage[s], piece{k: k1, part: shardPart})
 				remaining -= p1
 				shards++
-				queue[pos] = k2
+				queue[pos] = piece{k: k2, part: restPart}
 				// Keep filling this stage: more pieces may fit.
 			}
 		}
@@ -209,7 +255,7 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 		return perStage, overflow, shards
 	}
 
-	perStage, overflow, shards := assign(append([]preproc.KernelSpec(nil), queue...), selected)
+	perStage, overflow, shards := assign(append([]piece(nil), queue...), selected)
 	if len(overflow) > 0 {
 		// The selected stages were not enough (sharding overhead, demand
 		// limits): redo the assignment over every stage, preserving launch
@@ -218,11 +264,12 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 		for i := range all {
 			all[i] = true
 		}
-		perStage, overflow, shards = assign(append([]preproc.KernelSpec(nil), queue...), all)
+		perStage, overflow, shards = assign(append([]piece(nil), queue...), all)
 	}
-	out.PerStage = perStage
-	out.Overflow = overflow
-	out.NumShards = shards
+	out := &Schedule{PerStage: make([][]preproc.KernelSpec, numStages), Overflow: named(overflow), NumShards: shards}
+	for s, ps := range perStage {
+		out.PerStage[s] = named(ps)
+	}
 
 	cost, err := cm.ScheduleCost(out.PerStage)
 	if err != nil {

@@ -141,6 +141,41 @@ func TestCoRunScheduleNilArgs(t *testing.T) {
 	if _, err := CoRunSchedule(nil, nil, Options{}); err == nil {
 		t.Fatal("nil args accepted")
 	}
+	// A cost model built without NewCostModel can lack its predictor.
+	_, _, cm := testSetup(t, 2, 4096)
+	plan := fusedPlanFor(t, preproc.MustStandardPlan(0, nil).Graphs[:4], 4096)
+	if _, err := CoRunSchedule(plan, &costmodel.CostModel{Caps: cm.Caps}, Options{}); err == nil {
+		t.Fatal("cost model without a predictor accepted")
+	}
+}
+
+// TestCoRunScheduleShardNames pins the names of split pieces: each
+// placed piece is the planned kernel's name plus "~shard", the remainder
+// plus "~rest", however many times the remainder is split again.
+func TestCoRunScheduleShardNames(t *testing.T) {
+	_, _, cm := testSetup(t, 2, 4096)
+	g := &preproc.Graph{Name: "big", Ops: []preproc.Op{
+		preproc.NewNGram("ng", []string{"cat_0", "cat_1", "cat_2", "cat_3"}, "out", 3, 1000),
+	}}
+	plan := fusedPlanFor(t, []*preproc.Graph{g}, 65536)
+	name := plan.Kernels()[0].Name
+	sch, err := CoRunSchedule(plan, cm, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sch.NumShards < 2 {
+		t.Fatalf("%d shards; the test needs a remainder that is split again", sch.NumShards)
+	}
+	all := sch.AllKernels()
+	for i, k := range all {
+		want := name + "~shard"
+		if i == len(all)-1 {
+			want = name + "~rest"
+		}
+		if k.Name != want {
+			t.Fatalf("piece %d named %q, want %q", i, k.Name, want)
+		}
+	}
 }
 
 func TestSequentialSchedule(t *testing.T) {
