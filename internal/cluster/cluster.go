@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -149,7 +150,7 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 		if j.Shape.Iterations < 1 {
 			return nil, fmt.Errorf("cluster: job %d has %d iterations", j.ID, j.Shape.Iterations)
 		}
-		if j.ArrivalUs < 0 {
+		if !(j.ArrivalUs >= 0) || math.IsInf(j.ArrivalUs, 1) {
 			return nil, fmt.Errorf("cluster: job %d arrives at %g", j.ID, j.ArrivalUs)
 		}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -240,6 +241,12 @@ func TestSimulateErrors(t *testing.T) {
 	}
 	if _, err := s.Simulate([]Job{kaggleJob(0, -1, 2, 5)}); err == nil {
 		t.Fatal("negative arrival accepted")
+	}
+	if _, err := s.Simulate([]Job{kaggleJob(0, math.NaN(), 2, 5)}); err == nil {
+		t.Fatal("NaN arrival accepted")
+	}
+	if _, err := s.Simulate([]Job{kaggleJob(0, math.Inf(1), 2, 5)}); err == nil {
+		t.Fatal("+Inf arrival accepted")
 	}
 	stuck, err := New(Config{Topo: smallFleet(), Policy: rejectAll{}})
 	if err != nil {

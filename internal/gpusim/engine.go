@@ -144,10 +144,6 @@ type tagGrant struct {
 	sm float64
 }
 
-// arenaMin is the first TagShare arena chunk's size. It stays small:
-// capacity probing runs a two-op Sim per binary-search step.
-const arenaMin = 8
-
 // engine is the per-Run state of the event loop.
 type engine struct {
 	s       *Sim
@@ -170,6 +166,14 @@ type engine struct {
 	// indices, packed flat: op o's demands are dems[demOff[o]:demOff[o+1]].
 	demOff []int32
 	dems   []rtDemand
+	// childOff/children are the DAG in CSR form (built by Run): op o's
+	// children are children[childOff[o]:childOff[o+1]].
+	childOff []int32
+	children []OpID
+	// utilCap[g] bounds GPU g's segment count for presizing its timeline:
+	// 2 per op with an SM or bandwidth demand on g, 2 per capacity event,
+	// plus 2. Timelines exceeding it grow by append.
+	utilCap []int
 
 	speeds  []float64
 	running []*op
@@ -181,7 +185,7 @@ type engine struct {
 	hostDirty bool
 	// tags is the Run's sorted tag table; op.tagID indexes it.
 	tags []string
-	// arena backs the TagSM slices of appended segments.
+	// arena backs the TagSM slices of appended segments (see carve).
 	arena []TagShare
 
 	// Reusable buffers.
@@ -202,15 +206,19 @@ func (s *Sim) Run() (*Result, error) {
 		return nil, s.addErr
 	}
 
-	// Wire the DAG. lastDependent[d] is the last op wired as d's child,
-	// so a dependency listed twice by one op is wired once.
-	lastDependent := make([]OpID, len(s.ops))
+	// Wire the DAG into CSR form: op d's children are
+	// children[childOff[d]:childOff[d+1]], in op-ID order. lastDependent[d]
+	// is the last op counted as d's child, so a dependency listed twice
+	// by one op is wired once; the fill pass reuses it as d's cursor.
+	n := len(s.ops)
+	lastDependent := make([]OpID, n)
 	for i := range lastDependent {
 		lastDependent[i] = InvalidOp
 	}
+	childOff := make([]int32, n+1)
 	for _, o := range s.ops {
 		for _, d := range o.deps {
-			if d < 0 || int(d) >= len(s.ops) {
+			if d < 0 || int(d) >= n {
 				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", o.name, d)
 			}
 			if d == o.id {
@@ -220,12 +228,30 @@ func (s *Sim) Run() (*Result, error) {
 				continue
 			}
 			lastDependent[d] = o.id
-			s.ops[d].children = append(s.ops[d].children, o.id)
+			childOff[d+1]++
 			o.missing++
 		}
 	}
+	for i := 0; i < n; i++ {
+		childOff[i+1] += childOff[i]
+		lastDependent[i] = OpID(childOff[i])
+	}
+	children := make([]OpID, childOff[n])
+	for _, o := range s.ops {
+		for _, d := range o.deps {
+			// d's children fill in op-ID order, so a repeat of d in o's
+			// list finds o as the last child written.
+			if next := lastDependent[d]; next > OpID(childOff[d]) && children[next-1] == o.id {
+				continue
+			}
+			children[lastDependent[d]] = o.id
+			lastDependent[d]++
+		}
+	}
 
-	return newEngine(s).run()
+	e := newEngine(s)
+	e.childOff, e.children = childOff, children
+	return e.run()
 }
 
 func newEngine(s *Sim) *engine {
@@ -242,6 +268,7 @@ func newEngine(s *Sim) *engine {
 		demOff:    make([]int32, len(s.ops)+1),
 		speeds:    make([]float64, len(s.ops)),
 		utilDirty: make([]bool, g),
+		utilCap:   make([]int, g),
 		hostDirty: true,
 		tags:      internTags(s.ops),
 	}
@@ -257,15 +284,25 @@ func newEngine(s *Sim) *engine {
 	e.dems = make([]rtDemand, 0, total)
 	for i, o := range s.ops {
 		e.demOff[i] = int32(len(e.dems))
+		util := -1
 		for _, d := range o.demands {
 			e.dems = append(e.dems, rtDemand{
 				idx:  resIndex(d.kind, d.gpu, g),
 				kind: d.kind,
 				dem:  d.val,
 			})
+			if d.kind == resSM || d.kind == resBW {
+				util = d.gpu
+			}
+		}
+		if util >= 0 {
+			e.utilCap[util] += 2
 		}
 	}
 	e.demOff[len(s.ops)] = int32(len(e.dems))
+	for i := range e.utilCap {
+		e.utilCap[i] += 2*len(e.capEvents) + 2
+	}
 	return e
 }
 
@@ -435,6 +472,14 @@ func (e *engine) run() (*Result, error) {
 		Ops:  make([]OpResult, len(s.ops)),
 		Util: make([][]UtilSegment, e.numGPUs),
 	}
+	total := 0
+	for _, c := range e.utilCap {
+		total += c
+	}
+	segs := make([]UtilSegment, total)
+	for g, c := range e.utilCap {
+		res.Util[g], segs = segs[:0:c], segs[c:]
+	}
 
 	now := 0.0
 	done := 0
@@ -558,7 +603,7 @@ func (e *engine) run() (*Result, error) {
 			o.end = now
 			done++
 			res.Ops[o.id] = OpResult{ID: o.id, Name: o.name, Tag: o.tag, GPU: o.gpu, Start: o.start, End: o.end}
-			for _, c := range o.children {
+			for _, c := range e.children[e.childOff[o.id]:e.childOff[o.id+1]] {
 				child := s.ops[c]
 				child.missing--
 				if child.missing == 0 && child.state == opPending {
@@ -698,26 +743,12 @@ func (e *engine) tagsMatch(shares []TagShare, acc []tagGrant) bool {
 	return true
 }
 
-// carveTags copies the accumulator into a slice of the arena, starting
-// a chunk twice the previous one's size when the current chunk is full.
-// Earlier segments keep referencing the chunks they were carved from.
+// carveTags copies the accumulator into a slice carved from the arena.
 func (e *engine) carveTags(acc []tagGrant) []TagShare {
 	if len(acc) == 0 {
 		return nil
 	}
-	if cap(e.arena)-len(e.arena) < len(acc) {
-		size := 2 * cap(e.arena)
-		if size < arenaMin {
-			size = arenaMin
-		}
-		if size < len(acc) {
-			size = len(acc)
-		}
-		e.arena = make([]TagShare, 0, size)
-	}
-	n := len(e.arena)
-	e.arena = e.arena[:n+len(acc)]
-	out := e.arena[n : n+len(acc) : n+len(acc)]
+	out := carve(&e.arena, len(acc))
 	for i, tg := range acc {
 		out[i] = TagShare{Tag: e.tags[tg.id], SM: tg.sm}
 	}

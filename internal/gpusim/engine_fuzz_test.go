@@ -18,59 +18,96 @@ import (
 //	go test -run '^$' -fuzz FuzzEngineMatchesReference -fuzztime 60s ./internal/gpusim
 //
 // The arguments map onto 1–16 GPUs, 1–GPUs nodes and 0–12 capacity
-// windows; in-range values map to themselves.
+// windows; in-range values map to themselves. tiny gives the DAG's
+// zero-work kernels a work of timeEps/2 instead: started without launch
+// overhead, they end after 0 < dt ≤ timeEps, an event that records no
+// segment, so every GPU's next segment is a copy that does not extend
+// its last one — which overruns the engine's presized timelines.
 func FuzzEngineMatchesReference(f *testing.F) {
 	for _, c := range []struct {
 		seed                 int64
 		gpus, nodes, windows uint8
+		tiny                 bool
 	}{
-		{0, 1, 1, 0},
-		{1, 1, 1, 4},
-		{2, 2, 1, 0},
-		{3, 2, 2, 3},
-		{4, 3, 1, 6},
-		{5, 4, 2, 0},
-		{6, 4, 4, 5},
-		{7, 5, 2, 2},
-		{8, 6, 3, 8},
-		{9, 8, 1, 1},
-		{10, 8, 2, 4},
-		{11, 8, 8, 0},
-		{12, 12, 3, 7},
-		{13, 15, 4, 2},
-		{14, 16, 1, 5},
-		{15, 16, 2, 0},
-		{16, 16, 2, 9},
-		{17, 16, 16, 12},
+		{0, 1, 1, 0, false},
+		{1, 1, 1, 4, false},
+		{2, 2, 1, 0, false},
+		{3, 2, 2, 3, false},
+		{4, 3, 1, 6, false},
+		{5, 4, 2, 0, false},
+		{6, 4, 4, 5, false},
+		{7, 5, 2, 2, false},
+		{8, 6, 3, 8, false},
+		{9, 8, 1, 1, false},
+		{10, 8, 2, 4, false},
+		{11, 8, 8, 0, false},
+		{12, 12, 3, 7, false},
+		{13, 15, 4, 2, false},
+		{14, 16, 1, 5, false},
+		{15, 16, 2, 0, false},
+		{16, 16, 2, 9, false},
+		{17, 16, 16, 12, false},
+		{24, 4, 2, 0, true},
+		{18, 8, 2, 0, true},
+		{22, 8, 2, 0, true},
+		{20, 16, 2, 0, true},
 	} {
-		f.Add(c.seed, c.gpus, c.nodes, c.windows)
+		f.Add(c.seed, c.gpus, c.nodes, c.windows, c.tiny)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, gpus, nodes, windows uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, gpus, nodes, windows uint8, tiny bool) {
 		g := 1 + int(gpus-1)%16
-		n := 1 + int(nodes-1)%g
-		w := int(windows) % 13
-		got, err := buildFuzzDAG(t, seed, g, n, w).Run()
-		if err != nil {
-			t.Fatalf("engine: %v", err)
-		}
-		want, err := referenceRun(buildFuzzDAG(t, seed, g, n, w))
-		if err != nil {
-			t.Fatalf("reference: %v", err)
-		}
-		compareResults(t, int(seed), got, want)
-		if d, wd := ResultDigest(got), ResultDigest(want); d != wd {
-			t.Fatalf("digest %s != reference %s", d[:12], wd[:12])
-		}
+		d := fuzzDAG{seed: seed, gpus: g, nodes: 1 + int(nodes-1)%g, windows: int(windows) % 13, tiny: tiny}
+		checkAgainstReference(t, d)
 	})
 }
 
-// buildFuzzDAG builds a seeded random DAG on gpus GPUs grouped into
-// nodes nodes (block assignment, so every node is non-empty) with the
-// given number of capacity windows. It mixes every op kind, several
-// kernel tags per GPU, zero-work kernels, priorities, streams,
-// duplicated dependencies and, on some seeds, straggler inflation.
-func buildFuzzDAG(t *testing.T, seed int64, gpus, nodes, windows int) *Sim {
+// TestEngineMatchesReferenceLarge replays DAGs of 3,000+ ops across 8
+// and 16 GPUs and six streams through the engine and the reference
+// engine. The golden and fuzz DAGs stay under 140 ops; these fill the
+// engine's largest op-storage chunks (1024 entries) several times over.
+func TestEngineMatchesReferenceLarge(t *testing.T) {
+	for _, d := range []fuzzDAG{
+		{seed: 101, gpus: 8, nodes: 1, windows: 4, ops: 3000},
+		{seed: 102, gpus: 16, nodes: 2, windows: 8, ops: 3500, tiny: true},
+	} {
+		checkAgainstReference(t, d)
+	}
+}
+
+// checkAgainstReference runs DAG d through the engine and the reference
+// engine and requires bit-identical Results.
+func checkAgainstReference(t *testing.T, d fuzzDAG) {
 	t.Helper()
+	got, err := buildFuzzDAG(t, d).Run()
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	want, err := referenceRun(buildFuzzDAG(t, d))
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	compareResults(t, int(d.seed), got, want)
+	if d, wd := ResultDigest(got), ResultDigest(want); d != wd {
+		t.Fatalf("digest %s != reference %s", d[:12], wd[:12])
+	}
+}
+
+// fuzzDAG parameterizes buildFuzzDAG. ops 0 draws 40–139 ops.
+type fuzzDAG struct {
+	seed                      int64
+	gpus, nodes, windows, ops int
+	tiny                      bool
+}
+
+// buildFuzzDAG builds a seeded random DAG on d.gpus GPUs grouped into
+// d.nodes nodes (block assignment, so every node is non-empty) with
+// d.windows capacity windows. It mixes every op kind, several kernel
+// tags per GPU, zero-work (or, with d.tiny, timeEps/2-work) kernels,
+// priorities, streams, duplicated dependencies and, on some seeds,
+// straggler inflation.
+func buildFuzzDAG(t *testing.T, d fuzzDAG) *Sim {
+	t.Helper()
+	seed, gpus, nodes, windows := d.seed, d.gpus, d.nodes, d.windows
 	rng := rand.New(rand.NewSource(seed))
 	s := NewSim(ClusterConfig{
 		NumGPUs:   gpus,
@@ -97,6 +134,9 @@ func buildFuzzDAG(t *testing.T, seed int64, gpus, nodes, windows int) *Sim {
 
 	tags := []string{"train", "preproc", "emb", ""}
 	n := 40 + rng.Intn(100)
+	if d.ops > 0 {
+		n = d.ops
+	}
 	var ids []OpID
 	opts := func() []OpOption {
 		var o []OpOption
@@ -127,6 +167,9 @@ func buildFuzzDAG(t *testing.T, seed int64, gpus, nodes, windows int) *Sim {
 			}
 			if rng.Intn(5) == 0 {
 				k.Work = 0
+				if d.tiny {
+					k.Work, k.LaunchOverhead = timeEps/2, -1
+				}
 			}
 			id = s.AddKernel(rng.Intn(gpus), k, opts()...)
 		case 5:

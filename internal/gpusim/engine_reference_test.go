@@ -18,7 +18,8 @@ import (
 // contributions in the same (running-slice) order and the float math is
 // unchanged. Tag attribution still accumulates into a map per segment;
 // it is converted to the Result's sorted []TagShare only when a segment
-// is appended.
+// is appended. Each op's children are kept in a per-op slice local to
+// the run, as they once were in the op itself.
 
 type refResKey struct {
 	kind resKind
@@ -39,6 +40,7 @@ func referenceRun(s *Sim) (*Result, error) {
 	s.ran = true
 
 	// Wire the DAG.
+	children := make([][]OpID, len(s.ops))
 	for _, o := range s.ops {
 		seen := make(map[OpID]bool, len(o.deps))
 		for _, d := range o.deps {
@@ -52,7 +54,7 @@ func referenceRun(s *Sim) (*Result, error) {
 				continue
 			}
 			seen[d] = true
-			s.ops[d].children = append(s.ops[d].children, o.id)
+			children[d] = append(children[d], o.id)
 			o.missing++
 		}
 	}
@@ -183,7 +185,7 @@ func referenceRun(s *Sim) (*Result, error) {
 			o.end = now
 			done++
 			res.Ops[o.id] = OpResult{ID: o.id, Name: o.name, Tag: o.tag, GPU: o.gpu, Start: o.start, End: o.end}
-			for _, c := range o.children {
+			for _, c := range children[o.id] {
 				child := s.ops[c]
 				child.missing--
 				if child.missing == 0 && child.state == opPending {

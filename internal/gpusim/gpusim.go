@@ -192,7 +192,7 @@ const numResKinds = int(resCPU) + 1
 const resFabric = resKind(numResKinds)
 
 // demandSpec is one (resource, demand) requirement of an op. Demands are
-// stored as a short slice (at most two entries) rather than a map: the
+// stored as a short slice (at most four entries) rather than a map: the
 // engine iterates them on every event, and map traversal plus hashing
 // dominated the old hot path.
 type demandSpec struct {
@@ -235,9 +235,8 @@ type op struct {
 	// full-rescan implementation did (bit-identical results).
 	startSeq int
 
-	deps     []OpID
-	children []OpID
-	missing  int // unfinished deps
+	deps    []OpID
+	missing int // unfinished deps
 
 	state opState
 	start float64
@@ -377,6 +376,15 @@ type Sim struct {
 	ops     []*op
 	streams map[string]OpID // last op per stream, for implicit chaining
 	ran     bool
+	// Op storage: ops, their demand specs and their dependency lists are
+	// carved from chunks (see carve), so adding an op costs no heap
+	// allocation of its own once a chunk has room. depBuf collects the
+	// dependencies WithDeps and WithStream add to the op being built; add
+	// copies it into depChunk once per op.
+	opChunk  []op
+	demChunk []demandSpec
+	depChunk []OpID
+	depBuf   []OpID
 	// addErr records the first invalid Add* call (e.g. an out-of-range
 	// GPU); Run reports it instead of executing. Deferred error
 	// reporting keeps the builder surface panic-free, matching the
@@ -476,9 +484,10 @@ func (s *Sim) Topology() *topo.Topology { return s.topo }
 // OpOption customizes an op at add time.
 type OpOption func(*op, *Sim)
 
-// WithDeps makes the op wait for the given ops.
+// WithDeps makes the op wait for the given ops. The ids are copied when
+// the op is added: the caller may reuse or modify the slice afterwards.
 func WithDeps(ids ...OpID) OpOption {
-	return func(o *op, _ *Sim) { o.deps = append(o.deps, ids...) }
+	return func(_ *op, s *Sim) { s.depBuf = append(s.depBuf, ids...) }
 }
 
 // WithStream serializes the op after the previous op added to the same
@@ -487,7 +496,7 @@ func WithDeps(ids ...OpID) OpOption {
 func WithStream(key string) OpOption {
 	return func(o *op, s *Sim) {
 		if last, ok := s.streams[key]; ok {
-			o.deps = append(o.deps, last)
+			s.depBuf = append(s.depBuf, last)
 		}
 		s.streams[key] = o.id
 	}
@@ -504,13 +513,52 @@ func WithTag(tag string) OpOption {
 	return func(o *op, _ *Sim) { o.tag = tag }
 }
 
-func (s *Sim) add(o *op, opts ...OpOption) OpID {
-	o.id = OpID(len(s.ops))
-	s.ops = append(s.ops, o)
-	for _, f := range opts {
-		f(o, s)
+// Op-storage chunk sizes: the first chunk holds chunkMin entries and
+// each later one twice its predecessor's, up to chunkMax. The first
+// chunk fits a capacity probe, which runs a two-op Sim per
+// binary-search step (an 8-op first chunk cost BuildPlan 0.2 MB/op);
+// the cap bounds what a full chunk can strand.
+const (
+	chunkMin = 2
+	chunkMax = 1024
+)
+
+// carve returns n zeroed entries of *chunk, capacity-limited so appends
+// to them never write into the chunk. When the current chunk lacks room
+// it starts a new one; earlier carvings keep referencing theirs.
+func carve[T any](chunk *[]T, n int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(min(2*cap(c), chunkMax), chunkMin, n))
 	}
-	return o.id
+	m := len(c)
+	*chunk = c[:m+n]
+	return c[m : m+n : m+n]
+}
+
+// demands carves the op's demand specs.
+func (s *Sim) demands(ds ...demandSpec) []demandSpec {
+	out := carve(&s.demChunk, len(ds))
+	copy(out, ds)
+	return out
+}
+
+// add stores o, applies the options and copies the dependencies they
+// collected into the op's own storage.
+func (s *Sim) add(o op, opts ...OpOption) OpID {
+	p := &carve(&s.opChunk, 1)[0]
+	*p = o
+	p.id = OpID(len(s.ops))
+	s.ops = append(s.ops, p)
+	s.depBuf = s.depBuf[:0]
+	for _, f := range opts {
+		f(p, s)
+	}
+	if len(s.depBuf) > 0 {
+		p.deps = carve(&s.depChunk, len(s.depBuf))
+		copy(p.deps, s.depBuf)
+	}
+	return p.id
 }
 
 // InvalidOp is the OpID returned by Add* calls rejected at add time
@@ -555,7 +603,7 @@ func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
 		return InvalidOp
 	}
 	d := k.Demand.Clamp()
-	o := &op{
+	o := op{
 		name:         k.Name,
 		tag:          k.Tag,
 		gpu:          gpu,
@@ -563,12 +611,14 @@ func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
 		overheadLeft: k.overhead(),
 		workLeft:     math.Max(k.Work, 0),
 	}
+	ds := make([]demandSpec, 0, 2)
 	if d.SM > 0 {
-		o.demands = append(o.demands, demandSpec{resSM, gpu, d.SM})
+		ds = append(ds, demandSpec{resSM, gpu, d.SM})
 	}
 	if d.MemBW > 0 {
-		o.demands = append(o.demands, demandSpec{resBW, gpu, d.MemBW})
+		ds = append(ds, demandSpec{resBW, gpu, d.MemBW})
 	}
+	o.demands = s.demands(ds...)
 	return s.add(o, opts...)
 }
 
@@ -588,37 +638,38 @@ func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption
 		if work < 0.5 {
 			work = 0.5
 		}
-		o := &op{
+		o := op{
 			name:     name,
 			tag:      "comm",
 			gpu:      src,
 			workLeft: work,
-			demands:  []demandSpec{{resBW, src, 1}},
+			demands:  s.demands(demandSpec{resBW, src, 1}),
 		}
 		return s.add(o, opts...)
 	}
 	work := bytes / (s.cfg.LinkGBs * 1e3) // µs at full link speed
-	o := &op{
+	o := op{
 		name:     name,
 		tag:      "comm",
 		gpu:      src,
 		workLeft: work,
-		demands: []demandSpec{
-			{resLinkOut, src, 1},
-			{resLinkIn, dst, 1},
-		},
 	}
+	ds := append(make([]demandSpec, 0, 4),
+		demandSpec{resLinkOut, src, 1},
+		demandSpec{resLinkIn, dst, 1},
+	)
 	// A cross-node transfer additionally occupies both endpoints' fabric
 	// links: it leaves the source node's uplink and enters the
 	// destination node's. The demand is the flow's NVLink rate expressed
 	// in fabric-link units, so a slower fabric (FabricGBs < LinkGBs)
 	// saturates below one flow and slows it even alone.
 	if s.numFabric > 0 && s.nodeOf[src] != s.nodeOf[dst] {
-		o.demands = append(o.demands,
+		ds = append(ds,
 			demandSpec{resFabric, s.nodeOf[src], s.fabricShare},
 			demandSpec{resFabric, s.nodeOf[dst], s.fabricShare},
 		)
 	}
+	o.demands = s.demands(ds...)
 	return s.add(o, opts...)
 }
 
@@ -631,16 +682,16 @@ func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) O
 		return InvalidOp
 	}
 	work := bytes / (s.cfg.LinkGBs * 1e3)
-	o := &op{
+	o := op{
 		name:     name,
 		tag:      "comm",
 		gpu:      g,
 		workLeft: work,
-		demands: []demandSpec{
-			{resLinkOut, g, 1},
-			{resLinkIn, g, 1},
-		},
 	}
+	ds := append(make([]demandSpec, 0, 3),
+		demandSpec{resLinkOut, g, 1},
+		demandSpec{resLinkIn, g, 1},
+	)
 	// Under a multi-node topology a collective participant's traffic is
 	// partly cross-node: with all-to-all-style uniform peering, the
 	// fraction of g's peers outside its node is (N−k)/(N−1) for a node
@@ -649,9 +700,10 @@ func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) O
 		node := s.nodeOf[g]
 		frac := float64(s.cfg.NumGPUs-s.nodeSize[node]) / float64(s.cfg.NumGPUs-1)
 		if frac > 0 {
-			o.demands = append(o.demands, demandSpec{resFabric, node, frac * s.fabricShare})
+			ds = append(ds, demandSpec{resFabric, node, frac * s.fabricShare})
 		}
 	}
+	o.demands = s.demands(ds...)
 	return s.add(o, opts...)
 }
 
@@ -663,12 +715,12 @@ func (s *Sim) AddHostCopy(name string, g int, bytes float64, opts ...OpOption) O
 		return InvalidOp
 	}
 	work := bytes / (s.cfg.CopyGBs * 1e3)
-	o := &op{
+	o := op{
 		name:     name,
 		tag:      "hostcopy",
 		gpu:      g,
 		workLeft: work,
-		demands:  []demandSpec{{resCopy, g, 1}},
+		demands:  s.demands(demandSpec{resCopy, g, 1}),
 	}
 	return s.add(o, opts...)
 }
@@ -686,20 +738,19 @@ func (s *Sim) AddCPU(name string, micros float64, workers int, opts ...OpOption)
 	if frac > 1 {
 		frac = 1
 	}
-	o := &op{
+	o := op{
 		name:     name,
 		tag:      "cpu",
 		gpu:      -1,
 		workLeft: micros,
-		demands:  []demandSpec{{resCPU, 0, frac}},
+		demands:  s.demands(demandSpec{resCPU, 0, frac}),
 	}
 	return s.add(o, opts...)
 }
 
 // AddBarrier schedules a zero-duration synchronization op.
 func (s *Sim) AddBarrier(name string, opts ...OpOption) OpID {
-	o := &op{name: name, tag: "sync", gpu: -1}
-	return s.add(o, opts...)
+	return s.add(op{name: name, tag: "sync", gpu: -1}, opts...)
 }
 
 // NumOps returns the number of ops added so far.

@@ -292,6 +292,35 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestWithDepsCopiesCallerSlice: WithDeps copies its ids when the op is
+// added, so a caller may reuse the slice for the next op (the pipeline
+// builder does). Overwriting it after AddKernel must not rewire the DAG.
+func TestWithDepsCopiesCallerSlice(t *testing.T) {
+	build := func(mutate bool) *Sim {
+		s := NewSim(ClusterConfig{NumGPUs: 2})
+		a := s.AddKernel(0, Kernel{Name: "a", Work: 30, Demand: Demand{SM: 0.5}})
+		b := s.AddKernel(1, Kernel{Name: "b", Work: 5, Demand: Demand{SM: 0.5}})
+		deps := []OpID{a}
+		s.AddKernel(1, Kernel{Name: "c", Work: 10, Demand: Demand{SM: 0.6}}, WithDeps(deps...))
+		if mutate {
+			deps[0] = b // c must still wait for a, not b
+		}
+		s.AddKernel(0, Kernel{Name: "d", Work: 10, Demand: Demand{SM: 0.6}}, WithDeps(b))
+		return s
+	}
+	want, err := build(false).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := build(true).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, wd := ResultDigest(got), ResultDigest(want); d != wd {
+		t.Fatalf("mutating the WithDeps slice after AddKernel changed the result: %s != %s", d[:12], wd[:12])
+	}
+}
+
 func TestRunTwiceRejected(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1})
 	s.AddKernel(0, Kernel{Name: "a", Work: 1, Demand: Demand{SM: 0.1}})

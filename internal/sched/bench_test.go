@@ -7,10 +7,12 @@ import (
 	"rap/internal/preproc"
 )
 
-// BenchmarkPipeline times BuildAndRun on the shape of the fleet
-// benchmark's largest job: Terabyte plan 3 on 16 GPUs for 8 iterations,
-// with GPU preprocessing kernels on every GPU. DAG construction and the
-// gpusim run are both timed; planning is set-up.
+// BenchmarkPipeline times BuildAndRun of Terabyte plan 3 on 16 GPUs for
+// 8 iterations, with a test-built schedule of GPU preprocessing kernels
+// on every GPU (16,568 ops). The fleet benchmark's real 16-GPU job, with
+// the rap planner's sharded schedule, is cluster's BenchmarkFleetJob.
+// DAG construction and the gpusim run are both timed; planning is
+// set-up.
 // `go test -run '^$' -bench BenchmarkPipeline ./internal/sched`.
 func BenchmarkPipeline(b *testing.B) {
 	const n = 16

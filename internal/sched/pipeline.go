@@ -6,6 +6,7 @@ import (
 	"rap/internal/chaos"
 	"rap/internal/dlrm"
 	"rap/internal/gpusim"
+	"rap/internal/preproc"
 	"rap/internal/topo"
 )
 
@@ -180,22 +181,27 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 	return stats, nil
 }
 
-// gpuStreams caches one GPU's simulator stream keys; deriving them once
-// per run instead of once per (iteration × GPU) keeps string formatting
-// out of DAG construction.
-type gpuStreams struct {
+// gpuPlan caches what every batch of one GPU shares: its simulator
+// stream keys and its schedule lowered to simulator kernels. Deriving
+// them once per run instead of once per (iteration × GPU) keeps string
+// formatting and kernel lowering out of DAG construction.
+type gpuPlan struct {
 	prep   string // data-preparation stream (host prep + H2D copy)
 	pre    string // preprocessing kernel stream
 	cpupre string // CPU-preprocessing stream (TorchArrow/hybrid mode)
 	// kernel holds the round-robin kernel streams when PreprocStreams>1.
 	kernel []string
+	// perStage[s] and overflow are Schedule.PerStage[s] and
+	// Schedule.Overflow lowered by KernelSpec.Kernel.
+	perStage [][]gpusim.Kernel
+	overflow []gpusim.Kernel
 }
 
 // pipelineBuilder accumulates the pipelined training DAG for one run.
 // It precomputes every structure identical across iterations — the
 // per-GPU training-stage template (via dlrm.IterTemplate) and the
-// per-GPU stream names — so adding iteration i derives only what
-// actually depends on i. Callers that replay many pipelines per decision
+// per-GPU gpuPlan — so adding iteration i derives only what actually
+// depends on i. Callers that replay many pipelines per decision
 // (capacity estimation, baselines, the experiment grids) construct
 // hundreds of these DAGs per call, which made the per-iteration
 // re-derivation measurable.
@@ -204,8 +210,11 @@ type pipelineBuilder struct {
 	tmpl    *dlrm.IterTemplate
 	work    []GPUWork
 	opts    PipelineOptions
-	streams []gpuStreams
+	gpus    []gpuPlan
 	handles []dlrm.IterHandle
+	// deps is the kernel-dependency buffer, reused across kernels:
+	// WithDeps copies its ids when the op is added.
+	deps []gpusim.OpID
 }
 
 func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placement, work []GPUWork, opts PipelineOptions) (*pipelineBuilder, error) {
@@ -224,24 +233,40 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 		tmpl:    tmpl,
 		work:    work,
 		opts:    opts,
-		streams: make([]gpuStreams, cluster.NumGPUs),
+		gpus:    make([]gpuPlan, cluster.NumGPUs),
 		handles: make([]dlrm.IterHandle, 0, opts.Iterations),
 	}
-	for g := range b.streams {
-		st := gpuStreams{
+	for g := range b.gpus {
+		gp := gpuPlan{
 			prep:   fmt.Sprintf("prep/g%d", g),
 			pre:    fmt.Sprintf("pre/g%d", g),
 			cpupre: fmt.Sprintf("cpupre/g%d", g),
 		}
 		if opts.PreprocStreams > 1 {
-			st.kernel = make([]string, opts.PreprocStreams)
-			for i := range st.kernel {
-				st.kernel[i] = fmt.Sprintf("%s/s%d", st.pre, i)
+			gp.kernel = make([]string, opts.PreprocStreams)
+			for i := range gp.kernel {
+				gp.kernel[i] = fmt.Sprintf("%s/s%d", gp.pre, i)
 			}
 		}
-		b.streams[g] = st
+		if sch := work[g].Schedule; sch != nil {
+			gp.perStage = make([][]gpusim.Kernel, len(sch.PerStage))
+			for s, specs := range sch.PerStage {
+				gp.perStage[s] = lowerKernels(specs)
+			}
+			gp.overflow = lowerKernels(sch.Overflow)
+		}
+		b.gpus[g] = gp
 	}
 	return b, nil
+}
+
+// lowerKernels lowers kernel specs to simulator kernels.
+func lowerKernels(specs []preproc.KernelSpec) []gpusim.Kernel {
+	ks := make([]gpusim.Kernel, len(specs))
+	for i, spec := range specs {
+		ks[i] = spec.Kernel()
+	}
+	return ks
 }
 
 // addIteration appends iteration i (batch preprocessing on every GPU
@@ -278,14 +303,14 @@ func (b *pipelineBuilder) addIteration(i int) error {
 func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 	sim, w, opts := b.sim, b.work[g], b.opts
 	handles := b.handles
-	ss := &b.streams[g]
+	gp := &b.gpus[g]
 	prefix := fmt.Sprintf("b%d/g%d/", i, g)
 	nextStream := 0
 	kernelStream := func() string {
 		if opts.PreprocStreams <= 1 {
-			return ss.pre
+			return gp.pre
 		}
-		s := ss.kernel[nextStream]
+		s := gp.kernel[nextStream]
 		nextStream = (nextStream + 1) % opts.PreprocStreams
 		return s
 	}
@@ -316,13 +341,13 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 	var prepOps []gpusim.OpID
 	if w.CPUPrepUs > 0 {
 		id := sim.AddCPU(prefix+"prep", w.CPUPrepUs, w.workers(),
-			gpusim.WithStream(ss.prep), gpusim.WithDeps(prepAnchor()...))
+			gpusim.WithStream(gp.prep), gpusim.WithDeps(prepAnchor()...))
 		prepOps = append(prepOps, id)
 		last = id
 	}
 	if w.PrepBytes > 0 {
 		id := sim.AddHostCopy(prefix+"h2d", g, w.PrepBytes,
-			gpusim.WithStream(ss.prep), gpusim.WithDeps(prepAnchor()...))
+			gpusim.WithStream(gp.prep), gpusim.WithDeps(prepAnchor()...))
 		prepOps = append(prepOps, id)
 		last = id
 	}
@@ -332,13 +357,14 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 	// serializes behind GPU kernels.
 	var gates []gpusim.OpID
 	if w.CPUPreprocUs > 0 {
-		deps := append([]gpusim.OpID(nil), prepOps...)
+		deps := append(b.deps[:0], prepOps...)
 		if i > 0 {
 			// Pipeline the CPU work against the previous iteration.
 			deps = append(deps, handles[i-1].StageStartDeps[g][0]...)
 		}
+		b.deps = deps
 		id := sim.AddCPU(prefix+"cpu_preproc", w.CPUPreprocUs, w.workers(),
-			gpusim.WithStream(ss.cpupre), gpusim.WithDeps(deps...))
+			gpusim.WithStream(gp.cpupre), gpusim.WithDeps(deps...))
 		gates = append(gates, id)
 		if w.Schedule == nil {
 			return append(gates, b.finishCommGates(g, id, prefix)...), nil
@@ -356,18 +382,16 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 
 	// GPU preprocessing kernels, serialized on the preprocessing stream,
 	// each anchored to its assigned training stage.
-	addKernel := func(spec interface{ Kernel() gpusim.Kernel }, deps []gpusim.OpID) gpusim.OpID {
-		k := spec.Kernel()
+	addKernel := func(k gpusim.Kernel, deps []gpusim.OpID) gpusim.OpID {
 		k.Name = prefix + k.Name
 		return sim.AddKernel(g, k,
 			gpusim.WithStream(kernelStream()),
 			gpusim.WithDeps(deps...),
 			gpusim.WithPriority(opts.PreprocPriority))
 	}
-	numStages := len(w.Schedule.PerStage)
-	for s := 0; s < numStages; s++ {
-		for _, spec := range w.Schedule.PerStage[s] {
-			var deps []gpusim.OpID
+	for s, ks := range gp.perStage {
+		for _, k := range ks {
+			deps := b.deps[:0]
 			if opts.SequentialPreproc {
 				if i > 0 {
 					deps = append(deps, handles[i-1].End)
@@ -375,19 +399,20 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 			} else {
 				deps = append(deps, kernelAnchor(s)...)
 			}
-			deps = append(deps, prepOps...)
-			last = addKernel(spec, deps)
+			b.deps = append(deps, prepOps...)
+			last = addKernel(k, b.deps)
 		}
 	}
-	for _, spec := range w.Schedule.Overflow {
-		var deps []gpusim.OpID
+	numStages := len(gp.perStage)
+	for _, k := range gp.overflow {
+		deps := b.deps[:0]
 		if opts.SequentialPreproc && i > 0 {
 			deps = append(deps, handles[i-1].End)
 		} else if !opts.SequentialPreproc && numStages > 0 {
 			deps = append(deps, kernelAnchor(numStages-1)...)
 		}
-		deps = append(deps, prepOps...)
-		last = addKernel(spec, deps)
+		b.deps = append(deps, prepOps...)
+		last = addKernel(k, b.deps)
 	}
 	return append(gates, b.finishCommGates(g, last, prefix)...), nil
 }
@@ -408,6 +433,6 @@ func (b *pipelineBuilder) finishCommGates(g int, last gpusim.OpID, prefix string
 		deps = append(deps, last)
 	}
 	id := b.sim.AddLinkBusy(prefix+"input_comm", g, w.InputCommBytes,
-		gpusim.WithStream(b.streams[g].pre), gpusim.WithDeps(deps...))
+		gpusim.WithStream(b.gpus[g].pre), gpusim.WithDeps(deps...))
 	return []gpusim.OpID{id}
 }
