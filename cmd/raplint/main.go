@@ -7,13 +7,9 @@
 // keep the //lint:ignore inventory honest; the v3 flow-sensitive
 // analyzers — dimcheck, floatreduce — propagate `//rap:unit`
 // dimensions through an SSA value-flow layer and flag float
-// accumulations whose order is not statically deterministic; and the
-// v4 concurrency-soundness analyzers — lockorder, atomicplain,
-// wgcheck, goroutineleak — find lock-order cycles across the call
-// graph, mixed atomic/plain access to the same word, WaitGroup misuse,
-// and goroutines that can block forever (see internal/lint and
-// DESIGN.md §6). Every run type-checks and analyzes every target
-// package from source, one package at a time.
+// accumulations whose order is not statically deterministic (see
+// internal/lint and DESIGN.md §6). Every run type-checks and analyzes
+// every target package from source, one package at a time.
 //
 // Usage:
 //
@@ -100,8 +96,8 @@ func writeReport(path string, write func(*os.File) error) error {
 }
 
 func printTiming(stats *lint.Stats) {
-	fmt.Fprintf(os.Stderr, "raplint: %d packages in %s (load %s, analyze %s, ssa build %s, conc build %s)\n",
-		stats.Packages, round(stats.Total), round(stats.Load), round(stats.Analyze), round(stats.SSABuild), round(stats.ConcBuild))
+	fmt.Fprintf(os.Stderr, "raplint: %d packages in %s (load %s, analyze %s, ssa build %s)\n",
+		stats.Packages, round(stats.Total), round(stats.Load), round(stats.Analyze), round(stats.SSABuild))
 	names := make([]string, 0, len(stats.PerAnalyzer))
 	for name := range stats.PerAnalyzer {
 		names = append(names, name)

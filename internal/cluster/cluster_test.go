@@ -66,6 +66,21 @@ func TestGenerateJobsDeterministic(t *testing.T) {
 	if _, err := GenerateJobs(GenConfig{Seed: 1, NumJobs: 1, MeanGapUs: -5}); err == nil {
 		t.Fatal("negative arrival gap accepted")
 	}
+	for _, gap := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := GenerateJobs(GenConfig{Seed: 1, NumJobs: 1, MeanGapUs: gap}); err == nil {
+			t.Fatalf("arrival gap %v accepted", gap)
+		}
+	}
+	def, err := GenerateJobs(GenConfig{Seed: 1, NumJobs: 3, MeanGapUs: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gap := range []float64{0, math.Copysign(0, -1)} {
+		got, err := GenerateJobs(GenConfig{Seed: 1, NumJobs: 3, MeanGapUs: gap})
+		if err != nil || !reflect.DeepEqual(got, def) {
+			t.Fatalf("arrival gap %v must take the 2000 µs default: err %v", gap, err)
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"rap/internal/rap"
@@ -63,8 +64,8 @@ func GenerateJobs(cfg GenConfig) ([]Job, error) {
 	if cfg.NumJobs < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 job, got %d", cfg.NumJobs)
 	}
-	if cfg.MeanGapUs < 0 {
-		return nil, fmt.Errorf("cluster: mean arrival gap %g must be positive", cfg.MeanGapUs)
+	if cfg.MeanGapUs < 0 || math.IsNaN(cfg.MeanGapUs) || math.IsInf(cfg.MeanGapUs, 0) {
+		return nil, fmt.Errorf("cluster: mean arrival gap %g must be positive and finite", cfg.MeanGapUs)
 	}
 	if !(cfg.MeanGapUs > 0) { // zero (incl. -0) takes the default
 		cfg.MeanGapUs = 2000

@@ -7,6 +7,7 @@ package dlrm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -70,6 +71,19 @@ func (c Config) Validate() error {
 	}
 	if len(c.BottomArch) == 0 || len(c.TopArch) == 0 {
 		return fmt.Errorf("dlrm: %s: empty MLP arch", c.Name)
+	}
+	for i, w := range c.BottomArch {
+		if w <= 0 {
+			return fmt.Errorf("dlrm: %s: BottomArch layer %d has width %d", c.Name, i, w)
+		}
+	}
+	for i, w := range c.TopArch {
+		if w <= 0 {
+			return fmt.Errorf("dlrm: %s: TopArch layer %d has width %d", c.Name, i, w)
+		}
+	}
+	if math.IsNaN(c.AvgPooling) || math.IsInf(c.AvgPooling, 0) {
+		return fmt.Errorf("dlrm: %s: AvgPooling %v is not finite", c.Name, c.AvgPooling)
 	}
 	if len(c.TableSizes) == 0 {
 		return fmt.Errorf("dlrm: %s: no embedding tables", c.Name)

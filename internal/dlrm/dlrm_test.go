@@ -33,11 +33,19 @@ func TestConfigValidate(t *testing.T) {
 		{NumDense: 1, EmbeddingDim: 8, BottomArch: []int{4}, TopArch: []int{4}, BatchSize: 4},
 		{NumDense: 1, EmbeddingDim: 8, BottomArch: []int{4}, TopArch: []int{4}, TableSizes: []int64{0}, BatchSize: 4},
 		{NumDense: 1, EmbeddingDim: 8, BottomArch: []int{4}, TopArch: []int{4}, TableSizes: []int64{5}},
+		{NumDense: 1, EmbeddingDim: 8, BottomArch: []int{-4}, TopArch: []int{4}, TableSizes: []int64{5}, BatchSize: 4},
+		{NumDense: 1, EmbeddingDim: 8, BottomArch: []int{4}, TopArch: []int{0}, TableSizes: []int64{5}, BatchSize: 4},
+		{NumDense: 1, EmbeddingDim: 8, BottomArch: []int{4}, TopArch: []int{4}, TableSizes: []int64{5}, BatchSize: 4, AvgPooling: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
+	}
+	// A non-positive AvgPooling is not an error: it defaults to 1.
+	good.AvgPooling = -2
+	if err := good.Validate(); err != nil || good.pooling() != 1 {
+		t.Fatalf("AvgPooling -2: err %v, pooling %v", err, good.pooling())
 	}
 }
 

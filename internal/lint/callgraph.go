@@ -61,7 +61,7 @@ type funcNode struct {
 // call graph over all loaded packages, per-package ignore indexes, the
 // guarded-field contract map, and the //rap:deterministic annotation
 // index. Passes must run one at a time: they mark directive usage and
-// build the fact bases below lazily, without synchronization.
+// build the dim fact base below lazily, without synchronization.
 type Program struct {
 	Packages []*Package
 
@@ -76,10 +76,6 @@ type Program struct {
 	// dim is the v3 SSA value-flow layer (see ssa.go), built lazily by
 	// the first dimcheck pass.
 	dim *dimFacts
-
-	// conc is the v4 concurrency fact base (see conc.go), built lazily
-	// by the first v4 pass.
-	conc *concFacts
 }
 
 // NewProgram joins type-checked packages into a Program, building the

@@ -13,10 +13,7 @@ type Stats struct {
 	// SSABuild is the one-time construction of the v3 value-flow facts
 	// (ssa.go), paid inside the first dimcheck pass of a run.
 	SSABuild time.Duration
-	// ConcBuild is the one-time construction of the v4 concurrency
-	// facts (conc.go), paid inside the first v4 pass of a run.
-	ConcBuild time.Duration
-	Total     time.Duration
+	Total    time.Duration
 	// PerAnalyzer is wall time attributed to each analyzer, summed
 	// across packages.
 	PerAnalyzer map[string]time.Duration
@@ -60,7 +57,6 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, *Stat
 	SortFindings(findings)
 
 	stats.SSABuild = prog.DimFactsBuildTime()
-	stats.ConcBuild = prog.ConcFactsBuildTime()
 	//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 	stats.Total = time.Since(start)
 	stats.Analyze = stats.Total - stats.Load

@@ -12,15 +12,15 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden report files under testdata/golden")
 
-// TestV4GoldenReports pins the exact JSON encoding of one finding from
-// each v4 analyzer. The Go toolchain version embedded in
-// the JSON report is normalized to GOVERSION so the files survive
-// toolchain bumps; regenerate intentional changes with
-// `go test ./internal/lint -run TestV4Golden -update`.
-func TestV4GoldenReports(t *testing.T) {
-	pkg, _ := loadFixture(t, filepath.Join("testdata", "src", "v4golden"), "rap/internal/v4golden")
+// TestReportGolden pins the exact JSON encoding of one finding each
+// from floateq, panicpath and seededrand. The Go toolchain version
+// embedded in the JSON report is normalized to GOVERSION so the file
+// survives toolchain bumps; regenerate intentional changes with
+// `go test ./internal/lint -run TestReportGolden -update`.
+func TestReportGolden(t *testing.T) {
+	pkg, _ := loadFixture(t, filepath.Join("testdata", "src", "reportgolden"), "rap/internal/reportgolden")
 	prog := NewProgram([]*Package{pkg})
-	suite := []*Analyzer{LockOrder, AtomicPlain, WGCheck, GoroutineLeak}
+	suite := []*Analyzer{FloatEq, PanicPath, SeededRand}
 	var findings []Finding
 	prog.RunPackage(pkg, suite, &findings)
 	SortFindings(findings)
@@ -43,7 +43,7 @@ func TestV4GoldenReports(t *testing.T) {
 		t.Fatalf("WriteJSONReport: %v", err)
 	}
 	jsonOut := strings.ReplaceAll(jsonBuf.String(), runtime.Version(), "GOVERSION")
-	compareGolden(t, "v4.json", jsonOut)
+	compareGolden(t, "report.json", jsonOut)
 }
 
 // compareGolden diffs got against testdata/golden/<name>, rewriting the

@@ -10,9 +10,13 @@
 // carrying a static call graph, so the detaint analyzer can follow
 // nondeterminism across function and package boundaries, guardedby can
 // enforce mutex contracts declared on struct fields, and
-// goroutinecapture can inspect closures handed to goroutines. Run
-// type-checks and analyzes every target package from source on each
-// run, one package at a time.
+// goroutinecapture can inspect closures handed to goroutines. v3 adds
+// an SSA-lite value-flow layer (ssa.go) under dimcheck's unit inference;
+// floatreduce flags float accumulations in a nondeterministic order.
+// There is no lock-order or goroutine-lifetime analysis: the race
+// detector covers the few goroutines the system starts. Run type-checks
+// and analyzes every target package from source on each run, one
+// package at a time.
 //
 // The pass is zero-dependency: package discovery shells out to
 // `go list -json`, parsing and type checking use go/parser and
@@ -62,7 +66,6 @@ func All() []*Analyzer {
 		MapOrder, SeededRand, FloatEq, PanicPath,
 		Detaint, GuardedBy, GoroutineCapture,
 		DimCheck, FloatReduce, UnusedIgnore,
-		LockOrder, AtomicPlain, WGCheck, GoroutineLeak,
 	}
 }
 

@@ -99,14 +99,6 @@ func TestAnalyzers(t *testing.T) {
 		{"detaint through generic calls", Detaint, "detaint_generic", "rap/internal/genericfix"},
 		{"guardedby", GuardedBy, "guardedby", "rap/internal/guardfix"},
 		{"goroutinecapture", GoroutineCapture, "goroutinecapture", "rap/internal/gofix"},
-		{"lockorder", LockOrder, "lockorder", "rap/internal/lockfix"},
-		{"lockorder clean", LockOrder, "lockorder_ok", "rap/internal/lockokfix"},
-		{"atomicplain", AtomicPlain, "atomicplain", "rap/internal/atomfix"},
-		{"atomicplain clean", AtomicPlain, "atomicplain_ok", "rap/internal/atomokfix"},
-		{"wgcheck", WGCheck, "wgcheck", "rap/internal/wgfix"},
-		{"wgcheck clean", WGCheck, "wgcheck_ok", "rap/internal/wgokfix"},
-		{"goroutineleak", GoroutineLeak, "goroutineleak", "rap/internal/leakfix"},
-		{"goroutineleak clean", GoroutineLeak, "goroutineleak_ok", "rap/internal/leakokfix"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

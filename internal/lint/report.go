@@ -8,8 +8,8 @@ import (
 )
 
 // reportVersion is the raplintVersion field of the JSON report: the
-// analyzer-suite generation (v4: the concurrency-soundness analyzers).
-const reportVersion = "4"
+// report-schema generation, bumped whenever a field leaves or joins it.
+const reportVersion = "5"
 
 // relPath renders a finding path relative to the module root so
 // reports are stable across checkouts.
@@ -37,13 +37,12 @@ type jsonFinding struct {
 }
 
 type jsonStats struct {
-	Packages    int                `json:"packages"`
-	LoadMs      float64            `json:"loadMs"`
-	AnalyzeMs   float64            `json:"analyzeMs"`
-	SSABuildMs  float64            `json:"ssaBuildMs"`
-	ConcBuildMs float64            `json:"concBuildMs"`
-	TotalMs     float64            `json:"totalMs"`
-	AnalyzerMs  map[string]float64 `json:"analyzerMs,omitempty"`
+	Packages   int                `json:"packages"`
+	LoadMs     float64            `json:"loadMs"`
+	AnalyzeMs  float64            `json:"analyzeMs"`
+	SSABuildMs float64            `json:"ssaBuildMs"`
+	TotalMs    float64            `json:"totalMs"`
+	AnalyzerMs map[string]float64 `json:"analyzerMs,omitempty"`
 	// FindingsByAnalyzer counts this run's findings per analyzer, so
 	// dashboards can trend analyzer yield without re-parsing findings.
 	FindingsByAnalyzer map[string]int `json:"findingsByAnalyzer,omitempty"`
@@ -76,13 +75,12 @@ func WriteJSONReport(w io.Writer, root string, findings []Finding, stats *Stats)
 	}
 	if stats != nil {
 		js := &jsonStats{
-			Packages:    stats.Packages,
-			LoadMs:      float64(stats.Load.Microseconds()) / 1e3,
-			AnalyzeMs:   float64(stats.Analyze.Microseconds()) / 1e3,
-			SSABuildMs:  float64(stats.SSABuild.Microseconds()) / 1e3,
-			ConcBuildMs: float64(stats.ConcBuild.Microseconds()) / 1e3,
-			TotalMs:     float64(stats.Total.Microseconds()) / 1e3,
-			AnalyzerMs:  map[string]float64{},
+			Packages:   stats.Packages,
+			LoadMs:     float64(stats.Load.Microseconds()) / 1e3,
+			AnalyzeMs:  float64(stats.Analyze.Microseconds()) / 1e3,
+			SSABuildMs: float64(stats.SSABuild.Microseconds()) / 1e3,
+			TotalMs:    float64(stats.Total.Microseconds()) / 1e3,
+			AnalyzerMs: map[string]float64{},
 		}
 		for name, d := range stats.PerAnalyzer {
 			js.AnalyzerMs[name] = float64(d.Microseconds()) / 1e3
