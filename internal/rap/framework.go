@@ -203,7 +203,9 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 	// (Algorithm 1, with the level-greedy fusion) for the candidate
 	// assignment and take the cost model's exposed latency plus the
 	// communication cost of the move. The level planner validates the
-	// plan's graphs once, so a candidate costs only its lowering. A
+	// plan's graphs once, so a candidate costs only its lowering, and
+	// CoRunExposed returns the exposed latency without building the
+	// schedule it would throw away. A
 	// candidate that fails to score records the first error for
 	// BuildPlan to return — an unscorable candidate means the search
 	// itself is compromised, not just that one move is unattractive.
@@ -237,11 +239,11 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 		if err != nil {
 			return fail("cost model", gpu, err)
 		}
-		s, err := sched.CoRunSchedule(fp, cm, sched.Options{DisableSharding: opts.NoSharding})
+		exposed, err := sched.CoRunExposed(fp, cm, sched.Options{DisableSharding: opts.NoSharding})
 		if err != nil {
 			return fail("co-run schedule", gpu, err)
 		}
-		return s.PredictedExposed + commBytes*ScatterInefficiency/(f.Cluster.LinkGBs*1e3)
+		return exposed + commBytes*ScatterInefficiency/(f.Cluster.LinkGBs*1e3)
 	}
 	mcfg := mapping.Config{
 		Plan:           f.W.Plan,

@@ -28,3 +28,32 @@ func BenchmarkPipeline(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCoRunSchedule times Algorithm 1 on the 4 per-GPU plans of
+// `wide` (widePlans), once per entry point: CoRunSchedule, which the
+// per-GPU lowering calls, and CoRunExposed, which the mapping search
+// scores every candidate with. One op covers all 4 GPUs.
+// `go test -run '^$' -bench BenchmarkCoRunSchedule ./internal/sched`.
+func BenchmarkCoRunSchedule(b *testing.B) {
+	plans, cm := widePlans(b, 4096)
+	b.Run("schedule", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, fp := range plans {
+				if _, err := CoRunSchedule(fp, cm, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("exposed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, fp := range plans {
+				if _, err := CoRunExposed(fp, cm, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}

@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"rap/internal/costmodel"
@@ -100,12 +101,15 @@ const (
 	restPart              // the remainder of a split
 )
 
-// piece is a kernel in CoRunSchedule's queue. Splits keep the planned
+// piece is a kernel in Algorithm 1's queue. It carries its predicted
+// latency, made once: for a planned kernel when the queue is built, for
+// a split piece when the split is made. Splits keep the planned
 // kernel's name and only record the part, so a split that is tried and
 // discarded builds no string; named applies the suffix once the
 // schedule is final.
 type piece struct {
 	k    preproc.KernelSpec
+	p    float64 //rap:unit us
 	part part
 }
 
@@ -132,6 +136,18 @@ func named(ps []piece) []preproc.KernelSpec {
 	return out
 }
 
+// assignment is the outcome of one run of Algorithm 1.
+type assignment struct {
+	// perStage and overflow hold the placed pieces; both are nil unless
+	// the caller asked to keep them.
+	perStage [][]piece
+	overflow []piece
+	shards   int
+	// exposed is the cost model's LΔ, summed from the carried
+	// predictions in ScheduleCost's order plus the overflow.
+	exposed float64 //rap:unit us
+}
+
 // CoRunSchedule is Algorithm 1: it takes the fused kernel plan of one
 // GPU and the profiled stage capacities and greedily assigns kernels to
 // training stages, sharding a kernel when the remaining capacity of the
@@ -139,22 +155,69 @@ func named(ps []piece) []preproc.KernelSpec {
 //
 //rap:deterministic
 func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*Schedule, error) {
+	a, err := corun(plan, cm, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	out := &Schedule{
+		PerStage:         make([][]preproc.KernelSpec, len(a.perStage)),
+		Overflow:         named(a.overflow),
+		PredictedExposed: a.exposed,
+		NumShards:        a.shards,
+	}
+	for s, ps := range a.perStage {
+		out.PerStage[s] = named(ps)
+	}
+	return out, nil
+}
+
+// CoRunExposed runs Algorithm 1 like CoRunSchedule and returns only its
+// PredictedExposed, bit for bit. It keeps no pieces, builds no names
+// and allocates no Schedule, so scoring a candidate mapping (§7.2)
+// costs a few allocations however many shards Algorithm 1 makes.
+//
+//rap:deterministic
+//rap:unit return us
+func CoRunExposed(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (float64, error) {
+	a, err := corun(plan, cm, opts, false)
+	if err != nil {
+		return 0, err
+	}
+	return a.exposed, nil
+}
+
+// corun is Algorithm 1, shared by CoRunSchedule and CoRunExposed; keep
+// says whether to record the placed pieces.
+func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) (assignment, error) {
 	if plan == nil || cm == nil {
-		return nil, fmt.Errorf("sched: nil plan or cost model")
+		return assignment{}, fmt.Errorf("sched: nil plan or cost model")
 	}
 	if cm.Pred == nil {
-		return nil, fmt.Errorf("sched: cost model has no predictor")
+		return assignment{}, fmt.Errorf("sched: cost model has no predictor")
+	}
+	if isNonFinite(opts.MinShardLatency) || isNonFinite(opts.PackFraction) {
+		return assignment{}, fmt.Errorf("sched: non-finite option (MinShardLatency %v, PackFraction %v)", opts.MinShardLatency, opts.PackFraction)
 	}
 	opts = opts.withDefaults()
 	numStages := len(cm.Caps)
 
-	// Lines 2-5: total predicted preprocessing latency.
-	kernels := plan.Kernels()
-	queue := make([]piece, len(kernels))
+	// Lines 2-5: total predicted preprocessing latency. The queue's
+	// first half holds the planned kernels with their predictions; each
+	// assignment pass works on a copy in the second half.
+	n := 0
+	for _, st := range plan.Steps {
+		n += len(st.Kernels)
+	}
+	buf := make([]piece, 2*n)
+	planned, queue := buf[:n], buf[n:]
 	total := 0.0
-	for i, k := range kernels {
-		queue[i] = piece{k: k}
-		total += cm.Pred.Predict(k)
+	i := 0
+	for _, st := range plan.Steps {
+		for _, k := range st.Kernels {
+			planned[i] = piece{k: k, p: cm.Pred.Predict(k)}
+			total += planned[i].p
+			i++
+		}
 	}
 
 	// Lines 6-12: pick stages by capacity, largest first, until the
@@ -192,18 +255,26 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 	// stage's leftover headroom. Otherwise it is sharded (lines 21-26):
 	// demand-oversized kernels split into headroom-fitting pieces that
 	// serialize within the stage, capacity-oversized ones spill forward.
-	assign := func(queue []piece, selected []bool) (perStage [][]piece, overflow []piece, shards int) {
-		perStage = make([][]piece, numStages)
+	//
+	// The exposed latency is summed as the pieces are placed, in
+	// ScheduleCost's order: each stage's pieces from 0 in placement
+	// order, added to a backlog that drains by the stage's capacity and
+	// is clamped at 0; then the overflow, in order.
+	var out assignment
+	assign := func() (overflowed bool) {
+		copy(queue, planned)
+		out = assignment{}
+		if keep {
+			out.perStage = make([][]piece, numStages)
+		}
+		backlog := 0.0
 		pos := 0
-		for s := 0; s < numStages && pos < len(queue); s++ {
-			if !selected[s] {
-				continue
-			}
+		for s := 0; s < numStages; s++ {
+			sum := 0.0
 			remaining := cm.Caps[s].Capacity * opts.PackFraction
 			leftover := cm.Caps[s].Leftover
-			for pos < len(queue) {
-				k := queue[pos].k
-				p := cm.Pred.Predict(k)
+			for selected[s] && pos < len(queue) {
+				k, p := queue[pos].k, queue[pos].p
 				if p <= 0 {
 					pos++
 					continue
@@ -224,7 +295,10 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 					frac = capFrac
 				}
 				if frac >= 1 {
-					perStage[s] = append(perStage[s], queue[pos])
+					if keep {
+						out.perStage[s] = append(out.perStage[s], queue[pos])
+					}
+					sum += p
 					remaining -= p
 					pos++
 					continue
@@ -244,43 +318,45 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 				if p1 < opts.MinShardLatency || p1 > remaining+opts.MinShardLatency {
 					break // no useful piece fits this stage
 				}
-				perStage[s] = append(perStage[s], piece{k: k1, part: shardPart})
+				if keep {
+					out.perStage[s] = append(out.perStage[s], piece{k: k1, p: p1, part: shardPart})
+				}
+				sum += p1
 				remaining -= p1
-				shards++
-				queue[pos] = piece{k: k2, part: restPart}
+				out.shards++
+				queue[pos] = piece{k: k2, p: cm.Pred.Predict(k2), part: restPart}
 				// Keep filling this stage: more pieces may fit.
 			}
+			backlog += sum
+			backlog -= cm.Caps[s].Capacity
+			if backlog < 0 {
+				backlog = 0
+			}
 		}
-		overflow = append(overflow, queue[pos:]...)
-		return perStage, overflow, shards
+		out.exposed = backlog
+		for _, pc := range queue[pos:] {
+			out.exposed += pc.p
+		}
+		if keep {
+			out.overflow = queue[pos:]
+		}
+		return pos < len(queue)
 	}
 
-	perStage, overflow, shards := assign(append([]piece(nil), queue...), selected)
-	if len(overflow) > 0 {
+	if assign() {
 		// The selected stages were not enough (sharding overhead, demand
 		// limits): redo the assignment over every stage, preserving launch
 		// order, before declaring latency exposed.
-		all := make([]bool, numStages)
-		for i := range all {
-			all[i] = true
+		for i := range selected {
+			selected[i] = true
 		}
-		perStage, overflow, shards = assign(append([]piece(nil), queue...), all)
+		assign()
 	}
-	out := &Schedule{PerStage: make([][]preproc.KernelSpec, numStages), Overflow: named(overflow), NumShards: shards}
-	for s, ps := range perStage {
-		out.PerStage[s] = named(ps)
-	}
-
-	cost, err := cm.ScheduleCost(out.PerStage)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range out.Overflow {
-		cost += cm.Pred.Predict(k)
-	}
-	out.PredictedExposed = cost
 	return out, nil
 }
+
+// isNonFinite reports whether v is NaN or ±Inf.
+func isNonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
 // SequentialSchedule places every kernel into the first stage's slot
 // without capacity awareness — the handcrafted-baseline behaviour
