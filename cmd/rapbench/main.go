@@ -7,7 +7,6 @@
 //	rapbench -exp fig9 -quick        # reduced Figure 9 grid
 //	rapbench -exp fig1a,fig11,tab4   # comma-separated subset
 //	rapbench -list                   # list experiment ids
-//	rapbench -chaos                  # perturbation-severity sweep, write BENCH_chaos.json
 //	rapbench -cluster                # fleet scheduling at 1024 GPUs, write BENCH_cluster.json
 //	rapbench -cluster-smoke          # fleet determinism gate (verify.sh)
 package main
@@ -29,12 +28,6 @@ func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (see -list)")
 	quick := flag.Bool("quick", false, "reduced grids for slow experiments")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	chaosMode := flag.Bool("chaos", false, "run the perturbation-severity sweep and exit")
-	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the -chaos JSON report")
-	chaosSeed := flag.Int64("chaos-seed", 7, "seed for -chaos perturbation plans")
-	chaosPlan := flag.Int("chaos-plan", 1, "preprocessing plan for -chaos (0-3)")
-	chaosGPUs := flag.Int("chaos-gpus", 4, "cluster size for -chaos")
-	chaosTrace := flag.String("chaos-trace", "", "optional Chrome trace path: RAP at top severity with perturbation spans")
 	clusterMode := flag.Bool("cluster", false, "run the multi-tenant fleet-scheduling experiment and exit")
 	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for the -cluster JSON report")
 	clusterNodes := flag.Int("cluster-nodes", 128, "fleet NVSwitch nodes for -cluster")
@@ -66,49 +59,6 @@ func main() {
 		if err := runCluster(*clusterOut, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "rapbench: cluster: %v\n", err)
 			os.Exit(1)
-		}
-		return
-	}
-
-	if *chaosMode {
-		severities := []float64{0.25, 0.5, 0.75}
-		if *quick {
-			*chaosGPUs = 2
-		}
-		r, err := experiments.ChaosSweep(*chaosPlan, *chaosGPUs, severities, *chaosSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rapbench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(r.Render())
-		f, err := os.Create(*chaosOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rapbench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		if err := r.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "rapbench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "rapbench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nchaos report -> %s\n", *chaosOut)
-		if *chaosTrace != "" {
-			tf, err := os.Create(*chaosTrace)
-			if err == nil {
-				err = r.WriteChaosTrace(tf)
-				if cerr := tf.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rapbench: chaos: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("chaos trace -> %s\n", *chaosTrace)
 		}
 		return
 	}
@@ -218,7 +168,6 @@ Paper experiments (default mode):
   rapbench -list               list experiment ids
 
 Benchmarks (each writes a JSON report and exits):
-  rapbench -chaos              perturbation-severity sweep  -> BENCH_chaos.json
   rapbench -cluster            multi-tenant fleet scheduling (1024 simulated GPUs,
                                RAP-aware packing vs first-fit) -> BENCH_cluster.json
 

@@ -9,7 +9,6 @@ package baselines
 import (
 	"fmt"
 
-	"rap/internal/chaos"
 	"rap/internal/dlrm"
 	"rap/internal/gpusim"
 	"rap/internal/rap"
@@ -66,19 +65,11 @@ type RunResult struct {
 
 // Run executes one system on a workload.
 func Run(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterations int) (RunResult, error) {
-	return RunChaos(sys, w, cluster, iterations, nil)
-}
-
-// RunChaos is Run under a perturbation plan: every system executes with
-// cp's capacity windows and straggler inflation injected, so degraded
-// conditions hit RAP and the baselines identically. A nil plan makes
-// this Run.
-func RunChaos(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan) (RunResult, error) {
 	cluster = cluster.WithDefaults()
 	switch sys {
 	case SystemRAP:
 		cluster.Policy = gpusim.FairShare
-		return runFramework(sys, w, cluster, iterations, rap.BuildOptions{}, cp)
+		return runFramework(sys, w, cluster, iterations, rap.BuildOptions{})
 	case SystemSequential:
 		cluster.Policy = gpusim.FairShare
 		return runFramework(sys, w, cluster, iterations, rap.BuildOptions{
@@ -87,7 +78,7 @@ func RunChaos(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterati
 			NoInterleave:      true,
 			NaiveSchedule:     true,
 			SequentialPreproc: true,
-		}, cp)
+		})
 	case SystemStream:
 		cluster.Policy = gpusim.PrioritySpace
 		return runFramework(sys, w, cluster, iterations, rap.BuildOptions{
@@ -98,7 +89,7 @@ func RunChaos(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterati
 			// Low-priority stream: training preempts, preprocessing
 			// only gets leftovers.
 			PreprocPriority: 0,
-		}, cp)
+		})
 	case SystemMPS:
 		cluster.Policy = gpusim.FairShare
 		return runFramework(sys, w, cluster, iterations, rap.BuildOptions{
@@ -108,23 +99,23 @@ func RunChaos(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterati
 			NaiveSchedule: true,
 			// MPS: both processes share the GPU on equal footing.
 			PreprocPriority: 1,
-		}, cp)
+		})
 	case SystemTorchArrow:
-		return runTorchArrow(w, cluster, iterations, cp)
+		return runTorchArrow(w, cluster, iterations)
 	case SystemIdeal:
-		return runIdeal(w, cluster, iterations, cp)
+		return runIdeal(w, cluster, iterations)
 	default:
 		return RunResult{}, fmt.Errorf("baselines: unknown system %q", sys)
 	}
 }
 
-func runFramework(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, opts rap.BuildOptions, cp *chaos.Plan) (RunResult, error) {
+func runFramework(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, opts rap.BuildOptions) (RunResult, error) {
 	f := rap.New(w, cluster)
 	p, err := f.BuildPlan(opts)
 	if err != nil {
 		return RunResult{}, err
 	}
-	stats, err := f.ExecuteTopo(p, iterations, nil, cp)
+	stats, err := f.Execute(p, iterations)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -134,7 +125,7 @@ func runFramework(sys System, w *rap.Workload, cluster gpusim.ClusterConfig, ite
 // runTorchArrow replaces GPU preprocessing with host-CPU workers: each
 // GPU's batch is preprocessed by TorchArrowWorkers CPU workers drawn
 // from the shared host pool — the pool, not the GPUs, bounds scaling.
-func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan) (RunResult, error) {
+func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int) (RunResult, error) {
 	n := cluster.NumGPUs
 	pl := placementFor(w, n)
 	gpuWorkUs := w.Plan.SaturatedWork(w.Model.BatchSize)
@@ -149,7 +140,6 @@ func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int
 	}
 	stats, err := sched.BuildAndRun(cluster, w.Model, pl, work, sched.PipelineOptions{
 		Iterations: iterations,
-		Chaos:      cp,
 	})
 	if err != nil {
 		return RunResult{}, err
@@ -158,12 +148,11 @@ func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int
 }
 
 // runIdeal trains with no preprocessing at all.
-func runIdeal(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int, cp *chaos.Plan) (RunResult, error) {
+func runIdeal(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int) (RunResult, error) {
 	n := cluster.NumGPUs
 	pl := placementFor(w, n)
 	stats, err := sched.BuildAndRun(cluster, w.Model, pl, make([]sched.GPUWork, n), sched.PipelineOptions{
 		Iterations: iterations,
-		Chaos:      cp,
 	})
 	if err != nil {
 		return RunResult{}, err

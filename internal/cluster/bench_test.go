@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"rap/internal/chaos"
 	"rap/internal/gpusim"
 	"rap/internal/rap"
 	"rap/internal/topo"
@@ -30,11 +29,11 @@ func BenchmarkFleetJob(b *testing.B) {
 	sub := topo.Uniform(2, gpus/2)
 	sub.FabricGBs = 100
 	sub.Oversub = 4
-	cp := &chaos.Plan{Fabric: []chaos.FabricWindow{{Node: 0, T0: 0, T1: tenantHorizonUs, Scale: 0.5}}}
+	fabricScale := []float64{0.5, 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fw.ExecuteTopo(plan, 8, sub, cp); err != nil {
+		if _, err := fw.ExecuteTopo(plan, 8, sub, fabricScale); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,15 +17,10 @@ import (
 	"sort"
 	"strings"
 
-	"rap/internal/chaos"
 	"rap/internal/gpusim"
 	"rap/internal/rap"
 	"rap/internal/topo"
 )
-
-// tenantHorizonUs bounds the background-tenant fabric windows: long
-// past any job's makespan, but finite so window arithmetic stays exact.
-const tenantHorizonUs = 1e12 //rap:unit us
 
 // Config parameterizes a fleet simulator.
 type Config struct {
@@ -204,25 +199,19 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 		}
 		// Background tenants: each co-resident job on a node congests
 		// that node's fabric link for the whole run, modeled as a
-		// capacity window at 1/(1+tenants). Only meaningful when the
-		// job itself spans nodes — a single-node job never touches the
+		// fabric scale of 1/(1+tenants). Only meaningful when the job
+		// itself spans nodes — a single-node job never touches the
 		// fabric.
-		var cp *chaos.Plan
+		var fabricScale []float64
 		scaleKey := ""
 		if sub.NumNodes() > 1 {
+			fabricScale = make([]float64, len(nodes))
 			for i, fn := range nodes {
 				k := tenants[fn]
-				if k == 0 {
-					continue
+				fabricScale[i] = 1 / float64(1+k)
+				if k > 0 {
+					scaleKey += fmt.Sprintf("%d:%d,", i, k)
 				}
-				if cp == nil {
-					cp = &chaos.Plan{}
-				}
-				scale := 1 / float64(1+k)
-				cp.Fabric = append(cp.Fabric, chaos.FabricWindow{
-					Node: i, T0: 0, T1: tenantHorizonUs, Scale: scale,
-				})
-				scaleKey += fmt.Sprintf("%d:%d,", i, k)
 			}
 		}
 
@@ -238,7 +227,7 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 		key.shape.Iterations = 0
 		ent, ok := durCache[key]
 		if !ok {
-			stats, err := ps.fw.ExecuteTopo(ps.plan, simIters, sub, cp)
+			stats, err := ps.fw.ExecuteTopo(ps.plan, simIters, sub, fabricScale)
 			if err != nil {
 				return err
 			}

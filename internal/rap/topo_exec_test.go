@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"rap/internal/chaos"
 	"rap/internal/gpusim"
 	"rap/internal/topo"
 )
@@ -12,7 +11,8 @@ import (
 // TestExecuteTopo: topology is an execution-time argument — the same
 // cached plan simulates on flat and hierarchical fleets. A flat (or
 // nil) topology is bit-identical to plain Execute; a constrained
-// multi-node fabric slows the run; fabric chaos windows compose on top.
+// multi-node fabric slows the run; a congested fabric scale composes on
+// top.
 func TestExecuteTopo(t *testing.T) {
 	w := workload(t, Terabyte, 1, 4096)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
@@ -45,16 +45,12 @@ func TestExecuteTopo(t *testing.T) {
 			slow.Result.Makespan, plain.Result.Makespan)
 	}
 
-	cp := &chaos.Plan{Fabric: []chaos.FabricWindow{
-		{Node: 0, T0: 0, T1: 1e9, Scale: 0.4},
-		{Node: 1, T0: 0, T1: 1e9, Scale: 0.4},
-	}}
-	perturbed, err := f.ExecuteTopo(p, 4, tp, cp)
+	perturbed, err := f.ExecuteTopo(p, 4, tp, []float64{0.4, 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(perturbed.Result.Makespan > slow.Result.Makespan) {
-		t.Fatalf("fabric chaos did not stretch the topologized run: %g <= %g",
+		t.Fatalf("fabric congestion did not stretch the topologized run: %g <= %g",
 			perturbed.Result.Makespan, slow.Result.Makespan)
 	}
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"rap/internal/chaos"
 	"rap/internal/dlrm"
 	"rap/internal/gpusim"
 	"rap/internal/preproc"
@@ -40,6 +39,10 @@ func (w GPUWork) workers() int {
 	return w.CPUWorkers
 }
 
+// tenantHorizonUs bounds the FabricScale capacity windows: long past
+// any job's makespan, but finite so window arithmetic stays exact.
+const tenantHorizonUs = 1e12 //rap:unit us
+
 // NoWarmup is the Warmup sentinel requesting zero warmup iterations
 // (the zero value means "use the default of 2").
 const NoWarmup = -1
@@ -70,11 +73,12 @@ type PipelineOptions struct {
 	// resource contention (§8.2); kernels are distributed round-robin,
 	// a slight over-approximation of the baselines' parallelism.
 	PreprocStreams int
-	// Chaos, when non-nil, applies the perturbation plan (capacity
-	// windows + straggler inflation, see internal/chaos) to the built
-	// pipeline DAG before simulation. A nil or empty plan leaves the
-	// simulation bit-identical to an unperturbed run.
-	Chaos *chaos.Plan
+	// FabricScale[n] is the remaining capacity fraction, in (0,1], of
+	// topology node n's inter-node fabric link for the whole run — the
+	// congestion co-resident fleet tenants impose. Entries below 1 need
+	// a multi-node Topology; missing entries and entries of 1 leave the
+	// link untouched, so nil is bit-identical to an uncongested run.
+	FabricScale []float64
 	// Topology, when non-nil, groups the cluster's GPUs into NVSwitch
 	// nodes behind an oversubscribed inter-node fabric (internal/topo):
 	// cross-node transfers and the cross-node share of collectives
@@ -140,6 +144,18 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 	if pl.NumGPUs != cluster.NumGPUs {
 		return nil, fmt.Errorf("sched: placement has %d GPUs, cluster %d", pl.NumGPUs, cluster.NumGPUs)
 	}
+	nodes := 1
+	if opts.Topology != nil {
+		nodes = opts.Topology.NumNodes()
+	}
+	if len(opts.FabricScale) > nodes {
+		return nil, fmt.Errorf("sched: %d fabric scales for %d topology nodes", len(opts.FabricScale), nodes)
+	}
+	for n, scale := range opts.FabricScale {
+		if !(scale > 0 && scale <= 1) {
+			return nil, fmt.Errorf("sched: fabric scale %g of node %d outside (0,1]", scale, n)
+		}
+	}
 	b, err := newPipelineBuilder(cluster, cfg, pl, work, opts)
 	if err != nil {
 		return nil, err
@@ -149,8 +165,12 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 			return nil, err
 		}
 	}
-	if err := opts.Chaos.Apply(b.sim); err != nil {
-		return nil, err
+	for n, scale := range opts.FabricScale {
+		if scale < 1 {
+			if err := b.sim.AddCapacityWindow(gpusim.ResFabric, n, 0, tenantHorizonUs, scale); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	res, err := b.sim.Run()

@@ -39,31 +39,11 @@ func tidFor(tag string) int {
 	}
 }
 
-// spanTID is the dedicated thread row annotation spans render on,
-// below the op-class rows of tidFor.
-const spanTID = 5
-
-// Span is an auxiliary annotation rendered as its own row of the
-// Chrome trace — e.g. a chaos perturbation window explaining why the
-// ops above it stretched. GPU < 0 places the span on the host row.
-type Span struct {
-	Name       string
-	Cat        string
-	GPU        int
-	Start, End float64 //rap:unit us
-}
-
 // WriteChromeTrace renders the simulation result as a Chrome trace-event
 // JSON array: one process per GPU (host ops on pid -1 + NumGPUs), one
 // thread row per op class. Load the file in chrome://tracing or Perfetto
 // to inspect the co-running timeline visually.
 func WriteChromeTrace(w io.Writer, res *gpusim.Result, numGPUs int) error {
-	return WriteChromeTraceWithSpans(w, res, numGPUs, nil)
-}
-
-// WriteChromeTraceWithSpans is WriteChromeTrace plus annotation spans
-// (perturbation windows, phase markers) on a dedicated row per process.
-func WriteChromeTraceWithSpans(w io.Writer, res *gpusim.Result, numGPUs int, spans []Span) error {
 	ops := append([]gpusim.OpResult(nil), res.Ops...)
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 	events := make([]chromeEvent, 0, len(ops))
@@ -83,24 +63,6 @@ func WriteChromeTraceWithSpans(w io.Writer, res *gpusim.Result, numGPUs int, spa
 			Dur:  o.End - o.Start,
 			PID:  pid,
 			TID:  tidFor(o.Tag),
-		})
-	}
-	for _, sp := range spans {
-		if sp.End <= sp.Start {
-			continue
-		}
-		pid := sp.GPU
-		if pid < 0 {
-			pid = numGPUs
-		}
-		events = append(events, chromeEvent{
-			Name: sp.Name,
-			Cat:  sp.Cat,
-			Ph:   "X",
-			Ts:   sp.Start,
-			Dur:  sp.End - sp.Start,
-			PID:  pid,
-			TID:  spanTID,
 		})
 	}
 	enc := json.NewEncoder(w)
