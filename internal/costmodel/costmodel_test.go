@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rap/internal/dlrm"
@@ -47,6 +48,20 @@ func TestDatasetSplit(t *testing.T) {
 	frac := float64(train.Size()) / float64(ds.Size())
 	if frac < 0.85 || frac > 0.95 {
 		t.Fatalf("train fraction = %f", frac)
+	}
+}
+
+// TestDatasetSplitDeterministic: the same seed yields the same split.
+// Go re-randomizes map order on every range, so repeated in-process
+// splits catch a category walk that follows map order.
+func TestDatasetSplitDeterministic(t *testing.T) {
+	ds := tinyDataset(t)
+	train, eval := ds.Split(0.9, 7)
+	for i := 0; i < 8; i++ {
+		tr, ev := ds.Split(0.9, 7)
+		if !reflect.DeepEqual(tr, train) || !reflect.DeepEqual(ev, eval) {
+			t.Fatalf("split %d differs from the first with the same seed", i+1)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"rap/internal/gbdt"
 	"rap/internal/preproc"
@@ -59,13 +60,25 @@ func (d Dataset) Size() int {
 	return n
 }
 
+// categories returns the dataset's category names in sorted order.
+func (d Dataset) categories() []string {
+	cats := make([]string, 0, len(d.ByCategory))
+	for c := range d.ByCategory {
+		cats = append(cats, c)
+	}
+	sort.Strings(cats)
+	return cats
+}
+
 // Split partitions every category into train/eval with the given train
-// fraction (the paper uses 9:1), deterministically from seed.
+// fraction (the paper uses 9:1), deterministically from seed. Categories
+// draw their permutations from one rng in sorted order.
 func (d Dataset) Split(trainFrac float64, seed int64) (train, eval Dataset) {
 	rng := rand.New(rand.NewSource(seed))
 	train = Dataset{ByCategory: map[string][]Sample{}}
 	eval = Dataset{ByCategory: map[string][]Sample{}}
-	for cat, samples := range d.ByCategory {
+	for _, cat := range d.categories() {
+		samples := d.ByCategory[cat]
 		perm := rng.Perm(len(samples))
 		cut := int(float64(len(samples)) * trainFrac)
 		for i, p := range perm {
@@ -173,7 +186,9 @@ func TrainPredictor(ds Dataset, cfg gbdt.Config) (*Predictor, error) {
 		return nil, fmt.Errorf("costmodel: empty training dataset")
 	}
 	p := &Predictor{models: map[string]*gbdt.Model{}}
-	for cat, samples := range ds.ByCategory {
+	// Sorted, so a failure always reports the same category.
+	for _, cat := range ds.categories() {
+		samples := ds.ByCategory[cat]
 		X := make([][]float64, len(samples))
 		y := make([]float64, len(samples))
 		for i, s := range samples {
@@ -220,6 +235,7 @@ func (p *Predictor) Categories() []string {
 // Table 5 protocol.
 func (p *Predictor) Accuracy(eval Dataset, tol float64) map[string]float64 {
 	out := map[string]float64{}
+	//lint:ignore detaint each category's accuracy depends only on its own samples and lands in its own key
 	for cat, samples := range eval.ByCategory {
 		if len(samples) == 0 {
 			continue

@@ -95,6 +95,8 @@ type Table5Result struct {
 
 // Table5 trains the GBDT latency predictor on ~11K profiled kernels
 // (9:1 split) and reports accuracy@10% per operator category.
+//
+//rap:deterministic
 func Table5() (*Table5Result, error) {
 	ds := costmodel.CollectTrainingData(11000, Seed)
 	train, eval := ds.Split(0.9, Seed)
