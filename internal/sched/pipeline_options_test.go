@@ -141,3 +141,42 @@ func TestFabricScaleRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestCongestedPipelineDigests pins gpusim.ResultDigest of pipelines
+// whose every topology node runs a congested fabric, so the way
+// FabricScale reaches the engine's fabric capacities cannot drift
+// silently. Each case must also differ from its uncongested run, or the
+// pin would not cover the scale at all.
+func TestCongestedPipelineDigests(t *testing.T) {
+	cases := []struct {
+		tp    *topo.Topology
+		scale []float64
+		want  string
+	}{
+		{topo.Uniform(2, 1), []float64{0.5, 0.25}, "7e1da6ba592d5f148ee0ddd545f61fd6800ebc17039ddf8abbde6b12b3ee78e9"},
+		{topo.Uniform(4, 1), []float64{1, 0.5, 1, 0.2}, "9bc3591fba63d44ea7b76dc7dda34b64677e114ac6a425d082e6d94dfcfc383c"},
+	}
+	for _, c := range cases {
+		n := c.tp.NumGPUs()
+		cfg, pl, cm := testSetup(t, n, 4096)
+		work := buildWork(t, cm, splitGraphs(preproc.MustStandardPlan(1, nil), n), 4096)
+		run := func(scale []float64) string {
+			stats, err := BuildAndRun(gpusim.ClusterConfig{NumGPUs: n}, cfg, pl, work, PipelineOptions{
+				Iterations:  3,
+				Topology:    c.tp,
+				FabricScale: scale,
+			})
+			if err != nil {
+				t.Fatalf("%d nodes, scale %v: %v", c.tp.NumNodes(), scale, err)
+			}
+			return gpusim.ResultDigest(stats.Result)
+		}
+		got := run(c.scale)
+		if got != c.want {
+			t.Errorf("%d nodes, scale %v: digest %s, want %s", c.tp.NumNodes(), c.scale, got, c.want)
+		}
+		if got == run(nil) {
+			t.Errorf("%d nodes, scale %v: congestion left the digest unchanged", c.tp.NumNodes(), c.scale)
+		}
+	}
+}
