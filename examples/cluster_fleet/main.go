@@ -41,7 +41,7 @@ func main() {
 	// 3. Schedule the identical trace under both placement policies.
 	//    Every job is planned by the real RAP planner (one cached plan
 	//    per shape) and simulated on its slice of the fleet, with
-	//    co-tenant fabric congestion composed in as capacity windows.
+	//    co-tenant fabric congestion as a static per-node fabric scale.
 	for _, pol := range []cluster.Policy{cluster.Pack{}, cluster.FirstFit{}} {
 		sim, err := cluster.New(cluster.Config{Topo: fleet, Policy: pol})
 		if err != nil {

@@ -25,61 +25,6 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceComposedMatrix crosses the perturbation axes —
-// capacity windows and straggler inflation, separately and together —
-// and replays each cell through the engine and the preserved reference
-// implementation. Each cell must be bit-identical; the combined cell is
-// what catches interactions the single-axis suites
-// (TestGoldenEquivalence, the chaos digests) cannot, e.g. a capacity
-// step landing mid-flight on an inflated straggler kernel.
-func TestEngineEquivalenceComposedMatrix(t *testing.T) {
-	type axes struct{ windows, stragglers bool }
-	cells := []axes{{false, false}, {true, false}, {false, true}, {true, true}}
-	for _, ax := range cells {
-		for seed := 0; seed < 8; seed++ {
-			build := func() *Sim {
-				s := buildGoldenDAG(int64(seed))
-				if ax.windows {
-					// Deterministic windows on every resource class of
-					// GPU 0 plus the host pool, overlapping on SM.
-					for _, w := range []struct {
-						rc     ResourceClass
-						t0, t1 float64
-						scale  float64
-					}{
-						{ResSM, 10, 150, 0.7},
-						{ResSM, 60, 220, 0.8}, // overlaps the first: scales multiply
-						{ResMemBW, 30, 180, 0.6},
-						{ResLinkOut, 0, 120, 0.5},
-						{ResLinkIn, 40, 260, 0.5},
-						{ResCopyEngine, 20, 100, 0.4},
-						{ResHostCPU, 50, 300, 0.6},
-					} {
-						if err := s.AddCapacityWindow(w.rc, 0, w.t0, w.t1, w.scale); err != nil {
-							t.Fatalf("seed %d: window %v: %v", seed, w.rc, err)
-						}
-					}
-				}
-				if ax.stragglers {
-					if _, err := s.InjectStragglers(int64(seed), 0.3, 2.5); err != nil {
-						t.Fatalf("seed %d: stragglers: %v", seed, err)
-					}
-				}
-				return s
-			}
-			got, err := build().Run()
-			if err != nil {
-				t.Fatalf("seed %d %+v: engine: %v", seed, ax, err)
-			}
-			want, err := referenceRun(build())
-			if err != nil {
-				t.Fatalf("seed %d %+v: reference: %v", seed, ax, err)
-			}
-			compareResults(t, seed, got, want)
-		}
-	}
-}
-
 func compareResults(t *testing.T, seed int, got, want *Result) {
 	t.Helper()
 	bitEq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

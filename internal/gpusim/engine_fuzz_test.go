@@ -17,17 +17,20 @@ import (
 //
 //	go test -run '^$' -fuzz FuzzEngineMatchesReference -fuzztime 60s ./internal/gpusim
 //
-// The arguments map onto 1–16 GPUs, 1–GPUs nodes and 0–12 capacity
-// windows; in-range values map to themselves. tiny gives the DAG's
+// The arguments map onto 1–16 GPUs, 1–GPUs nodes and a fabric mode
+// (fabric%3, used only with more than one node): 0 leaves every fabric
+// link at full capacity, 1 scales every node's link by a random
+// fraction below 1, and 2 does the same but holds one node at exactly
+// 1. In-range values map to themselves. tiny gives the DAG's
 // zero-work kernels a work of timeEps/2 instead: started without launch
 // overhead, they end after 0 < dt ≤ timeEps, an event that records no
 // segment, so every GPU's next segment is a copy that does not extend
 // its last one — which overruns the engine's presized timelines.
 func FuzzEngineMatchesReference(f *testing.F) {
 	for _, c := range []struct {
-		seed                 int64
-		gpus, nodes, windows uint8
-		tiny                 bool
+		seed                int64
+		gpus, nodes, fabric uint8
+		tiny                bool
 	}{
 		{0, 1, 1, 0, false},
 		{1, 1, 1, 4, false},
@@ -52,11 +55,11 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		{22, 8, 2, 0, true},
 		{20, 16, 2, 0, true},
 	} {
-		f.Add(c.seed, c.gpus, c.nodes, c.windows, c.tiny)
+		f.Add(c.seed, c.gpus, c.nodes, c.fabric, c.tiny)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, gpus, nodes, windows uint8, tiny bool) {
+	f.Fuzz(func(t *testing.T, seed int64, gpus, nodes, fabric uint8, tiny bool) {
 		g := 1 + int(gpus-1)%16
-		d := fuzzDAG{seed: seed, gpus: g, nodes: 1 + int(nodes-1)%g, windows: int(windows) % 13, tiny: tiny}
+		d := fuzzDAG{seed: seed, gpus: g, nodes: 1 + int(nodes-1)%g, fabric: int(fabric) % 3, tiny: tiny}
 		checkAgainstReference(t, d)
 	})
 }
@@ -67,8 +70,8 @@ func FuzzEngineMatchesReference(f *testing.F) {
 // engine's largest op-storage chunks (1024 entries) several times over.
 func TestEngineMatchesReferenceLarge(t *testing.T) {
 	for _, d := range []fuzzDAG{
-		{seed: 101, gpus: 8, nodes: 1, windows: 4, ops: 3000},
-		{seed: 102, gpus: 16, nodes: 2, windows: 8, ops: 3500, tiny: true},
+		{seed: 101, gpus: 8, nodes: 1, ops: 3000},
+		{seed: 102, gpus: 16, nodes: 2, fabric: 1, ops: 3500, tiny: true},
 	} {
 		checkAgainstReference(t, d)
 	}
@@ -94,20 +97,20 @@ func checkAgainstReference(t *testing.T, d fuzzDAG) {
 
 // fuzzDAG parameterizes buildFuzzDAG. ops 0 draws 40–139 ops.
 type fuzzDAG struct {
-	seed                      int64
-	gpus, nodes, windows, ops int
-	tiny                      bool
+	seed                     int64
+	gpus, nodes, fabric, ops int
+	tiny                     bool
 }
 
 // buildFuzzDAG builds a seeded random DAG on d.gpus GPUs grouped into
-// d.nodes nodes (block assignment, so every node is non-empty) with
-// d.windows capacity windows. It mixes every op kind, several kernel
-// tags per GPU, zero-work (or, with d.tiny, timeEps/2-work) kernels,
-// priorities, streams, duplicated dependencies and, on some seeds,
-// straggler inflation.
+// d.nodes nodes (block assignment, so every node is non-empty) with the
+// static fabric scales d.fabric selects (see FuzzEngineMatchesReference).
+// It mixes every op kind, several kernel tags per GPU, zero-work (or,
+// with d.tiny, timeEps/2-work) kernels, priorities, streams and
+// duplicated dependencies.
 func buildFuzzDAG(t *testing.T, d fuzzDAG) *Sim {
 	t.Helper()
-	seed, gpus, nodes, windows := d.seed, d.gpus, d.nodes, d.windows
+	seed, gpus, nodes := d.seed, d.gpus, d.nodes
 	rng := rand.New(rand.NewSource(seed))
 	s := NewSim(ClusterConfig{
 		NumGPUs:   gpus,
@@ -186,23 +189,15 @@ func buildFuzzDAG(t *testing.T, d fuzzDAG) *Sim {
 		ids = append(ids, id)
 	}
 
-	classes := int(ResHostCPU) + 1
-	if nodes > 1 {
-		classes = int(ResFabric) + 1
-	}
-	for i := 0; i < windows; i++ {
-		rc := ResourceClass(rng.Intn(classes))
-		idx := rng.Intn(gpus)
-		if rc == ResFabric {
-			idx = rng.Intn(nodes)
+	if nodes > 1 && d.fabric > 0 {
+		scale := make([]float64, nodes)
+		for n := range scale {
+			scale[n] = 0.05 + 0.9*rng.Float64()
 		}
-		t0 := rng.Float64() * 300
-		if err := s.AddCapacityWindow(rc, idx, t0, t0+1+rng.Float64()*300, rng.Float64()); err != nil {
-			t.Fatal(err)
+		if d.fabric == 2 {
+			scale[rng.Intn(nodes)] = 1
 		}
-	}
-	if rng.Intn(2) == 0 {
-		if _, err := s.InjectStragglers(seed, 0.3, 1.5+rng.Float64()*2); err != nil {
+		if err := s.SetFabricScale(scale); err != nil {
 			t.Fatal(err)
 		}
 	}

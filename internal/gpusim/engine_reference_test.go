@@ -68,12 +68,9 @@ func referenceRun(s *Sim) (*Result, error) {
 	var running []*op
 	done := 0
 
-	// Time-varying capacities, mirroring the optimized engine: the same
-	// compiled step function, the same boundary clamping of dt, the same
-	// application point. With no windows caps is all-1.0 and capEvents
-	// empty, reproducing the pre-perturbation engine exactly.
-	caps, capEvents := compileCapWindows(s)
-	capIdx := 0
+	// Capacities are the engine's: all 1.0 but the fabric links, whose
+	// 1/Oversub base carries each node's fabric scale.
+	caps := initialCaps(s)
 
 	start := func(o *op) {
 		o.state = opLaunching
@@ -133,14 +130,6 @@ func referenceRun(s *Sim) (*Result, error) {
 		if math.IsInf(dt, 1) {
 			dt = 0 // only zero-work ops are running; complete them now
 		}
-		if capIdx < len(capEvents) {
-			if lim := capEvents[capIdx].t - now; lim < dt {
-				dt = lim
-				if dt < 0 {
-					dt = 0
-				}
-			}
-		}
 
 		// Record utilization for this segment.
 		if dt > timeEps {
@@ -149,12 +138,6 @@ func referenceRun(s *Sim) (*Result, error) {
 
 		// Advance and retire.
 		now += dt
-		for capIdx < len(capEvents) && capEvents[capIdx].t <= now+timeEps {
-			for _, ch := range capEvents[capIdx].changes {
-				caps[ch.idx] = ch.cap
-			}
-			capIdx++
-		}
 		next := running[:0]
 		var finished []*op
 		for _, o := range running {
@@ -201,8 +184,8 @@ func referenceRun(s *Sim) (*Result, error) {
 // refResourceFactors computes, for every (resource, priority level) with
 // at least one running user, the slowdown factor its users receive —
 // rebuilding the full map on every call, as the pre-optimization engine
-// did. caps holds the current per-resource capacities in the dense
-// kind-major layout (all 1.0 absent perturbation windows).
+// did. caps holds the per-resource capacities in the dense kind-major
+// layout (all 1.0 but the fabric links).
 func refResourceFactors(s *Sim, running []*op, caps []float64) map[refFactorKey]float64 {
 	type level struct {
 		prio int

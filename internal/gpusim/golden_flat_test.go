@@ -11,26 +11,20 @@ import (
 // bit-identical to a run with no SetTopology call at all. A flat
 // install creates no fabric resources, so the dense resource layout,
 // every demand vector, and therefore every float trajectory are
-// byte-for-byte the pre-topology ones. These tests replay the full
-// 64-seed golden corpus and the 32-seed chaos corpus rather than a
-// sample, so any layout or demand drift shows up as a digest mismatch.
+// byte-for-byte the pre-topology ones. The test replays the full
+// 64-seed golden corpus rather than a sample, so any layout or demand
+// drift shows up as a digest mismatch.
 
 // runGoldenVariants runs one golden DAG three ways — untouched, with
 // topo.Flat installed, and with an explicit nil install — and returns
-// the three digests. perturb, when non-nil, layers the chaos windows
-// and stragglers onto each variant before running.
-func runGoldenVariants(t *testing.T, seed int64, perturb func(*Sim, int64) error) (plain, flat, nilTopo string) {
+// the three digests.
+func runGoldenVariants(t *testing.T, seed int64) (plain, flat, nilTopo string) {
 	t.Helper()
 	run := func(install func(*Sim) error) string {
 		s := buildGoldenDAG(seed)
 		if install != nil {
 			if err := install(s); err != nil {
 				t.Fatalf("seed %d: SetTopology: %v", seed, err)
-			}
-		}
-		if perturb != nil {
-			if err := perturb(s, seed); err != nil {
-				t.Fatalf("seed %d: perturb: %v", seed, err)
 			}
 		}
 		res, err := s.Run()
@@ -45,30 +39,16 @@ func runGoldenVariants(t *testing.T, seed int64, perturb func(*Sim, int64) error
 	return plain, flat, nilTopo
 }
 
-func checkGoldenVariants(t *testing.T, seed int64, perturb func(*Sim, int64) error) {
-	t.Helper()
-	plain, flat, nilTopo := runGoldenVariants(t, seed, perturb)
-	if flat != plain {
-		t.Errorf("seed %d: flat-topology digest %s != plain %s", seed, flat[:12], plain[:12])
-	}
-	if nilTopo != plain {
-		t.Errorf("seed %d: nil-topology digest %s != plain %s", seed, nilTopo[:12], plain[:12])
-	}
-}
-
 // TestGoldenDigestsFlatTopology pins the 64-seed golden corpus: a flat
 // or nil topology is invisible in the results.
 func TestGoldenDigestsFlatTopology(t *testing.T) {
 	for seed := 0; seed < goldenSeeds; seed++ {
-		checkGoldenVariants(t, int64(seed), nil)
-	}
-}
-
-// TestChaosGoldenDigestsFlatTopology pins the 32-seed chaos corpus:
-// capacity windows and stragglers compose with a flat topology exactly
-// as they do without one.
-func TestChaosGoldenDigestsFlatTopology(t *testing.T) {
-	for seed := 0; seed < chaosGoldenSeeds; seed++ {
-		checkGoldenVariants(t, int64(seed), perturbGoldenDAG)
+		plain, flat, nilTopo := runGoldenVariants(t, int64(seed))
+		if flat != plain {
+			t.Errorf("seed %d: flat-topology digest %s != plain %s", seed, flat[:12], plain[:12])
+		}
+		if nilTopo != plain {
+			t.Errorf("seed %d: nil-topology digest %s != plain %s", seed, nilTopo[:12], plain[:12])
+		}
 	}
 }

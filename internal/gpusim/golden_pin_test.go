@@ -18,7 +18,6 @@ var goldenPins = []struct {
 	sum  string
 }{
 	{"golden_digests_amd64.json", "7743afb491d6585e7ef25378053dccb8ce024ed2ea0f5f148e0bfb16d3bef81e"},
-	{"golden_chaos_digests_amd64.json", "6ba3236a8468f29191d79492cbab9d651cc090057de2913b3ff1535a0bb7bda5"},
 }
 
 func TestGoldenFilesPinnedToSeed(t *testing.T) {

@@ -191,6 +191,17 @@ const numResKinds = int(resCPU) + 1
 // gpu field holds the node index.
 const resFabric = resKind(numResKinds)
 
+// resIndex is the dense resource index shared by the engine and the
+// reference implementation: kind-major for the per-GPU kinds (host CPU
+// slot last), with per-node fabric links appended after it (for
+// resFabric the gpu argument is the node index).
+func resIndex(kind resKind, gpu, numGPUs int) int32 {
+	if kind == resFabric {
+		return int32(numResKinds*numGPUs - (numGPUs - 1) + gpu)
+	}
+	return int32(int(kind)*numGPUs + gpu)
+}
+
 // demandSpec is one (resource, demand) requirement of an op. Demands are
 // stored as a short slice (at most four entries) rather than a map: the
 // engine iterates them on every event, and map traversal plus hashing
@@ -221,9 +232,6 @@ type op struct {
 	tagID    int32 // index of tag in the engine's sorted tag table
 	gpu      int   // -1 for host-only ops
 	priority int
-	// isKernel marks ops added via AddKernel; straggler injection only
-	// targets these.
-	isKernel bool
 
 	overheadLeft float64
 	workLeft     float64
@@ -390,9 +398,6 @@ type Sim struct {
 	// reporting keeps the builder surface panic-free, matching the
 	// zero-value/error convention of the Result query surface.
 	addErr error
-	// capWindows holds the time-varying capacity scalings (see
-	// capacity.go); empty means every resource has capacity 1.0 forever.
-	capWindows []capWindow
 
 	// Hierarchical-topology state, resolved by SetTopology. With no
 	// topology (or a flat one) numFabric is 0, no fabric resources
@@ -403,9 +408,10 @@ type Sim struct {
 	nodeSize  []int // node → GPU count
 	// fabricShare is the fabric demand of one full-rate NVLink flow:
 	// LinkGBs/FabricGBs. fabricCap is each fabric link's capacity,
-	// 1/Oversub, seeded through the capacity step-function machinery.
+	// 1/Oversub; fabricScale[n] (see SetFabricScale) multiplies node n's.
 	fabricShare float64
 	fabricCap   float64
+	fabricScale []float64
 }
 
 // NewSim creates a simulator for the given cluster.
@@ -424,9 +430,8 @@ func (s *Sim) Config() ClusterConfig { return s.cfg }
 // GPUs on different nodes) and the cross-node share of collectives
 // (AddLinkBusy) charge it in addition to the endpoints' NVLink in/out.
 // One full-rate NVLink flow demands LinkGBs/FabricGBs of a link whose
-// capacity is 1/Oversub — oversubscription rides the same capacity
-// machinery as perturbation windows (capacity.go), so AddCapacityWindow
-// on ResFabric composes multiplicatively with it.
+// capacity is 1/Oversub; SetFabricScale multiplies that capacity per
+// node. Installing a topology clears the fabric scales.
 //
 // Because fabric demands are resolved at add time, SetTopology must
 // precede every Add* call whenever fabric links are involved — that is,
@@ -443,7 +448,7 @@ func (s *Sim) SetTopology(t *topo.Topology) error {
 		return fmt.Errorf("gpusim: SetTopology after ops were added (a multi-node topology must be set before the first Add call)")
 	}
 	s.topo, s.numFabric, s.nodeOf, s.nodeSize = nil, 0, nil, nil
-	s.fabricShare, s.fabricCap = 0, 0
+	s.fabricShare, s.fabricCap, s.fabricScale = 0, 0, nil
 	if t == nil {
 		return nil
 	}
@@ -475,6 +480,33 @@ func (s *Sim) SetTopology(t *topo.Topology) error {
 		oversub = 1
 	}
 	s.fabricCap = 1 / oversub
+	return nil
+}
+
+// SetFabricScale sets each node's remaining fabric capacity for the
+// whole run: node n's link serves scale[n]/Oversub instead of 1/Oversub,
+// which models co-tenant traffic on a shared fabric. Every entry must
+// lie in (0,1]; nodes past the end of scale keep the full link, and a
+// nil scale clears it. A scale below 1 needs the fabric links of a
+// multi-node topology, so SetTopology must come first. The scale is
+// read when Run seeds capacities, so it may be set at any point before.
+func (s *Sim) SetFabricScale(scale []float64) error {
+	if s.ran {
+		return fmt.Errorf("gpusim: SetFabricScale after Run")
+	}
+	nodes := max(s.numFabric, 1)
+	if len(scale) > nodes {
+		return fmt.Errorf("gpusim: %d fabric scales for %d topology nodes", len(scale), nodes)
+	}
+	for n, v := range scale {
+		if !(v > 0 && v <= 1) {
+			return fmt.Errorf("gpusim: fabric scale %g of node %d outside (0,1]", v, n)
+		}
+		if v < 1 && s.numFabric == 0 {
+			return fmt.Errorf("gpusim: fabric scale %g of node %d: no inter-node fabric (topology absent or flat)", v, n)
+		}
+	}
+	s.fabricScale = append([]float64(nil), scale...)
 	return nil
 }
 
@@ -607,7 +639,6 @@ func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
 		name:         k.Name,
 		tag:          k.Tag,
 		gpu:          gpu,
-		isKernel:     true,
 		overheadLeft: k.overhead(),
 		workLeft:     math.Max(k.Work, 0),
 	}

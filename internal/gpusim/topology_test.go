@@ -12,7 +12,8 @@ import (
 
 // Behavioral tests for the hierarchical topology: fabric charging on
 // cross-node transfers and collectives, oversubscription as a seeded
-// capacity, window validation, and the SetTopology life-cycle rules.
+// capacity, fabric-scale validation, and the SetTopology life-cycle
+// rules.
 
 func mustRunMakespan(t *testing.T, s *Sim) float64 {
 	t.Helper()
@@ -85,29 +86,41 @@ func TestSetTopologyValidation(t *testing.T) {
 	}
 }
 
-func TestFabricWindowValidation(t *testing.T) {
+func TestFabricScaleValidation(t *testing.T) {
 	flat := NewSim(ClusterConfig{NumGPUs: 4, LinkGBs: 200, HostCores: 16})
-	err := flat.AddCapacityWindow(ResFabric, 0, 0, 10, 0.5)
+	err := flat.SetFabricScale([]float64{0.5})
 	if err == nil || !strings.Contains(err.Error(), "no inter-node fabric") {
-		t.Fatalf("ResFabric window on a flat sim: got %v", err)
+		t.Fatalf("fabric scale on a flat sim: got %v", err)
+	}
+	if err := flat.SetFabricScale([]float64{1}); err != nil {
+		t.Fatalf("scale 1 on a flat sim is inert: %v", err)
 	}
 
 	s := NewSim(ClusterConfig{NumGPUs: 4, LinkGBs: 200, HostCores: 16})
 	if err := s.SetTopology(topo.Uniform(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	for _, node := range []int{-1, 2} {
-		if err := s.AddCapacityWindow(ResFabric, node, 0, 10, 0.5); err == nil {
-			t.Fatalf("ResFabric window on node %d must fail", node)
+	for _, c := range []struct {
+		scale []float64
+		want  string
+	}{
+		{[]float64{0.5, 0.5, 0.5}, "3 fabric scales for 2 topology nodes"},
+		{[]float64{1, 0}, "outside (0,1]"},
+		{[]float64{-0.5}, "outside (0,1]"},
+		{[]float64{1.5}, "outside (0,1]"},
+		{[]float64{math.NaN()}, "outside (0,1]"},
+	} {
+		if err := s.SetFabricScale(c.scale); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("scale %v: error %v, want one containing %q", c.scale, err, c.want)
 		}
 	}
-	for node := 0; node < 2; node++ {
-		if err := s.AddCapacityWindow(ResFabric, node, 0, 10, 0.5); err != nil {
-			t.Fatalf("ResFabric window on node %d: %v", node, err)
-		}
+	if err := s.SetFabricScale([]float64{0.5, 0.25}); err != nil {
+		t.Fatalf("fabric scale on both nodes: %v", err)
 	}
-	if got := ResFabric.String(); got != "fabric" {
-		t.Fatalf("ResFabric.String() = %q", got)
+	s.AddComm("c", 0, 2, 1e5)
+	mustRunMakespan(t, s)
+	if err := s.SetFabricScale(nil); err == nil {
+		t.Fatalf("SetFabricScale after Run must fail")
 	}
 }
 
@@ -223,11 +236,13 @@ func TestLinkBusyFabricShare(t *testing.T) {
 	}
 }
 
-// TestFabricWindowComposesWithOversub: a capacity window on a fabric
-// link multiplies onto the 1/Oversub base, further slowing flows inside
-// the window.
-func TestFabricWindowComposesWithOversub(t *testing.T) {
-	mk := func(window bool) float64 {
+// TestFabricScaleComposesWithOversub: a fabric scale multiplies onto
+// the link's 1/Oversub base for the whole run. One flow whose fabric
+// demand equals its NVLink demand is bound by the fabric alone, so
+// halving the link's capacity stretches it by exactly 2^φ; a scale of 1
+// leaves every bit of the result untouched.
+func TestFabricScaleComposesWithOversub(t *testing.T) {
+	run := func(scale []float64) *Result {
 		s := NewSim(ClusterConfig{NumGPUs: 4, LinkGBs: 200, HostCores: 16, Policy: FairShare})
 		tp := topo.Uniform(2, 2)
 		tp.FabricGBs = 200
@@ -235,19 +250,23 @@ func TestFabricWindowComposesWithOversub(t *testing.T) {
 		if err := s.SetTopology(tp); err != nil {
 			t.Fatalf("SetTopology: %v", err)
 		}
-		if window {
-			for node := 0; node < 2; node++ {
-				if err := s.AddCapacityWindow(ResFabric, node, 0, 1e9, 0.5); err != nil {
-					t.Fatalf("window: %v", err)
-				}
-			}
+		if err := s.SetFabricScale(scale); err != nil {
+			t.Fatalf("SetFabricScale: %v", err)
 		}
 		s.AddComm("c", 0, 2, 1e6)
-		return mustRunMakespan(t, s)
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	plain, windowed := mk(false), mk(true)
-	if !(windowed > plain) {
-		t.Fatalf("fabric window (%g) must slow the flow beyond oversub alone (%g)", windowed, plain)
+	plain, scaled := run(nil), run([]float64{0.5, 0.5})
+	want := plain.Makespan * math.Pow(2, ContentionExponent)
+	if math.Abs(scaled.Makespan-want) > 1e-9*want {
+		t.Fatalf("fabric scale 0.5 on oversub 2: makespan %g, want %g", scaled.Makespan, want)
+	}
+	if digestResult(run([]float64{1, 1})) != digestResult(plain) {
+		t.Fatalf("an all-ones fabric scale changed the digest")
 	}
 }
 
@@ -324,55 +343,34 @@ func buildFabricDAG(seed int64) *Sim {
 	return s
 }
 
-// TestEngineEquivalenceCrossNodeMatrix is the cross-node × chaos
-// matrix: multi-node DAGs with fabric charging, crossed with capacity
-// windows (including ResFabric windows) and straggler inflation,
-// replayed through the engine and the preserved reference
-// implementation. Every cell must be field-exact.
+// TestEngineEquivalenceCrossNodeMatrix replays multi-node DAGs with
+// fabric charging through the engine and the preserved reference
+// implementation, once at full fabric capacity and once with a random
+// static scale in (0,1] on every node. Every cell must be field-exact.
 func TestEngineEquivalenceCrossNodeMatrix(t *testing.T) {
-	type axes struct{ windows, stragglers bool }
-	cells := []axes{{false, false}, {true, false}, {false, true}, {true, true}}
-	for _, ax := range cells {
+	for _, scaled := range []bool{false, true} {
 		for seed := 0; seed < 8; seed++ {
 			build := func() *Sim {
 				s := buildFabricDAG(int64(seed))
-				if ax.windows {
-					nodes := s.Topology().NumNodes()
-					for _, w := range []struct {
-						rc     ResourceClass
-						gpu    int
-						t0, t1 float64
-						scale  float64
-					}{
-						{ResSM, 0, 10, 150, 0.7},
-						{ResMemBW, 1, 30, 180, 0.6},
-						{ResLinkOut, 0, 0, 120, 0.5},
-						{ResLinkIn, 2, 40, 260, 0.5},
-						{ResCopyEngine, 0, 20, 100, 0.4},
-						{ResHostCPU, 0, 50, 300, 0.6},
-						{ResFabric, 0, 15, 200, 0.5},
-						{ResFabric, 0, 80, 320, 0.7}, // overlaps: scales multiply
-						{ResFabric, nodes - 1, 25, 240, 0.6},
-					} {
-						if err := s.AddCapacityWindow(w.rc, w.gpu, w.t0, w.t1, w.scale); err != nil {
-							t.Fatalf("seed %d: window %v: %v", seed, w.rc, err)
-						}
+				if scaled {
+					rng := rand.New(rand.NewSource(int64(seed)))
+					scale := make([]float64, s.Topology().NumNodes())
+					for n := range scale {
+						scale[n] = 1 - rng.Float64()
 					}
-				}
-				if ax.stragglers {
-					if _, err := s.InjectStragglers(int64(seed), 0.3, 2.5); err != nil {
-						t.Fatalf("seed %d: stragglers: %v", seed, err)
+					if err := s.SetFabricScale(scale); err != nil {
+						t.Fatalf("seed %d: fabric scale %v: %v", seed, scale, err)
 					}
 				}
 				return s
 			}
 			got, err := build().Run()
 			if err != nil {
-				t.Fatalf("seed %d %+v: engine: %v", seed, ax, err)
+				t.Fatalf("seed %d scaled=%v: engine: %v", seed, scaled, err)
 			}
 			want, err := referenceRun(build())
 			if err != nil {
-				t.Fatalf("seed %d %+v: reference: %v", seed, ax, err)
+				t.Fatalf("seed %d scaled=%v: reference: %v", seed, scaled, err)
 			}
 			compareResults(t, seed, got, want)
 		}

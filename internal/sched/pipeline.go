@@ -39,10 +39,6 @@ func (w GPUWork) workers() int {
 	return w.CPUWorkers
 }
 
-// tenantHorizonUs bounds the FabricScale capacity windows: long past
-// any job's makespan, but finite so window arithmetic stays exact.
-const tenantHorizonUs = 1e12 //rap:unit us
-
 // NoWarmup is the Warmup sentinel requesting zero warmup iterations
 // (the zero value means "use the default of 2").
 const NoWarmup = -1
@@ -144,18 +140,6 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 	if pl.NumGPUs != cluster.NumGPUs {
 		return nil, fmt.Errorf("sched: placement has %d GPUs, cluster %d", pl.NumGPUs, cluster.NumGPUs)
 	}
-	nodes := 1
-	if opts.Topology != nil {
-		nodes = opts.Topology.NumNodes()
-	}
-	if len(opts.FabricScale) > nodes {
-		return nil, fmt.Errorf("sched: %d fabric scales for %d topology nodes", len(opts.FabricScale), nodes)
-	}
-	for n, scale := range opts.FabricScale {
-		if !(scale > 0 && scale <= 1) {
-			return nil, fmt.Errorf("sched: fabric scale %g of node %d outside (0,1]", scale, n)
-		}
-	}
 	b, err := newPipelineBuilder(cluster, cfg, pl, work, opts)
 	if err != nil {
 		return nil, err
@@ -165,14 +149,6 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 			return nil, err
 		}
 	}
-	for n, scale := range opts.FabricScale {
-		if scale < 1 {
-			if err := b.sim.AddCapacityWindow(gpusim.ResFabric, n, 0, tenantHorizonUs, scale); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	res, err := b.sim.Run()
 	if err != nil {
 		return nil, err
@@ -246,6 +222,9 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 	// The topology must be installed before the first op: fabric demands
 	// are resolved at add time.
 	if err := sim.SetTopology(opts.Topology); err != nil {
+		return nil, err
+	}
+	if err := sim.SetFabricScale(opts.FabricScale); err != nil {
 		return nil, err
 	}
 	b := &pipelineBuilder{

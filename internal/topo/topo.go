@@ -159,7 +159,7 @@ func (t *Topology) Validate() error {
 // parameters are inherited: a job spanning two fleet nodes still
 // crosses the same oversubscribed fabric, it just can't see the other
 // tenants (model cross-tenant contention separately, e.g. with
-// ResFabric capacity windows).
+// gpusim.Sim.SetFabricScale).
 func (t *Topology) Subset(gpus []int) (*Topology, error) {
 	if len(gpus) == 0 {
 		return nil, fmt.Errorf("topo: empty GPU subset")
