@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"testing"
 
 	"rap/internal/dlrm"
@@ -318,5 +319,45 @@ func TestRAPSearchMemoDoesNotChangeResult(t *testing.T) {
 	}
 	if a.Moves != b.Moves || a.Imbalance() != b.Imbalance() || a.TotalComm() != b.TotalComm() {
 		t.Fatalf("memoized search nondeterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestDefaultCostFormula checks the default cost — the one every test
+// without a Cost override searches with — against a hand computation:
+// max(0, Σwork − capacity) + bytes/(LinkGBs·1e3), with LinkGBs
+// defaulting to 300 GB/s and a GPU past the end of CapacityPerGPU
+// getting no capacity at all.
+func TestDefaultCostFormula(t *testing.T) {
+	plan := preproc.MustStandardPlan(1, nil)
+	cfg := cfgFor(t, plan, 4)
+	dl, err := DataLocality(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := dl.PerGPU[0]
+	work := 0.0
+	for _, a := range items {
+		work += a.Graph.TotalWork(a.Shape)
+	}
+	if work <= 0 {
+		t.Fatal("GPU 0 has no preprocessing work")
+	}
+	const bytes = 6e6
+	cases := []struct {
+		name     string
+		linkGBs  float64
+		caps     []float64
+		gpu      int
+		wantCost float64
+	}{
+		{"default link, work past capacity", 0, []float64{work / 2}, 0, work/2 + bytes/(300*1e3)},
+		{"default link, work within capacity", 0, []float64{2 * work}, 0, bytes / (300 * 1e3)},
+		{"explicit link, GPU past CapacityPerGPU", 100, []float64{2 * work}, 3, work + bytes/(100*1e3)},
+	}
+	for _, c := range cases {
+		cfg.LinkGBs, cfg.CapacityPerGPU = c.linkGBs, c.caps
+		if got := cfg.costFn()(c.gpu, items, bytes); math.Abs(got-c.wantCost) > 1e-9*c.wantCost {
+			t.Errorf("%s: cost %g, want %g", c.name, got, c.wantCost)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package preproc
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"rap/internal/data"
@@ -81,6 +83,26 @@ func TestParallelApplyPropagatesError(t *testing.T) {
 	p.Graphs[0].Ops = []Op{NewCast("bad", "no_such_column", "out_x")}
 	if err := ParallelApply(p, b, 4); err == nil {
 		t.Fatal("missing input not reported")
+	}
+}
+
+// TestParallelApplyConcurrentFailures breaks every graph at its last
+// op, so workers run whole graphs side by side and then record their
+// failures at about the same time; under -race this checks that the
+// first-error slot is written under the merger's lock. One of the graph
+// errors must come back.
+func TestParallelApplyConcurrentFailures(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		p := MustStandardPlan(1, nil)
+		gen := data.NewGenerator(data.GenConfig{NumDense: p.NumDense, NumSparse: p.NumSparse, Seed: 1})
+		b := gen.NextBatch(256)
+		for i, g := range p.Graphs {
+			g.Ops = append(g.Ops, NewCast(fmt.Sprintf("bad%d", i), "no_such_column", fmt.Sprintf("out_%d", i)))
+		}
+		err := ParallelApply(p, b, 8)
+		if err == nil || !strings.Contains(err.Error(), "no_such_column") {
+			t.Fatalf("round %d: error %v, want a missing-input graph error", round, err)
+		}
 	}
 }
 
