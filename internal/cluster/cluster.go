@@ -29,16 +29,18 @@ type Config struct {
 	Topo *topo.Topology
 	// Policy places queued jobs onto free GPUs. Required.
 	Policy Policy
-	// HostCores is each job's host CPU pool (default 48, the paper's
-	// testbed).
-	HostCores int
-	// SimIterations caps how many pipeline iterations each job is
-	// actually simulated for (default 8); longer jobs extrapolate the
-	// remainder at the measured steady-state iteration latency.
-	SimIterations int
-	// Seed feeds per-shape workload synthesis (default 1).
-	Seed int64
 }
+
+// hostCores is each job's host CPU pool, the paper's testbed.
+const hostCores = 48
+
+// simIterations caps how many pipeline iterations each job is actually
+// simulated for; longer jobs extrapolate the remainder at the measured
+// steady-state iteration latency.
+const simIterations = 8
+
+// workloadSeed feeds per-shape workload synthesis.
+const workloadSeed = 1
 
 // plannedShape is one workload shape's cached planning artifact: the
 // framework (whose own caches answer repeat probes) plus the built
@@ -67,15 +69,6 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("cluster: config needs a placement policy")
 	}
-	if cfg.HostCores <= 0 {
-		cfg.HostCores = 48
-	}
-	if cfg.SimIterations <= 0 {
-		cfg.SimIterations = 8
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	return &Simulator{cfg: cfg, planned: make(map[JobShape]*plannedShape)}, nil
 }
 
@@ -88,11 +81,11 @@ func (s *Simulator) planFor(shape JobShape) (*plannedShape, error) {
 	if ps, ok := s.planned[key]; ok {
 		return ps, nil
 	}
-	w, err := rap.NewWorkload(shape.Dataset, shape.PlanIdx, shape.PerGPUBatch, s.cfg.Seed)
+	w, err := rap.NewWorkload(shape.Dataset, shape.PlanIdx, shape.PerGPUBatch, workloadSeed)
 	if err != nil {
 		return nil, err
 	}
-	fw := rap.New(w, gpusim.ClusterConfig{NumGPUs: shape.GPUs, HostCores: s.cfg.HostCores})
+	fw := rap.New(w, gpusim.ClusterConfig{NumGPUs: shape.GPUs, HostCores: hostCores})
 	plan, err := fw.BuildPlan(rap.BuildOptions{})
 	if err != nil {
 		return nil, err
@@ -219,10 +212,7 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		simIters := s.cfg.SimIterations
-		if j.Shape.Iterations < simIters {
-			simIters = j.Shape.Iterations
-		}
+		simIters := min(simIterations, j.Shape.Iterations)
 		key := durKey{shape: j.Shape, simIters: simIters, pattern: nodePattern(sub), scales: scaleKey}
 		key.shape.Iterations = 0
 		ent, ok := durCache[key]

@@ -84,6 +84,8 @@ func (c ClusterSweepConfig) withDefaults() ClusterSweepConfig {
 // oversubscribed-fabric contention, hence shorter job completion times.
 // Everything is deterministic — rerunning reproduces each policy's
 // digest bit-for-bit.
+//
+//rap:deterministic
 func ClusterSweep(cfg ClusterSweepConfig) (*ClusterResult, error) {
 	cfg = cfg.withDefaults()
 	fleet := topo.Uniform(cfg.Nodes, cfg.GPUsPerNode)
@@ -111,11 +113,7 @@ func ClusterSweep(cfg ClusterSweepConfig) (*ClusterResult, error) {
 		MeanGapUs:   cfg.MeanGapUs,
 	}
 	for _, pol := range []clustersim.Policy{clustersim.Pack{}, clustersim.FirstFit{}} {
-		sim, err := clustersim.New(clustersim.Config{
-			Topo:      fleet,
-			Policy:    pol,
-			HostCores: HostCores,
-		})
+		sim, err := clustersim.New(clustersim.Config{Topo: fleet, Policy: pol})
 		if err != nil {
 			return nil, err
 		}

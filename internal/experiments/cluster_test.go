@@ -80,7 +80,7 @@ func congestedJobs(t *testing.T, cfg ClusterSweepConfig) int {
 	}
 	n := 0
 	for _, pol := range []clustersim.Policy{clustersim.Pack{}, clustersim.FirstFit{}} {
-		sim, err := clustersim.New(clustersim.Config{Topo: fleet, Policy: pol, HostCores: HostCores})
+		sim, err := clustersim.New(clustersim.Config{Topo: fleet, Policy: pol})
 		if err != nil {
 			t.Fatal(err)
 		}

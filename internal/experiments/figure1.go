@@ -22,6 +22,8 @@ type Figure1aResult struct {
 
 // Figure1a profiles two training iterations of the Criteo-Kaggle model
 // on 4 GPUs with no preprocessing.
+//
+//rap:deterministic
 func Figure1a() (*Figure1aResult, error) {
 	w, err := workloadFor(0, 4096)
 	if err != nil {
@@ -99,6 +101,8 @@ type Figure1bResult struct{ Rows []Figure1bRow }
 
 // Figure1b profiles the NGram kernel with a growing number of input
 // features (4096 samples per feature, as in the paper).
+//
+//rap:deterministic
 func Figure1b() (*Figure1bResult, error) {
 	res := &Figure1bResult{}
 	for _, features := range []int{8, 16, 32, 64, 128} {
@@ -153,6 +157,8 @@ type Figure1cResult struct{ Rows []Figure1cRow }
 
 // Figure1c reproduces the case study: overlapping MLP forward with an
 // unmanaged NGram kernel stretches training once GPU resources run out.
+//
+//rap:deterministic
 func Figure1c() (*Figure1cResult, error) {
 	w, err := workloadFor(1, 4096)
 	if err != nil {

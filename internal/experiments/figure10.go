@@ -41,6 +41,8 @@ type Figure10Result struct {
 // Figure10 runs the ablation: Sequential, MPS, RAP without inter-GPU
 // mapping (batch-parallel mapping, everything else on), RAP without
 // horizontal fusion, full RAP, and the preprocessing-free Ideal.
+//
+//rap:deterministic
 func Figure10(plans []int, gpus int) (*Figure10Result, error) {
 	if len(plans) == 0 {
 		plans = []int{1, 2, 3}

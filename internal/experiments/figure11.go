@@ -79,6 +79,8 @@ func ngramWorkload(extraNGrams, batch int) (*rap.Workload, error) {
 
 // Figure11 sweeps the extra-NGram count for the three settings and
 // reports the end-to-end latency curves with their turning points.
+//
+//rap:deterministic
 func Figure11(sweep []int, gpus int) (*Figure11Result, error) {
 	if len(sweep) == 0 {
 		sweep = []int{0, 8, 16, 32, 64, 96, 128}
@@ -173,6 +175,8 @@ type Table4Result struct {
 // run (the paper profiles the same three settings at their respective
 // latency turning points). Settings that never turn use the last sweep
 // point.
+//
+//rap:deterministic
 func Table4(f11 *Figure11Result) *Table4Result {
 	res := &Table4Result{Rows: map[Figure11Setting]struct{ GPUUtil, SMUtil float64 }{}}
 	for _, s := range Figure11Settings() {

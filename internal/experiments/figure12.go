@@ -33,6 +33,8 @@ type Figure12Result struct {
 // preprocessing plan, batch-parallel mapping pays input communication,
 // data-locality mapping suffers imbalance, and RAP's joint search does
 // neither.
+//
+//rap:deterministic
 func Figure12(gpus int) (*Figure12Result, error) {
 	if gpus <= 0 {
 		gpus = 4

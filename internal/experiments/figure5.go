@@ -29,6 +29,8 @@ type Figure5Result struct{ Rows []Figure5Row }
 // latency and overlapping latency for NGram, SigridHash and Logit
 // kernels of growing size co-run with an embedding-lookup stage (§5.1's
 // validation experiment).
+//
+//rap:deterministic
 func Figure5() (*Figure5Result, error) {
 	w, err := workloadFor(1, 4096)
 	if err != nil {

@@ -51,6 +51,8 @@ func QuickFigure9() Figure9Config {
 
 // Figure9 runs the end-to-end DLRM training throughput comparison
 // (Figure 9 a/b/c: 2/4/8 GPUs).
+//
+//rap:deterministic
 func Figure9(cfg Figure9Config) (*Figure9Result, error) {
 	res := &Figure9Result{}
 	for _, plan := range cfg.Plans {

@@ -34,6 +34,8 @@ type PowerResult struct {
 // preprocessing (TorchArrow) the host pool burns power comparable to the
 // trainers while throttling them; RAP reuses the trainers' leftover
 // cycles, so the host tier idles and every joule buys more samples.
+//
+//rap:deterministic
 func PowerStudy(plan, gpus int) (*PowerResult, error) {
 	if gpus <= 0 {
 		gpus = 4

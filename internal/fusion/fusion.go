@@ -18,8 +18,7 @@ type Options struct {
 	// Disable turns fusion off entirely (each op becomes its own
 	// kernel) — the "RAP w/o fusion" ablation of Figure 10.
 	Disable bool
-	// Horizon / MaxNodes forward to the MILP solver (0 = defaults).
-	Horizon  int
+	// MaxNodes forwards to the MILP solver (0 = default budget).
 	MaxNodes int
 	// Deprecated: ignored; the MILP solve is single-threaded.
 	Workers int
@@ -190,7 +189,6 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 			steps[op] = pos
 		}
 	} else {
-		prob.Horizon = opts.Horizon
 		prob.MaxNodes = opts.MaxNodes
 		if prob.MaxNodes == 0 {
 			prob.MaxNodes = budgetFor(len(refs))

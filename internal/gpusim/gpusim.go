@@ -144,25 +144,43 @@ type ClusterConfig struct {
 	Policy    SharePolicy
 }
 
-// WithDefaults returns the config with zero fields replaced by their
-// defaults (the same normalization NewSim applies).
+// WithDefaults returns the config with non-positive fields replaced by
+// their defaults (the same normalization NewSim applies). A −Inf
+// bandwidth is kept, like NaN and +Inf, so Validate still reports it.
 func (c ClusterConfig) WithDefaults() ClusterConfig {
 	if c.NumGPUs <= 0 {
 		c.NumGPUs = 1
 	}
-	if c.LinkGBs <= 0 {
-		c.LinkGBs = 300
-	}
-	if c.CopyGBs <= 0 {
-		c.CopyGBs = 25
-	}
-	if c.DramGBs <= 0 {
-		c.DramGBs = 1555
-	}
+	c.LinkGBs = defaultGBs(c.LinkGBs, 300)
+	c.CopyGBs = defaultGBs(c.CopyGBs, 25)
+	c.DramGBs = defaultGBs(c.DramGBs, 1555)
 	if c.HostCores <= 0 {
 		c.HostCores = 64
 	}
 	return c
+}
+
+func defaultGBs(v, def float64) float64 {
+	if v <= 0 && !math.IsInf(v, -1) {
+		return def
+	}
+	return v
+}
+
+// Validate rejects a NaN or infinite bandwidth. Transfer work is bytes
+// divided by a bandwidth, so a NaN bandwidth makes work that never
+// drains and Run would never return; an infinite one is no more a
+// physical link.
+func (c ClusterConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"LinkGBs", c.LinkGBs}, {"CopyGBs", c.CopyGBs}, {"DramGBs", c.DramGBs}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("gpusim: cluster %s %g is not finite", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // resKind enumerates the resource classes of the cluster.
@@ -393,8 +411,8 @@ type Sim struct {
 	demChunk []demandSpec
 	depChunk []OpID
 	depBuf   []OpID
-	// addErr records the first invalid Add* call (e.g. an out-of-range
-	// GPU); Run reports it instead of executing. Deferred error
+	// addErr records an invalid config or the first invalid Add* call
+	// (e.g. an out-of-range GPU); Run reports it instead of executing. Deferred error
 	// reporting keeps the builder surface panic-free, matching the
 	// zero-value/error convention of the Result query surface.
 	addErr error
@@ -414,11 +432,13 @@ type Sim struct {
 	fabricScale []float64
 }
 
-// NewSim creates a simulator for the given cluster.
+// NewSim creates a simulator for the given cluster. An invalid config
+// (see ClusterConfig.Validate) is recorded like an invalid Add* call:
+// Run returns the error instead of executing.
 //
 //rap:deterministic
 func NewSim(cfg ClusterConfig) *Sim {
-	return &Sim{cfg: cfg.WithDefaults(), streams: make(map[string]OpID)}
+	return &Sim{cfg: cfg.WithDefaults(), streams: make(map[string]OpID), addErr: cfg.Validate()}
 }
 
 // Config returns the (defaulted) cluster configuration.

@@ -414,6 +414,37 @@ func TestNonFiniteCostRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteBandwidthRejected: a NaN bandwidth passes WithDefaults'
+// "<= 0" test and makes transfer work that never drains, so Run used to
+// spin forever on a DAG of a kernel, an NVLink transfer, a device-local
+// copy and a host copy. Every non-finite bandwidth is now an error from
+// Run.
+func TestNonFiniteBandwidthRejected(t *testing.T) {
+	for _, field := range []string{"LinkGBs", "CopyGBs", "DramGBs"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(field+"/"+strconv.FormatFloat(v, 'g', -1, 64), func(t *testing.T) {
+				cfg := ClusterConfig{NumGPUs: 2}
+				switch field {
+				case "LinkGBs":
+					cfg.LinkGBs = v
+				case "CopyGBs":
+					cfg.CopyGBs = v
+				case "DramGBs":
+					cfg.DramGBs = v
+				}
+				s := NewSim(cfg)
+				k := s.AddKernel(0, Kernel{Name: "k", Work: 10, Demand: Demand{SM: 0.5}})
+				s.AddComm("link", 0, 1, 1e6, WithDeps(k))
+				s.AddComm("local", 0, 0, 1e6, WithDeps(k))
+				s.AddHostCopy("h2d", 1, 1e6)
+				if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), field) {
+					t.Fatalf("Run error = %v, want one naming %s", err, field)
+				}
+			})
+		}
+	}
+}
+
 func TestUtilizationAccounting(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1})
 	s.AddKernel(0, Kernel{Name: "a", Work: 100, LaunchOverhead: -1, Demand: Demand{SM: 0.6, MemBW: 0.4}, Tag: "train"})

@@ -71,9 +71,10 @@ type Config struct {
 	CapacityPerGPU []float64 //rap:unit us
 	// Cost overrides the default work-vs-capacity cost model.
 	Cost CostFn
-	// MaxMoves bounds the RAP search (default 200).
-	MaxMoves int
 }
+
+// maxMoves bounds the RAP search.
+const maxMoves = 200
 
 func (c Config) validate() error {
 	if c.Plan == nil {
@@ -274,8 +275,6 @@ type costMemo struct {
 	raw     CostFn
 	graphID map[*preproc.Graph]int
 	cache   *memo.Cache[string, float64]
-	// unkeyed counts evaluations that bypassed the cache (no key).
-	unkeyed int
 }
 
 func newCostMemo(raw CostFn, plan *preproc.Plan) *costMemo {
@@ -286,30 +285,21 @@ func newCostMemo(raw CostFn, plan *preproc.Plan) *costMemo {
 	return &costMemo{raw: raw, graphID: ids, cache: memo.New[string, float64]()}
 }
 
-// key renders the assignment shape; an empty key (a graph outside the
-// plan) disables memoization for that call.
+// key renders the assignment shape. Every item RAPSearch scores holds
+// one of the plan's graphs, so each has an id.
 func (m *costMemo) key(gpu int, items []Assign, comm float64) string {
 	h := sha256.New()
 	f := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
 	fmt.Fprintf(h, "gpu %d comm %s\n", gpu, f(comm))
 	for _, a := range items {
-		id, ok := m.graphID[a.Graph]
-		if !ok {
-			return ""
-		}
-		fmt.Fprintf(h, "g%d samples=%d avglen=%s\n", id, a.Shape.Samples, f(a.Shape.AvgListLen))
+		fmt.Fprintf(h, "g%d samples=%d avglen=%s\n", m.graphID[a.Graph], a.Shape.Samples, f(a.Shape.AvgListLen))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 func (m *costMemo) cost(gpu int, items []Assign, comm float64) float64 {
-	key := m.key(gpu, items, comm)
-	if key == "" {
-		m.unkeyed++
-		return m.raw(gpu, items, comm)
-	}
 	// CostFn cannot fail, so Get's error is always nil.
-	v, _ := m.cache.Get(key, func() (float64, error) { return m.raw(gpu, items, comm), nil })
+	v, _ := m.cache.Get(m.key(gpu, items, comm), func() (float64, error) { return m.raw(gpu, items, comm), nil })
 	return v
 }
 
@@ -331,10 +321,6 @@ func RAPSearch(cfg Config) (*Result, error) {
 	perGPU, _ := assignLocality(cfg)
 	memoized := newCostMemo(cfg.costFn(), cfg.Plan)
 	cost := memoized.cost
-	maxMoves := cfg.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = 200
-	}
 
 	comm := make([]float64, n)
 	costs := make([]float64, n)
@@ -416,7 +402,7 @@ func RAPSearch(cfg Config) (*Result, error) {
 	}
 	hits, misses := memoized.cache.Stats()
 	return &Result{Strategy: "rap", PerGPU: perGPU, CommBytes: comm, Moves: moves,
-		CostEvals: misses + memoized.unkeyed, CostCacheHits: hits}, nil
+		CostEvals: misses, CostCacheHits: hits}, nil
 }
 
 func argmax(xs []float64) int {

@@ -36,8 +36,16 @@ func (w *Workload) WithListLen(avgListLen float64) *Workload {
 // layers' overlapping capacity (which depends on pooling volume) and
 // re-runs the fusion + mapping + scheduling search. The returned plan
 // replaces the stale one; the framework's workload is updated in place.
+// A list length the shifted workload cannot validate (NaN, ±Inf) is
+// rejected before the framework changes.
+//
+//rap:deterministic
 func (f *Framework) AdaptToShift(avgListLen float64, opts BuildOptions) (*ExecPlan, error) {
-	f.W = f.W.WithListLen(avgListLen)
+	w := f.W.WithListLen(avgListLen)
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	f.W = w
 	return f.BuildPlan(opts)
 }
 
@@ -53,8 +61,7 @@ const HybridCPUSlowdownPerWorker = 500.0
 // CPU tier — the paper's hybrid "employs both GPUs and CPUs", spilling
 // only the part the GPUs cannot absorb). The CPU work runs concurrently
 // with training instead of extending the iteration. It returns the
-// hybrid plan and the number of operators spilled; p is left untouched
-// (BuildPlan may share it with every identical request).
+// hybrid plan and the number of operators spilled; p is left untouched.
 //
 // Note the economics this makes explicit: one CPU worker is
 // HybridCPUSlowdownPerWorker× slower than the GPU, so the hybrid mode

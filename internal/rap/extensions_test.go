@@ -2,6 +2,7 @@ package rap
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"rap/internal/data"
@@ -66,6 +67,38 @@ func TestAdaptToShift(t *testing.T) {
 	}
 }
 
+// TestAdaptToShiftRejectedKeepsFramework: a shift to a list length the
+// workload cannot validate returns an error and leaves the framework as
+// it was, so the next BuildPlan reproduces the plan from before the
+// shift bit for bit.
+func TestAdaptToShiftRejectedKeepsFramework(t *testing.T) {
+	f := New(workload(t, Kaggle, 1, 1024), gpusim.ClusterConfig{NumGPUs: 2})
+	before, err := f.BuildPlan(BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := planDigest(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := f.AdaptToShift(x, BuildOptions{}); err == nil {
+			t.Fatalf("AdaptToShift(%v) accepted", x)
+		}
+		again, err := f.BuildPlan(BuildOptions{})
+		if err != nil {
+			t.Fatalf("BuildPlan after rejected AdaptToShift(%v): %v", x, err)
+		}
+		got, err := planDigest(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("after rejected AdaptToShift(%v): plan digest %s, want %s", x, got[:12], want[:12])
+		}
+	}
+}
+
 // overloadedWorkload builds a plan-1 workload with enough extra NGram
 // work that Algorithm 1 cannot hide everything (forcing overflow).
 func overloadedWorkload(t *testing.T) *Workload {
@@ -119,19 +152,11 @@ func TestMakeHybrid(t *testing.T) {
 	if spilled == 0 {
 		t.Fatal("nothing spilled")
 	}
-	// BuildPlan shares pure with every identical request, so MakeHybrid
-	// must leave it untouched.
+	// MakeHybrid must leave its input plan untouched.
 	for _, g := range overflowed {
 		if !spilledOnGPU(pure, g) || pure.Work[g].CPUPreprocUs != 0 {
 			t.Fatalf("gpu %d: MakeHybrid modified its input plan", g)
 		}
-	}
-	again, err := f.BuildPlan(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.TotalPredictedExposed() == 0 {
-		t.Fatal("repeat BuildPlan after MakeHybrid returned the hybrid plan")
 	}
 	for g := range hybrid.Schedules {
 		if spilledOnGPU(hybrid, g) {

@@ -10,7 +10,6 @@ import (
 	"rap/internal/gbdt"
 	"rap/internal/gpusim"
 	"rap/internal/mapping"
-	"rap/internal/memo"
 	"rap/internal/sched"
 	"rap/internal/topo"
 )
@@ -57,10 +56,6 @@ type Framework struct {
 	Cluster gpusim.ClusterConfig
 
 	pred *costmodel.Predictor
-	// predGen counts predictor replacements; it is part of every
-	// plan-cache key, so retraining invalidates cached plans without
-	// flushing anything.
-	predGen int
 
 	// newCostModel builds the per-GPU cost model; a seam for tests that
 	// need a cost model failing on specific candidates.
@@ -70,7 +65,6 @@ type Framework struct {
 	// computation would have, so none of them changes plan contents.
 	probes *costmodel.ProbeCache
 	solves *fusion.SolveCache
-	plans  *memo.Cache[string, *ExecPlan] // keyed by planKey
 }
 
 // New creates a framework for a workload on a cluster.
@@ -81,7 +75,6 @@ func New(w *Workload, cluster gpusim.ClusterConfig) *Framework {
 		pred:    costmodel.AnalyticPredictor(),
 		probes:  costmodel.NewProbeCache(),
 		solves:  fusion.NewSolveCache(),
-		plans:   memo.New[string, *ExecPlan](),
 	}
 	f.newCostModel = func(caps []costmodel.StageCapacity) (*costmodel.CostModel, error) {
 		return costmodel.NewCostModel(f.pred, caps)
@@ -105,7 +98,6 @@ func (f *Framework) OfflineTrainPredictor(samples int, seed int64) (map[string]f
 		return nil, err
 	}
 	f.pred = pred
-	f.predGen++
 	return pred.Accuracy(eval, 0.10), nil
 }
 
@@ -139,18 +131,6 @@ func (p *ExecPlan) TotalPredictedExposed() float64 {
 		}
 	}
 	return worst
-}
-
-// BuildPlan runs the online pass (Figure 4 steps 2-3): estimate
-// overlapping capacity, map the preprocessing graphs, fuse, and search
-// the co-running schedule. Identical requests — same workload shape,
-// cluster, options and predictor generation, by deep content hash —
-// return the already-built plan, which callers must not mutate.
-func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
-	if opts.Strategy == "" {
-		opts.Strategy = MapRAP
-	}
-	return f.plans.Get(f.planKey(opts), func() (*ExecPlan, error) { return f.buildPlan(opts) })
 }
 
 // estimateCapacities runs the step-2 per-GPU capacity profiling. GPU 0
@@ -189,7 +169,18 @@ func (f *Framework) estimateCapacities(pl dlrm.Placement) ([][]costmodel.StageCa
 	return caps, capTotals, nil
 }
 
-func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
+// BuildPlan runs the online pass (Figure 4 steps 2-3): estimate
+// overlapping capacity, map the preprocessing graphs, fuse, and search
+// the co-running schedule.
+//
+//rap:deterministic
+func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
+	if opts.Strategy == "" {
+		opts.Strategy = MapRAP
+	}
+	if err := f.Cluster.Validate(); err != nil {
+		return nil, err
+	}
 	n := f.Cluster.NumGPUs
 	pl := dlrm.PlaceTables(f.W.Model.TableSizes, n)
 
@@ -377,6 +368,8 @@ func hostPrepUs(s *sched.Schedule) float64 {
 }
 
 // Execute simulates the pipelined plan for the given iteration count.
+//
+//rap:deterministic
 func (f *Framework) Execute(p *ExecPlan, iterations int) (*sched.PipelineStats, error) {
 	return f.ExecuteTopo(p, iterations, nil, nil)
 }
@@ -387,9 +380,11 @@ func (f *Framework) Execute(p *ExecPlan, iterations int) (*sched.PipelineStats, 
 // scaled for the whole run by fabricScale (sched.PipelineOptions.
 // FabricScale; nil for uncongested). The topology is an
 // execution-time argument rather than a BuildOptions field on purpose:
-// plans are cached by their build inputs, and a plan built once can be
-// simulated on any fleet slice (the cluster simulator runs one cached
-// plan across many node-spanning allocations).
+// a plan built once can be simulated on any fleet slice (the cluster
+// simulator runs one plan per workload shape across many node-spanning
+// allocations).
+//
+//rap:deterministic
 func (f *Framework) ExecuteTopo(p *ExecPlan, iterations int, tp *topo.Topology, fabricScale []float64) (*sched.PipelineStats, error) {
 	streams := 1
 	if p.Opts.NaiveSchedule && !p.Opts.SequentialPreproc && p.Opts.PreprocPriority >= 1 {
@@ -419,24 +414,4 @@ func (f *Framework) IdealThroughput() float64 {
 	}
 	globalBatch := float64(f.W.Model.BatchSize) * float64(f.Cluster.NumGPUs)
 	return globalBatch / (iter * 1e-6)
-}
-
-// PreprocessOnly measures the standalone preprocessing latency of one
-// global batch under the plan's mapping and fusion (no training
-// co-running) — the denominator of the paper's "sequential GPU-based
-// preprocessing" comparisons.
-func (f *Framework) PreprocessOnly(p *ExecPlan) (float64, error) {
-	sim := gpusim.NewSim(p.Cluster)
-	for g := 0; g < p.Cluster.NumGPUs; g++ {
-		stream := fmt.Sprintf("pre/g%d", g)
-		for _, spec := range p.Schedules[g].AllKernels() {
-			k := spec.Kernel()
-			sim.AddKernel(g, k, gpusim.WithStream(stream))
-		}
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
 }

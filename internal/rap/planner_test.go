@@ -2,12 +2,12 @@ package rap
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
 	"rap/internal/costmodel"
 	"rap/internal/gpusim"
-	"rap/internal/memo"
 )
 
 // plansEqual compares the planner outputs of two ExecPlans (the
@@ -24,9 +24,8 @@ func plansEqual(a, b *ExecPlan) bool {
 }
 
 // TestBuildPlanDeterministicUnderConcurrency double-runs BuildPlan
-// (concurrent probes and lowering, memoization) with a fresh plan cache
-// swapped in between, so the second run genuinely rebuilds: the plans
-// must be deeply equal.
+// (concurrent probes and lowering, memoization) on one framework: the
+// plans must be deeply equal.
 func TestBuildPlanDeterministicUnderConcurrency(t *testing.T) {
 	w := workload(t, Kaggle, 1, 1024)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
@@ -34,13 +33,9 @@ func TestBuildPlanDeterministicUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.plans = memo.New[string, *ExecPlan]()
 	b, err := f.BuildPlan(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("second BuildPlan was served from the old plan cache")
 	}
 	if !plansEqual(a, b) {
 		t.Fatal("double-run BuildPlan produced different plans")
@@ -67,13 +62,12 @@ func TestBuildPlanMemoTransparent(t *testing.T) {
 			if _, err := memoized.BuildPlan(tc.opts); err != nil {
 				t.Fatal(err)
 			}
-			memoized.plans = memo.New[string, *ExecPlan]()
 			a, err := memoized.BuildPlan(tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			plain := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-			plain.probes, plain.solves, plain.plans = nil, nil, nil
+			plain.probes, plain.solves = nil, nil
 			b, err := plain.BuildPlan(tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -103,45 +97,61 @@ func anyTruncated(p *ExecPlan) bool {
 	return false
 }
 
-// TestBuildPlanPlanCache: an identical request returns the cached plan;
-// a different request does not.
-func TestBuildPlanPlanCache(t *testing.T) {
+// TestBuildPlanRejectsNonFiniteBandwidth: a NaN or infinite cluster
+// bandwidth is reported by BuildPlan before any capacity probe, instead
+// of a plan whose predicted exposure is NaN.
+func TestBuildPlanRejectsNonFiniteBandwidth(t *testing.T) {
 	w := workload(t, Kaggle, 1, 1024)
-	f := New(w, gpusim.ClusterConfig{NumGPUs: 2})
-	a, err := f.BuildPlan(BuildOptions{})
+	for _, cluster := range []gpusim.ClusterConfig{
+		{NumGPUs: 2, LinkGBs: math.NaN()},
+		{NumGPUs: 2, CopyGBs: math.Inf(1)},
+		{NumGPUs: 2, DramGBs: math.Inf(-1)},
+	} {
+		f := New(w, cluster)
+		if p, err := f.BuildPlan(BuildOptions{}); err == nil {
+			t.Fatalf("%+v: BuildPlan accepted, exposure %v", cluster, p.PredictedExposedUs)
+		}
+		if hits, misses := f.probes.Stats(); hits+misses != 0 {
+			t.Fatalf("%+v: %d capacity probes ran before the error", cluster, hits+misses)
+		}
+	}
+}
+
+// TestOfflinePredictorDeterministicPlans trains the GBDT predictor with
+// one seed in two fresh frameworks and twice in one framework: every
+// build from those predictors must have the same plan digest.
+func TestOfflinePredictorDeterministicPlans(t *testing.T) {
+	w := workload(t, Kaggle, 1, 1024)
+	const samples, seed = 600, 5
+	trainAndBuild := func(f *Framework) string {
+		t.Helper()
+		if _, err := f.OfflineTrainPredictor(samples, seed); err != nil {
+			t.Fatal(err)
+		}
+		p, err := f.BuildPlan(BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := planDigest(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	a := New(w, gpusim.ClusterConfig{NumGPUs: 2})
+	first := trainAndBuild(a)
+	if other := trainAndBuild(New(w, gpusim.ClusterConfig{NumGPUs: 2})); other != first {
+		t.Fatalf("fresh frameworks disagree: %s vs %s", first[:12], other[:12])
+	}
+	if again := trainAndBuild(a); again != first {
+		t.Fatalf("retraining in one framework changed the plan: %s vs %s", first[:12], again[:12])
+	}
+	analytic, err := New(w, gpusim.ClusterConfig{NumGPUs: 2}).BuildPlan(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.BuildPlan(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("identical BuildPlan request was rebuilt instead of served from cache")
-	}
-	c, err := f.BuildPlan(BuildOptions{Strategy: MapDataParallel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Fatal("different options returned the cached plan")
-	}
-	if hits, misses := f.plans.Stats(); hits != 1 || misses != 2 {
-		t.Fatalf("plan cache counted %d hits, %d misses; want 1, 2", hits, misses)
-	}
-	f.plans = memo.New[string, *ExecPlan]()
-	d, err := f.BuildPlan(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == a {
-		t.Fatal("a fresh plan cache still served the old plan")
-	}
-	if !plansEqual(a, d) {
-		t.Fatal("rebuilt plan differs from cached plan")
-	}
-	if hits, _ := f.solves.Stats(); hits == 0 {
-		t.Fatal("warm rebuild re-solved every fusion MILP instead of hitting the solve memo")
+	if d, err := planDigest(analytic); err != nil || d == first {
+		t.Fatalf("trained predictor planned exactly like the analytic one (err %v): test premise broken", err)
 	}
 }
 

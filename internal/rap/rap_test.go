@@ -200,22 +200,6 @@ func TestSequentialVsRAP(t *testing.T) {
 	}
 }
 
-func TestPreprocessOnly(t *testing.T) {
-	w := workload(t, Terabyte, 1, 4096)
-	f := New(w, gpusim.ClusterConfig{NumGPUs: 2})
-	p, err := f.BuildPlan(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat, err := f.PreprocessOnly(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 {
-		t.Fatal("no preprocessing latency")
-	}
-}
-
 func TestCodeGenAndArtifact(t *testing.T) {
 	w := workload(t, Terabyte, 1, 4096)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 2})

@@ -3,7 +3,6 @@ package sched
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"rap/internal/costmodel"
@@ -174,31 +173,6 @@ func TestCoRunWidePlans(t *testing.T) {
 		preproc.NewNGram("ng", []string{"cat_0", "cat_1", "cat_2", "cat_3"}, "out", 3, 1000),
 	}}
 	checkCoRun(t, fusedPlanFor(t, []*preproc.Graph{g}, 65536), cm2, Options{})
-}
-
-// TestCoRunRejectsNonFiniteOptions: NaN slips through withDefaults'
-// range checks (every comparison with NaN is false). A NaN
-// MinShardLatency used to shard forever and a NaN PackFraction to hide
-// every kernel; both entry points now return an error instead.
-func TestCoRunRejectsNonFiniteOptions(t *testing.T) {
-	_, _, cm := testSetup(t, 4, 4096)
-	plan := fusedPlanFor(t, preproc.MustStandardPlan(2, nil).Graphs, 4096)
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"MinShardLatency NaN", Options{MinShardLatency: math.NaN()}},
-		{"PackFraction NaN", Options{PackFraction: math.NaN()}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := CoRunSchedule(plan, cm, tc.opts); err == nil || !strings.Contains(err.Error(), "non-finite") {
-				t.Fatalf("CoRunSchedule: err %v, want a non-finite option error", err)
-			}
-			if _, err := CoRunExposed(plan, cm, tc.opts); err == nil || !strings.Contains(err.Error(), "non-finite") {
-				t.Fatalf("CoRunExposed: err %v, want a non-finite option error", err)
-			}
-		})
-	}
 }
 
 // TestCoRunExposedAllocs pins CoRunExposed's allocations on the `wide`

@@ -39,19 +39,14 @@ func (w GPUWork) workers() int {
 	return w.CPUWorkers
 }
 
-// NoWarmup is the Warmup sentinel requesting zero warmup iterations
-// (the zero value means "use the default of 2").
-const NoWarmup = -1
+// warmupIters is the number of iterations excluded from steady-state
+// measurement. It is clamped to Iterations-1, so a single-iteration run
+// has no warmup and the steady-state window falls back to the full run.
+const warmupIters = 2
 
 // PipelineOptions controls pipeline construction.
 type PipelineOptions struct {
 	Iterations int
-	// Warmup is the number of iterations excluded from steady-state
-	// measurement. 0 means the default of 2; NoWarmup (or any negative
-	// value) requests zero warmup. Always clamped to Iterations-1, so a
-	// single-iteration run has no warmup and the steady-state window
-	// falls back to the full run.
-	Warmup int
 	// Interleave enables §6.3 inter-batch workload interleaving: the
 	// data preparation of batch n+1 overlaps the preprocessing kernels
 	// of batch n instead of serializing before its own kernels.
@@ -87,14 +82,6 @@ type PipelineOptions struct {
 func (o PipelineOptions) withDefaults() PipelineOptions {
 	if o.Iterations <= 0 {
 		o.Iterations = 8
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 2
-	} else if o.Warmup < 0 {
-		o.Warmup = 0
-	}
-	if o.Warmup >= o.Iterations {
-		o.Warmup = o.Iterations - 1
 	}
 	if o.PreprocStreams <= 0 {
 		o.PreprocStreams = 1
@@ -163,10 +150,11 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 	// Steady-state window: everything after the warmup iterations. With
 	// no warmup (Iterations == 1) the window is the whole run measured
 	// from t=0.
-	steadyIters := opts.Iterations - opts.Warmup
+	warmup := min(warmupIters, opts.Iterations-1)
+	steadyIters := opts.Iterations - warmup
 	warmupEnd := 0.0
-	if opts.Warmup > 0 {
-		warmupEnd = stats.IterEnds[opts.Warmup-1]
+	if warmup > 0 {
+		warmupEnd = stats.IterEnds[warmup-1]
 	}
 	steadyTime := stats.IterEnds[opts.Iterations-1] - warmupEnd
 	if steadyIters > 0 && steadyTime > 0 {

@@ -10,49 +10,39 @@ import (
 	"rap/internal/topo"
 )
 
-// TestWarmupSentinel covers the Warmup:0 regression: the zero value
-// means "default of 2", and NoWarmup requests an actual zero-warmup
-// window measured from t=0.
+// TestWarmupSentinel: the steady-state window excludes the two warmup
+// iterations, and a single-iteration run clamps the warmup to zero and
+// measures the whole run from t=0.
 func TestWarmupSentinel(t *testing.T) {
 	const n = 2
 	cfg, pl, cm := testSetup(t, n, 4096)
 	p := preproc.MustStandardPlan(0, nil)
 	work := buildWork(t, cm, splitGraphs(p, n), 4096)
 
-	run := func(warmup int) *PipelineStats {
-		stats, err := BuildAndRun(gpusim.ClusterConfig{NumGPUs: n}, cfg, pl, work, PipelineOptions{
-			Iterations: 4,
-			Warmup:     warmup,
-		})
+	run := func(iters int) *PipelineStats {
+		stats, err := BuildAndRun(gpusim.ClusterConfig{NumGPUs: n}, cfg, pl, work, PipelineOptions{Iterations: iters})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return stats
 	}
 
-	def := run(0)
+	def := run(4)
 	wantDef := (def.IterEnds[3] - def.IterEnds[1]) / 2
 	if math.Abs(def.SteadyIterLatency-wantDef) > 1e-9 {
 		t.Fatalf("default warmup: steady latency %f, want 2-warmup window %f", def.SteadyIterLatency, wantDef)
 	}
 
-	none := run(NoWarmup)
-	wantNone := none.IterEnds[3] / 4
-	if math.Abs(none.SteadyIterLatency-wantNone) > 1e-9 {
-		t.Fatalf("NoWarmup: steady latency %f, want full-run window %f", none.SteadyIterLatency, wantNone)
-	}
-
-	// Any negative value behaves like the sentinel.
-	minus := run(-3)
-	if math.Abs(minus.SteadyIterLatency-none.SteadyIterLatency) > 1e-9 {
-		t.Fatalf("Warmup -3 diverged from NoWarmup: %f vs %f", minus.SteadyIterLatency, none.SteadyIterLatency)
+	one := run(1)
+	if math.Abs(one.SteadyIterLatency-one.IterEnds[0]) > 1e-9 {
+		t.Fatalf("single iteration: steady latency %f, want full-run window %f", one.SteadyIterLatency, one.IterEnds[0])
 	}
 }
 
 // TestPipelineEngineMatrix composes the awkward corners in one matrix:
-// a congested inter-node fabric (FabricScale on a 2-node topology), the
-// NoWarmup sentinel and a single-iteration run — every {FabricScale} ×
-// {Iterations:1+NoWarmup, Iterations:3} cell runs twice, and the two
+// a congested inter-node fabric (FabricScale on a 2-node topology) and
+// a single-iteration run, whose warmup clamps to zero — every
+// {FabricScale} × {Iterations:1, Iterations:3} cell runs twice, and the two
 // runs must agree bit-exactly on gpusim.ResultDigest (op timings,
 // utilization segments with tag attribution, host segments), on the
 // event count and on the steady iteration latency. This carries the
@@ -66,45 +56,43 @@ func TestPipelineEngineMatrix(t *testing.T) {
 	p := preproc.MustStandardPlan(1, nil)
 	work := buildWork(t, cm, splitGraphs(p, n), 4096)
 
-	run := func(iters, warmup int, fabricScale []float64) *PipelineStats {
+	run := func(iters int, fabricScale []float64) *PipelineStats {
 		t.Helper()
 		stats, err := BuildAndRun(gpusim.ClusterConfig{NumGPUs: n}, cfg, pl, work, PipelineOptions{
 			Iterations:  iters,
-			Warmup:      warmup,
 			Topology:    topo.Uniform(2, 1),
 			FabricScale: fabricScale,
 		})
 		if err != nil {
-			t.Fatalf("iters %d warmup %d: %v", iters, warmup, err)
+			t.Fatalf("iters %d: %v", iters, err)
 		}
 		return stats
 	}
 
-	shapes := []struct{ iters, warmup int }{{1, NoWarmup}, {3, 0}}
 	for _, scale := range [][]float64{nil, {0.5, 1}} {
-		for _, shape := range shapes {
-			x := run(shape.iters, shape.warmup, scale)
-			y := run(shape.iters, shape.warmup, scale)
+		for _, iters := range []int{1, 3} {
+			x := run(iters, scale)
+			y := run(iters, scale)
 			if dx, dy := gpusim.ResultDigest(x.Result), gpusim.ResultDigest(y.Result); dx != dy {
-				t.Errorf("scale=%v iters=%d: digest %s != rerun %s", scale, shape.iters, dx[:12], dy[:12])
+				t.Errorf("scale=%v iters=%d: digest %s != rerun %s", scale, iters, dx[:12], dy[:12])
 			}
 			if x.Result.Events != y.Result.Events {
-				t.Errorf("scale=%v iters=%d: %d events != rerun %d", scale, shape.iters, x.Result.Events, y.Result.Events)
+				t.Errorf("scale=%v iters=%d: %d events != rerun %d", scale, iters, x.Result.Events, y.Result.Events)
 			}
 			if x.SteadyIterLatency != y.SteadyIterLatency {
 				t.Errorf("scale=%v iters=%d: steady latency %v != rerun %v",
-					scale, shape.iters, x.SteadyIterLatency, y.SteadyIterLatency)
+					scale, iters, x.SteadyIterLatency, y.SteadyIterLatency)
 			}
 		}
 	}
-	for _, shape := range shapes {
-		base := run(shape.iters, shape.warmup, nil)
-		if ones := run(shape.iters, shape.warmup, []float64{1, 1}); gpusim.ResultDigest(ones.Result) != gpusim.ResultDigest(base.Result) {
-			t.Errorf("iters=%d: all-ones fabric scale perturbed the run", shape.iters)
+	for _, iters := range []int{1, 3} {
+		base := run(iters, nil)
+		if ones := run(iters, []float64{1, 1}); gpusim.ResultDigest(ones.Result) != gpusim.ResultDigest(base.Result) {
+			t.Errorf("iters=%d: all-ones fabric scale perturbed the run", iters)
 		}
-		if slow := run(shape.iters, shape.warmup, []float64{0.5, 1}); !(slow.Result.Makespan > base.Result.Makespan) {
+		if slow := run(iters, []float64{0.5, 1}); !(slow.Result.Makespan > base.Result.Makespan) {
 			t.Errorf("iters=%d: congested fabric did not stretch the run: %g <= %g",
-				shape.iters, slow.Result.Makespan, base.Result.Makespan)
+				iters, slow.Result.Makespan, base.Result.Makespan)
 		}
 	}
 }

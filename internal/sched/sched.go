@@ -7,7 +7,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"rap/internal/costmodel"
@@ -17,19 +16,21 @@ import (
 
 // Options tunes Algorithm 1.
 type Options struct {
-	// MinShardLatency is the smallest useful shard (µs); leftover stage
-	// capacity below it is skipped rather than sharded into dust.
-	MinShardLatency float64
 	// DisableSharding turns resource-aware kernel sharding off (kernels
 	// are only placed whole) — for ablation studies.
 	DisableSharding bool
-	// PackFraction is the share of each stage's capacity the scheduler
-	// actually fills (default 0.8). Packing to 100% makes every stream
-	// backlog cascade into later, tighter stages where the oversized
-	// pieces contend with training; leftover work instead overflows to
-	// the inter-iteration gap where it runs fused at full occupancy.
-	PackFraction float64
 }
+
+// minShardLatency is the smallest useful shard (µs); leftover stage
+// capacity below it is skipped rather than sharded into dust.
+const minShardLatency = 8
+
+// packFraction is the share of each stage's capacity the scheduler
+// actually fills. Packing to 100% makes every stream backlog cascade
+// into later, tighter stages where the oversized pieces contend with
+// training; leftover work instead overflows to the inter-iteration gap
+// where it runs fused at full occupancy.
+const packFraction = 0.8
 
 // DemandSlack adjusts the headroom target when fitting a shard's demand
 // into a stage's leftover. It is slightly negative: co-running pieces
@@ -44,16 +45,6 @@ const DemandSlack = -0.03
 // past its stage boundary because the preprocessing stream is backed up
 // must not be able to flatten the next compute stage.
 const MaxCoRunOcc = 0.4
-
-func (o Options) withDefaults() Options {
-	if o.MinShardLatency <= 0 {
-		o.MinShardLatency = 8
-	}
-	if o.PackFraction <= 0 || o.PackFraction > 1 {
-		o.PackFraction = 0.8
-	}
-	return o
-}
 
 // Schedule is the co-running plan of one GPU for one batch's
 // preprocessing: which (possibly sharded) kernels overlap which training
@@ -195,10 +186,6 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 	if cm.Pred == nil {
 		return assignment{}, fmt.Errorf("sched: cost model has no predictor")
 	}
-	if isNonFinite(opts.MinShardLatency) || isNonFinite(opts.PackFraction) {
-		return assignment{}, fmt.Errorf("sched: non-finite option (MinShardLatency %v, PackFraction %v)", opts.MinShardLatency, opts.PackFraction)
-	}
-	opts = opts.withDefaults()
 	numStages := len(cm.Caps)
 
 	// Lines 2-5: total predicted preprocessing latency. The queue's
@@ -271,7 +258,7 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 		pos := 0
 		for s := 0; s < numStages; s++ {
 			sum := 0.0
-			remaining := cm.Caps[s].Capacity * opts.PackFraction
+			remaining := cm.Caps[s].Capacity * packFraction
 			leftover := cm.Caps[s].Leftover
 			for selected[s] && pos < len(queue) {
 				k, p := queue[pos].k, queue[pos].p
@@ -303,7 +290,7 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 					pos++
 					continue
 				}
-				if opts.DisableSharding || remaining < opts.MinShardLatency {
+				if opts.DisableSharding || remaining < minShardLatency {
 					break // stage full; spill to the next selected stage
 				}
 				k1, k2 := k.Shard(frac)
@@ -315,7 +302,7 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 					k1, k2 = k.Shard(frac * remaining / p1)
 					p1 = cm.Pred.Predict(k1)
 				}
-				if p1 < opts.MinShardLatency || p1 > remaining+opts.MinShardLatency {
+				if p1 < minShardLatency || p1 > remaining+minShardLatency {
 					break // no useful piece fits this stage
 				}
 				if keep {
@@ -354,9 +341,6 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 	}
 	return out, nil
 }
-
-// isNonFinite reports whether v is NaN or ±Inf.
-func isNonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
 // SequentialSchedule places every kernel into the first stage's slot
 // without capacity awareness — the handcrafted-baseline behaviour

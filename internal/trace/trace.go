@@ -1,54 +1,10 @@
 // Package trace post-processes simulator results into the artifacts the
-// paper's figures are built from: resampled utilization series (Figure
-// 1a), tag-attributed utilization summaries (Table 4), CSV exports and
-// turning-point detection (Figure 11).
+// paper's figures are built from: tag-attributed utilization summaries
+// (Table 4), turning-point detection (Figure 11) and Chrome trace-event
+// timelines.
 package trace
 
-import (
-	"fmt"
-	"io"
-	"sort"
-
-	"rap/internal/gpusim"
-)
-
-// WriteUtilCSV writes GPU g's resampled utilization series as CSV
-// (t_us, sm, membw).
-func WriteUtilCSV(w io.Writer, res *gpusim.Result, g int, dt float64) error {
-	if _, err := fmt.Fprintln(w, "t_us,sm,membw"); err != nil {
-		return err
-	}
-	for _, s := range res.UtilSeries(g, dt) {
-		if _, err := fmt.Fprintf(w, "%.2f,%.4f,%.4f\n", s.T, s.SM, s.MemBW); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteOpsCSV writes the op timeline (name, tag, gpu, start, end) sorted
-// by start time.
-func WriteOpsCSV(w io.Writer, res *gpusim.Result) error {
-	ops := append([]gpusim.OpResult(nil), res.Ops...)
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].Start < ops[j].Start {
-			return true
-		}
-		if ops[i].Start > ops[j].Start {
-			return false
-		}
-		return ops[i].ID < ops[j].ID
-	})
-	if _, err := fmt.Fprintln(w, "name,tag,gpu,start_us,end_us"); err != nil {
-		return err
-	}
-	for _, o := range ops {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%.2f,%.2f\n", o.Name, o.Tag, o.GPU, o.Start, o.End); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+import "rap/internal/gpusim"
 
 // UtilSummary is the Table 4 metric pair for one GPU.
 type UtilSummary struct {
@@ -109,6 +65,7 @@ func MeanSummary(res *gpusim.Result, numGPUs int, upTo float64) UtilSummary {
 		s := Summarize(res, g, upTo)
 		agg.GPUUtil += s.GPUUtil
 		agg.SMUtil += s.SMUtil
+		//lint:ignore detaint each tag's sum adds this GPU's value once, so the visit order cannot change it
 		for tag, v := range s.TagSM {
 			agg.TagSM[tag] += v
 		}
@@ -116,6 +73,7 @@ func MeanSummary(res *gpusim.Result, numGPUs int, upTo float64) UtilSummary {
 	n := float64(numGPUs)
 	agg.GPUUtil /= n
 	agg.SMUtil /= n
+	//lint:ignore detaint each tag is divided in place, independently of the others
 	for tag := range agg.TagSM {
 		agg.TagSM[tag] /= n
 	}

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"math"
 	"strings"
 	"testing"
 
@@ -22,45 +21,6 @@ func result(t *testing.T) *gpusim.Result {
 		t.Fatal(err)
 	}
 	return res
-}
-
-func TestWriteUtilCSV(t *testing.T) {
-	res := result(t)
-	var sb strings.Builder
-	if err := WriteUtilCSV(&sb, res, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if lines[0] != "t_us,sm,membw" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) < 8 {
-		t.Fatalf("too few samples: %d", len(lines))
-	}
-	// A NaN period writes only the header (UtilSeries used to panic on it).
-	sb.Reset()
-	if err := WriteUtilCSV(&sb, res, 0, math.NaN()); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != "t_us,sm,membw\n" {
-		t.Fatalf("NaN period wrote %q", got)
-	}
-}
-
-func TestWriteOpsCSV(t *testing.T) {
-	res := result(t)
-	var sb strings.Builder
-	if err := WriteOpsCSV(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "train_k,train,0") || !strings.Contains(out, "pre_k,preproc,0") {
-		t.Fatalf("ops CSV missing rows:\n%s", out)
-	}
-	// Sorted by start: train before pre.
-	if strings.Index(out, "train_k") > strings.Index(out, "pre_k") {
-		t.Fatal("ops not sorted by start")
-	}
 }
 
 func TestSummarize(t *testing.T) {
@@ -142,39 +102,14 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// failWriter errors after n bytes, to exercise CSV error paths.
-type failWriter struct{ left int }
+// failWriter fails every write.
+type failWriter struct{}
 
-func (f *failWriter) Write(p []byte) (int, error) {
-	if f.left <= 0 {
-		return 0, io.ErrClosedPipe
-	}
-	n := len(p)
-	if n > f.left {
-		n = f.left
-	}
-	f.left -= n
-	if n < len(p) {
-		return n, io.ErrClosedPipe
-	}
-	return n, nil
-}
+func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
+// TestCSVWriteErrors: a failing writer surfaces from WriteChromeTrace.
 func TestCSVWriteErrors(t *testing.T) {
-	res := result(t)
-	if err := WriteUtilCSV(&failWriter{left: 0}, res, 0, 10); err == nil {
-		t.Fatal("header write error swallowed")
-	}
-	if err := WriteUtilCSV(&failWriter{left: 15}, res, 0, 10); err == nil {
-		t.Fatal("row write error swallowed")
-	}
-	if err := WriteOpsCSV(&failWriter{left: 0}, res); err == nil {
-		t.Fatal("ops header error swallowed")
-	}
-	if err := WriteOpsCSV(&failWriter{left: 30}, res); err == nil {
-		t.Fatal("ops row error swallowed")
-	}
-	if err := WriteChromeTrace(&failWriter{left: 0}, res, 2); err == nil {
+	if err := WriteChromeTrace(failWriter{}, result(t), 2); err == nil {
 		t.Fatal("chrome trace error swallowed")
 	}
 }
