@@ -315,6 +315,40 @@ func TestKernelSpecCostModel(t *testing.T) {
 	}
 }
 
+// TestKernelCostFormula checks the kernel cost model against its closed
+// form with the constants spelled out: 2900 elements/µs of full-GPU
+// throughput, a 1.5 µs kernel floor and 5 µs of launch overhead.
+// Work = elements·costFactor·scale/(2900·occupancy) + 1.5, SaturatedWork
+// drops the occupancy and the floor, SoloLatency adds the launch.
+func TestKernelCostFormula(t *testing.T) {
+	cases := []struct {
+		name        string
+		spec        KernelSpec
+		occ, factor float64
+		scale       float64
+	}{
+		// 131072 elements = 4096 warps: past the 1024 that saturate.
+		{"saturated SigridHash", KernelSpec{Type: OpSigridHash, Elements: 131072}, 1, 2.2, 1},
+		// 3200 elements = 100 warps of 1024.
+		{"partial NGram, scale 2", KernelSpec{Type: OpNGram, Elements: 3200, ParamScale: 2}, 100.0 / 1024, 6.0, 2},
+		{"negative scale reads as 1", KernelSpec{Type: OpLogit, Elements: 64000, ParamScale: -1}, 1, 1.2, 1},
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*want }
+	for _, c := range cases {
+		sat := c.spec.Elements * c.factor * c.scale / 2900
+		work := sat/c.occ + 1.5
+		if got := c.spec.Work(); !near(got, work) {
+			t.Errorf("%s: Work %g, want %g", c.name, got, work)
+		}
+		if got := c.spec.SaturatedWork(); !near(got, sat) {
+			t.Errorf("%s: SaturatedWork %g, want %g", c.name, got, sat)
+		}
+		if got := c.spec.SoloLatency(); !near(got, 5+work) {
+			t.Errorf("%s: SoloLatency %g, want %g", c.name, got, 5+work)
+		}
+	}
+}
+
 func TestKernelSpecFuse(t *testing.T) {
 	a := KernelSpec{Name: "a", Type: OpFillNull, Elements: 1000}
 	b := KernelSpec{Name: "b", Type: OpFillNull, Elements: 3000}
