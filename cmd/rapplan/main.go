@@ -31,6 +31,9 @@ func main() {
 	trainPred := flag.Bool("train-predictor", false, "train the GBDT latency predictor (offline pass) instead of the analytic model")
 	asJSON := flag.Bool("json", false, "emit the machine-readable plan artifact")
 	flag.Parse()
+	if *gpus < 1 {
+		fatal(fmt.Errorf("-gpus must be at least 1, got %d", *gpus))
+	}
 
 	w, err := rap.NewWorkload(rap.Dataset(*dataset), *plan, *batch, 1)
 	if err != nil {
