@@ -44,13 +44,6 @@ func AllSystems() []System {
 	return []System{SystemTorchArrow, SystemSequential, SystemStream, SystemMPS, SystemRAP, SystemIdeal}
 }
 
-// CPUSlowdownPerWorker is the cost ratio of one CPU preprocessing
-// worker versus the GPU executing the same operator work — the
-// calibration constant behind the TorchArrow baseline. (Element-wise
-// hashing/normalization throughput of one CPU worker vs. an A100-class
-// GPU; the paper measures RAP at ~17.8× TorchArrow end to end.)
-const CPUSlowdownPerWorker = 500.0
-
 // TorchArrowWorkers is the paper's per-GPU CPU worker count (§8.1).
 const TorchArrowWorkers = 8
 
@@ -129,7 +122,7 @@ func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int
 	n := cluster.NumGPUs
 	pl := placementFor(w, n)
 	gpuWorkUs := w.Plan.SaturatedWork(w.Model.BatchSize)
-	cpuUs := gpuWorkUs * CPUSlowdownPerWorker / TorchArrowWorkers
+	cpuUs := gpuWorkUs * rap.CPUSlowdownPerWorker / TorchArrowWorkers
 	work := make([]sched.GPUWork, n)
 	for g := 0; g < n; g++ {
 		work[g] = sched.GPUWork{

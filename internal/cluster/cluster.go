@@ -31,9 +31,6 @@ type Config struct {
 	Policy Policy
 }
 
-// hostCores is each job's host CPU pool, the paper's testbed.
-const hostCores = 48
-
 // simIterations caps how many pipeline iterations each job is actually
 // simulated for; longer jobs extrapolate the remainder at the measured
 // steady-state iteration latency.
@@ -85,7 +82,7 @@ func (s *Simulator) planFor(shape JobShape) (*plannedShape, error) {
 	if err != nil {
 		return nil, err
 	}
-	fw := rap.New(w, gpusim.ClusterConfig{NumGPUs: shape.GPUs, HostCores: hostCores})
+	fw := rap.New(w, gpusim.ClusterConfig{NumGPUs: shape.GPUs, HostCores: rap.HostCores})
 	plan, err := fw.BuildPlan(rap.BuildOptions{})
 	if err != nil {
 		return nil, err

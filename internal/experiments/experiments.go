@@ -19,16 +19,12 @@ import (
 // two iterations are warmup.
 const Iterations = 10
 
-// HostCores is the host CPU pool used across experiments (DGX-class
-// node; bounds the TorchArrow baseline's scaling).
-const HostCores = 48
-
 // Seed is the global experiment seed.
 const Seed = 1
 
 // cluster builds the standard experiment cluster.
 func cluster(numGPUs int) gpusim.ClusterConfig {
-	return gpusim.ClusterConfig{NumGPUs: numGPUs, HostCores: HostCores}
+	return gpusim.ClusterConfig{NumGPUs: numGPUs, HostCores: rap.HostCores}
 }
 
 // workloadFor builds the (dataset, plan, batch) workload used throughout

@@ -5,6 +5,7 @@ import (
 
 	"rap/internal/baselines"
 	"rap/internal/gpusim"
+	"rap/internal/rap"
 )
 
 // PowerRow is one system's energy profile for the same training work.
@@ -51,7 +52,7 @@ func PowerStudy(plan, gpus int) (*PowerResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := r.Stats.Result.Energy(pm, gpus, HostCores)
+		e := r.Stats.Result.Energy(pm, gpus, rap.HostCores)
 		trainedSamples := r.Throughput * e.MakespanUs * 1e-6
 		row := PowerRow{
 			System:     sys,

@@ -49,10 +49,12 @@ func (f *Framework) AdaptToShift(avgListLen float64, opts BuildOptions) (*ExecPl
 	return f.BuildPlan(opts)
 }
 
-// HybridCPUSlowdownPerWorker is the per-worker CPU/GPU cost ratio used
-// when spilling preprocessing to host CPUs (same calibration as the
-// TorchArrow baseline).
-const HybridCPUSlowdownPerWorker = 500.0
+// CPUSlowdownPerWorker is the cost ratio of one CPU preprocessing
+// worker versus the GPU executing the same operator work: element-wise
+// hashing/normalization throughput of one CPU worker vs. an A100-class
+// GPU. It prices both the hybrid mode's spilled work and the TorchArrow
+// baseline (the paper measures RAP at ~17.8× TorchArrow end to end).
+const CPUSlowdownPerWorker = 500.0
 
 // MakeHybrid converts a plan to the §10 hybrid CPU+GPU preprocessing
 // mode: every GPU's overflow kernels (the work Algorithm 1 could not
@@ -64,7 +66,7 @@ const HybridCPUSlowdownPerWorker = 500.0
 // hybrid plan and the number of operators spilled; p is left untouched.
 //
 // Note the economics this makes explicit: one CPU worker is
-// HybridCPUSlowdownPerWorker× slower than the GPU, so the hybrid mode
+// CPUSlowdownPerWorker× slower than the GPU, so the hybrid mode
 // only pays off when the spilled work would otherwise be exposed AND the
 // CPU tier is wide enough — exactly the paper's framing that GPU
 // leftovers should carry the bulk and CPUs only the residue.
@@ -95,7 +97,7 @@ func MakeHybrid(p *ExecPlan, cpuWorkers int) (*ExecPlan, int, error) {
 		h.Schedules[g] = &hs
 		w := &h.Work[g]
 		w.Schedule = &hs
-		w.CPUPreprocUs += satUs * HybridCPUSlowdownPerWorker / float64(cpuWorkers)
+		w.CPUPreprocUs += satUs * CPUSlowdownPerWorker / float64(cpuWorkers)
 		if w.CPUWorkers < cpuWorkers {
 			w.CPUWorkers = cpuWorkers
 		}

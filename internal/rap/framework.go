@@ -347,6 +347,10 @@ func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
 // communication sits so visibly on the critical path in Figure 12).
 const ScatterInefficiency = 8.0
 
+// HostCores is the host CPU pool of one node of the paper's testbed
+// (DGX-class); it bounds the TorchArrow baseline's scaling.
+const HostCores = 48
+
 // rawInputBytes estimates the host-to-device volume of one batch's raw
 // inputs for a GPU's assignment.
 func rawInputBytes(items []mapping.Assign) float64 {
