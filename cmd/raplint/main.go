@@ -1,12 +1,10 @@
 // raplint runs the project's domain-specific static analyzers over the
 // module. The v1 local analyzers — maporder, seededrand, floateq,
-// panicpath — guard per-package determinism and unit invariants; the
-// v2 whole-program analyzers — detaint, guardedby, goroutinecapture,
+// panicpath — guard per-package determinism invariants; the v2
+// whole-program analyzers — detaint, guardedby, goroutinecapture,
 // unusedignore — follow nondeterminism across the call graph, enforce
 // `// guarded by` mutex contracts, inspect goroutine closures, and
-// keep the //lint:ignore inventory honest; the v3 flow-sensitive
-// analyzers — dimcheck, floatreduce — propagate `//rap:unit`
-// dimensions through an SSA value-flow layer and flag float
+// keep the //lint:ignore inventory honest; floatreduce flags float
 // accumulations whose order is not statically deterministic (see
 // internal/lint and DESIGN.md §6). Every run type-checks and analyzes
 // every target package from source, one package at a time.
@@ -24,10 +22,7 @@
 // Exit status: 0 clean, 1 findings, 2 usage, load or report-write
 // error. Findings can be suppressed with `//lint:ignore <analyzer>
 // <reason>` on or above the offending line; deterministic entry points
-// are declared with `//rap:deterministic` in a function's doc comment;
-// units are declared with `//rap:unit <unit>` on struct fields and
-// var/const specs, or `//rap:unit <param|return> <unit>` in a
-// function's doc comment.
+// are declared with `//rap:deterministic` in a function's doc comment.
 package main
 
 import (
@@ -96,8 +91,8 @@ func writeReport(path string, write func(*os.File) error) error {
 }
 
 func printTiming(stats *lint.Stats) {
-	fmt.Fprintf(os.Stderr, "raplint: %d packages in %s (load %s, analyze %s, ssa build %s)\n",
-		stats.Packages, round(stats.Total), round(stats.Load), round(stats.Analyze), round(stats.SSABuild))
+	fmt.Fprintf(os.Stderr, "raplint: %d packages in %s (load %s, analyze %s)\n",
+		stats.Packages, round(stats.Total), round(stats.Load), round(stats.Analyze))
 	names := make([]string, 0, len(stats.PerAnalyzer))
 	for name := range stats.PerAnalyzer {
 		names = append(names, name)

@@ -60,8 +60,8 @@ type funcNode struct {
 // Program is the whole-module view shared by every pass of a run: the
 // call graph over all loaded packages, per-package ignore indexes, the
 // guarded-field contract map, and the //rap:deterministic annotation
-// index. Passes must run one at a time: they mark directive usage and
-// build the dim fact base below lazily, without synchronization.
+// index. Passes must run one at a time: they mark directive usage
+// without synchronization.
 type Program struct {
 	Packages []*Package
 
@@ -72,10 +72,6 @@ type Program struct {
 	// misplacedDet lists //rap:deterministic comments that are not the
 	// doc comment of a function declaration, per package path.
 	misplacedDet map[string][]token.Pos
-
-	// dim is the v3 SSA value-flow layer (see ssa.go), built lazily by
-	// the first dimcheck pass.
-	dim *dimFacts
 }
 
 // NewProgram joins type-checked packages into a Program, building the

@@ -10,10 +10,7 @@ type Stats struct {
 	Load time.Duration
 	// Analyze covers the analyzer passes and the unusedignore check.
 	Analyze time.Duration
-	// SSABuild is the one-time construction of the v3 value-flow facts
-	// (ssa.go), paid inside the first dimcheck pass of a run.
-	SSABuild time.Duration
-	Total    time.Duration
+	Total   time.Duration
 	// PerAnalyzer is wall time attributed to each analyzer, summed
 	// across packages.
 	PerAnalyzer map[string]time.Duration
@@ -56,7 +53,6 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, *Stat
 	}
 	SortFindings(findings)
 
-	stats.SSABuild = prog.DimFactsBuildTime()
 	//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 	stats.Total = time.Since(start)
 	stats.Analyze = stats.Total - stats.Load

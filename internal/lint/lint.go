@@ -1,17 +1,18 @@
 // Package lint implements raplint, the project's domain-specific
-// static-analysis pass. The analyzers encode the determinism and unit
-// invariants the RAP reproduction depends on — bit-reproducible
-// simulator output, seeded randomness, tolerance-based float handling,
-// consistent byte/rate units, and error returns instead of panics in
-// library code — so that regressions surface as tier-1 verify failures
-// instead of silently drifting golden digests.
+// static-analysis pass. The analyzers encode the determinism invariants
+// the RAP reproduction depends on — bit-reproducible simulator output,
+// seeded randomness, tolerance-based float handling, and error returns
+// instead of panics in library code — so that regressions surface as
+// tier-1 verify failures instead of silently drifting golden digests.
+// Physical units are not checked here: the `//rap:unit` comments in the
+// simulator and planner packages are documentation, and the goldens and
+// formula tests guard the unit arithmetic.
 //
 // v2 adds a whole-program layer: packages are joined into a Program
 // carrying a static call graph, so the detaint analyzer can follow
 // nondeterminism across function and package boundaries, guardedby can
 // enforce mutex contracts declared on struct fields, and
-// goroutinecapture can inspect closures handed to goroutines. v3 adds
-// an SSA-lite value-flow layer (ssa.go) under dimcheck's unit inference;
+// goroutinecapture can inspect closures handed to goroutines.
 // floatreduce flags float accumulations in a nondeterministic order.
 // There is no lock-order or goroutine-lifetime analysis: the race
 // detector covers the few goroutines the system starts. Run type-checks
@@ -65,7 +66,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, SeededRand, FloatEq, PanicPath,
 		Detaint, GuardedBy, GoroutineCapture,
-		DimCheck, FloatReduce, UnusedIgnore,
+		FloatReduce, UnusedIgnore,
 	}
 }
 
@@ -74,16 +75,6 @@ func All() []*Analyzer {
 // pass can and cannot see.
 func V1() []*Analyzer {
 	return []*Analyzer{MapOrder, SeededRand, FloatEq, PanicPath}
-}
-
-// V2 returns the v1+v2 suite as shipped by raplint v2 (local analyzers
-// plus the whole-program call-graph layer, before SSA value flow).
-// Kept for tests that demonstrate what v2 could not see.
-func V2() []*Analyzer {
-	return []*Analyzer{
-		MapOrder, SeededRand, FloatEq, PanicPath,
-		Detaint, GuardedBy, GoroutineCapture,
-	}
 }
 
 // Pass carries one analyzer's view of one type-checked package.

@@ -111,6 +111,20 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
+// TestFloatReduce: nondeterministic float accumulations are findings;
+// the deterministic shapes (keyed element-wise updates, per-worker
+// partials, slice-order merges) stay silent.
+func TestFloatReduce(t *testing.T) {
+	pkg, wants := loadFixture(t, filepath.Join("testdata", "src", "floatreduce"), "rap/internal/redfix")
+	if len(wants) == 0 {
+		t.Fatal("fixture carries no want expectations")
+	}
+	var findings []Finding
+	RunPackage(pkg, []*Analyzer{FloatReduce}, &findings)
+	SortFindings(findings)
+	matchWants(t, findings, wants)
+}
+
 // matchWants asserts that findings and `// want` expectations agree
 // exactly: each want line matched by one finding, nothing extra.
 func matchWants(t *testing.T, findings []Finding, wants []expectation) {

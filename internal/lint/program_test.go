@@ -253,8 +253,8 @@ func TestLintSelfClean(t *testing.T) {
 	for _, f := range findings {
 		t.Errorf("%v", f)
 	}
-	if stats.Packages != 1 || stats.SSABuild == 0 {
-		t.Errorf("one package with dimcheck must build the SSA fact base, got %+v", stats)
+	if stats.Packages != 1 {
+		t.Errorf("want one package analyzed, got %+v", stats)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // reportVersion is the raplintVersion field of the JSON report: the
 // report-schema generation, bumped whenever a field leaves or joins it.
-const reportVersion = "5"
+const reportVersion = "6"
 
 // relPath renders a finding path relative to the module root so
 // reports are stable across checkouts.
@@ -40,7 +40,6 @@ type jsonStats struct {
 	Packages   int                `json:"packages"`
 	LoadMs     float64            `json:"loadMs"`
 	AnalyzeMs  float64            `json:"analyzeMs"`
-	SSABuildMs float64            `json:"ssaBuildMs"`
 	TotalMs    float64            `json:"totalMs"`
 	AnalyzerMs map[string]float64 `json:"analyzerMs,omitempty"`
 	// FindingsByAnalyzer counts this run's findings per analyzer, so
@@ -78,7 +77,6 @@ func WriteJSONReport(w io.Writer, root string, findings []Finding, stats *Stats)
 			Packages:   stats.Packages,
 			LoadMs:     float64(stats.Load.Microseconds()) / 1e3,
 			AnalyzeMs:  float64(stats.Analyze.Microseconds()) / 1e3,
-			SSABuildMs: float64(stats.SSABuild.Microseconds()) / 1e3,
 			TotalMs:    float64(stats.Total.Microseconds()) / 1e3,
 			AnalyzerMs: map[string]float64{},
 		}

@@ -2,8 +2,8 @@
 # Tier-1 verification: vet, build, lint, test.
 #
 # raplint (cmd/raplint) is this repo's own static-analysis pass; it
-# enforces the determinism and unit invariants described in DESIGN.md
-# §6 and exits nonzero on any finding.
+# enforces the determinism invariants described in DESIGN.md §6 and
+# exits nonzero on any finding.
 set -eu
 
 cd "$(dirname "$0")/.."
