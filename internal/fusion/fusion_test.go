@@ -87,8 +87,9 @@ func TestLevelPlannerRejectsUnknownGraph(t *testing.T) {
 // move), every op of that graph is costed and lowered at the *last*
 // piece's shape, on every fusion path. Giving each piece its own shape
 // changes the simulated metrics (gap to Ideal on every benchmark
-// workload), so it is a deliberate fidelity change for ROADMAP item 1,
-// not something to fix in passing; this test makes that change visible.
+// workload) and the plan goldens, so it is a deliberate fidelity change
+// of its own, not something to fix in passing; this test makes that
+// change visible.
 func TestPlanFusionDuplicateGraphUsesLastShape(t *testing.T) {
 	g := chain("a", "cat_0", 100)
 	small := preproc.Shape{Samples: 1024, AvgListLen: 3}

@@ -163,7 +163,10 @@ func lower(items []ScaledGraph, shapes []preproc.Shape, buckets [][]int, types [
 	for i, it := range items {
 		for j, op := range it.Graph.Ops {
 			k := kernelOf[buckets[i][j]]
-			// Both callers pass a twice-placed graph's last piece's shape for every piece (ROADMAP item 1).
+			// Both callers pass a twice-placed graph's last piece's shape for
+			// every piece: a known fidelity gap that moves the simulated
+			// metrics when fixed, pinned by
+			// TestPlanFusionDuplicateGraphUsesLastShape.
 			spec := op.Spec(shapes[i])
 			if len(opIDs[k]) == 0 {
 				kernels[k] = spec
