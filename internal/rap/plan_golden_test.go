@@ -16,16 +16,27 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/plan_golden.json from the current planner")
 
-// goldenPlan is one pinned planner configuration and the digest of the
-// ExecPlan BuildPlan (or AdaptToShift) returned for it.
+// goldenPlan is one pinned planner configuration, the digest of the
+// ExecPlan BuildPlan (or AdaptToShift) returned for it, and the mapping
+// search's counters in plain text. The counters are pinned apart from
+// the digest so that a change to how much scoring the search does shows
+// as a readable diff while the digest proves the plan itself is
+// unchanged.
 type goldenPlan struct {
 	Name   string `json:"name"`
 	Digest string `json:"digest"`
+	Search string `json:"search"`
+}
+
+// searchCounters renders the mapping search's work: accepted moves,
+// cost evaluations run and memo hits.
+func searchCounters(p *ExecPlan) string {
+	m := p.Mapping
+	return fmt.Sprintf("moves=%d evals=%d hits=%d", m.Moves, m.CostEvals, m.CostCacheHits)
 }
 
 // planDigest hashes every planner output of an ExecPlan: the placement,
-// the mapping (per-GPU items, comm bytes, moves, cost evaluations and
-// memo hits), the probed capacities, every fusion plan (kernel names,
+// the mapping (per-GPU items, comm bytes, moves), the probed capacities, every fusion plan (kernel names,
 // element and scale bits, op ids, objective, nodes), every schedule
 // (per-stage kernels, overflow, shards, predicted exposure), the per-GPU
 // work and PredictedExposedUs. Floats print in Go's shortest exact
@@ -34,8 +45,7 @@ func planDigest(p *ExecPlan) (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "placement %+v\n", p.Placement)
 	m := p.Mapping
-	fmt.Fprintf(h, "mapping %s moves=%d evals=%d hits=%d comm=%v\n",
-		m.Strategy, m.Moves, m.CostEvals, m.CostCacheHits, m.CommBytes)
+	fmt.Fprintf(h, "mapping %s moves=%d comm=%v\n", m.Strategy, m.Moves, m.CommBytes)
 	for g, items := range m.PerGPU {
 		for _, a := range items {
 			fmt.Fprintf(h, "gpu %d graph %d %q %+v\n", g, a.Graph.ID, a.Graph.Name, a.Shape)
@@ -85,7 +95,7 @@ func goldenPlans(t *testing.T) []goldenPlan {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", prefix, name, err)
 				}
-				out = append(out, goldenPlan{Name: prefix + "/" + name, Digest: d})
+				out = append(out, goldenPlan{Name: prefix + "/" + name, Digest: d, Search: searchCounters(p)})
 			}
 			for _, c := range []struct {
 				name string
@@ -111,7 +121,9 @@ func goldenPlans(t *testing.T) []goldenPlan {
 
 // TestPlanGolden pins the planner's output bit for bit on 56
 // configurations. A change that is meant to leave plans alone must pass
-// it with the file untouched; regenerate deliberately with
+// it with every digest untouched; one that changes how much scoring the
+// search does may move only the `search` counters' evals and hits.
+// Regenerate deliberately with
 // `go test ./internal/rap -run PlanGolden -update`.
 func TestPlanGolden(t *testing.T) {
 	path := filepath.Join("testdata", "plan_golden.json")
@@ -152,7 +164,8 @@ func TestPlanGolden(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("%s: plan digest %s, golden %s (%s)", want[i].Name, got[i].Digest, want[i].Digest, got[i].Name)
+			t.Errorf("%s: plan digest %s search %q, golden %s search %q (%s)",
+				want[i].Name, got[i].Digest, got[i].Search, want[i].Digest, want[i].Search, got[i].Name)
 		}
 	}
 }
