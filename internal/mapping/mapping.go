@@ -8,7 +8,6 @@ package mapping
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strconv"
@@ -271,10 +270,13 @@ func commOf(items []Assign, gpu int, cfg Config) float64 {
 // GPUs are never re-scored across move iterations. Item order is part
 // of the key; the search builds candidate lists deterministically, so
 // reordered-but-equal lists only cost an extra miss, never a wrong hit.
+// The key text is built in buf, reused across calls, so a costMemo
+// serves one goroutine.
 type costMemo struct {
 	raw     CostFn
 	graphID map[*preproc.Graph]int
-	cache   *memo.Cache[string, float64]
+	cache   *memo.Cache[[sha256.Size]byte, float64]
+	buf     []byte
 }
 
 func newCostMemo(raw CostFn, plan *preproc.Plan) *costMemo {
@@ -282,19 +284,28 @@ func newCostMemo(raw CostFn, plan *preproc.Plan) *costMemo {
 	for i, g := range plan.Graphs {
 		ids[g] = i
 	}
-	return &costMemo{raw: raw, graphID: ids, cache: memo.New[string, float64]()}
+	return &costMemo{raw: raw, graphID: ids, cache: memo.New[[sha256.Size]byte, float64]()}
 }
 
-// key renders the assignment shape. Every item RAPSearch scores holds
-// one of the plan's graphs, so each has an id.
-func (m *costMemo) key(gpu int, items []Assign, comm float64) string {
-	h := sha256.New()
-	f := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
-	fmt.Fprintf(h, "gpu %d comm %s\n", gpu, f(comm))
+// key hashes the assignment shape: one line for the GPU and comm bytes,
+// then one line per item with its graph id, samples and list length,
+// floats in exact hex. Every item RAPSearch scores holds one of the
+// plan's graphs, so each has an id.
+func (m *costMemo) key(gpu int, items []Assign, comm float64) [sha256.Size]byte {
+	b := strconv.AppendInt(m.buf[:0], int64(gpu), 10)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, comm, 'x', -1, 64)
+	b = append(b, '\n')
 	for _, a := range items {
-		fmt.Fprintf(h, "g%d samples=%d avglen=%s\n", m.graphID[a.Graph], a.Shape.Samples, f(a.Shape.AvgListLen))
+		b = strconv.AppendInt(b, int64(m.graphID[a.Graph]), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(a.Shape.Samples), 10)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, a.Shape.AvgListLen, 'x', -1, 64)
+		b = append(b, '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	m.buf = b
+	return sha256.Sum256(b)
 }
 
 func (m *costMemo) cost(gpu int, items []Assign, comm float64) float64 {
@@ -358,11 +369,17 @@ func RAPSearch(cfg Config) (*Result, error) {
 
 		improved := false
 		oldMax := costs[src]
+		// try scores the destination first: most candidates fail on it
+		// alone, and the source, the busiest GPU, is the dearer one to
+		// score. A destination at or above the threshold fails the max
+		// test whatever the source scores, so skipping the source never
+		// changes a decision.
 		try := func(newSrcItems, newDstItems []Assign) bool {
-			newSrcComm := commOf(newSrcItems, src, cfg)
-			newDstComm := commOf(newDstItems, dst, cfg)
-			newSrc := cost(src, newSrcItems, newSrcComm)
-			newDst := cost(dst, newDstItems, newDstComm)
+			newDst := cost(dst, newDstItems, commOf(newDstItems, dst, cfg))
+			if newDst >= oldMax-1e-9 {
+				return false
+			}
+			newSrc := cost(src, newSrcItems, commOf(newSrcItems, src, cfg))
 			if maxOf(newSrc, newDst) >= oldMax-1e-9 {
 				return false
 			}
