@@ -319,7 +319,8 @@ func TestKernelSpecCostModel(t *testing.T) {
 // form with the constants spelled out: 2900 elements/µs of full-GPU
 // throughput, a 1.5 µs kernel floor and 5 µs of launch overhead.
 // Work = elements·costFactor·scale/(2900·occupancy) + 1.5, SaturatedWork
-// drops the occupancy and the floor, SoloLatency adds the launch.
+// drops the occupancy and the floor, SoloLatency adds the launch; the
+// occupancy is checked on both sides of GPU saturation.
 func TestKernelCostFormula(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -345,6 +346,24 @@ func TestKernelCostFormula(t *testing.T) {
 		}
 		if got := c.spec.SoloLatency(); !near(got, 5+work) {
 			t.Errorf("%s: SoloLatency %g, want %g", c.name, got, 5+work)
+		}
+	}
+
+	// Around the saturation boundary (1024 warps of 32 elements = 32768)
+	// the occupancy is min(1, ceil(elements/32)/1024), and Demand is that
+	// occupancy on SMs and 0.4 of it on memory bandwidth for Logit.
+	for _, elems := range []float64{32736, 32767, 32767.5, 32768, 32768.5, 1e9} {
+		spec := KernelSpec{Type: OpLogit, Elements: elems}
+		occ := math.Min(1, math.Ceil(elems/32)/1024)
+		work := elems*1.2/(2900*occ) + 1.5
+		if got := spec.Work(); !near(got, work) {
+			t.Errorf("%g elements: Work %g, want %g", elems, got, work)
+		}
+		if got := spec.SoloLatency(); !near(got, 5+work) {
+			t.Errorf("%g elements: SoloLatency %g, want %g", elems, got, 5+work)
+		}
+		if got := spec.Demand(); got.SM != occ || got.MemBW != 0.4*occ {
+			t.Errorf("%g elements: Demand %+v, want SM %g, MemBW %g", elems, got, occ, 0.4*occ)
 		}
 	}
 }
