@@ -9,7 +9,8 @@ import (
 // BenchmarkBuildPlan times what one `wide` benchmark job plans: a cold
 // BuildPlan of Terabyte plan 3 on 4 GPUs from a fresh framework, then
 // AdaptToShift to one of the 18 shifted list lengths {1.5, 1.75, …, 6.0}
-// without the base 3.0, cycling through them across iterations.
+// without the base 3.0, cycling through them across iterations. It
+// reports the mapping search's cost evaluations per op, over both plans.
 func BenchmarkBuildPlan(b *testing.B) {
 	w, err := NewWorkload(Terabyte, 3, 4096, 1)
 	if err != nil {
@@ -22,15 +23,20 @@ func BenchmarkBuildPlan(b *testing.B) {
 		}
 	}
 	cluster := gpusim.ClusterConfig{NumGPUs: 4, HostCores: 48}
+	evals := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := New(w, cluster)
-		if _, err := f.BuildPlan(BuildOptions{}); err != nil {
+		cold, err := f.BuildPlan(BuildOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := f.AdaptToShift(shifts[i%len(shifts)], BuildOptions{}); err != nil {
+		shifted, err := f.AdaptToShift(shifts[i%len(shifts)], BuildOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		evals += cold.Mapping.CostEvals + shifted.Mapping.CostEvals
 	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }
