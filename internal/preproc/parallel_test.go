@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"rap/internal/data"
@@ -103,6 +104,27 @@ func TestParallelApplyConcurrentFailures(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "no_such_column") {
 			t.Fatalf("round %d: error %v, want a missing-input graph error", round, err)
 		}
+	}
+}
+
+// TestMergerConcurrentFail: workers record failures with nothing else
+// ordering them. Through ParallelApply the jobs channel and the view
+// lock order most pairs of failures, so whether -race sees an unlocked
+// fail there depends on scheduling (it missed it while other tests
+// loaded the CPUs); here no pair is ordered, so it sees one every run.
+func TestMergerConcurrentFail(t *testing.T) {
+	m := &merger{}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m.fail(fmt.Errorf("worker %d", i))
+		}(i)
+	}
+	wg.Wait()
+	if m.err() == nil {
+		t.Fatal("no failure recorded")
 	}
 }
 

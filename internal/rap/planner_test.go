@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rap/internal/costmodel"
+	"rap/internal/dlrm"
 	"rap/internal/gpusim"
 )
 
@@ -173,5 +175,36 @@ func TestBuildPlanCostModelErrorPropagates(t *testing.T) {
 	_, err := f.BuildPlan(BuildOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("BuildPlan error = %v, want the injected cost-model failure", err)
+	}
+}
+
+// TestBuildPlanConcurrentLoweringErrors: every GPU's lowering fails at
+// once. DataParallel mapping never calls the cost function, so all four
+// failures happen in the concurrent lowering; BuildPlan must return the
+// injected error, and under -race this catches lowering goroutines that
+// write a shared error variable.
+func TestBuildPlanConcurrentLoweringErrors(t *testing.T) {
+	w := workload(t, Kaggle, 1, 1024)
+	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
+	boom := errors.New("synthetic cost-model failure")
+	f.newCostModel = func([]costmodel.StageCapacity) (*costmodel.CostModel, error) {
+		return nil, boom
+	}
+	_, err := f.BuildPlan(BuildOptions{Strategy: MapDataParallel})
+	if !errors.Is(err, boom) {
+		t.Fatalf("BuildPlan error = %v, want the injected cost-model failure", err)
+	}
+}
+
+// TestEstimateCapacitiesConcurrentProbeErrors: the placement covers one
+// GPU of the four, so GPU 0's probe succeeds and the concurrent probes
+// of GPUs 1-3 all fail. The error must come back, and under -race this
+// catches probe goroutines that write a shared error variable.
+func TestEstimateCapacitiesConcurrentProbeErrors(t *testing.T) {
+	w := workload(t, Kaggle, 1, 1024)
+	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
+	_, _, err := f.estimateCapacities(dlrm.PlaceTables(w.Model.TableSizes, 1))
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("estimateCapacities error = %v, want a GPU-out-of-range probe error", err)
 	}
 }
