@@ -1,13 +1,12 @@
 // raplint runs the project's domain-specific static analyzers over the
 // module. The v1 local analyzers — maporder, seededrand, floateq,
 // panicpath — guard per-package determinism invariants; the v2
-// whole-program analyzers — detaint, guardedby, goroutinecapture,
-// unusedignore — follow nondeterminism across the call graph, enforce
-// `// guarded by` mutex contracts, inspect goroutine closures, and
-// keep the //lint:ignore inventory honest; floatreduce flags float
-// accumulations whose order is not statically deterministic (see
-// internal/lint and DESIGN.md §6). Every run type-checks and analyzes
-// every target package from source, one package at a time.
+// whole-program analyzers — detaint, unusedignore — follow
+// nondeterminism across the call graph and keep the //lint:ignore
+// inventory honest; floatreduce flags float accumulations whose order
+// is not statically deterministic (see internal/lint and DESIGN.md §6).
+// Every run type-checks and analyzes every target package from source,
+// one package at a time.
 //
 // Usage:
 //

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -14,11 +13,6 @@ import (
 // the function must be transitively free of nondeterminism; detaint
 // checks the contract against the call graph.
 const deterministicDirective = "//rap:deterministic"
-
-// guardedByRe matches the mutex-contract annotation in a struct-field
-// comment: `// guarded by <mutex>`. The named mutex must be held (same
-// receiver/base expression) at every access to the field.
-var guardedByRe = regexp.MustCompile(`^//\s*guarded by ([A-Za-z_][A-Za-z0-9_]*)\s*$`)
 
 // taintSite is one local source of nondeterminism inside a function
 // body: a wall-clock read, a draw from the global math/rand source, or
@@ -58,32 +52,29 @@ type funcNode struct {
 }
 
 // Program is the whole-module view shared by every pass of a run: the
-// call graph over all loaded packages, per-package ignore indexes, the
-// guarded-field contract map, and the //rap:deterministic annotation
-// index. Passes must run one at a time: they mark directive usage
-// without synchronization.
+// call graph over all loaded packages, per-package ignore indexes, and
+// the //rap:deterministic annotation index. Passes must run one at a
+// time: they mark directive usage without synchronization.
 type Program struct {
 	Packages []*Package
 
 	fns     map[*types.Func]*funcNode
 	byPkg   map[string][]*funcNode // import path -> nodes sorted by position
 	ignores map[string]*ignoreIndex
-	guarded map[*types.Var]string // struct field -> mutex name from `// guarded by`
 	// misplacedDet lists //rap:deterministic comments that are not the
 	// doc comment of a function declaration, per package path.
 	misplacedDet map[string][]token.Pos
 }
 
 // NewProgram joins type-checked packages into a Program, building the
-// static call graph, collecting local taint sites, guarded-field
-// annotations, determinism annotations, and ignore indexes.
+// static call graph, collecting local taint sites, determinism
+// annotations, and ignore indexes.
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Packages:     pkgs,
 		fns:          map[*types.Func]*funcNode{},
 		byPkg:        map[string][]*funcNode{},
 		ignores:      map[string]*ignoreIndex{},
-		guarded:      map[*types.Var]string{},
 		misplacedDet: map[string][]token.Pos{},
 	}
 	for _, pkg := range pkgs {
@@ -124,25 +115,6 @@ func (prog *Program) addPackage(pkg *Package) {
 			prog.fns[obj] = node
 			prog.byPkg[pkg.Path] = append(prog.byPkg[pkg.Path], node)
 		}
-		// Struct-field mutex contracts.
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				mu := guardNameOf(fld)
-				if mu == "" {
-					continue
-				}
-				for _, name := range fld.Names {
-					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-						prog.guarded[v] = mu
-					}
-				}
-			}
-			return true
-		})
 	}
 	// Misplaced //rap:deterministic directives: anywhere in the file's
 	// comments but not in a function's doc comment.
@@ -159,22 +131,6 @@ func (prog *Program) addPackage(pkg *Package) {
 		ns := prog.byPkg[pkg.Path]
 		return ns[i].decl.Pos() < ns[j].decl.Pos()
 	})
-}
-
-// guardNameOf extracts the mutex name from a field's `// guarded by`
-// annotation (doc comment above the field or trailing comment).
-func guardNameOf(fld *ast.Field) string {
-	for _, cg := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if m := guardedByRe.FindStringSubmatch(c.Text); m != nil {
-				return m[1]
-			}
-		}
-	}
-	return ""
 }
 
 // scanBody walks one function body collecting static call edges and

@@ -347,6 +347,11 @@ func loopIndexVars(p *Pass, loops []ast.Node, pos token.Pos) map[types.Object]bo
 	return vars
 }
 
+// within reports whether pos falls inside n's source range.
+func within(n ast.Node, pos token.Pos) bool {
+	return n.Pos() <= pos && pos < n.End()
+}
+
 // inAnyLoop reports whether pos falls inside one of the collected loop
 // nodes.
 func inAnyLoop(loops []ast.Node, pos token.Pos) bool {

@@ -10,14 +10,12 @@
 //
 // v2 adds a whole-program layer: packages are joined into a Program
 // carrying a static call graph, so the detaint analyzer can follow
-// nondeterminism across function and package boundaries, guardedby can
-// enforce mutex contracts declared on struct fields, and
-// goroutinecapture can inspect closures handed to goroutines.
+// nondeterminism across function and package boundaries.
 // floatreduce flags float accumulations in a nondeterministic order.
-// There is no lock-order or goroutine-lifetime analysis: the race
-// detector covers the few goroutines the system starts. Run type-checks
-// and analyzes every target package from source on each run, one
-// package at a time.
+// There is no concurrency analysis: the race detector covers the few
+// goroutines and mutexes the system has, and `// guarded by` field
+// comments are documentation. Run type-checks and analyzes every target
+// package from source on each run, one package at a time.
 //
 // The pass is zero-dependency: package discovery shells out to
 // `go list -json`, parsing and type checking use go/parser and
@@ -65,8 +63,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, SeededRand, FloatEq, PanicPath,
-		Detaint, GuardedBy, GoroutineCapture,
-		FloatReduce, UnusedIgnore,
+		Detaint, FloatReduce, UnusedIgnore,
 	}
 }
 
@@ -86,7 +83,7 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	// Prog is the whole-program view (call graph, cross-package ignore
-	// indexes, guarded-field contracts) shared by every pass of a run.
+	// indexes) shared by every pass of a run.
 	Prog *Program
 
 	analyzer *Analyzer

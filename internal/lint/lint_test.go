@@ -63,15 +63,13 @@ func loadFixture(t *testing.T, dir, importPath string) (*Package, []expectation)
 	return &Package{Path: importPath, Name: tpkg.Name(), Fset: fset, Files: files, Types: tpkg, Info: info}, wants
 }
 
-// checkFiles type-checks files with the full Info the analyzers rely on
-// (guardedby needs Selections).
+// checkFiles type-checks files recording the Info maps the analyzers
+// read: Types, Defs and Uses.
 func checkFiles(cfg types.Config, importPath string, fset *token.FileSet, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	tpkg, err := cfg.Check(importPath, fset, files, info)
 	return tpkg, info, err
@@ -97,8 +95,6 @@ func TestAnalyzers(t *testing.T) {
 		{"panicpath out of scope", PanicPath, "panicpath_cmd", "rap/cmd/panicfix"},
 		{"detaint annotated root", Detaint, "detaint_anno", "rap/cmd/clocktool"},
 		{"detaint through generic calls", Detaint, "detaint_generic", "rap/internal/genericfix"},
-		{"guardedby", GuardedBy, "guardedby", "rap/internal/guardfix"},
-		{"goroutinecapture", GoroutineCapture, "goroutinecapture", "rap/internal/gofix"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 
 // merger owns the state the parallel workers share: the batch being
 // grown and the first error observed. Every access to the guarded
-// fields goes through a method that holds mu, which is what the
-// raplint guardedby analyzer checks against the annotations below.
+// fields goes through a method that holds mu; the race-detector tests
+// in parallel_test.go check it.
 type merger struct {
 	mu       sync.Mutex
 	batch    *tensor.Batch // guarded by mu
