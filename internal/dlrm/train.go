@@ -61,9 +61,6 @@ func NewHybridTrainer(cfg Config, pl Placement, seed int64) (*HybridTrainer, err
 	return t, nil
 }
 
-// NumWorkers returns the worker (simulated GPU) count.
-func (t *HybridTrainer) NumWorkers() int { return len(t.workers) }
-
 // Step performs one synchronized hybrid-parallel step over a global
 // batch: dense is globalBatch×NumDense, sparse holds one globalBatch
 // column per table, labels has globalBatch entries. The global batch is

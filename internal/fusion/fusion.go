@@ -180,7 +180,7 @@ func PlanFusionScaled(items []ScaledGraph, opts Options) (*Plan, error) {
 	optimal, nodes := false, 0
 	if opts.Disable {
 		// Every op at its own step, ordered topologically.
-		order, err := topoOf(prob)
+		order, err := milp.TopoOrder(prob.Deps)
 		if err != nil {
 			return nil, err
 		}
@@ -245,38 +245,4 @@ func budgetFor(n int) int {
 	default:
 		return 40_000
 	}
-}
-
-// topoOf returns a topological order of the flattened problem.
-func topoOf(p milp.Problem) ([]int, error) {
-	n := len(p.Types)
-	indeg := make([]int, n)
-	children := make([][]int, n)
-	for i, ds := range p.Deps {
-		for _, d := range ds {
-			indeg[i]++
-			children[d] = append(children[d], i)
-		}
-	}
-	var queue, order []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, c := range children[v] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("fusion: cycle in flattened problem")
-	}
-	return order, nil
 }

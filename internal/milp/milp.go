@@ -108,8 +108,9 @@ func Validate(p Problem, steps []int) error {
 	return nil
 }
 
-// topoOrder returns a topological order of the dependency DAG.
-func topoOrder(deps [][]int) ([]int, error) {
+// TopoOrder returns a topological order of the dependency DAG (Kahn's
+// algorithm, ready ops in index order).
+func TopoOrder(deps [][]int) ([]int, error) {
 	n := len(deps)
 	indeg := make([]int, n)
 	children := make([][]int, n)
@@ -167,7 +168,7 @@ func GreedyLevels(p Problem) (Solution, error) {
 	if err := checkShape(p); err != nil {
 		return Solution{}, err
 	}
-	order, err := topoOrder(p.Deps)
+	order, err := TopoOrder(p.Deps)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -192,7 +193,7 @@ func Solve(p Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	n := len(p.Types)
-	order, err := topoOrder(p.Deps)
+	order, err := TopoOrder(p.Deps)
 	if err != nil {
 		return Solution{}, err
 	}
