@@ -11,8 +11,15 @@ import (
 // AdaptToShift to one of the 18 shifted list lengths {1.5, 1.75, …, 6.0}
 // without the base 3.0, cycling through them across iterations. It
 // reports the mapping search's cost evaluations per op, over both plans.
-func BenchmarkBuildPlan(b *testing.B) {
-	w, err := NewWorkload(Terabyte, 3, 4096, 1)
+func BenchmarkBuildPlan(b *testing.B) { benchBuildPlan(b, 3) }
+
+// BenchmarkBuildPlanDense is BenchmarkBuildPlan for `dense`'s inputs,
+// Terabyte plan 2 on 4 GPUs, where the per-GPU MILP solves dominate;
+// `-cpu 1,2` measures what BuildPlan's per-GPU fan-out buys.
+func BenchmarkBuildPlanDense(b *testing.B) { benchBuildPlan(b, 2) }
+
+func benchBuildPlan(b *testing.B, plan int) {
+	w, err := NewWorkload(Terabyte, plan, 4096, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
