@@ -13,7 +13,8 @@ import (
 // iterations), on the 2-node subset of a 100 GB/s, 4× oversubscribed
 // fleet that Pack places it on, with one co-tenant congesting node 0's
 // fabric link (scale 0.5). Planning is set-up; DAG construction and the
-// gpusim run are timed.
+// gpusim run are timed. Like every fleet job, the run records no
+// utilization timelines.
 // `go test -run '^$' -bench BenchmarkFleetJob ./internal/cluster`.
 func BenchmarkFleetJob(b *testing.B) {
 	const gpus = 16

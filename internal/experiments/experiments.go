@@ -27,6 +27,15 @@ func cluster(numGPUs int) gpusim.ClusterConfig {
 	return gpusim.ClusterConfig{NumGPUs: numGPUs, HostCores: rap.HostCores}
 }
 
+// timelineCluster is cluster with utilization timelines recorded, for
+// the studies that read them: Figure 1(a), Table 4 (Figure 11) and the
+// power study.
+func timelineCluster(numGPUs int) gpusim.ClusterConfig {
+	c := cluster(numGPUs)
+	c.Timelines = true
+	return c
+}
+
 // workloadFor builds the (dataset, plan, batch) workload used throughout
 // §8: plan 0 runs on Criteo Kaggle, plans 1-3 on Criteo Terabyte
 // (Table 3).

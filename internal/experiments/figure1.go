@@ -31,7 +31,7 @@ func Figure1a() (*Figure1aResult, error) {
 	}
 	const gpus = 4
 	pl := dlrm.PlaceTables(w.Model.TableSizes, gpus)
-	stats, err := sched.BuildAndRun(cluster(gpus), w.Model, pl, make([]sched.GPUWork, gpus), sched.PipelineOptions{Iterations: 4})
+	stats, err := sched.BuildAndRun(timelineCluster(gpus), w.Model, pl, make([]sched.GPUWork, gpus), sched.PipelineOptions{Iterations: 4})
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func Figure11(sweep []int, gpus int) (*Figure11Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			f := rap.New(w, cluster(gpus))
+			f := rap.New(w, timelineCluster(gpus))
 			p, err := f.BuildPlan(opts[setting])
 			if err != nil {
 				return nil, err

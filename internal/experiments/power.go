@@ -48,7 +48,7 @@ func PowerStudy(plan, gpus int) (*PowerResult, error) {
 	pm := gpusim.DefaultPowerModel()
 	res := &PowerResult{Plan: plan, GPUs: gpus}
 	for _, sys := range []baselines.System{baselines.SystemTorchArrow, baselines.SystemSequential, baselines.SystemRAP, baselines.SystemIdeal} {
-		r, err := runSystem(sys, w, gpus)
+		r, err := baselines.Run(sys, w, timelineCluster(gpus), Iterations)
 		if err != nil {
 			return nil, err
 		}

@@ -9,9 +9,10 @@ const (
 
 // NewBenchmarkSim constructs the dense co-run DAG BenchmarkEngine times:
 // benchKernels kernels across benchGPUs GPUs with stream chaining, so
-// most events see many concurrent resource users.
-func NewBenchmarkSim() *Sim {
-	s := NewSim(ClusterConfig{NumGPUs: benchGPUs})
+// most events see many concurrent resource users. timelines sets the
+// cluster's Timelines.
+func NewBenchmarkSim(timelines bool) *Sim {
+	s := NewSim(ClusterConfig{NumGPUs: benchGPUs, Timelines: timelines})
 	for k := 0; k < benchKernels; k++ {
 		g := k % benchGPUs
 		s.AddKernel(g, Kernel{

@@ -13,7 +13,8 @@ import (
 // harness: the golden-digest suite pins 64 seeded DAGs against files
 // captured from the pre-optimization engine. (Events is deliberately
 // excluded: it is a diagnostic counter, not an observable of the
-// simulated timeline, and the committed golden files predate it.)
+// simulated timeline, and the committed golden files predate it.) A
+// Result recorded without timelines digests its ops and makespan only.
 func ResultDigest(r *Result) string {
 	h := sha256.New()
 	f := func(v float64) {

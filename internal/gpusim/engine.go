@@ -50,14 +50,17 @@ const (
 //     ordered by op start sequence so the recomputed loads sum in
 //     exactly the order the full rescan used — float addition is not
 //     associative, and bit-identity demands identical orders.
-//   - Utilization is re-derived only where it can have changed. A GPU
-//     becomes util-dirty when its SM or bandwidth resource is refreshed
-//     (the host pool when the CPU slot is), and only dirty timelines
-//     re-sum their resources' user lists. A clean timeline's last
-//     segment already holds its values, so it is extended when
-//     contiguous and copied otherwise. Tag shares are sorted []TagShare
-//     slices over tags interned once per Run, carved from a
-//     geometrically growing arena: a segment costs no map, and
+//   - Utilization is recorded only on request, and then re-derived
+//     only where it can have changed. Without ClusterConfig.Timelines,
+//     Run allocates no timeline, interns no tag and never calls
+//     recordUtil; op times, Makespan and Events do not depend on it.
+//     With it, a GPU becomes util-dirty when its SM or bandwidth
+//     resource is refreshed (the host pool when the CPU slot is), and
+//     only dirty timelines re-sum their resources' user lists. A clean
+//     timeline's last segment already holds its values, so it is
+//     extended when contiguous and copied otherwise. Tag shares are
+//     sorted []TagShare slices over tags interned once per Run, carved
+//     from a geometrically growing arena: a segment costs no map, and
 //     comparing segments is a slice walk.
 //
 // A non-change worth recording: the next-event horizon is still a linear
@@ -168,7 +171,8 @@ type engine struct {
 	children []OpID
 	// utilCap[g] bounds GPU g's segment count for presizing its timeline:
 	// 2 per op with an SM or bandwidth demand on g, plus 2. Timelines
-	// exceeding it grow by append.
+	// exceeding it grow by append. It is nil when the config does not
+	// ask for timelines.
 	utilCap []int
 
 	speeds  []float64
@@ -179,7 +183,8 @@ type engine struct {
 	// resources were refreshed since its last recorded segment.
 	utilDirty []bool
 	hostDirty bool
-	// tags is the Run's sorted tag table; op.tagID indexes it.
+	// tags is the Run's sorted tag table; op.tagID indexes it. Only a
+	// timeline run interns tags.
 	tags []string
 	// arena backs the TagSM slices of appended segments (see carve).
 	arena []TagShare
@@ -264,9 +269,7 @@ func newEngine(s *Sim) *engine {
 		demOff:    make([]int32, len(s.ops)+1),
 		speeds:    make([]float64, len(s.ops)),
 		utilDirty: make([]bool, g),
-		utilCap:   make([]int, g),
 		hostDirty: true,
-		tags:      internTags(s.ops),
 	}
 	// Every timeline is derived in full for its first segment.
 	for i := range e.utilDirty {
@@ -280,26 +283,41 @@ func newEngine(s *Sim) *engine {
 	e.dems = make([]rtDemand, 0, total)
 	for i, o := range s.ops {
 		e.demOff[i] = int32(len(e.dems))
-		util := -1
 		for _, d := range o.demands {
 			e.dems = append(e.dems, rtDemand{
 				idx:  resIndex(d.kind, d.gpu, g),
 				kind: d.kind,
 				dem:  d.val,
 			})
+		}
+	}
+	e.demOff[len(s.ops)] = int32(len(e.dems))
+	if s.cfg.Timelines {
+		e.tags = internTags(s.ops)
+		e.utilCap = utilCaps(s.ops, g)
+	}
+	return e
+}
+
+// utilCaps returns each GPU's timeline presize bound (see
+// engine.utilCap).
+func utilCaps(ops []*op, numGPUs int) []int {
+	caps := make([]int, numGPUs)
+	for i := range caps {
+		caps[i] = 2
+	}
+	for _, o := range ops {
+		util := -1
+		for _, d := range o.demands {
 			if d.kind == resSM || d.kind == resBW {
 				util = d.gpu
 			}
 		}
 		if util >= 0 {
-			e.utilCap[util] += 2
+			caps[util] += 2
 		}
 	}
-	e.demOff[len(s.ops)] = int32(len(e.dems))
-	for i := range e.utilCap {
-		e.utilCap[i] += 2
-	}
-	return e
+	return caps
 }
 
 // initialCaps returns every resource's capacity in the dense layout of
@@ -483,17 +501,18 @@ func (e *engine) refreshSpeed(o *op) {
 
 func (e *engine) run() (*Result, error) {
 	s := e.s
-	res := &Result{
-		Ops:  make([]OpResult, len(s.ops)),
-		Util: make([][]UtilSegment, e.numGPUs),
-	}
-	total := 0
-	for _, c := range e.utilCap {
-		total += c
-	}
-	segs := make([]UtilSegment, total)
-	for g, c := range e.utilCap {
-		res.Util[g], segs = segs[:0:c], segs[c:]
+	res := &Result{Ops: make([]OpResult, len(s.ops))}
+	timelines := s.cfg.Timelines
+	if timelines {
+		res.Util = make([][]UtilSegment, e.numGPUs)
+		total := 0
+		for _, c := range e.utilCap {
+			total += c
+		}
+		segs := make([]UtilSegment, total)
+		for g, c := range e.utilCap {
+			res.Util[g], segs = segs[:0:c], segs[c:]
+		}
 	}
 
 	now := 0.0
@@ -560,7 +579,7 @@ func (e *engine) run() (*Result, error) {
 		}
 
 		// Record utilization for this segment.
-		if dt > timeEps {
+		if timelines && dt > timeEps {
 			e.recordUtil(res, now, now+dt)
 		}
 

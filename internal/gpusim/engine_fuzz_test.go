@@ -9,7 +9,9 @@ import (
 )
 
 // FuzzEngineMatchesReference replays random DAGs through the engine and
-// the reference engine and requires bit-identical Results. The golden
+// the reference engine and requires bit-identical Results; a third run
+// without timelines must match the engine's op times, Makespan and
+// Events and record no timeline (see checkAgainstReference). The golden
 // corpora stop at 4 GPUs; this target reaches 16 GPUs on up to 16 nodes,
 // which is what exercises the per-GPU utilization dirty tracking at
 // fleet job sizes. Tier-1 runs the seed corpus below; explore further
@@ -78,14 +80,16 @@ func TestEngineMatchesReferenceLarge(t *testing.T) {
 }
 
 // checkAgainstReference runs DAG d through the engine and the reference
-// engine and requires bit-identical Results.
+// engine, both recording timelines, and requires bit-identical Results.
+// It then runs d through the engine without timelines and requires the
+// same op results, Makespan and Events, and nil timelines.
 func checkAgainstReference(t *testing.T, d fuzzDAG) {
 	t.Helper()
-	got, err := buildFuzzDAG(t, d).Run()
+	got, err := buildFuzzDAG(t, d, true).Run()
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	want, err := referenceRun(buildFuzzDAG(t, d))
+	want, err := referenceRun(buildFuzzDAG(t, d, true))
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -93,6 +97,21 @@ func checkAgainstReference(t *testing.T, d fuzzDAG) {
 	if d, wd := ResultDigest(got), ResultDigest(want); d != wd {
 		t.Fatalf("digest %s != reference %s", d[:12], wd[:12])
 	}
+
+	plain, err := buildFuzzDAG(t, d, false).Run()
+	if err != nil {
+		t.Fatalf("engine without timelines: %v", err)
+	}
+	if plain.Util != nil || plain.HostUtil != nil {
+		t.Fatalf("run without timelines recorded %d GPU and %d host timelines", len(plain.Util), len(plain.HostUtil))
+	}
+	if plain.Events != got.Events {
+		t.Fatalf("%d events without timelines != %d with", plain.Events, got.Events)
+	}
+	// compareResults also walks the timelines: lend plain the recording
+	// run's, so only op results and Makespan can differ.
+	plain.Util, plain.HostUtil = got.Util, got.HostUtil
+	compareResults(t, int(d.seed), plain, got)
 }
 
 // fuzzDAG parameterizes buildFuzzDAG. ops 0 draws 40–139 ops.
@@ -107,8 +126,8 @@ type fuzzDAG struct {
 // static fabric scales d.fabric selects (see FuzzEngineMatchesReference).
 // It mixes every op kind, several kernel tags per GPU, zero-work (or,
 // with d.tiny, timeEps/2-work) kernels, priorities, streams and
-// duplicated dependencies.
-func buildFuzzDAG(t *testing.T, d fuzzDAG) *Sim {
+// duplicated dependencies. timelines sets the cluster's Timelines.
+func buildFuzzDAG(t *testing.T, d fuzzDAG, timelines bool) *Sim {
 	t.Helper()
 	seed, gpus, nodes := d.seed, d.gpus, d.nodes
 	rng := rand.New(rand.NewSource(seed))
@@ -118,6 +137,7 @@ func buildFuzzDAG(t *testing.T, d fuzzDAG) *Sim {
 		CopyGBs:   10 + float64(rng.Intn(3))*10,
 		HostCores: 8 + rng.Intn(3)*28,
 		Policy:    SharePolicy(rng.Intn(2)),
+		Timelines: timelines,
 	})
 	if nodes > 1 {
 		nodeOf := make([]int, gpus)

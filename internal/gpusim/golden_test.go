@@ -27,6 +27,7 @@ func buildGoldenDAG(seed int64) *Sim {
 		LinkGBs:   100 + float64(rng.Intn(3))*100,
 		CopyGBs:   10 + float64(rng.Intn(3))*10,
 		HostCores: 8 + rng.Intn(3)*28,
+		Timelines: true,
 	}
 	if seed%2 == 0 {
 		cfg.Policy = FairShare

@@ -24,7 +24,8 @@
 //
 // Ops form a DAG (explicit dependencies plus implicit per-stream
 // serialization) and the engine advances time event-by-event, recording
-// per-op start/end and per-GPU utilization segments.
+// per-op start/end and, when ClusterConfig.Timelines asks for them,
+// per-GPU and host utilization segments.
 package gpusim
 
 import (
@@ -142,6 +143,11 @@ type ClusterConfig struct {
 	// expressed as schedulable workers (default 64).
 	HostCores int
 	Policy    SharePolicy
+	// Timelines makes Run record the utilization timelines
+	// (Result.Util and Result.HostUtil). Off by default: op times,
+	// Makespan and Events do not depend on it, and only the
+	// utilization, Table 4 and power studies read the timelines.
+	Timelines bool
 }
 
 // WithDefaults returns the config with non-positive fields replaced by
@@ -305,9 +311,14 @@ type UtilSegment struct {
 type Result struct {
 	Ops      []OpResult
 	Makespan float64 //rap:unit us
-	// Util[g] is the utilization timeline of GPU g.
+	// Util[g] is the utilization timeline of GPU g. It is nil unless
+	// the cluster config set Timelines; AvgUtil, BusyFraction,
+	// UtilSeries and trace.Summarize then read zero, and Energy
+	// charges no GPU energy.
 	Util [][]UtilSegment
-	// HostUtil is the host CPU pool's utilization timeline.
+	// HostUtil is the host CPU pool's utilization timeline, nil unless
+	// the cluster config set Timelines (Energy then charges only the
+	// host's idle draw).
 	HostUtil []HostSegment
 	// Events counts the simulated event-loop iterations; it normalizes
 	// benchmark times to ns/event.

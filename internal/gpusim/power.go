@@ -67,7 +67,9 @@ func (e EnergyReport) AvgHostWatts() float64 {
 // timelines. numGPUs should match the simulated cluster; a count
 // exceeding the recorded timelines is clamped (the idle draw of GPUs
 // the result never saw cannot be reconstructed), matching the
-// zero-value behavior of the other query methods.
+// zero-value behavior of the other query methods. A result recorded
+// without timelines (ClusterConfig.Timelines unset) is charged only the
+// host's idle draw.
 func (r *Result) Energy(pm PowerModel, numGPUs, hostCores int) EnergyReport {
 	rep := EnergyReport{MakespanUs: r.Makespan}
 	if numGPUs > len(r.Util) {

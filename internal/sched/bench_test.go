@@ -12,7 +12,8 @@ import (
 // on every GPU (16,568 ops). The fleet benchmark's real 16-GPU job, with
 // the rap planner's sharded schedule, is cluster's BenchmarkFleetJob.
 // DAG construction and the gpusim run are both timed; planning is
-// set-up.
+// set-up. The run records no utilization timelines, as every caller
+// but the utilization, Table 4 and power studies runs.
 // `go test -run '^$' -bench BenchmarkPipeline ./internal/sched`.
 func BenchmarkPipeline(b *testing.B) {
 	const n = 16

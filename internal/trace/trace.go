@@ -18,7 +18,9 @@ type UtilSummary struct {
 }
 
 // Summarize computes the utilization summary of GPU g over [0, upTo]
-// (upTo <= 0 = makespan). An out-of-range g yields a zero summary.
+// (upTo <= 0 = makespan). An out-of-range g, or a result recorded
+// without timelines (gpusim.ClusterConfig.Timelines), yields a zero
+// summary.
 //
 //rap:unit upTo us
 func Summarize(res *gpusim.Result, g int, upTo float64) UtilSummary {

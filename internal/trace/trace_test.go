@@ -11,7 +11,7 @@ import (
 
 func result(t *testing.T) *gpusim.Result {
 	t.Helper()
-	s := gpusim.NewSim(gpusim.ClusterConfig{NumGPUs: 2})
+	s := gpusim.NewSim(gpusim.ClusterConfig{NumGPUs: 2, Timelines: true})
 	a := s.AddKernel(0, gpusim.Kernel{Name: "train_k", Work: 50, LaunchOverhead: -1,
 		Demand: gpusim.Demand{SM: 0.8, MemBW: 0.2}, Tag: "train"})
 	s.AddKernel(0, gpusim.Kernel{Name: "pre_k", Work: 30, LaunchOverhead: -1,
