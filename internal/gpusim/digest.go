@@ -13,8 +13,10 @@ import (
 // harness: the golden-digest suite pins 64 seeded DAGs against files
 // captured from the pre-optimization engine. (Events is deliberately
 // excluded: it is a diagnostic counter, not an observable of the
-// simulated timeline, and the committed golden files predate it.) A
-// Result recorded without timelines digests its ops and makespan only.
+// simulated timeline, and the committed golden files predate it.) A GPU
+// segment contributes its start, end, SM and bandwidth, a host segment
+// its start, end and CPU. A Result recorded without timelines digests
+// its ops and makespan only.
 func ResultDigest(r *Result) string {
 	h := sha256.New()
 	f := func(v float64) {
@@ -43,11 +45,6 @@ func ResultDigest(r *Result) string {
 			f(seg.End)
 			f(seg.SM)
 			f(seg.MemBW)
-			// TagSM is stored sorted by tag, the order the goldens hash.
-			for _, ts := range seg.TagSM {
-				str(ts.Tag)
-				f(ts.SM)
-			}
 		}
 	}
 	f(float64(len(r.HostUtil)))

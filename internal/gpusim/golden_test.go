@@ -101,7 +101,8 @@ func goldenDigestPath() string {
 
 // TestGoldenDigests replays the seeded DAGs and compares the bit-exact
 // result digests against the file captured from the pre-optimization
-// engine. Regenerate with GPUSIM_UPDATE_GOLDEN=1 (only legitimate when
+// engine, projected once when utilization segments lost their tag
+// shares (shares dropped, contiguous equal segments merged). Regenerate with GPUSIM_UPDATE_GOLDEN=1 (only legitimate when
 // intentionally changing simulator semantics).
 func TestGoldenDigests(t *testing.T) {
 	digests := make([]string, goldenSeeds)

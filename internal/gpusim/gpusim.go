@@ -25,7 +25,8 @@
 // Ops form a DAG (explicit dependencies plus implicit per-stream
 // serialization) and the engine advances time event-by-event, recording
 // per-op start/end and, when ClusterConfig.Timelines asks for them,
-// per-GPU and host utilization segments.
+// utilization segments: SM and DRAM bandwidth per GPU, CPU for the host
+// pool.
 package gpusim
 
 import (
@@ -77,8 +78,8 @@ type Kernel struct {
 	// LaunchOverhead, if zero, defaults to DefaultLaunchOverhead. The
 	// overhead phase is host-side and does not contend for GPU resources.
 	LaunchOverhead float64 //rap:unit us
-	// Tag labels the kernel for utilization attribution ("train",
-	// "preproc", ...).
+	// Tag names the kernel's row in Chrome traces ("train",
+	// "preproc", ...); the engine does not read it.
 	Tag string
 }
 
@@ -253,8 +254,7 @@ type op struct {
 	id       OpID
 	name     string
 	tag      string
-	tagID    int32 // index of tag in the engine's sorted tag table
-	gpu      int   // -1 for host-only ops
+	gpu      int // -1 for host-only ops
 	priority int
 
 	overheadLeft float64
@@ -290,21 +290,10 @@ type OpResult struct {
 //rap:unit return us
 func (r OpResult) Latency() float64 { return r.End - r.Start }
 
-// TagShare is the granted SM utilization of one kernel tag.
-type TagShare struct {
-	Tag string
-	SM  float64
-}
-
 // UtilSegment is a span of time with constant per-GPU utilization.
 type UtilSegment struct {
 	Start, End float64 //rap:unit us
 	SM, MemBW  float64 // granted utilization in [0,1]
-	// TagSM attributes SM utilization by kernel tag: one share per tag
-	// with an SM user in the segment, sorted by tag (nil when the GPU
-	// ran no SM user). It is read-only and may share storage with the
-	// neighbouring segment of the same GPU.
-	TagSM []TagShare
 }
 
 // Result is the outcome of Sim.Run.
@@ -381,14 +370,24 @@ type Sample struct {
 	SM, MemBW float64
 }
 
+// maxUtilSamples caps the length of a UtilSeries (24 MiB of samples),
+// far above any plotted trace; without it a tiny positive period
+// overflows the sample count.
+const maxUtilSamples = 1 << 20
+
 // UtilSeries resamples GPU g's utilization at the given period, for
-// plotting Figure 1(a)-style traces. An out-of-range g or a period that
-// is not positive (including NaN) yields nil.
+// plotting Figure 1(a)-style traces. An out-of-range g, a period that
+// is not positive (including NaN), or one so small that the series
+// would exceed maxUtilSamples samples yields nil.
 func (r *Result) UtilSeries(g int, dt float64) []Sample {
 	if g < 0 || g >= len(r.Util) || !(dt > 0) || r.Makespan <= 0 {
 		return nil
 	}
-	n := int(math.Ceil(r.Makespan/dt)) + 1
+	samples := math.Ceil(r.Makespan/dt) + 1
+	if !(samples <= maxUtilSamples) {
+		return nil
+	}
+	n := int(samples)
 	out := make([]Sample, 0, n)
 	segs := r.Util[g]
 	si := 0
@@ -571,7 +570,7 @@ func WithPriority(p int) OpOption {
 	return func(o *op, _ *Sim) { o.priority = p }
 }
 
-// WithTag overrides the op's utilization-attribution tag.
+// WithTag overrides the op's tag, which names its Chrome-trace row.
 func WithTag(tag string) OpOption {
 	return func(o *op, _ *Sim) { o.tag = tag }
 }

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -456,8 +457,17 @@ func TestUtilizationAccounting(t *testing.T) {
 	almost(t, sm, 0.6, 1e-6, "avg sm")
 	almost(t, bw, 0.4, 1e-6, "avg bw")
 	almost(t, res.BusyFraction(0, 0), 1.0, 1e-6, "busy fraction")
-	if len(res.Util[0]) == 0 || len(res.Util[0][0].TagSM) != 1 || res.Util[0][0].TagSM[0] != (TagShare{Tag: "train", SM: 0.6}) {
-		t.Fatalf("tag attribution wrong: %+v", res.Util[0])
+
+	// Two dependent kernels with equal demands record one segment, even
+	// when their tags differ.
+	s = NewSim(ClusterConfig{NumGPUs: 1, Timelines: true})
+	a := s.AddKernel(0, Kernel{Name: "a", Work: 100, LaunchOverhead: -1, Demand: Demand{SM: 0.6, MemBW: 0.4}, Tag: "train"})
+	s.AddKernel(0, Kernel{Name: "b", Work: 100, LaunchOverhead: -1, Demand: Demand{SM: 0.6, MemBW: 0.4}, Tag: "preproc"}, WithDeps(a))
+	if res, err = s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []UtilSegment{{Start: 0, End: 200, SM: 0.6, MemBW: 0.4}}; !reflect.DeepEqual(res.Util[0], want) {
+		t.Fatalf("segments %+v, want %+v", res.Util[0], want)
 	}
 }
 
@@ -475,7 +485,7 @@ func TestUtilSeriesSampling(t *testing.T) {
 	}
 	almost(t, series[2].SM, 0.9, 1e-6, "early sample")
 	almost(t, series[7].SM, 0.1, 1e-6, "late sample")
-	for _, dt := range []float64{0, -1, math.NaN()} {
+	for _, dt := range []float64{0, -1, math.NaN(), 1e-300, 5e-324} {
 		if got := res.UtilSeries(0, dt); got != nil {
 			t.Fatalf("dt=%v should return nil", dt)
 		}

@@ -44,7 +44,7 @@ func TestWarmupSentinel(t *testing.T) {
 // a single-iteration run, whose warmup clamps to zero — every
 // {FabricScale} × {Iterations:1, Iterations:3} cell runs twice, and the two
 // runs must agree bit-exactly on gpusim.ResultDigest (op timings,
-// utilization segments with tag attribution, host segments), on the
+// per-GPU utilization segments, host segments), on the
 // event count and on the steady iteration latency. This carries the
 // gpusim engine's determinism contract up through the pipeline
 // builder, on real pipeline DAGs rather than synthetic golden ones.
@@ -141,8 +141,8 @@ func TestCongestedPipelineDigests(t *testing.T) {
 		scale []float64
 		want  string
 	}{
-		{topo.Uniform(2, 1), []float64{0.5, 0.25}, "7e1da6ba592d5f148ee0ddd545f61fd6800ebc17039ddf8abbde6b12b3ee78e9"},
-		{topo.Uniform(4, 1), []float64{1, 0.5, 1, 0.2}, "9bc3591fba63d44ea7b76dc7dda34b64677e114ac6a425d082e6d94dfcfc383c"},
+		{topo.Uniform(2, 1), []float64{0.5, 0.25}, "d0a40d82e7302e80f4406bd5735e20d02a8ece7bea93bc377c3bd6473b283dc3"},
+		{topo.Uniform(4, 1), []float64{1, 0.5, 1, 0.2}, "0972efad92f20539b0a92009b9c636c5973a10c079159e76d5de4bdf79e6e4e8"},
 	}
 	for _, c := range cases {
 		n := c.tp.NumGPUs()

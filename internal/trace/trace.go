@@ -1,5 +1,5 @@
 // Package trace post-processes simulator results into the artifacts the
-// paper's figures are built from: tag-attributed utilization summaries
+// paper's figures are built from: per-GPU utilization summaries
 // (Table 4), turning-point detection (Figure 11) and Chrome trace-event
 // timelines.
 package trace
@@ -13,8 +13,6 @@ type UtilSummary struct {
 	GPUUtil float64
 	// SMUtil is the mean granted SM utilization.
 	SMUtil float64
-	// TagSM attributes mean SM utilization by kernel tag.
-	TagSM map[string]float64
 }
 
 // Summarize computes the utilization summary of GPU g over [0, upTo]
@@ -24,34 +22,8 @@ type UtilSummary struct {
 //
 //rap:unit upTo us
 func Summarize(res *gpusim.Result, g int, upTo float64) UtilSummary {
-	if g < 0 || g >= len(res.Util) {
-		return UtilSummary{TagSM: map[string]float64{}}
-	}
-	if upTo <= 0 {
-		upTo = res.Makespan
-	}
 	sm, _ := res.AvgUtil(g, upTo)
-	out := UtilSummary{
-		GPUUtil: res.BusyFraction(g, upTo),
-		SMUtil:  sm,
-		TagSM:   map[string]float64{},
-	}
-	if upTo <= 0 {
-		return out
-	}
-	for _, seg := range res.Util[g] {
-		s, e := seg.Start, seg.End
-		if s >= upTo {
-			break
-		}
-		if e > upTo {
-			e = upTo
-		}
-		for _, ts := range seg.TagSM {
-			out.TagSM[ts.Tag] += ts.SM * (e - s) / upTo
-		}
-	}
-	return out
+	return UtilSummary{GPUUtil: res.BusyFraction(g, upTo), SMUtil: sm}
 }
 
 // MeanSummary averages summaries across GPUs. A non-positive numGPUs
@@ -59,7 +31,7 @@ func Summarize(res *gpusim.Result, g int, upTo float64) UtilSummary {
 //
 //rap:unit upTo us
 func MeanSummary(res *gpusim.Result, numGPUs int, upTo float64) UtilSummary {
-	agg := UtilSummary{TagSM: map[string]float64{}}
+	var agg UtilSummary
 	if numGPUs <= 0 {
 		return agg
 	}
@@ -67,18 +39,10 @@ func MeanSummary(res *gpusim.Result, numGPUs int, upTo float64) UtilSummary {
 		s := Summarize(res, g, upTo)
 		agg.GPUUtil += s.GPUUtil
 		agg.SMUtil += s.SMUtil
-		//lint:ignore detaint each tag's sum adds this GPU's value once, so the visit order cannot change it
-		for tag, v := range s.TagSM {
-			agg.TagSM[tag] += v
-		}
 	}
 	n := float64(numGPUs)
 	agg.GPUUtil /= n
 	agg.SMUtil /= n
-	//lint:ignore detaint each tag is divided in place, independently of the others
-	for tag := range agg.TagSM {
-		agg.TagSM[tag] /= n
-	}
 	return agg
 }
 
