@@ -1,10 +1,12 @@
 package fusion
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"rap/internal/milp"
 	"rap/internal/preproc"
 )
 
@@ -341,6 +343,39 @@ func TestPlanNodes(t *testing.T) {
 		}
 		if plan.Nodes != 0 {
 			t.Fatalf("%+v: nodes = %d, want 0", opts, plan.Nodes)
+		}
+	}
+}
+
+// TestPlanFusionMaxNodes: MaxNodes 0 selects fusion's size-scaled
+// budget, a positive value caps the solve, and a negative one is
+// milp.ErrNegativeLimit instead of the 2,000,000-node default.
+func TestPlanFusionMaxNodes(t *testing.T) {
+	p := preproc.MustStandardPlan(2, nil)
+	for _, tc := range []struct {
+		maxNodes int
+		wantErr  bool
+	}{
+		{0, false},
+		{50, false},
+		{-1, true},
+	} {
+		plan, err := PlanFusion(p.Graphs, p.Shape(4096), Options{MaxNodes: tc.maxNodes})
+		if tc.wantErr {
+			if !errors.Is(err, milp.ErrNegativeLimit) {
+				t.Fatalf("MaxNodes %d: err = %v, want milp.ErrNegativeLimit", tc.maxNodes, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("MaxNodes %d: %v", tc.maxNodes, err)
+		}
+		if want := tc.maxNodes; want == 0 {
+			if plan.Nodes > budgetFor(plan.NumOps) {
+				t.Fatalf("MaxNodes 0: %d nodes over the default budget %d", plan.Nodes, budgetFor(plan.NumOps))
+			}
+		} else if plan.Nodes != want {
+			t.Fatalf("MaxNodes %d: %d nodes", want, plan.Nodes)
 		}
 	}
 }

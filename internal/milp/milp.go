@@ -34,11 +34,11 @@ type Problem struct {
 	// critical-path length + DefaultSlack, which is enough for every
 	// plan in this repo and keeps the search exact. A positive horizon
 	// below the critical-path length is infeasible and rejected with
-	// ErrInfeasibleHorizon.
+	// ErrInfeasibleHorizon; a negative one with ErrNegativeLimit.
 	Horizon int
-	// MaxNodes bounds the branch & bound search (0 = DefaultMaxNodes).
-	// When the budget runs out, Solve returns the incumbent with
-	// Optimal=false.
+	// MaxNodes bounds the branch & bound search (0 = DefaultMaxNodes;
+	// negative is rejected with ErrNegativeLimit). When the budget runs
+	// out, Solve returns the incumbent with Optimal=false.
 	MaxNodes int
 }
 
@@ -47,6 +47,11 @@ type Problem struct {
 // it. (Solve used to silently widen the horizon and then claim
 // Optimal=true for a horizon the caller never asked for.)
 var ErrInfeasibleHorizon = errors.New("milp: horizon below dependency critical path")
+
+// ErrNegativeLimit reports a negative Horizon or MaxNodes. Only 0
+// selects a default, so a mistyped budget such as -1 fails instead of
+// searching DefaultMaxNodes nodes.
+var ErrNegativeLimit = errors.New("milp: negative horizon or node budget")
 
 // DefaultSlack is the extra horizon beyond the critical path explored by
 // default. Delaying an op past its ASAP level is exactly what lets
@@ -192,6 +197,9 @@ func Solve(p Problem) (Solution, error) {
 	if err := checkShape(p); err != nil {
 		return Solution{}, err
 	}
+	if p.Horizon < 0 || p.MaxNodes < 0 {
+		return Solution{}, fmt.Errorf("milp: horizon %d, node budget %d: %w", p.Horizon, p.MaxNodes, ErrNegativeLimit)
+	}
 	n := len(p.Types)
 	order, err := TopoOrder(p.Deps)
 	if err != nil {
@@ -212,11 +220,11 @@ func Solve(p Problem) (Solution, error) {
 		return Solution{Step: []int{}, Optimal: true}, nil
 	}
 	horizon := p.Horizon
-	if horizon <= 0 {
+	if horizon == 0 {
 		horizon = cp + DefaultSlack
 	}
 	maxNodes := p.MaxNodes
-	if maxNodes <= 0 {
+	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
 	}
 
@@ -233,31 +241,43 @@ func Solve(p Problem) (Solution, error) {
 	}
 	nt := len(ids)
 
-	// remaining[k*nt+ty] counts the type-ty ops at topo positions ≥ k,
-	// for the admissible bound.
-	remaining := make([]int64, (n+1)*nt)
-	for k := n - 1; k >= 0; k-- {
-		copy(remaining[k*nt:(k+1)*nt], remaining[(k+1)*nt:(k+2)*nt])
-		remaining[k*nt+types[order[k]]]++
-	}
-
 	s := &solver{
-		deps:      p.Deps,
-		types:     types,
-		order:     order,
-		horizon:   horizon,
-		maxNodes:  maxNodes,
-		remaining: remaining,
-		steps:     make([]int, n),
-		counts:    make([]int64, nt*horizon),
-		maxCount:  make([]int64, nt),
-		cands:     make([]int, n*horizon),
+		deps:     p.Deps,
+		types:    types,
+		order:    order,
+		horizon:  horizon,
+		maxNodes: maxNodes,
+		rem:      make([]int64, n),
+		steps:    make([]int, n),
+		counts:   make([]int64, nt*horizon),
+		maxCount: make([]int64, nt),
+		cands:    make([]int, n*horizon),
 		// The level greedy (every op at its ASAP level) is the warm start.
 		best:    asap,
 		bestObj: Objective(p.Types, asap),
 		optimal: true,
 	}
-	s.dfs(0, 0)
+	// rem[k] counts the ops of position k's type at topo positions ≥ k:
+	// that type's r in the bound while order[k] is being placed. The
+	// per-type totals, counted in maxCount before the search zeroes it,
+	// give the root's Σ_type r(2g+r) with every degree g still 0.
+	for k := n - 1; k >= 0; k-- {
+		ty := types[order[k]]
+		s.maxCount[ty]++
+		s.rem[k] = s.maxCount[ty]
+	}
+	var slack int64
+	for _, r := range s.maxCount {
+		slack += r * r
+	}
+	clear(s.maxCount)
+
+	// The root is counted (every budget is at least 1) and expanded
+	// only if its bound, slack, beats the warm start.
+	s.nodes = 1
+	if slack > s.bestObj {
+		s.dfs(0, 0, slack)
+	}
 	return Solution{Step: s.best, Objective: s.bestObj, Optimal: s.optimal, Nodes: s.nodes}, nil
 }
 
@@ -265,13 +285,13 @@ func Solve(p Problem) (Solution, error) {
 // id, step and topo position, so a node does no map lookups and no
 // allocation.
 type solver struct {
-	deps      [][]int
-	types     []int // op -> dense type id
-	order     []int
-	horizon   int
-	maxNodes  int
-	nodes     int
-	remaining []int64 // [k*nt+type], nt = len(maxCount): ops of the type at topo positions ≥ k
+	deps     [][]int
+	types    []int // op -> dense type id
+	order    []int
+	horizon  int
+	maxNodes int
+	nodes    int
+	rem      []int64 // [k]: ops of order[k]'s type at topo positions ≥ k
 
 	steps    []int
 	counts   []int64 // [type*horizon+step]: fusion degree
@@ -283,36 +303,18 @@ type solver struct {
 	optimal bool
 }
 
-// bound returns an admissible upper bound on the objective reachable
-// from position k with current partial objective obj: every remaining op
-// of a type could, at best, join that type's largest group g, adding
-// (g+r)² − g² = r(2g+r).
-func (s *solver) bound(k int, obj int64) int64 {
-	b := obj
-	nt := len(s.maxCount)
-	for ty, r := range s.remaining[k*nt : (k+1)*nt] {
-		g := s.maxCount[ty]
-		b += r * (2*g + r)
-	}
-	return b
-}
-
-func (s *solver) dfs(k int, obj int64) {
-	if s.nodes >= s.maxNodes {
-		s.optimal = false
-		return
-	}
-	s.nodes++
-	if k == len(s.order) {
-		if obj > s.bestObj {
-			s.bestObj = obj
-			copy(s.best, s.steps)
-		}
-		return
-	}
-	if s.bound(k, obj) <= s.bestObj {
-		return
-	}
+// dfs expands the node at depth k, already counted, whose partial
+// objective is obj and whose bound obj+slack beats the incumbent.
+// slack is the clustering bound's running part: every op at positions
+// ≥ k could, at best, join its type's largest group g, so a type with
+// r such ops adds at most (g+r)² − g² = r(2g+r).
+//
+// Nodes are counted as in a search that enters each child in turn to
+// check the budget, count it, then prune, evaluate or expand it. Here
+// the children's bounds are computed before descending, and a pruned
+// child or a leaf that cannot win ends the loop with its later siblings
+// counted in one step (see count).
+func (s *solver) dfs(k int, obj, slack int64) {
 	op := s.order[k]
 	minStep := 0
 	for _, d := range s.deps[op] {
@@ -325,6 +327,35 @@ func (s *solver) dfs(k int, obj int64) {
 	}
 	ty := s.types[op]
 	counts := s.counts[ty*s.horizon : (ty+1)*s.horizon]
+
+	// The first candidate, the largest degree at the earliest step, has
+	// the best child: the largest leaf objective and the largest bound.
+	first := minStep
+	for t := minStep + 1; t < s.horizon; t++ {
+		if counts[t] > counts[first] {
+			first = t
+		}
+	}
+	if k+1 == len(s.order) {
+		// The children are leaves with objective obj+2c+1. Only the
+		// first can beat the incumbent: if it does it becomes the
+		// incumbent, which no later sibling then beats.
+		if leaf := obj + 2*counts[first] + 1; s.nodes < s.maxNodes && leaf > s.bestObj {
+			s.steps[op] = first
+			s.bestObj = leaf
+			copy(s.best, s.steps)
+		}
+		s.count(s.horizon - minStep)
+		return
+	}
+	// The child bound is non-decreasing in c and c never rises along the
+	// candidates, so when the first child is pruned, all of them are.
+	r, g := s.rem[k], s.maxCount[ty]
+	rest := slack - r*(2*g+r)
+	if c := counts[first]; obj+2*c+1+slackAfter(rest, r, g, c) <= s.bestObj {
+		s.count(s.horizon - minStep)
+		return
+	}
 
 	// Candidate steps, most promising first: join the largest existing
 	// same-type group, then earliest-first. (count desc, step asc) is a
@@ -341,20 +372,49 @@ func (s *solver) dfs(k int, obj int64) {
 		cands[j] = t
 	}
 
-	for _, t := range cands {
+	for i, t := range cands {
 		c := counts[t]
-		counts[t] = c + 1
-		prevMax := s.maxCount[ty]
-		if c+1 > prevMax {
-			s.maxCount[ty] = c + 1
+		childObj := obj + 2*c + 1 // (c+1)² − c²
+		childSlack := slackAfter(rest, r, g, c)
+		if childObj+childSlack <= s.bestObj {
+			s.count(len(cands) - i) // this child and every later sibling
+			return
 		}
+		if s.nodes >= s.maxNodes {
+			s.optimal = false
+			return
+		}
+		s.nodes++
+		counts[t] = c + 1
+		s.maxCount[ty] = max(g, c+1)
 		s.steps[op] = t
-		s.dfs(k+1, obj+2*c+1) // (c+1)² − c²
+		s.dfs(k+1, childObj, childSlack)
 		counts[t] = c
-		s.maxCount[ty] = prevMax
+		s.maxCount[ty] = g
 		if s.nodes >= s.maxNodes {
 			s.optimal = false
 			return
 		}
 	}
+}
+
+// slackAfter is the bound's running part after an op joins a step of
+// degree c. rest is the running part without the op's type, r the
+// type's ops still to place counting this one, and g its largest degree:
+// one op leaves the type's term r(2g+r) and g may rise to c+1.
+func slackAfter(rest, r, g, c int64) int64 {
+	return rest + (r-1)*(2*max(g, c+1)+r-1)
+}
+
+// count adds m sibling nodes that are entered and left at once, either
+// pruned or leaves that cannot win. It stops exactly where entering them
+// one by one would: a node is counted only while nodes < maxNodes, and
+// reaching the budget clears Optimal.
+func (s *solver) count(m int) {
+	if m >= s.maxNodes-s.nodes {
+		s.nodes = s.maxNodes
+		s.optimal = false
+		return
+	}
+	s.nodes += m
 }

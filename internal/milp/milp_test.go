@@ -160,6 +160,51 @@ func TestSolveRejectsInfeasibleHorizon(t *testing.T) {
 	}
 }
 
+// TestSolveLimits: 0 selects the default horizon and node budget, a
+// positive value is used as given, and a negative one is an error.
+func TestSolveLimits(t *testing.T) {
+	// X0→Y0 and Y1→X1: the full search at the default horizon takes more
+	// than 3 nodes and finishes optimal at objective 6.
+	base := Problem{Types: []int{0, 1, 1, 0}, Deps: [][]int{nil, {0}, nil, {2}}}
+	for _, tc := range []struct {
+		name              string
+		horizon, maxNodes int
+		wantErr           bool
+		optimal           bool
+	}{
+		{"defaults", 0, 0, false, true},
+		{"critical-path horizon", 2, 0, false, true},
+		{"three-node budget", 0, 3, false, false},
+		{"negative horizon", -1, 0, true, false},
+		{"negative budget", 0, -1, true, false},
+		{"both negative", -3, -2, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := base
+			p.Horizon, p.MaxNodes = tc.horizon, tc.maxNodes
+			sol, err := Solve(p)
+			if tc.wantErr {
+				if !errors.Is(err, ErrNegativeLimit) {
+					t.Fatalf("err = %v, want ErrNegativeLimit", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Optimal != tc.optimal {
+				t.Fatalf("optimal = %v, want %v (%+v)", sol.Optimal, tc.optimal, sol)
+			}
+			if tc.maxNodes > 0 && sol.Nodes != tc.maxNodes {
+				t.Fatalf("nodes = %d, want the %d-node budget", sol.Nodes, tc.maxNodes)
+			}
+			if err := Validate(p, sol.Step); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestSolveNodeBudget(t *testing.T) {
 	// A large instance under a tiny budget returns a valid incumbent and
 	// reports non-optimality.

@@ -10,6 +10,7 @@ import (
 	"rap/internal/costmodel"
 	"rap/internal/dlrm"
 	"rap/internal/gpusim"
+	"rap/internal/milp"
 )
 
 // plansEqual compares the planner outputs of two ExecPlans (the
@@ -115,6 +116,38 @@ func TestBuildPlanRejectsNonFiniteBandwidth(t *testing.T) {
 		}
 		if hits, misses := f.probes.Stats(); hits+misses != 0 {
 			t.Fatalf("%+v: %d capacity probes ran before the error", cluster, hits+misses)
+		}
+	}
+}
+
+// TestBuildPlanFusionMaxNodes: FusionMaxNodes 0 is fusion's automatic
+// budget, a positive value caps every solve, and a negative one fails the
+// build with milp.ErrNegativeLimit instead of searching 2,000,000 nodes
+// per solve.
+func TestBuildPlanFusionMaxNodes(t *testing.T) {
+	w := workload(t, Kaggle, 1, 1024)
+	for _, tc := range []struct {
+		maxNodes int
+		wantErr  bool
+	}{
+		{0, false},
+		{5, false},
+		{-1, true},
+	} {
+		plan, err := New(w, gpusim.ClusterConfig{NumGPUs: 2}).BuildPlan(BuildOptions{FusionMaxNodes: tc.maxNodes})
+		if tc.wantErr {
+			if !errors.Is(err, milp.ErrNegativeLimit) {
+				t.Fatalf("FusionMaxNodes %d: err = %v, want milp.ErrNegativeLimit", tc.maxNodes, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("FusionMaxNodes %d: %v", tc.maxNodes, err)
+		}
+		for g, fp := range plan.Fusions {
+			if tc.maxNodes > 0 && fp.Nodes > tc.maxNodes {
+				t.Fatalf("FusionMaxNodes %d: GPU %d searched %d nodes", tc.maxNodes, g, fp.Nodes)
+			}
 		}
 	}
 }
