@@ -206,10 +206,14 @@ func TrainPredictor(ds Dataset, cfg gbdt.Config) (*Predictor, error) {
 
 // Predict returns the predicted standalone latency (µs) of a kernel.
 // Kernels of categories the predictor was never trained on fall back to
-// the analytic model (and FallbackUsed reports it).
+// the analytic model, so a predictor with no trained models (the
+// AnalyticPredictor) returns it straight away.
 //
 //rap:unit return us
 func (p *Predictor) Predict(spec preproc.KernelSpec) float64 {
+	if len(p.models) == 0 {
+		return spec.SoloLatency()
+	}
 	m, ok := p.models[spec.Type.PredictorCategory()]
 	if !ok {
 		return spec.SoloLatency()
@@ -221,12 +225,13 @@ func (p *Predictor) Predict(spec preproc.KernelSpec) float64 {
 	return v
 }
 
-// Categories lists the trained category names.
+// Categories lists the trained category names in sorted order.
 func (p *Predictor) Categories() []string {
 	out := make([]string, 0, len(p.models))
 	for c := range p.models {
 		out = append(out, c)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -394,3 +394,33 @@ func TestSolveCacheKeyCoversBudget(t *testing.T) {
 		t.Fatalf("budget change hit the cache: hits=%d misses=%d", h, m)
 	}
 }
+
+// TestSolveKeyExact checks that solveKey separates problems that differ
+// only in where one op's dependency list ends and the next op's type
+// begins, or in one field's sign, and gives equal problems equal keys.
+func TestSolveKeyExact(t *testing.T) {
+	problems := []milp.Problem{
+		{Types: []int{1, 2}, Deps: [][]int{nil, {0}}},
+		{Types: []int{1, 0}, Deps: [][]int{{2}, nil}},
+		{Types: []int{1, 2}, Deps: [][]int{nil, {0}}, Horizon: 3},
+		{Types: []int{1, 2}, Deps: [][]int{nil, {0}}, MaxNodes: 3},
+		{Types: []int{1, 2}, Deps: [][]int{nil, {0}}, MaxNodes: -3},
+		{Types: []int{1}, Deps: [][]int{nil}},
+		{},
+	}
+	seen := map[string]int{}
+	for i, p := range problems {
+		k := solveKey(p)
+		if j, dup := seen[k]; dup {
+			t.Fatalf("problems %d and %d share key %q", j, i, k)
+		}
+		seen[k] = i
+		same := milp.Problem{Types: append([]int(nil), p.Types...), Horizon: p.Horizon, MaxNodes: p.MaxNodes}
+		for _, ds := range p.Deps {
+			same.Deps = append(same.Deps, append([]int{}, ds...))
+		}
+		if solveKey(same) != k {
+			t.Fatalf("problem %d: a deep copy has a different key", i)
+		}
+	}
+}

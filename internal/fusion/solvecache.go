@@ -1,9 +1,7 @@
 package fusion
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
+	"encoding/binary"
 
 	"rap/internal/memo"
 	"rap/internal/milp"
@@ -20,16 +18,25 @@ type SolveCache = memo.Cache[string, milp.Solution]
 // NewSolveCache returns an empty solve cache.
 func NewSolveCache() *SolveCache { return memo.New[string, milp.Solution]() }
 
-// solveKey is the deep content hash of everything the solver reads.
+// solveKey is the exact content of everything the solver reads, as
+// varints: horizon, node budget, op count, then each op's type, dependency
+// count and dependencies. Every list is length-prefixed, so two problems
+// share a key only when they are equal.
 func solveKey(p milp.Problem) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "horizon %d maxnodes %d\n", p.Horizon, p.MaxNodes)
-	for i, t := range p.Types {
-		fmt.Fprintf(h, "%d:%d deps", i, t)
-		for _, d := range p.Deps[i] {
-			fmt.Fprintf(h, " %d", d)
-		}
-		fmt.Fprintf(h, "\n")
+	n := 3 + 2*len(p.Types)
+	for _, ds := range p.Deps {
+		n += len(ds)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, 2*n)
+	b = binary.AppendVarint(b, int64(p.Horizon))
+	b = binary.AppendVarint(b, int64(p.MaxNodes))
+	b = binary.AppendUvarint(b, uint64(len(p.Types)))
+	for i, t := range p.Types {
+		b = binary.AppendVarint(b, int64(t))
+		b = binary.AppendUvarint(b, uint64(len(p.Deps[i])))
+		for _, d := range p.Deps[i] {
+			b = binary.AppendVarint(b, int64(d))
+		}
+	}
+	return string(b)
 }

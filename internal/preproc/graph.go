@@ -2,6 +2,7 @@ package preproc
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"rap/internal/tensor"
 )
@@ -29,19 +30,27 @@ type Graph struct {
 	// with a DenseOutput are duplicated across GPUs by the mapper.
 	DenseOutput string
 
-	deps [][]int // lazily built
+	// deps and valid cache Deps and a successful Validate. Both are
+	// atomic, so concurrent first calls on a shared graph (BuildPlan's
+	// per-GPU lowerings) are race-free: each computes the same value.
+	deps  atomic.Pointer[[][]int]
+	valid atomic.Bool
 }
 
-// InvalidateDeps clears the cached adjacency after a structural edit
-// (appending ops to an existing graph).
-func (g *Graph) InvalidateDeps() { g.deps = nil }
+// InvalidateDeps clears the cached adjacency and validation after a
+// structural edit (appending ops to an existing graph): the next Deps
+// rebuilds the adjacency and the next Validate checks the graph again.
+func (g *Graph) InvalidateDeps() {
+	g.deps.Store(nil)
+	g.valid.Store(false)
+}
 
 // Deps returns the adjacency list: Deps()[i] holds the op indices that
 // op i depends on (its producers). Dependencies are derived from column
 // names: op j depends on op i iff j reads i's output.
 func (g *Graph) Deps() [][]int {
-	if g.deps != nil {
-		return g.deps
+	if d := g.deps.Load(); d != nil {
+		return *d
 	}
 	producer := make(map[string]int, len(g.Ops))
 	for i, op := range g.Ops {
@@ -55,7 +64,7 @@ func (g *Graph) Deps() [][]int {
 			}
 		}
 	}
-	g.deps = deps
+	g.deps.Store(&deps)
 	return deps
 }
 
@@ -130,8 +139,13 @@ func (g *Graph) CriticalPathLen() (int, error) {
 	return max, nil
 }
 
-// Validate checks op-ID and output uniqueness and acyclicity.
+// Validate checks op-ID and output uniqueness and acyclicity. A graph
+// that passed is not checked again until InvalidateDeps, the same
+// contract as Deps' cache.
 func (g *Graph) Validate() error {
+	if g.valid.Load() {
+		return nil
+	}
 	ids := make(map[string]bool, len(g.Ops))
 	outs := make(map[string]bool, len(g.Ops))
 	for _, op := range g.Ops {
@@ -147,6 +161,7 @@ func (g *Graph) Validate() error {
 	if _, err := g.TopoOrder(); err != nil {
 		return err
 	}
+	g.valid.Store(true)
 	return nil
 }
 

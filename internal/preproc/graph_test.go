@@ -1,7 +1,10 @@
 package preproc
 
 import (
+	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"rap/internal/data"
@@ -90,6 +93,76 @@ func TestGraphValidateErrors(t *testing.T) {
 	}}
 	if err := cycle.Validate(); err == nil {
 		t.Fatal("cycle accepted")
+	}
+}
+
+// TestGraphValidateCacheInvalidated checks that a validated graph
+// edited through the documented path (ops appended, then
+// InvalidateDeps) is checked again: a duplicate op id or a new cycle is
+// rejected.
+func TestGraphValidateCacheInvalidated(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  []Op
+		want string
+	}{
+		{"duplicate id", []Op{NewCast("op1", "c", "d")}, "duplicate op id"},
+		{"cycle", []Op{NewCast("op3", "y", "x"), NewCast("op4", "x", "y")}, "dependency cycle"},
+	} {
+		g := chainGraph()
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		g.Ops = append(g.Ops, tc.ops...)
+		g.InvalidateDeps()
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Validate after the edit = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestGraphValidateRepeatAllocs pins a repeat Validate of a validated
+// graph at zero allocations.
+func TestGraphValidateRepeatAllocs(t *testing.T) {
+	g := MustStandardPlan(3, nil).Graphs[0]
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("repeat Validate allocates %v times, want 0", got)
+	}
+}
+
+// TestGraphValidateConcurrentFirstCalls runs the first Validate and
+// Deps calls on one fresh graph from several goroutines, as BuildPlan's
+// per-GPU lowerings do with shared dense-output graphs; -race checks
+// the caches.
+func TestGraphValidateConcurrentFirstCalls(t *testing.T) {
+	g := MustStandardPlan(3, nil).Graphs[0]
+	want := len(g.Deps())
+	g.InvalidateDeps()
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = g.Validate()
+			if got := len(g.Deps()); got != want && errs[i] == nil {
+				errs[i] = fmt.Errorf("Deps has %d entries, want %d", got, want)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

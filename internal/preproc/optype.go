@@ -357,8 +357,8 @@ func (s KernelSpec) MaxElementsForDemand(leftoverSM, leftoverBW float64) float64
 
 // Shard splits the kernel into a piece with the given fraction of the
 // elements and the remainder (§6.2's resource-aware kernel sharding).
-// Fractions are clipped to (0, 1) exclusive so both shards stay
-// non-empty. Both pieces keep the receiver's Name; the co-run scheduler
+// Fractions are clipped to [0.001, 0.999], so both shards keep at least
+// a thousandth of the elements. Both pieces keep the receiver's Name; the co-run scheduler
 // names the pieces it finally places (`~shard`, `~rest`).
 func (s KernelSpec) Shard(frac float64) (KernelSpec, KernelSpec) {
 	if frac < 0.001 {

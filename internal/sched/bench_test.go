@@ -33,10 +33,20 @@ func BenchmarkPipeline(b *testing.B) {
 // BenchmarkCoRunSchedule times Algorithm 1 on the 4 per-GPU plans of
 // `wide` (widePlans), once per entry point: CoRunSchedule, which the
 // per-GPU lowering calls, and CoRunExposed, which the mapping search
-// scores every candidate with. One op covers all 4 GPUs.
+// scores every candidate with. One op covers all 4 GPUs; shards/op is
+// the plans' summed NumShards, so ns/op over shards/op is the cost per
+// shard.
 // `go test -run '^$' -bench BenchmarkCoRunSchedule ./internal/sched`.
 func BenchmarkCoRunSchedule(b *testing.B) {
 	plans, cm := widePlans(b, 4096)
+	shards := 0
+	for _, fp := range plans {
+		sch, err := CoRunSchedule(fp, cm, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		shards += sch.NumShards
+	}
 	b.Run("schedule", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -46,6 +56,7 @@ func BenchmarkCoRunSchedule(b *testing.B) {
 				}
 			}
 		}
+		b.ReportMetric(float64(shards), "shards/op")
 	})
 	b.Run("exposed", func(b *testing.B) {
 		b.ReportAllocs()
@@ -56,5 +67,6 @@ func BenchmarkCoRunSchedule(b *testing.B) {
 				}
 			}
 		}
+		b.ReportMetric(float64(shards), "shards/op")
 	})
 }

@@ -8,6 +8,8 @@ import (
 
 	"rap/internal/costmodel"
 	"rap/internal/fusion"
+	"rap/internal/gbdt"
+	"rap/internal/gpusim"
 	"rap/internal/preproc"
 )
 
@@ -155,17 +157,41 @@ func checkCoRun(t *testing.T, fp *fusion.Plan, cm *costmodel.CostModel, opts Opt
 
 // FuzzCoRunSchedule checks both Algorithm 1 entry points (checkCoRun)
 // on random subsets of a standard plan's graphs, each at a random
-// shape, on 1–8 GPUs with sharding on or off. The seed corpus runs in
-// tier-1; a long run is opt-in:
+// shape, on 1–8 GPUs with sharding on or off, with the analytic
+// predictor or a small GBDT one, and with one stage's leftover headroom
+// optionally squeezed (squeezeCaps). The seed corpus runs in tier-1; a
+// long run is opt-in:
 // `go test -run '^$' -fuzz FuzzCoRunSchedule -fuzztime 60s ./internal/sched`.
 func FuzzCoRunSchedule(f *testing.F) {
-	f.Add(uint8(3), uint64(math.MaxUint64), int64(1), uint8(3), false)
-	f.Add(uint8(3), uint64(math.MaxUint64), int64(2), uint8(3), true)
-	f.Add(uint8(2), uint64(0x5555555555555555), int64(3), uint8(1), false)
-	f.Add(uint8(0), uint64(0xff), int64(4), uint8(7), false)
-	f.Add(uint8(1), uint64(0xf0f0), int64(5), uint8(0), false)
-	f.Add(uint8(2), uint64(1), int64(6), uint8(5), true)
-	f.Add(uint8(3), uint64(0), int64(7), uint8(2), false)
+	f.Add(uint8(3), uint64(math.MaxUint64), int64(1), uint8(3), false, false, uint8(0))
+	f.Add(uint8(3), uint64(math.MaxUint64), int64(2), uint8(3), true, false, uint8(0))
+	f.Add(uint8(2), uint64(0x5555555555555555), int64(3), uint8(1), false, false, uint8(0))
+	f.Add(uint8(0), uint64(0xff), int64(4), uint8(7), false, false, uint8(0))
+	f.Add(uint8(1), uint64(0xf0f0), int64(5), uint8(0), false, false, uint8(0))
+	f.Add(uint8(2), uint64(1), int64(6), uint8(5), true, false, uint8(0))
+	f.Add(uint8(3), uint64(0), int64(7), uint8(2), false, false, uint8(0))
+	// The GBDT predictor on the seeds above.
+	f.Add(uint8(3), uint64(math.MaxUint64), int64(1), uint8(3), false, true, uint8(0))
+	f.Add(uint8(2), uint64(0x5555555555555555), int64(3), uint8(1), false, true, uint8(0))
+	f.Add(uint8(0), uint64(0xff), int64(4), uint8(7), false, true, uint8(0))
+	// Long demand-limited shard runs: 25 to 62 equal shards of one
+	// kernel in a row, under either predictor, at profiled headroom or
+	// with scarce headroom in top_fwd (stage 4).
+	f.Add(uint8(0), uint64(math.MaxUint64), int64(2), uint8(2), false, false, uint8(squeezeScarce<<4|4))
+	f.Add(uint8(0), uint64(math.MaxUint64), int64(2), uint8(2), false, true, uint8(0))
+	f.Add(uint8(0), uint64(math.MaxUint64), int64(6), uint8(6), false, false, uint8(0))
+	f.Add(uint8(2), uint64(0x0f0f), int64(2), uint8(2), false, false, uint8(squeezeScarce<<4|4))
+	f.Add(uint8(2), uint64(0xff), int64(1), uint8(1), false, true, uint8(0))
+	// Demand bounds that differ by kernel type within a stage: in
+	// bandwidth-limited emb_update (stage 10), a SigridHash kernel fits
+	// more elements than the OneHot kernel placed before it.
+	f.Add(uint8(3), uint64(288), int64(-198), uint8(4), false, false, uint8(squeezeScarce<<4|7))
+	// A stage whose demand bound is 0 for every kernel type: no headroom
+	// at all in top_bwd (stage 5), the largest stage, which Algorithm 1
+	// selects first, or in emb_lookup (stage 0), the first stage.
+	f.Add(uint8(3), uint64(math.MaxUint64), int64(10), uint8(3), false, false, uint8(squeezeZero<<4|5))
+	f.Add(uint8(3), uint64(math.MaxUint64), int64(10), uint8(3), false, true, uint8(squeezeZero<<4|5))
+	f.Add(uint8(2), uint64(0xff00ff), int64(11), uint8(7), false, false, uint8(squeezeZero<<4|0))
 
 	var plans [4]*preproc.Plan
 	var levels [4]*fusion.LevelPlanner
@@ -177,14 +203,24 @@ func FuzzCoRunSchedule(f *testing.F) {
 		}
 		levels[i] = lp
 	}
+	// A few shallow trees: enough for predictions that are piecewise
+	// constant in Elements and sometimes clamped to 0, as GBDT's are.
+	trained, err := costmodel.TrainPredictor(costmodel.CollectTrainingData(800, 1), gbdt.Config{NumTrees: 6, MaxDepth: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
 	models := map[int]*costmodel.CostModel{}
-	f.Fuzz(func(t *testing.T, planIdx uint8, mask uint64, seed int64, gpus uint8, noShard bool) {
+	f.Fuzz(func(t *testing.T, planIdx uint8, mask uint64, seed int64, gpus uint8, noShard, useGBDT bool, squeeze uint8) {
 		pi := int(planIdx) % len(plans)
 		n := 1 + int(gpus)%8
 		cm, ok := models[n]
 		if !ok {
 			_, _, cm = testSetup(t, n, 4096)
 			models[n] = cm
+		}
+		c := squeezeCaps(cm, squeeze)
+		if useGBDT {
+			c.Pred = trained
 		}
 		rng := rand.New(rand.NewSource(seed))
 		var items []fusion.ScaledGraph
@@ -199,8 +235,33 @@ func FuzzCoRunSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCoRun(t, fp, cm, Options{DisableSharding: noShard})
+		checkCoRun(t, fp, &c, Options{DisableSharding: noShard})
 	})
+}
+
+// Headroom squeezes for squeezeCaps: its argument's high four bits,
+// modulo 3.
+const (
+	squeezeNone   = iota
+	squeezeZero   // no headroom: the demand bound is 0 for every type
+	squeezeScarce // 6 % SM and bandwidth: small, positive demand bounds
+)
+
+// squeezeCaps returns a copy of cm whose stage squeeze&15 (modulo the
+// stage count) has its leftover headroom replaced per squeeze>>4
+// (modulo 3); capacities are kept, so the stage is selected as before.
+func squeezeCaps(cm *costmodel.CostModel, squeeze uint8) costmodel.CostModel {
+	c := *cm
+	var left gpusim.Demand
+	switch (squeeze >> 4) % 3 {
+	case squeezeNone:
+		return c
+	case squeezeScarce:
+		left = gpusim.Demand{SM: 0.06, MemBW: 0.06}
+	}
+	c.Caps = append([]costmodel.StageCapacity(nil), cm.Caps...)
+	c.Caps[int(squeeze&15)%len(c.Caps)].Leftover = left
+	return c
 }
 
 // TestCoRunWidePlans runs checkCoRun on the `wide` plans, the inputs

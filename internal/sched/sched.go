@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"rap/internal/costmodel"
@@ -104,10 +105,18 @@ type piece struct {
 	part part
 }
 
-// named returns the pieces' kernels with their final names: a whole
-// kernel keeps its name; a split piece is the planned name without any
-// `~shard`/`~rest` suffix, plus its own. Empty input gives nil.
-func named(ps []piece) []preproc.KernelSpec {
+// namer gives split pieces their final names: a whole kernel keeps its
+// name; a split piece is the planned name without any `~shard`/`~rest`
+// suffix, plus its own. A planned kernel's pieces are adjacent in
+// launch order, so it keeps the last split kernel's two names and
+// builds them once per planned kernel, not once per piece.
+type namer struct {
+	planned, shard, rest string
+}
+
+// named returns the pieces' kernels with their final names. Empty
+// input gives nil.
+func (nm *namer) named(ps []piece) []preproc.KernelSpec {
 	if len(ps) == 0 {
 		return nil
 	}
@@ -117,11 +126,14 @@ func named(ps []piece) []preproc.KernelSpec {
 		if p.part == wholePart {
 			continue
 		}
-		base := strings.TrimSuffix(strings.TrimSuffix(p.k.Name, "~shard"), "~rest")
+		if p.k.Name != nm.planned || nm.shard == "" {
+			base := strings.TrimSuffix(strings.TrimSuffix(p.k.Name, "~shard"), "~rest")
+			nm.planned, nm.shard, nm.rest = p.k.Name, base+"~shard", base+"~rest"
+		}
 		if p.part == shardPart {
-			out[i].Name = base + "~shard"
+			out[i].Name = nm.shard
 		} else {
-			out[i].Name = base + "~rest"
+			out[i].Name = nm.rest
 		}
 	}
 	return out
@@ -152,13 +164,14 @@ func CoRunSchedule(plan *fusion.Plan, cm *costmodel.CostModel, opts Options) (*S
 	}
 	out := &Schedule{
 		PerStage:         make([][]preproc.KernelSpec, len(a.perStage)),
-		Overflow:         named(a.overflow),
 		PredictedExposed: a.exposed,
 		NumShards:        a.shards,
 	}
+	var nm namer
 	for s, ps := range a.perStage {
-		out.PerStage[s] = named(ps)
+		out.PerStage[s] = nm.named(ps)
 	}
+	out.Overflow = nm.named(a.overflow)
 	return out, nil
 }
 
@@ -264,21 +277,39 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 	copy(queue, planned)
 	backlog := 0.0
 	pos := 0
+	// A split piece differs from the planned kernel at its queue
+	// position only in Elements, and Predict is a pure function of the
+	// spec, so a shard at the same position with bit-identical Elements
+	// as the last one predicted reuses its prediction: demand-limited
+	// runs cut the same shard over and over.
+	shardPos, shardElems, shardP := -1, uint64(0), 0.0
+	predictShard := func(k preproc.KernelSpec) float64 {
+		if pos != shardPos || math.Float64bits(k.Elements) != shardElems {
+			shardPos, shardElems, shardP = pos, math.Float64bits(k.Elements), cm.Pred.Predict(k)
+		}
+		return shardP
+	}
 	stage := func(s int) {
 		sum := 0.0
 		remaining := cm.Caps[s].Capacity * packFraction
 		leftover := cm.Caps[s].Leftover
+		occCap := leftover.SM + DemandSlack
+		if occCap > MaxCoRunOcc {
+			occCap = MaxCoRunOcc
+		}
+		// The demand bound depends only on the kernel's type and the
+		// stage's leftover: compute it once per queue position.
+		demandPos, demandMax := -1, 0.0
 		for selected[s] && pos < len(queue) {
-			k, p := queue[pos].k, queue[pos].p
+			q := &queue[pos]
+			k, p := q.k, q.p
 			if p <= 0 {
 				pos++
 				continue
 			}
-			occCap := leftover.SM + DemandSlack
-			if occCap > MaxCoRunOcc {
-				occCap = MaxCoRunOcc
+			if pos != demandPos {
+				demandPos, demandMax = pos, k.MaxElementsForDemand(occCap, leftover.MemBW+DemandSlack)
 			}
-			demandMax := k.MaxElementsForDemand(occCap, leftover.MemBW+DemandSlack)
 			if demandMax <= 0 {
 				break // this stage can never host this kernel type
 			}
@@ -291,7 +322,7 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 			}
 			if frac >= 1 {
 				if keep {
-					out.perStage[s] = append(out.perStage[s], queue[pos])
+					out.perStage[s] = append(out.perStage[s], *q)
 				}
 				sum += p
 				remaining -= p
@@ -302,13 +333,13 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 				break // stage full; spill to the next selected stage
 			}
 			k1, k2 := k.Shard(frac)
-			p1 := cm.Pred.Predict(k1)
+			p1 := predictShard(k1)
 			if p1 > remaining && frac > 0.002 {
 				// A demand-limited shard runs at leftover speed, so
 				// its latency exceeds the naive frac·p estimate;
 				// shrink it to the remaining capacity.
 				k1, k2 = k.Shard(frac * remaining / p1)
-				p1 = cm.Pred.Predict(k1)
+				p1 = predictShard(k1)
 			}
 			if p1 < minShardLatency || p1 > remaining+minShardLatency {
 				break // no useful piece fits this stage
@@ -319,7 +350,9 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 			sum += p1
 			remaining -= p1
 			out.shards++
-			queue[pos] = piece{k: k2, p: cm.Pred.Predict(k2), part: restPart}
+			// The rest keeps the queue entry's other fields; writing
+			// only what changes stores no string header.
+			q.k.Elements, q.p, q.part = k2.Elements, cm.Pred.Predict(k2), restPart
 			// Keep filling this stage: more pieces may fit.
 		}
 		backlog += sum
