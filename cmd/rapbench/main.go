@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,23 +64,17 @@ func main() {
 		return
 	}
 
-	ids := []string{"fig1a", "fig1b", "fig1c", "fig5", "tab5", "fig9", "fig10", "fig11", "tab4", "fig12", "power"}
 	if *list {
-		for _, id := range ids {
+		for _, id := range expIDs {
 			fmt.Println(id)
 		}
 		return
 	}
 
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for _, id := range ids {
-			want[id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	want, err := parseExps(*expFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rapbench: %v\n", err)
+		os.Exit(1)
 	}
 
 	fail := func(id string, err error) {
@@ -155,6 +150,28 @@ func main() {
 		r, err := experiments.PowerStudy(1, 4)
 		show("power", r, err)
 	}
+}
+
+// expIDs are the experiment ids -exp accepts, in -list order.
+var expIDs = []string{"fig1a", "fig1b", "fig1c", "fig5", "tab5", "fig9", "fig10", "fig11", "tab4", "fig12", "power"}
+
+// parseExps turns an -exp value into the set of experiments to run: the
+// bare "all" selects every id, anything else is a comma-separated list
+// in which every id must be one of expIDs.
+func parseExps(s string) (map[string]bool, error) {
+	ids := expIDs
+	if s != "all" {
+		ids = strings.Split(s, ",")
+	}
+	want := map[string]bool{}
+	for _, id := range ids {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(expIDs, id) {
+			return nil, fmt.Errorf("unknown experiment id %q in -exp %q; valid ids: all, %s", id, s, strings.Join(expIDs, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
 }
 
 // usage prints the mode-grouped help text, one group per family of

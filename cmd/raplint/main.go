@@ -1,12 +1,12 @@
 // raplint runs the project's domain-specific static analyzers over the
-// module. The v1 local analyzers — maporder, seededrand, floateq,
-// panicpath — guard per-package determinism invariants; the v2
-// whole-program analyzers — detaint, unusedignore — follow
-// nondeterminism across the call graph and keep the //lint:ignore
-// inventory honest; floatreduce flags float accumulations whose order
-// is not statically deterministic (see internal/lint and DESIGN.md §6).
-// Every run type-checks and analyzes every target package from source,
-// one package at a time.
+// module. Six analyzers, each local to one package: maporder (map
+// iteration whose effects depend on its order, in every package),
+// seededrand, floateq and panicpath guard the determinism invariants;
+// floatreduce flags float accumulations whose order is not statically
+// deterministic; unusedignore keeps the //lint:ignore inventory honest
+// (see internal/lint and DESIGN.md §6). Every run type-checks and
+// analyzes every target package from source, one package at a time, so
+// any pattern reports exactly what ./... reports for its packages.
 //
 // Usage:
 //
@@ -20,8 +20,9 @@
 //
 // Exit status: 0 clean, 1 findings, 2 usage, load or report-write
 // error. Findings can be suppressed with `//lint:ignore <analyzer>
-// <reason>` on or above the offending line; deterministic entry points
-// are declared with `//rap:deterministic` in a function's doc comment.
+// <reason>` on or above the offending line. `//rap:deterministic` in a
+// function's doc comment documents a deterministic entry point; no
+// analyzer reads it.
 package main
 
 import (

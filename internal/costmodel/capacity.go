@@ -83,7 +83,7 @@ func EstimateCapacitiesCached(cfg dlrm.Config, pl dlrm.Placement, gpu int, clust
 		}
 		leftover := sc.Leftover
 		// The probe cannot fail, so Get's error is always nil.
-		sc.Capacity, _ = cache.Get(probeKey(st.Kernel, leftover, cluster), func() (float64, error) {
+		sc.Capacity, _ = cache.Get(newProbeKey(st.Kernel, leftover, cluster), func() (float64, error) {
 			return SafetyFactor * probeCapacity(st.Kernel, leftover, cluster), nil
 		})
 		out[i] = sc

@@ -120,3 +120,24 @@ func TestProbeFullyHidden(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeKeyBitExact: a probe key covers every float probeCapacity
+// reads bit for bit, so inputs that differ only in one float's last
+// bit get distinct keys.
+func TestProbeKeyBitExact(t *testing.T) {
+	stage := gpusim.Kernel{Name: "k", Work: 12.5, Demand: gpusim.Demand{SM: 0.4, MemBW: 0.3}, Warps: 8, LaunchOverhead: 5, Tag: "preproc"}
+	leftover := gpusim.Demand{SM: 0.6, MemBW: 0.7}
+	cluster := gpusim.ClusterConfig{NumGPUs: 1, LinkGBs: 300, CopyGBs: 25}
+	base := newProbeKey(stage, leftover, cluster)
+	if again := newProbeKey(stage, leftover, cluster); again != base {
+		t.Fatalf("equal inputs gave distinct keys: %+v vs %+v", base, again)
+	}
+	for i := 0; i < 8; i++ {
+		k, d, c := stage, leftover, cluster
+		f := [...]*float64{&k.Work, &k.Demand.SM, &k.Demand.MemBW, &k.LaunchOverhead, &d.SM, &d.MemBW, &c.LinkGBs, &c.CopyGBs}[i]
+		*f = math.Float64frombits(math.Float64bits(*f) ^ 1)
+		if newProbeKey(k, d, c) == base {
+			t.Errorf("float %d differing in its last bit left the probe key unchanged", i)
+		}
+	}
+}

@@ -240,8 +240,8 @@ func (p *Predictor) Categories() []string {
 // Table 5 protocol.
 func (p *Predictor) Accuracy(eval Dataset, tol float64) map[string]float64 {
 	out := map[string]float64{}
-	//lint:ignore detaint each category's accuracy depends only on its own samples and lands in its own key
-	for cat, samples := range eval.ByCategory {
+	for _, cat := range eval.categories() {
+		samples := eval.ByCategory[cat]
 		if len(samples) == 0 {
 			continue
 		}

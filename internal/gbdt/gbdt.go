@@ -111,14 +111,6 @@ func Train(X [][]float64, y []float64, cfg Config) (*Model, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Pre-sorted indices per feature, reused by every tree.
-	sorted := make([][]int, dims)
-	for f := 0; f < dims; f++ {
-		s := append([]int(nil), idx...)
-		sort.SliceStable(s, func(a, b int) bool { return X[s[a]][f] < X[s[b]][f] })
-		sorted[f] = s
-	}
-
 	for t := 0; t < cfg.NumTrees; t++ {
 		for i := range residual {
 			residual[i] = y[i] - pred[i]

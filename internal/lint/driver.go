@@ -18,38 +18,22 @@ type Stats struct {
 
 // Run loads the packages matching patterns (relative to dir; default
 // ./...), type-checks them and their module dependencies from source,
-// joins everything into one Program, applies the analyzers to each
-// target package in import-path order, runs the whole-run unusedignore
-// check when UnusedIgnore is among the analyzers, and returns findings
-// sorted by position together with timing stats.
+// applies the analyzers to each target package in import-path order,
+// and returns findings sorted by position together with timing stats.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, *Stats, error) {
 	//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 	start := time.Now()
-	checkUnused := false
-	var perPkg []*Analyzer
-	for _, a := range analyzers {
-		if a.Name == UnusedIgnore.Name {
-			checkUnused = true
-			continue
-		}
-		perPkg = append(perPkg, a)
-	}
-
-	targets, all, err := load(dir, patterns)
+	targets, err := load(dir, patterns)
 	if err != nil {
 		return nil, nil, err
 	}
-	prog := NewProgram(all)
 	stats := &Stats{Packages: len(targets), PerAnalyzer: map[string]time.Duration{}}
 	//lint:ignore seededrand raplint times its own passes; no simulated result depends on this clock
 	stats.Load = time.Since(start)
 
 	var findings []Finding
 	for _, pkg := range targets {
-		prog.runPackage(pkg, perPkg, &findings, stats.PerAnalyzer)
-	}
-	if checkUnused {
-		findings = append(findings, prog.unusedIgnoreFindings(targets, analyzers)...)
+		runPackage(pkg, analyzers, &findings, stats.PerAnalyzer)
 	}
 	SortFindings(findings)
 

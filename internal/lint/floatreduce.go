@@ -6,13 +6,11 @@ import (
 	"go/types"
 )
 
-// FloatReduce flags floating-point accumulations whose iteration or
-// completion order is not statically deterministic — the reassociation
-// hazard golden digests only catch after the fact. Three shapes:
+// FloatReduce flags floating-point accumulations whose completion or
+// arrival order is not statically deterministic — the reassociation
+// hazard golden digests only catch after the fact. Two shapes (map-range
+// sums are maporder's: it flags every float accumulation in a map body):
 //
-//   - map-range sums: `for _, v := range m { sum += v }` with a float
-//     accumulator (outside the deterministic packages, where maporder
-//     already polices every order-sensitive map body);
 //   - goroutine reductions: a float accumulation into a variable
 //     captured from the enclosing function inside a `go func(){…}()` or
 //     errgroup-style `x.Go(func(){…})` closure — completion order is
@@ -119,28 +117,15 @@ func checkFloatReduce(p *Pass, fd *ast.FuncDecl) {
 		})
 	}
 
-	// Map-range sums and multi-sender channel drains.
+	// Range-over-channel drains.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
-		t := p.Info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		switch t.Underlying().(type) {
-		case *types.Map:
-			// maporder already polices every order-sensitive map body in
-			// the deterministic packages; stay silent there.
-			if deterministicPkgNames[p.Pkg.Name()] {
-				return true
-			}
-			reportRangeAccums(p, rs, "map iteration order is randomized")
-		case *types.Chan:
-			if obj := chanObj(p, rs.X); obj != nil && multiSend[obj] {
-				reportRangeAccums(p, rs, "receive order from concurrent senders is scheduler-dependent")
-			}
+		// Only channels are sent to, so a multiSend object is one.
+		if obj := chanObj(p, rs.X); obj != nil && multiSend[obj] {
+			reportRangeAccums(p, rs)
 		}
 		return true
 	})
@@ -166,13 +151,9 @@ func checkFloatReduce(p *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// reportRangeAccums reports every float accumulation in a range body
-// whose accumulator outlives the loop. Element-wise updates keyed by
-// the range key itself (`for k, v := range m { out[k] += v }`) are
-// order-independent — each key's cell is touched exactly once per
-// range, and distinct cells don't interact — so they stay silent.
-func reportRangeAccums(p *Pass, rs *ast.RangeStmt, why string) {
-	key := objOf2(p, rs.Key)
+// reportRangeAccums reports every float accumulation in a
+// range-over-channel body whose accumulator outlives the loop.
+func reportRangeAccums(p *Pass, rs *ast.RangeStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -185,26 +166,13 @@ func reportRangeAccums(p *Pass, rs *ast.RangeStmt, why string) {
 		if target == nil {
 			return true
 		}
-		if key != nil && indexedByKey(p, target, key) {
-			return true
-		}
 		v := baseVar(p, target)
 		if v == nil || within(rs.Body, v.Pos()) {
 			return true
 		}
-		p.Report(as.TokPos, "float accumulation with %s while %s; rounding depends on visit order — iterate sorted keys or reduce in a fixed order", op, why)
+		p.Report(as.TokPos, "float accumulation with %s while receive order from concurrent senders is scheduler-dependent; collect into an indexed slice and reduce in a fixed order", op)
 		return true
 	})
-}
-
-// indexedByKey reports whether the accumulation target is an index
-// expression whose index is exactly the range key variable.
-func indexedByKey(p *Pass, target ast.Expr, key types.Object) bool {
-	ix, ok := ast.Unparen(target).(*ast.IndexExpr)
-	if !ok {
-		return false
-	}
-	return objOf2(p, ix.Index) == key
 }
 
 // objOf2 resolves an expression to its object when it is a plain

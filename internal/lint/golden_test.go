@@ -19,10 +19,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden report files u
 // `go test ./internal/lint -run TestReportGolden -update`.
 func TestReportGolden(t *testing.T) {
 	pkg, _ := loadFixture(t, filepath.Join("testdata", "src", "reportgolden"), "rap/internal/reportgolden")
-	prog := NewProgram([]*Package{pkg})
 	suite := []*Analyzer{FloatEq, PanicPath, SeededRand}
 	var findings []Finding
-	prog.RunPackage(pkg, suite, &findings)
+	RunPackage(pkg, suite, &findings)
 	SortFindings(findings)
 
 	counts := map[string]int{}

@@ -6,11 +6,10 @@
 // tier-1 verify failures instead of silently drifting golden digests.
 // Physical units are not checked here: the `//rap:unit` comments in the
 // simulator and planner packages are documentation, and the goldens and
-// formula tests guard the unit arithmetic.
-//
-// v2 adds a whole-program layer: packages are joined into a Program
-// carrying a static call graph, so the detaint analyzer can follow
-// nondeterminism across function and package boundaries.
+// formula tests guard the unit arithmetic. `//rap:deterministic` on a
+// function's doc comment is documentation too: maporder polices map
+// order in every package, and seededrand the clock and global rand in
+// every internal one, so no analyzer needs a call graph to find them.
 // floatreduce flags float accumulations in a nondeterministic order.
 // There is no concurrency analysis: the race detector covers the few
 // goroutines and mutexes the system has, and `// guarded by` field
@@ -57,21 +56,14 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// All returns the full raplint analyzer suite. UnusedIgnore is a
-// whole-run analyzer: its Run is a no-op per package and the driver
-// performs the global check after every package has reported.
+// All returns the full raplint analyzer suite. UnusedIgnore's Run is a
+// no-op: RunPackage checks a package's directives after its other
+// analyzers have reported.
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, SeededRand, FloatEq, PanicPath,
-		Detaint, FloatReduce, UnusedIgnore,
+		FloatReduce, UnusedIgnore,
 	}
-}
-
-// V1 returns the first-generation, purely local analyzers — the suite
-// shipped by raplint v1. Kept for tests that demonstrate what the local
-// pass can and cannot see.
-func V1() []*Analyzer {
-	return []*Analyzer{MapOrder, SeededRand, FloatEq, PanicPath}
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -82,9 +74,6 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Prog is the whole-program view (call graph, cross-package ignore
-	// indexes) shared by every pass of a run.
-	Prog *Program
 
 	analyzer *Analyzer
 	ignores  *ignoreIndex
@@ -109,9 +98,8 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 type ignoreDirective struct {
 	analyzer string
 	pos      token.Position
-	// used records that the directive suppressed a finding in this run,
-	// from any package's pass (detaint consumes directives in the
-	// packages it traverses); the unusedignore check reads it afterwards.
+	// used records that the directive suppressed a finding in this
+	// package's passes; the unusedignore check reads it afterwards.
 	used bool
 }
 
@@ -127,9 +115,6 @@ type ignoreIndex struct {
 // pos, or nil. A directive covers its own line (trailing comment) and
 // the line directly below it (directive on its own line).
 func (ix *ignoreIndex) covering(analyzer string, pos token.Position) *ignoreDirective {
-	if ix == nil {
-		return nil
-	}
 	lines := ix.lines[pos.Filename]
 	if lines == nil {
 		return nil
@@ -181,34 +166,30 @@ func buildIgnores(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 	return ix
 }
 
-// RunPackage applies every analyzer to one loaded package, appending
-// findings to out. The package is analyzed standalone (a single-package
-// Program), so interprocedural analyzers see only its own functions.
+// RunPackage applies the analyzers to one loaded package, appending
+// findings to out. When UnusedIgnore is among them, the package's
+// directives that suppressed nothing are reported last.
 func RunPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding) {
-	NewProgram([]*Package{pkg}).RunPackage(pkg, analyzers, out)
-}
-
-// RunPackage applies the analyzers to one package of the program,
-// appending findings to out and marking the ignore directives they use
-// (anywhere in the program — detaint can consume directives in the
-// packages it traverses).
-func (prog *Program) RunPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding) {
-	prog.runPackage(pkg, analyzers, out, map[string]time.Duration{})
+	runPackage(pkg, analyzers, out, map[string]time.Duration{})
 }
 
 // runPackage is RunPackage that also adds each analyzer's wall time to
 // timings.
-func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding, timings map[string]time.Duration) {
-	ignores := prog.ignores[pkg.Path]
+func runPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding, timings map[string]time.Duration) {
+	ignores := buildIgnores(pkg.Fset, pkg.Files)
 	*out = append(*out, ignores.bad...)
+	checkUnused := false
 	for _, a := range analyzers {
+		if a == UnusedIgnore {
+			checkUnused = true
+			continue
+		}
 		pass := &Pass{
 			Path:     pkg.Path,
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Prog:     prog,
 			analyzer: a,
 			ignores:  ignores,
 			out:      out,
@@ -218,6 +199,9 @@ func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer, out *[]Find
 		a.Run(pass)
 		//lint:ignore seededrand raplint times its own analyzers; no simulated result depends on this clock
 		timings[a.Name] += time.Since(start)
+	}
+	if checkUnused {
+		*out = append(*out, ignores.unused(analyzers)...)
 	}
 }
 

@@ -66,16 +66,15 @@ func goList(dir string, args ...string) ([]*listPkg, error) {
 // then type-checks the targets. Module packages are parsed and checked
 // from source; standard-library dependencies are imported from the
 // build cache's export data, falling back to source import when export
-// data is unavailable. It returns the targets that have Go
-// sources, sorted by import path, and every module package the run
-// checked (targets plus their module dependencies), sorted by path.
-func load(dir string, patterns []string) (targets, all []*Package, err error) {
+// data is unavailable. It returns the targets that have Go sources,
+// sorted by import path.
+func load(dir string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	listed, err := goList(dir, append([]string{"-deps", "-export", "-json=Dir,ImportPath,Name,GoFiles,Standard,Export,DepOnly,Error"}, patterns...)...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fset := token.NewFileSet()
 	im := &moduleImporter{
@@ -90,7 +89,7 @@ func load(dir string, patterns []string) (targets, all []*Package, err error) {
 	var roots []string
 	for _, p := range listed {
 		if p.Error != nil {
-			return nil, nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Standard {
 			im.exports[p.ImportPath] = p.Export
@@ -102,18 +101,15 @@ func load(dir string, patterns []string) (targets, all []*Package, err error) {
 		}
 	}
 	sort.Strings(roots)
+	targets := make([]*Package, 0, len(roots))
 	for _, path := range roots {
 		pkg, err := im.check(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		targets = append(targets, pkg)
 	}
-	for _, pkg := range im.done {
-		all = append(all, pkg)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Path < all[j].Path })
-	return targets, all, nil
+	return targets, nil
 }
 
 // moduleImporter type-checks module packages from source (memoized, so

@@ -6,34 +6,22 @@ import (
 	"go/types"
 )
 
-// deterministicPkgNames lists the packages whose outputs must be
-// bit-reproducible: anything map-iteration order can leak into here
-// breaks the gpusim golden digests.
-var deterministicPkgNames = map[string]bool{
-	"gpusim":  true,
-	"sched":   true,
-	"mapping": true,
-	"fusion":  true,
-	"milp":    true,
-}
-
-// MapOrder flags `for range` over maps inside the deterministic
-// packages when the loop body's effects can depend on iteration order.
-// Bodies restricted to sorted-key extraction (`keys = append(keys, k)`),
-// per-key writes (`m2[k] = v`, `delete(m2, k)`), and exactly commutative
-// integer reductions (`n += v`, `n++`) are allowed; anything else —
-// including float accumulation, whose rounding is order-dependent — must
-// iterate sorted keys or carry a //lint:ignore with a reason.
+// MapOrder flags `for range` over maps, in every package, when the loop
+// body's effects can depend on iteration order. Bodies restricted to
+// sorted-key extraction (`keys = append(keys, k)`), per-key writes
+// (`m2[k] = v`, `delete(m2, k)`), and exactly commutative integer
+// reductions (`n += v`, `n++`) are allowed; anything else — including
+// float accumulation, whose rounding is order-dependent — must iterate
+// sorted keys or carry a //lint:ignore with a reason. The rule is
+// local: a helper that leaks map order is reported at its own range
+// statement, whichever package calls it.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc:  "map iteration feeding simulation state in deterministic packages",
+	Doc:  "map iteration whose effects depend on iteration order",
 	Run:  runMapOrder,
 }
 
 func runMapOrder(p *Pass) {
-	if !deterministicPkgNames[p.Pkg.Name()] {
-		return
-	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
@@ -51,7 +39,7 @@ func runMapOrder(p *Pass) {
 			if stmtsOrderInsensitive(p.Info, rs.Body.List, key) {
 				return true
 			}
-			p.Report(rs.For, "map iteration order can leak into simulation results; iterate sorted keys, or keep the body to key collection / per-key writes / integer reductions")
+			p.Report(rs.For, "map iteration order can leak into results; iterate sorted keys, or keep the body to key collection / per-key writes / integer reductions")
 			return true
 		})
 	}
@@ -79,7 +67,7 @@ func stmtOrderInsensitive(info *types.Info, s ast.Stmt, key string) bool {
 		if s.Init != nil && !stmtOrderInsensitive(info, s.Init, key) {
 			return false
 		}
-		if !exprPure(s.Cond) || !stmtsOrderInsensitive(info, s.Body.List, key) {
+		if !exprPure(info, s.Cond) || !stmtsOrderInsensitive(info, s.Body.List, key) {
 			return false
 		}
 		switch e := s.Else.(type) {
@@ -115,7 +103,7 @@ func assignOrderInsensitive(info *types.Info, s *ast.AssignStmt, key string) boo
 		// Fresh locals live for one iteration only; safe when the RHS is
 		// side-effect free.
 		for _, r := range s.Rhs {
-			if !exprPure(r) {
+			if !exprPure(info, r) {
 				return false
 			}
 		}
@@ -123,7 +111,7 @@ func assignOrderInsensitive(info *types.Info, s *ast.AssignStmt, key string) boo
 	case token.ADD_ASSIGN, token.MUL_ASSIGN, token.AND_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN:
 		// Exactly commutative over integers only: float rounding makes
 		// `sum += v` depend on visit order.
-		if len(s.Lhs) != 1 || len(s.Rhs) != 1 || !exprPure(s.Rhs[0]) {
+		if len(s.Lhs) != 1 || len(s.Rhs) != 1 || !exprPure(info, s.Rhs[0]) {
 			return false
 		}
 		t := info.TypeOf(s.Lhs[0])
@@ -138,7 +126,7 @@ func assignOrderInsensitive(info *types.Info, s *ast.AssignStmt, key string) boo
 		}
 		// m2[k] = v: per-key writes touch disjoint locations.
 		if ix, ok := s.Lhs[0].(*ast.IndexExpr); ok && key != "" && identName(ix.Index) == key {
-			return exprPure(s.Rhs[0])
+			return exprPure(info, s.Rhs[0])
 		}
 		// keys = append(keys, k): sorted-key extraction.
 		if call, ok := s.Rhs[0].(*ast.CallExpr); ok {
@@ -154,27 +142,31 @@ func assignOrderInsensitive(info *types.Info, s *ast.AssignStmt, key string) boo
 }
 
 // exprPure reports whether evaluating e has no side effects (so it may
-// run once per map entry in any order). Function calls other than
-// len/cap/min/max are conservatively impure.
-func exprPure(e ast.Expr) bool {
+// run once per map entry in any order). Type conversions of a pure
+// operand and len/cap/min/max of pure arguments are pure; every other
+// call is conservatively impure.
+func exprPure(info *types.Info, e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.Ident, *ast.BasicLit:
 		return true
 	case *ast.SelectorExpr:
-		return exprPure(e.X)
+		return exprPure(info, e.X)
 	case *ast.IndexExpr:
-		return exprPure(e.X) && exprPure(e.Index)
+		return exprPure(info, e.X) && exprPure(info, e.Index)
 	case *ast.ParenExpr:
-		return exprPure(e.X)
+		return exprPure(info, e.X)
 	case *ast.StarExpr:
-		return exprPure(e.X)
+		return exprPure(info, e.X)
 	case *ast.UnaryExpr:
-		return e.Op != token.AND && exprPure(e.X)
+		return e.Op != token.AND && exprPure(info, e.X)
 	case *ast.BinaryExpr:
-		return exprPure(e.X) && exprPure(e.Y)
+		return exprPure(info, e.X) && exprPure(info, e.Y)
 	case *ast.TypeAssertExpr:
-		return exprPure(e.X)
+		return exprPure(info, e.X)
 	case *ast.CallExpr:
+		if info.Types[e.Fun].IsType() {
+			return len(e.Args) == 1 && exprPure(info, e.Args[0])
+		}
 		id, ok := e.Fun.(*ast.Ident)
 		if !ok {
 			return false
@@ -182,7 +174,7 @@ func exprPure(e ast.Expr) bool {
 		switch id.Name {
 		case "len", "cap", "min", "max":
 			for _, a := range e.Args {
-				if !exprPure(a) {
+				if !exprPure(info, a) {
 					return false
 				}
 			}

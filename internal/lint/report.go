@@ -80,6 +80,7 @@ func WriteJSONReport(w io.Writer, root string, findings []Finding, stats *Stats)
 			TotalMs:    float64(stats.Total.Microseconds()) / 1e3,
 			AnalyzerMs: map[string]float64{},
 		}
+		//lint:ignore maporder per-key write; Duration.Microseconds is pure
 		for name, d := range stats.PerAnalyzer {
 			js.AnalyzerMs[name] = float64(d.Microseconds()) / 1e3
 		}

@@ -1,25 +1,19 @@
 // Package redfix is a floatreduce fixture: float accumulations whose
-// visit or completion order is not statically deterministic, next to
-// the deterministic shapes the analyzer must leave alone.
+// completion or arrival order is not statically deterministic, next to
+// the deterministic shapes the analyzer must leave alone. Map-range
+// sums are maporder's, not floatreduce's.
 package redfix
 
 import "sync"
 
-// MapSum accumulates float values in randomized map order.
+// MapSum accumulates float values in randomized map order: maporder
+// reports the range statement, so floatreduce does not report it twice.
 func MapSum(m map[string]float64) float64 {
 	sum := 0.0
 	for _, v := range m {
-		sum += v // want "map iteration order is randomized"
+		sum += v // ok: maporder's finding
 	}
 	return sum
-}
-
-// KeyedScale is order-independent: each key's cell is touched exactly
-// once per range, and distinct cells don't interact.
-func KeyedScale(m, out map[string]float64) {
-	for k, v := range m {
-		out[k] += v // ok: element-wise update keyed by the range key
-	}
 }
 
 // Fan accumulates into captured state from loop-launched goroutines:

@@ -1,5 +1,5 @@
-// Package sched is a maporder fixture: the package name puts it in the
-// deterministic set, so order-sensitive map iteration must be flagged.
+// Package sched is a maporder fixture: the order-insensitive loop bodies
+// maporder accepts, next to the order-sensitive ones it flags.
 package sched
 
 import "sort"
@@ -35,6 +35,14 @@ func pruneZero(m map[string]int) {
 			delete(m, k)
 		}
 	}
+}
+
+func means(sums map[string]float64, counts map[string]int) map[string]float64 {
+	out := make(map[string]float64, len(sums))
+	for k, s := range sums { // ok: per-key write of a pure conversion
+		out[k] = s / float64(counts[k])
+	}
+	return out
 }
 
 func sumFloats(m map[string]float64) float64 {

@@ -1,13 +1,11 @@
 package lint
 
 // UnusedIgnore flags //lint:ignore directives that suppressed no
-// finding during the run: a stale escape hatch is itself a finding, so
-// the exception inventory cannot rot. This is a whole-run check — a
-// directive in one package can legitimately be consumed by another
-// package's detaint pass — so the per-package Run is a no-op and
-// lint.Run performs the check after every target package has been
-// analyzed. It is authoritative only when the whole module is analyzed
-// (`./...`); narrower patterns may miss cross-package consumers.
+// finding: a stale escape hatch is itself a finding, so the exception
+// inventory cannot rot. Every analyzer reads only its own package's
+// directives, so the check is per package and exact under any pattern:
+// its Run is a no-op, and RunPackage reports a package's stale
+// directives right after the package's other analyzers have run.
 //
 // Unused-ignore findings are not themselves suppressible.
 var UnusedIgnore = &Analyzer{
@@ -16,29 +14,26 @@ var UnusedIgnore = &Analyzer{
 	Run:  func(*Pass) {},
 }
 
-// unusedIgnoreFindings computes the whole-run check once every pass of
-// the run has marked the directives it used: each well-formed directive
-// in the target packages that no pass used is reported. A directive
-// naming an analyzer that is not among analyzers gets a distinct
-// message — it is not merely stale, it never could suppress anything
-// (typo, or a directive outliving an analyzer rename or removal).
-func (prog *Program) unusedIgnoreFindings(targets []*Package, analyzers []*Analyzer) []Finding {
+// unused reports each well-formed directive that no pass used. A
+// directive naming an analyzer that is not among analyzers gets a
+// distinct message — it is not merely stale, it never could suppress
+// anything (typo, or a directive outliving an analyzer rename or
+// removal).
+func (ix *ignoreIndex) unused(analyzers []*Analyzer) []Finding {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	var out []Finding
-	for _, pkg := range targets {
-		for _, d := range prog.ignores[pkg.Path].all {
-			if d.used {
-				continue
-			}
-			msg := "//lint:ignore " + d.analyzer + " suppresses no finding; delete the stale directive (or fix what it was meant to excuse)"
-			if !known[d.analyzer] {
-				msg = "//lint:ignore names unknown analyzer " + d.analyzer + "; no such analyzer is registered, so the directive can never suppress anything"
-			}
-			out = append(out, Finding{Analyzer: UnusedIgnore.Name, Pos: d.pos, Message: msg})
+	for _, d := range ix.all {
+		if d.used {
+			continue
 		}
+		msg := "//lint:ignore " + d.analyzer + " suppresses no finding; delete the stale directive (or fix what it was meant to excuse)"
+		if !known[d.analyzer] {
+			msg = "//lint:ignore names unknown analyzer " + d.analyzer + "; no such analyzer is registered, so the directive can never suppress anything"
+		}
+		out = append(out, Finding{Analyzer: UnusedIgnore.Name, Pos: d.pos, Message: msg})
 	}
 	return out
 }
