@@ -40,7 +40,7 @@ const simIterations = 8
 const workloadSeed = 1
 
 // plannedShape is one workload shape's cached planning artifact: the
-// framework (whose own caches answer repeat probes) plus the built
+// framework (whose solve memo answers repeat fusion solves) plus the built
 // execution plan. The plan is topology-free — ExecuteTopo binds it to
 // each allocation's fleet slice at simulation time.
 type plannedShape struct {

@@ -8,9 +8,9 @@ import (
 	"rap/internal/gpusim"
 )
 
-// StageCapacity is the measured overlapping capacity of one DLRM
-// training stage (§5.1): how many µs of standalone preprocessing latency
-// can co-run with it without stretching it beyond tolerance.
+// StageCapacity is the overlapping capacity of one DLRM training stage
+// (§5.1): how many µs of standalone preprocessing latency can co-run
+// with it without stretching it.
 type StageCapacity struct {
 	Index int
 	Name  string
@@ -24,37 +24,19 @@ type StageCapacity struct {
 	Capacity float64 //rap:unit us
 }
 
-// Tolerance is the acceptable relative stretch of a training stage used
-// when probing capacity (the "without extending the total latency"
-// criterion, with measurement slack).
-const Tolerance = 0.03 //rap:unit 1
-
 // SafetyFactor discounts the probed capacity before scheduling against
-// it: probing tolerates a small stretch, but planning at 100% of the
-// tolerant measurement would bake a systematic per-stage spill into the
-// pipeline.
+// it: the probe credits work right up to the stage's end, and planning
+// at 100% of that bound would bake a systematic per-stage spill into
+// the pipeline.
 const SafetyFactor = 0.9 //rap:unit 1
 
-// EstimateCapacities profiles every training stage of GPU gpu by
-// co-running probe preprocessing kernels against it in an isolated
-// simulation and binary-searching the largest hidden probe (§5.1's
-// profiling step, replacing hardware measurement). Communication stages
-// leave the whole GPU idle, so their capacity is their duration.
-func EstimateCapacities(cfg dlrm.Config, pl dlrm.Placement, gpu int, cluster gpusim.ClusterConfig) ([]StageCapacity, error) {
-	return EstimateCapacitiesCached(cfg, pl, gpu, cluster, nil)
-}
-
-// EstimateCapacitiesCached is EstimateCapacities with probe memoization:
-// stages whose (kernel, leftover, cluster) content hash is already in
-// the cache skip the binary-search simulation sweep entirely.
-// Homogeneous GPUs share most stage profiles, so a cache shared across
-// the per-GPU calls of one plan collapses the sweep to roughly one
-// GPU's worth of probes. A nil cache disables memoization. The cache is
-// safe for concurrent use and never changes results — only whether they
-// are recomputed.
+// EstimateCapacities profiles every training stage of GPU gpu (§5.1's
+// profiling step): a compute stage's capacity is SafetyFactor ×
+// probeCapacity. Communication stages leave the whole GPU idle, so
+// their capacity is their duration.
 //
 //rap:deterministic
-func EstimateCapacitiesCached(cfg dlrm.Config, pl dlrm.Placement, gpu int, cluster gpusim.ClusterConfig, cache *ProbeCache) ([]StageCapacity, error) {
+func EstimateCapacities(cfg dlrm.Config, pl dlrm.Placement, gpu int, cluster gpusim.ClusterConfig) ([]StageCapacity, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,90 +55,53 @@ func EstimateCapacitiesCached(cfg dlrm.Config, pl dlrm.Placement, gpu int, clust
 			sc.Duration = st.SoloLatency(cluster.LinkGBs)
 			sc.Leftover = gpusim.Demand{SM: 1, MemBW: 1}
 			sc.Capacity = sc.Duration
-			out[i] = sc
-			continue
+		} else {
+			sc.Duration = st.Kernel.SoloLatency()
+			sc.Leftover = gpusim.Demand{
+				SM:    math.Max(0, 1-st.Kernel.Demand.SM),
+				MemBW: math.Max(0, 1-st.Kernel.Demand.MemBW),
+			}
+			sc.Capacity = SafetyFactor * probeCapacity(st.Kernel, sc.Leftover)
 		}
-		sc.Duration = st.Kernel.SoloLatency()
-		sc.Leftover = gpusim.Demand{
-			SM:    math.Max(0, 1-st.Kernel.Demand.SM),
-			MemBW: math.Max(0, 1-st.Kernel.Demand.MemBW),
-		}
-		leftover := sc.Leftover
-		// The probe cannot fail, so Get's error is always nil.
-		sc.Capacity, _ = cache.Get(newProbeKey(st.Kernel, leftover, cluster), func() (float64, error) {
-			return SafetyFactor * probeCapacity(st.Kernel, leftover, cluster), nil
-		})
 		out[i] = sc
 	}
 	return out, nil
 }
 
-// maxCapacityGrowth bounds the geometric bracket growth of the capacity
-// search: a probe is never credited with more than this multiple of the
-// stage's solo latency. It exists to terminate the search against
-// pathological fit predicates, not to clip realistic measurements —
-// under the FairShare engine a hidden probe cannot exceed the stage's
-// own span by much (speed never exceeds 1).
-const maxCapacityGrowth = 64
-
-// probeCapacity searches for the largest probe work (µs of standalone
-// preprocessing latency) that co-runs with the stage kernel while (a)
-// the stage stretches by at most Tolerance and (b) the probe finishes
-// no later than the stage (fully hidden: pRes.End <= stRes.End).
+// probeCapacity is the largest probe work (µs of standalone
+// preprocessing latency) that co-runs with the stage and finishes no
+// later than it. The paper measures it with a probe kernel demanding
+// the stage's leftover SM and bandwidth. Stage plus probe then never
+// demands more than 1 of a resource, so under gpusim's model neither
+// slows down: the stage ends at its solo latency and the probe at
+// DefaultLaunchOverhead + work. The probe is hidden exactly when
+// work <= solo − DefaultLaunchOverhead, and the stage never stretches.
+// capacity_oracle_test.go checks this against the simulated probe.
 //
 //rap:unit return us
-func probeCapacity(stage gpusim.Kernel, leftover gpusim.Demand, cluster gpusim.ClusterConfig) float64 {
-	solo := stage.SoloLatency()
-	probeDemand := gpusim.Demand{SM: leftover.SM * 0.95, MemBW: leftover.MemBW * 0.95}
-	if probeDemand.SM <= 0 && probeDemand.MemBW <= 0 {
+func probeCapacity(stage gpusim.Kernel, leftover gpusim.Demand) float64 {
+	if leftover.SM <= 0 && leftover.MemBW <= 0 {
 		return 0
 	}
-	probeCluster := gpusim.ClusterConfig{NumGPUs: 1, Policy: gpusim.FairShare,
-		LinkGBs: cluster.LinkGBs, CopyGBs: cluster.CopyGBs}
-	fits := func(work float64) bool {
-		sim := gpusim.NewSim(probeCluster)
-		s := sim.AddKernel(0, stage)
-		p := sim.AddKernel(0, gpusim.Kernel{
-			Name: "probe", Work: work, Demand: probeDemand, Tag: "preproc",
-		})
-		res, err := sim.Run()
-		if err != nil {
-			return false
-		}
-		stRes, pRes := res.OpByID(s), res.OpByID(p)
-		return stRes.Latency() <= solo*(1+Tolerance) && pRes.End <= stRes.End
-	}
-	return searchCapacity(fits, solo)
+	solo := stage.SoloLatency()
+	return searchCapacity(solo-gpusim.DefaultLaunchOverhead, solo)
 }
 
-// searchCapacity binary-searches the largest work accepted by fits,
-// bracketing from above by geometric growth: the upper bound starts at
-// 1.5× solo and doubles while fits still holds (up to maxCapacityGrowth
-// × solo), so a high-headroom stage whose true capacity exceeds the
-// initial bracket is measured instead of silently clipped. fits must be
-// monotone (fits(w) implies fits(w') for all w' < w); the result is
-// within solo/100 of the true threshold.
+// searchCapacity bisects [0, 1.5×solo] to solo/100 for the largest work
+// within limit, as a profiler bisecting a real co-run would. It returns
+// the bisection, not limit itself: that is the measured capacity.
 //
+//rap:unit limit us
 //rap:unit solo us
 //rap:unit return us
-func searchCapacity(fits func(work float64) bool, solo float64) float64 {
+func searchCapacity(limit, solo float64) float64 {
+	fits := func(work float64) bool { return work <= limit } // false on a NaN limit
 	if !fits(1e-6) {
 		return 0
 	}
 	lo, hi := 0.0, solo*1.5
-	for fits(hi) {
-		lo = hi
-		if hi >= solo*maxCapacityGrowth {
-			return hi
-		}
-		hi *= 2
-		if hi > solo*maxCapacityGrowth {
-			hi = solo * maxCapacityGrowth
-		}
-	}
 	for hi-lo > solo*0.01 {
-		mid := (lo + hi) / 2
-		if fits(mid) {
+		if mid := (lo + hi) / 2; fits(mid) {
 			lo = mid
 		} else {
 			hi = mid

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -244,6 +245,31 @@ func TestFigure12Quick(t *testing.T) {
 		t.Fatalf("RAP exposed %.0f vs DP %.0f", rp.ExposedUs, dp.ExposedUs)
 	}
 	_ = r.Render()
+}
+
+// TestFigure12RenderFullyHidden: when RAP's exposure is 0 no reduction
+// factor is finite, so Render names the DP and DL exposures in µs and
+// prints no ratio; with RAP exposure it prints the two factors.
+func TestFigure12RenderFullyHidden(t *testing.T) {
+	r := &Figure12Result{GPUs: 4, Rows: []Figure12Row{
+		{Strategy: rap.MapDataParallel, ExposedUs: 248},
+		{Strategy: rap.MapDataLocality, ExposedUs: 688},
+		{Strategy: rap.MapRAP, ExposedUs: 0},
+	}}
+	if got := r.Reduction(rap.MapDataLocality); !math.IsInf(got, 1) {
+		t.Fatalf("Reduction vs DL = %v, want +Inf", got)
+	}
+	out := r.Render()
+	if want := "RAP hides all exposed latency; DP exposes 248 us/iter and DL 688 us/iter."; !strings.Contains(out, want) {
+		t.Fatalf("Render missing %q:\n%s", want, out)
+	}
+	if strings.Contains(out, "x vs") {
+		t.Fatalf("Render prints a ratio although RAP hides everything:\n%s", out)
+	}
+	r.Rows[2].ExposedUs = 124
+	if want := "RAP reduces exposed latency by 2.0x vs DP and 5.5x vs DL."; !strings.Contains(r.Render(), want) {
+		t.Fatalf("Render missing %q:\n%s", want, r.Render())
+	}
 }
 
 func TestPowerStudy(t *testing.T) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"rap/internal/dlrm"
 	"rap/internal/rap"
@@ -83,20 +84,29 @@ func Figure12(gpus int) (*Figure12Result, error) {
 	return res, nil
 }
 
-// Reduction returns RAP's exposed-latency reduction factor vs the given
-// strategy (the paper reports 4.3× vs DP and 4.0× vs DL).
-func (r *Figure12Result) Reduction(vs rap.MappingStrategy) float64 {
-	var rapExp, other float64
+// exposed returns the given strategy's exposed latency (0 when absent).
+//
+//rap:unit return us
+func (r *Figure12Result) exposed(s rap.MappingStrategy) float64 {
 	for _, row := range r.Rows {
-		if row.Strategy == rap.MapRAP {
-			rapExp = row.ExposedUs
-		}
-		if row.Strategy == vs {
-			other = row.ExposedUs
+		if row.Strategy == s {
+			return row.ExposedUs
 		}
 	}
+	return 0
+}
+
+// Reduction returns RAP's exposed-latency reduction factor vs the given
+// strategy (the paper reports 4.3× vs DP and 4.0× vs DL). When RAP
+// hides everything the factor is unbounded: Reduction returns +Inf, or
+// 1 when the other strategy hides everything too.
+func (r *Figure12Result) Reduction(vs rap.MappingStrategy) float64 {
+	rapExp, other := r.exposed(rap.MapRAP), r.exposed(vs)
 	if rapExp <= 0 {
-		return other // fully hidden: report the absolute saving
+		if other <= 0 {
+			return 1
+		}
+		return math.Inf(1)
 	}
 	return other / rapExp
 }
@@ -120,6 +130,16 @@ func (r *Figure12Result) Render() string {
 	}
 	return fmt.Sprintf("Figure 12: mapping strategies on a skewed preprocessing plan (%d GPUs)\n\n", r.GPUs) +
 		table([]string{"mapping", "exposed us/iter", "max comm us", "work imbalance", "moves"}, rows) +
-		fmt.Sprintf("\nRAP reduces exposed latency by %.1fx vs DP and %.1fx vs DL.\n",
-			r.Reduction(rap.MapDataParallel), r.Reduction(rap.MapDataLocality))
+		r.summary()
+}
+
+// summary is Render's closing line: the reduction factors, or, when RAP
+// hides everything and no factor is finite, the other exposures in µs.
+func (r *Figure12Result) summary() string {
+	if r.exposed(rap.MapRAP) <= 0 {
+		return fmt.Sprintf("\nRAP hides all exposed latency; DP exposes %.0f us/iter and DL %.0f us/iter.\n",
+			r.exposed(rap.MapDataParallel), r.exposed(rap.MapDataLocality))
+	}
+	return fmt.Sprintf("\nRAP reduces exposed latency by %.1fx vs DP and %.1fx vs DL.\n",
+		r.Reduction(rap.MapDataParallel), r.Reduction(rap.MapDataLocality))
 }

@@ -31,12 +31,12 @@ const (
 	PriorityBurstFactor = 2.0
 )
 
-// The engine hot path. Every RAP decision (capacity probing, Algorithm 1
-// scheduling, MILP-driven fusion evaluation, all figure reproductions)
-// replays DAGs through Run, so this file is optimized for event-loop
-// throughput under one hard invariant: results are bit-identical to the
-// straightforward rebuild-everything implementation preserved in
-// engine_reference_test.go. Three structural changes carry the win:
+// The engine hot path. Every simulated run (pipelines, baselines, fleet
+// jobs, all figure reproductions) replays DAGs through Run, so this
+// file is optimized for event-loop throughput under one hard invariant:
+// results are bit-identical to the straightforward rebuild-everything
+// implementation preserved in engine_reference_test.go. Three
+// structural changes carry the win:
 //
 //   - Resources live in one dense, kind-major array indexed by
 //     kind·NumGPUs+gpu (the single host-CPU slot last) instead of a

@@ -576,10 +576,9 @@ func WithTag(tag string) OpOption {
 }
 
 // Op-storage chunk sizes: the first chunk holds chunkMin entries and
-// each later one twice its predecessor's, up to chunkMax. The first
-// chunk fits a capacity probe, which runs a two-op Sim per
-// binary-search step (an 8-op first chunk cost BuildPlan 0.2 MB/op);
-// the cap bounds what a full chunk can strand.
+// each later one twice its predecessor's, up to chunkMax. A small first
+// chunk keeps small Sims from paying for storage they never fill; the
+// cap bounds what a full chunk can strand.
 const (
 	chunkMin = 2
 	chunkMax = 1024

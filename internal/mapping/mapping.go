@@ -7,10 +7,10 @@
 package mapping
 
 import (
-	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
 
 	"rap/internal/dlrm"
 	"rap/internal/memo"
@@ -262,20 +262,20 @@ func commOf(items []Assign, gpu int, cfg Config) float64 {
 }
 
 // costMemo memoizes CostFn evaluations within one RAPSearch run, keyed
-// by a content hash of the candidate assignment's shape: the GPU, the
-// (graph, sample share) list, and the communication volume. CostFn is
-// required to be a pure function of exactly those inputs (the default
-// work-vs-capacity cost and the framework's schedule cost both are), so
-// a hit returns what the evaluation would have computed — unchanged
-// GPUs are never re-scored across move iterations. Item order is part
-// of the key; the search builds candidate lists deterministically, so
-// reordered-but-equal lists only cost an extra miss, never a wrong hit.
-// The key text is built in buf, reused across calls, so a costMemo
-// serves one goroutine.
+// by the candidate assignment's exact shape: the GPU, the (graph, sample
+// share) list, and the communication volume. CostFn is required to be a
+// pure function of exactly those inputs (the default work-vs-capacity
+// cost and the framework's schedule cost both are), so a hit returns
+// what the evaluation would have computed — unchanged GPUs are never
+// re-scored across move iterations. Item order is part of the key; the
+// search builds candidate lists deterministically, so reordered-but-
+// equal lists only cost an extra miss, never a wrong hit. The key bytes
+// are built in buf, reused across calls, so a costMemo serves one
+// goroutine.
 type costMemo struct {
 	raw     CostFn
 	graphID map[*preproc.Graph]int
-	cache   *memo.Cache[[sha256.Size]byte, float64]
+	cache   *memo.Cache[string, float64]
 	buf     []byte
 }
 
@@ -284,28 +284,26 @@ func newCostMemo(raw CostFn, plan *preproc.Plan) *costMemo {
 	for i, g := range plan.Graphs {
 		ids[g] = i
 	}
-	return &costMemo{raw: raw, graphID: ids, cache: memo.New[[sha256.Size]byte, float64]()}
+	return &costMemo{raw: raw, graphID: ids, cache: memo.New[string, float64]()}
 }
 
-// key hashes the assignment shape: one line for the GPU and comm bytes,
-// then one line per item with its graph id, samples and list length,
-// floats in exact hex. Every item RAPSearch scores holds one of the
-// plan's graphs, so each has an id.
-func (m *costMemo) key(gpu int, items []Assign, comm float64) [sha256.Size]byte {
-	b := strconv.AppendInt(m.buf[:0], int64(gpu), 10)
-	b = append(b, ' ')
-	b = strconv.AppendFloat(b, comm, 'x', -1, 64)
-	b = append(b, '\n')
+// key encodes the assignment shape as fixed-width 8-byte words: the GPU
+// and the comm bytes, then each item's graph id, samples and list
+// length, floats as math.Float64bits. Fixed widths make the encoding
+// unambiguous, so two keys are equal only when every input is
+// bit-identical. Every item RAPSearch scores holds one of the plan's
+// graphs, so each has an id.
+func (m *costMemo) key(gpu int, items []Assign, comm float64) string {
+	le := binary.LittleEndian
+	b := le.AppendUint64(m.buf[:0], uint64(gpu))
+	b = le.AppendUint64(b, math.Float64bits(comm))
 	for _, a := range items {
-		b = strconv.AppendInt(b, int64(m.graphID[a.Graph]), 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(a.Shape.Samples), 10)
-		b = append(b, ' ')
-		b = strconv.AppendFloat(b, a.Shape.AvgListLen, 'x', -1, 64)
-		b = append(b, '\n')
+		b = le.AppendUint64(b, uint64(m.graphID[a.Graph]))
+		b = le.AppendUint64(b, uint64(a.Shape.Samples))
+		b = le.AppendUint64(b, math.Float64bits(a.Shape.AvgListLen))
 	}
 	m.buf = b
-	return sha256.Sum256(b)
+	return string(b)
 }
 
 func (m *costMemo) cost(gpu int, items []Assign, comm float64) float64 {

@@ -277,7 +277,7 @@ func TestRAPSearchMemoNeverReEvaluates(t *testing.T) {
 	}
 	// A counting cost that records every (shape-keyed) evaluation: the
 	// memo must never hand the same candidate to the cost model twice.
-	seen := map[[32]byte]int{}
+	seen := map[string]int{}
 	base := cfg.costFn()
 	probe := newCostMemo(nil, plan) // key helper only
 	cfg.Cost = func(gpu int, items []Assign, comm float64) float64 {
@@ -320,7 +320,7 @@ func TestCostMemoKeyCoversEveryField(t *testing.T) {
 	}
 	m := newCostMemo(nil, plan)
 	want := m.key(0, base, 1.5)
-	keys := map[[32]byte]string{want: "base"}
+	keys := map[string]string{want: "base"}
 	for _, c := range []struct {
 		name  string
 		gpu   int
@@ -344,6 +344,32 @@ func TestCostMemoKeyCoversEveryField(t *testing.T) {
 	}
 	if got := m.key(0, base, 1.5); got != want {
 		t.Fatal("key of the base list changed after longer lists were keyed")
+	}
+}
+
+// TestCostMemoKeyBitExact: the key is the encoded shape itself, not a
+// digest of it, so assignments whose comm bytes or list lengths differ
+// only in one float's last bit get distinct keys, and the key holds
+// each float's exact bits.
+func TestCostMemoKeyBitExact(t *testing.T) {
+	plan := preproc.MustStandardPlan(1, nil)
+	items := []Assign{{Graph: plan.Graphs[0], Shape: preproc.Shape{Samples: 4096, AvgListLen: 3}}}
+	m := newCostMemo(nil, plan)
+	base := m.key(0, items, 1.5)
+	if len(base) != 8*(2+3*len(items)) {
+		t.Fatalf("key is %d bytes, want 8 per encoded word", len(base))
+	}
+	flip := func(x float64) float64 { return math.Float64frombits(math.Float64bits(x) ^ 1) }
+	if m.key(0, items, flip(1.5)) == base {
+		t.Error("comm bytes differing in the last bit share a key")
+	}
+	other := []Assign{items[0]}
+	other[0].Shape.AvgListLen = flip(3)
+	if m.key(0, other, 1.5) == base {
+		t.Error("list lengths differing in the last bit share a key")
+	}
+	if got := binary.LittleEndian.Uint64([]byte(base[8:16])); got != math.Float64bits(1.5) {
+		t.Errorf("comm word = %#x, want the bits of 1.5 (%#x)", got, math.Float64bits(1.5))
 	}
 }
 

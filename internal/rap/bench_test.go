@@ -3,6 +3,7 @@ package rap
 import (
 	"testing"
 
+	"rap/internal/dlrm"
 	"rap/internal/gpusim"
 )
 
@@ -46,4 +47,22 @@ func benchBuildPlan(b *testing.B, plan int) {
 		evals += cold.Mapping.CostEvals + shifted.Mapping.CostEvals
 	}
 	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+}
+
+// BenchmarkEstimateCapacities times BuildPlan's step 2 on `light`'s
+// inputs: every GPU's stage capacities for Terabyte plan 1 on 8 GPUs.
+func BenchmarkEstimateCapacities(b *testing.B) {
+	w, err := NewWorkload(Terabyte, 1, 4096, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := New(w, gpusim.ClusterConfig{NumGPUs: 8})
+	pl := dlrm.PlaceTables(w.Model.TableSizes, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := f.estimateCapacities(pl); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

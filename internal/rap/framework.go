@@ -61,9 +61,9 @@ type Framework struct {
 	// need a cost model failing on specific candidates.
 	newCostModel func(caps []costmodel.StageCapacity) (*costmodel.CostModel, error)
 
-	// The planner memos (DESIGN.md §8). A hit returns exactly what the
-	// computation would have, so none of them changes plan contents.
-	probes *costmodel.ProbeCache
+	// solves is the fusion-solve memo (DESIGN.md §8). A hit returns
+	// exactly what the solve would have, so it never changes plan
+	// contents.
 	solves *fusion.SolveCache
 }
 
@@ -73,7 +73,6 @@ func New(w *Workload, cluster gpusim.ClusterConfig) *Framework {
 		W:       w,
 		Cluster: cluster.WithDefaults(),
 		pred:    costmodel.AnalyticPredictor(),
-		probes:  costmodel.NewProbeCache(),
 		solves:  fusion.NewSolveCache(),
 	}
 	f.newCostModel = func(caps []costmodel.StageCapacity) (*costmodel.CostModel, error) {
@@ -133,38 +132,17 @@ func (p *ExecPlan) TotalPredictedExposed() float64 {
 	return worst
 }
 
-// estimateCapacities runs the step-2 per-GPU capacity profiling. GPU 0
-// probes first to warm the probe cache — homogeneous GPUs share most
-// stage profiles, so the remaining GPUs, probed concurrently, then
-// answer mostly from memo — and results are collected by GPU index.
+// estimateCapacities runs the step-2 per-GPU capacity profiling.
 func (f *Framework) estimateCapacities(pl dlrm.Placement) ([][]costmodel.StageCapacity, []float64, error) {
 	n := f.Cluster.NumGPUs
 	caps := make([][]costmodel.StageCapacity, n)
-	errs := make([]error, n)
-	estimate := func(g int) {
-		caps[g], errs[g] = costmodel.EstimateCapacitiesCached(f.W.Model, pl, g, f.Cluster, f.probes)
-	}
-	estimate(0)
-	if errs[0] != nil {
-		return nil, nil, errs[0]
-	}
-	var wg sync.WaitGroup
-	for g := 1; g < n; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			estimate(g)
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	capTotals := make([]float64, n)
+	for g := range caps {
+		c, err := costmodel.EstimateCapacities(f.W.Model, pl, g, f.Cluster)
 		if err != nil {
 			return nil, nil, err
 		}
-	}
-	capTotals := make([]float64, n)
-	for g := 0; g < n; g++ {
-		capTotals[g] = costmodel.TotalCapacity(caps[g])
+		caps[g], capTotals[g] = c, costmodel.TotalCapacity(c)
 	}
 	return caps, capTotals, nil
 }

@@ -27,8 +27,8 @@ func plansEqual(a, b *ExecPlan) bool {
 }
 
 // TestBuildPlanDeterministicUnderConcurrency double-runs BuildPlan
-// (concurrent probes and lowering, memoization) on one framework: the
-// plans must be deeply equal.
+// (concurrent lowering, memoization) on one framework: the plans must
+// be deeply equal.
 func TestBuildPlanDeterministicUnderConcurrency(t *testing.T) {
 	w := workload(t, Kaggle, 1, 1024)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
@@ -45,10 +45,10 @@ func TestBuildPlanDeterministicUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestBuildPlanMemoTransparent pins the memos' whole contract: a rebuild
-// answered from warm probe and solve memos must equal a build with
-// every memo removed. The Terabyte case caps the MILP budget, so
-// memoized budget-truncated solves are checked too.
+// TestBuildPlanMemoTransparent pins the solve memo's whole contract: a
+// rebuild answered from a warm solve memo must equal a build without
+// it. The Terabyte case caps the MILP budget, so memoized
+// budget-truncated solves are checked too.
 func TestBuildPlanMemoTransparent(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -70,16 +70,13 @@ func TestBuildPlanMemoTransparent(t *testing.T) {
 				t.Fatal(err)
 			}
 			plain := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-			plain.probes, plain.solves = nil, nil
+			plain.solves = nil
 			b, err := plain.BuildPlan(tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !plansEqual(a, b) {
 				t.Fatal("memoized plan differs from the memo-free plan")
-			}
-			if hits, misses := memoized.probes.Stats(); hits == 0 {
-				t.Fatalf("no probe-cache hits (misses %d)", misses)
 			}
 			if hits, misses := memoized.solves.Stats(); hits == 0 {
 				t.Fatalf("no solve-cache hits on the rebuild (misses %d)", misses)
@@ -101,21 +98,24 @@ func anyTruncated(p *ExecPlan) bool {
 }
 
 // TestBuildPlanRejectsNonFiniteBandwidth: a NaN or infinite cluster
-// bandwidth is reported by BuildPlan before any capacity probe, instead
-// of a plan whose predicted exposure is NaN.
+// bandwidth is reported by BuildPlan as the cluster validation error
+// naming the field, instead of a plan whose predicted exposure is NaN.
 func TestBuildPlanRejectsNonFiniteBandwidth(t *testing.T) {
 	w := workload(t, Kaggle, 1, 1024)
-	for _, cluster := range []gpusim.ClusterConfig{
-		{NumGPUs: 2, LinkGBs: math.NaN()},
-		{NumGPUs: 2, CopyGBs: math.Inf(1)},
-		{NumGPUs: 2, DramGBs: math.Inf(-1)},
+	for _, tc := range []struct {
+		cluster gpusim.ClusterConfig
+		field   string
+	}{
+		{gpusim.ClusterConfig{NumGPUs: 2, LinkGBs: math.NaN()}, "LinkGBs"},
+		{gpusim.ClusterConfig{NumGPUs: 2, CopyGBs: math.Inf(1)}, "CopyGBs"},
+		{gpusim.ClusterConfig{NumGPUs: 2, DramGBs: math.Inf(-1)}, "DramGBs"},
 	} {
-		f := New(w, cluster)
-		if p, err := f.BuildPlan(BuildOptions{}); err == nil {
-			t.Fatalf("%+v: BuildPlan accepted, exposure %v", cluster, p.PredictedExposedUs)
+		p, err := New(w, tc.cluster).BuildPlan(BuildOptions{})
+		if err == nil {
+			t.Fatalf("%+v: BuildPlan accepted, exposure %v", tc.cluster, p.PredictedExposedUs)
 		}
-		if hits, misses := f.probes.Stats(); hits+misses != 0 {
-			t.Fatalf("%+v: %d capacity probes ran before the error", cluster, hits+misses)
+		if want := "cluster " + tc.field; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "not finite") {
+			t.Fatalf("%+v: BuildPlan error = %v, want the cluster validation error for %s", tc.cluster, err, tc.field)
 		}
 	}
 }
@@ -229,11 +229,10 @@ func TestBuildPlanConcurrentLoweringErrors(t *testing.T) {
 	}
 }
 
-// TestEstimateCapacitiesConcurrentProbeErrors: the placement covers one
-// GPU of the four, so GPU 0's probe succeeds and the concurrent probes
-// of GPUs 1-3 all fail. The error must come back, and under -race this
-// catches probe goroutines that write a shared error variable.
-func TestEstimateCapacitiesConcurrentProbeErrors(t *testing.T) {
+// TestEstimateCapacitiesProbeErrors: the placement covers one GPU of the
+// four, so GPU 0's profile succeeds and GPU 1's fails. The error must
+// come back.
+func TestEstimateCapacitiesProbeErrors(t *testing.T) {
 	w := workload(t, Kaggle, 1, 1024)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
 	_, _, err := f.estimateCapacities(dlrm.PlaceTables(w.Model.TableSizes, 1))

@@ -13,6 +13,9 @@ cd "$(dirname "$0")/.."
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
 
+echo "== gofmt"
+# The tree is kept gofmt-clean; list any file that is not.
+test -z "$(gofmt -l .)"
 echo "== go vet"
 go vet ./...
 echo "== go build"
@@ -26,7 +29,7 @@ go test -race ./...
 echo "== benchmarks (one iteration each)"
 # go test alone only compiles benchmarks; run each once so a benchmark
 # that fails or panics fails tier-1.
-go test -run '^$' -bench 'BenchmarkEngine|BenchmarkPipeline|BenchmarkCoRunSchedule|BenchmarkFleetJob|BenchmarkSolvePlanSized|BenchmarkSolveGoldenPlans|BenchmarkPlanFusionStandard|BenchmarkBuildPlan|BenchmarkWriteChromeTrace' -benchtime 1x \
+go test -run '^$' -bench 'BenchmarkEngine|BenchmarkPipeline|BenchmarkCoRunSchedule|BenchmarkFleetJob|BenchmarkSolvePlanSized|BenchmarkSolveGoldenPlans|BenchmarkPlanFusionStandard|BenchmarkBuildPlan|BenchmarkEstimateCapacities|BenchmarkWriteChromeTrace' -benchtime 1x \
 	./internal/gpusim ./internal/sched ./internal/cluster ./internal/milp ./internal/fusion ./internal/rap ./internal/trace
 echo "== bench module"
 # bench/ is its own Go module (rap/bench, replace rap => ../), so the
