@@ -35,13 +35,20 @@ const (
 // jobs, all figure reproductions) replays DAGs through Run, so this
 // file is optimized for event-loop throughput under one hard invariant:
 // results are bit-identical to the straightforward rebuild-everything
-// implementation preserved in engine_reference_test.go. Three
+// implementation preserved in engine_reference_test.go. Four
 // structural changes carry the win:
 //
 //   - Resources live in one dense, kind-major array indexed by
 //     kind·NumGPUs+gpu (the single host-CPU slot last) instead of a
 //     map[resKey] rebuilt per event. Each op's demands are resolved to
-//     dense indices once, at Run start.
+//     dense indices once, when the op is added.
+//   - The op store is flat and pointer-free (see op): ops sit by value
+//     in one []op, their demands and dependencies are int32 spans of two
+//     Sim-wide slices, and names and tags live in parallel string
+//     slices the loop never reads. The loop addresses ops by int32
+//     index, a resource's user list carries each user's start sequence
+//     and priority inline, and Result.Ops is filled in one pass after
+//     the loop. The garbage collector scans none of it.
 //   - Slowdown factors are recomputed incrementally: only resources
 //     whose running-user set changed since the previous event are
 //     marked dirty and re-derived, and only the speeds of ops touching
@@ -64,29 +71,26 @@ const (
 // rounds differently and breaks bit-identity. The horizon scan shares
 // the loop the decrement already pays for.
 
-// rtDemand is one op demand resolved to its dense resource index.
-type rtDemand struct {
-	idx  int32
-	kind resKind
-	dem  float64
-}
-
 // resLevel is the aggregate demand of one priority level on a resource.
 type resLevel struct {
-	prio int
+	prio int32
 	load float64
 }
 
 // prioFactor is the slowdown factor granted to one priority level.
 type prioFactor struct {
-	prio int
+	prio int32
 	f    float64
 }
 
-// resUser is one op currently in its work phase using a resource.
+// resUser is one op currently in its work phase using a resource, with
+// the op's start sequence and priority carried inline so that keeping
+// the list ordered and summing its levels read no op.
 type resUser struct {
-	o   *op
-	dem float64
+	dem  float64
+	id   int32
+	seq  int32
+	prio int32
 }
 
 // resState is the engine's per-resource bookkeeping.
@@ -102,20 +106,20 @@ type resState struct {
 	dirty  bool
 }
 
-func (st *resState) insertUser(o *op, dem float64) {
+func (st *resState) insertUser(u resUser) {
 	users := append(st.users, resUser{})
 	i := len(users) - 1
-	for i > 0 && users[i-1].o.startSeq > o.startSeq {
+	for i > 0 && users[i-1].seq > u.seq {
 		i--
 	}
 	copy(users[i+1:], users[i:])
-	users[i] = resUser{o: o, dem: dem}
+	users[i] = u
 	st.users = users
 }
 
-func (st *resState) removeUser(o *op) {
+func (st *resState) removeUser(id int32) {
 	for i := range st.users {
-		if st.users[i].o == o {
+		if st.users[i].id == id {
 			st.users = append(st.users[:i], st.users[i+1:]...)
 			return
 		}
@@ -124,7 +128,7 @@ func (st *resState) removeUser(o *op) {
 
 // factorFor returns the cached slowdown factor for a priority level; 1
 // (no constraint) when the level has no running users.
-func (st *resState) factorFor(prio int) float64 {
+func (st *resState) factorFor(prio int32) float64 {
 	for _, pf := range st.factors {
 		if pf.prio == prio {
 			return pf.f
@@ -137,6 +141,9 @@ func (st *resState) factorFor(prio int) float64 {
 type engine struct {
 	s       *Sim
 	numGPUs int
+	// ops and dems are the Sim's op store and demands.
+	ops  []op
+	dems []rtDemand
 
 	// Dense per-(resource-kind × GPU) state; index kind·NumGPUs+gpu,
 	// with the host-wide CPU slot at position numResKinds-1 · NumGPUs.
@@ -147,21 +154,16 @@ type engine struct {
 	// initialCaps).
 	caps []float64
 
-	// demOff/dems hold every op's demands with pre-resolved dense
-	// indices, packed flat: op o's demands are dems[demOff[o]:demOff[o+1]].
-	demOff []int32
-	dems   []rtDemand
 	// childOff/children are the DAG in CSR form (built by Run): op o's
 	// children are children[childOff[o]:childOff[o+1]].
 	childOff []int32
-	children []OpID
+	children []int32
 
-	speeds  []float64
-	running []*op
-	nextSeq int
+	running []int32
+	nextSeq int32
 
 	// Reusable buffer.
-	finished []*op
+	finished []int32
 }
 
 // Run executes the accumulated op DAG and returns the timeline. A Sim is
@@ -181,82 +183,63 @@ func (s *Sim) Run() (*Result, error) {
 	// children[childOff[d]:childOff[d+1]], in op-ID order. lastDependent[d]
 	// is the last op counted as d's child, so a dependency listed twice
 	// by one op is wired once; the fill pass reuses it as d's cursor.
-	n := len(s.ops)
-	lastDependent := make([]OpID, n)
+	n := int32(len(s.ops))
+	lastDependent := make([]int32, n)
 	for i := range lastDependent {
-		lastDependent[i] = InvalidOp
+		lastDependent[i] = int32(InvalidOp)
 	}
 	childOff := make([]int32, n+1)
-	for _, o := range s.ops {
-		for _, d := range o.deps {
-			if d < 0 || int(d) >= n {
-				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", o.name, d)
+	for i := range s.ops {
+		o, id := &s.ops[i], int32(i)
+		for _, d := range s.depsOf(i) {
+			if d < 0 || d >= n {
+				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.names[i], d)
 			}
-			if d == o.id {
-				return nil, fmt.Errorf("gpusim: op %q depends on itself", o.name)
+			if d == id {
+				return nil, fmt.Errorf("gpusim: op %q depends on itself", s.names[i])
 			}
-			if lastDependent[d] == o.id {
+			if lastDependent[d] == id {
 				continue
 			}
-			lastDependent[d] = o.id
+			lastDependent[d] = id
 			childOff[d+1]++
 			o.missing++
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := int32(0); i < n; i++ {
 		childOff[i+1] += childOff[i]
-		lastDependent[i] = OpID(childOff[i])
+		lastDependent[i] = childOff[i]
 	}
-	children := make([]OpID, childOff[n])
-	for _, o := range s.ops {
-		for _, d := range o.deps {
+	children := make([]int32, childOff[n])
+	for i := range s.ops {
+		id := int32(i)
+		for _, d := range s.depsOf(i) {
 			// d's children fill in op-ID order, so a repeat of d in o's
 			// list finds o as the last child written.
-			if next := lastDependent[d]; next > OpID(childOff[d]) && children[next-1] == o.id {
+			if next := lastDependent[d]; next > childOff[d] && children[next-1] == id {
 				continue
 			}
-			children[lastDependent[d]] = o.id
+			children[lastDependent[d]] = id
 			lastDependent[d]++
 		}
 	}
 
-	e := newEngine(s)
-	e.childOff, e.children = childOff, children
-	return e.run()
-}
-
-func newEngine(s *Sim) *engine {
 	g := s.cfg.NumGPUs
 	// 5 per-GPU kinds ×g, one CPU slot, then one fabric link per node —
 	// zero of those without a multi-node topology, so the layout (and
 	// every float trajectory derived from it) is unchanged.
-	numRes := numResKinds*g - (g - 1) + s.numFabric
 	e := &engine{
-		s:       s,
-		numGPUs: g,
-		res:     make([]resState, numRes),
-		dirty:   make([]int32, 0, 32),
-		demOff:  make([]int32, len(s.ops)+1),
-		speeds:  make([]float64, len(s.ops)),
+		s:        s,
+		numGPUs:  g,
+		ops:      s.ops,
+		dems:     s.dems,
+		res:      make([]resState, numResKinds*g-(g-1)+s.numFabric),
+		dirty:    make([]int32, 0, 32),
+		caps:     initialCaps(s),
+		childOff: childOff,
+		children: children,
 	}
-	e.caps = initialCaps(s)
-	total := 0
-	for _, o := range s.ops {
-		total += len(o.demands)
-	}
-	e.dems = make([]rtDemand, 0, total)
-	for i, o := range s.ops {
-		e.demOff[i] = int32(len(e.dems))
-		for _, d := range o.demands {
-			e.dems = append(e.dems, rtDemand{
-				idx:  resIndex(d.kind, d.gpu, g),
-				kind: d.kind,
-				dem:  d.val,
-			})
-		}
-	}
-	e.demOff[len(s.ops)] = int32(len(e.dems))
-	return e
+	return e.run()
 }
 
 // initialCaps returns every resource's capacity in the dense layout of
@@ -279,10 +262,6 @@ func initialCaps(s *Sim) []float64 {
 	return caps
 }
 
-func (e *engine) demandsOf(o *op) []rtDemand {
-	return e.dems[e.demOff[o.id]:e.demOff[o.id+1]]
-}
-
 func (e *engine) markDirty(idx int32) {
 	if st := &e.res[idx]; !st.dirty {
 		st.dirty = true
@@ -290,21 +269,24 @@ func (e *engine) markDirty(idx int32) {
 	}
 }
 
-// enterWork registers an op that entered its work phase with its
+// enterWork registers op id, which entered its work phase, with its
 // resources. Zero-demand ops (barriers, local transfers) just run at
 // full speed.
-func (e *engine) enterWork(o *op) {
-	e.speeds[o.id] = 1
-	for _, d := range e.demandsOf(o) {
-		e.res[d.idx].insertUser(o, d.dem)
+func (e *engine) enterWork(id int32) {
+	o := &e.ops[id]
+	o.speed = 1
+	u := resUser{id: id, seq: o.startSeq, prio: o.priority}
+	for _, d := range o.demandsIn(e.dems) {
+		u.dem = d.dem
+		e.res[d.idx].insertUser(u)
 		e.markDirty(d.idx)
 	}
 }
 
-// leaveWork unregisters a finished op from its resources.
-func (e *engine) leaveWork(o *op) {
-	for _, d := range e.demandsOf(o) {
-		e.res[d.idx].removeUser(o)
+// leaveWork unregisters finished op id from its resources.
+func (e *engine) leaveWork(id int32) {
+	for _, d := range e.ops[id].demandsIn(e.dems) {
+		e.res[d.idx].removeUser(id)
 		e.markDirty(d.idx)
 	}
 }
@@ -318,14 +300,14 @@ func (e *engine) refreshFactors(idx int32) {
 	for _, u := range st.users {
 		found := false
 		for i := range st.levels {
-			if st.levels[i].prio == u.o.priority {
+			if st.levels[i].prio == u.prio {
 				st.levels[i].load += u.dem
 				found = true
 				break
 			}
 		}
 		if !found {
-			st.levels = append(st.levels, resLevel{prio: u.o.priority, load: u.dem})
+			st.levels = append(st.levels, resLevel{prio: u.prio, load: u.dem})
 		}
 	}
 	st.factors = st.factors[:0]
@@ -382,11 +364,12 @@ func (e *engine) refreshFactors(idx int32) {
 	}
 }
 
-// refreshSpeed recomputes one running op's speed from its resources'
+// refreshSpeed recomputes running op id's speed from its resources'
 // cached factors.
-func (e *engine) refreshSpeed(o *op) {
+func (e *engine) refreshSpeed(id int32) {
+	o := &e.ops[id]
 	sp := 1.0
-	for _, d := range e.demandsOf(o) {
+	for _, d := range o.demandsIn(e.dems) {
 		if f := e.res[d.idx].factorFor(o.priority); f < sp {
 			sp = f
 		}
@@ -394,12 +377,12 @@ func (e *engine) refreshSpeed(o *op) {
 	if sp < minSpeed {
 		sp = minSpeed
 	}
-	e.speeds[o.id] = sp
+	o.speed = sp
 }
 
 func (e *engine) run() (*Result, error) {
-	s := e.s
-	res := &Result{Ops: make([]OpResult, len(s.ops))}
+	s, ops := e.s, e.ops
+	res := &Result{}
 	timelines := s.cfg.Timelines
 	if timelines {
 		res.Util = make([][]UtilSegment, e.numGPUs)
@@ -408,26 +391,27 @@ func (e *engine) run() (*Result, error) {
 	now := 0.0
 	done := 0
 
-	start := func(o *op) {
+	start := func(id int32) {
+		o := &ops[id]
 		o.state = opLaunching
 		o.start = now
 		o.startSeq = e.nextSeq
 		e.nextSeq++
 		if o.overheadLeft <= timeEps {
 			o.state = opRunning
-			e.enterWork(o)
+			e.enterWork(id)
 		}
-		e.running = append(e.running, o)
+		e.running = append(e.running, id)
 	}
-	for _, o := range s.ops {
-		if o.missing == 0 {
-			start(o)
+	for i := range ops {
+		if ops[i].missing == 0 {
+			start(int32(i))
 		}
 	}
 
-	for done < len(s.ops) {
+	for done < len(ops) {
 		if len(e.running) == 0 {
-			return nil, fmt.Errorf("gpusim: deadlock — %d ops pending with no runnable op (dependency cycle?)", len(s.ops)-done)
+			return nil, fmt.Errorf("gpusim: deadlock — %d ops pending with no runnable op (dependency cycle?)", len(ops)-done)
 		}
 		res.Events++
 
@@ -441,21 +425,22 @@ func (e *engine) run() (*Result, error) {
 		}
 		for _, idx := range e.dirty {
 			for _, u := range e.res[idx].users {
-				e.refreshSpeed(u.o)
+				e.refreshSpeed(u.id)
 			}
 		}
 		e.dirty = e.dirty[:0]
 
 		// Next event horizon.
 		dt := math.Inf(1)
-		for _, o := range e.running {
+		for _, id := range e.running {
+			o := &ops[id]
 			switch o.state {
 			case opLaunching:
 				if o.overheadLeft < dt {
 					dt = o.overheadLeft
 				}
 			case opRunning:
-				if rem := o.workLeft / e.speeds[o.id]; rem < dt {
+				if rem := o.workLeft / o.speed; rem < dt {
 					dt = rem
 				}
 			}
@@ -476,7 +461,8 @@ func (e *engine) run() (*Result, error) {
 		now += dt
 		next := e.running[:0]
 		finished := e.finished[:0]
-		for _, o := range e.running {
+		for _, id := range e.running {
+			o := &ops[id]
 			switch o.state {
 			case opLaunching:
 				o.overheadLeft -= dt
@@ -486,39 +472,44 @@ func (e *engine) run() (*Result, error) {
 					if o.workLeft <= timeEps {
 						// Never entered the work phase's resource
 						// accounting; retire directly.
-						finished = append(finished, o)
+						finished = append(finished, id)
 						continue
 					}
-					e.enterWork(o)
+					e.enterWork(id)
 				}
-				next = append(next, o)
+				next = append(next, id)
 			case opRunning:
-				o.workLeft -= dt * e.speeds[o.id]
+				o.workLeft -= dt * o.speed
 				if o.workLeft <= timeEps {
-					e.leaveWork(o)
-					finished = append(finished, o)
+					e.leaveWork(id)
+					finished = append(finished, id)
 					continue
 				}
-				next = append(next, o)
+				next = append(next, id)
 			}
 		}
 		e.running = next
-		for _, o := range finished {
+		for _, id := range finished {
+			o := &ops[id]
 			o.state = opDone
 			o.end = now
 			done++
-			res.Ops[o.id] = OpResult{ID: o.id, Name: o.name, Tag: o.tag, GPU: o.gpu, Start: o.start, End: o.end}
-			for _, c := range e.children[e.childOff[o.id]:e.childOff[o.id+1]] {
-				child := s.ops[c]
+			for _, c := range e.children[e.childOff[id]:e.childOff[id+1]] {
+				child := &ops[c]
 				child.missing--
 				if child.missing == 0 && child.state == opPending {
-					start(child)
+					start(c)
 				}
 			}
 		}
 		e.finished = finished
 	}
 	res.Makespan = now
+	res.Ops = make([]OpResult, len(ops))
+	for i := range ops {
+		o := &ops[i]
+		res.Ops[i] = OpResult{ID: OpID(i), Name: s.names[i], Tag: s.tags[i], GPU: int(o.gpu), Start: o.start, End: o.end}
+	}
 	return res, nil
 }
 
@@ -555,7 +546,7 @@ func (e *engine) granted(idx int32) float64 {
 	st := &e.res[idx]
 	sum := 0.0
 	for _, u := range st.users {
-		sum += u.dem * st.factorFor(u.o.priority)
+		sum += u.dem * st.factorFor(u.prio)
 	}
 	return sum
 }

@@ -67,8 +67,8 @@ func FuzzEngineMatchesReference(f *testing.F) {
 
 // TestEngineMatchesReferenceLarge replays DAGs of 3,000+ ops across 8
 // and 16 GPUs and six streams through the engine and the reference
-// engine. The golden and fuzz DAGs stay under 140 ops; these fill the
-// engine's largest op-storage chunks (1024 entries) several times over.
+// engine. The golden and fuzz DAGs stay under 140 ops; these grow the
+// flat op store through many reallocations.
 func TestEngineMatchesReferenceLarge(t *testing.T) {
 	for _, d := range []fuzzDAG{
 		{seed: 101, gpus: 8, nodes: 1, ops: 3000},
@@ -160,10 +160,11 @@ func buildFuzzDAG(t *testing.T, d fuzzDAG, timelines bool) *Sim {
 		n = d.ops
 	}
 	var ids []OpID
+	streams := newStreams(s, 6)
 	opts := func() []OpOption {
 		var o []OpOption
 		if rng.Intn(2) == 0 {
-			o = append(o, WithStream(fmt.Sprintf("s%d", rng.Intn(6))))
+			o = append(o, WithStream(streams[rng.Intn(6)]))
 		}
 		if len(ids) > 0 && rng.Intn(3) == 0 {
 			d := ids[rng.Intn(len(ids))]

@@ -18,7 +18,9 @@ import (
 // contributions in the same (running-slice) order and the float math is
 // unchanged. Each op's children are kept in a per-op slice local to
 // the run, as they once were in the op itself. Segments carry no tag
-// attribution: a GPU segment holds SM and bandwidth only.
+// attribution: a GPU segment holds SM and bandwidth only. Ops are read
+// from the flat op store by index, and each demand's dense resource
+// index is decoded back into the (kind, gpu) pair the maps key on.
 
 type refResKey struct {
 	kind resKind
@@ -27,7 +29,12 @@ type refResKey struct {
 
 type refFactorKey struct {
 	res  refResKey
-	prio int
+	prio int32
+}
+
+// refKey decodes demand d's dense resource index into its map key.
+func refKey(d rtDemand, numGPUs int) refResKey {
+	return refResKey{d.kind, int(d.idx - resIndex(d.kind, 0, numGPUs))}
 }
 
 // referenceRun executes the accumulated op DAG with the pre-optimization
@@ -40,20 +47,22 @@ func referenceRun(s *Sim) (*Result, error) {
 
 	// Wire the DAG.
 	children := make([][]OpID, len(s.ops))
-	for _, o := range s.ops {
-		seen := make(map[OpID]bool, len(o.deps))
-		for _, d := range o.deps {
+	for i := range s.ops {
+		o, id := &s.ops[i], OpID(i)
+		seen := make(map[OpID]bool, len(s.depsOf(i)))
+		for _, d32 := range s.depsOf(i) {
+			d := OpID(d32)
 			if d < 0 || int(d) >= len(s.ops) {
-				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", o.name, d)
+				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.names[id], d)
 			}
-			if d == o.id {
-				return nil, fmt.Errorf("gpusim: op %q depends on itself", o.name)
+			if d == id {
+				return nil, fmt.Errorf("gpusim: op %q depends on itself", s.names[id])
 			}
 			if seen[d] {
 				continue
 			}
 			seen[d] = true
-			children[d] = append(children[d], o.id)
+			children[d] = append(children[d], id)
 			o.missing++
 		}
 	}
@@ -64,24 +73,25 @@ func referenceRun(s *Sim) (*Result, error) {
 	}
 
 	now := 0.0
-	var running []*op
+	var running []OpID
 	done := 0
 
 	// Capacities are the engine's: all 1.0 but the fabric links, whose
 	// 1/Oversub base carries each node's fabric scale.
 	caps := initialCaps(s)
 
-	start := func(o *op) {
+	start := func(id OpID) {
+		o := &s.ops[id]
 		o.state = opLaunching
 		o.start = now
 		if o.overheadLeft <= timeEps {
 			o.state = opRunning
 		}
-		running = append(running, o)
+		running = append(running, id)
 	}
-	for _, o := range s.ops {
-		if o.missing == 0 {
-			start(o)
+	for i := range s.ops {
+		if s.ops[i].missing == 0 {
+			start(OpID(i))
 		}
 	}
 
@@ -96,20 +106,21 @@ func referenceRun(s *Sim) (*Result, error) {
 
 		// Per-op speed and the next event horizon.
 		dt := math.Inf(1)
-		for _, o := range running {
+		for _, id := range running {
+			o := &s.ops[id]
 			switch o.state {
 			case opLaunching:
-				speeds[o.id] = 1
+				speeds[id] = 1
 				if o.overheadLeft/1 < dt {
 					dt = o.overheadLeft
 				}
 			case opRunning:
 				sp := 1.0
-				for _, d := range o.demands {
-					if d.val <= 0 {
+				for _, d := range o.demandsIn(s.dems) {
+					if d.dem <= 0 {
 						continue
 					}
-					rk := refResKey{d.kind, d.gpu}
+					rk := refKey(d, s.cfg.NumGPUs)
 					if f, ok := factors[refFactorKey{rk, o.priority}]; ok && f < sp {
 						sp = f
 					}
@@ -117,7 +128,7 @@ func referenceRun(s *Sim) (*Result, error) {
 				if sp < minSpeed {
 					sp = minSpeed
 				}
-				speeds[o.id] = sp
+				speeds[id] = sp
 				if rem := o.workLeft / sp; rem < dt {
 					dt = rem
 				}
@@ -138,8 +149,9 @@ func referenceRun(s *Sim) (*Result, error) {
 		// Advance and retire.
 		now += dt
 		next := running[:0]
-		var finished []*op
-		for _, o := range running {
+		var finished []OpID
+		for _, id := range running {
+			o := &s.ops[id]
 			switch o.state {
 			case opLaunching:
 				o.overheadLeft -= dt
@@ -147,31 +159,32 @@ func referenceRun(s *Sim) (*Result, error) {
 					o.overheadLeft = 0
 					o.state = opRunning
 					if o.workLeft <= timeEps {
-						finished = append(finished, o)
+						finished = append(finished, id)
 						continue
 					}
 				}
-				next = append(next, o)
+				next = append(next, id)
 			case opRunning:
-				o.workLeft -= dt * speeds[o.id]
+				o.workLeft -= dt * speeds[id]
 				if o.workLeft <= timeEps {
-					finished = append(finished, o)
+					finished = append(finished, id)
 					continue
 				}
-				next = append(next, o)
+				next = append(next, id)
 			}
 		}
 		running = next
-		for _, o := range finished {
+		for _, id := range finished {
+			o := &s.ops[id]
 			o.state = opDone
 			o.end = now
 			done++
-			res.Ops[o.id] = OpResult{ID: o.id, Name: o.name, Tag: o.tag, GPU: o.gpu, Start: o.start, End: o.end}
-			for _, c := range children[o.id] {
-				child := s.ops[c]
+			res.Ops[id] = OpResult{ID: id, Name: s.names[id], Tag: s.tags[id], GPU: int(o.gpu), Start: o.start, End: o.end}
+			for _, c := range children[id] {
+				child := &s.ops[c]
 				child.missing--
 				if child.missing == 0 && child.state == opPending {
-					start(child)
+					start(c)
 				}
 			}
 		}
@@ -185,32 +198,33 @@ func referenceRun(s *Sim) (*Result, error) {
 // rebuilding the full map on every call, as the pre-optimization engine
 // did. caps holds the per-resource capacities in the dense kind-major
 // layout (all 1.0 but the fabric links).
-func refResourceFactors(s *Sim, running []*op, caps []float64) map[refFactorKey]float64 {
+func refResourceFactors(s *Sim, running []OpID, caps []float64) map[refFactorKey]float64 {
 	type level struct {
-		prio int
+		prio int32
 		load float64
 	}
 	byRes := make(map[refResKey][]level)
-	for _, o := range running {
+	for _, id := range running {
+		o := &s.ops[id]
 		if o.state != opRunning {
 			continue
 		}
-		for _, d := range o.demands {
-			if d.val <= 0 {
+		for _, d := range o.demandsIn(s.dems) {
+			if d.dem <= 0 {
 				continue
 			}
-			rk := refResKey{d.kind, d.gpu}
+			rk := refKey(d, s.cfg.NumGPUs)
 			levels := byRes[rk]
 			found := false
 			for i := range levels {
 				if levels[i].prio == o.priority {
-					levels[i].load += d.val
+					levels[i].load += d.dem
 					found = true
 					break
 				}
 			}
 			if !found {
-				levels = append(levels, level{prio: o.priority, load: d.val})
+				levels = append(levels, level{prio: o.priority, load: d.dem})
 			}
 			byRes[rk] = levels
 		}
@@ -265,31 +279,33 @@ func refResourceFactors(s *Sim, running []*op, caps []float64) map[refFactorKey]
 }
 
 // refRecordUtil appends one utilization segment per GPU covering [t0,t1).
-func refRecordUtil(s *Sim, res *Result, t0, t1 float64, running []*op, factors map[refFactorKey]float64) {
+func refRecordUtil(s *Sim, res *Result, t0, t1 float64, running []OpID, factors map[refFactorKey]float64) {
 	type acc struct {
 		sm, bw float64
 	}
 	accs := make([]acc, s.cfg.NumGPUs)
 	hostCPU := 0.0
-	for _, o := range running {
+	for _, id := range running {
+		o := &s.ops[id]
 		if o.state != opRunning {
 			continue
 		}
-		for _, d := range o.demands {
+		for _, d := range o.demandsIn(s.dems) {
 			if d.kind == resCPU {
-				hostCPU += d.val * factors[refFactorKey{refResKey{d.kind, d.gpu}, o.priority}]
+				hostCPU += d.dem * factors[refFactorKey{refKey(d, s.cfg.NumGPUs), o.priority}]
 			}
 		}
 		if o.gpu < 0 {
 			continue
 		}
-		for _, d := range o.demands {
-			f := factors[refFactorKey{refResKey{d.kind, d.gpu}, o.priority}]
+		for _, d := range o.demandsIn(s.dems) {
+			rk := refKey(d, s.cfg.NumGPUs)
+			f := factors[refFactorKey{rk, o.priority}]
 			switch d.kind {
 			case resSM:
-				accs[d.gpu].sm += d.val * f
+				accs[rk.gpu].sm += d.dem * f
 			case resBW:
-				accs[d.gpu].bw += d.val * f
+				accs[rk.gpu].bw += d.dem * f
 			}
 		}
 	}

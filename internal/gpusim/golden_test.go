@@ -38,10 +38,11 @@ func buildGoldenDAG(seed int64) *Sim {
 
 	n := 60 + rng.Intn(80)
 	var ids []OpID
+	streams := newStreams(s, 5)
 	opts := func() []OpOption {
 		var o []OpOption
 		if rng.Intn(2) == 0 {
-			o = append(o, WithStream(fmt.Sprintf("s%d", rng.Intn(5))))
+			o = append(o, WithStream(streams[rng.Intn(5)]))
 		}
 		if len(ids) > 0 && rng.Intn(3) == 0 {
 			o = append(o, WithDeps(ids[rng.Intn(len(ids))]))

@@ -32,6 +32,7 @@ package gpusim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rap/internal/topo"
 )
@@ -191,7 +192,7 @@ func (c ClusterConfig) Validate() error {
 }
 
 // resKind enumerates the resource classes of the cluster.
-type resKind int
+type resKind uint8
 
 const (
 	resSM resKind = iota
@@ -212,8 +213,7 @@ const numResKinds = int(resCPU) + 1
 // and occupy dense indices after the host-CPU slot — zero of them exist
 // unless SetTopology installed a multi-node topology, which is what
 // keeps flat/nil-topology simulations bit-identical to the layout that
-// predates hierarchical topologies. For fabric demands the demandSpec
-// gpu field holds the node index.
+// predates hierarchical topologies.
 const resFabric = resKind(numResKinds)
 
 // resIndex is the dense resource index shared by the engine and the
@@ -227,21 +227,19 @@ func resIndex(kind resKind, gpu, numGPUs int) int32 {
 	return int32(int(kind)*numGPUs + gpu)
 }
 
-// demandSpec is one (resource, demand) requirement of an op. Demands are
-// stored as a short slice (at most four entries) rather than a map: the
-// engine iterates them on every event, and map traversal plus hashing
-// dominated the old hot path.
-type demandSpec struct {
+// rtDemand is one (resource, demand) requirement of an op, resolved to
+// its dense resource index when the op is added. An op has at most four.
+type rtDemand struct {
+	dem  float64
+	idx  int32
 	kind resKind
-	gpu  int // 0 for host-wide resources
-	val  float64
 }
 
 // OpID identifies an op added to a Sim.
 type OpID int
 
 // opState is the lifecycle of an op inside the engine.
-type opState int
+type opState uint8
 
 const (
 	opPending opState = iota
@@ -250,29 +248,35 @@ const (
 	opDone
 )
 
+// op is one op of the store, one 64-byte cache line. It holds no pointer
+// (TestOpStorePointerFree pins that), so Sim.ops is a flat array the
+// garbage collector never scans: the op's demands are the span
+// dems[demOff:demOff+demN] of the Sim's demand slice, its dependencies
+// a span of the Sim's dependency slice (see Sim.depsOf), and its name
+// and tag sit at the op's index in Sim.names and Sim.tags.
 type op struct {
-	id       OpID
-	name     string
-	tag      string
-	gpu      int // -1 for host-only ops
-	priority int
-
-	overheadLeft float64
 	workLeft     float64
-	demands      []demandSpec
+	overheadLeft float64
+	speed        float64 // work-phase speed, maintained by the engine
+	state        opState
+	demN         uint8
+	priority     int32
 
 	// startSeq is the op's position in engine start order; the engine
 	// keeps per-resource user lists sorted by it so that incremental
 	// factor recomputation sums loads in exactly the order the original
 	// full-rescan implementation did (bit-identical results).
-	startSeq int
+	startSeq int32
+	missing  int32 // unfinished deps
+	demOff   int32
+	gpu      int32 // -1 for host-only ops
+	start    float64
+	end      float64
+}
 
-	deps    []OpID
-	missing int // unfinished deps
-
-	state opState
-	start float64
-	end   float64
+// demandsIn returns o's demands within the store's demand slice.
+func (o *op) demandsIn(dems []rtDemand) []rtDemand {
+	return dems[o.demOff : o.demOff+int32(o.demN)]
 }
 
 // OpResult reports one finished op.
@@ -322,18 +326,6 @@ func (r *Result) OpByID(id OpID) OpResult {
 		return OpResult{}
 	}
 	return r.Ops[int(id)]
-}
-
-// OpsByName returns all results whose op name matches, in op-ID order;
-// nil when none does.
-func (r *Result) OpsByName(name string) []OpResult {
-	var out []OpResult
-	for _, o := range r.Ops {
-		if o.Name == name {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // AvgUtil returns the time-weighted mean SM and bandwidth utilization of
@@ -408,19 +400,21 @@ func (r *Result) UtilSeries(g int, dt float64) []Sample {
 
 // Sim accumulates an op DAG and executes it.
 type Sim struct {
-	cfg     ClusterConfig
-	ops     []*op
-	streams map[string]OpID // last op per stream, for implicit chaining
+	cfg ClusterConfig
+	// The op store: ops[i] is op i, names[i] and tags[i] its name and
+	// tag, and dems and deps hold every op's demands and dependencies
+	// back to back, in op order (see op); op i's dependencies end at
+	// depEnd[i].
+	ops    []op
+	names  []string
+	tags   []string
+	dems   []rtDemand
+	deps   []int32
+	depEnd []int32
+	// streams[h] is the last op added to stream h (InvalidOp before the
+	// first), for implicit chaining.
+	streams []int32
 	ran     bool
-	// Op storage: ops, their demand specs and their dependency lists are
-	// carved from chunks (see carve), so adding an op costs no heap
-	// allocation of its own once a chunk has room. depBuf collects the
-	// dependencies WithDeps and WithStream add to the op being built; add
-	// copies it into depChunk once per op.
-	opChunk  []op
-	demChunk []demandSpec
-	depChunk []OpID
-	depBuf   []OpID
 	// addErr records an invalid config or the first invalid Add* call
 	// (e.g. an out-of-range GPU); Run reports it instead of executing. Deferred error
 	// reporting keeps the builder surface panic-free, matching the
@@ -448,7 +442,7 @@ type Sim struct {
 //
 //rap:deterministic
 func NewSim(cfg ClusterConfig) *Sim {
-	return &Sim{cfg: cfg.WithDefaults(), streams: make(map[string]OpID), addErr: cfg.Validate()}
+	return &Sim{cfg: cfg.WithDefaults(), addErr: cfg.Validate()}
 }
 
 // Config returns the (defaulted) cluster configuration.
@@ -543,83 +537,131 @@ func (s *Sim) SetFabricScale(scale []float64) error {
 // Topology returns the installed topology (nil when none was set).
 func (s *Sim) Topology() *topo.Topology { return s.topo }
 
-// OpOption customizes an op at add time.
-type OpOption func(*op, *Sim)
+// Grow makes room for ops more ops, holding demands demands and deps
+// dependencies between them, so that adding them moves no storage. A
+// caller that knows its DAG's size sizes the store once instead of
+// letting it grow by doubling.
+func (s *Sim) Grow(ops, demands, deps int) {
+	s.ops = slices.Grow(s.ops, ops)
+	s.names = slices.Grow(s.names, ops)
+	s.tags = slices.Grow(s.tags, ops)
+	s.depEnd = slices.Grow(s.depEnd, ops)
+	s.dems = slices.Grow(s.dems, demands)
+	s.deps = slices.Grow(s.deps, deps)
+}
+
+// Stream is a handle of one stream of a Sim (see NewStream).
+type Stream int32
+
+// NewStream returns a new stream of the Sim. Streams model CUDA streams:
+// ops added WithStream of one stream run in FIFO order, ops of
+// different streams concurrently.
+func (s *Sim) NewStream() Stream {
+	s.streams = append(s.streams, int32(InvalidOp))
+	return Stream(len(s.streams) - 1)
+}
+
+// OpOption customizes an op at add time. It applies to the op being
+// added, the last one in the store.
+type OpOption func(*Sim)
 
 // WithDeps makes the op wait for the given ops. The ids are copied when
 // the op is added: the caller may reuse or modify the slice afterwards.
 func WithDeps(ids ...OpID) OpOption {
-	return func(_ *op, s *Sim) { s.depBuf = append(s.depBuf, ids...) }
+	return func(s *Sim) {
+		for _, d := range ids {
+			if int(int32(d)) != int(d) {
+				s.fail(fmt.Errorf("gpusim: op %q depends on unknown op %d", s.names[len(s.names)-1], d))
+				return
+			}
+			s.deps = append(s.deps, int32(d))
+		}
+	}
 }
 
-// WithStream serializes the op after the previous op added to the same
-// stream key. Streams model CUDA streams: per-stream FIFO, cross-stream
-// concurrency.
-func WithStream(key string) OpOption {
-	return func(o *op, s *Sim) {
-		if last, ok := s.streams[key]; ok {
-			s.depBuf = append(s.depBuf, last)
+// WithStream serializes the op after the previous op added to stream h,
+// which must be a stream of this Sim.
+func WithStream(h Stream) OpOption {
+	return func(s *Sim) {
+		if h < 0 || int(h) >= len(s.streams) {
+			s.fail(fmt.Errorf("gpusim: op %q: unknown stream %d", s.names[len(s.names)-1], h))
+			return
 		}
-		s.streams[key] = o.id
+		if last := s.streams[h]; last >= 0 {
+			s.deps = append(s.deps, last)
+		}
+		s.streams[h] = int32(len(s.ops) - 1)
 	}
 }
 
 // WithPriority sets the op's priority for PrioritySpace sharing; higher
-// wins. Default 0.
+// wins. Default 0. It must fit in an int32.
 func WithPriority(p int) OpOption {
-	return func(o *op, _ *Sim) { o.priority = p }
+	return func(s *Sim) {
+		if int(int32(p)) != p {
+			s.fail(fmt.Errorf("gpusim: op %q: priority %d out of range", s.names[len(s.names)-1], p))
+			return
+		}
+		s.ops[len(s.ops)-1].priority = int32(p)
+	}
 }
 
 // WithTag overrides the op's tag, which names its Chrome-trace row.
 func WithTag(tag string) OpOption {
-	return func(o *op, _ *Sim) { o.tag = tag }
+	return func(s *Sim) { s.tags[len(s.tags)-1] = tag }
 }
 
-// Op-storage chunk sizes: the first chunk holds chunkMin entries and
-// each later one twice its predecessor's, up to chunkMax. A small first
-// chunk keeps small Sims from paying for storage they never fill; the
-// cap bounds what a full chunk can strand.
-const (
-	chunkMin = 2
-	chunkMax = 1024
-)
-
-// carve returns n zeroed entries of *chunk, capacity-limited so appends
-// to them never write into the chunk. When the current chunk lacks room
-// it starts a new one; earlier carvings keep referencing theirs.
-func carve[T any](chunk *[]T, n int) []T {
-	c := *chunk
-	if cap(c)-len(c) < n {
-		c = make([]T, 0, max(min(2*cap(c), chunkMax), chunkMin, n))
-	}
-	m := len(c)
-	*chunk = c[:m+n]
-	return c[m : m+n : m+n]
+// push appends an op without demands or dependencies to the store;
+// demand adds its demands, then add applies its options.
+//
+//rap:unit overhead us
+//rap:unit work us
+func (s *Sim) push(name, tag string, gpu int, overhead, work float64) {
+	s.ops = append(s.ops, op{
+		overheadLeft: overhead,
+		workLeft:     work,
+		gpu:          int32(gpu),
+		demOff:       int32(len(s.dems)),
+	})
+	s.names = append(s.names, name)
+	s.tags = append(s.tags, tag)
 }
 
-// demands carves the op's demand specs.
-func (s *Sim) demands(ds ...demandSpec) []demandSpec {
-	out := carve(&s.demChunk, len(ds))
-	copy(out, ds)
-	return out
+// demand adds a demand of val on resource (kind, gpu) to the last op;
+// for resFabric, gpu is the node index.
+func (s *Sim) demand(kind resKind, gpu int, val float64) {
+	s.dems = append(s.dems, rtDemand{dem: val, idx: resIndex(kind, gpu, s.cfg.NumGPUs), kind: kind})
+	s.ops[len(s.ops)-1].demN++
 }
 
-// add stores o, applies the options and copies the dependencies they
-// collected into the op's own storage.
-func (s *Sim) add(o op, opts ...OpOption) OpID {
-	p := &carve(&s.opChunk, 1)[0]
-	*p = o
-	p.id = OpID(len(s.ops))
-	s.ops = append(s.ops, p)
-	s.depBuf = s.depBuf[:0]
+// add applies the options to the last op, whose dependencies they
+// append to deps, and returns its id — InvalidOp if an option failed.
+func (s *Sim) add(opts []OpOption) OpID {
+	ok := s.addErr == nil
 	for _, f := range opts {
-		f(p, s)
+		f(s)
 	}
-	if len(s.depBuf) > 0 {
-		p.deps = carve(&s.depChunk, len(s.depBuf))
-		copy(p.deps, s.depBuf)
+	s.depEnd = append(s.depEnd, int32(len(s.deps)))
+	if ok && s.addErr != nil {
+		return InvalidOp
 	}
-	return p.id
+	return OpID(len(s.ops) - 1)
+}
+
+// depsOf returns op i's dependencies.
+func (s *Sim) depsOf(i int) []int32 {
+	lo := int32(0)
+	if i > 0 {
+		lo = s.depEnd[i-1]
+	}
+	return s.deps[lo:s.depEnd[i]]
+}
+
+// fail records err as the Sim's add error unless one is recorded.
+func (s *Sim) fail(err error) {
+	if s.addErr == nil {
+		s.addErr = err
+	}
 }
 
 // InvalidOp is the OpID returned by Add* calls rejected at add time
@@ -635,9 +677,7 @@ const InvalidOp = OpID(-1)
 // call returns InvalidOp.
 func (s *Sim) checkGPU(g int) bool {
 	if g < 0 || g >= s.cfg.NumGPUs {
-		if s.addErr == nil {
-			s.addErr = fmt.Errorf("gpusim: gpu %d out of range [0,%d)", g, s.cfg.NumGPUs)
-		}
+		s.fail(fmt.Errorf("gpusim: gpu %d out of range [0,%d)", g, s.cfg.NumGPUs))
 		return false
 	}
 	return true
@@ -648,38 +688,44 @@ func (s *Sim) checkGPU(g int) bool {
 // drains below timeEps, so the engine would loop forever on it.
 func (s *Sim) checkFinite(name, what string, v float64) bool {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		if s.addErr == nil {
-			s.addErr = fmt.Errorf("gpusim: op %q: %s %g is not finite", name, what, v)
+		s.fail(fmt.Errorf("gpusim: op %q: %s %g is not finite", name, what, v))
+		return false
+	}
+	return true
+}
+
+// checkDemand rejects a NaN kernel demand at add time, deferring the
+// error like checkGPU. Clamp passes NaN through, and a NaN demand would
+// fail every "> 0" test and let the kernel run uncontended. An infinite
+// demand clamps like any other out-of-range one.
+func (s *Sim) checkDemand(name string, d Demand) bool {
+	if math.IsNaN(d.SM) || math.IsNaN(d.MemBW) {
+		what := "SM"
+		if !math.IsNaN(d.SM) {
+			what = "MemBW"
 		}
+		s.fail(fmt.Errorf("gpusim: op %q: %s demand is NaN", name, what))
 		return false
 	}
 	return true
 }
 
 // AddKernel schedules a GPU kernel on gpu. A non-finite Work or
-// LaunchOverhead is rejected like an out-of-range GPU.
+// LaunchOverhead, or a NaN demand, is rejected like an out-of-range GPU.
 func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
 	if !s.checkGPU(gpu) || !s.checkFinite(k.Name, "work", k.Work) ||
-		!s.checkFinite(k.Name, "launch overhead", k.LaunchOverhead) {
+		!s.checkFinite(k.Name, "launch overhead", k.LaunchOverhead) || !s.checkDemand(k.Name, k.Demand) {
 		return InvalidOp
 	}
 	d := k.Demand.Clamp()
-	o := op{
-		name:         k.Name,
-		tag:          k.Tag,
-		gpu:          gpu,
-		overheadLeft: k.overhead(),
-		workLeft:     math.Max(k.Work, 0),
-	}
-	ds := make([]demandSpec, 0, 2)
+	s.push(k.Name, k.Tag, gpu, k.overhead(), math.Max(k.Work, 0))
 	if d.SM > 0 {
-		ds = append(ds, demandSpec{resSM, gpu, d.SM})
+		s.demand(resSM, gpu, d.SM)
 	}
 	if d.MemBW > 0 {
-		ds = append(ds, demandSpec{resBW, gpu, d.MemBW})
+		s.demand(resBW, gpu, d.MemBW)
 	}
-	o.demands = s.demands(ds...)
-	return s.add(o, opts...)
+	return s.add(opts)
 }
 
 // AddComm schedules a point-to-point transfer of bytes from GPU src to
@@ -698,39 +744,23 @@ func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption
 		if work < 0.5 {
 			work = 0.5
 		}
-		o := op{
-			name:     name,
-			tag:      "comm",
-			gpu:      src,
-			workLeft: work,
-			demands:  s.demands(demandSpec{resBW, src, 1}),
-		}
-		return s.add(o, opts...)
+		s.push(name, "comm", src, 0, work)
+		s.demand(resBW, src, 1)
+		return s.add(opts)
 	}
-	work := bytes / (s.cfg.LinkGBs * 1e3) // µs at full link speed
-	o := op{
-		name:     name,
-		tag:      "comm",
-		gpu:      src,
-		workLeft: work,
-	}
-	ds := append(make([]demandSpec, 0, 4),
-		demandSpec{resLinkOut, src, 1},
-		demandSpec{resLinkIn, dst, 1},
-	)
+	s.push(name, "comm", src, 0, bytes/(s.cfg.LinkGBs*1e3)) // µs at full link speed
+	s.demand(resLinkOut, src, 1)
+	s.demand(resLinkIn, dst, 1)
 	// A cross-node transfer additionally occupies both endpoints' fabric
 	// links: it leaves the source node's uplink and enters the
 	// destination node's. The demand is the flow's NVLink rate expressed
 	// in fabric-link units, so a slower fabric (FabricGBs < LinkGBs)
 	// saturates below one flow and slows it even alone.
 	if s.numFabric > 0 && s.nodeOf[src] != s.nodeOf[dst] {
-		ds = append(ds,
-			demandSpec{resFabric, s.nodeOf[src], s.fabricShare},
-			demandSpec{resFabric, s.nodeOf[dst], s.fabricShare},
-		)
+		s.demand(resFabric, s.nodeOf[src], s.fabricShare)
+		s.demand(resFabric, s.nodeOf[dst], s.fabricShare)
 	}
-	o.demands = s.demands(ds...)
-	return s.add(o, opts...)
+	return s.add(opts)
 }
 
 // AddLinkBusy schedules an op that occupies GPU g's links for the time a
@@ -741,17 +771,9 @@ func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) O
 	if !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
-	work := bytes / (s.cfg.LinkGBs * 1e3)
-	o := op{
-		name:     name,
-		tag:      "comm",
-		gpu:      g,
-		workLeft: work,
-	}
-	ds := append(make([]demandSpec, 0, 3),
-		demandSpec{resLinkOut, g, 1},
-		demandSpec{resLinkIn, g, 1},
-	)
+	s.push(name, "comm", g, 0, bytes/(s.cfg.LinkGBs*1e3))
+	s.demand(resLinkOut, g, 1)
+	s.demand(resLinkIn, g, 1)
 	// Under a multi-node topology a collective participant's traffic is
 	// partly cross-node: with all-to-all-style uniform peering, the
 	// fraction of g's peers outside its node is (N−k)/(N−1) for a node
@@ -760,11 +782,10 @@ func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) O
 		node := s.nodeOf[g]
 		frac := float64(s.cfg.NumGPUs-s.nodeSize[node]) / float64(s.cfg.NumGPUs-1)
 		if frac > 0 {
-			ds = append(ds, demandSpec{resFabric, node, frac * s.fabricShare})
+			s.demand(resFabric, node, frac*s.fabricShare)
 		}
 	}
-	o.demands = s.demands(ds...)
-	return s.add(o, opts...)
+	return s.add(opts)
 }
 
 // AddHostCopy schedules a host-to-device copy of bytes onto GPU g's copy
@@ -774,15 +795,9 @@ func (s *Sim) AddHostCopy(name string, g int, bytes float64, opts ...OpOption) O
 	if !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
-	work := bytes / (s.cfg.CopyGBs * 1e3)
-	o := op{
-		name:     name,
-		tag:      "hostcopy",
-		gpu:      g,
-		workLeft: work,
-		demands:  s.demands(demandSpec{resCopy, g, 1}),
-	}
-	return s.add(o, opts...)
+	s.push(name, "hostcopy", g, 0, bytes/(s.cfg.CopyGBs*1e3))
+	s.demand(resCopy, g, 1)
+	return s.add(opts)
 }
 
 // AddCPU schedules host-side work taking micros µs on `workers` CPU
@@ -798,20 +813,13 @@ func (s *Sim) AddCPU(name string, micros float64, workers int, opts ...OpOption)
 	if frac > 1 {
 		frac = 1
 	}
-	o := op{
-		name:     name,
-		tag:      "cpu",
-		gpu:      -1,
-		workLeft: micros,
-		demands:  s.demands(demandSpec{resCPU, 0, frac}),
-	}
-	return s.add(o, opts...)
+	s.push(name, "cpu", -1, 0, micros)
+	s.demand(resCPU, 0, frac)
+	return s.add(opts)
 }
 
 // AddBarrier schedules a zero-duration synchronization op.
 func (s *Sim) AddBarrier(name string, opts ...OpOption) OpID {
-	return s.add(op{name: name, tag: "sync", gpu: -1}, opts...)
+	s.push(name, "sync", -1, 0, 0)
+	return s.add(opts)
 }
-
-// NumOps returns the number of ops added so far.
-func (s *Sim) NumOps() int { return len(s.ops) }

@@ -119,11 +119,21 @@ func TestPrioritySpaceStarvationFloor(t *testing.T) {
 	}
 }
 
+// newStreams returns n new streams of s.
+func newStreams(s *Sim, n int) []Stream {
+	out := make([]Stream, n)
+	for i := range out {
+		out[i] = s.NewStream()
+	}
+	return out
+}
+
 func TestStreamsSerialize(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1})
-	a := s.AddKernel(0, Kernel{Name: "a", Work: 10, LaunchOverhead: -1, Demand: Demand{SM: 0.1}}, WithStream("s0"))
-	b := s.AddKernel(0, Kernel{Name: "b", Work: 10, LaunchOverhead: -1, Demand: Demand{SM: 0.1}}, WithStream("s0"))
-	c := s.AddKernel(0, Kernel{Name: "c", Work: 10, LaunchOverhead: -1, Demand: Demand{SM: 0.1}}, WithStream("s1"))
+	st := newStreams(s, 2)
+	a := s.AddKernel(0, Kernel{Name: "a", Work: 10, LaunchOverhead: -1, Demand: Demand{SM: 0.1}}, WithStream(st[0]))
+	b := s.AddKernel(0, Kernel{Name: "b", Work: 10, LaunchOverhead: -1, Demand: Demand{SM: 0.1}}, WithStream(st[0]))
+	c := s.AddKernel(0, Kernel{Name: "c", Work: 10, LaunchOverhead: -1, Demand: Demand{SM: 0.1}}, WithStream(st[1]))
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -278,10 +288,9 @@ func TestDeadlockDetected(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			s.AddKernel(i%2, Kernel{Name: "k", Work: 5, Demand: Demand{SM: 0.4}})
 		}
-		a := s.AddKernel(0, Kernel{Name: "a", Work: 1, Demand: Demand{SM: 0.1}})
-		b := s.AddKernel(1, Kernel{Name: "b", Work: 1, Demand: Demand{SM: 0.1}}, WithDeps(a))
-		// Forge a cycle a -> b -> a.
-		s.ops[a].deps = append(s.ops[a].deps, b)
+		// A cycle a -> b -> a: a names b's id, 9, before b is added.
+		a := s.AddKernel(0, Kernel{Name: "a", Work: 1, Demand: Demand{SM: 0.1}}, WithDeps(9))
+		s.AddKernel(1, Kernel{Name: "b", Work: 1, Demand: Demand{SM: 0.1}}, WithDeps(a))
 		return s
 	}
 	_, err := build().Run()
@@ -343,8 +352,7 @@ func TestBadDepRejected(t *testing.T) {
 
 func TestSelfDepRejected(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1})
-	o := s.AddKernel(0, Kernel{Name: "a", Work: 1, Demand: Demand{SM: 0.1}})
-	s.ops[o].deps = append(s.ops[o].deps, o)
+	s.AddKernel(0, Kernel{Name: "a", Work: 1, Demand: Demand{SM: 0.1}}, WithDeps(0)) // op 0 itself
 	if _, err := s.Run(); err == nil {
 		t.Fatal("self dep accepted")
 	}
@@ -381,36 +389,75 @@ func TestGPUOutOfRangeRejected(t *testing.T) {
 
 // TestNonFiniteCostRejected covers every entry point that takes an op
 // cost. A NaN or infinite cost never drains, so Run used to spin
-// forever on it; now the add returns InvalidOp and Run reports why.
+// forever on it; now the add returns InvalidOp and Run reports why. A
+// NaN kernel demand is rejected the same way: it used to fail every
+// "> 0" test and let the kernel run uncontended.
 func TestNonFiniteCostRejected(t *testing.T) {
+	nonFinite := []float64{math.NaN(), math.Inf(1)}
 	cases := []struct {
 		name string
 		add  func(s *Sim, v float64) OpID
+		vals []float64 // nil: nonFinite
+		want string
 	}{
 		{"kernel_work", func(s *Sim, v float64) OpID {
 			return s.AddKernel(0, Kernel{Name: "k", Work: v, Demand: Demand{SM: 0.5}})
-		}},
+		}, nil, "not finite"},
 		{"kernel_overhead", func(s *Sim, v float64) OpID {
 			return s.AddKernel(0, Kernel{Name: "k", Work: 1, LaunchOverhead: v})
-		}},
-		{"cpu", func(s *Sim, v float64) OpID { return s.AddCPU("p", v, 1) }},
-		{"comm", func(s *Sim, v float64) OpID { return s.AddComm("c", 0, 1, v) }},
-		{"comm_local", func(s *Sim, v float64) OpID { return s.AddComm("c", 0, 0, v) }},
-		{"linkbusy", func(s *Sim, v float64) OpID { return s.AddLinkBusy("l", 0, v) }},
-		{"hostcopy", func(s *Sim, v float64) OpID { return s.AddHostCopy("h", 0, v) }},
+		}, nil, "not finite"},
+		{"kernel_sm", func(s *Sim, v float64) OpID {
+			return s.AddKernel(0, Kernel{Name: "k", Work: 1, Demand: Demand{SM: v, MemBW: 0.5}})
+		}, []float64{math.NaN()}, "SM demand is NaN"},
+		{"kernel_membw", func(s *Sim, v float64) OpID {
+			return s.AddKernel(0, Kernel{Name: "k", Work: 1, Demand: Demand{SM: 0.5, MemBW: v}})
+		}, []float64{math.NaN()}, "MemBW demand is NaN"},
+		{"cpu", func(s *Sim, v float64) OpID { return s.AddCPU("p", v, 1) }, nil, "not finite"},
+		{"comm", func(s *Sim, v float64) OpID { return s.AddComm("c", 0, 1, v) }, nil, "not finite"},
+		{"comm_local", func(s *Sim, v float64) OpID { return s.AddComm("c", 0, 0, v) }, nil, "not finite"},
+		{"linkbusy", func(s *Sim, v float64) OpID { return s.AddLinkBusy("l", 0, v) }, nil, "not finite"},
+		{"hostcopy", func(s *Sim, v float64) OpID { return s.AddHostCopy("h", 0, v) }, nil, "not finite"},
 	}
 	for _, tc := range cases {
-		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		vals := tc.vals
+		if vals == nil {
+			vals = nonFinite
+		}
+		for _, v := range vals {
 			t.Run(tc.name+"/"+strconv.FormatFloat(v, 'g', -1, 64), func(t *testing.T) {
 				s := NewSim(ClusterConfig{NumGPUs: 2})
 				// Fatal before Run: an accepted cost would make it spin.
 				if id := tc.add(s, v); id != InvalidOp {
 					t.Fatalf("cost %v accepted as op %d", v, id)
 				}
-				if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "not finite") {
-					t.Fatalf("Run error = %v, want a not-finite error", err)
+				if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Run error = %v, want a %q error", err, tc.want)
 				}
 			})
+		}
+	}
+}
+
+// TestInfiniteDemandClamps: unlike NaN, an infinite demand is accepted
+// and clamped to [0,1] — +Inf runs as a full demand, −Inf as none.
+func TestInfiniteDemandClamps(t *testing.T) {
+	run := func(d Demand) *Result {
+		t.Helper()
+		s := NewSim(ClusterConfig{NumGPUs: 1})
+		s.AddKernel(0, Kernel{Name: "a", Work: 10, LaunchOverhead: -1, Demand: d})
+		s.AddKernel(0, Kernel{Name: "b", Work: 10, LaunchOverhead: -1, Demand: Demand{SM: 1, MemBW: 1}})
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, c := range []struct{ inf, clamped Demand }{
+		{Demand{SM: math.Inf(1), MemBW: math.Inf(-1)}, Demand{SM: 1}},
+		{Demand{SM: math.Inf(-1), MemBW: math.Inf(1)}, Demand{MemBW: 1}},
+	} {
+		if got, want := ResultDigest(run(c.inf)), ResultDigest(run(c.clamped)); got != want {
+			t.Errorf("demand %+v does not run as %+v", c.inf, c.clamped)
 		}
 	}
 }
@@ -504,28 +551,6 @@ func TestAvgUtilPrefixWindow(t *testing.T) {
 	almost(t, sm, 1.0, 1e-6, "prefix window util")
 	sm, _ = res.AvgUtil(0, 100)
 	almost(t, sm, 0.5, 1e-6, "full window util")
-}
-
-func TestOpsByName(t *testing.T) {
-	s := NewSim(ClusterConfig{NumGPUs: 1})
-	// The first "k" finishes last: results must still come in op-ID order.
-	s.AddKernel(0, Kernel{Name: "k", Work: 10, Demand: Demand{SM: 0.1}})
-	s.AddKernel(0, Kernel{Name: "other", Work: 1, Demand: Demand{SM: 0.1}})
-	s.AddKernel(0, Kernel{Name: "k", Work: 1, Demand: Demand{SM: 0.1}})
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.OpsByName("k")
-	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
-		t.Fatalf("OpsByName = %+v, want ops 0 and 2 in that order", got)
-	}
-	if got[0].End <= got[1].End {
-		t.Fatal("test DAG no longer finishes out of op-ID order")
-	}
-	if res.OpsByName("zzz") != nil {
-		t.Fatal("unknown name returned results")
-	}
 }
 
 func TestDemandClamp(t *testing.T) {

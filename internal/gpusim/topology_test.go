@@ -301,10 +301,11 @@ func buildFabricDAG(seed int64) *Sim {
 
 	n := 50 + rng.Intn(50)
 	var ids []OpID
+	streams := newStreams(s, 4)
 	opts := func() []OpOption {
 		var o []OpOption
 		if rng.Intn(2) == 0 {
-			o = append(o, WithStream(fmt.Sprintf("s%d", rng.Intn(4))))
+			o = append(o, WithStream(streams[rng.Intn(4)]))
 		}
 		if len(ids) > 0 && rng.Intn(3) == 0 {
 			o = append(o, WithDeps(ids[rng.Intn(len(ids))]))

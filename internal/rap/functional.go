@@ -36,6 +36,14 @@ func RunFunctionalLR(w *Workload, workers, globalBatch, iterations int, seed int
 	if globalBatch <= 0 {
 		return nil, fmt.Errorf("rap: invalid globalBatch=%d", globalBatch)
 	}
+	// Reject what RunFunctionalFrom would only find after building the
+	// trainer's replicas and the first batch.
+	if workers <= 0 {
+		return nil, fmt.Errorf("rap: invalid workers=%d", workers)
+	}
+	if globalBatch%workers != 0 {
+		return nil, fmt.Errorf("rap: batch of %d samples not divisible by %d workers", globalBatch, workers)
+	}
 	gen := data.NewGenerator(w.Gen)
 	src := BatchSourceFunc(func() (*tensor.Batch, error) { return gen.NextBatch(globalBatch), nil })
 	return RunFunctionalFrom(w, workers, src, iterations, seed, lr)

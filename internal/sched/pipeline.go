@@ -166,15 +166,15 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 }
 
 // gpuPlan caches what every batch of one GPU shares: its simulator
-// stream keys and its schedule lowered to simulator kernels. Deriving
-// them once per run instead of once per (iteration × GPU) keeps string
-// formatting and kernel lowering out of DAG construction.
+// streams and its schedule lowered to simulator kernels. Deriving
+// them once per run instead of once per (iteration × GPU) keeps kernel
+// lowering out of DAG construction.
 type gpuPlan struct {
-	prep   string // data-preparation stream (host prep + H2D copy)
-	pre    string // preprocessing kernel stream
-	cpupre string // CPU-preprocessing stream (TorchArrow/hybrid mode)
+	prep   gpusim.Stream // data-preparation stream (host prep + H2D copy)
+	pre    gpusim.Stream // preprocessing kernel stream
+	cpupre gpusim.Stream // CPU-preprocessing stream (TorchArrow/hybrid mode)
 	// kernel holds the round-robin kernel streams when PreprocStreams>1.
-	kernel []string
+	kernel []gpusim.Stream
 	// perStage[s] and overflow are Schedule.PerStage[s] and
 	// Schedule.Overflow lowered by KernelSpec.Kernel.
 	perStage [][]loweredKernel
@@ -251,15 +251,11 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 		handles: make([]dlrm.IterHandle, 0, opts.Iterations),
 	}
 	for g := range b.gpus {
-		gp := gpuPlan{
-			prep:   fmt.Sprintf("prep/g%d", g),
-			pre:    fmt.Sprintf("pre/g%d", g),
-			cpupre: fmt.Sprintf("cpupre/g%d", g),
-		}
+		gp := gpuPlan{prep: sim.NewStream(), pre: sim.NewStream(), cpupre: sim.NewStream()}
 		if opts.PreprocStreams > 1 {
-			gp.kernel = make([]string, opts.PreprocStreams)
+			gp.kernel = make([]gpusim.Stream, opts.PreprocStreams)
 			for i := range gp.kernel {
-				gp.kernel[i] = fmt.Sprintf("%s/s%d", gp.pre, i)
+				gp.kernel[i] = sim.NewStream()
 			}
 		}
 		if sch := work[g].Schedule; sch != nil {
@@ -272,7 +268,31 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 		}
 		b.gpus[g] = gp
 	}
+	// Size the op store once for the whole run: every iteration adds
+	// iterOps ops, with about two demands and two dependencies each.
+	n := opts.Iterations * b.iterOps()
+	sim.Grow(n, 2*n, 2*n)
 	return b, nil
+}
+
+// iterOps returns the number of ops addIteration adds: each GPU's
+// training stages and batch preprocessing, and the iteration's end
+// barrier.
+func (b *pipelineBuilder) iterOps() int {
+	n := 1
+	for g, gp := range b.gpus {
+		w := b.work[g]
+		n += dlrm.NumStages + len(gp.overflow)
+		for _, ks := range gp.perStage {
+			n += len(ks)
+		}
+		for _, on := range []bool{w.CPUPrepUs > 0, w.PrepBytes > 0, w.CPUPreprocUs > 0, w.InputCommBytes > 0} {
+			if on {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // addIteration appends iteration i (batch preprocessing on every GPU
@@ -312,7 +332,7 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 	gp := &b.gpus[g]
 	prefix := fmt.Sprintf("b%d/g%d/", i, g)
 	nextStream := 0
-	kernelStream := func() string {
+	kernelStream := func() gpusim.Stream {
 		if opts.PreprocStreams <= 1 {
 			return gp.pre
 		}

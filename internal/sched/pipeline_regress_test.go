@@ -45,13 +45,22 @@ func TestPipelineNoPreprocInputComm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comms := stats.Result.OpsByName("b0/g0/input_comm")
+	named := func(name string) []gpusim.OpResult {
+		var out []gpusim.OpResult
+		for _, o := range stats.Result.Ops {
+			if o.Name == name {
+				out = append(out, o)
+			}
+		}
+		return out
+	}
+	comms := named("b0/g0/input_comm")
 	if len(comms) != 1 {
 		t.Fatalf("input_comm ops for batch 0 = %d, want 1", len(comms))
 	}
 	// The communication must gate the iteration that consumes batch 0:
 	// emb_lookup of iteration 0 cannot start before it completes.
-	lookups := stats.Result.OpsByName("it0/g0/emb_lookup")
+	lookups := named("it0/g0/emb_lookup")
 	if len(lookups) != 1 {
 		t.Fatalf("emb_lookup ops = %d, want 1", len(lookups))
 	}
@@ -62,7 +71,7 @@ func TestPipelineNoPreprocInputComm(t *testing.T) {
 	// Every batch gets its communication, and iteration 0 — which must
 	// wait for batch 0's transfer — finishes later than without it.
 	for i := 1; i < 3; i++ {
-		if got := len(stats.Result.OpsByName(fmt.Sprintf("b%d/g0/input_comm", i))); got != 1 {
+		if got := len(named(fmt.Sprintf("b%d/g0/input_comm", i))); got != 1 {
 			t.Fatalf("input_comm ops for batch %d = %d, want 1", i, got)
 		}
 	}
@@ -72,5 +81,41 @@ func TestPipelineNoPreprocInputComm(t *testing.T) {
 	}
 	if stats.IterEnds[0] <= base.IterEnds[0] {
 		t.Fatal("input communication on a no-preproc GPU had no cost")
+	}
+}
+
+// TestIterOpsCountsEveryOp: the builder sizes the simulator's op store
+// from iterOps before adding anything, so iterOps must count exactly
+// the ops an iteration adds, for every kind of GPU work and option.
+func TestIterOpsCountsEveryOp(t *testing.T) {
+	const n = 3
+	cfg, pl, cm := testSetup(t, n, 4096)
+	rap := buildWork(t, cm, splitGraphs(preproc.MustStandardPlan(1, nil), n), 4096)
+	mixed := append([]GPUWork(nil), rap...)
+	mixed[1] = GPUWork{CPUPreprocUs: 80, PrepBytes: 1e6, InputCommBytes: 1e6}
+	mixed[2].InputCommBytes = 1e6
+	mixed[2].CPUPreprocUs = 40
+	cluster := gpusim.ClusterConfig{NumGPUs: n}.WithDefaults()
+	for _, c := range []struct {
+		name string
+		work []GPUWork
+		opts PipelineOptions
+	}{
+		{"rap", rap, PipelineOptions{Iterations: 3, Interleave: true}},
+		{"mixed", mixed, PipelineOptions{Iterations: 3, PreprocStreams: 3}},
+		{"sequential", mixed, PipelineOptions{Iterations: 2, SequentialPreproc: true}},
+		{"idle", make([]GPUWork, n), PipelineOptions{Iterations: 1}},
+	} {
+		b, err := newPipelineBuilder(cluster, cfg, pl, c.work, c.opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := BuildAndRun(cluster, cfg, pl, c.work, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(stats.Result.Ops), c.opts.Iterations*b.iterOps(); got != want {
+			t.Errorf("%s: %d ops, iterOps counts %d", c.name, got, want)
+		}
 	}
 }

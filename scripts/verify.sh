@@ -13,32 +13,50 @@ cd "$(dirname "$0")/.."
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
 
-echo "== gofmt"
+# phase prints the wall time of the phase that just ended, then starts
+# the named one. The times are a report, not a gate.
+start=$(date +%s)
+phase_start=$start
+phase_name=
+phase() {
+	now=$(date +%s)
+	if [ -n "$phase_name" ]; then
+		echo "   $phase_name: $((now - phase_start)) s"
+	fi
+	phase_name=$1
+	phase_start=$now
+	if [ -n "$phase_name" ]; then
+		echo "== $phase_name"
+	fi
+}
+
+phase gofmt
 # The tree is kept gofmt-clean; list any file that is not.
 test -z "$(gofmt -l .)"
-echo "== go vet"
+phase "go vet"
 go vet ./...
-echo "== go build"
+phase "go build"
 go build ./...
 go build -o "$bin/raplint" ./cmd/raplint
 go build -o "$bin/rapbench" ./cmd/rapbench
-echo "== raplint"
+phase raplint
 "$bin/raplint" -timing -json lint-report.json ./...
-echo "== go test -race"
+phase "go test -race"
 go test -race ./...
-echo "== benchmarks (one iteration each)"
+phase "benchmarks (one iteration each)"
 # go test alone only compiles benchmarks; run each once so a benchmark
 # that fails or panics fails tier-1.
 go test -run '^$' -bench 'BenchmarkEngine|BenchmarkPipeline|BenchmarkCoRunSchedule|BenchmarkFleetJob|BenchmarkSolvePlanSized|BenchmarkSolveGoldenPlans|BenchmarkPlanFusionStandard|BenchmarkBuildPlan|BenchmarkEstimateCapacities|BenchmarkWriteChromeTrace' -benchtime 1x \
 	./internal/gpusim ./internal/sched ./internal/cluster ./internal/milp ./internal/fusion ./internal/rap ./internal/trace
-echo "== bench module"
+phase "bench module"
 # bench/ is its own Go module (rap/bench, replace rap => ../), so the
 # root ./... patterns never compile it; vet and test it here so an API
 # change that breaks the end-to-end benchmark fails tier-1.
 (cd bench && go vet ./... && go test -race ./...)
-echo "== cluster-smoke"
+phase cluster-smoke
 # The fleet simulator (2 nodes x 4 GPUs, 6 jobs, both placement
 # policies) must reproduce its report digests bit-identically across two
 # from-scratch runs; rapbench exits nonzero on any drift.
 "$bin/rapbench" -cluster-smoke
-echo "verify: OK"
+phase ""
+echo "verify: OK ($(($(date +%s) - start)) s)"
