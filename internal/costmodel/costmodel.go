@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 
 	"rap/internal/preproc"
 )
@@ -17,12 +18,23 @@ type CostModel struct {
 }
 
 // NewCostModel wires a predictor and the profiled stage capacities.
+// Every stage's Capacity, Leftover.SM and Leftover.MemBW must be finite
+// and non-negative: a NaN would turn each of Algorithm 1's comparisons
+// false and its predicted exposure NaN.
 func NewCostModel(pred *Predictor, caps []StageCapacity) (*CostModel, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("costmodel: nil predictor")
 	}
 	if len(caps) == 0 {
 		return nil, fmt.Errorf("costmodel: no stage capacities")
+	}
+	for i, c := range caps {
+		for _, v := range [...]float64{c.Capacity, c.Leftover.SM, c.Leftover.MemBW} {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("costmodel: stage %d (%s): capacity %v, leftover SM %v and MemBW %v must each be finite and >= 0",
+					i, c.Name, c.Capacity, c.Leftover.SM, c.Leftover.MemBW)
+			}
+		}
 	}
 	return &CostModel{Pred: pred, Caps: caps}, nil
 }

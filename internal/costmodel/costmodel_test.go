@@ -1,9 +1,11 @@
 package costmodel
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"rap/internal/dlrm"
@@ -279,5 +281,58 @@ func TestNewCostModelErrors(t *testing.T) {
 	}
 	if _, err := NewCostModel(AnalyticPredictor(), nil); err == nil {
 		t.Fatal("no capacities accepted")
+	}
+}
+
+// TestNewCostModelRejectsBadStage: a NaN, infinite or negative
+// capacity or leftover on any stage is rejected, and the error names
+// the stage; every GPU's profiled capacities pass.
+func TestNewCostModelRejectsBadStage(t *testing.T) {
+	cfg, pl := testConfig()
+	good, err := EstimateCapacities(cfg, pl, 0, gpusim.ClusterConfig{NumGPUs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 3
+	for _, tc := range []struct {
+		name  string
+		set   func(*StageCapacity)
+		valid bool
+	}{
+		{"zero capacity and leftover", func(c *StageCapacity) { c.Capacity, c.Leftover.SM, c.Leftover.MemBW = 0, 0, 0 }, true},
+		{"capacity NaN", func(c *StageCapacity) { c.Capacity = math.NaN() }, false},
+		{"capacity +Inf", func(c *StageCapacity) { c.Capacity = math.Inf(1) }, false},
+		{"capacity -Inf", func(c *StageCapacity) { c.Capacity = math.Inf(-1) }, false},
+		{"capacity negative", func(c *StageCapacity) { c.Capacity = -1 }, false},
+		{"leftover SM NaN", func(c *StageCapacity) { c.Leftover.SM = math.NaN() }, false},
+		{"leftover SM +Inf", func(c *StageCapacity) { c.Leftover.SM = math.Inf(1) }, false},
+		{"leftover SM negative", func(c *StageCapacity) { c.Leftover.SM = -0.1 }, false},
+		{"leftover MemBW NaN", func(c *StageCapacity) { c.Leftover.MemBW = math.NaN() }, false},
+		{"leftover MemBW +Inf", func(c *StageCapacity) { c.Leftover.MemBW = math.Inf(1) }, false},
+		{"leftover MemBW negative", func(c *StageCapacity) { c.Leftover.MemBW = -0.1 }, false},
+	} {
+		caps := append([]StageCapacity(nil), good...)
+		tc.set(&caps[at])
+		_, err := NewCostModel(AnalyticPredictor(), caps)
+		if tc.valid {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if want := fmt.Sprintf("stage %d (%s)", at, caps[at].Name); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+		}
+	}
+	for gpu := 0; gpu < pl.NumGPUs; gpu++ {
+		caps, err := EstimateCapacities(cfg, pl, gpu, gpusim.ClusterConfig{NumGPUs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewCostModel(AnalyticPredictor(), caps); err != nil {
+			t.Errorf("gpu %d: profiled capacities rejected: %v", gpu, err)
+		}
 	}
 }

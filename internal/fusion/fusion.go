@@ -67,19 +67,6 @@ func (p *Plan) Kernels() []preproc.KernelSpec {
 	return out
 }
 
-// TotalSoloLatency sums the solo latency of every fused kernel.
-//
-//rap:unit return us
-func (p *Plan) TotalSoloLatency() float64 {
-	t := 0.0
-	for _, s := range p.Steps {
-		for _, k := range s.Kernels {
-			t += k.SoloLatency()
-		}
-	}
-	return t
-}
-
 // MaxFusionDegree returns the largest number of ops fused into one
 // kernel.
 func (p *Plan) MaxFusionDegree() int {

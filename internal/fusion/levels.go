@@ -74,14 +74,39 @@ func NewLevelPlanner(graphs []*preproc.Graph) (*LevelPlanner, error) {
 //
 //rap:deterministic
 func (lp *LevelPlanner) Plan(items []ScaledGraph) (*Plan, error) {
+	shapes, buckets, err := lp.resolve(items)
+	if err != nil {
+		return nil, err
+	}
+	return lower(items, shapes, buckets, lp.types, lp.numLevels), nil
+}
+
+// ScorePlan is Plan without what scoring a candidate mapping never
+// reads: its steps carry no OpIDs and its kernels no names. Every other
+// field, and every kernel's Type, Elements, ParamScale and FusedCount,
+// is bit for bit Plan's, so Algorithm 1 predicts the same latencies on
+// either plan.
+//
+//rap:deterministic
+func (lp *LevelPlanner) ScorePlan(items []ScaledGraph) (*Plan, error) {
+	shapes, buckets, err := lp.resolve(items)
+	if err != nil {
+		return nil, err
+	}
+	return fold(items, shapes, buckets, len(lp.types), lp.numLevels).plan, nil
+}
+
+// resolve returns, for each item, the shape its ops are costed at and
+// its graph's op buckets.
+func (lp *LevelPlanner) resolve(items []ScaledGraph) ([]preproc.Shape, [][]int, error) {
 	byGraph := make([]preproc.Shape, len(lp.buckets))
 	for _, it := range items {
 		gi, ok := lp.index[it.Graph]
 		if !ok {
 			if it.Graph == nil {
-				return nil, fmt.Errorf("fusion: item has no graph")
+				return nil, nil, fmt.Errorf("fusion: item has no graph")
 			}
-			return nil, fmt.Errorf("fusion: graph %q is not one the level planner was built with", it.Graph.Name)
+			return nil, nil, fmt.Errorf("fusion: graph %q is not one the level planner was built with", it.Graph.Name)
 		}
 		byGraph[gi] = it.Shape
 	}
@@ -91,7 +116,7 @@ func (lp *LevelPlanner) Plan(items []ScaledGraph) (*Plan, error) {
 		gi := lp.index[it.Graph]
 		shapes[i], buckets[i] = byGraph[gi], lp.buckets[gi]
 	}
-	return lower(items, shapes, buckets, lp.types, lp.numLevels), nil
+	return shapes, buckets, nil
 }
 
 // opTypes returns the distinct op types of the graphs in ascending order
@@ -114,14 +139,26 @@ func opTypes(graphs []*preproc.Graph) ([]preproc.OpType, map[preproc.OpType]int)
 	return types, pos
 }
 
-// lower groups ops into fused kernels by (step, type) bucket and emits
-// them in (step, type) order. buckets[i][j] is step*len(types) + type
-// position of items[i]'s op j, and shapes[i] the shape items[i]'s ops
-// are costed at. Each bucket folds its specs in item order, then op
-// order, so float sums round the same way on every path.
-func lower(items []ScaledGraph, shapes []preproc.Shape, buckets [][]int, types []preproc.OpType, numSteps int) *Plan {
-	nt := len(types)
-	count := make([]int, numSteps*nt)
+// folded is the kernel fold of one lowering: plan's steps hold the
+// fused kernels, without op IDs or names; count[b] is bucket b's op
+// count, and kernelOf[b] its kernel's index in kernels when count[b] > 0.
+type folded struct {
+	plan     *Plan
+	kernels  []preproc.KernelSpec // every step's kernels, in launch order
+	count    []int
+	kernelOf []int
+}
+
+// fold groups ops into fused kernels by (step, type) bucket and emits
+// them in (step, type) order. buckets[i][j] is step*nt + type position
+// of items[i]'s op j, and shapes[i] the shape items[i]'s ops are costed
+// at. Each bucket folds its specs in item order, then op order, so
+// float sums round the same way on every path.
+func fold(items []ScaledGraph, shapes []preproc.Shape, buckets [][]int, nt, numSteps int) folded {
+	nb := numSteps * nt
+	counts := make([]int, 3*nb)
+	// folds[b] counts the specs folded into bucket b's kernel so far.
+	count, kernelOf, folds := counts[:nb:nb], counts[nb:2*nb:2*nb], counts[2*nb:]
 	numOps := 0
 	for _, bs := range buckets {
 		for _, b := range bs {
@@ -130,14 +167,10 @@ func lower(items []ScaledGraph, shapes []preproc.Shape, buckets [][]int, types [
 		numOps += len(bs)
 	}
 	if numOps == 0 {
-		return &Plan{Optimal: true}
+		return folded{plan: &Plan{Optimal: true}}
 	}
 
-	// Kernel k owns bucket b (kernelOf[b] = k) and the slots of ids that
-	// opIDs[k] grows into, so collecting op ids allocates nothing more.
 	plan := &Plan{NumOps: numOps}
-	ids := make([]string, numOps)
-	kernelOf := make([]int, len(count))
 	numStepsUsed, lastStep := 0, -1
 	for b, c := range count {
 		if c == 0 {
@@ -151,29 +184,23 @@ func lower(items []ScaledGraph, shapes []preproc.Shape, buckets [][]int, types [
 			lastStep = s
 		}
 	}
-	opIDs := make([][]string, plan.NumKernels)
-	off := 0
-	for b, c := range count {
-		if c > 0 {
-			opIDs[kernelOf[b]] = ids[off : off : off+c]
-			off += c
-		}
-	}
 	kernels := make([]preproc.KernelSpec, plan.NumKernels)
 	for i, it := range items {
 		for j, op := range it.Graph.Ops {
-			k := kernelOf[buckets[i][j]]
+			b := buckets[i][j]
+			k := kernelOf[b]
 			// Both callers pass a twice-placed graph's last piece's shape for
 			// every piece: a known fidelity gap that moves the simulated
 			// metrics when fixed, pinned by
 			// TestPlanFusionDuplicateGraphUsesLastShape.
 			spec := op.Spec(shapes[i])
-			if len(opIDs[k]) == 0 {
+			if folds[b] == 0 {
 				kernels[k] = spec
+				kernels[k].Name = ""
 			} else {
 				kernels[k] = kernels[k].MustFuse(spec)
 			}
-			opIDs[k] = append(opIDs[k], op.ID())
+			folds[b]++
 		}
 	}
 
@@ -184,13 +211,50 @@ func lower(items []ScaledGraph, shapes []preproc.Shape, buckets [][]int, types [
 			continue
 		}
 		k, step := kernelOf[b], b/nt
-		kernels[k].Name = "fused/" + types[b%nt].String() + "@s" + strconv.Itoa(step) + " x" + strconv.Itoa(c)
 		if n := len(plan.Steps); n == 0 || plan.Steps[n-1].Index != step {
 			plan.Steps = append(plan.Steps, Step{Index: step})
 			first = k
 		}
-		s := &plan.Steps[len(plan.Steps)-1]
-		s.Kernels, s.OpIDs = kernels[first:k+1:k+1], opIDs[first:k+1:k+1]
+		plan.Steps[len(plan.Steps)-1].Kernels = kernels[first : k+1 : k+1]
+	}
+	return folded{plan: plan, kernels: kernels, count: count, kernelOf: kernelOf}
+}
+
+// lower is fold plus what a plan the pipeline runs needs: each step's
+// op IDs and each kernel's name.
+func lower(items []ScaledGraph, shapes []preproc.Shape, buckets [][]int, types []preproc.OpType, numSteps int) *Plan {
+	nt := len(types)
+	f := fold(items, shapes, buckets, nt, numSteps)
+	plan := f.plan
+	if plan.NumOps == 0 {
+		return plan
+	}
+	// Kernel k owns the slots of ids that opIDs[k] grows into, so
+	// collecting op ids allocates nothing more.
+	ids := make([]string, plan.NumOps)
+	opIDs := make([][]string, plan.NumKernels)
+	off := 0
+	for b, c := range f.count {
+		if c == 0 {
+			continue
+		}
+		k := f.kernelOf[b]
+		opIDs[k] = ids[off : off : off+c]
+		off += c
+		f.kernels[k].Name = "fused/" + types[b%nt].String() + "@s" + strconv.Itoa(b/nt) + " x" + strconv.Itoa(c)
+	}
+	for i, it := range items {
+		for j, op := range it.Graph.Ops {
+			k := f.kernelOf[buckets[i][j]]
+			opIDs[k] = append(opIDs[k], op.ID())
+		}
+	}
+	first := 0
+	for i := range plan.Steps {
+		s := &plan.Steps[i]
+		end := first + len(s.Kernels)
+		s.OpIDs = opIDs[first:end:end]
+		first = end
 	}
 	return plan
 }

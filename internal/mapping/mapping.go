@@ -88,6 +88,16 @@ func (c Config) validate() error {
 	if c.PerGPUBatch <= 0 {
 		return fmt.Errorf("mapping: PerGPUBatch must be positive")
 	}
+	// A NaN would slip past linkGBs' default and turn every default-cost
+	// communication term NaN.
+	if math.IsNaN(c.LinkGBs) || math.IsInf(c.LinkGBs, 0) {
+		return fmt.Errorf("mapping: LinkGBs is %v, want a finite value (<= 0 for the default)", c.LinkGBs)
+	}
+	for g, v := range c.CapacityPerGPU {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("mapping: CapacityPerGPU[%d] is %v, want a finite value >= 0", g, v)
+		}
+	}
 	for _, g := range c.Plan.Graphs {
 		for _, o := range g.Outputs {
 			if o.Table >= len(c.Placement.TableGPU) {

@@ -213,6 +213,48 @@ func TestMappingValidation(t *testing.T) {
 	}
 }
 
+// TestMappingRejectsNonFiniteConfig: a NaN or infinite LinkGBs, and a
+// NaN, infinite or negative CapacityPerGPU entry, are errors from every
+// strategy; a zero or negative LinkGBs still means the default.
+func TestMappingRejectsNonFiniteConfig(t *testing.T) {
+	plan := preproc.MustStandardPlan(1, nil)
+	for _, tc := range []struct {
+		name  string
+		set   func(*Config)
+		valid bool
+	}{
+		{"LinkGBs default", func(c *Config) { c.LinkGBs = 0 }, true},
+		{"LinkGBs negative default", func(c *Config) { c.LinkGBs = -1 }, true},
+		{"LinkGBs NaN", func(c *Config) { c.LinkGBs = math.NaN() }, false},
+		{"LinkGBs +Inf", func(c *Config) { c.LinkGBs = math.Inf(1) }, false},
+		{"LinkGBs -Inf", func(c *Config) { c.LinkGBs = math.Inf(-1) }, false},
+		{"capacity zero", func(c *Config) { c.CapacityPerGPU = []float64{0, 0} }, true},
+		{"capacity NaN", func(c *Config) { c.CapacityPerGPU = []float64{100, math.NaN()} }, false},
+		{"capacity +Inf", func(c *Config) { c.CapacityPerGPU = []float64{math.Inf(1), 100} }, false},
+		{"capacity -Inf", func(c *Config) { c.CapacityPerGPU = []float64{100, math.Inf(-1)} }, false},
+		{"capacity negative", func(c *Config) { c.CapacityPerGPU = []float64{-1, 100} }, false},
+	} {
+		for _, st := range []struct {
+			name     string
+			strategy func(Config) (*Result, error)
+		}{
+			{"DataParallel", DataParallel},
+			{"DataLocality", DataLocality},
+			{"RAPSearch", RAPSearch},
+		} {
+			cfg := cfgFor(t, plan, 2)
+			tc.set(&cfg)
+			_, err := st.strategy(cfg)
+			if tc.valid && err != nil {
+				t.Errorf("%s/%s: rejected: %v", tc.name, st.name, err)
+			}
+			if !tc.valid && err == nil {
+				t.Errorf("%s/%s: accepted", tc.name, st.name)
+			}
+		}
+	}
+}
+
 // TestMappingRejectsUnplacedTables: a placement that covers fewer tables
 // than the plan's graphs feed is an error from every strategy, not an
 // index panic.

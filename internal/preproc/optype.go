@@ -356,19 +356,28 @@ func (s KernelSpec) MaxElementsForDemand(leftoverSM, leftoverBW float64) float64
 }
 
 // Shard splits the kernel into a piece with the given fraction of the
-// elements and the remainder (§6.2's resource-aware kernel sharding).
-// Fractions are clipped to [0.001, 0.999], so both shards keep at least
-// a thousandth of the elements. Both pieces keep the receiver's Name; the co-run scheduler
-// names the pieces it finally places (`~shard`, `~rest`).
+// elements and the remainder (§6.2's resource-aware kernel sharding),
+// with ShardElements' arithmetic. Both pieces keep the receiver's Name;
+// the co-run scheduler names the pieces it finally places (`~shard`,
+// `~rest`).
 func (s KernelSpec) Shard(frac float64) (KernelSpec, KernelSpec) {
+	a, b := s, s
+	a.Elements, b.Elements = ShardElements(s.Elements, frac)
+	return a, b
+}
+
+// ShardElements splits an element count into a shard of the given
+// fraction and the remainder. Fractions are clipped to [0.001, 0.999],
+// so both keep at least a thousandth of the elements.
+//
+//rap:unit elements elem
+//rap:unit frac 1
+func ShardElements(elements, frac float64) (shard, rest float64) {
 	if frac < 0.001 {
 		frac = 0.001
 	}
 	if frac > 0.999 {
 		frac = 0.999
 	}
-	a, b := s, s
-	a.Elements = s.Elements * frac
-	b.Elements = s.Elements * (1 - frac)
-	return a, b
+	return elements * frac, elements * (1 - frac)
 }

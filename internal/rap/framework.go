@@ -173,9 +173,10 @@ func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
 	// (Algorithm 1, with the level-greedy fusion) for the candidate
 	// assignment and take the cost model's exposed latency plus the
 	// communication cost of the move. The level planner validates the
-	// plan's graphs once, so a candidate costs only its lowering, and
-	// CoRunExposed returns the exposed latency without building the
-	// schedule it would throw away. A
+	// plan's graphs once, so a candidate costs only its kernel fold
+	// (ScorePlan: no op IDs or kernel names), and CoRunExposed returns
+	// the exposed latency without building the schedule it would throw
+	// away. A
 	// candidate that fails to score records the first error for
 	// BuildPlan to return — an unscorable candidate means the search
 	// itself is compromised, not just that one move is unattractive.
@@ -200,7 +201,7 @@ func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
 		if opts.NoFusion {
 			fp, err = fusion.PlanFusionScaled(sg, fusion.Options{Disable: true})
 		} else {
-			fp, err = levels.Plan(sg)
+			fp, err = levels.ScorePlan(sg)
 		}
 		if err != nil {
 			return fail("greedy fusion", gpu, err)

@@ -34,18 +34,24 @@ func BenchmarkPipeline(b *testing.B) {
 // `wide` (widePlans), once per entry point: CoRunSchedule, which the
 // per-GPU lowering calls, and CoRunExposed, which the mapping search
 // scores every candidate with. One op covers all 4 GPUs; shards/op is
-// the plans' summed NumShards, so ns/op over shards/op is the cost per
-// shard.
+// the plans' summed NumShards, and pieces/op the shards Algorithm 1
+// cuts in both passes, the discarded first included, so ns/op over
+// pieces/op is the cost per piece.
 // `go test -run '^$' -bench BenchmarkCoRunSchedule ./internal/sched`.
 func BenchmarkCoRunSchedule(b *testing.B) {
 	plans, cm := widePlans(b, 4096)
-	shards := 0
+	shards, pieces := 0, 0
 	for _, fp := range plans {
-		sch, err := CoRunSchedule(fp, cm, Options{})
+		a, err := corun(fp, cm, Options{}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		shards += sch.NumShards
+		shards += a.shards
+		pieces += a.pieces
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(shards), "shards/op")
+		b.ReportMetric(float64(pieces), "pieces/op")
 	}
 	b.Run("schedule", func(b *testing.B) {
 		b.ReportAllocs()
@@ -56,7 +62,7 @@ func BenchmarkCoRunSchedule(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(shards), "shards/op")
+		report(b)
 	})
 	b.Run("exposed", func(b *testing.B) {
 		b.ReportAllocs()
@@ -67,6 +73,6 @@ func BenchmarkCoRunSchedule(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(shards), "shards/op")
+		report(b)
 	})
 }

@@ -103,19 +103,6 @@ type PipelineStats struct {
 	TrainOnlyLatency float64
 }
 
-// ExposedFraction is (steady latency − train-only latency) / train-only
-// latency: how much preprocessing remained exposed.
-func (p *PipelineStats) ExposedFraction() float64 {
-	if p.TrainOnlyLatency <= 0 {
-		return 0
-	}
-	f := (p.SteadyIterLatency - p.TrainOnlyLatency) / p.TrainOnlyLatency
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
 // BuildAndRun constructs the full pipelined DLRM-training +
 // preprocessing DAG and simulates it. work must have one entry per GPU.
 func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placement, work []GPUWork, opts PipelineOptions) (*PipelineStats, error) {

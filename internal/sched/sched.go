@@ -146,6 +146,9 @@ type assignment struct {
 	perStage [][]piece
 	overflow []piece
 	shards   int
+	// pieces counts the shards cut in both passes, the discarded first
+	// pass included: the piece loop's work, where shards is the result.
+	pieces int
 	// exposed is the cost model's LΔ, summed from the carried
 	// predictions in ScheduleCost's order plus the overflow.
 	exposed float64 //rap:unit us
@@ -270,7 +273,12 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 	// there is none. The prefix changes no queue entry past the one it
 	// stops at, so the redo restores the queue from planned and that
 	// one entry.
+	//
+	// With keep, the placed pieces go to one slice, stage after stage,
+	// and each stage's pieces are its window of that slice; the redo
+	// truncates it to the prefix's pieces.
 	var out assignment
+	var placed []piece
 	if keep {
 		out.perStage = make([][]piece, numStages)
 	}
@@ -281,15 +289,23 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 	// position only in Elements, and Predict is a pure function of the
 	// spec, so a shard at the same position with bit-identical Elements
 	// as the last one predicted reuses its prediction: demand-limited
-	// runs cut the same shard over and over.
+	// runs cut the same shard over and over. Shards are predicted
+	// through one spec, copied from the queue entry when the position
+	// changes, so cutting a piece copies no spec.
 	shardPos, shardElems, shardP := -1, uint64(0), 0.0
-	predictShard := func(k preproc.KernelSpec) float64 {
-		if pos != shardPos || math.Float64bits(k.Elements) != shardElems {
-			shardPos, shardElems, shardP = pos, math.Float64bits(k.Elements), cm.Pred.Predict(k)
+	var shard preproc.KernelSpec
+	predictShard := func(elems float64) float64 {
+		if pos != shardPos || math.Float64bits(elems) != shardElems {
+			if pos != shardPos {
+				shard = queue[pos].k
+			}
+			shard.Elements = elems
+			shardPos, shardElems, shardP = pos, math.Float64bits(elems), cm.Pred.Predict(shard)
 		}
 		return shardP
 	}
 	stage := func(s int) {
+		start := len(placed)
 		sum := 0.0
 		remaining := cm.Caps[s].Capacity * packFraction
 		leftover := cm.Caps[s].Leftover
@@ -302,27 +318,28 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 		demandPos, demandMax := -1, 0.0
 		for selected[s] && pos < len(queue) {
 			q := &queue[pos]
-			k, p := q.k, q.p
+			p := q.p
 			if p <= 0 {
 				pos++
 				continue
 			}
 			if pos != demandPos {
-				demandPos, demandMax = pos, k.MaxElementsForDemand(occCap, leftover.MemBW+DemandSlack)
+				demandPos, demandMax = pos, q.k.MaxElementsForDemand(occCap, leftover.MemBW+DemandSlack)
 			}
 			if demandMax <= 0 {
 				break // this stage can never host this kernel type
 			}
+			elems := q.k.Elements
 			frac := 1.0
-			if k.Elements > demandMax {
-				frac = demandMax / k.Elements
+			if elems > demandMax {
+				frac = demandMax / elems
 			}
 			if capFrac := remaining / p; capFrac < frac {
 				frac = capFrac
 			}
 			if frac >= 1 {
 				if keep {
-					out.perStage[s] = append(out.perStage[s], *q)
+					placed = append(placed, *q)
 				}
 				sum += p
 				remaining -= p
@@ -332,33 +349,40 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 			if opts.DisableSharding || remaining < minShardLatency {
 				break // stage full; spill to the next selected stage
 			}
-			k1, k2 := k.Shard(frac)
-			p1 := predictShard(k1)
+			e1, e2 := preproc.ShardElements(elems, frac)
+			p1 := predictShard(e1)
 			if p1 > remaining && frac > 0.002 {
 				// A demand-limited shard runs at leftover speed, so
 				// its latency exceeds the naive frac·p estimate;
 				// shrink it to the remaining capacity.
-				k1, k2 = k.Shard(frac * remaining / p1)
-				p1 = predictShard(k1)
+				e1, e2 = preproc.ShardElements(elems, frac*remaining/p1)
+				p1 = predictShard(e1)
 			}
 			if p1 < minShardLatency || p1 > remaining+minShardLatency {
 				break // no useful piece fits this stage
 			}
 			if keep {
-				out.perStage[s] = append(out.perStage[s], piece{k: k1, p: p1, part: shardPart})
+				pc := piece{k: q.k, p: p1, part: shardPart}
+				pc.k.Elements = e1
+				placed = append(placed, pc)
 			}
 			sum += p1
 			remaining -= p1
 			out.shards++
-			// The rest keeps the queue entry's other fields; writing
-			// only what changes stores no string header.
-			q.k.Elements, q.p, q.part = k2.Elements, cm.Pred.Predict(k2), restPart
+			out.pieces++
+			// The rest is the queue entry with the rest's Elements,
+			// written in place.
+			q.k.Elements = e2
+			q.p, q.part = cm.Pred.Predict(q.k), restPart
 			// Keep filling this stage: more pieces may fit.
 		}
 		backlog += sum
 		backlog -= cm.Caps[s].Capacity
 		if backlog < 0 {
 			backlog = 0
+		}
+		if keep && len(placed) > start {
+			out.perStage[s] = placed[start:len(placed):len(placed)]
 		}
 	}
 
@@ -368,7 +392,7 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 		first++
 	}
 	if first < numStages {
-		pos0, backlog0, shards0 := pos, backlog, out.shards
+		pos0, backlog0, shards0, placed0 := pos, backlog, out.shards, len(placed)
 		var head piece
 		if pos0 < len(queue) {
 			head = queue[pos0]
@@ -377,7 +401,7 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 			stage(s)
 		}
 		if pos < len(queue) {
-			pos, backlog, out.shards = pos0, backlog0, shards0
+			pos, backlog, out.shards, placed = pos0, backlog0, shards0, placed[:placed0]
 			copy(queue[pos0:], planned[pos0:])
 			queue[pos0] = head
 			for s := first; s < numStages; s++ {

@@ -231,10 +231,10 @@ func TestPipelineOverlapBeatsSequential(t *testing.T) {
 		t.Fatalf("overlap %.0f vs sequential %.0f samples/s — no benefit", overlapped.Throughput, seq.Throughput)
 	}
 	// Overlapped latency should be close to train-only (small exposure).
-	if overlapped.ExposedFraction() > 0.25 {
-		t.Fatalf("exposed fraction %.3f too high", overlapped.ExposedFraction())
+	if exposedFraction(overlapped) > 0.25 {
+		t.Fatalf("exposed fraction %.3f too high", exposedFraction(overlapped))
 	}
-	if seq.ExposedFraction() < overlapped.ExposedFraction() {
+	if exposedFraction(seq) < exposedFraction(overlapped) {
 		t.Fatal("sequential should expose more")
 	}
 }
@@ -334,4 +334,17 @@ func TestPipelineValidation(t *testing.T) {
 	if _, err := BuildAndRun(gpusim.ClusterConfig{NumGPUs: 4}, cfg, pl, make([]GPUWork, 4), PipelineOptions{}); err == nil {
 		t.Fatal("placement/cluster mismatch accepted")
 	}
+}
+
+// exposedFraction is (steady latency − train-only latency) / train-only
+// latency: how much preprocessing remained exposed.
+func exposedFraction(p *PipelineStats) float64 {
+	if p.TrainOnlyLatency <= 0 {
+		return 0
+	}
+	f := (p.SteadyIterLatency - p.TrainOnlyLatency) / p.TrainOnlyLatency
+	if f < 0 {
+		return 0
+	}
+	return f
 }
