@@ -9,7 +9,6 @@ package gbdt
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -192,34 +191,4 @@ func buildTree(X [][]float64, target []float64, idx []int, depth, minLeaf int) *
 		left:      buildTree(X, target, left, depth-1, minLeaf),
 		right:     buildTree(X, target, right, depth-1, minLeaf),
 	}
-}
-
-// RMSE returns the root-mean-squared error of the model on (X, y).
-func (m *Model) RMSE(X [][]float64, y []float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, row := range X {
-		d := m.Predict(row) - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(X)))
-}
-
-// WithinRelative returns the fraction of samples whose prediction is
-// within tol (relative) of the target — the Table 5 accuracy metric
-// ("predicted latency deviates by no more than a 10% gap").
-func (m *Model) WithinRelative(X [][]float64, y []float64, tol float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	hit := 0
-	for i, row := range X {
-		p := m.Predict(row)
-		if math.Abs(p-y[i]) <= tol*math.Max(math.Abs(y[i]), 1e-12) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(X))
 }

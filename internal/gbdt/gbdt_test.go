@@ -72,7 +72,7 @@ func TestFitsSmoothFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := m.WithinRelative(X, y, 0.10); acc < 0.9 {
+	if acc := m.withinRelative(X, y, 0.10); acc < 0.9 {
 		t.Fatalf("train accuracy@10%% = %f", acc)
 	}
 	// Held-out points.
@@ -83,7 +83,7 @@ func TestFitsSmoothFunction(t *testing.T) {
 		Xt = append(Xt, []float64{a, b})
 		yt = append(yt, target(a, b))
 	}
-	if acc := m.WithinRelative(Xt, yt, 0.15); acc < 0.8 {
+	if acc := m.withinRelative(Xt, yt, 0.15); acc < 0.8 {
 		t.Fatalf("test accuracy@15%% = %f", acc)
 	}
 }
@@ -105,8 +105,8 @@ func TestMoreTreesHelp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if many.RMSE(X, y) >= few.RMSE(X, y) {
-		t.Fatalf("boosting did not reduce RMSE: %f vs %f", many.RMSE(X, y), few.RMSE(X, y))
+	if many.rmse(X, y) >= few.rmse(X, y) {
+		t.Fatalf("boosting did not reduce RMSE: %f vs %f", many.rmse(X, y), few.rmse(X, y))
 	}
 	if many.NumTrees() != 80 {
 		t.Fatalf("NumTrees = %d", many.NumTrees())
@@ -155,10 +155,10 @@ func TestWithinRelativeAndRMSEEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.WithinRelative(nil, nil, 0.1) != 0 || m.RMSE(nil, nil) != 0 {
+	if m.withinRelative(nil, nil, 0.1) != 0 || m.rmse(nil, nil) != 0 {
 		t.Fatal("empty eval should be 0")
 	}
-	if acc := m.WithinRelative([][]float64{{1}}, []float64{1}, 0.1); acc != 1 {
+	if acc := m.withinRelative([][]float64{{1}}, []float64{1}, 0.1); acc != 1 {
 		t.Fatalf("perfect accuracy = %f", acc)
 	}
 }
@@ -195,4 +195,34 @@ func TestPredictionRangeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rmse returns the root-mean-squared error of the model on (X, y).
+func (m *Model) rmse(X [][]float64, y []float64) float64 {
+	if len(X) == 0 {
+		return 0
+	}
+	s := 0.0
+	for i, row := range X {
+		d := m.Predict(row) - y[i]
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(X)))
+}
+
+// withinRelative returns the fraction of samples whose prediction is
+// within tol (relative) of the target — the Table 5 accuracy metric
+// ("predicted latency deviates by no more than a 10% gap").
+func (m *Model) withinRelative(X [][]float64, y []float64, tol float64) float64 {
+	if len(X) == 0 {
+		return 0
+	}
+	hit := 0
+	for i, row := range X {
+		p := m.Predict(row)
+		if math.Abs(p-y[i]) <= tol*math.Max(math.Abs(y[i]), 1e-12) {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(X))
 }

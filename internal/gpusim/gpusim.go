@@ -540,8 +540,9 @@ func (s *Sim) Topology() *topo.Topology { return s.topo }
 // Grow makes room for ops more ops, holding demands demands and deps
 // dependencies between them, so that adding them moves no storage. A
 // caller that knows its DAG's size sizes the store once instead of
-// letting it grow by doubling.
+// letting it grow by doubling. A non-positive size reserves nothing.
 func (s *Sim) Grow(ops, demands, deps int) {
+	ops, demands, deps = max(ops, 0), max(demands, 0), max(deps, 0)
 	s.ops = slices.Grow(s.ops, ops)
 	s.names = slices.Grow(s.names, ops)
 	s.tags = slices.Grow(s.tags, ops)

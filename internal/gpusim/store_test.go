@@ -58,6 +58,17 @@ func TestAddKernelAllocsOnceSized(t *testing.T) {
 	}
 }
 
+// TestGrowIgnoresNonPositive: a non-positive size reserves nothing
+// instead of panicking.
+func TestGrowIgnoresNonPositive(t *testing.T) {
+	s := NewSim(ClusterConfig{NumGPUs: 1})
+	s.Grow(-1, -1, -1)
+	s.Grow(0, 0, 0)
+	if cap(s.ops) != 0 || cap(s.names) != 0 || cap(s.tags) != 0 || cap(s.depEnd) != 0 || cap(s.dems) != 0 || cap(s.deps) != 0 {
+		t.Fatalf("Grow reserved room: ops %d, demands %d, deps %d", cap(s.ops), cap(s.dems), cap(s.deps))
+	}
+}
+
 // TestOptionOutOfRangeRejected: the op store keeps stream handles,
 // dependency ids and priorities as int32s, so an option whose value is
 // not a stream of the Sim or does not fit is rejected at add time, like

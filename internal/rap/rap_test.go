@@ -96,6 +96,22 @@ func TestBuildPlanAndExecute(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsAbsurdIterations: a run of more ops than gpusim
+// indexes is an error naming the iteration count, returned before the
+// op store is sized for it (which ran the process out of memory).
+func TestExecuteRejectsAbsurdIterations(t *testing.T) {
+	w := workload(t, Terabyte, 1, 4096)
+	f := New(w, gpusim.ClusterConfig{NumGPUs: 2})
+	p, err := f.BuildPlan(BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Execute(p, 1<<40)
+	if err == nil || !strings.Contains(err.Error(), "1099511627776 iterations") {
+		t.Fatalf("error = %v, want one naming the 1099511627776 iterations", err)
+	}
+}
+
 func TestBuildPlanStrategies(t *testing.T) {
 	w := workload(t, Terabyte, 1, 4096)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})

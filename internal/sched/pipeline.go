@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"rap/internal/dlrm"
 	"rap/internal/gpusim"
@@ -230,12 +231,11 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 		return nil, err
 	}
 	b := &pipelineBuilder{
-		sim:     sim,
-		tmpl:    tmpl,
-		work:    work,
-		opts:    opts,
-		gpus:    make([]gpuPlan, cluster.NumGPUs),
-		handles: make([]dlrm.IterHandle, 0, opts.Iterations),
+		sim:  sim,
+		tmpl: tmpl,
+		work: work,
+		opts: opts,
+		gpus: make([]gpuPlan, cluster.NumGPUs),
 	}
 	for g := range b.gpus {
 		gp := gpuPlan{prep: sim.NewStream(), pre: sim.NewStream(), cpupre: sim.NewStream()}
@@ -255,10 +255,18 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 		}
 		b.gpus[g] = gp
 	}
+	// gpusim indexes ops by int32, so a run of more ops is refused
+	// before anything is sized for it.
+	iterOps := b.iterOps()
+	if opts.Iterations > math.MaxInt32/iterOps {
+		return nil, fmt.Errorf("sched: %d iterations of %d ops each exceed the %d ops a simulation holds",
+			opts.Iterations, iterOps, math.MaxInt32)
+	}
 	// Size the op store once for the whole run: every iteration adds
 	// iterOps ops, with about two demands and two dependencies each.
-	n := opts.Iterations * b.iterOps()
+	n := opts.Iterations * iterOps
 	sim.Grow(n, 2*n, 2*n)
+	b.handles = make([]dlrm.IterHandle, 0, opts.Iterations)
 	return b, nil
 }
 

@@ -109,27 +109,6 @@ func (t *Topology) NodeOf(g int) int {
 	return t.nodeOf[g]
 }
 
-// NodeSize returns the number of GPUs on node n; 0 when out of range.
-func (t *Topology) NodeSize(n int) int {
-	if n < 0 || n >= t.nodes {
-		return 0
-	}
-	c := 0
-	for _, m := range t.nodeOf {
-		if m == n {
-			c++
-		}
-	}
-	return c
-}
-
-// CrossNode reports whether GPUs a and b live on different nodes.
-// Out-of-range indices report false (they cross nothing).
-func (t *Topology) CrossNode(a, b int) bool {
-	na, nb := t.NodeOf(a), t.NodeOf(b)
-	return na >= 0 && nb >= 0 && na != nb
-}
-
 // Validate checks the topology's structural and fabric parameters.
 func (t *Topology) Validate() error {
 	if t == nil {

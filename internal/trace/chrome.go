@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 
 	"rap/internal/gpusim"
@@ -36,18 +35,78 @@ func tidFor(tag string) int {
 	}
 }
 
-// startKey orders ops by start time; i indexes res.Ops.
-type startKey struct {
-	start float64 //rap:unit us
-	i     int32
+// startBits maps a start time to a key whose unsigned order is the
+// float order: a negative value's bits are flipped, a non-negative value's
+// sign bit is set, and −0 is folded onto +0 first, since the two are
+// equal under <. NaN starts never reach it: they are rejected.
+//
+//rap:unit start us
+func startBits(start float64) uint64 {
+	b := math.Float64bits(start)
+	if b == 1<<63 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
+
+// radixDigit is the width of one radix-sort digit in bits: six
+// counting passes cover a 64-bit key.
+const radixDigit = 11
+
+// digit returns the d-th radixDigit-bit digit of k, from the lowest.
+func digit(k uint64, d int) uint64 { return (k >> (radixDigit * d)) & (1<<radixDigit - 1) }
+
+// radixSort sorts the op indices order by keys[i] with a stable LSD
+// radix sort: one counting pass per digit, none for a digit that every
+// key shares. tmp is scratch of len(order); the result is order or
+// tmp.
+func radixSort(order, tmp []int32, keys []uint64) []int32 {
+	var counts [(64 + radixDigit - 1) / radixDigit][1 << radixDigit]int32
+	for _, i := range order {
+		for d := range counts {
+			counts[d][digit(keys[i], d)]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		if len(order) == 0 || int(c[digit(keys[order[0]], d)]) == len(order) {
+			continue
+		}
+		var sum int32
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, i := range order {
+			b := digit(keys[i], d)
+			tmp[c[b]] = i
+			c[b]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
+}
+
+// chromeRow is one (pid, tid) display row's memo: the rendered
+// `{"name":…,"cat":…,"ph":"X","ts":` prefix of its last event, valid
+// while the row's next event has the same name and tag.
+type chromeRow struct {
+	name, tag string
+	prefix    []byte
+}
+
+// chromeTids is the number of thread rows tidFor assigns.
+const chromeTids = 5
 
 // WriteChromeTrace renders the simulation result as a Chrome trace-event
 // JSON array of "complete" events (ph=X, timestamps and durations in
 // microseconds): one process per GPU (host ops, GPU < 0, on pid
-// numGPUs), one thread row per op class, sorted by start time. Ops of
-// zero or negative width are left out. Load the file in chrome://tracing
-// or Perfetto to inspect the co-running timeline visually.
+// numGPUs), one thread row per op class, in (start, op ID) order, where
+// an op's ID is its index in res.Ops. Ops of zero or negative width are
+// left out. Load the file in chrome://tracing or Perfetto to inspect
+// the co-running timeline visually.
 //
 // The bytes are those encoding/json's Encoder writes for the same event
 // list, but streamed through one chromeBufSize buffer. A nil result,
@@ -64,12 +123,16 @@ func WriteChromeTrace(w io.Writer, res *gpusim.Result, numGPUs int) error {
 	if len(res.Ops) > math.MaxInt32 {
 		return fmt.Errorf("trace: %d ops exceed the %d a trace indexes", len(res.Ops), math.MaxInt32)
 	}
-	keys := make([]startKey, len(res.Ops))
+	// Only visible ops enter order, in ID order, so the stable sort
+	// leaves ops that tie on start in ID order. keys[i] is op i's
+	// startBits.
+	keys := make([]uint64, len(res.Ops))
+	order := make([]int32, 0, len(res.Ops))
+	maxGPU := -1
 	for i := range res.Ops {
 		o := &res.Ops[i]
-		keys[i] = startKey{o.Start, int32(i)}
 		if o.End <= o.Start {
-			continue
+			continue // barriers and zero-width ops clutter the view
 		}
 		if o.GPU >= numGPUs {
 			return fmt.Errorf("trace: op %d (%q) on GPU %d of %d", i, o.Name, o.GPU, numGPUs)
@@ -77,46 +140,48 @@ func WriteChromeTrace(w io.Writer, res *gpusim.Result, numGPUs int) error {
 		if !finite(o.Start) || !finite(o.End-o.Start) {
 			return fmt.Errorf("trace: op %d (%q) spans [%g, %g], not finite", i, o.Name, o.Start, o.End)
 		}
+		maxGPU = max(maxGPU, o.GPU)
+		keys[i] = startBits(o.Start)
+		order = append(order, int32(i))
 	}
-	// The comparator is sort.Slice's `Start <` less function written as a
-	// three-way compare: the same pdqsort then makes the same swaps, so
-	// ops that tie on start keep the order the golden pins.
-	slices.SortFunc(keys, func(a, b startKey) int {
-		if a.start < b.start {
-			return -1
-		}
-		if b.start < a.start {
-			return 1
-		}
-		return 0
-	})
+	order = radixSort(order, make([]int32, len(order)), keys)
 
 	// Sorted starts put equal timestamps side by side, so ts keeps the
 	// last one's text; durations repeat across the whole run, so each
-	// distinct one is formatted once into durText.
+	// distinct one is formatted once into durText. Row r*chromeTids+tid
+	// is GPU r-1's, row tid the host's.
 	var (
 		ts      []byte
 		tsBits  uint64
 		durText []byte
 		durAt   = map[uint64][2]int32{}
+		rows    = make([]chromeRow, (maxGPU+2)*chromeTids)
 	)
 	buf := make([]byte, 0, chromeBufSize)
 	buf = append(buf, '[')
-	first := true
-	for _, key := range keys {
-		o := &res.Ops[key.i]
-		if o.End <= o.Start {
-			continue // barriers and zero-width ops clutter the view
-		}
-		if !first {
+	for n, i := range order {
+		o := &res.Ops[i]
+		if n > 0 {
 			buf = append(buf, ',')
 		}
-		first = false
-		buf = append(buf, `{"name":`...)
-		buf = appendJSONString(buf, o.Name)
-		buf = append(buf, `,"cat":`...)
-		buf = appendJSONString(buf, o.Tag)
-		buf = append(buf, `,"ph":"X","ts":`...)
+		tid := tidFor(o.Tag)
+		pid := o.GPU
+		if pid < 0 {
+			pid = numGPUs // host row
+		}
+		row := &rows[(max(o.GPU, -1)+1)*chromeTids+tid]
+		if row.prefix != nil && o.Name == row.name && o.Tag == row.tag {
+			buf = append(buf, row.prefix...)
+		} else {
+			at := len(buf)
+			buf = append(buf, `{"name":`...)
+			buf = appendJSONString(buf, o.Name)
+			buf = append(buf, `,"cat":`...)
+			buf = appendJSONString(buf, o.Tag)
+			buf = append(buf, `,"ph":"X","ts":`...)
+			row.prefix = append(row.prefix[:0], buf[at:]...)
+			row.name, row.tag = o.Name, o.Tag
+		}
 		if bits := math.Float64bits(o.Start); ts == nil || bits != tsBits {
 			ts, tsBits = appendJSONFloat(ts[:0], o.Start), bits
 		}
@@ -132,13 +197,9 @@ func WriteChromeTrace(w io.Writer, res *gpusim.Result, numGPUs int) error {
 		}
 		buf = append(buf, durText[at[0]:at[1]]...)
 		buf = append(buf, `,"pid":`...)
-		pid := o.GPU
-		if pid < 0 {
-			pid = numGPUs // host row
-		}
 		buf = strconv.AppendInt(buf, int64(pid), 10)
 		buf = append(buf, `,"tid":`...)
-		buf = strconv.AppendInt(buf, int64(tidFor(o.Tag)), 10)
+		buf = strconv.AppendInt(buf, int64(tid), 10)
 		buf = append(buf, '}')
 		if len(buf) >= chromeBufSize-chromeSlack {
 			if err := writeChunks(w, buf); err != nil {

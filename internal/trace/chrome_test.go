@@ -108,14 +108,14 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 
-	// Expected: every op with positive width, sorted by start.
+	// Expected: every op with positive width, in (start, op ID) order.
 	var visible []gpusim.OpResult
 	for _, o := range res.Ops {
 		if o.End > o.Start {
 			visible = append(visible, o)
 		}
 	}
-	sort.Slice(visible, func(i, j int) bool { return visible[i].Start < visible[j].Start })
+	sort.SliceStable(visible, func(i, j int) bool { return visible[i].Start < visible[j].Start })
 	if len(visible) == 0 {
 		t.Fatal("fixture produced no visible ops")
 	}
@@ -153,11 +153,11 @@ type chromeEvent struct {
 }
 
 // writeChromeTraceJSON is the reflection-based renderer WriteChromeTrace
-// replaced: copy the ops, sort.Slice them by start, build the event
-// list, encode it in one Write. It is the byte-identity oracle.
+// replaced: copy the ops, sort.SliceStable them by start, build the
+// event list, encode it in one Write. It is the byte-identity oracle.
 func writeChromeTraceJSON(w io.Writer, res *gpusim.Result, numGPUs int) error {
 	ops := append([]gpusim.OpResult(nil), res.Ops...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 	events := make([]chromeEvent, 0, len(ops))
 	for _, o := range ops {
 		if o.End <= o.Start {
@@ -504,15 +504,53 @@ func TestChromeTraceAllocsFlat(t *testing.T) {
 	}
 }
 
-// BenchmarkWriteChromeTrace renders `wide`'s shifted job: plan 3 on 4
-// GPUs, 12 iterations, about 41k ops.
+// TestChromeTraceMemoSizedByOps: the render's row memo is sized from
+// the GPUs the visible ops use, so a huge numGPUs costs nothing.
+func TestChromeTraceMemoSizedByOps(t *testing.T) {
+	res := &gpusim.Result{Ops: []gpusim.OpResult{
+		{Name: "k", Tag: "train", GPU: 0, Start: 0, End: 2},
+		{Name: "p", Tag: "preproc", GPU: 1, Start: 1, End: 3},
+		{Name: "c", Tag: "cpu", GPU: -1, Start: 0, End: 1},
+	}}
+	allocs := func(numGPUs int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := WriteChromeTrace(io.Discard, res, numGPUs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(2), allocs(math.MaxInt32); many > few {
+		t.Fatalf("%v allocations at 2 GPUs, %v at math.MaxInt32", few, many)
+	}
+}
+
+// lightTrace is the `light` benchmark workload's job: plan 1 on 8 GPUs.
+var lightTrace = realTrace{plan: 1, gpus: 8, shift: 4.5}
+
+// BenchmarkWriteChromeTrace renders the shifted 12-iteration jobs of
+// `light` (plan 1 on 8 GPUs, about 12k ops) and `wide` (plan 3 on 4
+// GPUs, about 41k ops). ns/event is per rendered (visible) op.
 func BenchmarkWriteChromeTrace(b *testing.B) {
-	res := wideTrace.run(b, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := WriteChromeTrace(io.Discard, res, wideTrace.gpus); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		rc   realTrace
+	}{{"light", lightTrace}, {"wide", wideTrace}} {
+		b.Run(c.name, func(b *testing.B) {
+			res := c.rc.run(b, 12)
+			events := 0
+			for _, o := range res.Ops {
+				if o.End > o.Start {
+					events++
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := WriteChromeTrace(io.Discard, res, c.rc.gpus); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		})
 	}
 }

@@ -16,18 +16,21 @@ type UtilSummary struct {
 }
 
 // Summarize computes the utilization summary of GPU g over [0, upTo]
-// (upTo <= 0 = makespan). An out-of-range g, or a result recorded
-// without timelines (gpusim.ClusterConfig.Timelines), yields a zero
-// summary.
+// (upTo <= 0 = makespan). A nil result, an out-of-range g, or a result
+// recorded without timelines (gpusim.ClusterConfig.Timelines), yields a
+// zero summary.
 //
 //rap:unit upTo us
 func Summarize(res *gpusim.Result, g int, upTo float64) UtilSummary {
+	if res == nil {
+		return UtilSummary{}
+	}
 	sm, _ := res.AvgUtil(g, upTo)
 	return UtilSummary{GPUUtil: res.BusyFraction(g, upTo), SMUtil: sm}
 }
 
-// MeanSummary averages summaries across GPUs. A non-positive numGPUs
-// yields an empty summary instead of NaNs.
+// MeanSummary averages summaries across GPUs. A nil result yields a
+// zero summary, and a non-positive numGPUs an empty one instead of NaNs.
 //
 //rap:unit upTo us
 func MeanSummary(res *gpusim.Result, numGPUs int, upTo float64) UtilSummary {

@@ -50,11 +50,24 @@ func TestMeanSummary(t *testing.T) {
 	}
 }
 
+// TestSummarizeZeroWindow: results with nothing to summarize yield the
+// zero summary.
 func TestSummarizeZeroWindow(t *testing.T) {
-	res := &gpusim.Result{Util: [][]gpusim.UtilSegment{nil}}
-	s := Summarize(res, 0, 0)
-	if s.GPUUtil != 0 || s.SMUtil != 0 {
-		t.Fatal("empty result summary should be zero")
+	for _, c := range []struct {
+		name string
+		res  *gpusim.Result
+		g    int
+	}{
+		{"empty window", &gpusim.Result{Util: [][]gpusim.UtilSegment{nil}}, 0},
+		{"nil result", nil, 0},
+		{"GPU out of range", result(t), 5},
+	} {
+		if s := Summarize(c.res, c.g, 0); s != (UtilSummary{}) {
+			t.Errorf("%s: summary %+v, want zero", c.name, s)
+		}
+	}
+	if s := MeanSummary(nil, 2, 0); s != (UtilSummary{}) {
+		t.Errorf("nil result: mean summary %+v, want zero", s)
 	}
 }
 
