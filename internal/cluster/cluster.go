@@ -71,7 +71,9 @@ func New(cfg Config) (*Simulator, error) {
 
 // planFor returns the cached RAP plan for a shape, building it on first
 // use. Iterations are zeroed out of the cache key: jobs differing only
-// in length share one plan.
+// in length share one plan. The plan's cluster config sets
+// EndTimesOnly: a job simulation reads only the makespan and the
+// iteration ends, so its runs keep no per-op results, names or tags.
 func (s *Simulator) planFor(shape JobShape) (*plannedShape, error) {
 	key := shape
 	key.Iterations = 0
@@ -82,7 +84,7 @@ func (s *Simulator) planFor(shape JobShape) (*plannedShape, error) {
 	if err != nil {
 		return nil, err
 	}
-	fw := rap.New(w, gpusim.ClusterConfig{NumGPUs: shape.GPUs, HostCores: rap.HostCores})
+	fw := rap.New(w, gpusim.ClusterConfig{NumGPUs: shape.GPUs, HostCores: rap.HostCores, EndTimesOnly: true})
 	plan, err := fw.BuildPlan(rap.BuildOptions{})
 	if err != nil {
 		return nil, err
@@ -118,7 +120,8 @@ type durEntry struct {
 }
 
 // Simulate runs the job trace over the fleet and reports per-job and
-// aggregate scheduling metrics. Scheduling is FIFO without backfill: a
+// aggregate scheduling metrics, one result per job in job-ID order; job
+// IDs must be distinct. Scheduling is FIFO without backfill: a
 // head-of-queue job that does not fit blocks later arrivals, which is
 // what makes the placement policy's fragmentation behavior observable
 // as queueing delay. Completions and arrivals at the same instant
@@ -128,7 +131,12 @@ type durEntry struct {
 //rap:deterministic
 func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 	fleetGPUs := s.cfg.Topo.NumGPUs()
+	ids := make(map[int]bool, len(jobs))
 	for _, j := range jobs {
+		if ids[j.ID] {
+			return nil, fmt.Errorf("cluster: job ID %d appears more than once", j.ID)
+		}
+		ids[j.ID] = true
 		if j.Shape.GPUs < 1 || j.Shape.GPUs > fleetGPUs {
 			return nil, fmt.Errorf("cluster: job %d wants %d GPUs, fleet has %d", j.ID, j.Shape.GPUs, fleetGPUs)
 		}

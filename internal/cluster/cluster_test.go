@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"rap/internal/rap"
+	"rap/internal/sched"
 	"rap/internal/topo"
 )
 
@@ -263,6 +267,10 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := s.Simulate([]Job{kaggleJob(0, math.Inf(1), 2, 5)}); err == nil {
 		t.Fatal("+Inf arrival accepted")
 	}
+	_, err = s.Simulate([]Job{kaggleJob(3, 0, 2, 5), kaggleJob(7, 0, 2, 5), kaggleJob(7, 10, 2, 5)})
+	if err == nil || !strings.Contains(err.Error(), "job ID 7 appears more than once") {
+		t.Fatalf("duplicate job ID: got %v", err)
+	}
 	stuck, err := New(Config{Topo: smallFleet(), Policy: rejectAll{}})
 	if err != nil {
 		t.Fatal(err)
@@ -338,5 +346,218 @@ func TestTenantContention(t *testing.T) {
 	}
 	if !(shared > alone) {
 		t.Fatalf("co-tenant fabric congestion should slow the job: %g <= %g", shared, alone)
+	}
+}
+
+// TestEndTimesOnlyMatchesFullRun: the end-times-only run a fleet job
+// makes reports what a full run of the same plan reports, bit for bit,
+// for every menu shape on a flat topology and on 2- and 3-node subsets
+// (the 2-GPU shape spans at most 2 nodes), with and without a fabric
+// scale; it keeps no op results.
+func TestEndTimesOnlyMatchesFullRun(t *testing.T) {
+	const iters = 3
+	// outcome is a run's figures the two modes must share, floats as bits.
+	type outcome struct {
+		Makespan, Steady, Throughput uint64
+		Events                       int
+		IterEnds                     []uint64
+	}
+	outcomeOf := func(st *sched.PipelineStats) outcome {
+		o := outcome{
+			Makespan:   math.Float64bits(st.Result.Makespan),
+			Steady:     math.Float64bits(st.SteadyIterLatency),
+			Throughput: math.Float64bits(st.Throughput),
+			Events:     st.Result.Events,
+		}
+		for _, e := range st.IterEnds {
+			o.IterEnds = append(o.IterEnds, math.Float64bits(e))
+		}
+		return o
+	}
+	s, err := New(Config{Topo: smallFleet(), Policy: Pack{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range shapeMenu {
+		ps, err := s.planFor(shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ps.plan.Cluster.EndTimesOnly {
+			t.Fatalf("%+v: fleet plan keeps full records", shape)
+		}
+		full := *ps.plan
+		full.Cluster.EndTimesOnly = false
+		type layout struct {
+			name  string
+			tp    *topo.Topology
+			scale []float64
+		}
+		layouts := []layout{{"flat", topo.Flat(shape.GPUs), nil}}
+		for nodes := 2; nodes <= min(3, shape.GPUs); nodes++ {
+			nodeOf := make([]int, shape.GPUs)
+			for g := range nodeOf {
+				nodeOf[g] = g * nodes / shape.GPUs
+			}
+			tp, err := topo.FromNodeOf(nodeOf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp.FabricGBs = 100
+			tp.Oversub = 4
+			name := fmt.Sprintf("%d-node", nodes)
+			layouts = append(layouts, layout{name, tp, nil},
+				layout{name + "-scaled", tp, []float64{0.5, 1, 1.0 / 3}[:nodes]})
+		}
+		for _, l := range layouts {
+			lean, err := ps.fw.ExecuteTopo(ps.plan, iters, l.tp, l.scale)
+			if err != nil {
+				t.Fatalf("%+v %s: %v", shape, l.name, err)
+			}
+			want, err := ps.fw.ExecuteTopo(&full, iters, l.tp, l.scale)
+			if err != nil {
+				t.Fatalf("%+v %s full: %v", shape, l.name, err)
+			}
+			if len(lean.Result.Ops) != 0 || len(want.Result.Ops) == 0 {
+				t.Fatalf("%+v %s: %d op results end-times-only, %d full", shape, l.name, len(lean.Result.Ops), len(want.Result.Ops))
+			}
+			if got, want := outcomeOf(lean), outcomeOf(want); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v %s: end-times-only run %+v, full run %+v", shape, l.name, got, want)
+			}
+		}
+	}
+}
+
+// fuzzPlans is the plan cache every FuzzSimulate simulator shares.
+// Plans are topology-free, so one per shape serves every fleet and
+// policy.
+var fuzzPlans = map[JobShape]*plannedShape{}
+
+// FuzzSimulate runs random traces of up to 6 Kaggle plan-0 jobs on
+// 2–3 nodes × 2–4 GPUs under both policies and checks the report's
+// invariants (see checkFleetReport). It then relabels the job IDs by
+// an order-preserving map and requires the same report up to the IDs.
+// `go test -run '^$' -fuzz FuzzSimulate -fuzztime 60s ./internal/cluster`.
+func FuzzSimulate(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed*5))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		fleet := topo.Uniform(2+int(shape%2), 2+int(shape/2%3))
+		fleet.FabricGBs = 50
+		fleet.Oversub = 2
+		rng := rand.New(rand.NewSource(seed))
+		jobs := make([]Job, 1+rng.Intn(6))
+		at, id := 0.0, rng.Intn(20)-10
+		for i := range jobs {
+			if rng.Intn(3) > 0 { // else the job arrives with the previous one
+				at += rng.ExpFloat64() * 400
+			}
+			id += 1 + rng.Intn(3)
+			jobs[i] = kaggleJob(id, at, 1+rng.Intn(4), 1+rng.Intn(12))
+		}
+		// Simulate orders jobs by arrival itself.
+		rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+
+		// relabel maps the IDs, in increasing order, to increasing IDs
+		// with random gaps; back inverts it.
+		ids := make([]int, len(jobs))
+		for i, j := range jobs {
+			ids[i] = j.ID
+		}
+		sort.Ints(ids)
+		relabel, back := map[int]int{}, map[int]int{}
+		next := rng.Intn(1000) - 500
+		for _, old := range ids {
+			next += 1 + rng.Intn(50)
+			relabel[old], back[next] = next, old
+		}
+		renamed := append([]Job(nil), jobs...)
+		for i := range renamed {
+			renamed[i].ID = relabel[renamed[i].ID]
+		}
+
+		simulate := func(pol Policy, jobs []Job) *Report {
+			s, err := New(Config{Topo: fleet, Policy: pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.planned = fuzzPlans
+			rep, err := s.Simulate(jobs)
+			if err != nil {
+				t.Fatalf("%s: %v", pol.Name(), err)
+			}
+			return rep
+		}
+		for _, pol := range []Policy{Pack{}, FirstFit{}} {
+			rep := simulate(pol, jobs)
+			checkFleetReport(t, rep, jobs, fleet.NumGPUs())
+			got := simulate(pol, renamed)
+			for i := range got.Results {
+				got.Results[i].ID = back[got.Results[i].ID]
+			}
+			if !reflect.DeepEqual(got, rep) {
+				t.Fatalf("%s: relabelling job IDs changed the report:\n%+v\nvs\n%+v", pol.Name(), got, rep)
+			}
+		}
+	})
+}
+
+// checkFleetReport checks a report's per-job invariants: one result per
+// job in ID order, carrying the job's arrival and GPU count; each job
+// starts no earlier than it arrives and runs for a positive time; its
+// queueing delay is its start minus its arrival and its JCT the delay
+// plus its run time; starts follow arrival order (FIFO, ties by ID);
+// and at no instant do the running jobs hold more GPUs than the fleet.
+func checkFleetReport(t *testing.T, rep *Report, jobs []Job, fleetGPUs int) {
+	t.Helper()
+	byID := map[int]Job{}
+	for _, j := range jobs {
+		byID[j.ID] = j
+	}
+	if rep.Jobs != len(jobs) || len(rep.Results) != len(jobs) {
+		t.Fatalf("%s: %d jobs, %d results for %d submitted", rep.Policy, rep.Jobs, len(rep.Results), len(jobs))
+	}
+	for i, jr := range rep.Results {
+		j, ok := byID[jr.ID]
+		switch {
+		case !ok || (i > 0 && jr.ID <= rep.Results[i-1].ID):
+			t.Fatalf("%s: result %d is job %d: not a submitted job in ID order", rep.Policy, i, jr.ID)
+		case jr.ArrivalUs != j.ArrivalUs || jr.GPUs != j.Shape.GPUs:
+			t.Fatalf("%s: job %d reports arrival %v on %d GPUs, submitted %v on %d", rep.Policy, jr.ID, jr.ArrivalUs, jr.GPUs, j.ArrivalUs, j.Shape.GPUs)
+		case jr.StartUs < jr.ArrivalUs:
+			t.Fatalf("%s: job %d starts at %v before arriving at %v", rep.Policy, jr.ID, jr.StartUs, jr.ArrivalUs)
+		case !(jr.EndUs > jr.StartUs):
+			t.Fatalf("%s: job %d runs [%v, %v]", rep.Policy, jr.ID, jr.StartUs, jr.EndUs)
+		case jr.QueueUs != jr.StartUs-jr.ArrivalUs:
+			t.Fatalf("%s: job %d queued %v, start − arrival %v", rep.Policy, jr.ID, jr.QueueUs, jr.StartUs-jr.ArrivalUs)
+		case math.Abs(jr.JCTUs-(jr.QueueUs+(jr.EndUs-jr.StartUs))) > 1e-9*jr.EndUs:
+			t.Fatalf("%s: job %d JCT %v ≠ queue %v + run %v", rep.Policy, jr.ID, jr.JCTUs, jr.QueueUs, jr.EndUs-jr.StartUs)
+		}
+	}
+	fifo := append([]JobResult(nil), rep.Results...)
+	sort.Slice(fifo, func(a, b int) bool {
+		if fifo[a].ArrivalUs != fifo[b].ArrivalUs {
+			return fifo[a].ArrivalUs < fifo[b].ArrivalUs
+		}
+		return fifo[a].ID < fifo[b].ID
+	})
+	for i := 1; i < len(fifo); i++ {
+		if fifo[i].StartUs < fifo[i-1].StartUs {
+			t.Fatalf("%s: job %d starts at %v, before job %d that arrived first (%v)", rep.Policy, fifo[i].ID, fifo[i].StartUs, fifo[i-1].ID, fifo[i-1].StartUs)
+		}
+	}
+	// Occupancy only rises at a start, so checking every start instant
+	// checks every instant; a job ending at t has released its GPUs.
+	for _, a := range rep.Results {
+		held := 0
+		for _, b := range rep.Results {
+			if b.StartUs <= a.StartUs && a.StartUs < b.EndUs {
+				held += b.GPUs
+			}
+		}
+		if held > fleetGPUs {
+			t.Fatalf("%s: %d GPUs held at %v on a %d-GPU fleet", rep.Policy, held, a.StartUs, fleetGPUs)
+		}
 	}
 }

@@ -236,7 +236,14 @@ func (t *IterTemplate) AddIteration(sim *gpusim.Sim, iter int, extraDeps [][]gpu
 		h.StageOps[g] = make([]gpusim.OpID, len(t.stages[g]))
 		h.StageStartDeps[g] = make([][]gpusim.OpID, len(t.stages[g]))
 	}
-	iterPrefix := fmt.Sprintf("it%d/", iter)
+	// A Sim that keeps no op names (gpusim.ClusterConfig.EndTimesOnly)
+	// gets the bare suffixes: joined to an empty prefix they allocate
+	// nothing.
+	named := !sim.Config().EndTimesOnly
+	iterPrefix := ""
+	if named {
+		iterPrefix = fmt.Sprintf("it%d/", iter)
+	}
 	for s := 0; s < NumStages; s++ {
 		// Collect cross-GPU deps for collective stages.
 		var collective []gpusim.OpID
@@ -273,7 +280,11 @@ func (t *IterTemplate) AddIteration(sim *gpusim.Sim, iter int, extraDeps [][]gpu
 	for g := 0; g < n; g++ {
 		lasts = append(lasts, h.StageOps[g][NumStages-1])
 	}
-	h.End = sim.AddBarrier(fmt.Sprintf("it%d/end", iter), gpusim.WithDeps(lasts...))
+	endName := ""
+	if named {
+		endName = fmt.Sprintf("it%d/end", iter)
+	}
+	h.End = sim.AddBarrier(endName, gpusim.WithDeps(lasts...))
 	return h, nil
 }
 

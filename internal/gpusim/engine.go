@@ -48,7 +48,9 @@ const (
 //     slices the loop never reads. The loop addresses ops by int32
 //     index, a resource's user list carries each user's start sequence
 //     and priority inline, and Result.Ops is filled in one pass after
-//     the loop. The garbage collector scans none of it.
+//     the loop (skipped, with the names and tags, under
+//     ClusterConfig.EndTimesOnly). The garbage collector scans none of
+//     it.
 //   - Slowdown factors are recomputed incrementally: only resources
 //     whose running-user set changed since the previous event are
 //     marked dirty and re-derived, and only the speeds of ops touching
@@ -193,10 +195,10 @@ func (s *Sim) Run() (*Result, error) {
 		o, id := &s.ops[i], int32(i)
 		for _, d := range s.depsOf(i) {
 			if d < 0 || d >= n {
-				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.names[i], d)
+				return nil, fmt.Errorf("gpusim: op %s depends on unknown op %d", s.opLabel(i), d)
 			}
 			if d == id {
-				return nil, fmt.Errorf("gpusim: op %q depends on itself", s.names[i])
+				return nil, fmt.Errorf("gpusim: op %s depends on itself", s.opLabel(i))
 			}
 			if lastDependent[d] == id {
 				continue
@@ -505,6 +507,9 @@ func (e *engine) run() (*Result, error) {
 		e.finished = finished
 	}
 	res.Makespan = now
+	if s.cfg.EndTimesOnly {
+		return res, nil
+	}
 	res.Ops = make([]OpResult, len(ops))
 	for i := range ops {
 		o := &ops[i]

@@ -19,7 +19,11 @@ const goldenSeeds = 64
 // barriers), both share policies, priorities, streams and explicit
 // fan-in dependencies. It must stay byte-for-byte stable: the committed
 // golden digests were produced from these exact DAGs.
-func buildGoldenDAG(seed int64) *Sim {
+func buildGoldenDAG(seed int64) *Sim { return goldenDAG(seed, false) }
+
+// goldenDAG is buildGoldenDAG with the cluster config's EndTimesOnly
+// set as given; the DAG is the same either way.
+func goldenDAG(seed int64, endTimesOnly bool) *Sim {
 	rng := rand.New(rand.NewSource(seed))
 	gpus := 1 + rng.Intn(4)
 	cfg := ClusterConfig{
@@ -34,6 +38,7 @@ func buildGoldenDAG(seed int64) *Sim {
 	} else {
 		cfg.Policy = PrioritySpace
 	}
+	cfg.EndTimesOnly = endTimesOnly
 	s := NewSim(cfg)
 
 	n := 60 + rng.Intn(80)

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"rap/internal/topo"
 )
@@ -150,6 +151,14 @@ type ClusterConfig struct {
 	// Makespan and Events do not depend on it, and only the
 	// utilization, Table 4 and power studies read the timelines.
 	Timelines bool
+	// EndTimesOnly makes a Sim keep only what op times need: it stores
+	// no op names or tags, and Run leaves Result.Ops nil (OpByID then
+	// returns the zero OpResult); read an op's end through Sim.OpEnd.
+	// Op times, Makespan, Events and the timelines are the same bits
+	// either way. Errors identify an op by its index ("op #3") instead
+	// of its name. Off by default; the fleet simulator, which reads
+	// only makespans and iteration ends, sets it.
+	EndTimesOnly bool
 }
 
 // WithDefaults returns the config with non-positive fields replaced by
@@ -253,7 +262,8 @@ const (
 // garbage collector never scans: the op's demands are the span
 // dems[demOff:demOff+demN] of the Sim's demand slice, its dependencies
 // a span of the Sim's dependency slice (see Sim.depsOf), and its name
-// and tag sit at the op's index in Sim.names and Sim.tags.
+// and tag sit at the op's index in Sim.names and Sim.tags (unless the
+// Sim keeps none, see ClusterConfig.EndTimesOnly).
 type op struct {
 	workLeft     float64
 	overheadLeft float64
@@ -302,6 +312,8 @@ type UtilSegment struct {
 
 // Result is the outcome of Sim.Run.
 type Result struct {
+	// Ops[i] is op i's result. It is nil when the cluster config set
+	// EndTimesOnly; Sim.OpEnd then reads an op's end.
 	Ops      []OpResult
 	Makespan float64 //rap:unit us
 	// Util[g] is the utilization timeline of GPU g. It is nil unless
@@ -318,9 +330,10 @@ type Result struct {
 	Events int
 }
 
-// OpByID returns the result of op id. An out-of-range id yields the
-// zero OpResult (same defined-zero behavior as AvgUtil/UtilSeries/
-// BusyFraction on out-of-range GPUs).
+// OpByID returns the result of op id. An out-of-range id, or any id
+// of a run that kept no op results (ClusterConfig.EndTimesOnly),
+// yields the zero OpResult (same defined-zero behavior as AvgUtil/
+// UtilSeries/BusyFraction on out-of-range GPUs).
 func (r *Result) OpByID(id OpID) OpResult {
 	if int(id) < 0 || int(id) >= len(r.Ops) {
 		return OpResult{}
@@ -402,9 +415,9 @@ func (r *Result) UtilSeries(g int, dt float64) []Sample {
 type Sim struct {
 	cfg ClusterConfig
 	// The op store: ops[i] is op i, names[i] and tags[i] its name and
-	// tag, and dems and deps hold every op's demands and dependencies
-	// back to back, in op order (see op); op i's dependencies end at
-	// depEnd[i].
+	// tag (both slices stay empty under EndTimesOnly), and dems and
+	// deps hold every op's demands and dependencies back to back, in op
+	// order (see op); op i's dependencies end at depEnd[i].
 	ops    []op
 	names  []string
 	tags   []string
@@ -544,8 +557,10 @@ func (s *Sim) Topology() *topo.Topology { return s.topo }
 func (s *Sim) Grow(ops, demands, deps int) {
 	ops, demands, deps = max(ops, 0), max(demands, 0), max(deps, 0)
 	s.ops = slices.Grow(s.ops, ops)
-	s.names = slices.Grow(s.names, ops)
-	s.tags = slices.Grow(s.tags, ops)
+	if !s.cfg.EndTimesOnly {
+		s.names = slices.Grow(s.names, ops)
+		s.tags = slices.Grow(s.tags, ops)
+	}
 	s.depEnd = slices.Grow(s.depEnd, ops)
 	s.dems = slices.Grow(s.dems, demands)
 	s.deps = slices.Grow(s.deps, deps)
@@ -572,7 +587,7 @@ func WithDeps(ids ...OpID) OpOption {
 	return func(s *Sim) {
 		for _, d := range ids {
 			if int(int32(d)) != int(d) {
-				s.fail(fmt.Errorf("gpusim: op %q depends on unknown op %d", s.names[len(s.names)-1], d))
+				s.fail(fmt.Errorf("gpusim: op %s depends on unknown op %d", s.opLabel(len(s.ops)-1), d))
 				return
 			}
 			s.deps = append(s.deps, int32(d))
@@ -585,7 +600,7 @@ func WithDeps(ids ...OpID) OpOption {
 func WithStream(h Stream) OpOption {
 	return func(s *Sim) {
 		if h < 0 || int(h) >= len(s.streams) {
-			s.fail(fmt.Errorf("gpusim: op %q: unknown stream %d", s.names[len(s.names)-1], h))
+			s.fail(fmt.Errorf("gpusim: op %s: unknown stream %d", s.opLabel(len(s.ops)-1), h))
 			return
 		}
 		if last := s.streams[h]; last >= 0 {
@@ -600,7 +615,7 @@ func WithStream(h Stream) OpOption {
 func WithPriority(p int) OpOption {
 	return func(s *Sim) {
 		if int(int32(p)) != p {
-			s.fail(fmt.Errorf("gpusim: op %q: priority %d out of range", s.names[len(s.names)-1], p))
+			s.fail(fmt.Errorf("gpusim: op %s: priority %d out of range", s.opLabel(len(s.ops)-1), p))
 			return
 		}
 		s.ops[len(s.ops)-1].priority = int32(p)
@@ -608,8 +623,13 @@ func WithPriority(p int) OpOption {
 }
 
 // WithTag overrides the op's tag, which names its Chrome-trace row.
+// A Sim that keeps no tags (ClusterConfig.EndTimesOnly) ignores it.
 func WithTag(tag string) OpOption {
-	return func(s *Sim) { s.tags[len(s.tags)-1] = tag }
+	return func(s *Sim) {
+		if !s.cfg.EndTimesOnly {
+			s.tags[len(s.tags)-1] = tag
+		}
+	}
 }
 
 // push appends an op without demands or dependencies to the store;
@@ -624,8 +644,10 @@ func (s *Sim) push(name, tag string, gpu int, overhead, work float64) {
 		gpu:          int32(gpu),
 		demOff:       int32(len(s.dems)),
 	})
-	s.names = append(s.names, name)
-	s.tags = append(s.tags, tag)
+	if !s.cfg.EndTimesOnly {
+		s.names = append(s.names, name)
+		s.tags = append(s.tags, tag)
+	}
 }
 
 // demand adds a demand of val on resource (kind, gpu) to the last op;
@@ -656,6 +678,35 @@ func (s *Sim) depsOf(i int) []int32 {
 		lo = s.depEnd[i-1]
 	}
 	return s.deps[lo:s.depEnd[i]]
+}
+
+// opLabel identifies stored op i in an error: its quoted name, or
+// "#i" when the Sim keeps no names (ClusterConfig.EndTimesOnly).
+func (s *Sim) opLabel(i int) string {
+	if s.cfg.EndTimesOnly {
+		return "#" + strconv.Itoa(i)
+	}
+	return strconv.Quote(s.names[i])
+}
+
+// nextLabel is opLabel of the op about to be stored under name.
+func (s *Sim) nextLabel(name string) string {
+	if s.cfg.EndTimesOnly {
+		return "#" + strconv.Itoa(len(s.ops))
+	}
+	return strconv.Quote(name)
+}
+
+// OpEnd returns the end time of op id after Run, in either recording
+// mode; it is the one op time a Sim under ClusterConfig.EndTimesOnly
+// reports. Before Run, or for an out-of-range id, it is 0.
+//
+//rap:unit return us
+func (s *Sim) OpEnd(id OpID) float64 {
+	if !s.ran || id < 0 || int(id) >= len(s.ops) {
+		return 0
+	}
+	return s.ops[id].end
 }
 
 // fail records err as the Sim's add error unless one is recorded.
@@ -689,7 +740,7 @@ func (s *Sim) checkGPU(g int) bool {
 // drains below timeEps, so the engine would loop forever on it.
 func (s *Sim) checkFinite(name, what string, v float64) bool {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		s.fail(fmt.Errorf("gpusim: op %q: %s %g is not finite", name, what, v))
+		s.fail(fmt.Errorf("gpusim: op %s: %s %g is not finite", s.nextLabel(name), what, v))
 		return false
 	}
 	return true
@@ -705,7 +756,7 @@ func (s *Sim) checkDemand(name string, d Demand) bool {
 		if !math.IsNaN(d.SM) {
 			what = "MemBW"
 		}
-		s.fail(fmt.Errorf("gpusim: op %q: %s demand is NaN", name, what))
+		s.fail(fmt.Errorf("gpusim: op %s: %s demand is NaN", s.nextLabel(name), what))
 		return false
 	}
 	return true

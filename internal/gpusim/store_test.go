@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,6 +93,112 @@ func TestOptionOutOfRangeRejected(t *testing.T) {
 			}
 			if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Run error = %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestEndTimesOnlyMatchesFullRecords replays the golden DAGs with and
+// without EndTimesOnly. The end-times-only run stores no names or tags
+// and returns no op results, but the same makespan, event count and
+// timelines; every op's end read through OpEnd, in either mode, is the
+// full run's Result.Ops[i].End.
+func TestEndTimesOnlyMatchesFullRecords(t *testing.T) {
+	for seed := int64(0); seed < goldenSeeds; seed++ {
+		fullSim, leanSim := goldenDAG(seed, false), goldenDAG(seed, true)
+		full, err := fullSim.Run()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		lean, err := leanSim.Run()
+		if err != nil {
+			t.Fatalf("seed %d end-times-only: %v", seed, err)
+		}
+		if lean.Ops != nil || len(leanSim.names) != 0 || len(leanSim.tags) != 0 {
+			t.Fatalf("seed %d: end-times-only run kept %d op results, %d names, %d tags",
+				seed, len(lean.Ops), len(leanSim.names), len(leanSim.tags))
+		}
+		// Without its op results, the full run must digest like the
+		// end-times-only one: makespan and timelines, bit for bit.
+		stripped := *full
+		stripped.Ops = nil
+		if got, want := ResultDigest(lean), ResultDigest(&stripped); got != want || lean.Events != full.Events {
+			t.Fatalf("seed %d: end-times-only digest %s, %d events; full %s, %d events",
+				seed, got[:12], lean.Events, want[:12], full.Events)
+		}
+		for i, op := range full.Ops {
+			id := OpID(i)
+			want := math.Float64bits(op.End)
+			if math.Float64bits(fullSim.OpEnd(id)) != want || math.Float64bits(leanSim.OpEnd(id)) != want {
+				t.Fatalf("seed %d op %d: OpEnd %v (full) / %v (end-times-only), Result.Ops end %v",
+					seed, i, fullSim.OpEnd(id), leanSim.OpEnd(id), op.End)
+			}
+		}
+		if op := lean.OpByID(0); op != (OpResult{}) {
+			t.Fatalf("seed %d: OpByID on an end-times-only result = %+v, want the zero OpResult", seed, op)
+		}
+	}
+}
+
+// TestOpEndZeroOutsideRun: OpEnd reads 0 before Run and for ids the
+// Sim does not hold.
+func TestOpEndZeroOutsideRun(t *testing.T) {
+	s := NewSim(ClusterConfig{NumGPUs: 1, EndTimesOnly: true})
+	id := s.AddKernel(0, Kernel{Work: 3})
+	if got := s.OpEnd(id); got != 0 {
+		t.Fatalf("OpEnd before Run = %v", got)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.OpEnd(id); got != DefaultLaunchOverhead+3 {
+		t.Fatalf("OpEnd = %v, want %v", got, DefaultLaunchOverhead+3)
+	}
+	for _, bad := range []OpID{InvalidOp, id + 1} {
+		if got := s.OpEnd(bad); got != 0 {
+			t.Fatalf("OpEnd(%d) = %v, want 0", bad, got)
+		}
+	}
+}
+
+// TestEndTimesOnlyErrorsNameOpIndex: a Sim that keeps no names still
+// identifies the offending op, by index, in deferred add errors and in
+// Run's dependency errors; a full Sim names it.
+func TestEndTimesOnlyErrorsNameOpIndex(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		add        func(s *Sim)
+		full, lean string
+	}{
+		{"work", func(s *Sim) { s.AddKernel(0, Kernel{Name: "k", Work: math.NaN()}) },
+			`op "k": work NaN is not finite`, "op #1: work NaN is not finite"},
+		{"demand", func(s *Sim) { s.AddKernel(0, Kernel{Name: "k", Demand: Demand{MemBW: math.NaN()}}) },
+			`op "k": MemBW demand is NaN`, "op #1: MemBW demand is NaN"},
+		{"bytes", func(s *Sim) { s.AddHostCopy("h", 0, math.Inf(1)) },
+			`op "h": bytes +Inf is not finite`, "op #1: bytes +Inf is not finite"},
+		{"stream", func(s *Sim) { s.AddBarrier("b", WithStream(Stream(5))) },
+			`op "b": unknown stream 5`, "op #1: unknown stream 5"},
+		{"priority", func(s *Sim) { s.AddKernel(0, Kernel{Name: "k"}, WithPriority(1<<40)) },
+			`op "k": priority 1099511627776 out of range`, "op #1: priority 1099511627776 out of range"},
+		{"dep_range", func(s *Sim) { s.AddBarrier("b", WithDeps(OpID(1<<40))) },
+			`op "b" depends on unknown op 1099511627776`, "op #1 depends on unknown op 1099511627776"},
+		{"dep_unknown", func(s *Sim) { s.AddBarrier("b", WithDeps(7)) },
+			`op "b" depends on unknown op 7`, "op #1 depends on unknown op 7"},
+		{"dep_self", func(s *Sim) { s.AddBarrier("b", WithDeps(1)) },
+			`op "b" depends on itself`, "op #1 depends on itself"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, lean := range []bool{false, true} {
+				s := NewSim(ClusterConfig{NumGPUs: 1, EndTimesOnly: lean})
+				s.AddBarrier("first")
+				c.add(s)
+				want := c.full
+				if lean {
+					want = c.lean
+				}
+				if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("EndTimesOnly=%v: Run error = %v, want %q", lean, err, want)
+				}
 			}
 		})
 	}

@@ -130,10 +130,11 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 	}
 	stats := &PipelineStats{
 		Result:           res,
+		IterEnds:         make([]float64, len(b.handles)),
 		TrainOnlyLatency: cfg.IterationSoloLatency(pl, cluster.LinkGBs),
 	}
-	for i := range b.handles {
-		stats.IterEnds = append(stats.IterEnds, res.OpByID(b.handles[i].End).End)
+	for i, h := range b.handles {
+		stats.IterEnds[i] = b.sim.OpEnd(h.End)
 	}
 	// Steady-state window: everything after the warmup iterations. With
 	// no warmup (Iterations == 1) the window is the whole run measured
@@ -325,7 +326,13 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 	sim, w, opts := b.sim, b.work[g], b.opts
 	handles := b.handles
 	gp := &b.gpus[g]
-	prefix := fmt.Sprintf("b%d/g%d/", i, g)
+	// A Sim that keeps no op names (gpusim.ClusterConfig.EndTimesOnly)
+	// gets the bare suffixes: joined to an empty prefix they allocate
+	// nothing.
+	prefix := ""
+	if !sim.Config().EndTimesOnly {
+		prefix = fmt.Sprintf("b%d/g%d/", i, g)
+	}
 	nextStream := 0
 	kernelStream := func() gpusim.Stream {
 		if opts.PreprocStreams <= 1 {
