@@ -11,21 +11,17 @@ import (
 // of the rap-planned Terabyte plan 3 on 16 GPUs (per-GPU batch 4096, 8
 // iterations), on the 2-node subset of a 100 GB/s, 4× oversubscribed
 // fleet that Pack places it on, with one co-tenant congesting node 0's
-// fabric link (scale 0.5). The plan comes from the Simulator's planFor,
-// so the run is the one a fleet job makes: no utilization timelines and
-// end times only. Planning is set-up; DAG construction and the gpusim
-// run are timed.
+// fabric link (scale 0.5). The plan comes from buildPlan, as every
+// fleet plan does, so the run is the one a fleet job makes: no
+// utilization timelines and end times only. Planning is set-up; DAG
+// construction and the gpusim run are timed.
 // `go test -run '^$' -bench BenchmarkFleetJob ./internal/cluster`.
 func BenchmarkFleetJob(b *testing.B) {
 	const gpus = 16
 	sub := topo.Uniform(2, gpus/2)
 	sub.FabricGBs = 100
 	sub.Oversub = 4
-	s, err := New(Config{Topo: sub, Policy: Pack{}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ps, err := s.planFor(JobShape{Dataset: rap.Terabyte, PlanIdx: 3, PerGPUBatch: 4096, GPUs: gpus, Iterations: 8})
+	ps, err := buildPlan(JobShape{Dataset: rap.Terabyte, PlanIdx: 3, PerGPUBatch: 4096, GPUs: gpus, Iterations: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,6 +30,35 @@ func BenchmarkFleetJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ps.fw.ExecuteTopo(ps.plan, 8, sub, fabricScale); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFleetFill times the plan fill of the fleet benchmark: each
+// op is a fresh Simulator on a 16-node × 8-GPU fleet (100 GB/s fabric,
+// 4× oversubscribed) simulating the six-shape menu as one-iteration
+// jobs that all arrive at t = 0, so every op plans the six shapes
+// from a cold cache and runs one simulation each. Those jobs start at
+// one instant and resolve together, on up to GOMAXPROCS goroutines;
+// `-cpu 1,2` shows what the concurrency buys.
+// `go test -run '^$' -bench BenchmarkFleetFill -cpu 1,2 ./internal/cluster`.
+func BenchmarkFleetFill(b *testing.B) {
+	fleet := topo.Uniform(16, 8)
+	fleet.FabricGBs = 100
+	fleet.Oversub = 4
+	fill := make([]Job, len(shapeMenu))
+	for i, sh := range shapeMenu {
+		sh.Iterations = 1
+		fill[i] = Job{ID: i, Shape: sh}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := New(Config{Topo: fleet, Policy: Pack{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Simulate(fill); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,24 +96,6 @@ func NewGenerator(cfg GenConfig) *Generator {
 // Config returns the generator's (defaulted) configuration.
 func (g *Generator) Config() GenConfig { return g.cfg }
 
-// DenseNames returns the canonical dense column names.
-func (g *Generator) DenseNames() []string {
-	out := make([]string, g.cfg.NumDense)
-	for i := range out {
-		out[i] = DenseName(i)
-	}
-	return out
-}
-
-// SparseNames returns the canonical sparse column names.
-func (g *Generator) SparseNames() []string {
-	out := make([]string, g.cfg.NumSparse)
-	for i := range out {
-		out[i] = SparseName(i)
-	}
-	return out
-}
-
 // DenseName returns the canonical name of dense feature i.
 func DenseName(i int) string { return fmt.Sprintf("int_%d", i) }
 

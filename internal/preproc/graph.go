@@ -227,15 +227,6 @@ func (p *Plan) NumOps() int {
 	return n
 }
 
-// OpsPerFeature returns NumOps / (NumDense + NumSparse).
-func (p *Plan) OpsPerFeature() float64 {
-	f := p.NumDense + p.NumSparse
-	if f == 0 {
-		return 0
-	}
-	return float64(p.NumOps()) / float64(f)
-}
-
 // Shape returns the cost-model shape for a batch of the given size.
 func (p *Plan) Shape(samples int) Shape {
 	return Shape{Samples: samples, AvgListLen: p.AvgListLen}
