@@ -47,6 +47,13 @@ func AllSystems() []System {
 // TorchArrowWorkers is the paper's per-GPU CPU worker count (§8.1).
 const TorchArrowWorkers = 8
 
+// CPUSlowdownPerWorker is the cost ratio of one CPU preprocessing
+// worker versus the GPU executing the same operator work: element-wise
+// hashing/normalization throughput of one CPU worker vs. an A100-class
+// GPU. It prices the TorchArrow baseline (the paper measures RAP at
+// ~17.8× TorchArrow end to end).
+const CPUSlowdownPerWorker = 500.0
+
 // RunResult is one (system, workload, cluster) measurement.
 type RunResult struct {
 	System      System
@@ -122,7 +129,7 @@ func runTorchArrow(w *rap.Workload, cluster gpusim.ClusterConfig, iterations int
 	n := cluster.NumGPUs
 	pl := placementFor(w, n)
 	gpuWorkUs := w.Plan.SaturatedWork(w.Model.BatchSize)
-	cpuUs := gpuWorkUs * rap.CPUSlowdownPerWorker / TorchArrowWorkers
+	cpuUs := gpuWorkUs * CPUSlowdownPerWorker / TorchArrowWorkers
 	work := make([]sched.GPUWork, n)
 	for g := 0; g < n; g++ {
 		work[g] = sched.GPUWork{

@@ -406,7 +406,7 @@ func TestEndTimesOnlyMatchesFullRun(t *testing.T) {
 			tp    *topo.Topology
 			scale []float64
 		}
-		layouts := []layout{{"flat", topo.Flat(shape.GPUs), nil}}
+		layouts := []layout{{"flat", topo.Uniform(1, shape.GPUs), nil}}
 		for nodes := 2; nodes <= min(3, shape.GPUs); nodes++ {
 			nodeOf := make([]int, shape.GPUs)
 			for g := range nodeOf {

@@ -77,7 +77,8 @@ func (cm *CostModel) ExposedLatencyClamped(kernels []preproc.KernelSpec) float64
 // ScheduleCost evaluates a per-stage assignment (assign[s] overlaps
 // stage s): per-stage exposure accumulates when a stage's kernels exceed
 // its capacity, and slack from earlier stages carries forward (the
-// preprocessing stream keeps running across stage boundaries).
+// preprocessing stream keeps running across stage boundaries). Kept for
+// sched's test oracle corunReference.
 //
 //rap:unit return us
 func (cm *CostModel) ScheduleCost(assign [][]preproc.KernelSpec) (float64, error) {

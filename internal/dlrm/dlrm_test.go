@@ -189,12 +189,22 @@ func TestIterationSoloLatencyPositive(t *testing.T) {
 	}
 }
 
+// addIteration schedules one training iteration of c under pl into sim
+// through a fresh template.
+func addIteration(c Config, sim *gpusim.Sim, pl Placement, iter int, extraDeps [][]gpusim.OpID) (IterHandle, error) {
+	t, err := c.NewIterTemplate(pl)
+	if err != nil {
+		return IterHandle{}, err
+	}
+	return t.AddIteration(sim, iter, extraDeps)
+}
+
 func TestAddIterationRuns(t *testing.T) {
 	c := TerabyteConfig(sizes26(), 4096)
 	n := 4
 	pl := PlaceTables(c.TableSizes, n)
 	sim := gpusim.NewSim(gpusim.ClusterConfig{NumGPUs: n, Policy: gpusim.PrioritySpace})
-	h, err := c.AddIteration(sim, pl, 0, nil)
+	h, err := addIteration(c, sim, pl, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +255,7 @@ func TestAddIterationExtraDeps(t *testing.T) {
 	pl := PlaceTables(c.TableSizes, 2)
 	sim := gpusim.NewSim(gpusim.ClusterConfig{NumGPUs: 2})
 	gate := sim.AddKernel(0, gpusim.Kernel{Name: "gate", Work: 500, LaunchOverhead: -1, Demand: gpusim.Demand{SM: 0.1}})
-	h, err := c.AddIteration(sim, pl, 0, [][]gpusim.OpID{{gate}, nil})
+	h, err := addIteration(c, sim, pl, 0, [][]gpusim.OpID{{gate}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +275,13 @@ func TestAddIterationRejectsMismatch(t *testing.T) {
 	c := smallConfig(4, 32)
 	pl := PlaceTables(c.TableSizes, 2)
 	sim := gpusim.NewSim(gpusim.ClusterConfig{NumGPUs: 3})
-	if _, err := c.AddIteration(sim, pl, 0, nil); err == nil {
+	if _, err := addIteration(c, sim, pl, 0, nil); err == nil {
 		t.Fatal("GPU-count mismatch accepted")
 	}
 	bad := c
 	bad.BatchSize = 0
 	sim2 := gpusim.NewSim(gpusim.ClusterConfig{NumGPUs: 2})
-	if _, err := bad.AddIteration(sim2, pl, 0, nil); err == nil {
+	if _, err := addIteration(bad, sim2, pl, 0, nil); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -300,8 +310,8 @@ func TestEmbeddingTable(t *testing.T) {
 		grad.Set(0, j, 1)
 	}
 	tb.AccumulateGrad(col, grad)
-	if tb.PendingRows() != 2 {
-		t.Fatalf("pending rows = %d, want 2 (rows 1 and 2 touched)", tb.PendingRows())
+	if len(tb.grads) != 2 {
+		t.Fatalf("pending rows = %d, want 2 (rows 1 and 2 touched)", len(tb.grads))
 	}
 	before := tb.W[1*4]
 	tb.Step(0.5)
@@ -309,7 +319,7 @@ func TestEmbeddingTable(t *testing.T) {
 	if math.Abs(float64(tb.W[1*4]-(before-1))) > 1e-5 {
 		t.Fatalf("sparse update wrong: %f -> %f", before, tb.W[1*4])
 	}
-	if tb.PendingRows() != 0 {
+	if len(tb.grads) != 0 {
 		t.Fatal("grads not cleared")
 	}
 }
@@ -402,48 +412,6 @@ func randomInputs(cfg Config, globalB int, seed int64) (*nn.Matrix, []*tensor.Sp
 	return dense, sparse, labels
 }
 
-func TestModelTrains(t *testing.T) {
-	cfg := smallConfig(4, 32)
-	m, err := NewModel(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, sparse, labels := randomInputs(cfg, 64, 11)
-	var first, last float32
-	for it := 0; it < 200; it++ {
-		loss, err := m.Step(dense, sparse, labels, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if it == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if last >= first-0.05 {
-		t.Fatalf("model did not learn: first %f last %f", first, last)
-	}
-}
-
-func TestModelForwardErrors(t *testing.T) {
-	cfg := smallConfig(2, 8)
-	m, err := NewModel(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, sparse, _ := randomInputs(cfg, 8, 1)
-	if _, _, err := m.Forward(nn.NewMatrix(8, 99), sparse); err == nil {
-		t.Fatal("wrong dense width accepted")
-	}
-	if _, _, err := m.Forward(dense, sparse[:1]); err == nil {
-		t.Fatal("missing sparse column accepted")
-	}
-	short := tensor.NewSparse("s", 3)
-	if _, _, err := m.Forward(dense, []*tensor.Sparse{sparse[0], short}); err == nil {
-		t.Fatal("short sparse column accepted")
-	}
-}
-
 func TestHybridTrainerLearnsAndStaysInSync(t *testing.T) {
 	cfg := smallConfig(6, 16)
 	pl := PlaceTables(cfg.TableSizes, 4)
@@ -510,6 +478,9 @@ func TestHybridTrainerErrors(t *testing.T) {
 	dense, sparse, labels := randomInputs(cfg, 32, 1)
 	if _, err := tr.Step(nn.NewMatrix(33, cfg.NumDense), sparse, labels, 0.1); err == nil {
 		t.Fatal("indivisible batch accepted")
+	}
+	if _, err := tr.Step(nn.NewMatrix(32, cfg.NumDense+1), sparse, labels, 0.1); err == nil {
+		t.Fatal("wrong dense width accepted")
 	}
 	if _, err := tr.Step(dense, sparse[:2], labels, 0.1); err == nil {
 		t.Fatal("missing tables accepted")

@@ -94,9 +94,6 @@ func (t *EmbeddingTable) Step(lr float32) {
 	}
 }
 
-// PendingRows reports how many rows currently hold accumulated grads.
-func (t *EmbeddingTable) PendingRows() int { return len(t.grads) }
-
 // interaction computes DLRM's pairwise-dot feature interaction and its
 // backward pass. vectors[0] is the bottom-MLP output; vectors[1:] are
 // the pooled table lookups. All are batch×dim.
@@ -167,84 +164,9 @@ func (x *interaction) Backward(grad *nn.Matrix) []*nn.Matrix {
 	return out
 }
 
-// Model is one full DLRM replica (all tables local) for single-GPU
-// functional training and as the building block of the hybrid trainer.
-type Model struct {
-	Cfg    Config
-	Bottom *nn.MLP
-	Top    *nn.MLP
-	Tables []*EmbeddingTable
-	inter  interaction
-}
-
-// NewModel builds a model with deterministic init from seed.
-func NewModel(cfg Config, seed int64) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	m := &Model{
-		Cfg:    cfg,
-		Bottom: nn.NewMLP(cfg.bottomDims(), true, rng),
-		Top:    nn.NewMLP(cfg.topDims(), false, rng),
-	}
-	for _, rows := range cfg.TableSizes {
-		m.Tables = append(m.Tables, NewEmbeddingTable(int(min64(rows, MaxFunctionalRows)), cfg.EmbeddingDim, rng))
-	}
-	return m, nil
-}
-
 func min64(a, b int64) int64 {
 	if a < b {
 		return a
 	}
 	return b
-}
-
-// Forward runs the model on dense input (batch×NumDense) and one sparse
-// column per table, returning the logits and the pooled lookups (needed
-// for backward).
-func (m *Model) Forward(dense *nn.Matrix, sparse []*tensor.Sparse) (*nn.Matrix, []*nn.Matrix, error) {
-	if dense.Cols != m.Cfg.NumDense {
-		return nil, nil, fmt.Errorf("dlrm: dense input has %d features, model wants %d", dense.Cols, m.Cfg.NumDense)
-	}
-	if len(sparse) != len(m.Tables) {
-		return nil, nil, fmt.Errorf("dlrm: got %d sparse columns for %d tables", len(sparse), len(m.Tables))
-	}
-	bot := m.Bottom.Forward(dense)
-	vectors := make([]*nn.Matrix, 0, len(m.Tables)+1)
-	vectors = append(vectors, bot)
-	for t, table := range m.Tables {
-		if sparse[t].Len() != dense.Rows {
-			return nil, nil, fmt.Errorf("dlrm: sparse column %d has %d samples, dense has %d", t, sparse[t].Len(), dense.Rows)
-		}
-		pooled := nn.NewMatrix(dense.Rows, m.Cfg.EmbeddingDim)
-		table.LookupPooled(sparse[t], pooled)
-		vectors = append(vectors, pooled)
-	}
-	z := m.inter.Forward(vectors)
-	logits := m.Top.Forward(z)
-	return logits, vectors[1:], nil
-}
-
-// Step runs one full training step (forward, BCE loss, backward, SGD)
-// and returns the loss.
-func (m *Model) Step(dense *nn.Matrix, sparse []*tensor.Sparse, labels []float32, lr float32) (float32, error) {
-	logits, _, err := m.Forward(dense, sparse)
-	if err != nil {
-		return 0, err
-	}
-	loss, dlogits := nn.BCEWithLogits(logits, labels)
-	dz := m.Top.Backward(dlogits)
-	dvecs := m.inter.Backward(dz)
-	m.Bottom.Backward(dvecs[0])
-	for t, table := range m.Tables {
-		table.AccumulateGrad(sparse[t], dvecs[t+1])
-	}
-	m.Bottom.Step(lr)
-	m.Top.Step(lr)
-	for _, table := range m.Tables {
-		table.Step(lr)
-	}
-	return loss, nil
 }

@@ -211,18 +211,9 @@ func (c Config) NewIterTemplate(pl Placement) (*IterTemplate, error) {
 	return t, nil
 }
 
-// AddIteration schedules one training iteration into sim. extraDeps gate
-// the iteration start on GPU g (input availability: the preprocessing
-// and host-copy ops of the batch this iteration consumes).
-func (c Config) AddIteration(sim *gpusim.Sim, pl Placement, iter int, extraDeps [][]gpusim.OpID) (IterHandle, error) {
-	t, err := c.NewIterTemplate(pl)
-	if err != nil {
-		return IterHandle{}, err
-	}
-	return t.AddIteration(sim, iter, extraDeps)
-}
-
 // AddIteration schedules iteration iter from the template into sim.
+// extraDeps gate the iteration start on GPU g (input availability: the
+// preprocessing and host-copy ops of the batch this iteration consumes).
 func (t *IterTemplate) AddIteration(sim *gpusim.Sim, iter int, extraDeps [][]gpusim.OpID) (IterHandle, error) {
 	if sim.Config().NumGPUs != t.numGPUs {
 		return IterHandle{}, fmt.Errorf("dlrm: placement has %d GPUs, sim has %d", t.numGPUs, sim.Config().NumGPUs)

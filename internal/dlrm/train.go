@@ -71,6 +71,9 @@ func (t *HybridTrainer) Step(dense *nn.Matrix, sparse []*tensor.Sparse, labels [
 	if globalB%n != 0 {
 		return 0, fmt.Errorf("dlrm: global batch %d not divisible by %d workers", globalB, n)
 	}
+	if dense.Cols != t.Cfg.NumDense {
+		return 0, fmt.Errorf("dlrm: dense input has %d features, model wants %d", dense.Cols, t.Cfg.NumDense)
+	}
 	if len(sparse) != t.Cfg.NumTables() {
 		return 0, fmt.Errorf("dlrm: got %d sparse columns for %d tables", len(sparse), t.Cfg.NumTables())
 	}

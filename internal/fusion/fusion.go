@@ -23,9 +23,9 @@ type Options struct {
 	// Deprecated: ignored; the MILP solve is single-threaded.
 	Workers int
 	// GreedyOnly skips branch & bound and lowers with the level greedy
-	// (LevelPlanner). It is how candidate mappings are scored: the
-	// mapping search plans every candidate this way, and the benchmark's
-	// traced replay of that search calls PlanFusionScaled with it.
+	// (LevelPlanner.Plan). Only the benchmark's traced replay of the
+	// mapping search sets it; the search itself scores candidates
+	// through LevelPlanner.ScorePlan.
 	GreedyOnly bool
 	// SolveCache, when non-nil, memoizes branch & bound solutions by
 	// problem content so repeated instances (the replanning loop) skip

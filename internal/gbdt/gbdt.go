@@ -64,9 +64,6 @@ type Model struct {
 	dims  int
 }
 
-// NumTrees returns the ensemble size.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
 // Predict returns the model output for one feature vector.
 func (m *Model) Predict(x []float64) float64 {
 	if len(x) != m.dims {

@@ -108,8 +108,8 @@ func TestMoreTreesHelp(t *testing.T) {
 	if many.rmse(X, y) >= few.rmse(X, y) {
 		t.Fatalf("boosting did not reduce RMSE: %f vs %f", many.rmse(X, y), few.rmse(X, y))
 	}
-	if many.NumTrees() != 80 {
-		t.Fatalf("NumTrees = %d", many.NumTrees())
+	if len(many.trees) != 80 {
+		t.Fatalf("%d trees, want 80", len(many.trees))
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // drift shows up as a digest mismatch.
 
 // runGoldenVariants runs one golden DAG three ways — untouched, with
-// topo.Flat installed, and with an explicit nil install — and returns
-// the three digests.
+// topo.Uniform(1, n) installed, and with an explicit nil install — and
+// returns the three digests.
 func runGoldenVariants(t *testing.T, seed int64) (plain, flat, nilTopo string) {
 	t.Helper()
 	run := func(install func(*Sim) error) string {
@@ -34,7 +34,7 @@ func runGoldenVariants(t *testing.T, seed int64) (plain, flat, nilTopo string) {
 		return digestResult(res)
 	}
 	plain = run(nil)
-	flat = run(func(s *Sim) error { return s.SetTopology(topo.Flat(s.Config().NumGPUs)) })
+	flat = run(func(s *Sim) error { return s.SetTopology(topo.Uniform(1, s.Config().NumGPUs)) })
 	nilTopo = run(func(s *Sim) error { return s.SetTopology(nil) })
 	return plain, flat, nilTopo
 }

@@ -547,9 +547,6 @@ func (s *Sim) SetFabricScale(scale []float64) error {
 	return nil
 }
 
-// Topology returns the installed topology (nil when none was set).
-func (s *Sim) Topology() *topo.Topology { return s.topo }
-
 // Grow makes room for ops more ops, holding demands demands and deps
 // dependencies between them, so that adding them moves no storage. A
 // caller that knows its DAG's size sizes the store once instead of
@@ -781,7 +778,8 @@ func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
 }
 
 // AddComm schedules a point-to-point transfer of bytes from GPU src to
-// GPU dst over the NVLink fabric. Non-finite bytes are rejected.
+// GPU dst over the NVLink fabric. Non-finite bytes are rejected. Kept as
+// a fixture for trace's tests and this package's golden DAGs.
 func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption) OpID {
 	if !s.checkGPU(src) || !s.checkGPU(dst) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp

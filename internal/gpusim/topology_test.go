@@ -50,8 +50,8 @@ func TestSetTopologyValidation(t *testing.T) {
 	if err := s.SetTopology(tp); err != nil {
 		t.Fatalf("SetTopology: %v", err)
 	}
-	if s.Topology() != tp {
-		t.Fatalf("Topology() getter must return the installed topology")
+	if s.topo != tp {
+		t.Fatalf("SetTopology must install the topology")
 	}
 
 	// Multi-node installs are frozen once ops exist; flat and nil — both
@@ -61,7 +61,7 @@ func TestSetTopologyValidation(t *testing.T) {
 	if err := s.SetTopology(topo.Uniform(2, 2)); err == nil {
 		t.Fatalf("multi-node SetTopology after ops must fail")
 	}
-	if err := s.SetTopology(topo.Flat(4)); err != nil {
+	if err := s.SetTopology(topo.Uniform(1, 4)); err != nil {
 		t.Fatalf("flat SetTopology after ops: %v", err)
 	}
 	if err := s.SetTopology(nil); err != nil {
@@ -356,7 +356,7 @@ func TestEngineEquivalenceCrossNodeMatrix(t *testing.T) {
 				s := buildFabricDAG(int64(seed))
 				if scaled {
 					rng := rand.New(rand.NewSource(int64(seed)))
-					scale := make([]float64, s.Topology().NumNodes())
+					scale := make([]float64, s.topo.NumNodes())
 					for n := range scale {
 						scale[n] = 1 - rng.Float64()
 					}

@@ -21,7 +21,7 @@ func TestReportGolden(t *testing.T) {
 	pkg, _ := loadFixture(t, filepath.Join("testdata", "src", "reportgolden"), "rap/internal/reportgolden")
 	suite := []*Analyzer{FloatEq, PanicPath, SeededRand}
 	var findings []Finding
-	RunPackage(pkg, suite, &findings)
+	runUntimed(pkg, suite, &findings)
 	SortFindings(findings)
 
 	counts := map[string]int{}

@@ -57,7 +57,7 @@ type Analyzer struct {
 }
 
 // All returns the full raplint analyzer suite. UnusedIgnore's Run is a
-// no-op: RunPackage checks a package's directives after its other
+// no-op: runPackage checks a package's directives after its other
 // analyzers have reported.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -166,15 +166,10 @@ func buildIgnores(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 	return ix
 }
 
-// RunPackage applies the analyzers to one loaded package, appending
-// findings to out. When UnusedIgnore is among them, the package's
-// directives that suppressed nothing are reported last.
-func RunPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding) {
-	runPackage(pkg, analyzers, out, map[string]time.Duration{})
-}
-
-// runPackage is RunPackage that also adds each analyzer's wall time to
-// timings.
+// runPackage applies the analyzers to one loaded package, appending
+// findings to out and adding each analyzer's wall time to timings. When
+// UnusedIgnore is among them, the package's directives that suppressed
+// nothing are reported last.
 func runPackage(pkg *Package, analyzers []*Analyzer, out *[]Finding, timings map[string]time.Duration) {
 	ignores := buildIgnores(pkg.Fset, pkg.Files)
 	*out = append(*out, ignores.bad...)

@@ -11,7 +11,14 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
+
+// runUntimed applies the analyzers to one loaded package like the
+// driver does, discarding the per-analyzer wall times.
+func runUntimed(pkg *Package, analyzers []*Analyzer, out *[]Finding) {
+	runPackage(pkg, analyzers, out, map[string]time.Duration{})
+}
 
 // wantRe marks expected findings in fixtures: `// want "substr"` on the
 // offending line.
@@ -99,7 +106,7 @@ func TestAnalyzers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pkg, wants := loadFixture(t, filepath.Join("testdata", "src", tc.dir), tc.path)
 			var findings []Finding
-			RunPackage(pkg, []*Analyzer{tc.analyzer}, &findings)
+			runUntimed(pkg, []*Analyzer{tc.analyzer}, &findings)
 			SortFindings(findings)
 			matchWants(t, findings, wants)
 		})
@@ -115,7 +122,7 @@ func TestFloatReduce(t *testing.T) {
 		t.Fatal("fixture carries no want expectations")
 	}
 	var findings []Finding
-	RunPackage(pkg, []*Analyzer{FloatReduce}, &findings)
+	runUntimed(pkg, []*Analyzer{FloatReduce}, &findings)
 	SortFindings(findings)
 	matchWants(t, findings, wants)
 }
@@ -168,7 +175,7 @@ func checkSource(t *testing.T, importPath, src string, analyzers []*Analyzer) []
 	t.Helper()
 	pkg := inlinePackage(t, importPath, src)
 	var findings []Finding
-	RunPackage(pkg, analyzers, &findings)
+	runUntimed(pkg, analyzers, &findings)
 	SortFindings(findings)
 	return findings
 }

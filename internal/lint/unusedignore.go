@@ -4,7 +4,7 @@ package lint
 // finding: a stale escape hatch is itself a finding, so the exception
 // inventory cannot rot. Every analyzer reads only its own package's
 // directives, so the check is per package and exact under any pattern:
-// its Run is a no-op, and RunPackage reports a package's stale
+// its Run is a no-op, and runPackage reports a package's stale
 // directives right after the package's other analyzers have run.
 //
 // Unused-ignore findings are not themselves suppressible.

@@ -20,9 +20,6 @@ import (
 // bytesPerID is the wire size of one preprocessed sparse id.
 const bytesPerID = 8 //rap:unit B
 
-// bytesPerDense is the wire size of one dense feature value.
-const bytesPerDense = 4 //rap:unit B
-
 // Assign is one graph scheduled on one GPU with the sample share it
 // preprocesses there.
 type Assign struct {

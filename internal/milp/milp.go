@@ -166,7 +166,8 @@ func asapLevels(deps [][]int, order []int) []int {
 
 // GreedyLevels returns the warm-start solution: every op at its ASAP
 // level. Ops of one type sharing a level are incomparable (a dependency
-// path strictly increases the level), so this is always feasible.
+// path strictly increases the level), so this is always feasible. Kept
+// for fusion's level fuzz, which checks LevelPlanner against it.
 //
 //rap:deterministic
 func GreedyLevels(p Problem) (Solution, error) {

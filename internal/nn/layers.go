@@ -143,41 +143,6 @@ func (r *ReLU) Step(float32) {}
 // ParamCount implements Layer.
 func (r *ReLU) ParamCount() int { return 0 }
 
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	y *Matrix
-}
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	s.y = out
-	return out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad *Matrix) *Matrix {
-	if s.y == nil {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
-		panic("nn: Sigmoid.Backward before Forward")
-	}
-	out := NewMatrix(grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		y := s.y.Data[i]
-		out.Data[i] = g * y * (1 - y)
-	}
-	return out
-}
-
-// Step implements Layer (no parameters).
-func (s *Sigmoid) Step(float32) {}
-
-// ParamCount implements Layer.
-func (s *Sigmoid) ParamCount() int { return 0 }
-
 // MLP is a feed-forward stack of layers.
 type MLP struct {
 	Layers []Layer

@@ -1,5 +1,5 @@
 // Package nn is a small float32 neural-network library: dense matrices,
-// linear layers, ReLU/Sigmoid activations, binary-cross-entropy loss and
+// linear layers, ReLU activations, binary-cross-entropy loss and
 // plain SGD. It provides the real training math behind internal/dlrm so
 // that the reproduction trains an actual model (loss measurably
 // decreases) rather than only simulating timing.
@@ -26,22 +26,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices (test helper).
-func FromRows(rows [][]float32) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
-			panic("nn: ragged FromRows input")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
@@ -56,13 +40,6 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// Zero resets all elements to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 }
 
 // MatMul returns a×b.

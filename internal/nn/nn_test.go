@@ -21,33 +21,44 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(1, 2) != 5 {
 		t.Fatal("Clone aliases")
 	}
-	m.Zero()
-	if m.At(1, 2) != 0 {
-		t.Fatal("Zero failed")
+}
+
+// fromRows builds a matrix from row slices.
+func fromRows(rows [][]float32) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
 	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("nn: ragged fromRows input")
+		}
+		copy(m.Row(i), r)
+	}
+	return m
 }
 
 func TestFromRows(t *testing.T) {
-	m := FromRows([][]float32{{1, 2}, {3, 4}})
+	m := fromRows([][]float32{{1, 2}, {3, 4}})
 	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Fatal("FromRows wrong")
+		t.Fatal("fromRows wrong")
 	}
-	if e := FromRows(nil); e.Rows != 0 {
-		t.Fatal("empty FromRows wrong")
+	if e := fromRows(nil); e.Rows != 0 {
+		t.Fatal("empty fromRows wrong")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ragged FromRows accepted")
+			t.Fatal("ragged fromRows accepted")
 		}
 	}()
-	FromRows([][]float32{{1}, {2, 3}})
+	fromRows([][]float32{{1}, {2, 3}})
 }
 
 func TestMatMul(t *testing.T) {
-	a := FromRows([][]float32{{1, 2}, {3, 4}})
-	b := FromRows([][]float32{{5, 6}, {7, 8}})
+	a := fromRows([][]float32{{1, 2}, {3, 4}})
+	b := fromRows([][]float32{{5, 6}, {7, 8}})
 	c := MatMul(a, b)
-	want := FromRows([][]float32{{19, 22}, {43, 50}})
+	want := fromRows([][]float32{{19, 22}, {43, 50}})
 	for i := range want.Data {
 		if c.Data[i] != want.Data[i] {
 			t.Fatalf("MatMul = %v, want %v", c.Data, want.Data)
@@ -182,12 +193,12 @@ func TestLinearGradCheck(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	r := &ReLU{}
-	x := FromRows([][]float32{{-1, 2}, {3, -4}})
+	x := fromRows([][]float32{{-1, 2}, {3, -4}})
 	y := r.Forward(x)
 	if y.At(0, 0) != 0 || y.At(0, 1) != 2 || y.At(1, 0) != 3 || y.At(1, 1) != 0 {
 		t.Fatalf("ReLU forward = %v", y.Data)
 	}
-	g := r.Backward(FromRows([][]float32{{1, 1}, {1, 1}}))
+	g := r.Backward(fromRows([][]float32{{1, 1}, {1, 1}}))
 	if g.At(0, 0) != 0 || g.At(0, 1) != 1 || g.At(1, 0) != 1 || g.At(1, 1) != 0 {
 		t.Fatalf("ReLU backward = %v", g.Data)
 	}
@@ -196,24 +207,10 @@ func TestReLU(t *testing.T) {
 	}
 }
 
-func TestSigmoid(t *testing.T) {
-	s := &Sigmoid{}
-	x := FromRows([][]float32{{0}})
-	y := s.Forward(x)
-	if math.Abs(float64(y.At(0, 0))-0.5) > 1e-6 {
-		t.Fatalf("sigmoid(0) = %f", y.At(0, 0))
-	}
-	g := s.Backward(FromRows([][]float32{{1}}))
-	if math.Abs(float64(g.At(0, 0))-0.25) > 1e-6 {
-		t.Fatalf("sigmoid'(0) = %f", g.At(0, 0))
-	}
-}
-
 func TestBackwardBeforeForwardPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"linear":  func() { NewLinear(1, 1, rand.New(rand.NewSource(1))).Backward(NewMatrix(1, 1)) },
-		"relu":    func() { (&ReLU{}).Backward(NewMatrix(1, 1)) },
-		"sigmoid": func() { (&Sigmoid{}).Backward(NewMatrix(1, 1)) },
+		"linear": func() { NewLinear(1, 1, rand.New(rand.NewSource(1))).Backward(NewMatrix(1, 1)) },
+		"relu":   func() { (&ReLU{}).Backward(NewMatrix(1, 1)) },
 	} {
 		func() {
 			defer func() {
@@ -268,7 +265,7 @@ func TestMLPTooFewDimsPanics(t *testing.T) {
 }
 
 func TestBCEWithLogits(t *testing.T) {
-	logits := FromRows([][]float32{{0}, {0}})
+	logits := fromRows([][]float32{{0}, {0}})
 	loss, grad := BCEWithLogits(logits, []float32{1, 0})
 	if math.Abs(float64(loss)-math.Log(2)) > 1e-6 {
 		t.Fatalf("BCE(0) = %f, want ln2", loss)
@@ -343,7 +340,7 @@ func TestLinearStepClearsGradients(t *testing.T) {
 	x := NewMatrix(1, 2)
 	x.Data[0], x.Data[1] = 1, 1
 	l.Forward(x)
-	l.Backward(FromRows([][]float32{{1, 1}}))
+	l.Backward(fromRows([][]float32{{1, 1}}))
 	l.Step(0.1)
 	dW, dB := l.Gradients()
 	for _, v := range dW.Data {

@@ -14,7 +14,7 @@ func BenchmarkApplyPlan1(b *testing.B) {
 	raw := gen.NextBatch(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch := raw.Clone()
+		batch := raw.ShallowCopy()
 		if err := p.Apply(batch); err != nil {
 			b.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func BenchmarkParallelApplyPlan1(b *testing.B) {
 	raw := gen.NextBatch(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch := raw.Clone()
+		batch := raw.ShallowCopy()
 		if err := ParallelApply(p, batch, 8); err != nil {
 			b.Fatal(err)
 		}

@@ -123,22 +123,6 @@ func (g *Graph) Levels() ([]int, error) {
 	return levels, nil
 }
 
-// CriticalPathLen returns 1 + the maximum level (the minimum number of
-// sequential steps any schedule of this graph needs).
-func (g *Graph) CriticalPathLen() (int, error) {
-	levels, err := g.Levels()
-	if err != nil {
-		return 0, err
-	}
-	max := 0
-	for _, l := range levels {
-		if l+1 > max {
-			max = l + 1
-		}
-	}
-	return max, nil
-}
-
 // Validate checks op-ID and output uniqueness and acyclicity. A graph
 // that passed is not checked again until InvalidateDeps, the same
 // contract as Deps' cache.
@@ -180,7 +164,7 @@ func (g *Graph) Apply(b *tensor.Batch) error {
 }
 
 // Specs returns the kernel spec of every op for the given shape, indexed
-// like g.Ops.
+// like g.Ops. Kept as a fixture for fusion's tests.
 func (g *Graph) Specs(shape Shape) []KernelSpec {
 	out := make([]KernelSpec, len(g.Ops))
 	for i, op := range g.Ops {
@@ -293,18 +277,6 @@ func (p *Plan) DenseCols() []string {
 		}
 	}
 	return out
-}
-
-// TotalWork sums TotalWork over all graphs for a batch of the given size.
-//
-//rap:unit return us
-func (p *Plan) TotalWork(samples int) float64 {
-	total := 0.0
-	shape := p.Shape(samples)
-	for _, g := range p.Graphs {
-		total += g.TotalWork(shape)
-	}
-	return total
 }
 
 // SaturatedWork sums the occupancy-independent work volume (µs at full

@@ -72,13 +72,6 @@ func TestGraphLevels(t *testing.T) {
 			t.Fatalf("levels = %v, want %v", levels, want)
 		}
 	}
-	cp, err := g.CriticalPathLen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != 3 {
-		t.Fatalf("critical path = %d, want 3", cp)
-	}
 }
 
 func TestGraphValidateErrors(t *testing.T) {
@@ -188,10 +181,10 @@ func TestGraphApply(t *testing.T) {
 	if c == nil {
 		t.Fatal("chain output missing")
 	}
-	if c.RowLen(0) != 3 {
-		t.Fatalf("FirstX(3) output len %d", c.RowLen(0))
+	if len(c.Row(0)) != 3 {
+		t.Fatalf("FirstX(3) output len %d", len(c.Row(0)))
 	}
-	if c.RowLen(1) != 1 {
+	if len(c.Row(1)) != 1 {
 		t.Fatal("FillNull should have given the empty row one id")
 	}
 	for _, v := range c.Values {
@@ -374,11 +367,21 @@ func TestPlanValidateCatchesBadTables(t *testing.T) {
 	}
 }
 
+// planWork sums Graph.TotalWork over the plan's graphs for a batch of
+// the given size.
+func planWork(p *Plan, samples int) float64 {
+	total := 0.0
+	for _, g := range p.Graphs {
+		total += g.TotalWork(p.Shape(samples))
+	}
+	return total
+}
+
 func TestPlanTotalWorkScalesWithBatch(t *testing.T) {
 	// Work is occupancy-limited: below GPU saturation a bigger batch
 	// costs the same wall time, so compare across the saturation point.
 	p := MustStandardPlan(1, nil)
-	if p.TotalWork(16*4096) <= p.TotalWork(4096) {
+	if planWork(p, 16*4096) <= planWork(p, 4096) {
 		t.Fatal("work not monotone across saturation")
 	}
 	if p.SaturatedWork(8192) <= p.SaturatedWork(4096) {
@@ -386,7 +389,7 @@ func TestPlanTotalWorkScalesWithBatch(t *testing.T) {
 	}
 	// Plan 3 is much heavier than plan 1 at the same batch size.
 	p3 := MustStandardPlan(3, nil)
-	if p3.TotalWork(4096) < 3*p.TotalWork(4096) {
+	if planWork(p3, 4096) < 3*planWork(p, 4096) {
 		t.Fatal("plan 3 should dwarf plan 1")
 	}
 }

@@ -145,7 +145,7 @@ func TestFirstX(t *testing.T) {
 	if got := y.Row(0); len(got) != 2 || got[1] != 2 {
 		t.Fatalf("FirstX row0 = %v", got)
 	}
-	if y.RowLen(1) != 1 || y.RowLen(2) != 0 {
+	if len(y.Row(1)) != 1 || len(y.Row(2)) != 0 {
 		t.Fatal("FirstX shorter rows changed")
 	}
 }
@@ -199,8 +199,8 @@ func TestNGram(t *testing.T) {
 	y := b.SparseByName("y")
 	// Sample 0: concat [1 2 3] -> bigrams (1,2),(2,3) -> 2 grams.
 	// Sample 1: concat [7] -> 0 grams.
-	if y.RowLen(0) != 2 || y.RowLen(1) != 0 {
-		t.Fatalf("NGram lens: %d,%d", y.RowLen(0), y.RowLen(1))
+	if len(y.Row(0)) != 2 || len(y.Row(1)) != 0 {
+		t.Fatalf("NGram lens: %d,%d", len(y.Row(0)), len(y.Row(1)))
 	}
 	for _, v := range y.Values {
 		if v < 0 || v >= 500 {
@@ -273,15 +273,36 @@ func TestOpTypeMetadata(t *testing.T) {
 			t.Fatalf("missing op type %s", want)
 		}
 	}
-	if OpLogit.Category() != CatDenseNorm || OpFirstX.Category() != CatSparseNorm ||
-		OpNGram.Category() != CatFeatureGen || OpCast.Category() != CatOther {
-		t.Fatal("Table 1 categories wrong")
-	}
-	if OpNGram.PredictorCategory() != "Ngram" || OpLogit.PredictorCategory() != "1D Ops" {
-		t.Fatal("Table 5 predictor categories wrong")
-	}
 	if OpType(77).String() == "" {
 		t.Fatal("unknown type name empty")
+	}
+}
+
+// TestPredictorCategory checks Table 5's grouping over every defined
+// operator type: NGram, OneHot, Bucketize and FirstX each get their own
+// predictor, and the rest share "1D Ops".
+func TestPredictorCategory(t *testing.T) {
+	want := map[OpType]string{
+		OpLogit:      "1D Ops",
+		OpBoxCox:     "1D Ops",
+		OpOneHot:     "Onehot",
+		OpSigridHash: "1D Ops",
+		OpFirstX:     "FirstX",
+		OpClamp:      "1D Ops",
+		OpBucketize:  "Bucketize",
+		OpNGram:      "Ngram",
+		OpMapID:      "1D Ops",
+		OpFillNull:   "1D Ops",
+		OpCast:       "1D Ops",
+	}
+	for _, ty := range AllOpTypes() {
+		cat, ok := want[ty]
+		if !ok {
+			t.Fatalf("op type %v missing from the table", ty)
+		}
+		if got := ty.PredictorCategory(); got != cat {
+			t.Errorf("%v.PredictorCategory() = %q, want %q", ty, got, cat)
+		}
 	}
 }
 

@@ -81,34 +81,6 @@ func (t OpType) String() string {
 	}
 }
 
-// Category groups operator types as in Table 1.
-type Category int
-
-const (
-	// CatDenseNorm is dense normalization (DN).
-	CatDenseNorm Category = iota
-	// CatSparseNorm is sparse normalization (SN).
-	CatSparseNorm
-	// CatFeatureGen is feature generation (FG).
-	CatFeatureGen
-	// CatOther is the "Others" row.
-	CatOther
-)
-
-// Category returns the Table 1 category of the type.
-func (t OpType) Category() Category {
-	switch t {
-	case OpLogit, OpBoxCox, OpOneHot:
-		return CatDenseNorm
-	case OpSigridHash, OpFirstX, OpClamp:
-		return CatSparseNorm
-	case OpBucketize, OpNGram, OpMapID:
-		return CatFeatureGen
-	default:
-		return CatOther
-	}
-}
-
 // PredictorCategory groups operator types the way the paper trains its
 // latency predictor (Table 5): NGram, OneHot, Bucketize and FirstX get
 // dedicated models; everything else is "1D Ops".
@@ -359,7 +331,7 @@ func (s KernelSpec) MaxElementsForDemand(leftoverSM, leftoverBW float64) float64
 // elements and the remainder (§6.2's resource-aware kernel sharding),
 // with ShardElements' arithmetic. Both pieces keep the receiver's Name;
 // the co-run scheduler names the pieces it finally places (`~shard`,
-// `~rest`).
+// `~rest`). Kept for sched's test oracle corunReference.
 func (s KernelSpec) Shard(frac float64) (KernelSpec, KernelSpec) {
 	a, b := s, s
 	a.Elements, b.Elements = ShardElements(s.Elements, frac)

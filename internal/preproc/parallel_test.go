@@ -15,10 +15,10 @@ import (
 func applyBoth(t *testing.T, planIdx, samples, workers int) {
 	t.Helper()
 	p := MustStandardPlan(planIdx, nil)
-	gen := data.NewGenerator(data.GenConfig{NumDense: p.NumDense, NumSparse: p.NumSparse, Seed: 42})
-	raw := gen.NextBatch(samples)
-	serial := raw.Clone()
-	parallel := raw.Clone()
+	// Two generators with one seed give two independent, identical batches.
+	cfg := data.GenConfig{NumDense: p.NumDense, NumSparse: p.NumSparse, Seed: 42}
+	serial := data.NewGenerator(cfg).NextBatch(samples)
+	parallel := data.NewGenerator(cfg).NextBatch(samples)
 
 	if err := p.Apply(serial); err != nil {
 		t.Fatal(err)

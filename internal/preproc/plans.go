@@ -42,7 +42,8 @@ func StandardPlan(n int, hashFor HashSizer) (*Plan, error) {
 	}
 }
 
-// MustStandardPlan is StandardPlan for known-good indices.
+// MustStandardPlan is StandardPlan for known-good indices. Kept as a
+// fixture for fusion's, mapping's and sched's tests.
 func MustStandardPlan(n int, hashFor HashSizer) *Plan {
 	p, err := StandardPlan(n, hashFor)
 	if err != nil {

@@ -100,9 +100,6 @@ func (f *Framework) OfflineTrainPredictor(samples int, seed int64) (map[string]f
 	return pred.Accuracy(eval, 0.10), nil
 }
 
-// Predictor exposes the active latency predictor.
-func (f *Framework) Predictor() *costmodel.Predictor { return f.pred }
-
 // ExecPlan is the searched co-running plan: everything needed to run
 // (or code-generate) the pipelined execution.
 type ExecPlan struct {

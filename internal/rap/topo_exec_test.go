@@ -25,7 +25,7 @@ func TestExecuteTopo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := f.ExecuteTopo(p, 4, topo.Flat(4), nil)
+	flat, err := f.ExecuteTopo(p, 4, topo.Uniform(1, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func checkCoRun(t *testing.T, fp *fusion.Plan, cm *costmodel.CostModel, opts Opt
 	// Walk the launch order against the plan's kernels: a planned
 	// kernel is one whole piece, or one or more `~shard` pieces closed
 	// by one `~rest` piece.
-	all := sch.AllKernels()
+	all := allKernels(sch)
 	pos, shards := 0, 0
 	for _, k := range fp.Kernels() {
 		if cm.Pred.Predict(k) <= 0 {

@@ -161,7 +161,7 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 type gpuPlan struct {
 	prep   gpusim.Stream // data-preparation stream (host prep + H2D copy)
 	pre    gpusim.Stream // preprocessing kernel stream
-	cpupre gpusim.Stream // CPU-preprocessing stream (TorchArrow/hybrid mode)
+	cpupre gpusim.Stream // CPU-preprocessing stream (TorchArrow)
 	// kernel holds the round-robin kernel streams when PreprocStreams>1.
 	kernel []gpusim.Stream
 	// perStage[s] and overflow are Schedule.PerStage[s] and
@@ -380,9 +380,8 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 		last = id
 	}
 
-	// CPU preprocessing: alone (TorchArrow) or concurrent with the GPU
-	// kernels (hybrid §10 mode). It runs on its own stream so it never
-	// serializes behind GPU kernels.
+	// CPU preprocessing (the TorchArrow baseline). It runs on its own
+	// stream so it never serializes behind GPU kernels.
 	var gates []gpusim.OpID
 	if w.CPUPreprocUs > 0 {
 		deps := append(b.deps[:0], prepOps...)

@@ -116,7 +116,7 @@ func TestFabricScaleRejectsBadInput(t *testing.T) {
 		{"above one", topo.Uniform(2, 1), []float64{1.5}, "outside (0,1]"},
 		{"more entries than nodes", topo.Uniform(2, 1), []float64{1, 1, 1}, "3 fabric scales for 2 topology nodes"},
 		{"nil topology", nil, []float64{0.5}, "no inter-node fabric"},
-		{"flat topology", topo.Flat(n), []float64{0.5}, "no inter-node fabric"},
+		{"flat topology", topo.Uniform(1, n), []float64{0.5}, "no inter-node fabric"},
 	}
 	for _, c := range cases {
 		_, err := BuildAndRun(gpusim.ClusterConfig{NumGPUs: n}, cfg, pl, work, PipelineOptions{

@@ -75,15 +75,6 @@ func (s *Schedule) TotalKernels() int {
 	return n
 }
 
-// AllKernels returns the launch-ordered kernel sequence.
-func (s *Schedule) AllKernels() []preproc.KernelSpec {
-	var out []preproc.KernelSpec
-	for _, ks := range s.PerStage {
-		out = append(out, ks...)
-	}
-	return append(out, s.Overflow...)
-}
-
 // part tells which piece of a planned kernel a scheduled piece is.
 type part uint8
 

@@ -12,6 +12,16 @@ import (
 	"rap/internal/preproc"
 )
 
+// allKernels returns s's kernels in launch order: every stage's, then
+// the overflow.
+func allKernels(s *Schedule) []preproc.KernelSpec {
+	var out []preproc.KernelSpec
+	for _, ks := range s.PerStage {
+		out = append(out, ks...)
+	}
+	return append(out, s.Overflow...)
+}
+
 func testSetup(t testing.TB, numGPUs int, batch int) (dlrm.Config, dlrm.Placement, *costmodel.CostModel) {
 	t.Helper()
 	sizes := make([]int64, 26)
@@ -71,7 +81,7 @@ func TestCoRunScheduleKeepsKernelOrder(t *testing.T) {
 	// The scheduled sequence must be the plan's kernel order with only
 	// shard splits allowed (prefix naming).
 	want := plan.Kernels()
-	got := sch.AllKernels()
+	got := allKernels(sch)
 	wi := 0
 	for _, k := range got {
 		base := strings.TrimSuffix(strings.TrimSuffix(k.Name, "~shard"), "~rest")
@@ -100,7 +110,7 @@ func TestCoRunScheduleShards(t *testing.T) {
 	}
 	// Work conservation across shards (+ overflow).
 	var total float64
-	for _, k := range sch.AllKernels() {
+	for _, k := range allKernels(sch) {
 		total += k.Elements
 	}
 	if math.Abs(total-plan.Kernels()[0].Elements) > 1e-6 {
@@ -166,7 +176,7 @@ func TestCoRunScheduleShardNames(t *testing.T) {
 	if sch.NumShards < 2 {
 		t.Fatalf("%d shards; the test needs a remainder that is split again", sch.NumShards)
 	}
-	all := sch.AllKernels()
+	all := allKernels(sch)
 	for i, k := range all {
 		want := name + "~shard"
 		if i == len(all)-1 {

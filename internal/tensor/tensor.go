@@ -16,28 +16,6 @@ import (
 	"math"
 )
 
-// DType enumerates the element types a column can hold.
-type DType int
-
-const (
-	// Float32 is the element type of dense columns.
-	Float32 DType = iota
-	// Int64 is the element type of sparse id columns.
-	Int64
-)
-
-// String returns the lower-case name of the dtype.
-func (d DType) String() string {
-	switch d {
-	case Float32:
-		return "float32"
-	case Int64:
-		return "int64"
-	default:
-		return fmt.Sprintf("dtype(%d)", int(d))
-	}
-}
-
 // Dense is a column of one float32 value per sample.
 type Dense struct {
 	Name   string
@@ -83,7 +61,8 @@ func NewSparse(name string, n int) *Sparse {
 	return &Sparse{Name: name, Offsets: make([]int32, n+1)}
 }
 
-// SparseFromLists builds a sparse column from per-sample id lists.
+// SparseFromLists builds a sparse column from per-sample id lists. Kept
+// as a fixture for data's and dlrm's tests.
 func SparseFromLists(name string, lists [][]int64) *Sparse {
 	s := &Sparse{Name: name, Offsets: make([]int32, len(lists)+1)}
 	total := 0
@@ -110,11 +89,6 @@ func (s *Sparse) Row(i int) []int64 {
 	return s.Values[s.Offsets[i]:s.Offsets[i+1]]
 }
 
-// RowLen returns len(Row(i)) without slicing.
-func (s *Sparse) RowLen(i int) int {
-	return int(s.Offsets[i+1] - s.Offsets[i])
-}
-
 // Clone returns a deep copy of the column.
 func (s *Sparse) Clone() *Sparse {
 	out := &Sparse{
@@ -124,16 +98,6 @@ func (s *Sparse) Clone() *Sparse {
 	}
 	copy(out.Offsets, s.Offsets)
 	copy(out.Values, s.Values)
-	return out
-}
-
-// Lists expands the column into per-sample slices (copies; test helper).
-func (s *Sparse) Lists() [][]int64 {
-	out := make([][]int64, s.Len())
-	for i := range out {
-		row := s.Row(i)
-		out[i] = append([]int64(nil), row...)
-	}
 	return out
 }
 
@@ -299,27 +263,6 @@ func (b *Batch) ShallowCopy() *Batch {
 	return out
 }
 
-// Clone deep-copies the batch.
-func (b *Batch) Clone() *Batch {
-	out := NewBatch(b.Samples)
-	for _, d := range b.Dense {
-		if err := out.AddDense(d.Clone()); err != nil {
-			//lint:ignore panicpath checked invariant: the clone source was validated on construction
-			panic("tensor: clone: " + err.Error()) // impossible: source was valid
-		}
-	}
-	for _, s := range b.Sparse {
-		if err := out.AddSparse(s.Clone()); err != nil {
-			//lint:ignore panicpath checked invariant: the clone source was validated on construction
-			panic("tensor: clone: " + err.Error())
-		}
-	}
-	if b.Labels != nil {
-		out.Labels = append([]float32(nil), b.Labels...)
-	}
-	return out
-}
-
 // Validate checks every column against the batch invariants.
 func (b *Batch) Validate() error {
 	for _, d := range b.Dense {
@@ -339,18 +282,4 @@ func (b *Batch) Validate() error {
 		return fmt.Errorf("tensor: labels length %d != %d", len(b.Labels), b.Samples)
 	}
 	return nil
-}
-
-// SizeBytes returns the total payload size of the batch, used by the
-// simulator to model host-to-device copies.
-func (b *Batch) SizeBytes() int {
-	n := 0
-	for _, d := range b.Dense {
-		n += 4 * d.Len()
-	}
-	for _, s := range b.Sparse {
-		n += 8*s.NNZ() + 4*len(s.Offsets)
-	}
-	n += 4 * len(b.Labels)
-	return n
 }

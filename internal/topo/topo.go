@@ -7,7 +7,7 @@
 //
 // A topology is pure structure: it owns no simulator state and imports
 // nothing from the rest of the repo. The flat single-node topology —
-// Flat(n), or no topology at all — is the identity: a simulator given
+// Uniform(1, n), or no topology at all — is the identity: a simulator given
 // one behaves bit-identically to one that predates this package (the
 // golden-digest back-compat suite pins this).
 package topo
@@ -18,7 +18,7 @@ import (
 )
 
 // Topology is an immutable GPU → node assignment plus the inter-node
-// fabric parameters. Construct one with Flat, Uniform, or FromNodeOf;
+// fabric parameters. Construct one with Uniform or FromNodeOf;
 // the zero value is invalid.
 type Topology struct {
 	// nodeOf[g] is the node index of GPU g; node ids are contiguous
@@ -40,18 +40,10 @@ type Topology struct {
 	Oversub float64
 }
 
-// Flat returns the single-node topology over gpus GPUs — the identity
-// topology: no fabric links exist and simulators treat it exactly like
-// having no topology at all.
-func Flat(gpus int) *Topology {
-	if gpus < 1 {
-		gpus = 1
-	}
-	return &Topology{nodeOf: make([]int, gpus), nodes: 1}
-}
-
 // Uniform returns a topology of `nodes` NVSwitch nodes with gpusPerNode
 // GPUs each, numbered node-major (GPU g lives on node g/gpusPerNode).
+// Uniform(1, n) is the flat identity topology: no fabric links exist and
+// simulators treat it exactly like having no topology at all.
 func Uniform(nodes, gpusPerNode int) *Topology {
 	if nodes < 1 {
 		nodes = 1
@@ -68,7 +60,8 @@ func Uniform(nodes, gpusPerNode int) *Topology {
 
 // FromNodeOf builds a topology from an explicit GPU → node assignment.
 // Node ids must be contiguous from 0 (every node in [0, max] has at
-// least one GPU); nodes need not hold contiguous GPU ranges.
+// least one GPU); nodes need not hold contiguous GPU ranges. Kept as a
+// fixture for gpusim's engine fuzz.
 func FromNodeOf(nodeOf []int) (*Topology, error) {
 	if len(nodeOf) == 0 {
 		return nil, fmt.Errorf("topo: empty GPU → node assignment")
@@ -115,7 +108,7 @@ func (t *Topology) Validate() error {
 		return nil
 	}
 	if len(t.nodeOf) == 0 || t.nodes < 1 {
-		return fmt.Errorf("topo: topology has no GPUs (use Flat/Uniform/FromNodeOf)")
+		return fmt.Errorf("topo: topology has no GPUs (use Uniform/FromNodeOf)")
 	}
 	for g, n := range t.nodeOf {
 		if n < 0 || n >= t.nodes {

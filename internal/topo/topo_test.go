@@ -6,12 +6,12 @@ import (
 )
 
 func TestFlatAndUniform(t *testing.T) {
-	f := Flat(8)
+	f := Uniform(1, 8)
 	if f.NumGPUs() != 8 || f.NumNodes() != 1 {
-		t.Fatalf("Flat(8): %d gpus on %d nodes", f.NumGPUs(), f.NumNodes())
+		t.Fatalf("Uniform(1,8): %d gpus on %d nodes", f.NumGPUs(), f.NumNodes())
 	}
 	if err := f.Validate(); err != nil {
-		t.Fatalf("Flat(8).Validate: %v", err)
+		t.Fatalf("Uniform(1,8).Validate: %v", err)
 	}
 	if f.crossNode(0, 7) {
 		t.Fatalf("flat topology reports a cross-node pair")
@@ -137,8 +137,8 @@ func TestString(t *testing.T) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
 	}
-	if s := Flat(4).String(); !strings.Contains(s, "1×4") {
-		t.Fatalf("Flat(4).String() = %q", s)
+	if s := Uniform(1, 4).String(); !strings.Contains(s, "1×4") {
+		t.Fatalf("Uniform(1,4).String() = %q", s)
 	}
 	irr, err := FromNodeOf([]int{0, 0, 1})
 	if err != nil {

@@ -43,6 +43,12 @@ phase raplint
 "$bin/raplint" -timing -json lint-report.json ./...
 phase "go test -race"
 go test -race ./...
+phase "schedule check (-cpu 1,3,8)"
+# The planner and the fleet fan work out over goroutines; these tests pin
+# their results, so rerunning them at three GOMAXPROCS values fails
+# tier-1 on any result that depends on the worker count.
+go test -count=1 -cpu 1,3,8 -run 'TestPlanGolden$|TestSimulateMatchesReference$|TestClusterSmokeDigests$|TestCongestedPipelineDigests$|TestTimelineReadersGolden$' \
+	./internal/rap ./internal/cluster ./internal/experiments ./internal/sched
 phase "benchmarks (one iteration each)"
 # go test alone only compiles benchmarks; run each once so a benchmark
 # that fails or panics fails tier-1.
