@@ -13,8 +13,10 @@ import (
 // fleet that Pack places it on, with one co-tenant congesting node 0's
 // fabric link (scale 0.5). The plan comes from buildPlan, as every
 // fleet plan does, so the run is the one a fleet job makes: no
-// utilization timelines and end times only. Planning is set-up; DAG
-// construction and the gpusim run are timed.
+// utilization timelines and end times only, so it builds 3 of its 8
+// iterations and stamps the other 5 (sched.BuildAndRun). Planning is
+// set-up; DAG construction and the gpusim run are timed. ns/event is
+// per event of the gpusim run (Result.Events).
 // `go test -run '^$' -bench BenchmarkFleetJob ./internal/cluster`.
 func BenchmarkFleetJob(b *testing.B) {
 	const gpus = 16
@@ -28,11 +30,15 @@ func BenchmarkFleetJob(b *testing.B) {
 	fabricScale := []float64{0.5, 1}
 	b.ReportAllocs()
 	b.ResetTimer()
+	events := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := ps.fw.ExecuteTopo(ps.plan, 8, sub, fabricScale); err != nil {
+		st, err := ps.fw.ExecuteTopo(ps.plan, 8, sub, fabricScale)
+		if err != nil {
 			b.Fatal(err)
 		}
+		events = st.Result.Events
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
 // BenchmarkFleetFill times the plan fill of the fleet benchmark: each

@@ -99,6 +99,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Topo: bad, Policy: Pack{}}); err == nil {
 		t.Fatal("invalid topology accepted")
 	}
+	nan := topo.Uniform(2, 2)
+	nan.FabricGBs = math.NaN()
+	if _, err := New(Config{Topo: nan, Policy: Pack{}}); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("NaN fabric bandwidth: error %v, want a non-finite rejection", err)
+	}
 }
 
 // TestSimulateDeterministic: the digest is bit-stable across fresh
@@ -370,9 +375,10 @@ func TestTenantContention(t *testing.T) {
 // makes reports what a full run of the same plan reports, bit for bit,
 // for every menu shape on a flat topology and on 2- and 3-node subsets
 // (the 2-GPU shape spans at most 2 nodes), with and without a fabric
-// scale; it keeps no op results.
+// scale; it keeps no op results. The runs last 4 and 8 iterations, so
+// the end-times-only run stamps its last 1 and 5 (sched.BuildAndRun)
+// where the full run builds them.
 func TestEndTimesOnlyMatchesFullRun(t *testing.T) {
-	const iters = 3
 	// outcome is a run's figures the two modes must share, floats as bits.
 	type outcome struct {
 		Makespan, Steady, Throughput uint64
@@ -423,19 +429,21 @@ func TestEndTimesOnlyMatchesFullRun(t *testing.T) {
 				layout{name + "-scaled", tp, []float64{0.5, 1, 1.0 / 3}[:nodes]})
 		}
 		for _, l := range layouts {
-			lean, err := ps.fw.ExecuteTopo(ps.plan, iters, l.tp, l.scale)
-			if err != nil {
-				t.Fatalf("%+v %s: %v", shape, l.name, err)
-			}
-			want, err := ps.fw.ExecuteTopo(&full, iters, l.tp, l.scale)
-			if err != nil {
-				t.Fatalf("%+v %s full: %v", shape, l.name, err)
-			}
-			if len(lean.Result.Ops) != 0 || len(want.Result.Ops) == 0 {
-				t.Fatalf("%+v %s: %d op results end-times-only, %d full", shape, l.name, len(lean.Result.Ops), len(want.Result.Ops))
-			}
-			if got, want := outcomeOf(lean), outcomeOf(want); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%+v %s: end-times-only run %+v, full run %+v", shape, l.name, got, want)
+			for _, iters := range []int{4, 8} {
+				lean, err := ps.fw.ExecuteTopo(ps.plan, iters, l.tp, l.scale)
+				if err != nil {
+					t.Fatalf("%+v %s: %v", shape, l.name, err)
+				}
+				want, err := ps.fw.ExecuteTopo(&full, iters, l.tp, l.scale)
+				if err != nil {
+					t.Fatalf("%+v %s full: %v", shape, l.name, err)
+				}
+				if len(lean.Result.Ops) != 0 || len(want.Result.Ops) == 0 {
+					t.Fatalf("%+v %s: %d op results end-times-only, %d full", shape, l.name, len(lean.Result.Ops), len(want.Result.Ops))
+				}
+				if got, want := outcomeOf(lean), outcomeOf(want); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v %s %d iterations: end-times-only run %+v, full run %+v", shape, l.name, iters, got, want)
+				}
 			}
 		}
 	}

@@ -171,6 +171,36 @@ type IterHandle struct {
 	End gpusim.OpID
 }
 
+// Shift returns the handle with every op id moved by n: the handle of
+// the iteration gpusim.Sim.Stamp copies from h's ops n further on.
+func (h IterHandle) Shift(n int) IterHandle {
+	out := IterHandle{
+		StageOps:       make([][]gpusim.OpID, len(h.StageOps)),
+		StageStartDeps: make([][][]gpusim.OpID, len(h.StageStartDeps)),
+		End:            h.End + gpusim.OpID(n),
+	}
+	shift := func(ids []gpusim.OpID) []gpusim.OpID {
+		if len(ids) == 0 {
+			return nil
+		}
+		moved := make([]gpusim.OpID, len(ids))
+		for i, id := range ids {
+			moved[i] = id + gpusim.OpID(n)
+		}
+		return moved
+	}
+	for g, ops := range h.StageOps {
+		out.StageOps[g] = shift(ops)
+	}
+	for g, stages := range h.StageStartDeps {
+		out.StageStartDeps[g] = make([][]gpusim.OpID, len(stages))
+		for s, deps := range stages {
+			out.StageStartDeps[g][s] = shift(deps)
+		}
+	}
+	return out
+}
+
 // IterTemplate is the iteration-invariant part of a training DAG: the
 // per-GPU stage list and per-stage name suffixes, validated and derived
 // once per (Config, Placement) pair. Callers that schedule many

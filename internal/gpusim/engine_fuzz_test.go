@@ -81,13 +81,16 @@ func TestEngineMatchesReferenceLarge(t *testing.T) {
 // checkAgainstReference runs DAG d through the engine and the reference
 // engine, both recording timelines, and requires bit-identical Results.
 // It then runs d through the engine without timelines and requires the
-// same op results, Makespan and Events, and nil timelines.
+// same op results, Makespan and Events, and nil timelines. Last, it
+// checks the engine against two bounds no fair-share formula enters
+// (see checkSoloBounds).
 func checkAgainstReference(t *testing.T, d fuzzDAG) {
 	t.Helper()
 	got, err := buildFuzzDAG(t, d, true).Run()
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	checkSoloBounds(t, buildFuzzDAG(t, d, false), got)
 	want, err := referenceRun(buildFuzzDAG(t, d, true))
 	if err != nil {
 		t.Fatalf("reference: %v", err)
@@ -111,6 +114,45 @@ func checkAgainstReference(t *testing.T, d fuzzDAG) {
 	// run's, so only op results and Makespan can differ.
 	plain.Util, plain.HostUtil = got.Util, got.HostUtil
 	compareResults(t, int(d.seed), plain, got)
+}
+
+// soloTol is how far an op may finish short of its solo latency: its
+// overhead and its work phase each end once their remainder falls to
+// timeEps, which skips up to 2·timeEps of solo time. Dividing by
+// minSpeed leaves a thousandfold margin for the float drift of summing
+// event steps into the clock, which stays far below it at these sizes.
+const soloTol = 2 * timeEps / minSpeed //rap:unit us
+
+// checkSoloBounds checks res, the run of a DAG built like unrun (which
+// it reads solo latencies and dependencies from), against two bounds
+// that hold whatever the contention model, since no op ever runs faster
+// than speed 1: every op's End − Start is at least its solo latency
+// (overhead plus work, as added), and every op ends no sooner than the
+// longest solo-latency path of the DAG up to it, so the Makespan is at
+// least the DAG's longest path. Each op on a path may fall short by
+// soloTol.
+func checkSoloBounds(t *testing.T, unrun *Sim, res *Result) {
+	t.Helper()
+	bound := make([]float64, len(unrun.ops)) // longest path ending at op i, less soloTol per op
+	longest := 0.0
+	for i := range unrun.ops {
+		o, r := &unrun.ops[i], res.Ops[i]
+		solo := o.overheadLeft + o.workLeft
+		if span := r.End - r.Start; span < solo-soloTol {
+			t.Fatalf("op %s ran %v µs, under its solo latency %v", r.Name, span, solo)
+		}
+		for _, dep := range unrun.depsOf(i) {
+			bound[i] = max(bound[i], bound[dep])
+		}
+		bound[i] += solo - soloTol
+		if r.End < bound[i] {
+			t.Fatalf("op %s ends at %v, before its longest solo path %v", r.Name, r.End, bound[i])
+		}
+		longest = max(longest, bound[i])
+	}
+	if res.Makespan < longest {
+		t.Fatalf("makespan %v under the longest solo path %v", res.Makespan, longest)
+	}
 }
 
 // fuzzDAG parameterizes buildFuzzDAG. ops 0 draws 40–139 ops.

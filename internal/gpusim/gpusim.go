@@ -156,8 +156,8 @@ type ClusterConfig struct {
 	// returns the zero OpResult); read an op's end through Sim.OpEnd.
 	// Op times, Makespan, Events and the timelines are the same bits
 	// either way. Errors identify an op by its index ("op #3") instead
-	// of its name. Off by default; the fleet simulator, which reads
-	// only makespans and iteration ends, sets it.
+	// of its name. Only such a Sim can Stamp. Off by default; the fleet
+	// simulator, which reads only makespans and iteration ends, sets it.
 	EndTimesOnly bool
 }
 
@@ -670,11 +670,15 @@ func (s *Sim) add(opts []OpOption) OpID {
 
 // depsOf returns op i's dependencies.
 func (s *Sim) depsOf(i int) []int32 {
-	lo := int32(0)
-	if i > 0 {
-		lo = s.depEnd[i-1]
+	return s.deps[s.depStart(i):s.depEnd[i]]
+}
+
+// depStart returns where op i's dependencies begin in deps.
+func (s *Sim) depStart(i int) int32 {
+	if i == 0 {
+		return 0
 	}
-	return s.deps[lo:s.depEnd[i]]
+	return s.depEnd[i-1]
 }
 
 // opLabel identifies stored op i in an error: its quoted name, or
@@ -872,4 +876,49 @@ func (s *Sim) AddCPU(name string, micros float64, workers int, opts ...OpOption)
 func (s *Sim) AddBarrier(name string, opts ...OpOption) OpID {
 	s.push(name, "sync", -1, 0, 0)
 	return s.add(opts)
+}
+
+// Stamp appends a copy of the last n ops shifted by n: op len−n+j is
+// copied to len+j with every dependency d replaced by d+n, and every
+// stream whose last op lies among the n advances by n too. The copies
+// share their sources' demand spans. The result is the DAG that adding
+// the n ops again would build when each of them depends on ops exactly
+// n earlier than its source does, which is how a periodic pipeline's
+// steady iterations repeat. Stamp returns the first copy's id.
+//
+// Only a Sim that keeps no names (ClusterConfig.EndTimesOnly) stamps,
+// since names carry their iteration. That, an n outside [1, len], or a
+// store that would outgrow int32 ids is recorded as an add error, which
+// Run reports, and Stamp returns InvalidOp.
+func (s *Sim) Stamp(n int) OpID {
+	total := len(s.ops)
+	switch {
+	case !s.cfg.EndTimesOnly:
+		s.fail(fmt.Errorf("gpusim: Stamp on a Sim that keeps op names"))
+		return InvalidOp
+	case n < 1 || n > total:
+		s.fail(fmt.Errorf("gpusim: Stamp of %d ops from a store of %d", n, total))
+		return InvalidOp
+	case total > math.MaxInt32-n:
+		s.fail(fmt.Errorf("gpusim: Stamp of %d ops overflows the %d ops a Sim holds", n, math.MaxInt32))
+		return InvalidOp
+	}
+	lo, shift := total-n, int32(n)
+	s.ops = append(s.ops, s.ops[lo:]...)
+	// The sources' dependencies are the tail of deps; the copies' follow
+	// them, so each copy's end moves by that tail's length.
+	src := s.deps[s.depStart(lo):]
+	s.deps = slices.Grow(s.deps, len(src))
+	for _, d := range src {
+		s.deps = append(s.deps, d+shift)
+	}
+	for _, e := range s.depEnd[lo:] {
+		s.depEnd = append(s.depEnd, e+int32(len(src)))
+	}
+	for h, last := range s.streams {
+		if last >= int32(lo) {
+			s.streams[h] = last + shift
+		}
+	}
+	return OpID(total)
 }

@@ -3,8 +3,11 @@ package gpusim
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"rap/internal/topo"
 )
 
 // pointerFree reports whether values of type t hold no pointer, so that
@@ -201,5 +204,128 @@ func TestEndTimesOnlyErrorsNameOpIndex(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// periodicDAG adds iteration i of a pipeline whose iterations repeat:
+// per GPU a kernel on the GPU's stream, gated on the previous
+// iteration's barrier, then a collective and a cross-GPU transfer, all
+// joined by the iteration's barrier. Every iteration from 1 on depends
+// on ops exactly one iteration back, so it is iteration i-1 shifted.
+func periodicDAG(s *Sim, streams []Stream, i int, prev OpID) OpID {
+	g := s.Config().NumGPUs
+	var ends []OpID
+	for gpu := 0; gpu < g; gpu++ {
+		var deps []OpID
+		if i > 0 {
+			deps = append(deps, prev)
+		}
+		k := s.AddKernel(gpu, Kernel{Work: 10 + float64(3*gpu), Demand: Demand{SM: 0.4 + 0.1*float64(gpu), MemBW: 0.6}},
+			WithStream(streams[gpu]), WithDeps(deps...), WithPriority(gpu%2))
+		c := s.AddLinkBusy("", gpu, 2e6, WithDeps(k))
+		ends = append(ends, s.AddComm("", gpu, (gpu+1)%g, 1e6, WithDeps(c)))
+	}
+	ends = append(ends, s.AddCPU("", 7, 4, WithStream(streams[g])))
+	return s.AddBarrier("", WithDeps(ends...))
+}
+
+// TestStampMatchesBuilt: on a 2-node topology, stamping iterations 2–7
+// of periodicDAG stores the ops, demands and dependencies building them
+// stores, reuses the sources' demand spans, advances the stream tails,
+// and runs to the same op ends, makespan, events and timelines.
+func TestStampMatchesBuilt(t *testing.T) {
+	const gpus, iters = 4, 8
+	newSim := func() (*Sim, []Stream) {
+		s := NewSim(ClusterConfig{NumGPUs: gpus, EndTimesOnly: true, Timelines: true})
+		tp := topo.Uniform(2, gpus/2)
+		tp.FabricGBs, tp.Oversub = 100, 2
+		if err := s.SetTopology(tp); err != nil {
+			t.Fatal(err)
+		}
+		return s, newStreams(s, gpus+1)
+	}
+	built, bs := newSim()
+	stamped, ss := newSim()
+	var bEnd, sEnd OpID
+	for i := 0; i < iters; i++ {
+		bEnd = periodicDAG(built, bs, i, bEnd)
+		if i < 2 {
+			sEnd = periodicDAG(stamped, ss, i, sEnd)
+			continue
+		}
+		n := len(stamped.ops) / i
+		if first := stamped.Stamp(n); first != OpID(len(stamped.ops)-n) {
+			t.Fatalf("iteration %d: Stamp returned %d, want %d", i, first, len(stamped.ops)-n)
+		}
+	}
+	if len(stamped.ops) != len(built.ops) || !slices.Equal(stamped.streams, built.streams) {
+		t.Fatalf("stamped %d ops, streams %v; built %d ops, streams %v", len(stamped.ops), stamped.streams, len(built.ops), built.streams)
+	}
+	if len(stamped.dems)*iters != len(built.dems)*2 {
+		t.Fatalf("stamped store holds %d demands, built %d: stamps must reuse their sources'", len(stamped.dems), len(built.dems))
+	}
+	for i := range built.ops {
+		b, s := built.ops[i], stamped.ops[i]
+		b.demOff, s.demOff = 0, 0
+		if b != s || !slices.Equal(built.ops[i].demandsIn(built.dems), stamped.ops[i].demandsIn(stamped.dems)) ||
+			!slices.Equal(built.depsOf(i), stamped.depsOf(i)) {
+			t.Fatalf("op %d: stamped %+v deps %v, built %+v deps %v", i, s, stamped.depsOf(i), b, built.depsOf(i))
+		}
+	}
+	want, err := built.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := stamped.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ResultDigest(got) != ResultDigest(want) || got.Events != want.Events {
+		t.Fatalf("stamped run digest %s, %d events; built %s, %d events", ResultDigest(got)[:12], got.Events, ResultDigest(want)[:12], want.Events)
+	}
+	for i := range built.ops {
+		if b, s := built.OpEnd(OpID(i)), stamped.OpEnd(OpID(i)); math.Float64bits(b) != math.Float64bits(s) {
+			t.Fatalf("op %d ends at %v stamped, %v built", i, s, b)
+		}
+	}
+}
+
+// TestStampRejected: Stamp on a Sim that keeps names, or of a span
+// outside the store, returns InvalidOp, leaves the store as it was and
+// records an error Run reports.
+func TestStampRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		lean bool
+		n    int
+		want string
+	}{
+		{"named", false, 1, "Stamp on a Sim that keeps op names"},
+		{"zero", true, 0, "Stamp of 0 ops from a store of 2"},
+		{"negative", true, -1, "Stamp of -1 ops from a store of 2"},
+		{"past_store", true, 3, "Stamp of 3 ops from a store of 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSim(ClusterConfig{NumGPUs: 1, EndTimesOnly: c.lean})
+			st := s.NewStream()
+			s.AddKernel(0, Kernel{Work: 1}, WithStream(st))
+			s.AddBarrier("", WithStream(st))
+			if id := s.Stamp(c.n); id != InvalidOp {
+				t.Fatalf("Stamp(%d) = %d, want InvalidOp", c.n, id)
+			}
+			if len(s.ops) != 2 || len(s.depEnd) != 2 || s.streams[st] != 1 {
+				t.Fatalf("rejected Stamp changed the store: %d ops, %d dep ends, stream tail %d", len(s.ops), len(s.depEnd), s.streams[st])
+			}
+			if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Run error = %v, want %q", err, c.want)
+			}
+		})
+	}
+	empty := NewSim(ClusterConfig{NumGPUs: 1, EndTimesOnly: true})
+	if id := empty.Stamp(1); id != InvalidOp {
+		t.Fatalf("Stamp on an empty store = %d, want InvalidOp", id)
+	}
+	if _, err := empty.Run(); err == nil || !strings.Contains(err.Error(), "Stamp of 1 ops from a store of 0") {
+		t.Fatalf("Run error = %v", err)
 	}
 }

@@ -46,6 +46,11 @@ func TestSetTopologyValidation(t *testing.T) {
 	if err := s.SetTopology(bad); err == nil {
 		t.Fatalf("invalid topology must fail")
 	}
+	inf := topo.Uniform(2, 2)
+	inf.Oversub = math.Inf(1)
+	if err := s.SetTopology(inf); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("infinite oversubscription: error %v, want a non-finite rejection", err)
+	}
 	tp := topo.Uniform(2, 2)
 	if err := s.SetTopology(tp); err != nil {
 		t.Fatalf("SetTopology: %v", err)

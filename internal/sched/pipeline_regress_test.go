@@ -2,10 +2,13 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"rap/internal/gpusim"
 	"rap/internal/preproc"
+	"rap/internal/topo"
 )
 
 // TestPipelineSingleIteration covers the Iterations:1 regression: with no
@@ -116,6 +119,77 @@ func TestIterOpsCountsEveryOp(t *testing.T) {
 		}
 		if got, want := len(stats.Result.Ops), c.opts.Iterations*b.iterOps(); got != want {
 			t.Errorf("%s: %d ops, iterOps counts %d", c.name, got, want)
+		}
+	}
+}
+
+// TestStampedRunsMatchBuiltRuns: an end-times-only run stamps its
+// iterations from stampFrom on, where a run that keeps names builds
+// them all; over 1–12 iterations the two DAGs must run to the same op
+// ends, makespan, events and timelines, bit for bit, for every kind of
+// GPU work and pipeline option.
+func TestStampedRunsMatchBuiltRuns(t *testing.T) {
+	const n = 3
+	cfg, pl, cm := testSetup(t, n, 4096)
+	rap := buildWork(t, cm, splitGraphs(preproc.MustStandardPlan(1, nil), n), 4096)
+	cpu := append([]GPUWork(nil), rap...)
+	cpu[1] = GPUWork{CPUPreprocUs: 80, CPUPrepUs: 30, PrepBytes: 1e6}
+	cpu[2].CPUPreprocUs = 40
+	comm := append([]GPUWork(nil), rap...)
+	comm[0] = GPUWork{InputCommBytes: 1e6}
+	comm[2].InputCommBytes = 2e6
+	fabric := topo.Uniform(n, 1)
+	fabric.FabricGBs, fabric.Oversub = 100, 2
+	for _, c := range []struct {
+		name string
+		work []GPUWork
+		opts PipelineOptions
+	}{
+		{"interleave", rap, PipelineOptions{Interleave: true}},
+		{"no_interleave", rap, PipelineOptions{}},
+		{"sequential", rap, PipelineOptions{SequentialPreproc: true}},
+		{"streams8", rap, PipelineOptions{Interleave: true, PreprocStreams: 8, PreprocPriority: 1}},
+		{"cpu_preproc", cpu, PipelineOptions{Interleave: true}},
+		{"comm_without_kernels", comm, PipelineOptions{Interleave: true}},
+		{"fabric", rap, PipelineOptions{Interleave: true, Topology: fabric, FabricScale: []float64{0.5, 1, 0.25}}},
+	} {
+		for iters := 1; iters <= 12; iters++ {
+			c.opts.Iterations = iters
+			run := func(lean bool) (*pipelineBuilder, *gpusim.Result) {
+				t.Helper()
+				cluster := gpusim.ClusterConfig{NumGPUs: n, Timelines: true, EndTimesOnly: lean}.WithDefaults()
+				b, err := newPipelineBuilder(cluster, cfg, pl, c.work, c.opts.withDefaults())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.addIterations(); err != nil {
+					t.Fatal(err)
+				}
+				res, err := b.sim.Run()
+				if err != nil {
+					t.Fatalf("%s, %d iterations, EndTimesOnly=%v: %v", c.name, iters, lean, err)
+				}
+				return b, res
+			}
+			lean, leanRes := run(true)
+			full, fullRes := run(false)
+			if !reflect.DeepEqual(lean.handles, full.handles) {
+				t.Fatalf("%s, %d iterations: stamped handles differ from built ones", c.name, iters)
+			}
+			stripped := *fullRes
+			stripped.Ops = nil
+			if gpusim.ResultDigest(leanRes) != gpusim.ResultDigest(&stripped) || leanRes.Events != fullRes.Events {
+				t.Fatalf("%s, %d iterations: stamped run makespan %v, %d events; built %v, %d events",
+					c.name, iters, leanRes.Makespan, leanRes.Events, fullRes.Makespan, fullRes.Events)
+			}
+			if want := iters * full.iterOps(); len(fullRes.Ops) != want || lean.sim.OpEnd(gpusim.OpID(want-1)) == 0 {
+				t.Fatalf("%s, %d iterations: %d ops built, want %d", c.name, iters, len(fullRes.Ops), want)
+			}
+			for _, op := range fullRes.Ops {
+				if got := lean.sim.OpEnd(op.ID); math.Float64bits(got) != math.Float64bits(op.End) {
+					t.Fatalf("%s, %d iterations: op %s ends at %v stamped, %v built", c.name, iters, op.Name, got, op.End)
+				}
+			}
 		}
 	}
 }

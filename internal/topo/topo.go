@@ -14,6 +14,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -115,8 +116,17 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("topo: gpu %d on node %d outside [0,%d)", g, n, t.nodes)
 		}
 	}
+	// A NaN fabric parameter turns every fabric demand or capacity into
+	// NaN, which never oversubscribes; an infinite one is no physical
+	// link (an infinite Oversub leaves no capacity at all).
+	if math.IsNaN(t.FabricGBs) || math.IsInf(t.FabricGBs, 0) {
+		return fmt.Errorf("topo: fabric bandwidth %g GB/s is not finite", t.FabricGBs)
+	}
 	if t.FabricGBs < 0 {
 		return fmt.Errorf("topo: fabric bandwidth %g GB/s must be non-negative", t.FabricGBs)
+	}
+	if math.IsNaN(t.Oversub) || math.IsInf(t.Oversub, 0) {
+		return fmt.Errorf("topo: oversubscription %g is not finite", t.Oversub)
 	}
 	if t.Oversub < 0 || (t.Oversub > 0 && t.Oversub < 1) {
 		return fmt.Errorf("topo: oversubscription %g must be >= 1 (or 0 for the default of 1)", t.Oversub)
@@ -162,8 +172,15 @@ func (t *Topology) Subset(gpus []int) (*Topology, error) {
 }
 
 // String renders the topology compactly, e.g. "128×8 gpus,
-// fabric 100 GB/s oversub 4".
+// fabric 100 GB/s oversub 4". A nil topology reads "no topology" and
+// the zero value "empty topology".
 func (t *Topology) String() string {
+	if t == nil {
+		return "no topology"
+	}
+	if t.nodes < 1 {
+		return "empty topology"
+	}
 	var b strings.Builder
 	per := len(t.nodeOf) / t.nodes
 	uniform := per*t.nodes == len(t.nodeOf)

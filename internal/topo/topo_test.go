@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -82,6 +84,41 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateFabricParams: Validate accepts finite fabric parameters
+// in range, defaults (0) included, and rejects NaN and ±Inf for both.
+func TestValidateFabricParams(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		fabricGBs, oversub float64
+		want               string // "" means valid
+	}{
+		{0, 0, ""},
+		{100, 1, ""},
+		{25, 8, ""},
+		{nan, 1, "fabric bandwidth NaN GB/s is not finite"},
+		{inf, 1, "fabric bandwidth +Inf GB/s is not finite"},
+		{-inf, 1, "fabric bandwidth -Inf GB/s is not finite"},
+		{-1, 1, "fabric bandwidth -1 GB/s must be non-negative"},
+		{100, nan, "oversubscription NaN is not finite"},
+		{100, inf, "oversubscription +Inf is not finite"},
+		{100, -inf, "oversubscription -Inf is not finite"},
+		{100, 0.5, "oversubscription 0.5 must be >= 1"},
+	} {
+		tp := Uniform(2, 2)
+		tp.FabricGBs, tp.Oversub = c.fabricGBs, c.oversub
+		err := tp.Validate()
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("FabricGBs %g, Oversub %g: %v", c.fabricGBs, c.oversub, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("FabricGBs %g, Oversub %g: error %v, want %q", c.fabricGBs, c.oversub, err, c.want)
+		}
+	}
+}
+
 func TestSubset(t *testing.T) {
 	u := Uniform(4, 2) // nodes: {0,1} {2,3} {4,5} {6,7}
 	u.FabricGBs = 100
@@ -147,6 +184,13 @@ func TestString(t *testing.T) {
 	if s := irr.String(); !strings.Contains(s, "3 gpus on 2 nodes") {
 		t.Fatalf("irregular String() = %q", s)
 	}
+	var nilTopo *Topology
+	if s := nilTopo.String(); s != "no topology" {
+		t.Fatalf("nil String() = %q", s)
+	}
+	if s := (&Topology{}).String(); s != "empty topology" {
+		t.Fatalf("zero-value String() = %q", s)
+	}
 }
 
 // nodeSize returns the number of GPUs on node n; 0 when out of range.
@@ -168,4 +212,92 @@ func (t *Topology) nodeSize(n int) int {
 func (t *Topology) crossNode(a, b int) bool {
 	na, nb := t.NodeOf(a), t.NodeOf(b)
 	return na >= 0 && nb >= 0 && na != nb
+}
+
+// FuzzTopology drives the package's entry points with random GPU →
+// node assignments (bytes from 0xF0 up give node -1), random GPU
+// subsets (ids from -1 to NumGPUs, repeats included) and random fabric
+// parameters, NaN and ±Inf included. FromNodeOf, Validate and Subset
+// must return an error exactly when their input is invalid, and never
+// panic; String never panics. A subset keeps the fabric parameters bit
+// for bit, renumbers nodes by first appearance, and validates when its
+// topology does.
+// `go test -run '^$' -fuzz FuzzTopology -fuzztime 60s ./internal/topo`.
+func FuzzTopology(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add([]byte{0, 0, 1, 1}, []byte{3, 0, 2}, 100.0, 4.0)
+	f.Add([]byte{0, 1, 0, 2}, []byte{1, 4, 2}, nan, 1.0)
+	f.Add([]byte{0, 2}, []byte{0}, 0.0, inf)
+	f.Add([]byte{}, []byte{}, -inf, 0.5)
+	f.Add([]byte{1, 0, 0}, []byte{2, 2}, -1.0, nan)
+	f.Add([]byte{0, 0xF0, 1}, []byte{1}, inf, -inf)
+	f.Add([]byte{3, 2, 1, 0, 2}, []byte{4, 3, 1, 0}, 25.0, 0.0)
+	f.Add([]byte{0}, []byte{0, 1}, 50.0, 2.0)
+	f.Fuzz(func(t *testing.T, nodes, subset []byte, fabricGBs, oversub float64) {
+		nodeOf := make([]int, len(nodes))
+		maxNode := -1
+		for g, b := range nodes {
+			nodeOf[g] = int(b % 8)
+			if b >= 0xF0 {
+				nodeOf[g] = -1
+			}
+			maxNode = max(maxNode, nodeOf[g])
+		}
+		wantOK := len(nodeOf) > 0 && !slices.Contains(nodeOf, -1)
+		for n := 0; n <= maxNode && wantOK; n++ {
+			wantOK = slices.Contains(nodeOf, n)
+		}
+		tp, err := FromNodeOf(nodeOf)
+		if (err == nil) != wantOK {
+			t.Fatalf("FromNodeOf(%v): error %v, want valid=%v", nodeOf, err, wantOK)
+		}
+		if err != nil {
+			return
+		}
+		tp.FabricGBs, tp.Oversub = fabricGBs, oversub
+		_ = tp.String()
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		valid := finite(fabricGBs) && fabricGBs >= 0 && finite(oversub) && (oversub == 0 || oversub >= 1)
+		verr := tp.Validate()
+		if (verr == nil) != valid {
+			t.Fatalf("Validate with FabricGBs %g, Oversub %g: %v, want valid=%v", fabricGBs, oversub, verr, valid)
+		}
+
+		gpus := make([]int, len(subset))
+		seen := map[int]bool{}
+		subsetOK := len(gpus) > 0
+		for i, b := range subset {
+			gpus[i] = int(b)%(tp.NumGPUs()+2) - 1
+			subsetOK = subsetOK && gpus[i] >= 0 && gpus[i] < tp.NumGPUs() && !seen[gpus[i]]
+			seen[gpus[i]] = true
+		}
+		sub, err := tp.Subset(gpus)
+		if (err == nil) != subsetOK {
+			t.Fatalf("Subset(%v) of %d GPUs: error %v, want valid=%v", gpus, tp.NumGPUs(), err, subsetOK)
+		}
+		if err != nil {
+			return
+		}
+		_ = sub.String()
+		if math.Float64bits(sub.FabricGBs) != math.Float64bits(fabricGBs) || math.Float64bits(sub.Oversub) != math.Float64bits(oversub) {
+			t.Fatalf("Subset fabric %g/%g, want %g/%g", sub.FabricGBs, sub.Oversub, fabricGBs, oversub)
+		}
+		if err := sub.Validate(); (err == nil) != (verr == nil) {
+			t.Fatalf("Subset validates %v, topology %v", err, verr)
+		}
+		renum := map[int]int{}
+		for i, g := range gpus {
+			n, ok := renum[tp.NodeOf(g)]
+			if !ok {
+				n = len(renum)
+				renum[tp.NodeOf(g)] = n
+			}
+			if sub.NodeOf(i) != n {
+				t.Fatalf("Subset(%v) puts GPU %d on node %d, want %d by first appearance", gpus, i, sub.NodeOf(i), n)
+			}
+		}
+		if sub.NumGPUs() != len(gpus) || sub.NumNodes() != len(renum) {
+			t.Fatalf("Subset(%v): %d GPUs on %d nodes, want %d on %d", gpus, sub.NumGPUs(), sub.NumNodes(), len(gpus), len(renum))
+		}
+	})
 }
