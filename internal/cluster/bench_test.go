@@ -69,3 +69,35 @@ func BenchmarkFleetFill(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFleetTrace times one warm-plan Simulate of a 24-job
+// GenerateJobs trace (seed 1, 2000 µs mean gap, all six menu shapes) on
+// a 16-node × 8-GPU fleet (100 GB/s fabric, 4× oversubscribed): the
+// plans are built before the timer starts, so an op is the fleet loop
+// and every job simulation, which resolve in batches on up to
+// GOMAXPROCS goroutines (DESIGN.md §10). B/op is what a trace's
+// simulations allocate; `-cpu 1,2` shows what the concurrency buys.
+// `go test -run '^$' -bench BenchmarkFleetTrace -cpu 1,2 ./internal/cluster`.
+func BenchmarkFleetTrace(b *testing.B) {
+	fleet := topo.Uniform(16, 8)
+	fleet.FabricGBs = 100
+	fleet.Oversub = 4
+	jobs, err := GenerateJobs(GenConfig{Seed: 1, NumJobs: 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{Topo: fleet, Policy: Pack{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Simulate(jobs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Simulate(jobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

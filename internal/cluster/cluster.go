@@ -15,13 +15,15 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"rap/internal/dlrm"
 	"rap/internal/gpusim"
 	"rap/internal/rap"
+	"rap/internal/sched"
 	"rap/internal/topo"
 )
 
@@ -45,10 +47,37 @@ const workloadSeed = 1
 // plannedShape is one workload shape's cached planning artifact: the
 // framework (whose solve memo answers repeat fusion solves) plus the built
 // execution plan. The plan is topology-free — ExecuteTopo binds it to
-// each allocation's fleet slice at simulation time.
+// each allocation's fleet slice at simulation time, and simulations of
+// one plan may run concurrently.
 type plannedShape struct {
 	fw   *rap.Framework
 	plan *rap.ExecPlan
+	// iterSoloUs is the plan's IterationSoloLatency: no simulated
+	// iteration ends sooner than that after the one before it
+	// (DESIGN.md §10).
+	iterSoloUs float64 //rap:unit us
+	// iterOps is about the ops one simulated iteration adds: every
+	// GPU's training stages and preprocessing kernels.
+	iterOps int
+}
+
+// boundSlack is the ε of minDuration's bound: the share of a job's
+// solo-latency floor that the engine's completion tolerance and float
+// rounding may take off a simulated duration. Each op of an
+// iteration's stage chain may end up to 2·timeEps/minSpeed = 2e-6 µs
+// early (gpusim's soloTol), a chain holds dlrm.NumStages ops, and every
+// iteration's chain has a kernel stage of at least the 5 µs launch
+// overhead, so ε only needs to exceed 2e-6·NumStages/5, below 1e-5;
+// TestBoundSlackCoversTolerance checks that.
+const boundSlack = 1e-4
+
+// minDuration is the shortest run a job of iters iterations on the plan
+// can simulate to: iters × IterationSoloLatency × (1 − ε). DESIGN.md
+// §10 proves it.
+//
+//rap:unit return us
+func (ps *plannedShape) minDuration(iters int) float64 {
+	return float64(iters) * ps.iterSoloUs * (1 - boundSlack)
 }
 
 // Simulator runs job traces over one fleet. The per-shape plan cache
@@ -56,6 +85,9 @@ type plannedShape struct {
 type Simulator struct {
 	cfg     Config
 	planned map[JobShape]*plannedShape
+	// onResolve, when set, sees each batch of pending jobs before it
+	// resolves; tests use it to observe the window.
+	onResolve func([]pendingJob)
 }
 
 // New validates the configuration and builds a Simulator.
@@ -83,7 +115,8 @@ func planKey(shape JobShape) JobShape {
 // Simulator state, so different shapes build concurrently. The plan's
 // cluster config sets EndTimesOnly: a job simulation reads only the
 // makespan and the iteration ends, so its runs keep no per-op results,
-// names or tags.
+// names or tags. Its kernels are lowered once (sched.LowerWork), for
+// every run of the plan to share.
 func buildPlan(shape JobShape) (*plannedShape, error) {
 	w, err := rap.NewWorkload(shape.Dataset, shape.PlanIdx, shape.PerGPUBatch, workloadSeed)
 	if err != nil {
@@ -94,7 +127,15 @@ func buildPlan(shape JobShape) (*plannedShape, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &plannedShape{fw: fw, plan: plan}, nil
+	plan.Work = sched.LowerWork(plan.Work)
+	ps := &plannedShape{fw: fw, plan: plan, iterOps: shape.GPUs * dlrm.NumStages,
+		iterSoloUs: w.Model.IterationSoloLatency(plan.Placement, plan.Cluster.WithDefaults().LinkGBs)}
+	for _, wk := range plan.Work {
+		if wk.Schedule != nil {
+			ps.iterOps += wk.Schedule.TotalKernels()
+		}
+	}
+	return ps, nil
 }
 
 // jobErr names the job a plan or simulation error belongs to.
@@ -148,125 +189,203 @@ func jobDuration(j Job, startUs float64, simIters int, ent durEntry) (float64, e
 }
 
 // pendingJob is a started job whose plan and simulation wait until the
-// clock is about to leave its start instant.
+// clock could reach its end.
 type pendingJob struct {
-	job      Job
-	startUs  float64 //rap:unit us
+	job     Job
+	startUs float64 //rap:unit us
+	// boundUs is the earliest the job can end: its start plus
+	// minDuration when its plan was cached at its start, else the start
+	// itself (it ends strictly later).
+	boundUs  float64 //rap:unit us
 	simIters int
 	key      durKey
 	sub      *topo.Topology
 	scale    []float64
 }
 
-// simRun is one distinct uncached simulation of an instant: the first
-// pending job with its durKey, and what the run measured.
-type simRun struct {
-	p   *pendingJob
-	ent durEntry
-	err error
+// reachedBy reports whether the clock moving to nextUs could reach or
+// pass the job's end: nextUs is past the job's start instant and not
+// below its bound.
+//
+//rap:unit nextUs us
+func (p pendingJob) reachedBy(nextUs float64) bool {
+	return nextUs > p.startUs && nextUs >= p.boundUs
 }
 
-// shapeTask is one shape's share of an instant's pending work: the
-// plan when it is not cached, then the shape's distinct uncached
-// simulations in start order. The task owns the shape's Framework, so
-// no Framework or solve memo is used by two goroutines, and a
-// goroutine writes only its own task.
-type shapeTask struct {
+// maxInFlightOps caps the ops of the simulations a resolve runs at
+// once. An op costs an end-times-only run about 60 bytes (DESIGN.md
+// §5), so the cap is about 9 MB. Two of the fleet benchmark's largest
+// runs (107,616 ops each) at once raised its peak RSS by a fifth; one
+// of them beside smaller runs fits.
+const maxInFlightOps = 150_000
+
+// planTask is one shape's plan in a resolve: cached, or built by the
+// task with a Framework of its own.
+type planTask struct {
 	shape JobShape
-	ps    *plannedShape // cached, or built by the task
-	err   error         // the plan build's
-	sims  []simRun
+	ps    *plannedShape
+	err   error
+	built bool // true once ps and err are set, under the resolve's lock
 }
 
-// run builds the task's plan if needed and then runs its simulations.
-func (t *shapeTask) run() {
-	if t.ps == nil {
-		t.ps, t.err = buildPlan(t.shape)
-		if t.err != nil {
-			return
-		}
-	}
-	for i := range t.sims {
-		r := &t.sims[i]
-		stats, err := t.ps.fw.ExecuteTopo(t.ps.plan, r.p.simIters, r.p.sub, r.p.scale)
-		if err != nil {
-			r.err = err
-			continue
-		}
-		r.ent = durEntry{makespanUs: stats.Result.Makespan, steadyUs: stats.SteadyIterLatency}
-	}
+// simTask is one distinct uncached simulation of a resolve: the first
+// pending job with its durKey, its plan, and what the run measured.
+type simTask struct {
+	p    *pendingJob
+	plan *planTask
+	ent  durEntry
+	err  error
 }
 
-// resolvePending plans and simulates one instant's pending jobs and
-// returns their durations in start order. Each shape is one task; the
-// tasks run largest first on up to GOMAXPROCS goroutines. Afterwards,
-// on the calling goroutine and in start order, the plan and duration
-// caches are filled and each duration is checked, so the caches and the
-// returned error (the earliest-started failing job's) are those of
-// planning and simulating the jobs one after another.
-func (s *Simulator) resolvePending(pending []pendingJob, durCache map[durKey]durEntry) ([]float64, error) {
-	type ref struct {
-		task *shapeTask
-		sim  int // index into task.sims; -1 when durCache holds the entry
-	}
-	refs := make([]ref, len(pending))
-	byShape := make(map[JobShape]*shapeTask)
-	simOf := make(map[durKey]int)
-	var work []*shapeTask
-	for i := range pending {
-		p := &pending[i]
-		t := byShape[p.key.shape]
-		if t == nil {
-			t = &shapeTask{shape: p.job.Shape, ps: s.planned[p.key.shape]}
-			byShape[p.key.shape] = t
-			work = append(work, t)
-		}
-		refs[i] = ref{task: t, sim: -1}
-		if _, ok := durCache[p.key]; ok {
-			continue
-		}
-		k, ok := simOf[p.key]
-		if !ok {
-			k = len(t.sims)
-			simOf[p.key] = k
-			t.sims = append(t.sims, simRun{p: p})
-		}
-		refs[i].sim = k
-	}
-	sort.SliceStable(work, func(a, b int) bool { return work[a].shape.GPUs > work[b].shape.GPUs })
+// resolveTask is a plan to build or a simulation to run, and whether
+// a goroutine took it.
+type resolveTask struct {
+	plan  *planTask
+	sim   *simTask
+	taken bool
+}
 
-	var next atomic.Int64
+// start reports whether the task can start beside running tasks
+// holding inFlight ops, and the ops it holds: a plan task always can,
+// holding none; a simulation once its plan is built, when its ops fit
+// within maxInFlightOps or nothing runs. A simulation whose plan failed
+// holds none and runs nothing.
+func (t *resolveTask) start(inFlight int) (ok bool, ops int) {
+	if t.sim == nil {
+		return true, 0
+	}
+	if !t.sim.plan.built {
+		return false, 0
+	}
+	if ps := t.sim.plan.ps; ps != nil {
+		ops = t.sim.p.simIters * ps.iterOps
+	}
+	return inFlight == 0 || inFlight+ops <= maxInFlightOps, ops
+}
+
+// run builds the task's plan or runs its simulation.
+func (t *resolveTask) run() {
+	if t.sim == nil {
+		t.plan.ps, t.plan.err = buildPlan(t.plan.shape)
+		return
+	}
+	ps := t.sim.plan.ps
+	if ps == nil {
+		return
+	}
+	stats, err := ps.fw.ExecuteTopo(ps.plan, t.sim.p.simIters, t.sim.p.sub, t.sim.p.scale)
+	if err != nil {
+		t.sim.err = err
+		return
+	}
+	t.sim.ent = durEntry{makespanUs: stats.Result.Makespan, steadyUs: stats.SteadyIterLatency}
+}
+
+// runTasks runs every task on up to GOMAXPROCS goroutines and returns
+// when all have run. A goroutine takes the first task not yet taken
+// that can start (resolveTask.start), and waits while none can. A task
+// writes only itself; the lock orders a plan's build before the
+// simulations that read it.
+func runTasks(tasks []resolveTask) {
+	var mu sync.Mutex
+	changed := sync.NewCond(&mu)
+	left, inFlight := len(tasks), 0
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(work)); w > 0; w-- {
+	for w := min(runtime.GOMAXPROCS(0), len(tasks)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(work)); i = next.Add(1) - 1 {
-				work[i].run()
+			mu.Lock()
+			defer mu.Unlock()
+			for left > 0 {
+				t, ops := (*resolveTask)(nil), 0
+				for i := range tasks {
+					if ok, n := tasks[i].start(inFlight); ok && !tasks[i].taken {
+						t, ops = &tasks[i], n
+						break
+					}
+				}
+				if t == nil {
+					changed.Wait()
+					continue
+				}
+				t.taken, left, inFlight = true, left-1, inFlight+ops
+				mu.Unlock()
+				t.run()
+				mu.Lock()
+				inFlight -= ops
+				if t.sim == nil {
+					t.plan.built = true
+				}
+				changed.Broadcast()
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// resolvePending plans and simulates the pending jobs and returns their
+// durations in start order. Its tasks are one per plan the cache lacks,
+// then one per distinct uncached simulation, each kind largest shape
+// first, run by runTasks: plans build first, and a simulation starts
+// once its plan is built and its ops fit beside the running ones'.
+// Simulations of one plan share it. Afterwards, on the calling
+// goroutine and in start order, the plan and duration caches are filled
+// and each duration is checked, against jobDuration's rule and against
+// minDuration, so the caches and the returned error (the
+// earliest-started failing job's) are those of planning and simulating
+// the jobs one after another.
+func (s *Simulator) resolvePending(pending []pendingJob, durCache map[durKey]durEntry) ([]float64, error) {
+	if s.onResolve != nil {
+		s.onResolve(pending)
+	}
+	plans := make(map[JobShape]*planTask)
+	sims := make(map[durKey]*simTask)
+	var planTasks, simTasks []resolveTask
+	for i := range pending {
+		p := &pending[i]
+		pt := plans[p.key.shape]
+		if pt == nil {
+			pt = &planTask{shape: p.job.Shape, ps: s.planned[p.key.shape]}
+			pt.built = pt.ps != nil
+			plans[p.key.shape] = pt
+			if !pt.built {
+				planTasks = append(planTasks, resolveTask{plan: pt})
+			}
+		}
+		if _, ok := durCache[p.key]; !ok && sims[p.key] == nil {
+			sims[p.key] = &simTask{p: p, plan: pt}
+			simTasks = append(simTasks, resolveTask{sim: sims[p.key]})
+		}
+	}
+	sort.SliceStable(planTasks, func(a, b int) bool { return planTasks[a].plan.shape.GPUs > planTasks[b].plan.shape.GPUs })
+	sort.SliceStable(simTasks, func(a, b int) bool { return simTasks[a].sim.p.job.Shape.GPUs > simTasks[b].sim.p.job.Shape.GPUs })
+	runTasks(append(planTasks, simTasks...))
 
 	durs := make([]float64, len(pending))
 	for i := range pending {
-		p, t := &pending[i], refs[i].task
-		if t.err != nil {
-			return nil, jobErr(p.job, t.err)
+		p := &pending[i]
+		pt := plans[p.key.shape]
+		if pt.err != nil {
+			return nil, jobErr(p.job, pt.err)
 		}
-		s.planned[p.key.shape] = t.ps
+		ps := pt.ps
+		s.planned[p.key.shape] = ps
 		ent, ok := durCache[p.key]
 		if !ok {
-			r := t.sims[refs[i].sim]
-			if r.err != nil {
-				return nil, jobErr(p.job, r.err)
+			t := sims[p.key]
+			if t.err != nil {
+				return nil, jobErr(p.job, t.err)
 			}
-			ent = r.ent
+			ent = t.ent
 			durCache[p.key] = ent
 		}
 		dur, err := jobDuration(p.job, p.startUs, p.simIters, ent)
 		if err != nil {
 			return nil, err
+		}
+		if lo := ps.minDuration(p.job.Shape.Iterations); dur < lo {
+			return nil, jobErr(p.job, fmt.Errorf("simulated duration %g µs is below its lower bound %g µs", dur, lo))
 		}
 		durs[i] = dur
 	}
@@ -282,13 +401,16 @@ func (s *Simulator) resolvePending(pending []pendingJob, durCache map[durKey]dur
 // process completions first, so a departing job's GPUs are reusable
 // immediately.
 //
-// A started job ends strictly after its start, so it cannot affect
-// any decision taken at its start instant: placement reads only which
-// GPUs are free and how many tenants each node holds. Its plan and
-// simulation are therefore left pending until the clock is about to
-// move past that instant, and then every pending job resolves at once
-// (resolvePending). The report is bit-identical to planning and
-// simulating each job as it starts.
+// A started job ends strictly after its start, and, when its plan is
+// cached, no sooner than its start plus minDuration. Until the clock
+// could reach its end, the job affects no decision: placement reads
+// only which GPUs are free and how many tenants each node holds. Its
+// plan and simulation are therefore left pending, across instants,
+// until the next event (a known completion or an arrival) could reach
+// a pending job's end, and then every pending job resolves at once
+// (resolvePending). A job whose plan is not cached at its start thus
+// resolves before the clock leaves its start instant. The report is
+// bit-identical to planning and simulating each job as it starts.
 //
 //rap:deterministic
 func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
@@ -334,17 +456,17 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 		queue   []Job
 		results []JobResult
 		busyUs  float64 // allocated GPU-time, for utilization
-		// pending are the jobs started at the current instant whose
-		// ends are not known yet: the last len(pending) entries of run,
-		// in start order. A completion removes an earlier entry, so the
-		// pending ones stay at the tail.
+		// pending are the started jobs whose ends are not known yet:
+		// the last len(pending) entries of run, in start order. A
+		// completion removes an earlier entry, so the pending ones stay
+		// at the tail.
 		pending []pendingJob
 	)
 
 	startJob := func(j Job, alloc []int, now float64) error {
 		sub, err := s.cfg.Topo.Subset(alloc)
 		if err != nil {
-			return err
+			return placeErr(s.cfg.Policy, j, err)
 		}
 		// Distinct fleet nodes in first-appearance order — index i is
 		// subset node i by Subset's renumbering.
@@ -401,7 +523,11 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 			alloc: alloc,
 			nodes: nodes,
 		})
-		pending = append(pending, pendingJob{job: j, startUs: now, simIters: simIters, key: key, sub: sub, scale: fabricScale})
+		bound := now
+		if ps := s.planned[key.shape]; ps != nil {
+			bound = now + ps.minDuration(j.Shape.Iterations)
+		}
+		pending = append(pending, pendingJob{job: j, startUs: now, boundUs: bound, simIters: simIters, key: key, sub: sub, scale: fabricScale})
 		return nil
 	}
 
@@ -465,8 +591,8 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 	next := 0
 	for next < len(order) || len(queue) > 0 || len(run) > 0 {
 		// Earliest known completion; ties break toward the lower job
-		// ID. Pending jobs end after their start instant, so they take
-		// no part.
+		// ID. Pending jobs end after the next event, so they take no
+		// part.
 		ci := -1
 		for i := range run[:len(run)-len(pending)] {
 			if ci < 0 || run[i].res.EndUs < run[ci].res.EndUs ||
@@ -474,8 +600,8 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 				ci = i
 			}
 		}
-		// Resolve before the clock leaves the pending instant, the
-		// start of run's last entry.
+		// Resolve before the next event could reach a pending job's
+		// end.
 		if len(pending) > 0 {
 			nextUs := math.Inf(1)
 			if ci >= 0 {
@@ -484,7 +610,7 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 			if next < len(order) {
 				nextUs = min(nextUs, order[next].ArrivalUs)
 			}
-			if nextUs > run[len(run)-1].res.StartUs {
+			if slices.ContainsFunc(pending, func(p pendingJob) bool { return p.reachedBy(nextUs) }) {
 				if err := resolve(); err != nil {
 					return nil, err
 				}
@@ -546,6 +672,12 @@ func (s *Simulator) Simulate(jobs []Job) (*Report, error) {
 		rep.GPUUtil = busyUs / (float64(fleetGPUs) * rep.MakespanUs)
 	}
 	return rep, nil
+}
+
+// placeErr names the policy and the job of an allocation the fleet
+// rejects, as the double-booking check in Simulate does.
+func placeErr(pol Policy, j Job, err error) error {
+	return fmt.Errorf("cluster: policy %s placed job %d on an invalid allocation: %w", pol.Name(), j.ID, err)
 }
 
 // nodePattern renders a subset topology's node assignment as a cache

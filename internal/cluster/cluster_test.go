@@ -309,6 +309,54 @@ func TestSimulateErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "policy lowest-n placed job 1 on GPU 0") {
 		t.Fatalf("double-booked GPU: got %v", err)
 	}
+	// An allocation the fleet rejects names the policy and the job too,
+	// from a cold plan cache (job 0 resolves at its start instant) and
+	// from a warm one (job 0 is still pending when job 1 arrives, and
+	// resolves before the error surfaces); both loops agree.
+	for _, c := range []struct {
+		gpus []int
+		want string
+	}{
+		{[]int{99, 2}, "cluster: policy after-first placed job 1 on an invalid allocation: topo: subset gpu 99 out of range [0,4)"},
+		{[]int{2, 2}, "cluster: policy after-first placed job 1 on an invalid allocation: topo: subset lists gpu 2 twice"},
+	} {
+		pol := afterFirst{c.gpus}
+		jobs := []Job{kaggleJob(0, 0, 2, 40), kaggleJob(1, 10, 2, 5)}
+		if _, err := matchReference(t, smallFleet(), pol, jobs); err == nil || err.Error() != c.want {
+			t.Fatalf("%v: got %v, want %q", c.gpus, err, c.want)
+		}
+		warm, err := New(Config{Topo: smallFleet(), Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := warm.Simulate(jobs[:1]); err != nil {
+			t.Fatal(err)
+		}
+		var resolved []int
+		warm.onResolve = func(pending []pendingJob) {
+			for _, p := range pending {
+				resolved = append(resolved, p.job.ID)
+			}
+		}
+		if _, err := warm.Simulate(jobs); err == nil || err.Error() != c.want {
+			t.Fatalf("%v warm: got %v, want %q", c.gpus, err, c.want)
+		}
+		if len(resolved) != 1 || resolved[0] != 0 {
+			t.Fatalf("%v warm: resolved jobs %v before the error, want job 0 pending at job 1's arrival", c.gpus, resolved)
+		}
+	}
+}
+
+// afterFirst is a faulty policy: while GPU 0 is free it places like
+// FirstFit, and after that it returns gpus.
+type afterFirst struct{ gpus []int }
+
+func (afterFirst) Name() string { return "after-first" }
+func (p afterFirst) Place(v *FleetView, want int) []int {
+	if v.Free[0] {
+		return FirstFit{}.Place(v, want)
+	}
+	return p.gpus
 }
 
 // TestTenantContention: a cross-node job sharing its nodes with other
@@ -460,10 +508,12 @@ var fuzzPlans = map[JobShape]*plannedShape{}
 // A report must pass checkFleetReport, and relabelling the job IDs by
 // an order-preserving map must give the same report up to the IDs.
 // burst shapes the trace: its low two bits pick Poisson arrivals (0),
-// every job at one instant (1), or two jobs at one instant and the
-// rest arriving exactly when the first of them ends (2, a completion
-// tied with arrivals); bit 2 gives a job of the burst a plan that
-// fails; bit 3 plans from a cold cache.
+// every job at one instant (1), two jobs at one instant and the rest
+// arriving exactly when the first of them ends (2, a completion tied
+// with arrivals), or the rest arriving at distinct instants before the
+// first job's lower bound, so that pending jobs span several instants
+// (3); bit 2 gives a job of the burst a plan that fails; bit 3 plans
+// from a cold cache.
 // `go test -run '^$' -fuzz FuzzSimulate -fuzztime 60s ./internal/cluster`.
 func FuzzSimulate(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -471,6 +521,9 @@ func FuzzSimulate(f *testing.F) {
 	}
 	for seed, burst := range []uint8{1, 9, 2, 10, 5, 6, 14, 13} {
 		f.Add(int64(8+seed), uint8(seed*7), burst)
+	}
+	for seed, burst := range []uint8{3, 3, 3, 11, 7} {
+		f.Add(int64(16+seed), uint8(seed*5+1), burst)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, burst uint8) {
 		fleet := topo.Uniform(2+int(shape%2), 2+int(shape/2%3))
@@ -495,7 +548,7 @@ func FuzzSimulate(f *testing.F) {
 			for i := range jobs {
 				jobs[i].ArrivalUs = jobs[0].ArrivalUs
 			}
-		case 2, 3:
+		case 2:
 			// Job 0 starts first on an empty fleet, so it ends when
 			// it ends alone.
 			jobs[1].ArrivalUs = jobs[0].ArrivalUs
@@ -505,6 +558,17 @@ func FuzzSimulate(f *testing.F) {
 			}
 			for i := range jobs[2:] {
 				jobs[2+i].ArrivalUs = alone.Results[0].EndUs
+			}
+		case 3:
+			// Job 0 starts first on an empty fleet, at its arrival;
+			// the others arrive at distinct instants before its bound.
+			ps, err := fuzzSimulator(t, fleet, Pack{}, false).planFor(jobs[0].Shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo := ps.minDuration(jobs[0].Shape.Iterations)
+			for i := range jobs[1:] {
+				jobs[1+i].ArrivalUs = jobs[0].ArrivalUs + lo*float64(i+1)/float64(len(jobs))
 			}
 		}
 		failing := burst&4 != 0 && len(jobs) > 2

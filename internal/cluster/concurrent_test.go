@@ -55,8 +55,9 @@ func mixedJob(id int, arrival float64, kind, iters int) Job {
 }
 
 // TestSimulateMatchesReference: on traces that start several jobs at
-// one instant, Simulate agrees with simulateReference under both
-// policies, from a cold and a warm plan cache.
+// one instant, or at several instants before a pending job's bound,
+// Simulate agrees with simulateReference under both policies, from a
+// cold and a warm plan cache.
 func TestSimulateMatchesReference(t *testing.T) {
 	fleet := topo.Uniform(2, 4)
 	fleet.FabricGBs = 20
@@ -84,6 +85,13 @@ func TestSimulateMatchesReference(t *testing.T) {
 		{"split burst", []Job{
 			mixedJob(0, 0, 2, 30), mixedJob(1, 0, 1, 5), mixedJob(2, 0, 3, 5),
 			mixedJob(3, 0, 3, 5), mixedJob(4, 10, 1, 5),
+		}, ""},
+		// Arrivals at distinct instants before the first job's lower
+		// bound: from a warm plan cache the later jobs start while
+		// the earlier ones are pending, and resolve with them.
+		{"staggered under a bound", []Job{
+			mixedJob(0, 0, 1, 30), mixedJob(1, 20, 2, 9), mixedJob(2, 45, 3, 5),
+			mixedJob(3, 46, 0, 12), mixedJob(4, 80, 2, 3), mixedJob(5, 81, 1, 4),
 		}, ""},
 		// At 1e22 µs a float64 step is about 2 s, so these
 		// millisecond jobs would end at their start instant: an error

@@ -12,10 +12,11 @@ import (
 // executable specification for Simulate, which must return a report
 // with the same Digest, or an error with the same text, on every
 // trace. The changes from the original are that plan and simulation
-// errors are wrapped by jobErr, as Simulate wraps them, and that the
-// duration comes from jobDuration, which rejects a job that would not
-// end strictly after its start: Simulate's same-instant resolution
-// rests on that rule, so both loops enforce it.
+// errors are wrapped by jobErr, and an allocation the fleet rejects by
+// placeErr, as Simulate wraps them, and that the duration comes from
+// jobDuration, which rejects a job that would not end strictly after
+// its start: Simulate's pending jobs rest on that rule, so both loops
+// enforce it.
 
 // planFor returns the cached RAP plan for a shape, building it on first
 // use.
@@ -81,7 +82,7 @@ func simulateReference(s *Simulator, jobs []Job) (*Report, error) {
 	startJob := func(j Job, alloc []int, now float64) error {
 		sub, err := s.cfg.Topo.Subset(alloc)
 		if err != nil {
-			return err
+			return placeErr(s.cfg.Policy, j, err)
 		}
 		// Distinct fleet nodes in first-appearance order — index i is
 		// subset node i by Subset's renumbering.

@@ -160,6 +160,9 @@ type engine struct {
 	// children are children[childOff[o]:childOff[o+1]].
 	childOff []int32
 	children []int32
+	// starts[i] is op i's start time, kept only when the Sim keeps
+	// names (it fills Result.Ops).
+	starts []float64
 
 	running []int32
 	nextSeq int32
@@ -182,47 +185,39 @@ func (s *Sim) Run() (*Result, error) {
 	}
 
 	// Wire the DAG into CSR form: op d's children are
-	// children[childOff[d]:childOff[d+1]], in op-ID order. lastDependent[d]
-	// is the last op counted as d's child, so a dependency listed twice
-	// by one op is wired once; the fill pass reuses it as d's cursor.
+	// children[childOff[d]:childOff[d+1]], in op-ID order. A dependency
+	// listed twice by one op is wired twice and counted twice in the
+	// op's unfinished-dependency count, so the op starts at the second
+	// decrement, in the same place among its dependency's children. The
+	// count pass counts d's children in childOff[d+2]; after the prefix
+	// sum, childOff[d+1] is where d's children begin, and the fill pass
+	// advances it to where they end, which is where d+1's begin.
 	n := int32(len(s.ops))
-	lastDependent := make([]int32, n)
-	for i := range lastDependent {
-		lastDependent[i] = int32(InvalidOp)
-	}
-	childOff := make([]int32, n+1)
+	childOff := make([]int32, n+2)
 	for i := range s.ops {
 		o, id := &s.ops[i], int32(i)
-		for _, d := range s.depsOf(i) {
+		ds, shift := s.depSpan(i)
+		for _, d := range ds {
+			d += shift
 			if d < 0 || d >= n {
 				return nil, fmt.Errorf("gpusim: op %s depends on unknown op %d", s.opLabel(i), d)
 			}
 			if d == id {
 				return nil, fmt.Errorf("gpusim: op %s depends on itself", s.opLabel(i))
 			}
-			if lastDependent[d] == id {
-				continue
-			}
-			lastDependent[d] = id
-			childOff[d+1]++
-			o.missing++
+			childOff[d+2]++
+			o.seq++
 		}
 	}
-	for i := int32(0); i < n; i++ {
-		childOff[i+1] += childOff[i]
-		lastDependent[i] = childOff[i]
+	for i := int32(2); i < n+2; i++ {
+		childOff[i] += childOff[i-1]
 	}
-	children := make([]int32, childOff[n])
+	children := make([]int32, childOff[n+1])
 	for i := range s.ops {
-		id := int32(i)
-		for _, d := range s.depsOf(i) {
-			// d's children fill in op-ID order, so a repeat of d in o's
-			// list finds o as the last child written.
-			if next := lastDependent[d]; next > childOff[d] && children[next-1] == id {
-				continue
-			}
-			children[lastDependent[d]] = id
-			lastDependent[d]++
+		ds, shift := s.depSpan(i)
+		for _, d := range ds {
+			children[childOff[d+shift+1]] = int32(i)
+			childOff[d+shift+1]++
 		}
 	}
 
@@ -240,6 +235,9 @@ func (s *Sim) Run() (*Result, error) {
 		caps:     initialCaps(s),
 		childOff: childOff,
 		children: children,
+	}
+	if !s.cfg.EndTimesOnly {
+		e.starts = make([]float64, n)
 	}
 	return e.run()
 }
@@ -276,8 +274,8 @@ func (e *engine) markDirty(idx int32) {
 // full speed.
 func (e *engine) enterWork(id int32) {
 	o := &e.ops[id]
-	o.speed = 1
-	u := resUser{id: id, seq: o.startSeq, prio: o.priority}
+	o.launchSpeedEnd = 1
+	u := resUser{id: id, seq: o.seq, prio: o.priority}
 	for _, d := range o.demandsIn(e.dems) {
 		u.dem = d.dem
 		e.res[d.idx].insertUser(u)
@@ -379,7 +377,7 @@ func (e *engine) refreshSpeed(id int32) {
 	if sp < minSpeed {
 		sp = minSpeed
 	}
-	o.speed = sp
+	o.launchSpeedEnd = sp
 }
 
 func (e *engine) run() (*Result, error) {
@@ -396,17 +394,19 @@ func (e *engine) run() (*Result, error) {
 	start := func(id int32) {
 		o := &ops[id]
 		o.state = opLaunching
-		o.start = now
-		o.startSeq = e.nextSeq
+		if e.starts != nil {
+			e.starts[id] = now
+		}
+		o.seq = e.nextSeq
 		e.nextSeq++
-		if o.overheadLeft <= timeEps {
+		if o.launchSpeedEnd <= timeEps {
 			o.state = opRunning
 			e.enterWork(id)
 		}
 		e.running = append(e.running, id)
 	}
 	for i := range ops {
-		if ops[i].missing == 0 {
+		if ops[i].seq == 0 {
 			start(int32(i))
 		}
 	}
@@ -438,11 +438,11 @@ func (e *engine) run() (*Result, error) {
 			o := &ops[id]
 			switch o.state {
 			case opLaunching:
-				if o.overheadLeft < dt {
-					dt = o.overheadLeft
+				if o.launchSpeedEnd < dt {
+					dt = o.launchSpeedEnd
 				}
 			case opRunning:
-				if rem := o.workLeft / o.speed; rem < dt {
+				if rem := o.workLeft / o.launchSpeedEnd; rem < dt {
 					dt = rem
 				}
 			}
@@ -467,9 +467,9 @@ func (e *engine) run() (*Result, error) {
 			o := &ops[id]
 			switch o.state {
 			case opLaunching:
-				o.overheadLeft -= dt
-				if o.overheadLeft <= timeEps {
-					o.overheadLeft = 0
+				o.launchSpeedEnd -= dt
+				if o.launchSpeedEnd <= timeEps {
+					o.launchSpeedEnd = 0
 					o.state = opRunning
 					if o.workLeft <= timeEps {
 						// Never entered the work phase's resource
@@ -481,7 +481,7 @@ func (e *engine) run() (*Result, error) {
 				}
 				next = append(next, id)
 			case opRunning:
-				o.workLeft -= dt * o.speed
+				o.workLeft -= dt * o.launchSpeedEnd
 				if o.workLeft <= timeEps {
 					e.leaveWork(id)
 					finished = append(finished, id)
@@ -494,12 +494,12 @@ func (e *engine) run() (*Result, error) {
 		for _, id := range finished {
 			o := &ops[id]
 			o.state = opDone
-			o.end = now
+			o.launchSpeedEnd = now
 			done++
 			for _, c := range e.children[e.childOff[id]:e.childOff[id+1]] {
 				child := &ops[c]
-				child.missing--
-				if child.missing == 0 && child.state == opPending {
+				child.seq--
+				if child.seq == 0 && child.state == opPending {
 					start(c)
 				}
 			}
@@ -513,7 +513,7 @@ func (e *engine) run() (*Result, error) {
 	res.Ops = make([]OpResult, len(ops))
 	for i := range ops {
 		o := &ops[i]
-		res.Ops[i] = OpResult{ID: OpID(i), Name: s.names[i], Tag: s.tags[i], GPU: int(o.gpu), Start: o.start, End: o.end}
+		res.Ops[i] = OpResult{ID: OpID(i), Name: s.names[i], Tag: s.tags[i], GPU: int(o.gpu), Start: e.starts[i], End: o.launchSpeedEnd}
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -61,7 +62,9 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, gpus, nodes, fabric uint8, tiny bool) {
 		g := 1 + int(gpus-1)%16
 		d := fuzzDAG{seed: seed, gpus: g, nodes: 1 + int(nodes-1)%g, fabric: int(fabric) % 3, tiny: tiny}
-		checkAgainstReference(t, d)
+		if checkAgainstReference(t, d) {
+			t.Logf("seed %d: minSpeed clamping breaks the work bound", seed)
+		}
 	})
 }
 
@@ -74,24 +77,51 @@ func TestEngineMatchesReferenceLarge(t *testing.T) {
 		{seed: 101, gpus: 8, nodes: 1, ops: 3000},
 		{seed: 102, gpus: 16, nodes: 2, fabric: 1, ops: 3500, tiny: true},
 	} {
-		checkAgainstReference(t, d)
+		if checkAgainstReference(t, d) {
+			t.Logf("seed %d: minSpeed clamping breaks the work bound", d.seed)
+		}
 	}
+}
+
+// TestWorkBoundClampCases counts, over the FuzzEngineMatchesReference
+// seed shapes at 60 seeds each, the DAGs whose makespan falls below a
+// resource's total work over its capacity. Only minSpeed clamping can
+// cause that (checkAgainstReference fails any other), and this test
+// reports how often it does rather than hiding the cases.
+func TestWorkBoundClampCases(t *testing.T) {
+	broken, total := 0, 0
+	for seed := int64(0); seed < 60; seed++ {
+		for _, d := range []fuzzDAG{
+			{seed: seed, gpus: 1 + int(seed%8), nodes: 1},
+			{seed: seed, gpus: 8, nodes: 2, fabric: int(seed % 3)},
+		} {
+			total++
+			if checkAgainstReference(t, d) {
+				broken++
+			}
+		}
+	}
+	t.Logf("minSpeed clamping breaks the work bound on %d of %d DAGs", broken, total)
 }
 
 // checkAgainstReference runs DAG d through the engine and the reference
 // engine, both recording timelines, and requires bit-identical Results.
 // It then runs d through the engine without timelines and requires the
 // same op results, Makespan and Events, and nil timelines. Last, it
-// checks the engine against two bounds no fair-share formula enters
-// (see checkSoloBounds).
-func checkAgainstReference(t *testing.T, d fuzzDAG) {
+// checks the engine against properties no contention formula enters:
+// two bounds (see checkSoloBounds), the exact longest path of a copy of
+// d whose demands never oversubscribe a resource (see
+// checkUncontended), and the work bound (see checkWorkBound), which
+// minSpeed clamping may break: it reports whether it did.
+func checkAgainstReference(t *testing.T, d fuzzDAG) (clampBroken bool) {
 	t.Helper()
 	got, err := buildFuzzDAG(t, d, true).Run()
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
 	checkSoloBounds(t, buildFuzzDAG(t, d, false), got)
-	want, err := referenceRun(buildFuzzDAG(t, d, true))
+	checkUncontended(t, d)
+	want, clamps, err := referenceRunClamps(buildFuzzDAG(t, d, true))
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -114,6 +144,86 @@ func checkAgainstReference(t *testing.T, d fuzzDAG) {
 	// run's, so only op results and Makespan can differ.
 	plain.Util, plain.HostUtil = got.Util, got.HostUtil
 	compareResults(t, int(d.seed), plain, got)
+	return checkWorkBound(t, buildFuzzDAG(t, d, false), got, clamps)
+}
+
+// checkUncontended scales the demands of DAG d so that no resource can
+// be oversubscribed, whatever runs at once: on every resource, the sum
+// of all its ops' demands, times PriorityBurstFactor (the most a
+// priority level's SM share can count for the levels below it), is at
+// most its capacity. Every op then runs at speed 1, so each op ends
+// when its longest solo-latency path does, and the makespan equals the
+// DAG's longest path, within soloTol per op of the DAG.
+func checkUncontended(t *testing.T, d fuzzDAG) {
+	t.Helper()
+	s := buildFuzzDAG(t, d, false)
+	caps := initialCaps(s)
+	totals := make([]float64, len(caps))
+	for _, dm := range s.dems {
+		totals[dm.idx] += dm.dem
+	}
+	scale := 1.0
+	for idx, total := range totals {
+		if total > 0 {
+			scale = min(scale, caps[idx]/(total*PriorityBurstFactor))
+		}
+	}
+	for i := range s.dems {
+		s.dems[i].dem *= scale
+	}
+	path := make([]float64, len(s.ops)) // longest solo-latency path ending at op i
+	longest := 0.0
+	for i := range s.ops {
+		for _, dep := range s.depsOf(i) {
+			path[i] = max(path[i], path[dep])
+		}
+		path[i] += s.ops[i].launchSpeedEnd + s.ops[i].workLeft
+		longest = max(longest, path[i])
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatalf("uncontended: %v", err)
+	}
+	tol := soloTol * float64(len(s.ops))
+	for i, r := range res.Ops {
+		if math.Abs(r.End-path[i]) > tol {
+			t.Fatalf("uncontended op %s ends at %v, its longest solo path at %v", r.Name, r.End, path[i])
+		}
+	}
+	if math.Abs(res.Makespan-longest) > tol {
+		t.Fatalf("uncontended makespan %v, longest solo path %v", res.Makespan, longest)
+	}
+}
+
+// checkWorkBound checks res, the run of a DAG built like unrun, against
+// the work bound: an op of work w and demand d on a resource uses d·w
+// of it over its run, and the resource serves at most its capacity at
+// any time, so the makespan is at least each resource's total d·w over
+// its capacity, less soloTol per op. The fair-share and priority
+// formulas never grant more than the capacity; minSpeed, which raises
+// a speed the formula set lower, can, so a run whose reference replay
+// clamped (clamps > 0) may break the bound. checkWorkBound reports
+// such a break, and fails on any other.
+func checkWorkBound(t *testing.T, unrun *Sim, res *Result, clamps int) (clampBroken bool) {
+	t.Helper()
+	caps := initialCaps(unrun)
+	work := make([]float64, len(caps))
+	for i := range unrun.ops {
+		o := &unrun.ops[i]
+		for _, dm := range o.demandsIn(unrun.dems) {
+			work[dm.idx] += dm.dem * o.workLeft
+		}
+	}
+	tol := soloTol * float64(len(unrun.ops))
+	for idx, w := range work {
+		if bound := w / caps[idx]; res.Makespan < bound-tol {
+			if clamps == 0 {
+				t.Fatalf("makespan %v under resource %d's work bound %v, with no speed clamped", res.Makespan, idx, bound)
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // soloTol is how far an op may finish short of its solo latency: its
@@ -137,7 +247,7 @@ func checkSoloBounds(t *testing.T, unrun *Sim, res *Result) {
 	longest := 0.0
 	for i := range unrun.ops {
 		o, r := &unrun.ops[i], res.Ops[i]
-		solo := o.overheadLeft + o.workLeft
+		solo := o.launchSpeedEnd + o.workLeft
 		if span := r.End - r.Start; span < solo-soloTol {
 			t.Fatalf("op %s ran %v µs, under its solo latency %v", r.Name, span, solo)
 		}

@@ -17,10 +17,24 @@ import (
 // demand per resource, so every accumulation cell still receives its
 // contributions in the same (running-slice) order and the float math is
 // unchanged. Each op's children are kept in a per-op slice local to
-// the run, as they once were in the op itself. Segments carry no tag
+// the run, as they once were in the op itself, and so are its start
+// times. Segments carry no tag
 // attribution: a GPU segment holds SM and bandwidth only. Ops are read
 // from the flat op store by index, and each demand's dense resource
 // index is decoded back into the (kind, gpu) pair the maps key on.
+
+// depsOf returns op i's dependencies, in a fresh slice for a stamped op.
+func (s *Sim) depsOf(i int) []int32 {
+	ds, shift := s.depSpan(i)
+	if shift == 0 {
+		return ds
+	}
+	out := make([]int32, len(ds))
+	for j, d := range ds {
+		out[j] = d + shift
+	}
+	return out
+}
 
 type refResKey struct {
 	kind resKind
@@ -40,8 +54,16 @@ func refKey(d rtDemand, numGPUs int) refResKey {
 // referenceRun executes the accumulated op DAG with the pre-optimization
 // event loop. Like Run, it may only be called once per Sim.
 func referenceRun(s *Sim) (*Result, error) {
+	res, _, err := referenceRunClamps(s)
+	return res, err
+}
+
+// referenceRunClamps is referenceRun that also counts the op speeds
+// minSpeed raised: the events at which a running op's slowdown factor
+// fell below it.
+func referenceRunClamps(s *Sim) (_ *Result, clamps int, _ error) {
 	if s.ran {
-		return nil, fmt.Errorf("gpusim: Sim.Run called twice")
+		return nil, 0, fmt.Errorf("gpusim: Sim.Run called twice")
 	}
 	s.ran = true
 
@@ -53,17 +75,17 @@ func referenceRun(s *Sim) (*Result, error) {
 		for _, d32 := range s.depsOf(i) {
 			d := OpID(d32)
 			if d < 0 || int(d) >= len(s.ops) {
-				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.names[id], d)
+				return nil, 0, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.names[id], d)
 			}
 			if d == id {
-				return nil, fmt.Errorf("gpusim: op %q depends on itself", s.names[id])
+				return nil, 0, fmt.Errorf("gpusim: op %q depends on itself", s.names[id])
 			}
 			if seen[d] {
 				continue
 			}
 			seen[d] = true
 			children[d] = append(children[d], id)
-			o.missing++
+			o.seq++
 		}
 	}
 
@@ -80,17 +102,18 @@ func referenceRun(s *Sim) (*Result, error) {
 	// 1/Oversub base carries each node's fabric scale.
 	caps := initialCaps(s)
 
+	starts := make([]float64, len(s.ops))
 	start := func(id OpID) {
 		o := &s.ops[id]
 		o.state = opLaunching
-		o.start = now
-		if o.overheadLeft <= timeEps {
+		starts[id] = now
+		if o.launchSpeedEnd <= timeEps {
 			o.state = opRunning
 		}
 		running = append(running, id)
 	}
 	for i := range s.ops {
-		if s.ops[i].missing == 0 {
+		if s.ops[i].seq == 0 {
 			start(OpID(i))
 		}
 	}
@@ -98,7 +121,7 @@ func referenceRun(s *Sim) (*Result, error) {
 	speeds := make([]float64, len(s.ops))
 	for done < len(s.ops) {
 		if len(running) == 0 {
-			return nil, fmt.Errorf("gpusim: deadlock — %d ops pending with no runnable op (dependency cycle?)", len(s.ops)-done)
+			return nil, 0, fmt.Errorf("gpusim: deadlock — %d ops pending with no runnable op (dependency cycle?)", len(s.ops)-done)
 		}
 
 		// Resource factors for ops in the work phase.
@@ -111,8 +134,8 @@ func referenceRun(s *Sim) (*Result, error) {
 			switch o.state {
 			case opLaunching:
 				speeds[id] = 1
-				if o.overheadLeft/1 < dt {
-					dt = o.overheadLeft
+				if o.launchSpeedEnd/1 < dt {
+					dt = o.launchSpeedEnd
 				}
 			case opRunning:
 				sp := 1.0
@@ -127,6 +150,7 @@ func referenceRun(s *Sim) (*Result, error) {
 				}
 				if sp < minSpeed {
 					sp = minSpeed
+					clamps++
 				}
 				speeds[id] = sp
 				if rem := o.workLeft / sp; rem < dt {
@@ -154,9 +178,9 @@ func referenceRun(s *Sim) (*Result, error) {
 			o := &s.ops[id]
 			switch o.state {
 			case opLaunching:
-				o.overheadLeft -= dt
-				if o.overheadLeft <= timeEps {
-					o.overheadLeft = 0
+				o.launchSpeedEnd -= dt
+				if o.launchSpeedEnd <= timeEps {
+					o.launchSpeedEnd = 0
 					o.state = opRunning
 					if o.workLeft <= timeEps {
 						finished = append(finished, id)
@@ -177,20 +201,20 @@ func referenceRun(s *Sim) (*Result, error) {
 		for _, id := range finished {
 			o := &s.ops[id]
 			o.state = opDone
-			o.end = now
+			o.launchSpeedEnd = now
 			done++
-			res.Ops[id] = OpResult{ID: id, Name: s.names[id], Tag: s.tags[id], GPU: int(o.gpu), Start: o.start, End: o.end}
+			res.Ops[id] = OpResult{ID: id, Name: s.names[id], Tag: s.tags[id], GPU: int(o.gpu), Start: starts[id], End: now}
 			for _, c := range children[id] {
 				child := &s.ops[c]
-				child.missing--
-				if child.missing == 0 && child.state == opPending {
+				child.seq--
+				if child.seq == 0 && child.state == opPending {
 					start(c)
 				}
 			}
 		}
 	}
 	res.Makespan = now
-	return res, nil
+	return res, clamps, nil
 }
 
 // refResourceFactors computes, for every (resource, priority level) with

@@ -184,11 +184,14 @@ func defaultGBs(v, def float64) float64 {
 	return v
 }
 
-// Validate rejects a NaN or infinite bandwidth. Transfer work is bytes
-// divided by a bandwidth, so a NaN bandwidth makes work that never
-// drains and Run would never return; an infinite one is no more a
-// physical link.
+// Validate rejects a NaN or infinite bandwidth and more GPUs than an
+// op record's int16 GPU index holds. Transfer work is bytes divided by
+// a bandwidth, so a NaN bandwidth makes work that never drains and Run
+// would never return; an infinite one is no more a physical link.
 func (c ClusterConfig) Validate() error {
+	if c.NumGPUs > math.MaxInt16 {
+		return fmt.Errorf("gpusim: cluster of %d GPUs exceeds the %d an op record addresses", c.NumGPUs, math.MaxInt16)
+	}
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -257,31 +260,33 @@ const (
 	opDone
 )
 
-// op is one op of the store, one 64-byte cache line. It holds no pointer
+// op is one op of the store, a 32-byte record. It holds no pointer
 // (TestOpStorePointerFree pins that), so Sim.ops is a flat array the
 // garbage collector never scans: the op's demands are the span
 // dems[demOff:demOff+demN] of the Sim's demand slice, its dependencies
-// a span of the Sim's dependency slice (see Sim.depsOf), and its name
+// a span of the Sim's dependency slice (see Sim.depSpan), and its name
 // and tag sit at the op's index in Sim.names and Sim.tags (unless the
-// Sim keeps none, see ClusterConfig.EndTimesOnly).
+// Sim keeps none, see ClusterConfig.EndTimesOnly). Two fields hold one
+// value until a point of the op's life and another after it, and its
+// start time is not stored at all (Run keeps start times only for a
+// Sim that keeps names); TestOpRecordSize pins the size.
 type op struct {
-	workLeft     float64
-	overheadLeft float64
-	speed        float64 // work-phase speed, maintained by the engine
-	state        opState
-	demN         uint8
-	priority     int32
-
-	// startSeq is the op's position in engine start order; the engine
+	workLeft float64
+	// launchSpeedEnd is the op's launch overhead left until it enters
+	// its work phase, its work-phase speed (maintained by the engine)
+	// while it runs, and its end time once it is done.
+	launchSpeedEnd float64
+	// seq counts the op's unfinished dependencies until it starts, and
+	// from then on holds its position in engine start order; the engine
 	// keeps per-resource user lists sorted by it so that incremental
 	// factor recomputation sums loads in exactly the order the original
 	// full-rescan implementation did (bit-identical results).
-	startSeq int32
-	missing  int32 // unfinished deps
+	seq      int32
 	demOff   int32
-	gpu      int32 // -1 for host-only ops
-	start    float64
-	end      float64
+	priority int32
+	gpu      int16 // -1 for host-only ops
+	state    opState
+	demN     uint8
 }
 
 // demandsIn returns o's demands within the store's demand slice.
@@ -416,14 +421,18 @@ type Sim struct {
 	cfg ClusterConfig
 	// The op store: ops[i] is op i, names[i] and tags[i] its name and
 	// tag (both slices stay empty under EndTimesOnly), and dems and
-	// deps hold every op's demands and dependencies back to back, in op
-	// order (see op); op i's dependencies end at depEnd[i].
+	// deps hold the demands and dependencies of every op an Add* call
+	// stored back to back, in op order (see op); the b-th such op's
+	// dependencies end at depEnd[b]. An op Stamp copied stores neither:
+	// it shares its source's demand span, and stamps derives its
+	// dependencies from its source's (see depSpan).
 	ops    []op
 	names  []string
 	tags   []string
 	dems   []rtDemand
 	deps   []int32
 	depEnd []int32
+	stamps []stampSpan
 	// streams[h] is the last op added to stream h (InvalidOp before the
 	// first), for implicit chaining.
 	streams []int32
@@ -547,13 +556,14 @@ func (s *Sim) SetFabricScale(scale []float64) error {
 	return nil
 }
 
-// Grow makes room for ops more ops, holding demands demands and deps
-// dependencies between them, so that adding them moves no storage. A
-// caller that knows its DAG's size sizes the store once instead of
-// letting it grow by doubling. A non-positive size reserves nothing.
-func (s *Sim) Grow(ops, demands, deps int) {
-	ops, demands, deps = max(ops, 0), max(demands, 0), max(deps, 0)
-	s.ops = slices.Grow(s.ops, ops)
+// Grow makes room for ops more ops added by Add* calls, holding
+// demands demands and deps dependencies between them, and stamped more
+// ops copied by Stamp, so that adding them moves no storage. A caller
+// that knows its DAG's size sizes the store once instead of letting it
+// grow by doubling. A non-positive size reserves nothing.
+func (s *Sim) Grow(ops, stamped, demands, deps int) {
+	ops, stamped, demands, deps = max(ops, 0), max(stamped, 0), max(demands, 0), max(deps, 0)
+	s.ops = slices.Grow(s.ops, ops+stamped)
 	if !s.cfg.EndTimesOnly {
 		s.names = slices.Grow(s.names, ops)
 		s.tags = slices.Grow(s.tags, ops)
@@ -636,10 +646,10 @@ func WithTag(tag string) OpOption {
 //rap:unit work us
 func (s *Sim) push(name, tag string, gpu int, overhead, work float64) {
 	s.ops = append(s.ops, op{
-		overheadLeft: overhead,
-		workLeft:     work,
-		gpu:          int32(gpu),
-		demOff:       int32(len(s.dems)),
+		launchSpeedEnd: overhead,
+		workLeft:       work,
+		gpu:            int16(gpu),
+		demOff:         int32(len(s.dems)),
 	})
 	if !s.cfg.EndTimesOnly {
 		s.names = append(s.names, name)
@@ -668,17 +678,40 @@ func (s *Sim) add(opts []OpOption) OpID {
 	return OpID(len(s.ops) - 1)
 }
 
-// depsOf returns op i's dependencies.
-func (s *Sim) depsOf(i int) []int32 {
-	return s.deps[s.depStart(i):s.depEnd[i]]
+// stampSpan is a run of ops Stamp copied: op i of [first, end) is a
+// copy of op i-shift. Consecutive stamps of one size share a span.
+type stampSpan struct {
+	first, end, shift int32
 }
 
-// depStart returns where op i's dependencies begin in deps.
-func (s *Sim) depStart(i int) int32 {
-	if i == 0 {
-		return 0
+// depSpan returns op i's dependencies as a stored span and the shift
+// to add to each: an op an Add* call stored has its own span and shift
+// 0, and a stamped op that of the built op it copies, through every
+// stamp in between, shifted by the distance to it.
+func (s *Sim) depSpan(i int) ([]int32, int32) {
+	src := int32(i)
+	k := len(s.stamps) - 1
+	for ; k >= 0 && s.stamps[k].first > src; k-- {
 	}
-	return s.depEnd[i-1]
+	for ; k >= 0; k-- {
+		sp := s.stamps[k]
+		if src >= sp.end {
+			break
+		}
+		if src >= sp.first {
+			src = sp.first - sp.shift + (src-sp.first)%sp.shift
+		}
+	}
+	// src is a built op; the ops of the spans before it are stamped.
+	b := src
+	for _, sp := range s.stamps[:k+1] {
+		b -= sp.end - sp.first
+	}
+	lo := int32(0)
+	if b > 0 {
+		lo = s.depEnd[b-1]
+	}
+	return s.deps[lo:s.depEnd[b]], int32(i) - src
 }
 
 // opLabel identifies stored op i in an error: its quoted name, or
@@ -700,14 +733,15 @@ func (s *Sim) nextLabel(name string) string {
 
 // OpEnd returns the end time of op id after Run, in either recording
 // mode; it is the one op time a Sim under ClusterConfig.EndTimesOnly
-// reports. Before Run, or for an out-of-range id, it is 0.
+// reports. Before Run, for an out-of-range id, or for an op a failed
+// Run left unfinished, it is 0.
 //
 //rap:unit return us
 func (s *Sim) OpEnd(id OpID) float64 {
-	if !s.ran || id < 0 || int(id) >= len(s.ops) {
+	if !s.ran || id < 0 || int(id) >= len(s.ops) || s.ops[id].state != opDone {
 		return 0
 	}
-	return s.ops[id].end
+	return s.ops[id].launchSpeedEnd
 }
 
 // fail records err as the Sim's add error unless one is recorded.
@@ -719,7 +753,9 @@ func (s *Sim) fail(err error) {
 
 // InvalidOp is the OpID returned by Add* calls rejected at add time
 // (e.g. an out-of-range GPU). It is never a valid dependency: a Run on
-// a Sim that recorded an invalid add reports the add error.
+// a Sim that recorded an invalid add reports the add error. Add* and
+// Stamp calls after Run return it too, and leave the finished Sim as
+// it was.
 const InvalidOp = OpID(-1)
 
 // checkGPU validates a GPU index at add time, with the same message
@@ -766,7 +802,7 @@ func (s *Sim) checkDemand(name string, d Demand) bool {
 // AddKernel schedules a GPU kernel on gpu. A non-finite Work or
 // LaunchOverhead, or a NaN demand, is rejected like an out-of-range GPU.
 func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
-	if !s.checkGPU(gpu) || !s.checkFinite(k.Name, "work", k.Work) ||
+	if s.ran || !s.checkGPU(gpu) || !s.checkFinite(k.Name, "work", k.Work) ||
 		!s.checkFinite(k.Name, "launch overhead", k.LaunchOverhead) || !s.checkDemand(k.Name, k.Demand) {
 		return InvalidOp
 	}
@@ -785,7 +821,7 @@ func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
 // GPU dst over the NVLink fabric. Non-finite bytes are rejected. Kept as
 // a fixture for trace's tests and this package's golden DAGs.
 func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(src) || !s.checkGPU(dst) || !s.checkFinite(name, "bytes", bytes) {
+	if s.ran || !s.checkGPU(src) || !s.checkGPU(dst) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	if src == dst {
@@ -822,7 +858,7 @@ func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption
 // (all-to-all, all-reduce) are expressed as one such op per participant.
 // Non-finite bytes are rejected.
 func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
+	if s.ran || !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	s.push(name, "comm", g, 0, bytes/(s.cfg.LinkGBs*1e3))
@@ -846,7 +882,7 @@ func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) O
 // engine (the data-preparation transfer of §6.3). Non-finite bytes are
 // rejected.
 func (s *Sim) AddHostCopy(name string, g int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
+	if s.ran || !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	s.push(name, "hostcopy", g, 0, bytes/(s.cfg.CopyGBs*1e3))
@@ -857,7 +893,7 @@ func (s *Sim) AddHostCopy(name string, g int, bytes float64, opts ...OpOption) O
 // AddCPU schedules host-side work taking micros µs on `workers` CPU
 // workers out of the host pool. Non-finite micros are rejected.
 func (s *Sim) AddCPU(name string, micros float64, workers int, opts ...OpOption) OpID {
-	if !s.checkFinite(name, "micros", micros) {
+	if s.ran || !s.checkFinite(name, "micros", micros) {
 		return InvalidOp
 	}
 	if workers < 1 {
@@ -874,6 +910,9 @@ func (s *Sim) AddCPU(name string, micros float64, workers int, opts ...OpOption)
 
 // AddBarrier schedules a zero-duration synchronization op.
 func (s *Sim) AddBarrier(name string, opts ...OpOption) OpID {
+	if s.ran {
+		return InvalidOp
+	}
 	s.push(name, "sync", -1, 0, 0)
 	return s.add(opts)
 }
@@ -881,18 +920,23 @@ func (s *Sim) AddBarrier(name string, opts ...OpOption) OpID {
 // Stamp appends a copy of the last n ops shifted by n: op len−n+j is
 // copied to len+j with every dependency d replaced by d+n, and every
 // stream whose last op lies among the n advances by n too. The copies
-// share their sources' demand spans. The result is the DAG that adding
-// the n ops again would build when each of them depends on ops exactly
-// n earlier than its source does, which is how a periodic pipeline's
-// steady iterations repeat. Stamp returns the first copy's id.
+// share their sources' demand spans and store no dependencies: Run
+// derives them from their sources' (see depSpan). The result is the
+// DAG that adding the n ops again would build when each of them
+// depends on ops exactly n earlier than its source does, which is how
+// a periodic pipeline's steady iterations repeat. Stamp returns the
+// first copy's id.
 //
 // Only a Sim that keeps no names (ClusterConfig.EndTimesOnly) stamps,
 // since names carry their iteration. That, an n outside [1, len], or a
 // store that would outgrow int32 ids is recorded as an add error, which
-// Run reports, and Stamp returns InvalidOp.
+// Run reports, and Stamp returns InvalidOp. After Run it returns
+// InvalidOp and records nothing.
 func (s *Sim) Stamp(n int) OpID {
 	total := len(s.ops)
 	switch {
+	case s.ran:
+		return InvalidOp
 	case !s.cfg.EndTimesOnly:
 		s.fail(fmt.Errorf("gpusim: Stamp on a Sim that keeps op names"))
 		return InvalidOp
@@ -905,15 +949,10 @@ func (s *Sim) Stamp(n int) OpID {
 	}
 	lo, shift := total-n, int32(n)
 	s.ops = append(s.ops, s.ops[lo:]...)
-	// The sources' dependencies are the tail of deps; the copies' follow
-	// them, so each copy's end moves by that tail's length.
-	src := s.deps[s.depStart(lo):]
-	s.deps = slices.Grow(s.deps, len(src))
-	for _, d := range src {
-		s.deps = append(s.deps, d+shift)
-	}
-	for _, e := range s.depEnd[lo:] {
-		s.depEnd = append(s.depEnd, e+int32(len(src)))
+	if k := len(s.stamps) - 1; k >= 0 && s.stamps[k].end == int32(total) && s.stamps[k].shift == shift {
+		s.stamps[k].end += shift
+	} else {
+		s.stamps = append(s.stamps, stampSpan{first: int32(total), end: int32(total) + shift, shift: shift})
 	}
 	for h, last := range s.streams {
 		if last >= int32(lo) {

@@ -493,6 +493,23 @@ func TestNonFiniteBandwidthRejected(t *testing.T) {
 	}
 }
 
+// TestTooManyGPUsRejected: an op record holds its GPU as an int16, so
+// a cluster of more GPUs is an error from Run, and the largest one it
+// holds runs.
+func TestTooManyGPUsRejected(t *testing.T) {
+	for _, c := range []struct {
+		gpus int
+		ok   bool
+	}{{math.MaxInt16, true}, {math.MaxInt16 + 1, false}} {
+		s := NewSim(ClusterConfig{NumGPUs: c.gpus})
+		s.AddKernel(c.gpus-1, Kernel{Name: "k", Work: 1})
+		_, err := s.Run()
+		if c.ok != (err == nil) || (err != nil && !strings.Contains(err.Error(), "exceeds the 32767")) {
+			t.Fatalf("%d GPUs: Run error = %v", c.gpus, err)
+		}
+	}
+}
+
 func TestUtilizationAccounting(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1, Timelines: true})
 	s.AddKernel(0, Kernel{Name: "a", Work: 100, LaunchOverhead: -1, Demand: Demand{SM: 0.6, MemBW: 0.4}, Tag: "train"})

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rap/internal/topo"
 )
@@ -42,13 +43,69 @@ func TestOpStorePointerFree(t *testing.T) {
 	}
 }
 
+// TestOpRecordSize pins the byte size of an op record and of a demand.
+// A fleet job's run holds about 108k ops and 81k demands, so a byte
+// more per op is about 0.1 MB more per run; DESIGN.md §5's memory
+// budget counts them. A new field must come with a new budget there.
+func TestOpRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(op{}); got != 32 {
+		t.Errorf("op is %d bytes, DESIGN.md §5 budgets 32", got)
+	}
+	if got := unsafe.Sizeof(rtDemand{}); got != 16 {
+		t.Errorf("rtDemand is %d bytes, DESIGN.md §5 budgets 16", got)
+	}
+}
+
+// TestAddAfterRunRejected: once a Sim has run, every Add* call and
+// Stamp returns InvalidOp and leaves the store, the add error and the
+// run's op ends as they were.
+func TestAddAfterRunRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		add  func(s *Sim) OpID
+	}{
+		{"kernel", func(s *Sim) OpID { return s.AddKernel(0, Kernel{Work: 1}) }},
+		{"comm", func(s *Sim) OpID { return s.AddComm("", 0, 1, 1e3) }},
+		{"link_busy", func(s *Sim) OpID { return s.AddLinkBusy("", 0, 1e3) }},
+		{"host_copy", func(s *Sim) OpID { return s.AddHostCopy("", 0, 1e3) }},
+		{"cpu", func(s *Sim) OpID { return s.AddCPU("", 5, 1) }},
+		{"barrier", func(s *Sim) OpID { return s.AddBarrier("") }},
+		{"stamp", func(s *Sim) OpID { return s.Stamp(2) }},
+		{"bad_kernel", func(s *Sim) OpID { return s.AddKernel(7, Kernel{Work: 1}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSim(ClusterConfig{NumGPUs: 2, EndTimesOnly: true})
+			st := s.NewStream()
+			a := s.AddKernel(0, Kernel{Work: 10}, WithStream(st))
+			b := s.AddBarrier("", WithStream(st))
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			ops, dems, deps, ends := len(s.ops), len(s.dems), len(s.deps), len(s.depEnd)
+			if id := c.add(s); id != InvalidOp {
+				t.Fatalf("added op %d after Run", id)
+			}
+			if len(s.ops) != ops || len(s.dems) != dems || len(s.deps) != deps || len(s.depEnd) != ends ||
+				len(s.stamps) != 0 || s.addErr != nil || s.streams[st] != int32(b) {
+				t.Fatalf("the store changed: %d ops, %d demands, %d deps, %d stamps, add error %v", len(s.ops), len(s.dems), len(s.deps), len(s.stamps), s.addErr)
+			}
+			if got := s.OpEnd(b); got != s.OpEnd(a) || got != DefaultLaunchOverhead+10 {
+				t.Fatalf("op ends changed: %v, %v", s.OpEnd(a), got)
+			}
+			if got := s.OpEnd(b + 1); got != 0 {
+				t.Fatalf("OpEnd past the store = %v", got)
+			}
+		})
+	}
+}
+
 // TestAddKernelAllocsOnceSized: once Grow has sized the store, adding a
 // kernel with stream, dependency and priority options allocates nothing.
 func TestAddKernelAllocsOnceSized(t *testing.T) {
 	const runs = 100
 	s := NewSim(ClusterConfig{NumGPUs: 2})
 	st := s.NewStream()
-	s.Grow(runs+2, 2*(runs+2), 2*(runs+2))
+	s.Grow(runs+2, 0, 2*(runs+2), 2*(runs+2))
 	k := Kernel{Name: "k", Work: 1, Demand: Demand{SM: 0.5, MemBW: 0.5}}
 	prev := s.AddKernel(1, k)
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -66,8 +123,8 @@ func TestAddKernelAllocsOnceSized(t *testing.T) {
 // instead of panicking.
 func TestGrowIgnoresNonPositive(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1})
-	s.Grow(-1, -1, -1)
-	s.Grow(0, 0, 0)
+	s.Grow(-1, -1, -1, -1)
+	s.Grow(0, 0, 0, 0)
 	if cap(s.ops) != 0 || cap(s.names) != 0 || cap(s.tags) != 0 || cap(s.depEnd) != 0 || cap(s.dems) != 0 || cap(s.deps) != 0 {
 		t.Fatalf("Grow reserved room: ops %d, demands %d, deps %d", cap(s.ops), cap(s.dems), cap(s.deps))
 	}
@@ -231,8 +288,9 @@ func periodicDAG(s *Sim, streams []Stream, i int, prev OpID) OpID {
 
 // TestStampMatchesBuilt: on a 2-node topology, stamping iterations 2–7
 // of periodicDAG stores the ops, demands and dependencies building them
-// stores, reuses the sources' demand spans, advances the stream tails,
-// and runs to the same op ends, makespan, events and timelines.
+// stores, reuses the sources' demand spans, derives the copies'
+// dependencies instead of storing them, advances the stream tails, and
+// runs to the same op ends, makespan, events and timelines.
 func TestStampMatchesBuilt(t *testing.T) {
 	const gpus, iters = 4, 8
 	newSim := func() (*Sim, []Stream) {
@@ -264,6 +322,9 @@ func TestStampMatchesBuilt(t *testing.T) {
 	if len(stamped.dems)*iters != len(built.dems)*2 {
 		t.Fatalf("stamped store holds %d demands, built %d: stamps must reuse their sources'", len(stamped.dems), len(built.dems))
 	}
+	if builtOps := len(stamped.ops) * 2 / iters; len(stamped.depEnd) != builtOps || len(stamped.deps) != int(stamped.depEnd[builtOps-1]) {
+		t.Fatalf("stamped store holds dependencies of %d ops, want only the %d built ones'", len(stamped.depEnd), builtOps)
+	}
 	for i := range built.ops {
 		b, s := built.ops[i], stamped.ops[i]
 		b.demOff, s.demOff = 0, 0
@@ -282,6 +343,54 @@ func TestStampMatchesBuilt(t *testing.T) {
 	}
 	if ResultDigest(got) != ResultDigest(want) || got.Events != want.Events {
 		t.Fatalf("stamped run digest %s, %d events; built %s, %d events", ResultDigest(got)[:12], got.Events, ResultDigest(want)[:12], want.Events)
+	}
+	for i := range built.ops {
+		if b, s := built.OpEnd(OpID(i)), stamped.OpEnd(OpID(i)); math.Float64bits(b) != math.Float64bits(s) {
+			t.Fatalf("op %d ends at %v stamped, %v built", i, s, b)
+		}
+	}
+}
+
+// TestStampMixedSpans: stamps of one and of two iterations, the later
+// ones copying copies, then an op added after them, give the
+// dependencies that building the iterations stores, and run to the
+// same op ends.
+func TestStampMixedSpans(t *testing.T) {
+	const gpus, iters = 3, 7
+	newSim := func() (*Sim, []Stream) {
+		s := NewSim(ClusterConfig{NumGPUs: gpus, EndTimesOnly: true})
+		return s, newStreams(s, gpus+1)
+	}
+	built, bs := newSim()
+	var end OpID
+	for i := 0; i < iters; i++ {
+		end = periodicDAG(built, bs, i, end)
+	}
+	stamped, ss := newSim()
+	end = periodicDAG(stamped, ss, 0, 0)
+	periodicDAG(stamped, ss, 1, end)
+	n := len(stamped.ops) / 2
+	for _, k := range []int{1, 2, 1, 1} { // iterations 2, 3–4, 5 and 6
+		stamped.Stamp(k * n)
+	}
+	// An op added after the stamps stores its dependencies again.
+	for _, s := range []*Sim{built, stamped} {
+		last := OpID(len(s.ops) - 1)
+		s.AddBarrier("", WithDeps(last, last-OpID(n)), WithStream(Stream(0)))
+	}
+	if len(stamped.ops) != len(built.ops) || len(stamped.stamps) != 3 {
+		t.Fatalf("stamped %d ops in %d spans, built %d", len(stamped.ops), len(stamped.stamps), len(built.ops))
+	}
+	for i := range built.ops {
+		if !slices.Equal(built.depsOf(i), stamped.depsOf(i)) {
+			t.Fatalf("op %d: stamped deps %v, built %v", i, stamped.depsOf(i), built.depsOf(i))
+		}
+	}
+	if _, err := built.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stamped.Run(); err != nil {
+		t.Fatal(err)
 	}
 	for i := range built.ops {
 		if b, s := built.OpEnd(OpID(i)), stamped.OpEnd(OpID(i)); math.Float64bits(b) != math.Float64bits(s) {

@@ -31,6 +31,25 @@ type GPUWork struct {
 	// CPUWorkers is the host worker count used by CPU ops (default 8,
 	// the paper's per-GPU TorchArrow worker count).
 	CPUWorkers int
+
+	// lowered is Schedule lowered to simulator kernels by LowerWork,
+	// nil until then; BuildAndRun lowers a nil one per run.
+	lowered *loweredSchedule
+}
+
+// LowerWork returns a copy of work in which each GPU's schedule is
+// lowered to simulator kernels once, so that every BuildAndRun of the
+// copy reuses the lowering instead of repeating it per run. The
+// schedules must not change afterwards. Runs of the copy and of work
+// are the same bits.
+func LowerWork(work []GPUWork) []GPUWork {
+	out := append([]GPUWork(nil), work...)
+	for g := range out {
+		if sch := out[g].Schedule; sch != nil {
+			out[g].lowered = lowerSchedule(sch)
+		}
+	}
+	return out
 }
 
 func (w GPUWork) workers() int {
@@ -154,45 +173,82 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 
 // gpuPlan caches what every batch of one GPU shares: its simulator
 // streams and its schedule lowered to simulator kernels. Deriving
-// them once per run instead of once per (iteration × GPU) keeps kernel
-// lowering out of DAG construction.
+// them once per run (or, through LowerWork, once per plan) instead of
+// once per (iteration × GPU) keeps kernel lowering out of DAG
+// construction.
 type gpuPlan struct {
 	prep   gpusim.Stream // data-preparation stream (host prep + H2D copy)
 	pre    gpusim.Stream // preprocessing kernel stream
 	cpupre gpusim.Stream // CPU-preprocessing stream (TorchArrow)
 	// kernel holds the round-robin kernel streams when PreprocStreams>1.
 	kernel []gpusim.Stream
-	// perStage[s] and overflow are Schedule.PerStage[s] and
-	// Schedule.Overflow lowered by KernelSpec.Kernel.
-	perStage [][]loweredKernel
-	overflow []loweredKernel
-	// names lists the distinct kernel names of perStage and overflow.
-	names []string
+	*loweredSchedule
 }
 
-// loweredKernel is a simulator kernel with the index of its name in
-// gpuPlan.names, so that a batch builds each prefixed op name once per
-// distinct name rather than once per kernel.
+// loweredSchedule is a Schedule lowered to simulator kernels:
+// perStage[s] and overflow are Schedule.PerStage[s] and
+// Schedule.Overflow lowered by KernelSpec.Kernel, and names and tags
+// list their distinct kernel names and tags. Runs share it read-only.
+type loweredSchedule struct {
+	perStage    [][]loweredKernel
+	overflow    []loweredKernel
+	names, tags []string
+}
+
+// noKernels is the lowering of a GPU without a schedule.
+var noKernels loweredSchedule
+
+// loweredKernel is a simulator kernel whose name and tag are indices
+// into loweredSchedule.names and tags, so that a batch builds each
+// prefixed op name once per distinct name rather than once per kernel,
+// and a lowering kept with a plan holds no pointer for the garbage
+// collector to scan (TestLoweredKernelPointerFree). Kernel.Warps, which
+// the simulator does not read, is dropped.
 type loweredKernel struct {
-	gpusim.Kernel
-	nameID int
+	work, overhead float64
+	demand         gpusim.Demand
+	nameID, tagID  int32
 }
 
-// lower lowers kernel specs to simulator kernels, adding names it has
-// not seen (ids maps each name to its index in gp.names).
-func (gp *gpuPlan) lower(specs []preproc.KernelSpec, ids map[string]int) []loweredKernel {
+// simKernel returns the simulator kernel k lowers to, named name.
+func (ls *loweredSchedule) simKernel(k loweredKernel, name string) gpusim.Kernel {
+	return gpusim.Kernel{Name: name, Work: k.work, Demand: k.demand, LaunchOverhead: k.overhead, Tag: ls.tags[k.tagID]}
+}
+
+// lowerSchedule lowers a schedule's kernels.
+func lowerSchedule(sch *Schedule) *loweredSchedule {
+	ls := &loweredSchedule{perStage: make([][]loweredKernel, len(sch.PerStage))}
+	names, tags := map[string]int32{}, map[string]int32{}
+	for s, specs := range sch.PerStage {
+		ls.perStage[s] = ls.lower(specs, names, tags)
+	}
+	ls.overflow = ls.lower(sch.Overflow, names, tags)
+	return ls
+}
+
+// lower lowers kernel specs to simulator kernels, adding the names and
+// tags it has not seen (names and tags map each to its index in
+// ls.names or ls.tags).
+func (ls *loweredSchedule) lower(specs []preproc.KernelSpec, names, tags map[string]int32) []loweredKernel {
 	ks := make([]loweredKernel, len(specs))
 	for i, spec := range specs {
 		k := spec.Kernel()
-		id, ok := ids[k.Name]
-		if !ok {
-			id = len(gp.names)
-			ids[k.Name] = id
-			gp.names = append(gp.names, k.Name)
-		}
-		ks[i] = loweredKernel{Kernel: k, nameID: id}
+		ks[i] = loweredKernel{work: k.Work, overhead: k.LaunchOverhead, demand: k.Demand,
+			nameID: intern(&ls.names, names, k.Name), tagID: intern(&ls.tags, tags, k.Tag)}
 	}
 	return ks
+}
+
+// intern returns s's index in list, appending it if ids, which maps
+// list's strings to their indices, lacks it.
+func intern(list *[]string, ids map[string]int32, s string) int32 {
+	id, ok := ids[s]
+	if !ok {
+		id = int32(len(*list))
+		ids[s] = id
+		*list = append(*list, s)
+	}
+	return id
 }
 
 // pipelineBuilder accumulates the pipelined training DAG for one run.
@@ -244,13 +300,13 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 				gp.kernel[i] = sim.NewStream()
 			}
 		}
-		if sch := work[g].Schedule; sch != nil {
-			ids := map[string]int{}
-			gp.perStage = make([][]loweredKernel, len(sch.PerStage))
-			for s, specs := range sch.PerStage {
-				gp.perStage[s] = gp.lower(specs, ids)
-			}
-			gp.overflow = gp.lower(sch.Overflow, ids)
+		switch sch := work[g].Schedule; {
+		case work[g].lowered != nil:
+			gp.loweredSchedule = work[g].lowered
+		case sch != nil:
+			gp.loweredSchedule = lowerSchedule(sch)
+		default:
+			gp.loweredSchedule = &noKernels
 		}
 		b.gpus[g] = gp
 	}
@@ -262,12 +318,15 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 			opts.Iterations, iterOps, math.MaxInt32)
 	}
 	// Size the op store once for the whole run: every iteration adds
-	// iterOps ops, with about two demands and two dependencies each.
-	// Stamped iterations add no demands, but reserving demands for the
-	// built iterations only raised the fleet benchmark's peak RSS from
-	// 31 to 36 MB (the smaller store changed when the collector ran).
+	// iterOps ops, and every built one about two dependencies and two
+	// demands per op, a few more demands on a multi-node topology
+	// (stamped iterations store neither).
 	n := opts.Iterations * iterOps
-	sim.Grow(n, 2*n, 2*n)
+	built := n
+	if cluster.EndTimesOnly {
+		built = min(opts.Iterations, stampFrom) * iterOps
+	}
+	sim.Grow(built, n-built, 2*built+built/8, 2*built)
 	b.handles = make([]dlrm.IterHandle, 0, opts.Iterations)
 	return b, nil
 }
@@ -450,8 +509,7 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 		if names[k.nameID] == "" {
 			names[k.nameID] = prefix + gp.names[k.nameID]
 		}
-		k.Name = names[k.nameID]
-		return sim.AddKernel(g, k.Kernel,
+		return sim.AddKernel(g, gp.simKernel(k, names[k.nameID]),
 			gpusim.WithStream(kernelStream()),
 			gpusim.WithDeps(deps...),
 			gpusim.WithPriority(opts.PreprocPriority))

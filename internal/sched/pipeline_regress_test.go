@@ -193,3 +193,63 @@ func TestStampedRunsMatchBuiltRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestLowerWorkMatchesPerRunLowering: runs of work lowered once by
+// LowerWork, with full records or end times only, are the runs of the
+// work as given, op names, tags and ends included, bit for bit; the
+// copy leaves work itself unlowered.
+func TestLowerWorkMatchesPerRunLowering(t *testing.T) {
+	const n = 3
+	cfg, pl, cm := testSetup(t, n, 4096)
+	work := buildWork(t, cm, splitGraphs(preproc.MustStandardPlan(1, nil), n), 4096)
+	work[1] = GPUWork{CPUPreprocUs: 80, PrepBytes: 1e6}
+	lowered := LowerWork(work)
+	for g := range work {
+		if work[g].lowered != nil || (work[g].Schedule != nil) != (lowered[g].lowered != nil) {
+			t.Fatalf("gpu %d: LowerWork lowered the original or skipped the copy", g)
+		}
+	}
+	for _, lean := range []bool{false, true} {
+		cluster := gpusim.ClusterConfig{NumGPUs: n, Timelines: true, EndTimesOnly: lean}
+		opts := PipelineOptions{Iterations: 5, Interleave: true, PreprocStreams: 2}
+		want, err := BuildAndRun(cluster, cfg, pl, work, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := BuildAndRun(cluster, cfg, pl, lowered, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gpusim.ResultDigest(got.Result) != gpusim.ResultDigest(want.Result) || !reflect.DeepEqual(got.IterEnds, want.IterEnds) {
+			t.Fatalf("EndTimesOnly=%v: lowered once, makespan %v; per run %v", lean, got.Result.Makespan, want.Result.Makespan)
+		}
+		if !reflect.DeepEqual(got.Result.Ops, want.Result.Ops) {
+			t.Fatalf("EndTimesOnly=%v: op results differ", lean)
+		}
+	}
+}
+
+// TestLoweredKernelPointerFree: a lowered kernel holds no pointer, so a
+// plan's lowering (LowerWork) is an array the garbage collector never
+// scans.
+func TestLoweredKernelPointerFree(t *testing.T) {
+	var check func(typ reflect.Type) bool
+	check = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !check(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Float64, reflect.Int32:
+			return true
+		default:
+			return false
+		}
+	}
+	if typ := reflect.TypeOf(loweredKernel{}); !check(typ) {
+		t.Fatalf("%v holds a pointer", typ)
+	}
+}

@@ -51,8 +51,9 @@ go test -count=1 -cpu 1,3,8 -run 'TestPlanGolden$|TestSimulateMatchesReference$|
 	./internal/rap ./internal/cluster ./internal/experiments ./internal/sched
 phase "benchmarks (one iteration each)"
 # go test alone only compiles benchmarks; run each once so a benchmark
-# that fails or panics fails tier-1.
-go test -run '^$' -bench 'BenchmarkEngine|BenchmarkPipeline|BenchmarkCoRunSchedule|BenchmarkFleetJob|BenchmarkFleetFill|BenchmarkSolvePlanSized|BenchmarkSolveGoldenPlans|BenchmarkPlanFusionStandard|BenchmarkBuildPlan|BenchmarkEstimateCapacities|BenchmarkWriteChromeTrace' -benchtime 1x \
+# that fails or panics fails tier-1. -benchmem prints each one's B/op
+# (BenchmarkFleetJob's is the per-run budget of DESIGN.md §5).
+go test -run '^$' -bench 'BenchmarkEngine|BenchmarkPipeline|BenchmarkCoRunSchedule|BenchmarkFleetJob|BenchmarkFleetFill|BenchmarkFleetTrace|BenchmarkSolvePlanSized|BenchmarkSolveGoldenPlans|BenchmarkPlanFusionStandard|BenchmarkBuildPlan|BenchmarkEstimateCapacities|BenchmarkWriteChromeTrace' -benchtime 1x -benchmem \
 	./internal/gpusim ./internal/sched ./internal/cluster ./internal/milp ./internal/fusion ./internal/rap ./internal/trace
 phase "bench module"
 # bench/ is its own Go module (rap/bench, replace rap => ../), so the
