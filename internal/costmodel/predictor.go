@@ -157,7 +157,6 @@ func randomSpec(ty preproc.OpType, rng *rand.Rand) preproc.KernelSpec {
 	case preproc.OpMapID:
 		op = preproc.NewMapID("p", "in", "out", map[int64]int64{1: 2})
 	default:
-		//lint:ignore panicpath checked invariant: the switch is exhaustive over preproc.OpType
 		panic(fmt.Sprintf("costmodel: unhandled op type %v", ty))
 	}
 	spec := op.Spec(shape)

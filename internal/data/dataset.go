@@ -101,6 +101,11 @@ func OpenDataset(dir string) (*Dataset, error) {
 	if len(meta.Shards) == 0 {
 		return nil, fmt.Errorf("data: dataset %s has no shards", dir)
 	}
+	for _, name := range meta.Shards {
+		if name != filepath.Base(name) || name == "." || name == ".." {
+			return nil, fmt.Errorf("data: dataset %s: shard %q is not a plain file name", dir, name)
+		}
+	}
 	sorted := append([]string(nil), meta.Shards...)
 	sort.Strings(sorted)
 	meta.Shards = sorted

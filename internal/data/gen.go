@@ -116,7 +116,6 @@ func (g *Generator) NextBatch(n int) *tensor.Batch {
 			}
 		}
 		if err := b.AddDense(col); err != nil {
-			//lint:ignore panicpath checked invariant: generated column names are unique by construction
 			panic("data: " + err.Error()) // names are unique by construction
 		}
 	}
@@ -134,7 +133,6 @@ func (g *Generator) NextBatch(n int) *tensor.Batch {
 			col.Offsets[i+1] = int32(len(col.Values))
 		}
 		if err := b.AddSparse(col); err != nil {
-			//lint:ignore panicpath checked invariant: generated column names are unique by construction
 			panic("data: " + err.Error())
 		}
 	}

@@ -173,7 +173,11 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// Next reads the next batch, returning io.EOF at end of container.
+// Next reads the next batch, returning io.EOF at end of container. The
+// counts in a block are untrusted: a sample count above math.MaxInt32
+// (offsets are int32) and an offset that overflows are errors, and every
+// column grows as its values arrive, so a header that overstates a count
+// fails at the end of the input instead of allocating for it first.
 func (r *Reader) Next() (*tensor.Batch, error) {
 	if err := r.readHeader(); err != nil {
 		return nil, err
@@ -185,11 +189,15 @@ func (r *Reader) Next() (*tensor.Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("data: reading batch size: %w", err)
 	}
+	if samples > math.MaxInt32 {
+		return nil, fmt.Errorf("data: batch of %d samples exceeds the int32 offset range", samples)
+	}
+	n := int(samples)
 	ncols, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		return nil, fmt.Errorf("data: reading column count: %w", err)
 	}
-	b := tensor.NewBatch(int(samples))
+	b := tensor.NewBatch(n)
 	for c := uint64(0); c < ncols; c++ {
 		kind, err := r.r.ReadByte()
 		if err != nil {
@@ -201,54 +209,24 @@ func (r *Reader) Next() (*tensor.Batch, error) {
 		}
 		switch kind {
 		case colKindDense:
-			col := tensor.NewDense(name, int(samples))
-			for i := range col.Values {
-				u, err := r.readU32()
-				if err != nil {
-					return nil, err
-				}
-				col.Values[i] = math.Float32frombits(u)
+			vals, err := r.readF32s(n)
+			if err != nil {
+				return nil, err
 			}
-			if err := b.AddDense(col); err != nil {
+			if err := b.AddDense(&tensor.Dense{Name: name, Values: vals}); err != nil {
 				return nil, err
 			}
 		case colKindSparse:
-			col := tensor.NewSparse(name, int(samples))
-			prev := int32(0)
-			for i := 1; i <= int(samples); i++ {
-				d, err := binary.ReadUvarint(r.r)
-				if err != nil {
-					return nil, fmt.Errorf("data: reading offsets of %q: %w", name, err)
-				}
-				prev += int32(d)
-				col.Offsets[i] = prev
-			}
-			nvals, err := binary.ReadUvarint(r.r)
+			col, err := r.readSparse(name, n)
 			if err != nil {
-				return nil, fmt.Errorf("data: reading value count of %q: %w", name, err)
-			}
-			if int64(nvals) != int64(prev) {
-				return nil, fmt.Errorf("data: column %q declares %d values but offsets say %d", name, nvals, prev)
-			}
-			col.Values = make([]int64, nvals)
-			for i := range col.Values {
-				v, err := binary.ReadVarint(r.r)
-				if err != nil {
-					return nil, fmt.Errorf("data: reading values of %q: %w", name, err)
-				}
-				col.Values[i] = v
+				return nil, err
 			}
 			if err := b.AddSparse(col); err != nil {
 				return nil, err
 			}
 		case colKindLabels:
-			b.Labels = make([]float32, samples)
-			for i := range b.Labels {
-				u, err := r.readU32()
-				if err != nil {
-					return nil, err
-				}
-				b.Labels[i] = math.Float32frombits(u)
+			if b.Labels, err = r.readF32s(n); err != nil {
+				return nil, err
 			}
 		default:
 			return nil, fmt.Errorf("data: unknown column kind %d", kind)
@@ -258,6 +236,57 @@ func (r *Reader) Next() (*tensor.Batch, error) {
 		return nil, fmt.Errorf("data: corrupt batch: %w", err)
 	}
 	return b, nil
+}
+
+// growCap caps the capacity a column is first allocated with; past it
+// the column grows as values arrive.
+const growCap = 1 << 16
+
+// readSparse reads a sparse column of n rows: delta-varint offsets, the
+// value count, then zigzag-varint values.
+func (r *Reader) readSparse(name string, n int) (*tensor.Sparse, error) {
+	col := &tensor.Sparse{Name: name, Offsets: make([]int32, 1, min(n, growCap)+1)}
+	prev := int64(0)
+	for i := 0; i < n; i++ {
+		d, err := binary.ReadUvarint(r.r)
+		if err != nil {
+			return nil, fmt.Errorf("data: reading offsets of %q: %w", name, err)
+		}
+		if d > uint64(math.MaxInt32-prev) {
+			return nil, fmt.Errorf("data: offsets of %q overflow int32 at row %d", name, i)
+		}
+		prev += int64(d)
+		col.Offsets = append(col.Offsets, int32(prev))
+	}
+	nvals, err := binary.ReadUvarint(r.r)
+	if err != nil {
+		return nil, fmt.Errorf("data: reading value count of %q: %w", name, err)
+	}
+	if nvals != uint64(prev) {
+		return nil, fmt.Errorf("data: column %q declares %d values but offsets say %d", name, nvals, prev)
+	}
+	col.Values = make([]int64, 0, min(int(prev), growCap))
+	for range prev {
+		v, err := binary.ReadVarint(r.r)
+		if err != nil {
+			return nil, fmt.Errorf("data: reading values of %q: %w", name, err)
+		}
+		col.Values = append(col.Values, v)
+	}
+	return col, nil
+}
+
+// readF32s reads n little-endian float32 values.
+func (r *Reader) readF32s(n int) ([]float32, error) {
+	out := make([]float32, 0, min(n, growCap))
+	for range n {
+		u, err := r.readU32()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, math.Float32frombits(u))
+	}
+	return out, nil
 }
 
 func (r *Reader) readU32() (uint32, error) {

@@ -46,7 +46,6 @@ func (t *EmbeddingTable) row(id int64) []float32 {
 // out (len(col) × Dim).
 func (t *EmbeddingTable) LookupPooled(col *tensor.Sparse, out *nn.Matrix) {
 	if out.Rows != col.Len() || out.Cols != t.Dim {
-		//lint:ignore panicpath checked invariant: callers size out from the same col/Dim
 		panic(fmt.Sprintf("dlrm: lookup output %d×%d for %d samples dim %d", out.Rows, out.Cols, col.Len(), t.Dim))
 	}
 	for i := 0; i < col.Len(); i++ {

@@ -67,7 +67,6 @@ type Model struct {
 // Predict returns the model output for one feature vector.
 func (m *Model) Predict(x []float64) float64 {
 	if len(x) != m.dims {
-		//lint:ignore panicpath checked invariant: feature-count mismatch is a programmer error
 		panic(fmt.Sprintf("gbdt: predict with %d features, model trained on %d", len(x), m.dims))
 	}
 	out := m.base

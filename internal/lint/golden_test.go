@@ -13,13 +13,13 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden report files under testdata/golden")
 
 // TestReportGolden pins the exact JSON encoding of one finding each
-// from floateq, panicpath and seededrand. The Go toolchain version
+// from floateq and seededrand. The Go toolchain version
 // embedded in the JSON report is normalized to GOVERSION so the file
 // survives toolchain bumps; regenerate intentional changes with
 // `go test ./internal/lint -run TestReportGolden -update`.
 func TestReportGolden(t *testing.T) {
 	pkg, _ := loadFixture(t, filepath.Join("testdata", "src", "reportgolden"), "rap/internal/reportgolden")
-	suite := []*Analyzer{FloatEq, PanicPath, SeededRand}
+	suite := []*Analyzer{FloatEq, SeededRand}
 	var findings []Finding
 	runUntimed(pkg, suite, &findings)
 	SortFindings(findings)

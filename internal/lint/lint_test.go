@@ -99,8 +99,6 @@ func TestAnalyzers(t *testing.T) {
 		{"seededrand internal", SeededRand, "seededrand_internal", "rap/internal/simfix"},
 		{"seededrand out of scope", SeededRand, "seededrand_cmd", "rap/cmd/fix"},
 		{"floateq", FloatEq, "floateq", "rap/internal/floatfix"},
-		{"panicpath internal", PanicPath, "panicpath_internal", "rap/internal/panicfix"},
-		{"panicpath out of scope", PanicPath, "panicpath_cmd", "rap/cmd/panicfix"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,8 +8,9 @@ import (
 )
 
 // reportVersion is the raplintVersion field of the JSON report: the
-// report-schema generation, bumped whenever a field leaves or joins it.
-const reportVersion = "6"
+// report generation, bumped whenever a field or an analyzer leaves or
+// joins it.
+const reportVersion = "7"
 
 // relPath renders a finding path relative to the module root so
 // reports are stable across checkouts.

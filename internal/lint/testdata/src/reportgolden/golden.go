@@ -1,18 +1,12 @@
-// Package reportgolden triggers exactly one finding each from floateq,
-// panicpath and seededrand; the JSON encoding of the result is pinned
-// as a golden file (testdata/golden/report.json).
+// Package reportgolden triggers exactly one finding each from floateq
+// and seededrand; the JSON encoding of the result is pinned as a golden
+// file (testdata/golden/report.json).
 package reportgolden
 
 import "math/rand"
 
 func same(a, b float64) bool {
 	return a == b // floateq: exact float comparison
-}
-
-func check(ok bool) {
-	if !ok {
-		panic("invariant") // panicpath: panic outside a Must* helper
-	}
 }
 
 func roll() int {

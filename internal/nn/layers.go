@@ -47,7 +47,6 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 // Forward implements Layer.
 func (l *Linear) Forward(x *Matrix) *Matrix {
 	if x.Cols != l.In {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic(fmt.Sprintf("nn: linear expects %d inputs, got %d", l.In, x.Cols))
 	}
 	l.x = x
@@ -64,7 +63,6 @@ func (l *Linear) Forward(x *Matrix) *Matrix {
 // Backward implements Layer.
 func (l *Linear) Backward(grad *Matrix) *Matrix {
 	if l.x == nil {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic("nn: Linear.Backward before Forward")
 	}
 	dW := MatMulATB(l.x, grad)
@@ -125,7 +123,6 @@ func (r *ReLU) Forward(x *Matrix) *Matrix {
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *Matrix) *Matrix {
 	if r.mask == nil {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic("nn: ReLU.Backward before Forward")
 	}
 	out := grad.Clone()
@@ -153,7 +150,6 @@ type MLP struct {
 // finalActivation is false the last ReLU is omitted (for logit outputs).
 func NewMLP(dims []int, finalActivation bool, rng *rand.Rand) *MLP {
 	if len(dims) < 2 {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic("nn: MLP needs at least two dims")
 	}
 	m := &MLP{}
@@ -202,7 +198,6 @@ func (m *MLP) ParamCount() int {
 // returns the loss and dL/dlogits. Labels must be 0 or 1.
 func BCEWithLogits(logits *Matrix, labels []float32) (float32, *Matrix) {
 	if logits.Cols != 1 || logits.Rows != len(labels) {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic(fmt.Sprintf("nn: BCE expects %d×1 logits for %d labels", len(labels), len(labels)))
 	}
 	grad := NewMatrix(logits.Rows, 1)

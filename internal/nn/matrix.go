@@ -20,7 +20,6 @@ type Matrix struct {
 // NewMatrix allocates a zeroed Rows×Cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic(fmt.Sprintf("nn: invalid matrix shape %d×%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
@@ -45,7 +44,6 @@ func (m *Matrix) Clone() *Matrix {
 // MatMul returns a×b.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic(fmt.Sprintf("nn: matmul shape mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Rows, b.Cols)
@@ -70,7 +68,6 @@ func MatMul(a, b *Matrix) *Matrix {
 // MatMulATB returns aᵀ×b (used for weight gradients).
 func MatMulATB(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic(fmt.Sprintf("nn: matmulATB shape mismatch %d×%d ᵀ· %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Cols, b.Cols)
@@ -94,7 +91,6 @@ func MatMulATB(a, b *Matrix) *Matrix {
 // MatMulABT returns a×bᵀ (used for input gradients).
 func MatMulABT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
-		//lint:ignore panicpath checked invariant: shape mismatch is a programmer error in this hot-path math kernel
 		panic(fmt.Sprintf("nn: matmulABT shape mismatch %d×%d · %d×%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Rows, b.Rows)

@@ -247,14 +247,20 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Apply executes every graph on b.
+// Apply executes every graph on b, in plan order, and stops at the
+// first graph that fails.
 func (p *Plan) Apply(b *tensor.Batch) error {
 	for _, g := range p.Graphs {
 		if err := g.Apply(b); err != nil {
-			return err
+			return graphErr(g, err)
 		}
 	}
 	return nil
+}
+
+// graphErr names the failing graph in a plan run's error.
+func graphErr(g *Graph, err error) error {
+	return fmt.Errorf("preproc: graph %q: %w", g.Name, err)
 }
 
 // TableCols maps each embedding table to the column feeding it.

@@ -1,80 +1,25 @@
 package preproc
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
 	"rap/internal/tensor"
 )
 
-// merger owns the state the parallel workers share: the batch being
-// grown and the first error observed. Every access to the guarded
-// fields goes through a method that holds mu; the race-detector tests
-// in parallel_test.go check it.
-type merger struct {
-	mu       sync.Mutex
-	batch    *tensor.Batch // guarded by mu
-	firstErr error         // guarded by mu
-}
-
-// view returns a shallow copy of the shared batch for one worker. The
-// copy must be taken under the merge lock: another worker may be
-// appending columns to the batch concurrently.
-func (m *merger) view() *tensor.Batch {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.batch.ShallowCopy()
-}
-
-// fail records err as the run's result unless an earlier error already
-// claimed the slot.
-func (m *merger) fail(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.firstErr == nil {
-		m.firstErr = err
-	}
-}
-
-// merge copies the graph's output columns from the worker's view back
-// into the shared batch; merge errors claim the first-error slot.
-func (m *merger) merge(g *Graph, view *tensor.Batch) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, op := range g.Ops {
-		name := op.Output()
-		if d := view.DenseByName(name); d != nil {
-			if err := m.batch.AddOrReplaceDense(d); err != nil && m.firstErr == nil {
-				m.firstErr = err
-			}
-			continue
-		}
-		if s := view.SparseByName(name); s != nil {
-			if err := m.batch.AddOrReplaceSparse(s); err != nil && m.firstErr == nil {
-				m.firstErr = err
-			}
-		}
-	}
-}
-
-// err returns the first error the run recorded, if any.
-func (m *merger) err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.firstErr
-}
-
 // ParallelApply executes every graph of the plan on b using a pool of
 // CPU workers — the execution model of the TorchArrow/Velox-style CPU
 // preprocessing tier (8 workers per trainer in the paper's baseline).
 //
 // Graphs are independent by construction (Plan.Validate enforces
-// cross-graph output uniqueness), so each worker runs whole graphs on a
-// shallow view of the batch (shared input columns, private column
-// table) and the newly produced columns are merged back under the
-// merger's lock. Operators never mutate their inputs, which makes the
-// shared-column reads race-free.
+// cross-graph output uniqueness), so each graph runs on its own shallow
+// view of b, taken before the fan-out (shared input columns, private
+// column table), and records its error in its own slot. Operators never
+// mutate their inputs, which makes the shared-column reads race-free,
+// and a worker writes only the view and slot of the graph it runs. After
+// the workers finish, the views are published into b in plan order, up
+// to and including the first graph that failed, so b and the returned
+// error are exactly those of serial Apply whatever the schedule.
 func ParallelApply(p *Plan, b *tensor.Batch, workers int) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -89,27 +34,60 @@ func ParallelApply(p *Plan, b *tensor.Batch, workers int) error {
 		return p.Apply(b)
 	}
 
-	m := &merger{batch: b}
-	jobs := make(chan *Graph)
+	views := make([]*tensor.Batch, len(p.Graphs))
+	for i := range views {
+		views[i] = b.ShallowCopy()
+	}
+	errs := make([]error, len(p.Graphs))
+	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for g := range jobs {
-				view := m.view()
-				if err := g.Apply(view); err != nil {
-					m.fail(fmt.Errorf("preproc: graph %q: %w", g.Name, err))
-					continue
-				}
-				m.merge(g, view)
+			for i := range next {
+				errs[i] = p.Graphs[i].Apply(views[i])
 			}
 		}()
 	}
-	for _, g := range p.Graphs {
-		jobs <- g
+	for i := range p.Graphs {
+		next <- i
 	}
-	close(jobs)
+	close(next)
 	wg.Wait()
-	return m.err()
+
+	base := b.ShallowCopy()
+	for i, g := range p.Graphs {
+		if err := publish(b, base, views[i]); err != nil {
+			return err
+		}
+		if errs[i] != nil {
+			return graphErr(g, errs[i])
+		}
+	}
+	return nil
+}
+
+// publish copies into b the columns a graph added to or replaced in its
+// view, in the order its operators produced them. base is b's column
+// table when the view was taken: the view's columns past base's are
+// new, and one that differs from base's at its index was replaced.
+// Comparing with b instead would republish a raw column that an earlier
+// graph had replaced.
+func publish(b, base, view *tensor.Batch) error {
+	for i, d := range view.Dense {
+		if i >= len(base.Dense) || d != base.Dense[i] {
+			if err := b.AddOrReplaceDense(d); err != nil {
+				return err
+			}
+		}
+	}
+	for i, s := range view.Sparse {
+		if i >= len(base.Sparse) || s != base.Sparse[i] {
+			if err := b.AddOrReplaceSparse(s); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

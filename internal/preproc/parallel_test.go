@@ -4,17 +4,42 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"rap/internal/data"
+	"rap/internal/tensor"
 )
 
-// applyBoth runs a plan serially and in parallel on identical batches
-// and asserts the outputs are bit-identical.
+// sameColumnOrder asserts that two batches hold columns of the same
+// names in the same order.
+func sameColumnOrder(t *testing.T, serial, parallel *tensor.Batch) {
+	t.Helper()
+	if len(serial.Dense) != len(parallel.Dense) || len(serial.Sparse) != len(parallel.Sparse) {
+		t.Fatalf("column counts differ: %d/%d vs %d/%d",
+			len(serial.Dense), len(serial.Sparse), len(parallel.Dense), len(parallel.Sparse))
+	}
+	for i, d := range serial.Dense {
+		if name := parallel.Dense[i].Name; name != d.Name {
+			t.Fatalf("dense column %d: serial %q, parallel %q", i, d.Name, name)
+		}
+	}
+	for i, s := range serial.Sparse {
+		if name := parallel.Sparse[i].Name; name != s.Name {
+			t.Fatalf("sparse column %d: serial %q, parallel %q", i, s.Name, name)
+		}
+	}
+}
+
+// applyBoth runs a standard plan serially and in parallel on identical
+// batches and asserts the outputs are bit-identical, column order
+// included.
 func applyBoth(t *testing.T, planIdx, samples, workers int) {
 	t.Helper()
-	p := MustStandardPlan(planIdx, nil)
+	applyPlanBoth(t, MustStandardPlan(planIdx, nil), samples, workers)
+}
+
+func applyPlanBoth(t *testing.T, p *Plan, samples, workers int) {
+	t.Helper()
 	// Two generators with one seed give two independent, identical batches.
 	cfg := data.GenConfig{NumDense: p.NumDense, NumSparse: p.NumSparse, Seed: 42}
 	serial := data.NewGenerator(cfg).NextBatch(samples)
@@ -26,10 +51,7 @@ func applyBoth(t *testing.T, planIdx, samples, workers int) {
 	if err := ParallelApply(p, parallel, workers); err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Dense) != len(parallel.Dense) || len(serial.Sparse) != len(parallel.Sparse) {
-		t.Fatalf("column counts differ: %d/%d vs %d/%d",
-			len(serial.Dense), len(serial.Sparse), len(parallel.Dense), len(parallel.Sparse))
-	}
+	sameColumnOrder(t, serial, parallel)
 	for _, d := range serial.Dense {
 		pd := parallel.DenseByName(d.Name)
 		if pd == nil {
@@ -65,6 +87,20 @@ func TestParallelApplyMatchesSerial(t *testing.T) {
 	applyBoth(t, 2, 32, 4)
 }
 
+// TestParallelApplyKeepsReplacedColumn: a graph may write an output
+// over a raw input column, in place. A later graph's view still holds
+// the raw column, and publishing that view must not put it back.
+func TestParallelApplyKeepsReplacedColumn(t *testing.T) {
+	p := &Plan{
+		Name: "replace", NumDense: 3, NumSparse: 1, AvgListLen: 1,
+		Graphs: []*Graph{
+			{Name: "a", Ops: []Op{NewBoxCox("a0", "int_0", "int_1", 0.5)}},
+			{Name: "b", Ops: []Op{NewCast("b0", "int_2", "b_out")}},
+		},
+	}
+	applyPlanBoth(t, p, 16, 2)
+}
+
 // Run with -race to exercise the concurrency safety of shared inputs.
 func TestParallelApplyRace(t *testing.T) {
 	for i := 0; i < 3; i++ {
@@ -87,44 +123,28 @@ func TestParallelApplyPropagatesError(t *testing.T) {
 	}
 }
 
-// TestParallelApplyConcurrentFailures breaks every graph at its last
-// op, so workers run whole graphs side by side and then record their
-// failures at about the same time; under -race this checks that the
-// first-error slot is written under the merger's lock. One of the graph
-// errors must come back.
+// TestParallelApplyConcurrentFailures breaks every graph but the first
+// at its last op, so workers run whole graphs side by side and fail at
+// about the same time. The returned error and the batch must be serial
+// Apply's: the first failing graph's error, with the columns of every
+// graph up to it.
 func TestParallelApplyConcurrentFailures(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		p := MustStandardPlan(1, nil)
-		gen := data.NewGenerator(data.GenConfig{NumDense: p.NumDense, NumSparse: p.NumSparse, Seed: 1})
-		b := gen.NextBatch(256)
-		for i, g := range p.Graphs {
+		for i, g := range p.Graphs[1:] {
 			g.Ops = append(g.Ops, NewCast(fmt.Sprintf("bad%d", i), "no_such_column", fmt.Sprintf("out_%d", i)))
 		}
-		err := ParallelApply(p, b, 8)
-		if err == nil || !strings.Contains(err.Error(), "no_such_column") {
-			t.Fatalf("round %d: error %v, want a missing-input graph error", round, err)
+		cfg := data.GenConfig{NumDense: p.NumDense, NumSparse: p.NumSparse, Seed: 1}
+		serial := data.NewGenerator(cfg).NextBatch(256)
+		parallel := data.NewGenerator(cfg).NextBatch(256)
+		want := p.Apply(serial)
+		if want == nil || !strings.Contains(want.Error(), "no_such_column") {
+			t.Fatalf("serial Apply error %v, want a missing-input graph error", want)
 		}
-	}
-}
-
-// TestMergerConcurrentFail: workers record failures with nothing else
-// ordering them. Through ParallelApply the jobs channel and the view
-// lock order most pairs of failures, so whether -race sees an unlocked
-// fail there depends on scheduling (it missed it while other tests
-// loaded the CPUs); here no pair is ordered, so it sees one every run.
-func TestMergerConcurrentFail(t *testing.T) {
-	m := &merger{}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m.fail(fmt.Errorf("worker %d", i))
-		}(i)
-	}
-	wg.Wait()
-	if m.err() == nil {
-		t.Fatal("no failure recorded")
+		if err := ParallelApply(p, parallel, 8); err == nil || err.Error() != want.Error() {
+			t.Fatalf("round %d: error %v, want serial Apply's %q", round, err, want)
+		}
+		sameColumnOrder(t, serial, parallel)
 	}
 }
 

@@ -285,6 +285,11 @@ func TestRunFunctionalValidation(t *testing.T) {
 	if _, err := RunFunctional(w, 0, 32, 1, 1); err == nil {
 		t.Fatal("zero workers accepted")
 	}
+	for _, batch := range []int{0, -32} {
+		if _, err := RunFunctional(w, 2, batch, 1, 1); err == nil {
+			t.Fatalf("global batch %d accepted", batch)
+		}
+	}
 }
 
 func min(a, b int) int {

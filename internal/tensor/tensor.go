@@ -104,7 +104,6 @@ func (s *Sparse) Clone() *Sparse {
 // Slice returns a copy of rows [lo, hi) as a standalone column.
 func (s *Sparse) Slice(lo, hi int) *Sparse {
 	if lo < 0 || hi > s.Len() || lo > hi {
-		//lint:ignore panicpath checked invariant: callers slice within Len by construction
 		panic(fmt.Sprintf("tensor: slice [%d,%d) of %d-row sparse %q", lo, hi, s.Len(), s.Name))
 	}
 	out := &Sparse{Name: s.Name, Offsets: make([]int32, hi-lo+1)}
@@ -265,6 +264,9 @@ func (b *Batch) ShallowCopy() *Batch {
 
 // Validate checks every column against the batch invariants.
 func (b *Batch) Validate() error {
+	if b.Samples < 0 {
+		return fmt.Errorf("tensor: batch has %d samples", b.Samples)
+	}
 	for _, d := range b.Dense {
 		if d.Len() != b.Samples {
 			return fmt.Errorf("tensor: dense %q length %d != %d", d.Name, d.Len(), b.Samples)

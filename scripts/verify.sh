@@ -44,11 +44,11 @@ phase raplint
 phase "go test -race"
 go test -race ./...
 phase "schedule check (-cpu 1,3,8)"
-# The planner and the fleet fan work out over goroutines; these tests pin
-# their results, so rerunning them at three GOMAXPROCS values fails
-# tier-1 on any result that depends on the worker count.
-go test -count=1 -cpu 1,3,8 -run 'TestPlanGolden$|TestSimulateMatchesReference$|TestClusterSmokeDigests$|TestCongestedPipelineDigests$|TestTimelineReadersGolden$' \
-	./internal/rap ./internal/cluster ./internal/experiments ./internal/sched
+# The planner, the fleet and ParallelApply fan work out over goroutines;
+# these tests pin their results, so rerunning them at three GOMAXPROCS
+# values fails tier-1 on any result that depends on the worker count.
+go test -count=1 -cpu 1,3,8 -run 'TestPlanGolden$|TestSimulateMatchesReference$|TestClusterSmokeDigests$|TestCongestedPipelineDigests$|TestTimelineReadersGolden$|TestParallelApplyMatchesSerial$' \
+	./internal/rap ./internal/cluster ./internal/experiments ./internal/sched ./internal/preproc
 phase "benchmarks (one iteration each)"
 # go test alone only compiles benchmarks; run each once so a benchmark
 # that fails or panics fails tier-1. -benchmem prints each one's B/op
