@@ -1,11 +1,10 @@
 // raplint runs the project's domain-specific static analyzers over the
-// module. Five analyzers, each local to one package: maporder (map
-// iteration whose effects depend on its order, in every package),
-// seededrand and floateq guard the determinism invariants; floatreduce
-// flags float accumulations whose order is not statically
-// deterministic; unusedignore keeps the //lint:ignore inventory honest.
-// Each of the first four is kept by a mutant in scripts/mutants that
-// only it catches (see internal/lint and DESIGN.md §6). Every run type-checks and
+// module. Three analyzers, each local to one package: seededrand
+// (global math/rand or the wall clock in internal packages) and floateq
+// (exact float comparison) guard the determinism invariants;
+// unusedignore keeps the //lint:ignore inventory honest. Each of the
+// first two is kept by a mutant in scripts/mutants that only it catches
+// (see internal/lint and DESIGN.md §6). Every run type-checks and
 // analyzes every target package from source, one package at a time, so
 // any pattern reports exactly what ./... reports for its packages.
 //

@@ -83,7 +83,6 @@ func (t *EmbeddingTable) AccumulateGrad(col *tensor.Sparse, grad *nn.Matrix) {
 
 // Step applies accumulated sparse gradients with SGD and clears them.
 func (t *EmbeddingTable) Step(lr float32) {
-	//lint:ignore maporder each entry updates and clears only its own row r
 	for r, g := range t.grads {
 		row := t.W[r*t.Dim : (r+1)*t.Dim]
 		for j := range row {

@@ -152,7 +152,6 @@ func (t *HybridTrainer) Step(dense *nn.Matrix, sparse []*tensor.Sparse, labels [
 	for _, w := range t.workers {
 		w.bottom.Step(lr)
 		w.top.Step(lr)
-		//lint:ignore maporder each table's Step touches only that table's rows
 		for _, table := range w.tables {
 			table.Step(lr)
 		}

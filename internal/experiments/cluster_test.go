@@ -1,11 +1,18 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	clustersim "rap/internal/cluster"
 	"rap/internal/topo"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/cluster_smoke_digests.txt from the current fleet simulator")
 
 // TestClusterSmokeDigests pins both placement policies' fleet digests on
 // two small 2-node × 4-GPU traces, so a change anywhere under the fleet
@@ -14,43 +21,26 @@ import (
 // rerun mismatch `rapbench -cluster-smoke` checks. The first trace is
 // the cluster-smoke configuration; no job in it shares a node while
 // spanning two, so the second trace (seed 2) is the one that runs a
-// split job against a congested fabric link.
+// split job against a congested fabric link. The digests live in
+// testdata/cluster_smoke_digests.txt; regenerate them deliberately with
+// `go test ./internal/experiments -run ClusterSmokeDigests -update`.
 func TestClusterSmokeDigests(t *testing.T) {
-	cases := []struct {
-		cfg  ClusterSweepConfig
-		want map[string]string
-	}{
-		{
-			cfg: ClusterSweepConfig{Nodes: 2, GPUsPerNode: 4, Jobs: 6, MeanGapUs: 500},
-			want: map[string]string{
-				"pack":      "6795c116fdce1cd492efe7daffc576246ba3e4dc016128025e55900089af8ff8",
-				"first-fit": "54c48c22d214f64a92e4dd26770897d7b6ba9677d98181e860b3d163b13b79b5",
-			},
-		},
-		{
-			cfg: ClusterSweepConfig{Nodes: 2, GPUsPerNode: 4, Jobs: 6, MeanGapUs: 500, Seed: 2},
-			want: map[string]string{
-				"pack":      "cce69c3e8e3f3847c60d21f388b9a266b36d9b50458f2ca67d605430080944b5",
-				"first-fit": "93a1eca342efe89548dbc435e5b4ac1ae0d500f219eeb5f7988b01b5a67d8057",
-			},
-		},
-	}
+	var got strings.Builder
 	congested := 0
-	for _, c := range cases {
-		res, err := ClusterSweep(c.cfg)
+	for _, cfg := range []ClusterSweepConfig{
+		{Nodes: 2, GPUsPerNode: 4, Jobs: 6, MeanGapUs: 500},
+		{Nodes: 2, GPUsPerNode: 4, Jobs: 6, MeanGapUs: 500, Seed: 2},
+	} {
+		res, err := ClusterSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != len(c.want) {
-			t.Fatalf("seed %d: got %d policy rows, want %d", res.Seed, len(res.Rows), len(c.want))
-		}
 		for _, row := range res.Rows {
-			if row.Digest != c.want[row.Policy] {
-				t.Errorf("seed %d: policy %s digest %s, want %s", res.Seed, row.Policy, row.Digest, c.want[row.Policy])
-			}
+			fmt.Fprintf(&got, "seed %d %s %s\n", res.Seed, row.Policy, row.Digest)
 		}
-		congested += congestedJobs(t, c.cfg)
+		congested += congestedJobs(t, cfg)
 	}
+	compareDigestFile(t, "cluster_smoke_digests.txt", got.String())
 	// The pins cover tenant congestion only if some job ran with it.
 	if congested == 0 {
 		t.Error("no job spanned both nodes while another job ran; the pins do not cover tenant congestion")
@@ -102,4 +92,24 @@ func congestedJobs(t *testing.T, cfg ClusterSweepConfig) int {
 		}
 	}
 	return n
+}
+
+// compareDigestFile compares got, one pinned result per line, with
+// testdata/<name>, or rewrites the file under -update.
+func compareDigestFile(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading %s (regenerate with -update): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs:\ngot:\n%swant:\n%s", path, got, want)
+	}
 }

@@ -296,3 +296,40 @@ func TestPowerStudy(t *testing.T) {
 		t.Fatal("render empty")
 	}
 }
+
+// TestFigure9SpeedupsInCellOrder pins Speedups to each baseline's mean
+// of RAP's per-configuration ratios, summed in cell order. The synthetic
+// grid holds 24 configurations per system whose ratios span seventeen
+// orders of magnitude, so a sum in another order misses the in-order
+// one in its last bits for most baselines. The quick grid cannot show
+// that: it has one cell per system.
+func TestFigure9SpeedupsInCellOrder(t *testing.T) {
+	r := &Figure9Result{}
+	sums := map[baselines.System]float64{}
+	i := 0
+	for plan := 0; plan < 4; plan++ {
+		for _, batch := range []int{4096, 8192} {
+			for _, gpus := range []int{2, 4, 8} {
+				rapThr := 1e5 * (1 + float64(i)/3)
+				for s, sys := range baselines.AllSystems() {
+					thr := rapThr
+					if sys != baselines.SystemRAP {
+						thr = rapThr / (math.Pow(10, float64((i*7+s*3)%17)) * (1 + float64(i+s)/7))
+						sums[sys] += rapThr / thr
+					}
+					r.Cells = append(r.Cells, Figure9Cell{Plan: plan, Batch: batch, GPUs: gpus, System: sys, Samples: thr})
+				}
+				i++
+			}
+		}
+	}
+	got := r.Speedups()
+	if len(got) != len(sums) {
+		t.Fatalf("got speedups for %d systems, want %d: %v", len(got), len(sums), got)
+	}
+	for sys, s := range sums {
+		if want := s / float64(i); math.Float64bits(got[sys]) != math.Float64bits(want) {
+			t.Errorf("vs %s: mean speedup %v, want %v (the in-order mean)", sys, got[sys], want)
+		}
+	}
+}

@@ -132,9 +132,10 @@ func (r *Figure9Result) Render() string {
 	}
 	out := "Figure 9: end-to-end DLRM training throughput (global samples/s)\n\n" + table(header, rows)
 	out += "\nRAP mean speedups: "
+	speedups := r.Speedups()
 	for _, sys := range []baselines.System{baselines.SystemSequential, baselines.SystemStream,
 		baselines.SystemMPS, baselines.SystemTorchArrow, baselines.SystemIdeal} {
-		if v, ok := r.Speedups()[sys]; ok {
+		if v, ok := speedups[sys]; ok {
 			out += fmt.Sprintf("vs %s %.2fx  ", sys, v)
 		}
 	}

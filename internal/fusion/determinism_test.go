@@ -7,7 +7,7 @@ import (
 	"rap/internal/preproc"
 )
 
-// TestPlanFusionDeterministic guards the raplint maporder invariant:
+// TestPlanFusionDeterministic guards against map-order dependence:
 // two back-to-back fusion plans over the same graphs must be deeply
 // equal — same steps, same kernel order, same op grouping.
 func TestPlanFusionDeterministic(t *testing.T) {

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // FloatEq flags ==, != and switch on floating-point operands in
@@ -43,4 +44,15 @@ func runFloatEq(p *Pass) {
 func isConstExpr(p *Pass, e ast.Expr) bool {
 	tv, ok := p.Info.Types[e]
 	return ok && tv.Value != nil
+}
+
+// typeIsFloat reports whether e's type is a floating-point (or complex)
+// basic type.
+func typeIsFloat(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }

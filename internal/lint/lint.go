@@ -1,18 +1,18 @@
 // Package lint implements raplint, the project's domain-specific
-// static-analysis pass. The analyzers encode the determinism invariants
-// the RAP reproduction depends on — no map order in results, seeded
-// randomness and no wall clock, tolerance-based float comparison, and
-// float sums in a fixed order — for the bugs of those classes that no
-// test sees: each analyzer is kept by a committed mutant only it
-// catches (scripts/mutants, DESIGN.md §6). Panics are not linted; the
-// tests that expect errors from bad inputs catch a panic on those paths.
-// Physical units are not checked here: the `//rap:unit` comments in the
-// simulator and planner packages are documentation, and the goldens and
-// formula tests guard the unit arithmetic. `//rap:deterministic` on a
-// function's doc comment is documentation too: maporder polices map
-// order in every package, and seededrand the clock and global rand in
-// every internal one, so no analyzer needs a call graph to find them.
-// floatreduce flags float accumulations in a nondeterministic order.
+// static-analysis pass. Its two analyzers encode determinism invariants
+// the RAP reproduction depends on — seeded randomness and no wall
+// clock, and tolerance-based float comparison — for the bugs of those
+// classes that no test sees: each analyzer is kept by a committed
+// mutant only it catches (scripts/mutants, DESIGN.md §6). Map order
+// and float summation order are not linted; the result tests that pin
+// plans, digests and sums bit for bit catch those bugs. Panics are not
+// linted either; the tests that expect errors from bad inputs catch a
+// panic on those paths. Physical units are not checked here: the
+// `//rap:unit` comments in the simulator and planner packages are
+// documentation, and the goldens and formula tests guard the unit
+// arithmetic. `//rap:deterministic` on a function's doc comment is
+// documentation too: seededrand polices the clock and global rand in
+// every internal package, so it needs no call graph to find them.
 // There is no concurrency analysis: the race detector covers the few
 // goroutines and mutexes the system has, and `// guarded by` field
 // comments are documentation. Run type-checks and analyzes every target
@@ -63,7 +63,7 @@ type Analyzer struct {
 // analyzers have reported.
 func All() []*Analyzer {
 	return []*Analyzer{
-		MapOrder, SeededRand, FloatEq, FloatReduce, UnusedIgnore,
+		SeededRand, FloatEq, UnusedIgnore,
 	}
 }
 
@@ -220,31 +220,4 @@ func SortFindings(fs []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// isInternalPath reports whether an import path is module-internal
-// library code — the scope of the seededrand analyzer.
-func isInternalPath(path string) bool {
-	return strings.HasPrefix(path, "internal/") || strings.Contains(path, "/internal/")
-}
-
-// identName returns the name of an identifier expression, or "" for
-// blank identifiers and non-identifiers.
-func identName(e ast.Expr) string {
-	id, ok := e.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return ""
-	}
-	return id.Name
-}
-
-// typeIsFloat reports whether e's type is a floating-point (or complex)
-// basic type.
-func typeIsFloat(info *types.Info, e ast.Expr) bool {
-	t := info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }

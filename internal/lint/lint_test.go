@@ -71,11 +71,10 @@ func loadFixture(t *testing.T, dir, importPath string) (*Package, []expectation)
 }
 
 // checkFiles type-checks files recording the Info maps the analyzers
-// read: Types, Defs and Uses.
+// read: Types and Uses.
 func checkFiles(cfg types.Config, importPath string, fset *token.FileSet, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 	}
 	tpkg, err := cfg.Check(importPath, fset, files, info)
@@ -93,9 +92,6 @@ func TestAnalyzers(t *testing.T) {
 		dir      string
 		path     string
 	}{
-		{"maporder deterministic pkg", MapOrder, "maporder_sched", "rap/internal/sched"},
-		{"maporder other pkg", MapOrder, "maporder_other", "rap/internal/other"},
-		{"maporder helper pkg", MapOrder, "maporder_helper", "rap/internal/helperfix"},
 		{"seededrand internal", SeededRand, "seededrand_internal", "rap/internal/simfix"},
 		{"seededrand out of scope", SeededRand, "seededrand_cmd", "rap/cmd/fix"},
 		{"floateq", FloatEq, "floateq", "rap/internal/floatfix"},
@@ -109,20 +105,6 @@ func TestAnalyzers(t *testing.T) {
 			matchWants(t, findings, wants)
 		})
 	}
-}
-
-// TestFloatReduce: nondeterministic float accumulations are findings;
-// the deterministic shapes (keyed element-wise updates, per-worker
-// partials, slice-order merges) stay silent.
-func TestFloatReduce(t *testing.T) {
-	pkg, wants := loadFixture(t, filepath.Join("testdata", "src", "floatreduce"), "rap/internal/redfix")
-	if len(wants) == 0 {
-		t.Fatal("fixture carries no want expectations")
-	}
-	var findings []Finding
-	runUntimed(pkg, []*Analyzer{FloatReduce}, &findings)
-	SortFindings(findings)
-	matchWants(t, findings, wants)
 }
 
 // matchWants asserts that findings and `// want` expectations agree
@@ -205,7 +187,7 @@ func TestIgnoreWrongAnalyzer(t *testing.T) {
 	findings := checkSource(t, "rap/internal/inline", `package p
 
 func sloppy(a, b float64) bool {
-	//lint:ignore maporder reason that names the wrong analyzer
+	//lint:ignore seededrand reason that names the wrong analyzer
 	return a == b
 }
 `, []*Analyzer{FloatEq})

@@ -177,7 +177,6 @@ func (im *moduleImporter) check(path string) (*Package, error) {
 	}
 	info := &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 	}
 	cfg := types.Config{Importer: im}

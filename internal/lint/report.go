@@ -10,7 +10,7 @@ import (
 // reportVersion is the raplintVersion field of the JSON report: the
 // report generation, bumped whenever a field or an analyzer leaves or
 // joins it.
-const reportVersion = "7"
+const reportVersion = "8"
 
 // relPath renders a finding path relative to the module root so
 // reports are stable across checkouts.
@@ -81,7 +81,6 @@ func WriteJSONReport(w io.Writer, root string, findings []Finding, stats *Stats)
 			TotalMs:    float64(stats.Total.Microseconds()) / 1e3,
 			AnalyzerMs: map[string]float64{},
 		}
-		//lint:ignore maporder per-key write; Duration.Microseconds is pure
 		for name, d := range stats.PerAnalyzer {
 			js.AnalyzerMs[name] = float64(d.Microseconds()) / 1e3
 		}

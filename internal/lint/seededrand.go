@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // globalRandFuncs are the math/rand and math/rand/v2 package-level
@@ -64,4 +65,10 @@ func runSeededRand(p *Pass) {
 			return true
 		})
 	}
+}
+
+// isInternalPath reports whether an import path is module-internal
+// library code — the scope of the seededrand analyzer.
+func isInternalPath(path string) bool {
+	return strings.HasPrefix(path, "internal/") || strings.Contains(path, "/internal/")
 }

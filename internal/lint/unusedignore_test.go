@@ -95,11 +95,11 @@ func TestLintSelfClean(t *testing.T) {
 // TestReportEncoders smoke-tests the JSON encoding.
 func TestReportEncoders(t *testing.T) {
 	findings := []Finding{{
-		Analyzer: "maporder",
+		Analyzer: "floateq",
 		Pos:      token.Position{Filename: "x.go", Line: 3, Column: 2},
-		Message:  "iterates over a map",
+		Message:  "compares exact bits",
 	}}
-	stats := &Stats{Packages: 1, PerAnalyzer: map[string]time.Duration{"maporder": time.Millisecond}}
+	stats := &Stats{Packages: 1, PerAnalyzer: map[string]time.Duration{"floateq": time.Millisecond}}
 
 	var buf bytes.Buffer
 	if err := WriteJSONReport(&buf, ".", findings, stats); err != nil {
@@ -119,7 +119,7 @@ func TestReportEncoders(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("decoding JSON report: %v", err)
 	}
-	if rep.RaplintVersion == "" || len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "maporder" ||
+	if rep.RaplintVersion == "" || len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "floateq" ||
 		rep.Findings[0].Line != 3 || rep.Stats.Packages != 1 {
 		t.Fatalf("unexpected JSON report: %s", buf.String())
 	}

@@ -7,7 +7,7 @@ import (
 	"rap/internal/preproc"
 )
 
-// TestRAPSearchDeterministic guards the raplint maporder invariant end
+// TestRAPSearchDeterministic guards against map-order dependence end
 // to end: two back-to-back searches over the same skewed input must
 // produce byte-identical placements. A reintroduced map-order
 // dependence shows up here as a flaky diff.

@@ -671,3 +671,20 @@ func FuzzRAPSearch(f *testing.F) {
 		}
 	})
 }
+
+// TestTotalCommInGPUOrder pins Result.TotalComm to a sum taken in GPU
+// order. The 64 per-GPU volumes span sixteen orders of magnitude, so a
+// sum taken in another order, such as the last GPU's volume first,
+// misses it in the last bits.
+func TestTotalCommInGPUOrder(t *testing.T) {
+	res := &Result{CommBytes: make([]float64, 64)}
+	want := 0.0
+	for g := range res.CommBytes {
+		v := math.Pow(10, float64(g%17)) * (1 + float64(g)/11)
+		res.CommBytes[g] = v
+		want += v
+	}
+	if got := res.TotalComm(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("TotalComm = %v, want %v (the in-order sum)", got, want)
+	}
+}

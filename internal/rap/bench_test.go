@@ -61,7 +61,7 @@ func BenchmarkEstimateCapacities(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.estimateCapacities(pl); err != nil {
+		if _, err := f.estimateCapacities(pl); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -126,3 +126,33 @@ func TestRunFunctionalFromDataset(t *testing.T) {
 		t.Fatal("exhausted dataset not reported")
 	}
 }
+
+// TestShiftedPrepBytesInItemOrder pins each GPU's host-to-device volume
+// at a fractional list length. At the standard length of 3 every
+// per-graph term is an integer and any summation order is exact; at 2.7
+// the terms are not, so PrepBytes must equal the sum over the GPU's
+// mapped items taken in item order, bit for bit.
+func TestShiftedPrepBytesInItemOrder(t *testing.T) {
+	for _, plan := range []int{1, 2, 3} {
+		for _, gpus := range []int{4, 8} {
+			f := New(workload(t, Terabyte, plan, 4096), gpusim.ClusterConfig{NumGPUs: gpus, HostCores: 48})
+			p, err := f.AdaptToShift(2.7, BuildOptions{})
+			if err != nil {
+				t.Fatalf("plan %d, %d GPUs: %v", plan, gpus, err)
+			}
+			for g, items := range p.Mapping.PerGPU {
+				want := 0.0
+				for _, a := range items {
+					if len(a.Graph.Outputs) > 0 {
+						want += float64(a.Shape.Samples) * a.Shape.AvgListLen * 8
+					} else {
+						want += float64(a.Shape.Samples) * 4
+					}
+				}
+				if got := p.Work[g].PrepBytes; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("plan %d, %d GPUs, gpu %d: PrepBytes %v, want %v (the in-order sum)", plan, gpus, g, got, want)
+				}
+			}
+		}
+	}
+}

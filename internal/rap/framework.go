@@ -130,18 +130,16 @@ func (p *ExecPlan) TotalPredictedExposed() float64 {
 }
 
 // estimateCapacities runs the step-2 per-GPU capacity profiling.
-func (f *Framework) estimateCapacities(pl dlrm.Placement) ([][]costmodel.StageCapacity, []float64, error) {
-	n := f.Cluster.NumGPUs
-	caps := make([][]costmodel.StageCapacity, n)
-	capTotals := make([]float64, n)
+func (f *Framework) estimateCapacities(pl dlrm.Placement) ([][]costmodel.StageCapacity, error) {
+	caps := make([][]costmodel.StageCapacity, f.Cluster.NumGPUs)
 	for g := range caps {
 		c, err := costmodel.EstimateCapacities(f.W.Model, pl, g, f.Cluster)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		caps[g], capTotals[g] = c, costmodel.TotalCapacity(c)
+		caps[g] = c
 	}
-	return caps, capTotals, nil
+	return caps, nil
 }
 
 // BuildPlan runs the online pass (Figure 4 steps 2-3): estimate
@@ -160,7 +158,7 @@ func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
 	pl := dlrm.PlaceTables(f.W.Model.TableSizes, n)
 
 	// Step 2: per-GPU overlapping-capacity profiles.
-	caps, capTotals, err := f.estimateCapacities(pl)
+	caps, err := f.estimateCapacities(pl)
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +212,11 @@ func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
 		return exposed + commBytes*ScatterInefficiency/(f.Cluster.LinkGBs*1e3)
 	}
 	mcfg := mapping.Config{
-		Plan:           f.W.Plan,
-		Placement:      pl,
-		PerGPUBatch:    f.W.Model.BatchSize,
-		LinkGBs:        f.Cluster.LinkGBs,
-		CapacityPerGPU: capTotals,
-		Cost:           cost,
+		Plan:        f.W.Plan,
+		Placement:   pl,
+		PerGPUBatch: f.W.Model.BatchSize,
+		LinkGBs:     f.Cluster.LinkGBs,
+		Cost:        cost,
 	}
 	var mapped *mapping.Result
 	switch opts.Strategy {

@@ -235,7 +235,7 @@ func TestBuildPlanConcurrentLoweringErrors(t *testing.T) {
 func TestEstimateCapacitiesProbeErrors(t *testing.T) {
 	w := workload(t, Kaggle, 1, 1024)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-	_, _, err := f.estimateCapacities(dlrm.PlaceTables(w.Model.TableSizes, 1))
+	_, err := f.estimateCapacities(dlrm.PlaceTables(w.Model.TableSizes, 1))
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("estimateCapacities error = %v, want a GPU-out-of-range probe error", err)
 	}

@@ -7,7 +7,7 @@ import (
 	"rap/internal/preproc"
 )
 
-// TestCoRunScheduleDeterministic guards the raplint maporder invariant:
+// TestCoRunScheduleDeterministic guards against map-order dependence:
 // two back-to-back schedules of the same fusion plan must be deeply
 // equal, stage by stage and kernel by kernel.
 func TestCoRunScheduleDeterministic(t *testing.T) {

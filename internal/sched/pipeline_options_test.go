@@ -1,7 +1,11 @@
 package sched
 
 import (
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -134,16 +138,18 @@ func TestFabricScaleRejectsBadInput(t *testing.T) {
 // whose every topology node runs a congested fabric, so the way
 // FabricScale reaches the engine's fabric capacities cannot drift
 // silently. Each case must also differ from its uncongested run, or the
-// pin would not cover the scale at all.
+// pin would not cover the scale at all. The digests live in
+// testdata/congested_pipeline_digests.txt; regenerate them deliberately
+// with `go test ./internal/sched -run CongestedPipelineDigests -update`.
 func TestCongestedPipelineDigests(t *testing.T) {
 	cases := []struct {
 		tp    *topo.Topology
 		scale []float64
-		want  string
 	}{
-		{topo.Uniform(2, 1), []float64{0.5, 0.25}, "d0a40d82e7302e80f4406bd5735e20d02a8ece7bea93bc377c3bd6473b283dc3"},
-		{topo.Uniform(4, 1), []float64{1, 0.5, 1, 0.2}, "0972efad92f20539b0a92009b9c636c5973a10c079159e76d5de4bdf79e6e4e8"},
+		{topo.Uniform(2, 1), []float64{0.5, 0.25}},
+		{topo.Uniform(4, 1), []float64{1, 0.5, 1, 0.2}},
 	}
+	var digests strings.Builder
 	for _, c := range cases {
 		n := c.tp.NumGPUs()
 		cfg, pl, cm := testSetup(t, n, 4096)
@@ -160,11 +166,32 @@ func TestCongestedPipelineDigests(t *testing.T) {
 			return gpusim.ResultDigest(stats.Result)
 		}
 		got := run(c.scale)
-		if got != c.want {
-			t.Errorf("%d nodes, scale %v: digest %s, want %s", c.tp.NumNodes(), c.scale, got, c.want)
-		}
+		fmt.Fprintf(&digests, "nodes %d scale %v %s\n", c.tp.NumNodes(), c.scale, got)
 		if got == run(nil) {
 			t.Errorf("%d nodes, scale %v: congestion left the digest unchanged", c.tp.NumNodes(), c.scale)
 		}
+	}
+	compareDigestFile(t, "congested_pipeline_digests.txt", digests.String())
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/congested_pipeline_digests.txt from the current pipelines")
+
+// compareDigestFile compares got, one pinned result per line, with
+// testdata/<name>, or rewrites the file under -update.
+func compareDigestFile(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading %s (regenerate with -update): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs:\ngot:\n%swant:\n%s", path, got, want)
 	}
 }

@@ -27,7 +27,7 @@
 # A mutant that no test kills, and that is the reason a raplint analyzer
 # stays (DESIGN.md §6), names the analyzer instead of tests:
 #
-#	# lint: floatreduce
+#	# lint: floateq
 #
 # It is killed when raplint, run on the package in a temporary copy of
 # the module with the diff applied, reports a finding of that analyzer.

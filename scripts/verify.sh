@@ -41,13 +41,22 @@ go build -o "$bin/raplint" ./cmd/raplint
 go build -o "$bin/rapbench" ./cmd/rapbench
 phase raplint
 "$bin/raplint" -timing -json lint-report.json ./...
+phase "raplint mutants"
+# Each analyzer is kept by the committed mutants only it catches (their
+# header reads `# lint: <analyzer>`; DESIGN.md §6). raplint must still
+# report every one of them. About 2 s on a warm build cache.
+lint_mutants=$(grep -l '^# lint:' scripts/mutants/*.diff | sed 's|.*/||; s|\.diff$||')
+# shellcheck disable=SC2086 # one mutant name per word
+scripts/mutants.sh $lint_mutants
 phase "go test -race"
 go test -race ./...
 phase "schedule check (-cpu 1,3,8)"
 # The planner, the fleet and ParallelApply fan work out over goroutines;
 # these tests pin their results, so rerunning them at three GOMAXPROCS
 # values fails tier-1 on any result that depends on the worker count.
-go test -count=1 -cpu 1,3,8 -run 'TestPlanGolden$|TestSimulateMatchesReference$|TestClusterSmokeDigests$|TestCongestedPipelineDigests$|TestTimelineReadersGolden$|TestParallelApplyMatchesSerial$' \
+# TestShiftedPrepBytesInItemOrder covers the planner's per-GPU lowering
+# at a fractional list length, where a sum's order shows in its bits.
+go test -count=1 -cpu 1,3,8 -run 'TestPlanGolden$|TestShiftedPrepBytesInItemOrder$|TestSimulateMatchesReference$|TestClusterSmokeDigests$|TestCongestedPipelineDigests$|TestTimelineReadersGolden$|TestParallelApplyMatchesSerial$' \
 	./internal/rap ./internal/cluster ./internal/experiments ./internal/sched ./internal/preproc
 phase "benchmarks (one iteration each)"
 # go test alone only compiles benchmarks; run each once so a benchmark
