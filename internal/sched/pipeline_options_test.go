@@ -174,7 +174,7 @@ func TestCongestedPipelineDigests(t *testing.T) {
 	compareDigestFile(t, "congested_pipeline_digests.txt", digests.String())
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/congested_pipeline_digests.txt from the current pipelines")
+var update = flag.Bool("update", false, "rewrite the testdata digest files from the current pipelines")
 
 // compareDigestFile compares got, one pinned result per line, with
 // testdata/<name>, or rewrites the file under -update.
