@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -420,12 +419,11 @@ func TestTenantContention(t *testing.T) {
 }
 
 // TestEndTimesOnlyMatchesFullRun: the end-times-only run a fleet job
-// makes reports what a full run of the same plan reports, bit for bit,
-// for every menu shape on a flat topology and on 2- and 3-node subsets
-// (the 2-GPU shape spans at most 2 nodes), with and without a fabric
-// scale; it keeps no op results. The runs last 4 and 8 iterations, so
-// the end-times-only run stamps its last 1 and 5 (sched.BuildAndRun)
-// where the full run builds them.
+// makes reports what a run of the same plan that keeps op results
+// reports, bit for bit, for every menu shape on a congested 2-node
+// subset; it keeps no op results. Both runs stamp their iterations from the fourth
+// on (sched.BuildAndRun); sched.TestStampedFleetShapesMatchBuilt holds
+// those stamps to the iterations built.
 func TestEndTimesOnlyMatchesFullRun(t *testing.T) {
 	// outcome is a run's figures the two modes must share, floats as bits.
 	type outcome struct {
@@ -445,6 +443,7 @@ func TestEndTimesOnlyMatchesFullRun(t *testing.T) {
 		}
 		return o
 	}
+	const iters = 8
 	for _, shape := range shapeMenu {
 		ps, err := buildPlan(shape)
 		if err != nil {
@@ -455,44 +454,29 @@ func TestEndTimesOnlyMatchesFullRun(t *testing.T) {
 		}
 		full := *ps.plan
 		full.Cluster.EndTimesOnly = false
-		type layout struct {
-			name  string
-			tp    *topo.Topology
-			scale []float64
+		nodeOf := make([]int, shape.GPUs)
+		for g := range nodeOf {
+			nodeOf[g] = g * 2 / shape.GPUs
 		}
-		layouts := []layout{{"flat", topo.Uniform(1, shape.GPUs), nil}}
-		for nodes := 2; nodes <= min(3, shape.GPUs); nodes++ {
-			nodeOf := make([]int, shape.GPUs)
-			for g := range nodeOf {
-				nodeOf[g] = g * nodes / shape.GPUs
-			}
-			tp, err := topo.FromNodeOf(nodeOf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tp.FabricGBs = 100
-			tp.Oversub = 4
-			name := fmt.Sprintf("%d-node", nodes)
-			layouts = append(layouts, layout{name, tp, nil},
-				layout{name + "-scaled", tp, []float64{0.5, 1, 1.0 / 3}[:nodes]})
+		congested, err := topo.FromNodeOf(nodeOf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, l := range layouts {
-			for _, iters := range []int{4, 8} {
-				lean, err := ps.fw.ExecuteTopo(ps.plan, iters, l.tp, l.scale)
-				if err != nil {
-					t.Fatalf("%+v %s: %v", shape, l.name, err)
-				}
-				want, err := ps.fw.ExecuteTopo(&full, iters, l.tp, l.scale)
-				if err != nil {
-					t.Fatalf("%+v %s full: %v", shape, l.name, err)
-				}
-				if len(lean.Result.Ops) != 0 || len(want.Result.Ops) == 0 {
-					t.Fatalf("%+v %s: %d op results end-times-only, %d full", shape, l.name, len(lean.Result.Ops), len(want.Result.Ops))
-				}
-				if got, want := outcomeOf(lean), outcomeOf(want); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%+v %s %d iterations: end-times-only run %+v, full run %+v", shape, l.name, iters, got, want)
-				}
-			}
+		congested.FabricGBs, congested.Oversub = 100, 4
+		scale := []float64{0.5, 1}
+		lean, err := ps.fw.ExecuteTopo(ps.plan, iters, congested, scale)
+		if err != nil {
+			t.Fatalf("%+v: %v", shape, err)
+		}
+		want, err := ps.fw.ExecuteTopo(&full, iters, congested, scale)
+		if err != nil {
+			t.Fatalf("%+v full: %v", shape, err)
+		}
+		if len(lean.Result.Ops) != 0 || len(want.Result.Ops) == 0 {
+			t.Fatalf("%+v: %d op results end-times-only, %d full", shape, len(lean.Result.Ops), len(want.Result.Ops))
+		}
+		if got, want := outcomeOf(lean), outcomeOf(want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: end-times-only run %+v, full run %+v", shape, got, want)
 		}
 	}
 }

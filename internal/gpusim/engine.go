@@ -44,13 +44,12 @@ const (
 //     dense indices once, when the op is added.
 //   - The op store is flat and pointer-free (see op): ops sit by value
 //     in one []op, their demands and dependencies are int32 spans of two
-//     Sim-wide slices, and names and tags live in parallel string
-//     slices the loop never reads. The loop addresses ops by int32
-//     index, a resource's user list carries each user's start sequence
-//     and priority inline, and Result.Ops is filled in one pass after
-//     the loop (skipped, with the names and tags, under
-//     ClusterConfig.EndTimesOnly). The garbage collector scans none of
-//     it.
+//     Sim-wide slices, and their labels are interned indices the loop
+//     never reads. The loop addresses ops by int32 index, a resource's
+//     user list carries each user's start sequence and priority inline,
+//     and Result.Ops, names rendered, is filled in one pass after the
+//     loop (skipped under ClusterConfig.EndTimesOnly). The garbage
+//     collector scans none of it.
 //   - Slowdown factors are recomputed incrementally: only resources
 //     whose running-user set changed since the previous event are
 //     marked dirty and re-derived, and only the speeds of ops touching
@@ -160,8 +159,8 @@ type engine struct {
 	// children are children[childOff[o]:childOff[o+1]].
 	childOff []int32
 	children []int32
-	// starts[i] is op i's start time, kept only when the Sim keeps
-	// names (it fills Result.Ops).
+	// starts[i] is op i's start time, kept only when Run fills
+	// Result.Ops (see ClusterConfig.EndTimesOnly).
 	starts []float64
 
 	running []int32
@@ -200,10 +199,10 @@ func (s *Sim) Run() (*Result, error) {
 		for _, d := range ds {
 			d += shift
 			if d < 0 || d >= n {
-				return nil, fmt.Errorf("gpusim: op %s depends on unknown op %d", s.opLabel(i), d)
+				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.opName(i), d)
 			}
 			if d == id {
-				return nil, fmt.Errorf("gpusim: op %s depends on itself", s.opLabel(i))
+				return nil, fmt.Errorf("gpusim: op %q depends on itself", s.opName(i))
 			}
 			childOff[d+2]++
 			o.seq++
@@ -507,13 +506,20 @@ func (e *engine) run() (*Result, error) {
 		e.finished = finished
 	}
 	res.Makespan = now
-	if s.cfg.EndTimesOnly {
+	if e.starts == nil {
 		return res, nil
 	}
+	// Ops of one label share one rendered name: an iteration's ops are
+	// added together, so each name and tag keeps its last rendering.
+	names, iters := make([]string, len(s.nameTags)), make([]int, len(s.nameTags))
 	res.Ops = make([]OpResult, len(ops))
 	for i := range ops {
+		nt, iter := s.label(i)
+		if names[nt] == "" || iters[nt] != iter {
+			names[nt], iters[nt] = iterName(s.nameTags[nt].name, iter), iter
+		}
 		o := &ops[i]
-		res.Ops[i] = OpResult{ID: OpID(i), Name: s.names[i], Tag: s.tags[i], GPU: int(o.gpu), Start: e.starts[i], End: o.launchSpeedEnd}
+		res.Ops[i] = OpResult{ID: OpID(i), Name: names[nt], Tag: s.nameTags[nt].tag, GPU: int(o.gpu), Start: e.starts[i], End: o.launchSpeedEnd}
 	}
 	return res, nil
 }

@@ -75,10 +75,10 @@ func referenceRunClamps(s *Sim) (_ *Result, clamps int, _ error) {
 		for _, d32 := range s.depsOf(i) {
 			d := OpID(d32)
 			if d < 0 || int(d) >= len(s.ops) {
-				return nil, 0, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.names[id], d)
+				return nil, 0, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.opName(i), d)
 			}
 			if d == id {
-				return nil, 0, fmt.Errorf("gpusim: op %q depends on itself", s.names[id])
+				return nil, 0, fmt.Errorf("gpusim: op %q depends on itself", s.opName(i))
 			}
 			if seen[d] {
 				continue
@@ -203,7 +203,8 @@ func referenceRunClamps(s *Sim) (_ *Result, clamps int, _ error) {
 			o.state = opDone
 			o.launchSpeedEnd = now
 			done++
-			res.Ops[id] = OpResult{ID: id, Name: s.names[id], Tag: s.tags[id], GPU: int(o.gpu), Start: starts[id], End: now}
+			nt, _ := s.label(int(id))
+			res.Ops[id] = OpResult{ID: id, Name: s.opName(int(id)), Tag: s.nameTags[nt].tag, GPU: int(o.gpu), Start: starts[id], End: now}
 			for _, c := range children[id] {
 				child := &s.ops[c]
 				child.seq--

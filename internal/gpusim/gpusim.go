@@ -34,6 +34,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"rap/internal/topo"
 )
@@ -151,12 +152,10 @@ type ClusterConfig struct {
 	// Makespan and Events do not depend on it, and only the
 	// utilization, Table 4 and power studies read the timelines.
 	Timelines bool
-	// EndTimesOnly makes a Sim keep only what op times need: it stores
-	// no op names or tags, and Run leaves Result.Ops nil (OpByID then
-	// returns the zero OpResult); read an op's end through Sim.OpEnd.
-	// Op times, Makespan, Events and the timelines are the same bits
-	// either way. Errors identify an op by its index ("op #3") instead
-	// of its name. Only such a Sim can Stamp. Off by default; the fleet
+	// EndTimesOnly makes Run keep no start times and leave Result.Ops
+	// nil (OpByID then returns the zero OpResult); read an op's end
+	// through Sim.OpEnd. Op times, Makespan, Events and the timelines
+	// are the same bits either way. Off by default; the fleet
 	// simulator, which reads only makespans and iteration ends, sets it.
 	EndTimesOnly bool
 }
@@ -263,13 +262,12 @@ const (
 // op is one op of the store, a 32-byte record. It holds no pointer
 // (TestOpStorePointerFree pins that), so Sim.ops is a flat array the
 // garbage collector never scans: the op's demands are the span
-// dems[demOff:demOff+demN] of the Sim's demand slice, its dependencies
-// a span of the Sim's dependency slice (see Sim.depSpan), and its name
-// and tag sit at the op's index in Sim.names and Sim.tags (unless the
-// Sim keeps none, see ClusterConfig.EndTimesOnly). Two fields hold one
-// value until a point of the op's life and another after it, and its
-// start time is not stored at all (Run keeps start times only for a
-// Sim that keeps names); TestOpRecordSize pins the size.
+// dems[demOff:demOff+demN] of the Sim's demand slice, and its
+// dependencies and label are those of the op an Add* call stored (see
+// Sim.source). Two fields hold one value until a point of the op's life
+// and another after it, and its start time is not stored at all (Run
+// keeps start times only when it fills Result.Ops); TestOpRecordSize
+// pins the size.
 type op struct {
 	workLeft float64
 	// launchSpeedEnd is the op's launch overhead left until it enters
@@ -416,23 +414,32 @@ func (r *Result) UtilSeries(g int, dt float64) []Sample {
 	return out
 }
 
+type nameTag struct{ name, tag string }
+
+// label is an op's name and tag, as an index into Sim.nameTags, and its
+// iteration (see SetIteration).
+type label struct{ nameTag, iter int32 }
+
 // Sim accumulates an op DAG and executes it.
 type Sim struct {
 	cfg ClusterConfig
-	// The op store: ops[i] is op i, names[i] and tags[i] its name and
-	// tag (both slices stay empty under EndTimesOnly), and dems and
-	// deps hold the demands and dependencies of every op an Add* call
-	// stored back to back, in op order (see op); the b-th such op's
-	// dependencies end at depEnd[b]. An op Stamp copied stores neither:
-	// it shares its source's demand span, and stamps derives its
-	// dependencies from its source's (see depSpan).
+	// The op store: ops[i] is op i, and dems and deps hold the demands
+	// and dependencies of every op an Add* call stored back to back, in
+	// op order (see op); the b-th such op's dependencies end at
+	// depEnd[b], and labels[b] is its label. An op Stamp copied stores
+	// none: it shares its source's demand span, and stamps derives the
+	// rest from its source's (see source).
 	ops    []op
-	names  []string
-	tags   []string
 	dems   []rtDemand
 	deps   []int32
 	depEnd []int32
+	labels []label
 	stamps []stampSpan
+	// nameTags lists the labels' distinct names and tags, nameTagID
+	// their indices; iter is the iteration of the ops added next.
+	nameTags  []nameTag
+	nameTagID map[nameTag]int32
+	iter      int32
 	// streams[h] is the last op added to stream h (InvalidOp before the
 	// first), for implicit chaining.
 	streams []int32
@@ -464,7 +471,7 @@ type Sim struct {
 //
 //rap:deterministic
 func NewSim(cfg ClusterConfig) *Sim {
-	return &Sim{cfg: cfg.WithDefaults(), addErr: cfg.Validate()}
+	return &Sim{cfg: cfg.WithDefaults(), addErr: cfg.Validate(), nameTagID: map[nameTag]int32{}}
 }
 
 // Config returns the (defaulted) cluster configuration.
@@ -564,11 +571,8 @@ func (s *Sim) SetFabricScale(scale []float64) error {
 func (s *Sim) Grow(ops, stamped, demands, deps int) {
 	ops, stamped, demands, deps = max(ops, 0), max(stamped, 0), max(demands, 0), max(deps, 0)
 	s.ops = slices.Grow(s.ops, ops+stamped)
-	if !s.cfg.EndTimesOnly {
-		s.names = slices.Grow(s.names, ops)
-		s.tags = slices.Grow(s.tags, ops)
-	}
 	s.depEnd = slices.Grow(s.depEnd, ops)
+	s.labels = slices.Grow(s.labels, ops)
 	s.dems = slices.Grow(s.dems, demands)
 	s.deps = slices.Grow(s.deps, deps)
 }
@@ -594,7 +598,7 @@ func WithDeps(ids ...OpID) OpOption {
 	return func(s *Sim) {
 		for _, d := range ids {
 			if int(int32(d)) != int(d) {
-				s.fail(fmt.Errorf("gpusim: op %s depends on unknown op %d", s.opLabel(len(s.ops)-1), d))
+				s.fail(fmt.Errorf("gpusim: op %q depends on unknown op %d", s.opName(len(s.ops)-1), d))
 				return
 			}
 			s.deps = append(s.deps, int32(d))
@@ -607,7 +611,7 @@ func WithDeps(ids ...OpID) OpOption {
 func WithStream(h Stream) OpOption {
 	return func(s *Sim) {
 		if h < 0 || int(h) >= len(s.streams) {
-			s.fail(fmt.Errorf("gpusim: op %s: unknown stream %d", s.opLabel(len(s.ops)-1), h))
+			s.fail(fmt.Errorf("gpusim: op %q: unknown stream %d", s.opName(len(s.ops)-1), h))
 			return
 		}
 		if last := s.streams[h]; last >= 0 {
@@ -622,7 +626,7 @@ func WithStream(h Stream) OpOption {
 func WithPriority(p int) OpOption {
 	return func(s *Sim) {
 		if int(int32(p)) != p {
-			s.fail(fmt.Errorf("gpusim: op %s: priority %d out of range", s.opLabel(len(s.ops)-1), p))
+			s.fail(fmt.Errorf("gpusim: op %q: priority %d out of range", s.opName(len(s.ops)-1), p))
 			return
 		}
 		s.ops[len(s.ops)-1].priority = int32(p)
@@ -630,12 +634,10 @@ func WithPriority(p int) OpOption {
 }
 
 // WithTag overrides the op's tag, which names its Chrome-trace row.
-// A Sim that keeps no tags (ClusterConfig.EndTimesOnly) ignores it.
 func WithTag(tag string) OpOption {
 	return func(s *Sim) {
-		if !s.cfg.EndTimesOnly {
-			s.tags[len(s.tags)-1] = tag
-		}
+		l := &s.labels[len(s.labels)-1]
+		l.nameTag = s.intern(nameTag{s.nameTags[l.nameTag].name, tag})
 	}
 }
 
@@ -651,10 +653,18 @@ func (s *Sim) push(name, tag string, gpu int, overhead, work float64) {
 		gpu:            int16(gpu),
 		demOff:         int32(len(s.dems)),
 	})
-	if !s.cfg.EndTimesOnly {
-		s.names = append(s.names, name)
-		s.tags = append(s.tags, tag)
+	s.labels = append(s.labels, label{nameTag: s.intern(nameTag{name, tag}), iter: s.iter})
+}
+
+// intern returns nt's index in nameTags, appending it if it is new.
+func (s *Sim) intern(nt nameTag) int32 {
+	id, ok := s.nameTagID[nt]
+	if !ok {
+		id = int32(len(s.nameTags))
+		s.nameTagID[nt] = id
+		s.nameTags = append(s.nameTags, nt)
 	}
+	return id
 }
 
 // demand adds a demand of val on resource (kind, gpu) to the last op;
@@ -684,11 +694,10 @@ type stampSpan struct {
 	first, end, shift int32
 }
 
-// depSpan returns op i's dependencies as a stored span and the shift
-// to add to each: an op an Add* call stored has its own span and shift
-// 0, and a stamped op that of the built op it copies, through every
-// stamp in between, shifted by the distance to it.
-func (s *Sim) depSpan(i int) ([]int32, int32) {
+// source returns the op an Add* call stored that op i is, or copies
+// through the stamps in between: its index b among the stored ops, the
+// distance in ids from it to op i, and the number of those stamps.
+func (s *Sim) source(i int) (b, shift, stamps int32) {
 	src := int32(i)
 	k := len(s.stamps) - 1
 	for ; k >= 0 && s.stamps[k].first > src; k-- {
@@ -699,36 +708,57 @@ func (s *Sim) depSpan(i int) ([]int32, int32) {
 			break
 		}
 		if src >= sp.first {
+			stamps += (src-sp.first)/sp.shift + 1
 			src = sp.first - sp.shift + (src-sp.first)%sp.shift
 		}
 	}
-	// src is a built op; the ops of the spans before it are stamped.
-	b := src
+	// src is a stored op; the ops of the spans before it are stamped.
+	b = src
 	for _, sp := range s.stamps[:k+1] {
 		b -= sp.end - sp.first
 	}
+	return b, int32(i) - src, stamps
+}
+
+// depSpan returns op i's dependencies as a stored span and the shift
+// to add to each (see source).
+func (s *Sim) depSpan(i int) ([]int32, int32) {
+	b, shift, _ := s.source(i)
 	lo := int32(0)
 	if b > 0 {
 		lo = s.depEnd[b-1]
 	}
-	return s.deps[lo:s.depEnd[b]], int32(i) - src
+	return s.deps[lo:s.depEnd[b]], shift
 }
 
-// opLabel identifies stored op i in an error: its quoted name, or
-// "#i" when the Sim keeps no names (ClusterConfig.EndTimesOnly).
-func (s *Sim) opLabel(i int) string {
-	if s.cfg.EndTimesOnly {
-		return "#" + strconv.Itoa(i)
-	}
-	return strconv.Quote(s.names[i])
+// label returns op i's label, one iteration on per stamp from its
+// source's (see source), as an int that cannot overflow.
+func (s *Sim) label(i int) (nt int32, iter int) {
+	b, _, stamps := s.source(i)
+	l := s.labels[b]
+	return l.nameTag, int(l.iter) + int(stamps)
 }
 
-// nextLabel is opLabel of the op about to be stored under name.
-func (s *Sim) nextLabel(name string) string {
-	if s.cfg.EndTimesOnly {
-		return "#" + strconv.Itoa(len(s.ops))
-	}
-	return strconv.Quote(name)
+// opName returns op i's name (see SetIteration).
+func (s *Sim) opName(i int) string {
+	nt, iter := s.label(i)
+	return iterName(s.nameTags[nt].name, iter)
+}
+
+// iterName returns name as an op of iteration iter reads it (see
+// SetIteration).
+func iterName(name string, iter int) string {
+	return strings.Replace(name, "#", strconv.Itoa(iter), 1)
+}
+
+// SetIteration makes i, clamped to [0, MaxInt32], the iteration of the
+// ops added after it (0 before the first call). Result.Ops and errors
+// read an op's name with its iteration in place of the name's first
+// '#': "b#/g0/prep" of iteration 3 reads "b3/g0/prep". So a Sim stores
+// one name for every iteration of a periodic pipeline's op, and a
+// Stamp copy, one iteration on from its source, stores none.
+func (s *Sim) SetIteration(i int) {
+	s.iter = int32(min(max(i, 0), math.MaxInt32))
 }
 
 // OpEnd returns the end time of op id after Run, in either recording
@@ -777,7 +807,7 @@ func (s *Sim) checkGPU(g int) bool {
 // drains below timeEps, so the engine would loop forever on it.
 func (s *Sim) checkFinite(name, what string, v float64) bool {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		s.fail(fmt.Errorf("gpusim: op %s: %s %g is not finite", s.nextLabel(name), what, v))
+		s.fail(fmt.Errorf("gpusim: op %q: %s %g is not finite", iterName(name, int(s.iter)), what, v))
 		return false
 	}
 	return true
@@ -793,7 +823,7 @@ func (s *Sim) checkDemand(name string, d Demand) bool {
 		if !math.IsNaN(d.SM) {
 			what = "MemBW"
 		}
-		s.fail(fmt.Errorf("gpusim: op %s: %s demand is NaN", s.nextLabel(name), what))
+		s.fail(fmt.Errorf("gpusim: op %q: %s demand is NaN", iterName(name, int(s.iter)), what))
 		return false
 	}
 	return true
@@ -920,25 +950,21 @@ func (s *Sim) AddBarrier(name string, opts ...OpOption) OpID {
 // Stamp appends a copy of the last n ops shifted by n: op len−n+j is
 // copied to len+j with every dependency d replaced by d+n, and every
 // stream whose last op lies among the n advances by n too. The copies
-// share their sources' demand spans and store no dependencies: Run
-// derives them from their sources' (see depSpan). The result is the
-// DAG that adding the n ops again would build when each of them
-// depends on ops exactly n earlier than its source does, which is how
-// a periodic pipeline's steady iterations repeat. Stamp returns the
-// first copy's id.
+// share their sources' demand spans and store no dependencies or
+// labels: Run derives them from their sources' (see source). The
+// result is the DAG that adding the n ops again, as the next iteration
+// (see SetIteration), would build when each of them depends on ops
+// exactly n earlier than its source does, which is how a periodic
+// pipeline's steady iterations repeat. Stamp returns the first copy's
+// id.
 //
-// Only a Sim that keeps no names (ClusterConfig.EndTimesOnly) stamps,
-// since names carry their iteration. That, an n outside [1, len], or a
-// store that would outgrow int32 ids is recorded as an add error, which
-// Run reports, and Stamp returns InvalidOp. After Run it returns
-// InvalidOp and records nothing.
+// An n outside [1, len], or a store that would outgrow int32 ids, is
+// recorded as an add error, which Run reports, and Stamp returns
+// InvalidOp. After Run it returns InvalidOp and records nothing.
 func (s *Sim) Stamp(n int) OpID {
 	total := len(s.ops)
 	switch {
 	case s.ran:
-		return InvalidOp
-	case !s.cfg.EndTimesOnly:
-		s.fail(fmt.Errorf("gpusim: Stamp on a Sim that keeps op names"))
 		return InvalidOp
 	case n < 1 || n > total:
 		s.fail(fmt.Errorf("gpusim: Stamp of %d ops from a store of %d", n, total))

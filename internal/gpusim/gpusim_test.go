@@ -41,6 +41,22 @@ func TestLaunchOverheadOverride(t *testing.T) {
 	almost(t, res.OpByID(id2).Latency(), 10, 1e-6, "suppressed overhead")
 }
 
+// TestSubEpsilonLaunchOverhead: a kernel whose launch overhead is
+// within timeEps of 0 enters its work phase when it starts, so it ends
+// after its work alone, in one event, as a kernel without overhead
+// does; spending an event on the launch would end it 5e-10 µs later.
+func TestSubEpsilonLaunchOverhead(t *testing.T) {
+	s := NewSim(ClusterConfig{NumGPUs: 1})
+	id := s.AddKernel(0, Kernel{Name: "k", Work: 100, LaunchOverhead: 5e-10, Demand: Demand{SM: 0.5}})
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := res.OpByID(id).End; end != 100 || res.Events != 1 {
+		t.Fatalf("kernel ends at %v after %d events, want 100 after 1", end, res.Events)
+	}
+}
+
 func TestCoRunNoContention(t *testing.T) {
 	// Total demand under capacity on both resources: no stretch.
 	s := NewSim(ClusterConfig{NumGPUs: 1})

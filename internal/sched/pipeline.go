@@ -38,15 +38,16 @@ type GPUWork struct {
 }
 
 // LowerWork returns a copy of work in which each GPU's schedule is
-// lowered to simulator kernels once, so that every BuildAndRun of the
-// copy reuses the lowering instead of repeating it per run. The
-// schedules must not change afterwards. Runs of the copy and of work
-// are the same bits.
+// lowered to simulator kernels and op names once, so that every
+// BuildAndRun of the copy reuses the lowering instead of repeating it
+// per run. The schedules must not change afterwards, nor the entries
+// move: an entry's op names carry its GPU. Runs of the copy and of
+// work are the same bits.
 func LowerWork(work []GPUWork) []GPUWork {
 	out := append([]GPUWork(nil), work...)
 	for g := range out {
 		if sch := out[g].Schedule; sch != nil {
-			out[g].lowered = lowerSchedule(sch)
+			out[g].lowered = lowerSchedule(sch, g)
 		}
 	}
 	return out
@@ -172,10 +173,10 @@ func BuildAndRun(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.Placemen
 }
 
 // gpuPlan caches what every batch of one GPU shares: its simulator
-// streams and its schedule lowered to simulator kernels. Deriving
-// them once per run (or, through LowerWork, once per plan) instead of
-// once per (iteration × GPU) keeps kernel lowering out of DAG
-// construction.
+// streams and its schedule lowered to simulator kernels and op names.
+// Deriving them once per run (or, through LowerWork, once per plan)
+// instead of once per (iteration × GPU) keeps kernel lowering and name
+// building out of DAG construction.
 type gpuPlan struct {
 	prep   gpusim.Stream // data-preparation stream (host prep + H2D copy)
 	pre    gpusim.Stream // preprocessing kernel stream
@@ -185,44 +186,49 @@ type gpuPlan struct {
 	*loweredSchedule
 }
 
-// loweredSchedule is a Schedule lowered to simulator kernels:
+// loweredSchedule is GPU g's Schedule lowered to simulator kernels:
 // perStage[s] and overflow are Schedule.PerStage[s] and
 // Schedule.Overflow lowered by KernelSpec.Kernel, and names and tags
-// list their distinct kernel names and tags. Runs share it read-only.
+// list their distinct op names, "b#/g<g>/" and the kernel's name, and
+// tags. prepName, h2dName, cpuName and commName name the batch's other
+// ops; batch i reads "b<i>/g<g>/..." (gpusim.Sim.SetIteration). Runs
+// share it read-only.
 type loweredSchedule struct {
-	perStage    [][]loweredKernel
-	overflow    []loweredKernel
-	names, tags []string
+	perStage                             [][]loweredKernel
+	overflow                             []loweredKernel
+	names, tags                          []string
+	prepName, h2dName, cpuName, commName string
 }
 
-// noKernels is the lowering of a GPU without a schedule.
-var noKernels loweredSchedule
-
 // loweredKernel is a simulator kernel whose name and tag are indices
-// into loweredSchedule.names and tags, so that a batch builds each
-// prefixed op name once per distinct name rather than once per kernel,
-// and a lowering kept with a plan holds no pointer for the garbage
-// collector to scan (TestLoweredKernelPointerFree). Kernel.Warps, which
-// the simulator does not read, is dropped.
+// into loweredSchedule.names and tags, so that kernels of one name
+// share one op name, and a lowering kept with a plan holds no pointer
+// for the garbage collector to scan (TestLoweredKernelPointerFree).
+// Kernel.Warps, which the simulator does not read, is dropped.
 type loweredKernel struct {
 	work, overhead float64
 	demand         gpusim.Demand
 	nameID, tagID  int32
 }
 
-// simKernel returns the simulator kernel k lowers to, named name.
-func (ls *loweredSchedule) simKernel(k loweredKernel, name string) gpusim.Kernel {
-	return gpusim.Kernel{Name: name, Work: k.work, Demand: k.demand, LaunchOverhead: k.overhead, Tag: ls.tags[k.tagID]}
-}
-
-// lowerSchedule lowers a schedule's kernels.
-func lowerSchedule(sch *Schedule) *loweredSchedule {
-	ls := &loweredSchedule{perStage: make([][]loweredKernel, len(sch.PerStage))}
+// lowerSchedule lowers GPU g's schedule, which is nil for a GPU
+// without preprocessing kernels.
+func lowerSchedule(sch *Schedule, g int) *loweredSchedule {
+	prefix := fmt.Sprintf("b#/g%d/", g)
+	ls := &loweredSchedule{prepName: prefix + "prep", h2dName: prefix + "h2d",
+		cpuName: prefix + "cpu_preproc", commName: prefix + "input_comm"}
+	if sch == nil {
+		return ls
+	}
+	ls.perStage = make([][]loweredKernel, len(sch.PerStage))
 	names, tags := map[string]int32{}, map[string]int32{}
 	for s, specs := range sch.PerStage {
 		ls.perStage[s] = ls.lower(specs, names, tags)
 	}
 	ls.overflow = ls.lower(sch.Overflow, names, tags)
+	for id, name := range ls.names {
+		ls.names[id] = prefix + name
+	}
 	return ls
 }
 
@@ -300,13 +306,9 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 				gp.kernel[i] = sim.NewStream()
 			}
 		}
-		switch sch := work[g].Schedule; {
-		case work[g].lowered != nil:
-			gp.loweredSchedule = work[g].lowered
-		case sch != nil:
-			gp.loweredSchedule = lowerSchedule(sch)
-		default:
-			gp.loweredSchedule = &noKernels
+		gp.loweredSchedule = work[g].lowered
+		if gp.loweredSchedule == nil {
+			gp.loweredSchedule = lowerSchedule(work[g].Schedule, g)
 		}
 		b.gpus[g] = gp
 	}
@@ -322,10 +324,7 @@ func newPipelineBuilder(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl dlrm.P
 	// demands per op, a few more demands on a multi-node topology
 	// (stamped iterations store neither).
 	n := opts.Iterations * iterOps
-	built := n
-	if cluster.EndTimesOnly {
-		built = min(opts.Iterations, stampFrom) * iterOps
-	}
+	built := min(opts.Iterations, stampFrom) * iterOps
 	sim.Grow(built, n-built, 2*built+built/8, 2*built)
 	b.handles = make([]dlrm.IterHandle, 0, opts.Iterations)
 	return b, nil
@@ -351,43 +350,40 @@ func (b *pipelineBuilder) iterOps() int {
 	return n
 }
 
-// addIterations appends every iteration of the run to the DAG.
+// addIterations appends every iteration of the run to the DAG: it
+// builds the first stampFrom and makes each later one a copy of the one
+// before, shifted by its op count.
 func (b *pipelineBuilder) addIterations() error {
 	for i := 0; i < b.opts.Iterations; i++ {
-		if i >= stampFrom && b.sim.Config().EndTimesOnly {
-			b.stampIteration()
+		if i < stampFrom {
+			if err := b.addIteration(i); err != nil {
+				return err
+			}
 			continue
 		}
-		if err := b.addIteration(i); err != nil {
-			return err
-		}
+		last := len(b.handles) - 1
+		n := int(b.handles[last].End - b.handles[last-1].End)
+		b.sim.Stamp(n)
+		b.handles = append(b.handles, b.handles[last].Shift(n))
 	}
 	return nil
 }
 
-// stampFrom is the first iteration a Sim that keeps no names stamps
-// (gpusim.Sim.Stamp) instead of building. It is the first whose every
-// anchor has a counterpart exactly one iteration back: handles[i-1],
-// handles[i-2].End under interleaving (which iteration 1's data
-// preparation lacks), and each stream's last op. So iteration i, for i
-// >= stampFrom, is iteration i-1 shifted by one iteration's op count. A
-// Sim that keeps names builds every iteration: op names carry the batch
-// and iteration number.
+// stampFrom is the first iteration BuildAndRun stamps (gpusim.Sim.Stamp)
+// instead of building. It is the first whose every anchor has a
+// counterpart exactly one iteration back: handles[i-1], handles[i-2].End
+// under interleaving (which iteration 1's data preparation lacks), and
+// each stream's last op. So iteration i, for i >= stampFrom, is
+// iteration i-1 shifted by one iteration's op count, op names included
+// (gpusim.Sim.SetIteration).
 const stampFrom = 3
 
-// stampIteration appends the next iteration as a copy of the last one,
-// shifted by its op count.
-func (b *pipelineBuilder) stampIteration() {
-	last := len(b.handles) - 1
-	n := int(b.handles[last].End - b.handles[last-1].End)
-	b.sim.Stamp(n)
-	b.handles = append(b.handles, b.handles[last].Shift(n))
-}
-
 // addIteration appends iteration i (batch preprocessing on every GPU
-// plus the training stages consuming it) to the DAG.
+// plus the training stages consuming it) to the DAG, as the Sim's
+// iteration i.
 func (b *pipelineBuilder) addIteration(i int) error {
 	n := b.sim.Config().NumGPUs
+	b.sim.SetIteration(i)
 	extra := make([][]gpusim.OpID, n)
 	for g := 0; g < n; g++ {
 		gates, err := b.addBatchPreproc(g, i)
@@ -419,13 +415,6 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 	sim, w, opts := b.sim, b.work[g], b.opts
 	handles := b.handles
 	gp := &b.gpus[g]
-	// A Sim that keeps no op names (gpusim.ClusterConfig.EndTimesOnly)
-	// gets the bare suffixes: joined to an empty prefix they allocate
-	// nothing.
-	prefix := ""
-	if !sim.Config().EndTimesOnly {
-		prefix = fmt.Sprintf("b%d/g%d/", i, g)
-	}
 	nextStream := 0
 	kernelStream := func() gpusim.Stream {
 		if opts.PreprocStreams <= 1 {
@@ -461,13 +450,13 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 	// Data preparation: host-side prep then H2D copy.
 	var prepOps []gpusim.OpID
 	if w.CPUPrepUs > 0 {
-		id := sim.AddCPU(prefix+"prep", w.CPUPrepUs, w.workers(),
+		id := sim.AddCPU(gp.prepName, w.CPUPrepUs, w.workers(),
 			gpusim.WithStream(gp.prep), gpusim.WithDeps(prepAnchor()...))
 		prepOps = append(prepOps, id)
 		last = id
 	}
 	if w.PrepBytes > 0 {
-		id := sim.AddHostCopy(prefix+"h2d", g, w.PrepBytes,
+		id := sim.AddHostCopy(gp.h2dName, g, w.PrepBytes,
 			gpusim.WithStream(gp.prep), gpusim.WithDeps(prepAnchor()...))
 		prepOps = append(prepOps, id)
 		last = id
@@ -483,11 +472,11 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 			deps = append(deps, handles[i-1].StageStartDeps[g][0]...)
 		}
 		b.deps = deps
-		id := sim.AddCPU(prefix+"cpu_preproc", w.CPUPreprocUs, w.workers(),
+		id := sim.AddCPU(gp.cpuName, w.CPUPreprocUs, w.workers(),
 			gpusim.WithStream(gp.cpupre), gpusim.WithDeps(deps...))
 		gates = append(gates, id)
 		if w.Schedule == nil {
-			return append(gates, b.finishCommGates(g, id, prefix)...), nil
+			return append(gates, b.finishCommGates(g, id)...), nil
 		}
 	}
 
@@ -497,19 +486,14 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 		// (and gate the consuming iteration): a no-preproc GPU under a
 		// locality-violating mapping still receives its inputs over the
 		// fabric.
-		return append(gates, b.finishCommGates(g, last, prefix)...), nil
+		return append(gates, b.finishCommGates(g, last)...), nil
 	}
 
 	// GPU preprocessing kernels, serialized on the preprocessing stream,
-	// each anchored to its assigned training stage. Kernels sharing a
-	// name share the batch's prefixed op name: names[id] is the prefix
-	// plus gp.names[id], or "" until the batch's first kernel of that name.
-	names := make([]string, len(gp.names))
+	// each anchored to its assigned training stage.
 	addKernel := func(k loweredKernel, deps []gpusim.OpID) gpusim.OpID {
-		if names[k.nameID] == "" {
-			names[k.nameID] = prefix + gp.names[k.nameID]
-		}
-		return sim.AddKernel(g, gp.simKernel(k, names[k.nameID]),
+		return sim.AddKernel(g, gpusim.Kernel{Name: gp.names[k.nameID], Work: k.work, Demand: k.demand,
+			LaunchOverhead: k.overhead, Tag: gp.tags[k.tagID]},
 			gpusim.WithStream(kernelStream()),
 			gpusim.WithDeps(deps...),
 			gpusim.WithPriority(opts.PreprocPriority))
@@ -551,13 +535,13 @@ func (b *pipelineBuilder) addBatchPreproc(g, i int) ([]gpusim.OpID, error) {
 		b.deps = deps
 		last = addKernel(k, deps)
 	}
-	return append(gates, b.finishCommGates(g, last, prefix)...), nil
+	return append(gates, b.finishCommGates(g, last)...), nil
 }
 
 // finishCommGates appends the mapping-induced input communication after
 // the batch's preprocessing, if any, returning the op(s) that gate the
 // consuming iteration.
-func (b *pipelineBuilder) finishCommGates(g int, last gpusim.OpID, prefix string) []gpusim.OpID {
+func (b *pipelineBuilder) finishCommGates(g int, last gpusim.OpID) []gpusim.OpID {
 	w := b.work[g]
 	if w.InputCommBytes <= 0 {
 		if last < 0 {
@@ -569,7 +553,7 @@ func (b *pipelineBuilder) finishCommGates(g int, last gpusim.OpID, prefix string
 	if last >= 0 {
 		deps = append(deps, last)
 	}
-	id := b.sim.AddLinkBusy(prefix+"input_comm", g, w.InputCommBytes,
+	id := b.sim.AddLinkBusy(b.gpus[g].commName, g, w.InputCommBytes,
 		gpusim.WithStream(b.gpus[g].pre), gpusim.WithDeps(deps...))
 	return []gpusim.OpID{id}
 }
