@@ -13,8 +13,9 @@ import (
 // fleet that Pack places it on, with one co-tenant congesting node 0's
 // fabric link (scale 0.5). The plan comes from buildPlan, as every
 // fleet plan does, so the run is the one a fleet job makes: no
-// utilization timelines and end times only, so it builds 3 of its 8
-// iterations and stamps the other 5 (sched.BuildAndRun). Planning is
+// utilization timelines and end times only; like every pipeline run it
+// builds 3 of its 8 iterations and stamps the other 5
+// (sched.BuildAndRun). Planning is
 // set-up; DAG construction and the gpusim run are timed. ns/event is
 // per event of the gpusim run (Result.Events).
 // `go test -run '^$' -bench BenchmarkFleetJob ./internal/cluster`.

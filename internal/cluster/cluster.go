@@ -114,9 +114,9 @@ func planKey(shape JobShape) JobShape {
 // buildPlan plans a shape with a framework of its own and touches no
 // Simulator state, so different shapes build concurrently. The plan's
 // cluster config sets EndTimesOnly: a job simulation reads only the
-// makespan and the iteration ends, so its runs keep no per-op results,
-// names or tags. Its kernels are lowered once (sched.LowerWork), for
-// every run of the plan to share.
+// makespan and the iteration ends, so its runs keep no per-op results
+// or start times. Its kernels and op names are lowered once
+// (sched.LowerWork), for every run of the plan to share.
 func buildPlan(shape JobShape) (*plannedShape, error) {
 	w, err := rap.NewWorkload(shape.Dataset, shape.PlanIdx, shape.PerGPUBatch, workloadSeed)
 	if err != nil {

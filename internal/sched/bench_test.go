@@ -9,11 +9,14 @@ import (
 
 // BenchmarkPipeline times BuildAndRun of Terabyte plan 3 on 16 GPUs for
 // 8 iterations, with a test-built schedule of GPU preprocessing kernels
-// on every GPU (16,568 ops). The fleet benchmark's real 16-GPU job, with
-// the rap planner's sharded schedule, is cluster's BenchmarkFleetJob.
-// DAG construction and the gpusim run are both timed; planning is
-// set-up. The run records no utilization timelines, as every caller
-// but the utilization, Table 4 and power studies runs.
+// on every GPU (16,568 ops). It builds the first 3 iterations and
+// stamps the other 5 (gpusim.Sim.Stamp), and keeps op results, names
+// rendered, as the named runs of `light` and `wide` do. The fleet
+// benchmark's real 16-GPU job, with the rap planner's sharded schedule,
+// is cluster's BenchmarkFleetJob. DAG construction and the gpusim run
+// are both timed; planning is set-up. The run records no utilization
+// timelines, as every caller but the utilization, Table 4 and power
+// studies runs.
 // `go test -run '^$' -bench BenchmarkPipeline ./internal/sched`.
 func BenchmarkPipeline(b *testing.B) {
 	const n = 16
