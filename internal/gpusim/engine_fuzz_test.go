@@ -104,10 +104,8 @@ func TestWorkBoundClampCases(t *testing.T) {
 	t.Logf("minSpeed clamping breaks the work bound on %d of %d DAGs", broken, total)
 }
 
-// checkAgainstReference runs DAG d through the engine and the reference
-// engine, both recording timelines, and requires bit-identical Results.
-// It then runs d through the engine without timelines and requires the
-// same op results, Makespan and Events, and nil timelines. Last, it
+// checkAgainstReference runs DAG d through the engine, with and without
+// timelines, and the reference engine (see checkBothModes). Then it
 // checks the engine against properties no contention formula enters:
 // two bounds (see checkSoloBounds), the exact longest path of a copy of
 // d whose demands never oversubscribe a resource (see
@@ -115,22 +113,34 @@ func TestWorkBoundClampCases(t *testing.T) {
 // minSpeed clamping may break: it reports whether it did.
 func checkAgainstReference(t *testing.T, d fuzzDAG) (clampBroken bool) {
 	t.Helper()
-	got, err := buildFuzzDAG(t, d, true).Run()
+	got, clamps := checkBothModes(t, int(d.seed), func(timelines bool) *Sim { return buildFuzzDAG(t, d, timelines) })
+	checkSoloBounds(t, buildFuzzDAG(t, d, false), got)
+	checkUncontended(t, d)
+	return checkWorkBound(t, buildFuzzDAG(t, d, false), got, clamps)
+}
+
+// checkBothModes runs the DAG build returns through the engine and the
+// reference engine, both recording timelines, and requires bit-identical
+// Results and digests. It then runs the DAG through the engine without
+// timelines and requires the same op results, Makespan and Events, and
+// nil timelines. It returns the engine's recording run and the number of
+// speeds the reference's minSpeed clamp raised.
+func checkBothModes(t *testing.T, seed int, build func(timelines bool) *Sim) (*Result, int) {
+	t.Helper()
+	got, err := build(true).Run()
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	checkSoloBounds(t, buildFuzzDAG(t, d, false), got)
-	checkUncontended(t, d)
-	want, clamps, err := referenceRunClamps(buildFuzzDAG(t, d, true))
+	want, clamps, err := referenceRunClamps(build(true))
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	compareResults(t, int(d.seed), got, want)
+	compareResults(t, seed, got, want)
 	if d, wd := ResultDigest(got), ResultDigest(want); d != wd {
 		t.Fatalf("digest %s != reference %s", d[:12], wd[:12])
 	}
 
-	plain, err := buildFuzzDAG(t, d, false).Run()
+	plain, err := build(false).Run()
 	if err != nil {
 		t.Fatalf("engine without timelines: %v", err)
 	}
@@ -143,8 +153,8 @@ func checkAgainstReference(t *testing.T, d fuzzDAG) (clampBroken bool) {
 	// compareResults also walks the timelines: lend plain the recording
 	// run's, so only op results and Makespan can differ.
 	plain.Util, plain.HostUtil = got.Util, got.HostUtil
-	compareResults(t, int(d.seed), plain, got)
-	return checkWorkBound(t, buildFuzzDAG(t, d, false), got, clamps)
+	compareResults(t, seed, plain, got)
+	return got, clamps
 }
 
 // checkUncontended scales the demands of DAG d so that no resource can

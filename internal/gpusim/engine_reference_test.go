@@ -123,6 +123,7 @@ func referenceRunClamps(s *Sim) (_ *Result, clamps int, _ error) {
 		if len(running) == 0 {
 			return nil, 0, fmt.Errorf("gpusim: deadlock — %d ops pending with no runnable op (dependency cycle?)", len(s.ops)-done)
 		}
+		res.Events++
 
 		// Resource factors for ops in the work phase.
 		factors := refResourceFactors(s, running, caps)
