@@ -653,7 +653,15 @@ func (s *Sim) push(name, tag string, gpu int, overhead, work float64) {
 		gpu:            int16(gpu),
 		demOff:         int32(len(s.dems)),
 	})
-	s.labels = append(s.labels, label{nameTag: s.intern(nameTag{name, tag}), iter: s.iter})
+	// A kernel's shards follow one another under one name and tag: reuse
+	// the previous op's index before looking the pair up.
+	nt, l := nameTag{name, tag}, label{iter: s.iter}
+	if n := len(s.labels); n > 0 && s.nameTags[s.labels[n-1].nameTag] == nt {
+		l.nameTag = s.labels[n-1].nameTag
+	} else {
+		l.nameTag = s.intern(nt)
+	}
+	s.labels = append(s.labels, l)
 }
 
 // intern returns nt's index in nameTags, appending it if it is new.
