@@ -28,6 +28,13 @@ func TestGeneratorShapes(t *testing.T) {
 func TestGeneratorDeterministic(t *testing.T) {
 	a := NewGenerator(GenConfig{Seed: 7}).NextBatch(64)
 	b := NewGenerator(GenConfig{Seed: 7}).NextBatch(64)
+	for i := range a.Dense {
+		for j, va := range a.Dense[i].Values {
+			if math.Float32bits(va) != math.Float32bits(b.Dense[i].Values[j]) {
+				t.Fatal("nondeterministic dense values")
+			}
+		}
+	}
 	for i := range a.Sparse {
 		av, bv := a.Sparse[i].Values, b.Sparse[i].Values
 		if len(av) != len(bv) {
