@@ -59,7 +59,9 @@ func TestDatasetSplit(t *testing.T) {
 func TestDatasetSplitDeterministic(t *testing.T) {
 	ds := tinyDataset(t)
 	train, eval := ds.Split(0.9, 7)
-	for i := 0; i < 8; i++ {
+	// Iterating a five-entry map repeats the previous order about half
+	// the time, so only many splits catch an order leak reliably.
+	for i := 0; i < 64; i++ {
 		tr, ev := ds.Split(0.9, 7)
 		if !reflect.DeepEqual(tr, train) || !reflect.DeepEqual(ev, eval) {
 			t.Fatalf("split %d differs from the first with the same seed", i+1)
