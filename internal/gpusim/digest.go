@@ -15,8 +15,10 @@ import (
 // excluded: it is a diagnostic counter, not an observable of the
 // simulated timeline, and the committed golden files predate it.) A GPU
 // segment contributes its start, end, SM and bandwidth, a host segment
-// its start, end and CPU. A Result recorded without timelines digests
-// its ops and makespan only.
+// its start, end and CPU. An op contributes its rendered name and tag,
+// each after its length, then its GPU, start and end, as OpByID reads
+// them. A Result recorded without timelines digests its ops and
+// makespan only.
 func ResultDigest(r *Result) string {
 	h := sha256.New()
 	f := func(v float64) {
@@ -24,19 +26,19 @@ func ResultDigest(r *Result) string {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		h.Write(b[:])
 	}
-	str := func(s string) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(len(s)))
-		h.Write(b[:])
-		h.Write([]byte(s))
-	}
 	f(r.Makespan)
-	for _, op := range r.Ops {
-		str(op.Name)
-		str(op.Tag)
-		f(float64(op.GPU))
-		f(op.Start)
-		f(op.End)
+	var b []byte // one op's bytes
+	for i := range r.Ops {
+		o := &r.Ops[i]
+		l := &r.Labels[o.Label]
+		b = l.AppendName(append(b[:0], 0, 0, 0, 0), o.Iter)
+		binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(l.Tag)))
+		b = append(b, l.Tag...)
+		for _, v := range [...]float64{float64(o.GPU), o.Start, o.End} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		h.Write(b)
 	}
 	for g := range r.Util {
 		f(float64(len(r.Util[g])))

@@ -45,11 +45,13 @@ const (
 //   - The op store is flat and pointer-free (see op): ops sit by value
 //     in one []op, their demands and dependencies are int32 spans of two
 //     Sim-wide slices, and their labels are interned indices the loop
-//     never reads. The loop addresses ops by int32 index, a resource's
-//     user list carries each user's start sequence and priority inline,
-//     and Result.Ops, names rendered, is filled in one pass after the
-//     loop (skipped under ClusterConfig.EndTimesOnly). The garbage
-//     collector scans none of it.
+//     never reads. The loop addresses ops by int32 index, and a
+//     resource's user list carries each user's start sequence and
+//     priority inline. Result.Ops is pointer-free too: Run writes each
+//     op's label, iteration and GPU into its record while it wires the
+//     DAG, and the loop its start and end (none of it under
+//     ClusterConfig.EndTimesOnly); names are rendered only where they
+//     are read. The garbage collector scans none of it.
 //   - Slowdown factors are recomputed incrementally: only resources
 //     whose running-user set changed since the previous event are
 //     marked dirty and re-derived. Under FairShare (every run but the
@@ -172,9 +174,9 @@ type engine struct {
 	// children are children[childOff[o]:childOff[o+1]].
 	childOff []int32
 	children []int32
-	// starts[i] is op i's start time, kept only when Run fills
-	// Result.Ops (see ClusterConfig.EndTimesOnly).
-	starts []float64
+	// recs[i] is op i's record, nil when Run keeps none (see
+	// ClusterConfig.EndTimesOnly).
+	recs []OpRecord
 
 	running []int32
 	nextSeq int32
@@ -206,13 +208,23 @@ func (s *Sim) Run() (*Result, error) {
 	// decrement, in the same place among its dependency's children. The
 	// count pass counts d's children in childOff[d+2]; after the prefix
 	// sum, childOff[d+1] is where d's children begin, and the fill pass
-	// advances it to where they end, which is where d+1's begin.
+	// advances it to where they end, which is where d+1's begin. The
+	// count pass also writes each op's label, iteration and GPU into its
+	// record, when Run keeps records.
 	n := int32(len(s.ops))
+	var recs []OpRecord
+	if !s.cfg.EndTimesOnly {
+		recs = make([]OpRecord, n)
+	}
 	childOff := make([]int32, n+2)
 	for i := range s.ops {
 		o, id := &s.ops[i], int32(i)
-		ds, shift := s.depSpan(i)
-		for _, d := range ds {
+		b, shift, stamps := s.source(i)
+		if recs != nil {
+			nt, iter := s.label(b, stamps)
+			recs[i] = OpRecord{Label: nt, Iter: iter, GPU: int32(o.gpu)}
+		}
+		for _, d := range s.storedDeps(b) {
 			d += shift
 			if d < 0 || d >= n {
 				return nil, fmt.Errorf("gpusim: op %q depends on unknown op %d", s.opName(i), d)
@@ -229,8 +241,8 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	children := make([]int32, childOff[n+1])
 	for i := range s.ops {
-		ds, shift := s.depSpan(i)
-		for _, d := range ds {
+		b, shift, _ := s.source(i)
+		for _, d := range s.storedDeps(b) {
 			children[childOff[d+shift+1]] = int32(i)
 			childOff[d+shift+1]++
 		}
@@ -251,12 +263,10 @@ func (s *Sim) Run() (*Result, error) {
 		caps:     initialCaps(s),
 		childOff: childOff,
 		children: children,
+		recs:     recs,
 	}
 	for i := range e.res {
 		e.res[i].fair = 1
-	}
-	if !s.cfg.EndTimesOnly {
-		e.starts = make([]float64, n)
 	}
 	return e.run()
 }
@@ -426,8 +436,8 @@ func (e *engine) run() (*Result, error) {
 	start := func(id int32) {
 		o := &ops[id]
 		o.state = opLaunching
-		if e.starts != nil {
-			e.starts[id] = now
+		if e.recs != nil {
+			e.recs[id].Start = now
 		}
 		o.seq = e.nextSeq
 		e.nextSeq++
@@ -535,6 +545,9 @@ func (e *engine) run() (*Result, error) {
 			o := &ops[id]
 			o.state = opDone
 			o.launchSpeedEnd = now
+			if e.recs != nil {
+				e.recs[id].End = now
+			}
 			done++
 			for _, c := range e.children[e.childOff[id]:e.childOff[id+1]] {
 				child := &ops[c]
@@ -547,20 +560,8 @@ func (e *engine) run() (*Result, error) {
 		e.finished = finished
 	}
 	res.Makespan = now
-	if e.starts == nil {
-		return res, nil
-	}
-	// Ops of one label share one rendered name: an iteration's ops are
-	// added together, so each name and tag keeps its last rendering.
-	names, iters := make([]string, len(s.nameTags)), make([]int, len(s.nameTags))
-	res.Ops = make([]OpResult, len(ops))
-	for i := range ops {
-		nt, iter := s.label(i)
-		if names[nt] == "" || iters[nt] != iter {
-			names[nt], iters[nt] = iterName(s.nameTags[nt].name, iter), iter
-		}
-		o := &ops[i]
-		res.Ops[i] = OpResult{ID: OpID(i), Name: names[nt], Tag: s.nameTags[nt].tag, GPU: int(o.gpu), Start: e.starts[i], End: o.launchSpeedEnd}
+	if e.recs != nil {
+		res.Ops, res.Labels = e.recs, s.nameTags[:len(s.nameTags):len(s.nameTags)]
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -37,11 +38,14 @@ func compareResults(t *testing.T, seed int, got, want *Result) {
 	if len(got.Ops) != len(want.Ops) {
 		t.Fatalf("seed %d: %d ops != reference %d", seed, len(got.Ops), len(want.Ops))
 	}
+	var gotName, wantName []byte
 	for i := range got.Ops {
-		g, w := got.Ops[i], want.Ops[i]
-		if g.ID != w.ID || g.Name != w.Name || g.Tag != w.Tag || g.GPU != w.GPU ||
+		g, w := &got.Ops[i], &want.Ops[i]
+		gl, wl := &got.Labels[g.Label], &want.Labels[w.Label]
+		gotName, wantName = gl.AppendName(gotName[:0], g.Iter), wl.AppendName(wantName[:0], w.Iter)
+		if !bytes.Equal(gotName, wantName) || gl.Tag != wl.Tag || g.GPU != w.GPU ||
 			!bitEq(g.Start, w.Start) || !bitEq(g.End, w.End) {
-			t.Errorf("seed %d: op %d: %+v != reference %+v", seed, i, g, w)
+			t.Errorf("seed %d: op %d: %+v != reference %+v", seed, i, got.OpByID(OpID(i)), want.OpByID(OpID(i)))
 		}
 	}
 	if len(got.Util) != len(want.Util) {
@@ -86,7 +90,7 @@ func TestFairShareRefreshExact(t *testing.T) {
 	for i, c := range []struct {
 		name  string
 		build func(s *Sim)
-		check func(t *testing.T, ops []OpResult)
+		check func(t *testing.T, ops []OpRecord)
 	}{{
 		// a and b are throttled by bandwidth from t = 0; c enters the
 		// SMs at t = 5, whose factor stays exactly 1, and runs at full
@@ -97,7 +101,7 @@ func TestFairShareRefreshExact(t *testing.T) {
 			s.AddKernel(0, k("b", 30, -1, Demand{SM: 0.3, MemBW: 0.5}), WithPriority(1))
 			s.AddKernel(0, k("c", 20, 5, Demand{SM: 0.2}))
 		},
-		check: func(t *testing.T, ops []OpResult) {
+		check: func(t *testing.T, ops []OpRecord) {
 			if ops[2].End != 25 || ops[1].End <= 30 {
 				t.Errorf("c ends at %v (want 25), b at %v (want > 30)", ops[2].End, ops[1].End)
 			}
@@ -110,7 +114,7 @@ func TestFairShareRefreshExact(t *testing.T) {
 			s.AddKernel(0, k("a", 40, -1, Demand{SM: 0.1, MemBW: 0.75}))
 			s.AddKernel(0, k("b", 10, -1, Demand{MemBW: 0.5}))
 		},
-		check: func(t *testing.T, ops []OpResult) {
+		check: func(t *testing.T, ops []OpRecord) {
 			if d := ops[0].End - ops[1].End; math.Abs(d-30) > 1e-6 {
 				t.Errorf("a ends %v after b, want 30", d)
 			}
@@ -126,7 +130,7 @@ func TestFairShareRefreshExact(t *testing.T) {
 			s.AddKernel(0, k("y", 10, -1, Demand{MemBW: 0.5}), WithDeps(x))
 			s.AddKernel(0, k("z", 5, -1, Demand{SM: 0.2}), WithDeps(x))
 		},
-		check: func(t *testing.T, ops []OpResult) {
+		check: func(t *testing.T, ops []OpRecord) {
 			if y, z := ops[2].End-ops[1].End, ops[3].End-ops[1].End; y <= 10 || z != 5 {
 				t.Errorf("y runs %v (want > 10), z %v (want 5)", y, z)
 			}
@@ -142,7 +146,7 @@ func TestFairShareRefreshExact(t *testing.T) {
 			s.AddKernel(0, k("z", 15, 2, Demand{}))
 			s.AddKernel(0, k("w", 4, -1, Demand{}))
 		},
-		check: func(t *testing.T, ops []OpResult) {
+		check: func(t *testing.T, ops []OpRecord) {
 			if ops[2].End != 17 || ops[3].End != 4 {
 				t.Errorf("z ends at %v (want 17), w at %v (want 4)", ops[2].End, ops[3].End)
 			}

@@ -197,7 +197,7 @@ func checkUncontended(t *testing.T, d fuzzDAG) {
 	tol := soloTol * float64(len(s.ops))
 	for i, r := range res.Ops {
 		if math.Abs(r.End-path[i]) > tol {
-			t.Fatalf("uncontended op %s ends at %v, its longest solo path at %v", r.Name, r.End, path[i])
+			t.Fatalf("uncontended op %s ends at %v, its longest solo path at %v", res.OpByID(OpID(i)).Name, r.End, path[i])
 		}
 	}
 	if math.Abs(res.Makespan-longest) > tol {
@@ -256,7 +256,7 @@ func checkSoloBounds(t *testing.T, unrun *Sim, res *Result) {
 	bound := make([]float64, len(unrun.ops)) // longest path ending at op i, less soloTol per op
 	longest := 0.0
 	for i := range unrun.ops {
-		o, r := &unrun.ops[i], res.Ops[i]
+		o, r := &unrun.ops[i], res.OpByID(OpID(i))
 		solo := o.launchSpeedEnd + o.workLeft
 		if span := r.End - r.Start; span < solo-soloTol {
 			t.Fatalf("op %s ran %v µs, under its solo latency %v", r.Name, span, solo)

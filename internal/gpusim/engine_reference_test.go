@@ -25,7 +25,8 @@ import (
 
 // depsOf returns op i's dependencies, in a fresh slice for a stamped op.
 func (s *Sim) depsOf(i int) []int32 {
-	ds, shift := s.depSpan(i)
+	b, shift, _ := s.source(i)
+	ds := s.storedDeps(b)
 	if shift == 0 {
 		return ds
 	}
@@ -90,8 +91,9 @@ func referenceRunClamps(s *Sim) (_ *Result, clamps int, _ error) {
 	}
 
 	res := &Result{
-		Ops:  make([]OpResult, len(s.ops)),
-		Util: make([][]UtilSegment, s.cfg.NumGPUs),
+		Ops:    make([]OpRecord, len(s.ops)),
+		Labels: s.nameTags,
+		Util:   make([][]UtilSegment, s.cfg.NumGPUs),
 	}
 
 	now := 0.0
@@ -204,8 +206,9 @@ func referenceRunClamps(s *Sim) (_ *Result, clamps int, _ error) {
 			o.state = opDone
 			o.launchSpeedEnd = now
 			done++
-			nt, _ := s.label(int(id))
-			res.Ops[id] = OpResult{ID: id, Name: s.opName(int(id)), Tag: s.nameTags[nt].tag, GPU: int(o.gpu), Start: starts[id], End: now}
+			b, _, stamps := s.source(int(id))
+			nt, iter := s.label(b, stamps)
+			res.Ops[id] = OpRecord{Label: nt, Iter: iter, GPU: int32(o.gpu), Start: starts[id], End: now}
 			for _, c := range children[id] {
 				child := &s.ops[c]
 				child.seq--

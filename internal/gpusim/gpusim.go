@@ -152,8 +152,8 @@ type ClusterConfig struct {
 	// Makespan and Events do not depend on it, and only the
 	// utilization, Table 4 and power studies read the timelines.
 	Timelines bool
-	// EndTimesOnly makes Run keep no start times and leave Result.Ops
-	// nil (OpByID then returns the zero OpResult); read an op's end
+	// EndTimesOnly makes Run keep no op records: Result.Ops is nil
+	// (OpByID then returns the zero OpResult), and an op's end is read
 	// through Sim.OpEnd. Op times, Makespan, Events and the timelines
 	// are the same bits either way. Off by default; the fleet
 	// simulator, which reads only makespans and iteration ends, sets it.
@@ -266,8 +266,8 @@ const (
 // dependencies and label are those of the op an Add* call stored (see
 // Sim.source). Two fields hold one value until a point of the op's life
 // and another after it, and its start time is not stored at all (Run
-// keeps start times only when it fills Result.Ops); TestOpRecordSize
-// pins the size.
+// writes it to the op's Result.Ops record, when it keeps records);
+// TestOpRecordSize pins the size.
 type op struct {
 	workLeft float64
 	// launchSpeedEnd is the op's launch overhead left until it enters
@@ -292,7 +292,8 @@ func (o *op) demandsIn(dems []rtDemand) []rtDemand {
 	return dems[o.demOff : o.demOff+int32(o.demN)]
 }
 
-// OpResult reports one finished op.
+// OpResult reports one finished op, its name and tag rendered (see
+// Result.OpByID).
 type OpResult struct {
 	ID    OpID
 	Name  string
@@ -313,11 +314,57 @@ type UtilSegment struct {
 	SM, MemBW  float64 // granted utilization in [0,1]
 }
 
+// OpLabel is one of a run's distinct op names and tags.
+type OpLabel struct {
+	Name, Tag string
+	// Iterated makes an op's name read with its record's iteration in
+	// place of the name's first '#' (see Sim.SetIteration). Every label
+	// of a Sim's run sets it; a Result built by hand may leave it off to
+	// keep a '#' as written.
+	Iterated bool
+}
+
+// AppendName appends the name an op of iteration iter reads under l.
+func (l *OpLabel) AppendName(b []byte, iter uint32) []byte {
+	i := strings.IndexByte(l.Name, '#')
+	if !l.Iterated || i < 0 {
+		return append(b, l.Name...)
+	}
+	b = append(b, l.Name[:i]...)
+	b = strconv.AppendUint(b, uint64(iter), 10)
+	return append(b, l.Name[i+1:]...)
+}
+
+// name returns the name an op of iteration iter reads under l; a name
+// that does not read the iteration is returned as stored.
+func (l *OpLabel) name(iter uint32) string {
+	if !l.Iterated || strings.IndexByte(l.Name, '#') < 0 {
+		return l.Name
+	}
+	return string(l.AppendName(nil, iter))
+}
+
+// OpRecord is one finished op of a Result: 32 bytes holding no pointer
+// (TestOpRecordSize pins both), so Result.Ops is an array the garbage
+// collector never scans. Its name and tag are those of the label
+// Result.Labels[Label], the name read at iteration Iter; Result.OpByID
+// renders them.
+type OpRecord struct {
+	Start float64 //rap:unit us
+	End   float64 //rap:unit us
+	Label int32
+	Iter  uint32
+	GPU   int32 // -1 for host-only ops
+}
+
 // Result is the outcome of Sim.Run.
 type Result struct {
-	// Ops[i] is op i's result. It is nil when the cluster config set
+	// Ops[i] is op i's record. It is nil when the cluster config set
 	// EndTimesOnly; Sim.OpEnd then reads an op's end.
-	Ops      []OpResult
+	Ops []OpRecord
+	// Labels holds the distinct names and tags of the run's ops, which
+	// Ops' records index.
+	Labels   []OpLabel
 	Makespan float64 //rap:unit us
 	// Util[g] is the utilization timeline of GPU g. It is nil unless
 	// the cluster config set Timelines; AvgUtil, BusyFraction,
@@ -333,15 +380,18 @@ type Result struct {
 	Events int
 }
 
-// OpByID returns the result of op id. An out-of-range id, or any id
-// of a run that kept no op results (ClusterConfig.EndTimesOnly),
-// yields the zero OpResult (same defined-zero behavior as AvgUtil/
-// UtilSeries/BusyFraction on out-of-range GPUs).
+// OpByID returns the result of op id, with its name and tag rendered
+// from its record's label. An out-of-range id, or any id of a run that
+// kept no op records (ClusterConfig.EndTimesOnly), yields the zero
+// OpResult (same defined-zero behavior as AvgUtil/UtilSeries/
+// BusyFraction on out-of-range GPUs).
 func (r *Result) OpByID(id OpID) OpResult {
 	if int(id) < 0 || int(id) >= len(r.Ops) {
 		return OpResult{}
 	}
-	return r.Ops[int(id)]
+	o := &r.Ops[id]
+	l := &r.Labels[o.Label]
+	return OpResult{ID: id, Name: l.name(o.Iter), Tag: l.Tag, GPU: int(o.GPU), Start: o.Start, End: o.End}
 }
 
 // AvgUtil returns the time-weighted mean SM and bandwidth utilization of
@@ -414,8 +464,6 @@ func (r *Result) UtilSeries(g int, dt float64) []Sample {
 	return out
 }
 
-type nameTag struct{ name, tag string }
-
 // label is an op's name and tag, as an index into Sim.nameTags, and its
 // iteration (see SetIteration).
 type label struct{ nameTag, iter int32 }
@@ -435,10 +483,11 @@ type Sim struct {
 	depEnd []int32
 	labels []label
 	stamps []stampSpan
-	// nameTags lists the labels' distinct names and tags, nameTagID
-	// their indices; iter is the iteration of the ops added next.
-	nameTags  []nameTag
-	nameTagID map[nameTag]int32
+	// nameTags lists the labels' distinct names and tags, which Run
+	// hands to its Result as Result.Labels, and nameTagID their indices;
+	// iter is the iteration of the ops added next.
+	nameTags  []OpLabel
+	nameTagID map[OpLabel]int32
 	iter      int32
 	// streams[h] is the last op added to stream h (InvalidOp before the
 	// first), for implicit chaining.
@@ -471,7 +520,7 @@ type Sim struct {
 //
 //rap:deterministic
 func NewSim(cfg ClusterConfig) *Sim {
-	return &Sim{cfg: cfg.WithDefaults(), addErr: cfg.Validate(), nameTagID: map[nameTag]int32{}}
+	return &Sim{cfg: cfg.WithDefaults(), addErr: cfg.Validate(), nameTagID: map[OpLabel]int32{}}
 }
 
 // Config returns the (defaulted) cluster configuration.
@@ -637,7 +686,9 @@ func WithPriority(p int) OpOption {
 func WithTag(tag string) OpOption {
 	return func(s *Sim) {
 		l := &s.labels[len(s.labels)-1]
-		l.nameTag = s.intern(nameTag{s.nameTags[l.nameTag].name, tag})
+		nt := s.nameTags[l.nameTag]
+		nt.Tag = tag
+		l.nameTag = s.intern(nt)
 	}
 }
 
@@ -655,7 +706,7 @@ func (s *Sim) push(name, tag string, gpu int, overhead, work float64) {
 	})
 	// A kernel's shards follow one another under one name and tag: reuse
 	// the previous op's index before looking the pair up.
-	nt, l := nameTag{name, tag}, label{iter: s.iter}
+	nt, l := OpLabel{Name: name, Tag: tag, Iterated: true}, label{iter: s.iter}
 	if n := len(s.labels); n > 0 && s.nameTags[s.labels[n-1].nameTag] == nt {
 		l.nameTag = s.labels[n-1].nameTag
 	} else {
@@ -665,7 +716,7 @@ func (s *Sim) push(name, tag string, gpu int, overhead, work float64) {
 }
 
 // intern returns nt's index in nameTags, appending it if it is new.
-func (s *Sim) intern(nt nameTag) int32 {
+func (s *Sim) intern(nt OpLabel) int32 {
 	id, ok := s.nameTagID[nt]
 	if !ok {
 		id = int32(len(s.nameTags))
@@ -728,43 +779,48 @@ func (s *Sim) source(i int) (b, shift, stamps int32) {
 	return b, int32(i) - src, stamps
 }
 
-// depSpan returns op i's dependencies as a stored span and the shift
-// to add to each (see source).
-func (s *Sim) depSpan(i int) ([]int32, int32) {
-	b, shift, _ := s.source(i)
+// storedDeps returns the dependencies the b-th op an Add* call stored
+// stores; an op it is the source of depends on each plus the shift
+// between them (see source).
+func (s *Sim) storedDeps(b int32) []int32 {
 	lo := int32(0)
 	if b > 0 {
 		lo = s.depEnd[b-1]
 	}
-	return s.deps[lo:s.depEnd[b]], shift
+	return s.deps[lo:s.depEnd[b]]
 }
 
-// label returns op i's label, one iteration on per stamp from its
-// source's (see source), as an int that cannot overflow.
-func (s *Sim) label(i int) (nt int32, iter int) {
-	b, _, stamps := s.source(i)
+// label returns op i's label given its source b and the stamps in
+// between (see source): its source's, one iteration on per stamp. The
+// iteration cannot overflow: a source's is at most MaxInt32, and so is
+// the number of stamps.
+func (s *Sim) label(b, stamps int32) (nt int32, iter uint32) {
 	l := s.labels[b]
-	return l.nameTag, int(l.iter) + int(stamps)
+	return l.nameTag, uint32(l.iter) + uint32(stamps)
 }
 
 // opName returns op i's name (see SetIteration).
 func (s *Sim) opName(i int) string {
-	nt, iter := s.label(i)
-	return iterName(s.nameTags[nt].name, iter)
+	b, _, stamps := s.source(i)
+	nt, iter := s.label(b, stamps)
+	return s.nameTags[nt].name(iter)
 }
 
 // iterName returns name as an op of iteration iter reads it (see
 // SetIteration).
-func iterName(name string, iter int) string {
-	return strings.Replace(name, "#", strconv.Itoa(iter), 1)
+func iterName(name string, iter int32) string {
+	l := OpLabel{Name: name, Iterated: true}
+	return l.name(uint32(iter))
 }
 
 // SetIteration makes i, clamped to [0, MaxInt32], the iteration of the
-// ops added after it (0 before the first call). Result.Ops and errors
+// ops added after it (0 before the first call). Result.OpByID and errors
 // read an op's name with its iteration in place of the name's first
 // '#': "b#/g0/prep" of iteration 3 reads "b3/g0/prep". So a Sim stores
 // one name for every iteration of a periodic pipeline's op, and a
-// Stamp copy, one iteration on from its source, stores none.
+// Stamp copy, one iteration on from its source, stores none; an op's
+// record (OpRecord) holds its iteration, and its name is rendered only
+// where it is read.
 func (s *Sim) SetIteration(i int) {
 	s.iter = int32(min(max(i, 0), math.MaxInt32))
 }
@@ -815,7 +871,7 @@ func (s *Sim) checkGPU(g int) bool {
 // drains below timeEps, so the engine would loop forever on it.
 func (s *Sim) checkFinite(name, what string, v float64) bool {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		s.fail(fmt.Errorf("gpusim: op %q: %s %g is not finite", iterName(name, int(s.iter)), what, v))
+		s.fail(fmt.Errorf("gpusim: op %q: %s %g is not finite", iterName(name, s.iter), what, v))
 		return false
 	}
 	return true
@@ -831,7 +887,7 @@ func (s *Sim) checkDemand(name string, d Demand) bool {
 		if !math.IsNaN(d.SM) {
 			what = "MemBW"
 		}
-		s.fail(fmt.Errorf("gpusim: op %q: %s demand is NaN", iterName(name, int(s.iter)), what))
+		s.fail(fmt.Errorf("gpusim: op %q: %s demand is NaN", iterName(name, s.iter), what))
 		return false
 	}
 	return true

@@ -45,16 +45,26 @@ func TestOpStorePointerFree(t *testing.T) {
 	}
 }
 
-// TestOpRecordSize pins the byte size of an op record and of a demand.
-// A fleet job's run holds about 108k ops and 81k demands, so a byte
-// more per op is about 0.1 MB more per run; DESIGN.md §5's memory
-// budget counts them. A new field must come with a new budget there.
+// TestOpRecordSize pins the byte size of an op record, of a demand and
+// of an op's result record, and that the result record holds no
+// pointer. A fleet job's run holds about 108k ops and 81k demands, so a
+// byte more per op is about 0.1 MB more per run, and a run that keeps
+// its records holds one OpRecord per op; DESIGN.md §5's memory budget
+// counts them. A new field must come with a new budget there, and a
+// pointer in OpRecord would make the garbage collector scan every
+// run's Result.Ops again.
 func TestOpRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(op{}); got != 32 {
 		t.Errorf("op is %d bytes, DESIGN.md §5 budgets 32", got)
 	}
 	if got := unsafe.Sizeof(rtDemand{}); got != 16 {
 		t.Errorf("rtDemand is %d bytes, DESIGN.md §5 budgets 16", got)
+	}
+	if got := unsafe.Sizeof(OpRecord{}); got != 32 {
+		t.Errorf("OpRecord is %d bytes, DESIGN.md §5 budgets 32", got)
+	}
+	if typ := reflect.TypeOf(OpRecord{}); !pointerFree(typ) {
+		t.Errorf("%v holds a pointer", typ)
 	}
 }
 
@@ -348,10 +358,15 @@ func TestStampMatchesBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ResultDigest(got) != ResultDigest(want) || got.Events != want.Events || !reflect.DeepEqual(got.Ops, want.Ops) {
+	if ResultDigest(got) != ResultDigest(want) || got.Events != want.Events || len(got.Ops) != len(want.Ops) {
 		t.Fatalf("stamped run digest %s, %d events; built %s, %d events", ResultDigest(got)[:12], got.Events, ResultDigest(want)[:12], want.Events)
 	}
-	if op := got.Ops[len(got.Ops)-2]; op.Name != "it7/cpu" || op.Tag != "cpu" {
+	for i := range got.Ops {
+		if g, w := got.OpByID(OpID(i)), want.OpByID(OpID(i)); g != w {
+			t.Fatalf("op %d: stamped %+v, built %+v", i, g, w)
+		}
+	}
+	if op := got.OpByID(OpID(len(got.Ops) - 2)); op.Name != "it7/cpu" || op.Tag != "cpu" {
 		t.Fatalf("iteration 7's CPU op reads %q, tag %q", op.Name, op.Tag)
 	}
 	for i := range built.ops {
@@ -449,8 +464,8 @@ func TestStampRejected(t *testing.T) {
 
 // TestSetIterationNames: an op reads its name with its iteration in
 // place of the name's first '#', 0 before the first SetIteration; ops
-// of one name, tag and iteration share one string, a name without '#'
-// reads as added, and SetIteration clamps to [0, MaxInt32].
+// of one name, tag and iteration share one label and iteration, a name
+// without '#' reads as added, and SetIteration clamps to [0, MaxInt32].
 func TestSetIterationNames(t *testing.T) {
 	s := NewSim(ClusterConfig{NumGPUs: 1})
 	s.AddBarrier("b#/g0/prep")
@@ -468,7 +483,8 @@ func TestSetIterationNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names, tags []string
-	for _, op := range res.Ops {
+	for i := range res.Ops {
+		op := res.OpByID(OpID(i))
 		names, tags = append(names, op.Name), append(tags, op.Tag)
 	}
 	if want := []string{"b0/g0/prep", "b3/g0/prep#", "b3/g0/prep#", "end3", "init", "it0/end", "it2147483647"}; !slices.Equal(names, want) {
@@ -477,7 +493,7 @@ func TestSetIterationNames(t *testing.T) {
 	if want := []string{"sync", "sync", "sync", "preproc", "sync", "sync", "sync"}; !slices.Equal(tags, want) {
 		t.Fatalf("tags %q, want %q", tags, want)
 	}
-	if unsafe.StringData(res.Ops[1].Name) != unsafe.StringData(res.Ops[2].Name) {
-		t.Fatal("ops of one name, tag and iteration hold two strings")
+	if res.Ops[1].Label != res.Ops[2].Label || res.Ops[1].Iter != res.Ops[2].Iter {
+		t.Fatalf("ops of one name, tag and iteration hold records %+v and %+v", res.Ops[1], res.Ops[2])
 	}
 }

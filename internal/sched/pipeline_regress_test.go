@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -52,8 +53,8 @@ func TestPipelineNoPreprocInputComm(t *testing.T) {
 	}
 	named := func(name string) []gpusim.OpResult {
 		var out []gpusim.OpResult
-		for _, o := range stats.Result.Ops {
-			if o.Name == name {
+		for i := range stats.Result.Ops {
+			if o := stats.Result.OpByID(gpusim.OpID(i)); o.Name == name {
 				out = append(out, o)
 			}
 		}
@@ -236,11 +237,16 @@ func checkStampedMatchesBuilt(cluster gpusim.ClusterConfig, cfg dlrm.Config, pl 
 	if n := opts.Iterations * built.iterOps(); len(got.Ops) != n || len(want.Ops) != n {
 		return fmt.Errorf("%d ops stamped, %d built, want %d", len(got.Ops), len(want.Ops), n)
 	}
-	for i, op := range got.Ops {
-		w := want.Ops[i]
-		if op.ID != w.ID || op.Name != w.Name || op.Tag != w.Tag || op.GPU != w.GPU ||
-			math.Float64bits(op.Start) != math.Float64bits(w.Start) || math.Float64bits(op.End) != math.Float64bits(w.End) {
-			return fmt.Errorf("op %d stamped %+v, built %+v", i, op, w)
+	// Names are rendered into two reused buffers, not through OpByID,
+	// which allocates a string per op of every fleet shape's runs.
+	var gotName, wantName []byte
+	for i := range got.Ops {
+		g, w := &got.Ops[i], &want.Ops[i]
+		gl, wl := &got.Labels[g.Label], &want.Labels[w.Label]
+		gotName, wantName = gl.AppendName(gotName[:0], g.Iter), wl.AppendName(wantName[:0], w.Iter)
+		if !bytes.Equal(gotName, wantName) || gl.Tag != wl.Tag || g.GPU != w.GPU ||
+			math.Float64bits(g.Start) != math.Float64bits(w.Start) || math.Float64bits(g.End) != math.Float64bits(w.End) {
+			return fmt.Errorf("op %d stamped %+v, built %+v", i, got.OpByID(gpusim.OpID(i)), want.OpByID(gpusim.OpID(i)))
 		}
 	}
 	// The ops compared, the digests cover the makespan and timelines.
@@ -300,8 +306,13 @@ func TestLowerWorkMatchesPerRunLowering(t *testing.T) {
 		if gpusim.ResultDigest(got.Result) != gpusim.ResultDigest(want.Result) || !reflect.DeepEqual(got.IterEnds, want.IterEnds) {
 			t.Fatalf("EndTimesOnly=%v: lowered once, makespan %v; per run %v", lean, got.Result.Makespan, want.Result.Makespan)
 		}
-		if !reflect.DeepEqual(got.Result.Ops, want.Result.Ops) {
-			t.Fatalf("EndTimesOnly=%v: op results differ", lean)
+		if len(got.Result.Ops) != len(want.Result.Ops) {
+			t.Fatalf("EndTimesOnly=%v: %d op records, want %d", lean, len(got.Result.Ops), len(want.Result.Ops))
+		}
+		for i := range got.Result.Ops {
+			if g, w := got.Result.OpByID(gpusim.OpID(i)), want.Result.OpByID(gpusim.OpID(i)); g != w {
+				t.Fatalf("EndTimesOnly=%v: op %d %+v, want %+v", lean, i, g, w)
+			}
 		}
 	}
 }

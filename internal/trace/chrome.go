@@ -91,10 +91,11 @@ func radixSort(order, tmp []int32, keys []uint64) []int32 {
 
 // chromeRow is one (pid, tid) display row's memo: the rendered
 // `{"name":…,"cat":…,"ph":"X","ts":` prefix of its last event, valid
-// while the row's next event has the same name and tag.
+// while the row's next event has the same label and iteration.
 type chromeRow struct {
-	name, tag string
-	prefix    []byte
+	label  int32
+	iter   uint32
+	prefix []byte
 }
 
 // chromeTids is the number of thread rows tidFor assigns.
@@ -109,10 +110,12 @@ const chromeTids = 5
 // the co-running timeline visually.
 //
 // The bytes are those encoding/json's Encoder writes for the same event
-// list, but streamed through one chromeBufSize buffer. A nil result,
-// numGPUs < 1, a visible op on GPU >= numGPUs or a visible op with a
-// non-finite timestamp or duration is an error returned before anything
-// is written.
+// list, each op's name and tag as Result.OpByID renders them, but
+// streamed through one chromeBufSize buffer: a name is rendered into it
+// from the op's label, once per run of one label and iteration on a
+// row. A nil result, numGPUs < 1, a visible op on GPU >= numGPUs, with
+// a label res.Labels does not hold or with a non-finite timestamp or
+// duration is an error returned before anything is written.
 func WriteChromeTrace(w io.Writer, res *gpusim.Result, numGPUs int) error {
 	if res == nil {
 		return fmt.Errorf("trace: nil simulation result")
@@ -134,13 +137,16 @@ func WriteChromeTrace(w io.Writer, res *gpusim.Result, numGPUs int) error {
 		if o.End <= o.Start {
 			continue // barriers and zero-width ops clutter the view
 		}
-		if o.GPU >= numGPUs {
-			return fmt.Errorf("trace: op %d (%q) on GPU %d of %d", i, o.Name, o.GPU, numGPUs)
+		if o.Label < 0 || int(o.Label) >= len(res.Labels) {
+			return fmt.Errorf("trace: op %d has label %d of %d", i, o.Label, len(res.Labels))
+		}
+		if int(o.GPU) >= numGPUs {
+			return fmt.Errorf("trace: op %d (%q) on GPU %d of %d", i, res.OpByID(gpusim.OpID(i)).Name, o.GPU, numGPUs)
 		}
 		if !finite(o.Start) || !finite(o.End-o.Start) {
-			return fmt.Errorf("trace: op %d (%q) spans [%g, %g], not finite", i, o.Name, o.Start, o.End)
+			return fmt.Errorf("trace: op %d (%q) spans [%g, %g], not finite", i, res.OpByID(gpusim.OpID(i)).Name, o.Start, o.End)
 		}
-		maxGPU = max(maxGPU, o.GPU)
+		maxGPU = max(maxGPU, int(o.GPU))
 		keys[i] = startBits(o.Start)
 		order = append(order, int32(i))
 	}
@@ -164,23 +170,24 @@ func WriteChromeTrace(w io.Writer, res *gpusim.Result, numGPUs int) error {
 		if n > 0 {
 			buf = append(buf, ',')
 		}
-		tid := tidFor(o.Tag)
-		pid := o.GPU
+		l := &res.Labels[o.Label]
+		tid := tidFor(l.Tag)
+		pid := int(o.GPU)
 		if pid < 0 {
 			pid = numGPUs // host row
 		}
-		row := &rows[(max(o.GPU, -1)+1)*chromeTids+tid]
-		if row.prefix != nil && o.Name == row.name && o.Tag == row.tag {
+		row := &rows[(max(int(o.GPU), -1)+1)*chromeTids+tid]
+		if row.prefix != nil && o.Label == row.label && o.Iter == row.iter {
 			buf = append(buf, row.prefix...)
 		} else {
 			at := len(buf)
 			buf = append(buf, `{"name":`...)
-			buf = appendJSONString(buf, o.Name)
+			buf = appendJSONName(buf, l, o.Iter)
 			buf = append(buf, `,"cat":`...)
-			buf = appendJSONString(buf, o.Tag)
+			buf = appendJSONString(buf, l.Tag)
 			buf = append(buf, `,"ph":"X","ts":`...)
 			row.prefix = append(row.prefix[:0], buf[at:]...)
-			row.name, row.tag = o.Name, o.Tag
+			row.label, row.iter = o.Label, o.Iter
 		}
 		if bits := math.Float64bits(o.Start); ts == nil || bits != tsBits {
 			ts, tsBits = appendJSONFloat(ts[:0], o.Start), bits
@@ -245,18 +252,28 @@ func appendJSONFloat(b []byte, x float64) []byte {
 	return b
 }
 
-// appendJSONString appends s as a JSON string. Printable ASCII other
-// than the quote, the backslash and the HTML-escaped <, > and & is
-// copied as is; any other string goes through json.Marshal, which
-// escapes exactly as the Encoder does.
+// appendJSONString appends s as a JSON string.
 func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
+	return closeJSONString(append(append(b, '"'), s...), len(b)+1)
+}
+
+// appendJSONName appends the name of label l at iteration iter as a
+// JSON string, rendering it in place.
+func appendJSONName(b []byte, l *gpusim.OpLabel, iter uint32) []byte {
+	return closeJSONString(l.AppendName(append(b, '"'), iter), len(b)+1)
+}
+
+// closeJSONString ends the JSON string whose opening quote is b[at-1]
+// and whose raw text is b[at:]. Printable ASCII other than the quote,
+// the backslash and the HTML-escaped <, > and & stays as is; any other
+// text is replaced by its json.Marshal encoding, which escapes exactly
+// as the Encoder does.
+func closeJSONString(b []byte, at int) []byte {
+	for _, c := range b[at:] {
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(string(b[at:])) // a string always marshals
+			return append(b[:at-1], q...)
 		}
 	}
-	b = append(b, '"')
-	b = append(b, s...)
 	return append(b, '"')
 }

@@ -110,8 +110,8 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 
 	// Expected: every op with positive width, in (start, op ID) order.
 	var visible []gpusim.OpResult
-	for _, o := range res.Ops {
-		if o.End > o.Start {
+	for i := range res.Ops {
+		if o := res.OpByID(gpusim.OpID(i)); o.End > o.Start {
 			visible = append(visible, o)
 		}
 	}
@@ -153,10 +153,14 @@ type chromeEvent struct {
 }
 
 // writeChromeTraceJSON is the reflection-based renderer WriteChromeTrace
-// replaced: copy the ops, sort.SliceStable them by start, build the
-// event list, encode it in one Write. It is the byte-identity oracle.
+// replaced: render the ops through OpByID, sort.SliceStable them by
+// start, build the event list, encode it in one Write. It is the
+// byte-identity oracle.
 func writeChromeTraceJSON(w io.Writer, res *gpusim.Result, numGPUs int) error {
-	ops := append([]gpusim.OpResult(nil), res.Ops...)
+	ops := make([]gpusim.OpResult, len(res.Ops))
+	for i := range ops {
+		ops[i] = res.OpByID(gpusim.OpID(i))
+	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 	events := make([]chromeEvent, 0, len(ops))
 	for _, o := range ops {
@@ -263,7 +267,9 @@ func firstDiff(a, b []byte) int {
 
 // chromeFuzzNames covers the string encoder's fast path and every
 // escape encoding/json applies: quotes, backslashes, HTML characters,
-// control bytes, DEL, invalid UTF-8 and the JS line separators.
+// control bytes, DEL, invalid UTF-8 and the JS line separators. A
+// name's first '#' reads as its op's iteration under an Iterated label
+// and as written otherwise.
 var chromeFuzzNames = []string{
 	"train_fwd", "", "a\"b", `c\d`, "<x", "y>", "&z", "tab\there", "nl\n", "\x00\x01\x1f",
 	"del\x7f", "bad\xff\xfeutf8", "ls\u2028ps\u2029", "é ü 漢", " ~!#$%'()*+-./:;=?@[]^_`{|}",
@@ -271,6 +277,34 @@ var chromeFuzzNames = []string{
 
 // chromeFuzzTags are the row tags plus ones that need escaping.
 var chromeFuzzTags = []string{"train", "preproc", "comm", "hostcopy", "cpu", "", "other", "<tag>", "q\"t"}
+
+// chromeFuzzIters are op iterations, a few so that runs of one label
+// and iteration are common, up to the largest a record holds.
+var chromeFuzzIters = []uint32{0, 1, 12, math.MaxInt32, math.MaxUint32}
+
+// internLabel returns l's index in res.Labels, appending it if ids, the
+// indices so far, does not hold it.
+func internLabel(res *gpusim.Result, ids map[gpusim.OpLabel]int32, l gpusim.OpLabel) int32 {
+	id, ok := ids[l]
+	if !ok {
+		id = int32(len(res.Labels))
+		ids[l] = id
+		res.Labels = append(res.Labels, l)
+	}
+	return id
+}
+
+// literalResult builds a Result of the ops as given, their IDs aside:
+// each distinct name and tag is one label, its name read as written.
+func literalResult(ops ...gpusim.OpResult) *gpusim.Result {
+	res := &gpusim.Result{Ops: make([]gpusim.OpRecord, len(ops))}
+	ids := map[gpusim.OpLabel]int32{}
+	for i, o := range ops {
+		res.Ops[i] = gpusim.OpRecord{Start: o.Start, End: o.End, GPU: int32(o.GPU),
+			Label: internLabel(res, ids, gpusim.OpLabel{Name: o.Name, Tag: o.Tag})}
+	}
+	return res
+}
 
 // chromeFuzzFloats covers encoding/json's float formats: both sides of
 // the 1e-6 and 1e21 switches to exponent form, one- and three-digit
@@ -291,13 +325,17 @@ func randomChromeResult(rng *rand.Rand, n, numGPUs int, nonFinite bool) *gpusim.
 			pool[i] = chromeFloat(rng)
 		}
 	}
-	res := &gpusim.Result{Ops: make([]gpusim.OpResult, n)}
+	res := &gpusim.Result{Ops: make([]gpusim.OpRecord, n)}
+	ids := map[gpusim.OpLabel]int32{}
 	for i := range res.Ops {
 		o := &res.Ops[i]
-		o.ID = gpusim.OpID(i)
-		o.Name = chromeFuzzNames[rng.Intn(len(chromeFuzzNames))]
-		o.Tag = chromeFuzzTags[rng.Intn(len(chromeFuzzTags))]
-		o.GPU = rng.Intn(numGPUs+2) - 2 // -2 and -1 are host ops
+		o.Label = internLabel(res, ids, gpusim.OpLabel{
+			Name:     chromeFuzzNames[rng.Intn(len(chromeFuzzNames))],
+			Tag:      chromeFuzzTags[rng.Intn(len(chromeFuzzTags))],
+			Iterated: rng.Intn(2) == 0,
+		})
+		o.Iter = chromeFuzzIters[rng.Intn(len(chromeFuzzIters))]
+		o.GPU = int32(rng.Intn(numGPUs+2) - 2) // -2 and -1 are host ops
 		if rng.Intn(4) == 0 {
 			o.Start = chromeFloat(rng)
 		} else {
@@ -399,20 +437,27 @@ func TestChromeTraceRejectsBadInput(t *testing.T) {
 		return gpusim.OpResult{Name: "k", Tag: "train", GPU: gpu, Start: start, End: end}
 	}
 	ok := []gpusim.OpResult{op(0, 0, 5), op(-1, 1, 2)}
+	withLabel := func(label int32) *gpusim.Result { // ok with op 1 relabelled
+		res := literalResult(ok...)
+		res.Ops[1].Label = label
+		return res
+	}
 	for _, c := range []struct {
 		name    string
 		res     *gpusim.Result
 		numGPUs int
 	}{
 		{"nil result", nil, 2},
-		{"zero GPUs", &gpusim.Result{Ops: ok}, 0},
-		{"negative GPUs", &gpusim.Result{Ops: ok}, -3},
-		{"op beyond the GPUs", &gpusim.Result{Ops: append(ok, op(2, 0, 1))}, 2},
-		{"NaN start", &gpusim.Result{Ops: append(ok, op(0, math.NaN(), 1))}, 2},
-		{"NaN end", &gpusim.Result{Ops: append(ok, op(1, 0, math.NaN()))}, 2},
-		{"infinite end", &gpusim.Result{Ops: append(ok, op(0, 0, math.Inf(1)))}, 2},
-		{"infinite start", &gpusim.Result{Ops: append(ok, op(0, math.Inf(-1), 1))}, 2},
-		{"overflowing duration", &gpusim.Result{Ops: append(ok, op(0, -math.MaxFloat64, math.MaxFloat64))}, 2},
+		{"zero GPUs", literalResult(ok...), 0},
+		{"negative GPUs", literalResult(ok...), -3},
+		{"op beyond the GPUs", literalResult(append(ok, op(2, 0, 1))...), 2},
+		{"NaN start", literalResult(append(ok, op(0, math.NaN(), 1))...), 2},
+		{"NaN end", literalResult(append(ok, op(1, 0, math.NaN()))...), 2},
+		{"infinite end", literalResult(append(ok, op(0, 0, math.Inf(1)))...), 2},
+		{"infinite start", literalResult(append(ok, op(0, math.Inf(-1), 1))...), 2},
+		{"overflowing duration", literalResult(append(ok, op(0, -math.MaxFloat64, math.MaxFloat64))...), 2},
+		{"label beyond the labels", withLabel(1), 2},
+		{"negative label", withLabel(-1), 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var w countingWriter
@@ -427,7 +472,7 @@ func TestChromeTraceRejectsBadInput(t *testing.T) {
 
 	// Skipped ops are not rendered, so neither their GPU nor their
 	// infinite timestamps are errors.
-	skipped := &gpusim.Result{Ops: append(ok, op(9, 3, 3), op(0, math.Inf(1), math.Inf(1)), op(0, 2, math.Inf(-1)))}
+	skipped := literalResult(append(ok, op(9, 3, 3), op(0, math.Inf(1), math.Inf(1)), op(0, 2, math.Inf(-1)))...)
 	var got, want bytes.Buffer
 	if err := WriteChromeTrace(&got, skipped, 2); err != nil {
 		t.Fatal(err)
@@ -444,7 +489,7 @@ func TestChromeTraceRejectsBadInput(t *testing.T) {
 func TestChromeTraceEmpty(t *testing.T) {
 	for _, ops := range [][]gpusim.OpResult{nil, {{Name: "barrier", Start: 4, End: 4}}} {
 		var buf bytes.Buffer
-		if err := WriteChromeTrace(&buf, &gpusim.Result{Ops: ops}, 1); err != nil {
+		if err := WriteChromeTrace(&buf, literalResult(ops...), 1); err != nil {
 			t.Fatal(err)
 		}
 		if buf.String() != "[]\n" {
@@ -476,7 +521,7 @@ func TestChromeTraceStreams(t *testing.T) {
 	}
 
 	// One event larger than the buffer still arrives in bounded writes.
-	long := &gpusim.Result{Ops: []gpusim.OpResult{{Name: strings.Repeat("k", 3*chromeBufSize), Tag: "train", Start: 0, End: 1}}}
+	long := literalResult(gpusim.OpResult{Name: strings.Repeat("k", 3*chromeBufSize), Tag: "train", Start: 0, End: 1})
 	var big countingWriter
 	if err := WriteChromeTrace(&big, long, 1); err != nil {
 		t.Fatal(err)
@@ -507,11 +552,11 @@ func TestChromeTraceAllocsFlat(t *testing.T) {
 // TestChromeTraceMemoSizedByOps: the render's row memo is sized from
 // the GPUs the visible ops use, so a huge numGPUs costs nothing.
 func TestChromeTraceMemoSizedByOps(t *testing.T) {
-	res := &gpusim.Result{Ops: []gpusim.OpResult{
-		{Name: "k", Tag: "train", GPU: 0, Start: 0, End: 2},
-		{Name: "p", Tag: "preproc", GPU: 1, Start: 1, End: 3},
-		{Name: "c", Tag: "cpu", GPU: -1, Start: 0, End: 1},
-	}}
+	res := literalResult(
+		gpusim.OpResult{Name: "k", Tag: "train", GPU: 0, Start: 0, End: 2},
+		gpusim.OpResult{Name: "p", Tag: "preproc", GPU: 1, Start: 1, End: 3},
+		gpusim.OpResult{Name: "c", Tag: "cpu", GPU: -1, Start: 0, End: 1},
+	)
 	allocs := func(numGPUs int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			if err := WriteChromeTrace(io.Discard, res, numGPUs); err != nil {
