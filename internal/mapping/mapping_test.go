@@ -165,6 +165,43 @@ func TestRAPSearchNoMovesWhenBalanced(t *testing.T) {
 	}
 }
 
+// TestRAPSearchSkipsSourceWithinMargin: a destination that lands less
+// than the 1e-9 margin below the bottleneck rejects the move on its own,
+// so the source is never scored for it. GPU 0 starts as the bottleneck
+// (cost 1, every other GPU 0); every candidate destination scores
+// 1 - 5e-10, and a candidate source would score 0.
+func TestRAPSearchSkipsSourceWithinMargin(t *testing.T) {
+	plan := preproc.SkewedPlan(6, nil)
+	cfg := cfgFor(t, plan, 4)
+	calls := map[int]int{} // per GPU; the first is its locality assignment
+	cfg.Cost = func(gpu int, items []Assign, comm float64) float64 {
+		calls[gpu]++
+		switch {
+		case calls[gpu] == 1 && gpu == 0:
+			return 1
+		case calls[gpu] == 1:
+			return 0
+		case gpu == 0:
+			return 0
+		default:
+			return 1 - 5e-10
+		}
+	}
+	res, err := RAPSearch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Moves != 0 {
+		t.Fatalf("%d moves, want 0: no destination clears the margin", res.Moves)
+	}
+	if calls[1] < 2 {
+		t.Fatal("no candidate reached the destination; the margin was not exercised")
+	}
+	if calls[0] != 1 {
+		t.Fatalf("source scored %d times for candidates its destination already rejects", calls[0]-1)
+	}
+}
+
 func TestRAPSearchGraphConservation(t *testing.T) {
 	plan := preproc.SkewedPlan(8, nil)
 	cfg := cfgFor(t, plan, 4)
