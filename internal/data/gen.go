@@ -29,7 +29,8 @@ type GenConfig struct {
 	AvgListLen float64
 	// Skew is the Zipf s-parameter for id draws (default 1.2).
 	Skew float64
-	// NaNRate is the probability that a dense value is NaN (default 0.05).
+	// NaNRate is the probability that a dense value is NaN (0 means the
+	// default 0.05; a negative rate means none).
 	NaNRate float64
 	// FeatureLenScale optionally scales AvgListLen per sparse feature,
 	// producing the skewed preprocessing workload of Figure 12.
@@ -55,7 +56,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	if c.NaNRate < 0 {
 		c.NaNRate = 0
-		//lint:ignore floateq 0 is the documented "unset" sentinel; pass negative for an exact zero rate
 	} else if c.NaNRate == 0 {
 		c.NaNRate = 0.05
 	}

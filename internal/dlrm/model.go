@@ -148,7 +148,7 @@ func (x *interaction) Backward(grad *nn.Matrix) []*nn.Matrix {
 				gj := out[j].Row(b)
 				gd := g[k]
 				k++
-				//lint:ignore floateq exact-zero skip is a pure sparsity optimization
+				// Skipping an exact zero is a pure sparsity optimization.
 				if gd == 0 {
 					continue
 				}

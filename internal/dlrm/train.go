@@ -225,13 +225,11 @@ func sameMLP(a, b *nn.MLP) bool {
 		}
 		lb := b.Layers[li].(*nn.Linear)
 		for i := range la.W.Data {
-			//lint:ignore floateq intentional bit-equality: replicas must match exactly
 			if la.W.Data[i] != lb.W.Data[i] {
 				return false
 			}
 		}
 		for i := range la.B {
-			//lint:ignore floateq intentional bit-equality: replicas must match exactly
 			if la.B[i] != lb.B[i] {
 				return false
 			}

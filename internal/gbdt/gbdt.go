@@ -159,7 +159,6 @@ func buildTree(X [][]float64, target []float64, idx []int, depth, minLeaf int) *
 				continue
 			}
 			// Cannot split between equal feature values.
-			//lint:ignore floateq intentional bit-equality: sorted duplicates cannot host a split point
 			if X[order[pos]][f] == X[order[pos+1]][f] {
 				continue
 			}

@@ -355,7 +355,8 @@ func (e *engine) refreshFactors(idx int32) bool {
 		if total > cap {
 			f = math.Pow(cap/total, ContentionExponent)
 		}
-		//lint:ignore floateq intentional bit-equality: a speed is the minimum of its op's factors, so it keeps its bits exactly when they all do
+		// A speed is the minimum of its op's factors, so it keeps its bits
+		// exactly when they all do: only a changed factor needs a refresh.
 		changed := f != st.fair
 		st.fair = f
 		return changed
@@ -574,7 +575,6 @@ func (e *engine) run() (*Result, error) {
 func (e *engine) recordUtil(res *Result, t0, t1 float64) {
 	cpu := math.Min(e.granted(resIndex(resCPU, 0, e.numGPUs)), 1)
 	host := res.HostUtil
-	//lint:ignore floateq intentional bit-equality: adjacent segments merge only when identical
 	if n := len(host); n > 0 && host[n-1].End == t0 && host[n-1].CPU == cpu {
 		host[n-1].End = t1
 	} else {
@@ -584,7 +584,6 @@ func (e *engine) recordUtil(res *Result, t0, t1 float64) {
 		sm := math.Min(e.granted(resIndex(resSM, g, e.numGPUs)), 1)
 		bw := math.Min(e.granted(resIndex(resBW, g, e.numGPUs)), 1)
 		segs := res.Util[g]
-		//lint:ignore floateq intentional bit-equality: adjacent segments merge only when identical
 		if n := len(segs); n > 0 && segs[n-1].End == t0 && segs[n-1].SM == sm && segs[n-1].MemBW == bw {
 			segs[n-1].End = t1
 			continue

@@ -34,8 +34,3 @@ func shuffle(r *rand.Rand, xs []int) {
 func span(a, b time.Duration) time.Duration {
 	return b - a // ok: time types without reading the clock
 }
-
-func suppressed() int64 {
-	//lint:ignore seededrand test fixture: deliberately suppressed
-	return time.Now().UnixNano()
-}

@@ -52,7 +52,7 @@ func MatMul(a, b *Matrix) *Matrix {
 		orow := out.Row(i)
 		for k := 0; k < a.Cols; k++ {
 			av := arow[k]
-			//lint:ignore floateq exact-zero skip is a pure sparsity optimization
+			// Skipping an exact zero is a pure sparsity optimization.
 			if av == 0 {
 				continue
 			}
@@ -75,7 +75,7 @@ func MatMulATB(a, b *Matrix) *Matrix {
 		arow := a.Row(r)
 		brow := b.Row(r)
 		for i, av := range arow {
-			//lint:ignore floateq exact-zero skip is a pure sparsity optimization
+			// Skipping an exact zero is a pure sparsity optimization.
 			if av == 0 {
 				continue
 			}

@@ -218,7 +218,6 @@ type BoxCox struct {
 
 // NewBoxCox builds a BoxCox with the given λ (default 0.5 if 0).
 func NewBoxCox(id, in, out string, lambda float64) *BoxCox {
-	//lint:ignore floateq 0 is the documented "unset" sentinel for the default lambda
 	if lambda == 0 {
 		lambda = 0.5
 	}

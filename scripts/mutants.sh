@@ -3,8 +3,8 @@
 #
 # Each scripts/mutants/*.diff is one deliberate bug. Its header says what
 # the mutant breaks, where it comes from (`origin`, the commit whose
-# tests or review first named it) or which raplint analyzer's bug class
-# it seeds (`class`), the package,
+# tests or review first named it) or which bug class of the determinism
+# trial it seeds (`class`, DESIGN.md §6), the package whose tests run,
 # the go test flags and the tests that must fail; a unified diff against
 # one production file follows:
 #
@@ -19,18 +19,13 @@
 #
 # For each mutant the runner applies the diff with `patch --fuzz=0` to a
 # temporary copy of the file and runs the named tests through
-# `go test -overlay`, so the tree is never touched. A mutant is killed
-# when the run fails and every named test reports `--- FAIL` (or, for a
-# mutant that makes the engine loop, is still running when the run's
-# `-timeout` flag stops it).
-#
-# A mutant that no test kills, and that is the reason a raplint analyzer
-# stays (DESIGN.md §6), names the analyzer instead of tests:
-#
-#	# lint: floateq
-#
-# It is killed when raplint, run on the package in a temporary copy of
-# the module with the diff applied, reports a finding of that analyzer.
+# `go test -overlay`, so the tree is never touched. The tests of
+# ./internal/lint parse the module's source from disk, which -overlay
+# does not reach, so a mutant naming that package runs its tests in a
+# temporary copy of the module with the mutated file in place. A mutant
+# is killed when the run fails and every named test reports `--- FAIL`
+# (or, for a mutant that makes the engine loop, is still running when
+# the run's `-timeout` flag stops it).
 #
 # The runner fails if any mutant survives, does not compile, or no
 # longer applies.
@@ -64,10 +59,9 @@ for m; do
 	pkg=$(header package)
 	flags=$(header flags)
 	kill=$(header kill)
-	lint=$(header lint)
 	file=$(sed -n 's|^+++ b/\([^[:space:]]*\).*|\1|p' "$m" | head -n 1)
-	if [ -z "$pkg" ] || [ -z "$kill$lint" ] || [ -z "$file" ]; then
-		echo "FAIL $name: header lacks package, kill or lint, or a +++ b/<file> line"
+	if [ -z "$pkg" ] || [ -z "$kill" ] || [ -z "$file" ]; then
+		echo "FAIL $name: header lacks package or kill, or a +++ b/<file> line"
 		failed=$((failed + 1))
 		continue
 	fi
@@ -77,33 +71,27 @@ for m; do
 		failed=$((failed + 1))
 		continue
 	fi
-	if [ -n "$lint" ]; then
-		# raplint reads source from disk, so it runs on a copy of the
-		# module, made and built once.
+	if [ "$pkg" = ./internal/lint ]; then
+		# The module copy is made once; each mutant puts its file in
+		# place and the original back after its runs.
 		if [ ! -d "$tmp/tree" ]; then
 			mkdir "$tmp/tree"
 			tar -cf - --exclude=./.git . | tar -xf - -C "$tmp/tree"
-			go build -o "$tmp/raplint" ./cmd/raplint
 		fi
 		cp "$tmp/mutant.go" "$tmp/tree/$file"
-		(cd "$tmp/tree" && "$tmp/raplint" "$pkg") >"$tmp/test.log" 2>&1 || true
-		cp "$file" "$tmp/tree/$file"
-		if grep -q "($lint)\$" "$tmp/test.log"; then
-			echo "ok   $name (raplint $lint)"
-		else
-			echo "FAIL $name: raplint reports no $lint finding"
-			sed 's/^/    /' "$tmp/test.log" | tail -n 20
-			failed=$((failed + 1))
-		fi
-		continue
+		dir=$tmp/tree
+		overlay=
+	else
+		printf '{"Replace":{"%s":"%s"}}\n' "$root/$file" "$tmp/mutant.go" >"$tmp/overlay.json"
+		dir=$root
+		overlay="-overlay $tmp/overlay.json"
 	fi
-	printf '{"Replace":{"%s":"%s"}}\n' "$root/$file" "$tmp/mutant.go" >"$tmp/overlay.json"
 	pattern="^($(echo "$kill" | tr ' ' '|'))\$"
 	verdict=killed
 	run=1
 	while [ "$run" -le "$runs" ] && [ "$verdict" = killed ]; do
-		# shellcheck disable=SC2086 # flags is a word list
-		if go test -count=1 -overlay "$tmp/overlay.json" $flags -run "$pattern" "$pkg" >"$tmp/test.log" 2>&1; then
+		# shellcheck disable=SC2086 # overlay and flags are word lists
+		if (cd "$dir" && go test -count=1 $overlay $flags -run "$pattern" "$pkg") >"$tmp/test.log" 2>&1; then
 			verdict="survived run $run: the named tests pass"
 		elif grep -q -e '\[build failed\]' -e '\[setup failed\]' "$tmp/test.log"; then
 			verdict="does not compile"
@@ -121,6 +109,9 @@ for m; do
 		fi
 		run=$((run + 1))
 	done
+	if [ "$dir" != "$root" ]; then
+		cp "$file" "$tmp/tree/$file"
+	fi
 	if [ "$verdict" = killed ]; then
 		echo "ok   $name"
 	else
