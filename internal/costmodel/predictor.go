@@ -210,14 +210,25 @@ func TrainPredictor(ds Dataset, cfg gbdt.Config) (*Predictor, error) {
 //
 //rap:unit return us
 func (p *Predictor) Predict(spec preproc.KernelSpec) float64 {
+	return p.PredictAt(&spec, spec.Elements)
+}
+
+// PredictAt returns Predict of spec with its Elements replaced by
+// elems, leaving spec unchanged. The analytic model reads spec in
+// place; only a trained model's features are taken from a copy.
+//
+//rap:unit return us
+func (p *Predictor) PredictAt(spec *preproc.KernelSpec, elems float64) float64 {
 	if len(p.models) == 0 {
-		return spec.SoloLatency()
+		return spec.SoloLatencyAt(elems)
 	}
 	m, ok := p.models[spec.Type.PredictorCategory()]
 	if !ok {
-		return spec.SoloLatency()
+		return spec.SoloLatencyAt(elems)
 	}
-	v := m.Predict(features(spec))
+	s := *spec
+	s.Elements = elems
+	v := m.Predict(features(s))
 	if v < 0 {
 		return 0
 	}

@@ -336,7 +336,18 @@ func RAPSearch(cfg Config) (*Result, error) {
 	n := cfg.Placement.NumGPUs
 	perGPU, _ := assignLocality(cfg)
 	memoized := newCostMemo(cfg.costFn(), cfg.Plan)
-	cost := memoized.cost
+	// Every comparison with NaN is false, so a NaN destination would
+	// pass both acceptance tests and argmax/argmin would skip a NaN GPU;
+	// an infinite cost hides every other GPU's. The first non-finite
+	// cost ends the search with an error.
+	var bad error
+	cost := func(g int, items []Assign, comm float64) float64 {
+		c := memoized.cost(g, items, comm)
+		if bad == nil && (math.IsNaN(c) || math.IsInf(c, 0)) {
+			bad = fmt.Errorf("mapping: GPU %d costs %v; RAPSearch needs finite costs", g, c)
+		}
+		return c
+	}
 
 	comm := make([]float64, n)
 	costs := make([]float64, n)
@@ -346,6 +357,9 @@ func RAPSearch(cfg Config) (*Result, error) {
 	}
 	for g := 0; g < n; g++ {
 		recompute(g)
+	}
+	if bad != nil {
+		return nil, bad
 	}
 
 	moves := 0
@@ -381,11 +395,11 @@ func RAPSearch(cfg Config) (*Result, error) {
 		// changes a decision.
 		try := func(newSrcItems, newDstItems []Assign) bool {
 			newDst := cost(dst, newDstItems, commOf(newDstItems, dst, cfg))
-			if newDst >= oldMax-1e-9 {
+			if bad != nil || newDst >= oldMax-1e-9 {
 				return false
 			}
 			newSrc := cost(src, newSrcItems, commOf(newSrcItems, src, cfg))
-			if maxOf(newSrc, newDst) >= oldMax-1e-9 {
+			if bad != nil || maxOf(newSrc, newDst) >= oldMax-1e-9 {
 				return false
 			}
 			perGPU[src] = newSrcItems
@@ -416,6 +430,9 @@ func RAPSearch(cfg Config) (*Result, error) {
 					improved = true
 					break
 				}
+			}
+			if bad != nil {
+				return nil, bad
 			}
 		}
 		if !improved {

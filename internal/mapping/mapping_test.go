@@ -2,10 +2,12 @@ package mapping
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"rap/internal/dlrm"
@@ -199,6 +201,54 @@ func TestRAPSearchSkipsSourceWithinMargin(t *testing.T) {
 	}
 	if calls[0] != 1 {
 		t.Fatalf("source scored %d times for candidates its destination already rejects", calls[0]-1)
+	}
+}
+
+// TestRAPSearchNonFiniteCost gives one GPU a NaN or infinite cost at
+// each point RAPSearch scores: the initial locality assignment, a
+// candidate's destination and a candidate's source. The search must
+// return an error naming that GPU and the value, never a mapping: NaN
+// fails every comparison and an infinity hides every other cost.
+func TestRAPSearchNonFiniteCost(t *testing.T) {
+	// Initial costs: GPU 0 is the source, GPU 2 the destination.
+	initial := []float64{1, 0.1, 0, 0.2}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// After its first call every GPU costs 0.5, which clears the
+		// destination test against the source's 1.
+		for _, at := range []struct {
+			name string
+			gpu  int
+		}{
+			{"initial", 3},
+			{"destination", 2},
+			{"source", 0},
+		} {
+			t.Run(fmt.Sprintf("%s/%v", at.name, v), func(t *testing.T) {
+				cfg := cfgFor(t, preproc.SkewedPlan(6, nil), 4)
+				calls := map[int]int{}
+				cfg.Cost = func(gpu int, items []Assign, comm float64) float64 {
+					calls[gpu]++
+					first := calls[gpu] == 1
+					switch {
+					case gpu == at.gpu && first == (at.name == "initial"):
+						return v
+					case first:
+						return initial[gpu]
+					default:
+						return 0.5
+					}
+				}
+				res, err := RAPSearch(cfg)
+				if err == nil {
+					t.Fatalf("nil error, %d moves, for cost %v on GPU %d", res.Moves, v, at.gpu)
+				}
+				for _, want := range []string{fmt.Sprintf("GPU %d ", at.gpu), fmt.Sprint(v)} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %q does not name %q", err, want)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -187,25 +187,28 @@ type KernelSpec struct {
 }
 
 // Warps returns the launch size of the kernel.
-func (s KernelSpec) Warps() int {
-	w := int(math.Ceil(s.Elements / float64(warpSize*elemsPerThread)))
+func (s KernelSpec) Warps() int { return warpsAt(s.Elements) }
+
+// warpsAt returns the launch size of a kernel of elems elements.
+func warpsAt(elems float64) int {
+	w := int(math.Ceil(elems / float64(warpSize*elemsPerThread)))
 	if w < 1 {
 		w = 1
 	}
 	return w
 }
 
-// occupancy is the fraction of the GPU the launch can cover:
-// min(1, Warps/warpsSaturate). A kernel of at least warpsSaturate full
-// warps of elements covers the whole GPU; below that, Warps is at most
-// warpsSaturate, so the ratio needs no clamp.
+// occupancyAt is the fraction of the GPU a launch of elems elements can
+// cover: min(1, Warps/warpsSaturate). A kernel of at least
+// warpsSaturate full warps of elements covers the whole GPU; below
+// that, Warps is at most warpsSaturate, so the ratio needs no clamp.
 //
 //rap:unit return 1
-func (s KernelSpec) occupancy() float64 {
-	if s.Elements >= warpsSaturate*warpSize*elemsPerThread {
+func occupancyAt(elems float64) float64 {
+	if elems >= warpsSaturate*warpSize*elemsPerThread {
 		return 1
 	}
-	return float64(s.Warps()) / warpsSaturate
+	return float64(warpsAt(elems)) / warpsSaturate
 }
 
 // Work returns the kernel's solo execution time in µs (excluding launch
@@ -216,12 +219,19 @@ func (s KernelSpec) occupancy() float64 {
 // cost (a shard confined to leftover resources runs at leftover speed).
 //
 //rap:unit return us
-func (s KernelSpec) Work() float64 {
+func (s KernelSpec) Work() float64 { return s.workAt(s.Elements) }
+
+// workAt is Work for the kernel with its Elements replaced by elems.
+// It reads the spec through a pointer, so asking what a shard of the
+// kernel would cost copies no spec.
+//
+//rap:unit return us
+func (s *KernelSpec) workAt(elems float64) float64 {
 	scale := s.ParamScale
 	if scale <= 0 {
 		scale = 1
 	}
-	return s.Elements*s.Type.costFactor()*scale/(baseThroughput*s.occupancy()) + minKernelWork
+	return elems*s.Type.costFactor()*scale/(baseThroughput*occupancyAt(elems)) + minKernelWork
 }
 
 // SaturatedWork returns the execution time the kernel's element count
@@ -242,7 +252,7 @@ func (s KernelSpec) SaturatedWork() float64 {
 // so a launch that covers a fraction of the GPU demands exactly that
 // fraction of SM capacity.
 func (s KernelSpec) Demand() gpusim.Demand {
-	occ := s.occupancy()
+	occ := occupancyAt(s.Elements)
 	return gpusim.Demand{
 		SM:    occ,
 		MemBW: s.Type.bwIntensity() * occ,
@@ -252,8 +262,16 @@ func (s KernelSpec) Demand() gpusim.Demand {
 // SoloLatency returns launch overhead + work.
 //
 //rap:unit return us
-func (s KernelSpec) SoloLatency() float64 {
-	return gpusim.DefaultLaunchOverhead + s.Work()
+func (s KernelSpec) SoloLatency() float64 { return s.SoloLatencyAt(s.Elements) }
+
+// SoloLatencyAt returns the solo latency (launch overhead + work) the
+// kernel would have with elems elements in place of its Elements,
+// bit for bit what SoloLatency returns on such a copy. The co-run
+// scheduler predicts every shard and remainder it cuts this way.
+//
+//rap:unit return us
+func (s *KernelSpec) SoloLatencyAt(elems float64) float64 {
+	return gpusim.DefaultLaunchOverhead + s.workAt(elems)
 }
 
 // Kernel lowers the spec to a simulator kernel.

@@ -37,9 +37,9 @@ func BenchmarkPipeline(b *testing.B) {
 // `wide` (widePlans), once per entry point: CoRunSchedule, which the
 // per-GPU lowering calls, and CoRunExposed, which the mapping search
 // scores every candidate with. One op covers all 4 GPUs; shards/op is
-// the plans' summed NumShards, and pieces/op the shards Algorithm 1
-// cuts in both passes, the discarded first included, so ns/op over
-// pieces/op is the cost per piece.
+// the plans' summed NumShards, pieces/op the shards Algorithm 1 cuts in
+// both passes, the discarded first included, and ns/piece is ns/op over
+// pieces/op, the cost per piece.
 // `go test -run '^$' -bench BenchmarkCoRunSchedule ./internal/sched`.
 func BenchmarkCoRunSchedule(b *testing.B) {
 	plans, cm := widePlans(b, 4096)
@@ -55,6 +55,7 @@ func BenchmarkCoRunSchedule(b *testing.B) {
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(shards), "shards/op")
 		b.ReportMetric(float64(pieces), "pieces/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pieces), "ns/piece")
 	}
 	b.Run("schedule", func(b *testing.B) {
 		b.ReportAllocs()

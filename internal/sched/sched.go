@@ -277,21 +277,16 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 	backlog := 0.0
 	pos := 0
 	// A split piece differs from the planned kernel at its queue
-	// position only in Elements, and Predict is a pure function of the
-	// spec, so a shard at the same position with bit-identical Elements
-	// as the last one predicted reuses its prediction: demand-limited
-	// runs cut the same shard over and over. Shards are predicted
-	// through one spec, copied from the queue entry when the position
-	// changes, so cutting a piece copies no spec.
+	// position only in Elements, so every piece is predicted from its
+	// queue entry and its own element count (PredictAt), copying no
+	// spec. Prediction is a pure function of the two, so a shard at the
+	// same position with bit-identical Elements as the last one
+	// predicted reuses its prediction: demand-limited runs cut the same
+	// shard over and over.
 	shardPos, shardElems, shardP := -1, uint64(0), 0.0
-	var shard preproc.KernelSpec
 	predictShard := func(elems float64) float64 {
 		if pos != shardPos || math.Float64bits(elems) != shardElems {
-			if pos != shardPos {
-				shard = queue[pos].k
-			}
-			shard.Elements = elems
-			shardPos, shardElems, shardP = pos, math.Float64bits(elems), cm.Pred.Predict(shard)
+			shardPos, shardElems, shardP = pos, math.Float64bits(elems), cm.Pred.PredictAt(&queue[pos].k, elems)
 		}
 		return shardP
 	}
@@ -364,7 +359,7 @@ func corun(plan *fusion.Plan, cm *costmodel.CostModel, opts Options, keep bool) 
 			// The rest is the queue entry with the rest's Elements,
 			// written in place.
 			q.k.Elements = e2
-			q.p, q.part = cm.Pred.Predict(q.k), restPart
+			q.p, q.part = cm.Pred.PredictAt(&q.k, e2), restPart
 			// Keep filling this stage: more pieces may fit.
 		}
 		backlog += sum
